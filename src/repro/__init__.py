@@ -125,6 +125,7 @@ def convert(
     ``None`` follows the process-wide ``REPRO_TRACE`` setting, ``True`` /
     ``False`` force tracing on/off for the calling thread.
     """
+    call_start = _time.perf_counter()
     import repro.obs as obs
     from repro.backends import available_backend
     from repro.verify import gate
@@ -174,6 +175,10 @@ def convert(
     obs.METRICS.histogram(
         "repro_conversion_seconds", "inspector execution time of convert()"
     ).observe(elapsed, backend=backend)
+    obs.METRICS.histogram(
+        "repro_convert_seconds",
+        "end-to-end wall time of convert(): gate, bind, inspector, pack",
+    ).observe(_time.perf_counter() - call_start, backend=backend)
     return result
 
 

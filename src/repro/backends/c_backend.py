@@ -82,14 +82,27 @@ class CCompileError(RuntimeError):
 # ----------------------------------------------------------------------
 # Toolchain discovery
 # ----------------------------------------------------------------------
+#: ``compiler_path()`` results keyed on the ``($CC, $PATH)`` they were
+#: resolved under, so a changed environment resolves afresh.
+_COMPILER_PATHS: dict[tuple[str | None, str | None], str | None] = {}
+
+
 def compiler_path() -> str | None:
     """Absolute path of the C compiler, or None when there is none.
 
     ``$CC`` is authoritative when set — if it does not resolve, the
     backend is unavailable rather than silently using another compiler
-    (CI's no-toolchain job relies on ``CC=/nonexistent``).
+    (CI's no-toolchain job relies on ``CC=/nonexistent``).  The lookup
+    runs on every backend resolution, so it is memoized per
+    ``($CC, $PATH)``.
     """
-    cc = os.environ.get("CC")
+    key = (os.environ.get("CC"), os.environ.get("PATH"))
+    if key not in _COMPILER_PATHS:
+        _COMPILER_PATHS[key] = _find_compiler(key[0])
+    return _COMPILER_PATHS[key]
+
+
+def _find_compiler(cc: str | None) -> str | None:
     if cc is not None:
         return shutil.which(cc)
     for candidate in ("cc", "gcc", "clang"):

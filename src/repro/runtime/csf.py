@@ -19,13 +19,6 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
-from repro.errors import (
-    BoundsError,
-    ShapeError,
-    StructureError,
-    UnsortedInputError,
-)
-
 from .tensors3d import COOTensor3D, _ValidatedTensor
 
 
@@ -63,84 +56,6 @@ class CSFTensor(_ValidatedTensor):
     @property
     def nfibers(self) -> int:
         return len(self.fibidx)
-
-    def check(self) -> None:
-        if len(self.fptr) != self.nroots + 1:
-            raise ShapeError(
-                "fptr must have nroots + 1 entries", container=repr(self)
-            )
-        if len(self.kptr) != self.nfibers + 1:
-            raise ShapeError(
-                "kptr must have nfibers + 1 entries", container=repr(self)
-            )
-        if self.fptr[0] != 0 or self.fptr[-1] != self.nfibers:
-            raise StructureError(
-                "fptr must start at 0 and end at nfibers",
-                container=repr(self),
-            )
-        if self.kptr[0] != 0 or self.kptr[-1] != self.nnz:
-            raise StructureError(
-                "kptr must start at 0 and end at nnz", container=repr(self)
-            )
-        if any(a > b for a, b in zip(self.fptr, self.fptr[1:])):
-            raise StructureError(
-                "fptr must be non-decreasing", container=repr(self)
-            )
-        if any(a > b for a, b in zip(self.kptr, self.kptr[1:])):
-            raise StructureError(
-                "kptr must be non-decreasing", container=repr(self)
-            )
-        if len(self.kidx) != self.nnz:
-            raise ShapeError("kidx/val lengths differ", container=repr(self))
-        if any(a >= b for a, b in zip(self.rootidx, self.rootidx[1:])):
-            raise UnsortedInputError(
-                "root indices must be strictly increasing",
-                container=repr(self),
-            )
-        for ip in range(self.nroots):
-            if not (0 <= self.rootidx[ip] < self.dims[0]):
-                raise BoundsError(
-                    f"root index {self.rootidx[ip]} out of bounds",
-                    coordinate=self.rootidx[ip],
-                    position=ip,
-                    container=repr(self),
-                )
-            fibers = self.fibidx[self.fptr[ip] : self.fptr[ip + 1]]
-            if not fibers:
-                raise StructureError(
-                    f"root {ip} has no fibers", container=repr(self)
-                )
-            if any(a >= b for a, b in zip(fibers, fibers[1:])):
-                raise UnsortedInputError(
-                    f"fibers of root {ip} not strictly increasing",
-                    container=repr(self),
-                )
-        for jp in range(self.nfibers):
-            if not (0 <= self.fibidx[jp] < self.dims[1]):
-                raise BoundsError(
-                    f"fiber index {self.fibidx[jp]} out of bounds",
-                    coordinate=self.fibidx[jp],
-                    position=jp,
-                    container=repr(self),
-                )
-            ks = self.kidx[self.kptr[jp] : self.kptr[jp + 1]]
-            if not ks:
-                raise StructureError(
-                    f"fiber {jp} has no nonzeros", container=repr(self)
-                )
-            for kp, k in enumerate(ks):
-                if not (0 <= k < self.dims[2]):
-                    raise BoundsError(
-                        f"mode-2 index {k} out of bounds in fiber {jp}",
-                        coordinate=k,
-                        position=self.kptr[jp] + kp,
-                        container=repr(self),
-                    )
-            if any(a >= b for a, b in zip(ks, ks[1:])):
-                raise UnsortedInputError(
-                    f"mode-2 indices of fiber {jp} not increasing",
-                    container=repr(self),
-                )
 
     # ------------------------------------------------------------------
     def nonzeros(self) -> Iterator[tuple[int, int, int, float]]:

@@ -32,15 +32,17 @@ from typing import Callable, Optional, Sequence
 
 import repro.obs as obs
 from repro.backends import backend_names, get_backend
-from repro.errors import ValidationError
+from repro.errors import BoundsError, ValidationError
 from repro.formats import get_format
 from repro.runtime import (
+    BCSCMatrix,
     BCSRMatrix,
     COOMatrix,
     COOTensor3D,
     CSCMatrix,
     CSFTensor,
     CSRMatrix,
+    DCSRMatrix,
     DIAMatrix,
     ELLMatrix,
     MortonCOOMatrix,
@@ -687,6 +689,16 @@ def _gate_probes(rng) -> list[tuple[str, object, dict]]:
     dup3 = COOTensor3D((2, 2, 2), [0, 0], [1, 1], [1, 1], [1.0, 2.0])
     oob3 = COOTensor3D((2, 2, 2), [0, 3], [0, 0], [0, 0], [1.0, 2.0])
     unsorted3 = COOTensor3D((2, 2, 2), [1, 0], [0, 0], [0, 0], [1.0, 2.0])
+    huge = COOMatrix(2, 2, [0, 2**63], [0, 1], [1.0, 2.0])
+    bad_mcoo = MortonCOOMatrix(2, 2, [1, 0], [1, 0], [1.0, 2.0])
+    bad_bcsr = BCSRMatrix(4, 4, 2, [0, 1, 2], [0, 2], [1.0] * 8)
+    bad_bcsc = BCSCMatrix(4, 4, 2, [0, 2, 2], [1, 1], [1.0] * 8)
+    bad_ell = ELLMatrix(2, 3, 2, [1, 1, 0, -1], [1.0, 2.0, 3.0, 0.0])
+    bad_dcsr = DCSRMatrix(3, 3, [2, 0], [0, 1, 2], [0, 1], [1.0, 2.0])
+    bad_csf = CSFTensor((2, 2, 2), [0], [0, 1], [0], [0, 2], [1, 0],
+                        [1.0, 2.0])
+    bad_mcoo3 = MortonCOOTensor3D((2, 2, 2), [1, 0], [1, 0], [1, 0],
+                                  [1.0, 2.0])
     return [
         ("coo-duplicate", dup, {"dst": "CSR"}),
         ("coo-out-of-bounds-row", oob_row, {"dst": "CSR"}),
@@ -701,16 +713,26 @@ def _gate_probes(rng) -> list[tuple[str, object, dict]]:
         ("coo3d-duplicate", dup3, {"dst": "MCOO3"}),
         ("coo3d-out-of-bounds", oob3, {"dst": "MCOO3"}),
         ("coo3d-unsorted-claimed-sorted", unsorted3, {"dst": "MCOO3"}),
+        ("coo-coordinate-beyond-int64", huge,
+         {"dst": "CSR", "error": BoundsError}),
+        ("mcoo-not-morton-ordered", bad_mcoo, {"dst": "CSR"}),
+        ("bcsr-block-column-out-of-bounds", bad_bcsr, {"dst": "CSR"}),
+        ("bcsc-duplicate-block-rows", bad_bcsc, {"dst": "CSR"}),
+        ("ell-duplicate-columns", bad_ell, {"dst": "CSR"}),
+        ("dcsr-unsorted-rows", bad_dcsr, {"dst": "CSR"}),
+        ("csf-unsorted-mode2", bad_csf, {"dst": "COO3D"}),
+        ("mcoo3-not-morton-ordered", bad_mcoo3, {"dst": "COO3D"}),
     ]
 
 
 def _run_gate_probe(label, container, kwargs, backend) -> Optional[str]:
     from repro import convert
 
+    expected = kwargs.get("error", ValidationError)
     try:
         convert(container, kwargs["dst"], backend=backend,
                 validate="inputs")
-    except ValidationError:
+    except expected:
         return None
     except Exception as err:  # noqa: BLE001 - wrong exception type
         return (

@@ -13,15 +13,19 @@ generated code).  This module is the enforcement point:
 * ``validate="full"``    — additionally :meth:`check` the converted
   output and compare its dense image against the source's.
 
-Costs: ``"inputs"`` is a constant number of O(nnz) scans; ``"full"`` adds
-an O(nrows * ncols) dense materialization per conversion for matrices
-(coordinate-map comparison for 3-D tensors), so reserve it for debugging
-and the differential fuzzer.
+Costs: ``"inputs"`` is a constant number of vectorized O(nnz) numpy
+passes derived from the source format's level composition
+(:meth:`repro.formats.levels.Composition.check`), plus at most one sort
+for unordered coordinate formats — none when the coordinates already
+arrive in strictly increasing order.  ``"full"`` adds an
+O(nrows * ncols) dense materialization per conversion for matrices
+(coordinate-map comparison for 3-D tensors), so reserve it for
+debugging and the differential fuzzer.
 """
 
 from __future__ import annotations
 
-from repro.errors import UnsortedInputError, ValidationError
+from repro.errors import ValidationError
 
 VALIDATE_LEVELS = ("off", "inputs", "full")
 
@@ -63,47 +67,24 @@ def check_input(container, *, level: str = "inputs",
 
     Runs the container's structural :meth:`check` (bounds, duplicates,
     pointer invariants) and, for plain COO containers under
-    ``assume_sorted=True``, the cheap lexicographic monotonicity scan the
-    sorted descriptors rely on.  Raises a
-    :class:`~repro.errors.ValidationError` subclass naming the offending
-    coordinate or position; does nothing at ``level="off"``.
+    ``assume_sorted=True``, the lexicographic order the sorted
+    descriptors rely on — one derived check
+    (:func:`repro.formats.bindings.check_container`) over the same
+    arrays.  Raises a :class:`~repro.errors.ValidationError` subclass
+    naming the offending coordinate or position; does nothing at
+    ``level="off"``.
     """
     level = normalize_level(level)
     if level == "off":
         return
     _record_check("input")
+    from repro.formats.bindings import check_container
+
     try:
-        container.check()
+        check_container(container, assume_sorted=assume_sorted)
     except ValidationError as err:
         _record_rejection(err, "input")
         raise
-    if not assume_sorted:
-        return
-    # The sorted-source precondition: a plain COO container that is about
-    # to be bound to the SCOO/SCOO3D descriptor must actually be sorted.
-    from repro.runtime import (
-        COOMatrix,
-        COOTensor3D,
-        MortonCOOMatrix,
-        MortonCOOTensor3D,
-    )
-
-    if isinstance(container, (MortonCOOMatrix, MortonCOOTensor3D)):
-        return  # Morton order was already enforced by check().
-    if isinstance(container, (COOMatrix, COOTensor3D)):
-        position = container.first_unsorted_position()
-        if position is not None:
-            err = UnsortedInputError(
-                f"entries are not lexicographically sorted (first violation "
-                f"at position {position}) but assume_sorted=True promised "
-                f"sorted input",
-                position=position,
-                remedy="pass assume_sorted=False to convert via the "
-                       "sorting COO descriptor",
-                container=repr(container),
-            )
-            _record_rejection(err, "input")
-            raise err
 
 
 def check_output(result, source, *, level: str = "full") -> None:

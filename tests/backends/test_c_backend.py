@@ -262,6 +262,60 @@ class TestAvailability:
         assert report.to_dict()["skipped_backends"]
 
 
+class TestCompilerProbe:
+    """compiler_path() is memoized per ($CC, $PATH), never across them."""
+
+    @pytest.fixture
+    def probes(self, monkeypatch):
+        calls = []
+        real_which = c_backend.shutil.which
+
+        def which(name, *args, **kwargs):
+            calls.append(name)
+            return real_which(name, *args, **kwargs)
+
+        monkeypatch.setattr(c_backend.shutil, "which", which)
+        monkeypatch.setattr(c_backend, "_COMPILER_PATHS", {})
+        return calls
+
+    def test_repeat_calls_probe_once(self, monkeypatch, probes, tmp_path):
+        fake = tmp_path / "cc"
+        fake.write_text("#!/bin/sh\n")
+        fake.chmod(0o755)
+        monkeypatch.delenv("CC", raising=False)
+        monkeypatch.setenv("PATH", str(tmp_path))
+        assert c_backend.compiler_path() == str(fake)
+        probed = len(probes)
+        assert c_backend.compiler_path() == str(fake)
+        assert len(probes) == probed
+
+    def test_nonexistent_cc_takes_effect(self, monkeypatch, probes,
+                                         tmp_path):
+        fake = tmp_path / "cc"
+        fake.write_text("#!/bin/sh\n")
+        fake.chmod(0o755)
+        monkeypatch.delenv("CC", raising=False)
+        monkeypatch.setenv("PATH", str(tmp_path))
+        assert c_backend.compiler_path() == str(fake)
+        monkeypatch.setenv("CC", "/nonexistent/cc")
+        assert c_backend.compiler_path() is None
+        monkeypatch.delenv("CC")
+        assert c_backend.compiler_path() == str(fake)
+
+    def test_changed_path_takes_effect(self, monkeypatch, probes, tmp_path):
+        monkeypatch.delenv("CC", raising=False)
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        monkeypatch.setenv("PATH", str(empty))
+        assert c_backend.compiler_path() is None
+        tools = tmp_path / "tools"
+        tools.mkdir()
+        (tools / "gcc").write_text("#!/bin/sh\n")
+        (tools / "gcc").chmod(0o755)
+        monkeypatch.setenv("PATH", str(tools))
+        assert c_backend.compiler_path() == str(tools / "gcc")
+
+
 class TestLazyCSource:
     def test_not_rendered_until_asked(self):
         conv = synthesize(get_format("COO"), get_format("CSR"))

@@ -6,6 +6,7 @@ from repro.formats import (
     BindingError,
     container_format,
     container_to_env,
+    get_format,
     outputs_to_container,
 )
 from repro.runtime import (
@@ -213,3 +214,25 @@ class TestLevelDrivenBindings:
         m3 = outputs_to_container("BCSC3", outputs3, {},
                                   {"NR": 3, "NC": 3})
         assert m3.bsize == 3
+
+
+def test_env_composition_matches_sorted_binding():
+    """COO and SCOO bind the same UF names, so the env needs no scan."""
+    sorted_coo = COOMatrix(3, 3, [0, 1, 2], [2, 0, 1], [1.0, 2.0, 3.0])
+    unsorted = COOMatrix(3, 3, [2, 0, 1], [1, 2, 0], [3.0, 1.0, 2.0])
+    for container, scoo in ((sorted_coo, "SCOO"), (unsorted, "COO")):
+        env = container_to_env(container)
+        comp = get_format(scoo).levels
+        assert env == comp.env_from_arrays(
+            (container.nrows, container.ncols), container.val,
+            [{"coord": container.row}, {"coord": container.col}],
+        )
+    tensor = COOTensor3D((2, 2, 2), [0, 1], [1, 0], [0, 1], [1.0, 2.0])
+    shuffled = COOTensor3D((2, 2, 2), [1, 0], [0, 1], [1, 0], [2.0, 1.0])
+    for container, name in ((tensor, "SCOO3D"), (shuffled, "COO3D")):
+        comp = get_format(name).levels
+        assert container_to_env(container) == comp.env_from_arrays(
+            container.dims, container.val,
+            [{"coord": container.row}, {"coord": container.col},
+             {"coord": container.z}],
+        )

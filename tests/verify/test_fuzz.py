@@ -28,6 +28,25 @@ class TestGenerators:
             assert all(len(row) == width for row in dense)
 
 
+class TestGateProbes:
+    def test_every_registered_container_has_a_malformed_probe(self):
+        from repro.formats.bindings import _CONTAINERS
+        from repro.verify.fuzz import _gate_probes
+
+        probed = {type(c) for _, c, _ in _gate_probes(random.Random(0))}
+        assert {cls for cls, _ in _CONTAINERS} <= probed
+
+    @pytest.mark.parametrize("backend", ("python", "numpy"))
+    def test_probes_raise_the_expected_errors(self, backend):
+        from repro.errors import BoundsError
+        from repro.verify.fuzz import _gate_probes, _run_gate_probe
+
+        probes = _gate_probes(random.Random(0))
+        assert any(kw.get("error") is BoundsError for _, _, kw in probes)
+        for label, container, kwargs in probes:
+            assert _run_gate_probe(label, container, kwargs, backend) is None
+
+
 class TestFuzzRuns:
     def test_clean_smoke_run(self):
         report = fuzz(cases=12, seed=3, backends=("python",),

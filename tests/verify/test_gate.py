@@ -164,3 +164,29 @@ class TestFullGateOnGoodInputs:
         coo = COOMatrix.from_dense(dense)
         out = convert(coo, dst, backend=backend, validate="full")
         assert dense_equal(out.to_dense(), dense)
+
+
+class TestConvertMetrics:
+    def test_end_to_end_histogram_next_to_inspector_one(self):
+        from repro.obs import METRICS
+
+        def series(name):
+            hist = METRICS.histogram(name)
+            for sample in hist._samples():
+                if sample["labels"] == {"backend": "python"}:
+                    return sample["value"]["count"], sample["value"]["sum"]
+            return 0, 0.0
+
+        coo = COOMatrix.from_dense([[1.0, 0.0], [0.0, 2.0]])
+        convert(coo, "CSR", backend="python")  # warm the synthesis cache
+        e2e0, inspector0 = series("repro_convert_seconds"), series(
+            "repro_conversion_seconds"
+        )
+        convert(coo, "CSR", backend="python")
+        e2e1, inspector1 = series("repro_convert_seconds"), series(
+            "repro_conversion_seconds"
+        )
+        assert e2e1[0] == e2e0[0] + 1
+        assert inspector1[0] == inspector0[0] + 1
+        # The whole call contains the inspector run it times.
+        assert e2e1[1] - e2e0[1] >= inspector1[1] - inspector0[1]
