@@ -16,6 +16,7 @@ import os
 import pytest
 
 from repro import convert, get_conversion
+from repro.backends import get_backend
 from repro.datagen import load, load_tensor
 from repro.formats import container_to_env
 
@@ -66,20 +67,14 @@ def backend(request):
 
 def inspector_inputs(conversion, container, backend="python"):
     """The input dict for a synthesized conversion, in the backend's
-    native representation (numpy gets pre-converted coordinate arrays so
-    the list->array boundary is not charged to the inspector, mirroring
-    how the baselines receive their own preferred layouts)."""
+    native representation (:meth:`repro.backends.Backend.native_inputs`:
+    lists for the interpreted tier, zero-copy numpy views otherwise), so
+    no boundary copy is charged to the inspector, mirroring how the
+    baselines receive their own preferred layouts."""
     env = container_to_env(container)
-    inputs = {p: env[p] for p in conversion.params}
-    if backend == "numpy":
-        import numpy as np
-
-        for name, value in inputs.items():
-            if isinstance(value, list):
-                dtype = (np.float64 if value and isinstance(value[0], float)
-                         else np.int64)
-                inputs[name] = np.asarray(value, dtype=dtype)
-    return inputs
+    return get_backend(backend).native_inputs(
+        {p: env[p] for p in conversion.params}
+    )
 
 
 def synthesized(src, dst, **kwargs):

@@ -8,7 +8,7 @@ format descriptors expressed in the sparse polyhedral framework:
 >>> coo = COOMatrix.from_dense([[0.0, 1.0], [2.0, 0.0]])
 >>> csr = convert(coo, "CSR")
 >>> csr.rowptr, csr.col
-([0, 1, 2], [1, 0])
+(array('q', [0, 1, 2]), array('q', [1, 0]))
 
 Layers (bottom-up): :mod:`repro.ir` (sets/relations with uninterpreted
 functions), :mod:`repro.spf` (the SPF-IR and code generation),

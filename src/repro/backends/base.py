@@ -7,11 +7,13 @@ vectorized lowerings of a synthesized inspector:
   into executable source (:meth:`Backend.lower`),
 * **execution namespace** — the runtime helpers generated code may
   reference (:meth:`Backend.namespace`),
-* **result materialization** — converting native outputs back to plain
-  Python containers at the public ``convert()`` boundary
+* **result materialization** — copying native outputs into the typed
+  arrays containers store, at the public ``convert()`` boundary
   (:meth:`Backend.materialize`),
 * **input staging** — the native representation benchmark harnesses feed
-  the inspector (:meth:`Backend.native_inputs`),
+  the inspector (:meth:`Backend.native_inputs`), and whether the lowered
+  source is interpreted Python that reads list inputs
+  (:meth:`Backend.interprets`),
 * **cost estimation** — the planner's machine-independent edge weights
   (:meth:`Backend.estimate_cost`),
 
@@ -28,6 +30,7 @@ lazily.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Mapping, Sequence
 
@@ -188,12 +191,48 @@ class Backend:
         raise NotImplementedError
 
     def materialize(self, outputs):
-        """Convert native inspector outputs to plain Python containers."""
-        return outputs
+        """Copy native inspector outputs into the containers' typed arrays.
+
+        Every tier returns the same types: ``Adst`` as ``array('d')``,
+        every other array as ``array('q')``, scalars as Python scalars.
+        A numpy or C output is copied with one memcpy.
+        """
+        from repro.runtime.storage import INDEX, VALUE, typed
+
+        materialized = {}
+        for name, value in outputs.items():
+            if isinstance(value, (int, float)):
+                materialized[name] = value
+            elif getattr(value, "ndim", 1) == 0:  # a numpy scalar
+                materialized[name] = value.item()
+            else:
+                materialized[name] = typed(
+                    value, VALUE if name == "Adst" else INDEX, name
+                )
+        return materialized
 
     def native_inputs(self, inputs: Mapping) -> dict:
-        """Stage inspector inputs in the backend's native representation."""
-        return dict(inputs)
+        """Stage inspector inputs as numpy arrays, by the field's role.
+
+        A container's typed array becomes a read-only view of its own
+        buffer, without a copy; a list becomes float64 for the data
+        column ``Asrc`` and int64 otherwise.  Scalars pass through.
+        """
+        from repro.runtime.storage import INDEX, VALUE, as_ndarray
+
+        return {
+            name: as_ndarray(value, VALUE if name == "Asrc" else INDEX)
+            if isinstance(value, (array, list)) else value
+            for name, value in inputs.items()
+        }
+
+    def interprets(self, source: str) -> bool:
+        """Whether ``source`` runs as interpreted scalar Python.
+
+        Interpreted code reads its array inputs as lists, copied once
+        at its entry (:meth:`SynthesizedConversion.run_native`).
+        """
+        return False
 
     def estimate_cost(self, conversion, stats=None) -> float:
         """Machine-independent cost of one synthesized conversion.

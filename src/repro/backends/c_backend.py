@@ -3,8 +3,8 @@
 The third tier behind the backend registry: :mod:`repro.spf.codegen.c_emit`
 hardens the display C into compilable C99, this module compiles it into a
 shared object through cffi and marshals the inspector's containers across
-the FFI boundary as contiguous int64/float64 buffers (zero-copy when the
-caller already staged numpy arrays of the right dtype).
+the FFI boundary as contiguous int64/float64 buffers (zero-copy for the
+containers' typed arrays and for numpy arrays of the declared dtype).
 
 Compiled artifacts are cached on disk following the PR 2 disk-cache
 conventions:
@@ -39,8 +39,9 @@ import os
 import shutil
 import subprocess
 import tempfile
+from array import array
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .base import (
     Backend,
@@ -285,11 +286,14 @@ def _c_run(spec: dict, array_args: tuple, scalar_args: tuple) -> dict:
     ``spec`` is the manifest literal embedded in the wrapper source:
     ``arrays`` — (name, dtype) in parameter order, ``scalars`` — names,
     ``returns`` — (name, "i8"|"f8"|"scalar"), ``c`` — the translation
-    unit.  Inputs already staged as contiguous numpy arrays of the right
-    dtype cross the boundary zero-copy; lists and mismatched dtypes are
-    converted once at the edge.
+    unit.  A container's typed array, or a contiguous numpy array, of
+    the declared dtype crosses the boundary zero-copy (the generated C
+    reads inputs through ``const`` pointers); lists and mismatched
+    dtypes are converted once at the edge.
     """
     import numpy as np
+
+    from repro.runtime.storage import INDEX, VALUE
 
     lib = load_library(spec["c"])
     ffi = _ffi()
@@ -299,11 +303,15 @@ def _c_run(spec: dict, array_args: tuple, scalar_args: tuple) -> dict:
     # Keep the staged arrays (and their buffers) alive across the call.
     keepalive = []
     for i, ((_name, dt), value) in enumerate(zip(spec["arrays"], array_args)):
-        dtype = np.float64 if dt == "f8" else np.int64
-        staged = np.ascontiguousarray(np.asarray(value, dtype=dtype))
+        typecode = VALUE if dt == "f8" else INDEX
+        if isinstance(value, array) and value.typecode == typecode:
+            staged = value
+        else:
+            dtype = np.float64 if dt == "f8" else np.int64
+            staged = np.ascontiguousarray(np.asarray(value, dtype=dtype))
         keepalive.append(staged)
-        arrs[i] = ffi.from_buffer(staged) if staged.size else ffi.NULL
-        lens[i] = staged.size
+        arrs[i] = ffi.from_buffer(staged) if len(staged) else ffi.NULL
+        lens[i] = len(staged)
     n_scalars = len(spec["scalars"])
     scalars = ffi.new("long long[]", max(n_scalars, 1))
     for j, value in enumerate(scalar_args):
@@ -445,29 +453,11 @@ class CBackend(Backend):
         namespace["__C_RUN"] = _c_run
         return namespace
 
-    def materialize(self, outputs):
-        from repro.runtime.npvec import MATERIALIZE
-
-        return MATERIALIZE(outputs)
-
-    def native_inputs(self, inputs: Mapping) -> dict:
-        """Coordinate/data columns staged as typed contiguous arrays.
-
-        Identical staging to the numpy backend: int64 index columns,
-        float64 data — exactly the dtypes ``_c_run`` passes zero-copy.
-        """
-        import numpy as np
-
-        staged = dict(inputs)
-        for name, value in staged.items():
-            if isinstance(value, list):
-                dtype = (
-                    np.float64
-                    if value and isinstance(value[0], float)
-                    else np.int64
-                )
-                staged[name] = np.asarray(value, dtype=dtype)
-        return staged
+    def interprets(self, source: str) -> bool:
+        # A conversion the emitter could not translate runs its scalar
+        # source instead of the wrapper, which opens with its spec
+        # (_wrapper_source); a prefix test spares scanning the embedded C.
+        return not source.startswith("__C_SPEC_")
 
     def estimate_cost(self, conversion, stats=None) -> float:
         """Cost model for compiled inspectors.
@@ -479,7 +469,7 @@ class CBackend(Backend):
         tiny matrices still prefer the tierless paths.  A conversion that
         fell back to scalar source costs what the python tier charges.
         """
-        if "__C_RUN(" not in conversion.source:
+        if self.interprets(conversion.source):
             from .registry import get_backend
 
             return get_backend("python").estimate_cost(conversion, stats)

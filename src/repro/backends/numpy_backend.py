@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .base import (
     Backend,
@@ -72,31 +72,6 @@ class NumpyBackend(Backend):
         namespace = dict(executor._BASE_NAMESPACE)
         namespace.update(executor._NUMPY_EXTRAS)
         return namespace
-
-    def materialize(self, outputs):
-        from repro.runtime.npvec import MATERIALIZE
-
-        return MATERIALIZE(outputs)
-
-    def native_inputs(self, inputs: Mapping) -> dict:
-        """Coordinate/data columns pre-converted to typed arrays.
-
-        Mirrors how each baseline receives its own preferred layout; the
-        boundary conversion is a one-time format property, not converter
-        work, so benchmark harnesses stage inputs through this hook.
-        """
-        import numpy as np
-
-        staged = dict(inputs)
-        for name, value in staged.items():
-            if isinstance(value, list):
-                dtype = (
-                    np.float64
-                    if value and isinstance(value[0], float)
-                    else np.int64
-                )
-                staged[name] = np.asarray(value, dtype=dtype)
-        return staged
 
     def estimate_cost(self, conversion, stats=None) -> float:
         """Cost model for vectorized inspectors.

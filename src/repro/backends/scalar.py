@@ -51,11 +51,14 @@ class PythonBackend(Backend):
 
         return dict(executor._BASE_NAMESPACE)
 
-    def materialize(self, outputs):
-        return outputs
-
     def native_inputs(self, inputs: Mapping) -> dict:
-        return dict(inputs)
+        """Typed arrays as lists: the interpreted loops' native form."""
+        from repro.runtime.storage import as_list
+
+        return {name: as_list(value) for name, value in inputs.items()}
+
+    def interprets(self, source: str) -> bool:
+        return True
 
     def estimate_cost(self, conversion, stats=None) -> float:
         """Cost model for interpreted scalar inspectors.

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from repro.runtime import COOTensor3D, MortonCOOTensor3D
 from repro.runtime.morton import morton3
+from repro.runtime.storage import listed
 
 
 def blocked_morton_sort(
@@ -24,6 +25,7 @@ def blocked_morton_sort(
     sorted by the Morton key of their low coordinate bits only — small keys,
     small sorts.
     """
+    tensor = listed(tensor)
     if block_bits < 1:
         raise ValueError("block_bits must be >= 1")
     mask = (1 << block_bits) - 1

@@ -9,6 +9,7 @@ slowest of the comparators on already-sorted inputs in the paper's Figure 2.
 from __future__ import annotations
 
 from repro.runtime import COOMatrix, CSCMatrix, CSRMatrix, DIAMatrix
+from repro.runtime.storage import listed
 
 
 def _sorted_triples(entries, key):
@@ -17,6 +18,7 @@ def _sorted_triples(entries, key):
 
 def coo_to_csr(coo: COOMatrix) -> CSRMatrix:
     """Sort triples row-major, then walk once building ``rowptr``."""
+    coo = listed(coo)
     triples = _sorted_triples(
         list(zip(coo.row, coo.col, coo.val)), key=lambda t: (t[0], t[1])
     )
@@ -34,6 +36,7 @@ def coo_to_csr(coo: COOMatrix) -> CSRMatrix:
 
 def coo_to_csc(coo: COOMatrix) -> CSCMatrix:
     """Sort triples column-major, then walk once building ``colptr``."""
+    coo = listed(coo)
     triples = _sorted_triples(
         list(zip(coo.row, coo.col, coo.val)), key=lambda t: (t[1], t[0])
     )
@@ -51,6 +54,7 @@ def coo_to_csc(coo: COOMatrix) -> CSCMatrix:
 
 def csr_to_csc(csr: CSRMatrix) -> CSCMatrix:
     """Materialize triples from CSR, sort column-major, reassemble."""
+    csr = listed(csr)
     triples = []
     for i in range(csr.nrows):
         for k in range(csr.rowptr[i], csr.rowptr[i + 1]):
@@ -74,7 +78,7 @@ def coo_to_dia(coo: COOMatrix) -> DIAMatrix:
     MKL has no direct COO→DIA conversion; applications convert to CSR and
     use the CSR-based diagonal extraction.
     """
-    csr = coo_to_csr(coo)
+    csr = listed(coo_to_csr(coo))
     offsets = sorted(
         {csr.col[k] - i for i in range(csr.nrows)
          for k in range(csr.rowptr[i], csr.rowptr[i + 1])}

@@ -9,10 +9,12 @@ is why it trails single-pass approaches in the paper's Figure 2.
 from __future__ import annotations
 
 from repro.runtime import COOMatrix, CSCMatrix, CSRMatrix, DIAMatrix
+from repro.runtime.storage import listed
 
 
 def coocsr(coo: COOMatrix) -> CSRMatrix:
     """SPARSKIT ``coocsr``: count rows, shift-pointer scatter, unshift."""
+    coo = listed(coo)
     nnz = coo.nnz
     nrow = coo.nrows
     # Determine the row lengths.
@@ -43,6 +45,7 @@ def coocsr(coo: COOMatrix) -> CSRMatrix:
 
 def csrcsc(csr: CSRMatrix) -> CSCMatrix:
     """SPARSKIT ``csrcsc``: transposition with the same shift idiom."""
+    csr = listed(csr)
     nnz = csr.nnz
     ncol = csr.ncols
     colptr = [0] * (ncol + 1)
@@ -79,6 +82,7 @@ def csrdia(csr: CSRMatrix) -> DIAMatrix:
     SPARSKIT first computes the occupancy of every diagonal (its ``infdia``
     routine), selects the populated ones, then scatters row by row.
     """
+    csr = listed(csr)
     nrow, ncol = csr.nrows, csr.ncols
     span = nrow + ncol - 1
     occupancy = [0] * span

@@ -15,10 +15,12 @@ synthesized inspectors so relative timings reflect algorithmic differences.
 from __future__ import annotations
 
 from repro.runtime import COOMatrix, CSCMatrix, CSRMatrix, DIAMatrix
+from repro.runtime.storage import listed
 
 
 def coo_to_csr(coo: COOMatrix) -> CSRMatrix:
     """Histogram rows, prefix-sum, scatter (assumes sorted or unsorted COO)."""
+    coo = listed(coo)
     nnz = coo.nnz
     counts = [0] * (coo.nrows + 1)
     for n in range(nnz):
@@ -44,6 +46,7 @@ def coo_to_csc(coo: COOMatrix) -> CSCMatrix:
     Requires the source sorted row-major so rows within a column come out
     ordered (the Figure 2 assumption).
     """
+    coo = listed(coo)
     nnz = coo.nnz
     counts = [0] * (coo.ncols + 1)
     for n in range(nnz):
@@ -65,6 +68,7 @@ def coo_to_csc(coo: COOMatrix) -> CSCMatrix:
 
 def csr_to_csc(csr: CSRMatrix) -> CSCMatrix:
     """The classic two-pass CSR transpose."""
+    csr = listed(csr)
     nnz = csr.nnz
     counts = [0] * (csr.ncols + 1)
     for k in range(nnz):
@@ -87,6 +91,7 @@ def csr_to_csc(csr: CSRMatrix) -> CSCMatrix:
 
 def coo_to_dia(coo: COOMatrix) -> DIAMatrix:
     """Flag diagonals, build a dense offset->index table, O(1) scatter."""
+    coo = listed(coo)
     nnz = coo.nnz
     span = coo.nrows + coo.ncols - 1
     present = [False] * span
@@ -110,6 +115,7 @@ def coo_to_dia(coo: COOMatrix) -> DIAMatrix:
 
 def csr_to_dia(csr: CSRMatrix) -> DIAMatrix:
     """CSR input variant of the diagonal assembly."""
+    csr = listed(csr)
     span = csr.nrows + csr.ncols - 1
     present = [False] * span
     base = csr.nrows - 1

@@ -22,7 +22,7 @@ from repro import convert
 from repro.kernels import run_kernel
 from repro.formats import container_format
 
-from .timing import time_fn
+from .timing import time_fn, time_pair
 
 
 @dataclass(frozen=True)
@@ -76,11 +76,9 @@ def measure_amortization(
     )
     converted = convert(container, dst_format, binary_search=binary_search,
                         validate="off")
-    kernel_src_s = time_fn(
+    # In turns: the breakeven divides by the difference of the two.
+    kernel_src_s, kernel_dst_s = time_pair(
         lambda: run_kernel(container, kernel, **kernel_inputs),
-        repeats=repeats,
-    )
-    kernel_dst_s = time_fn(
         lambda: run_kernel(converted, kernel, **kernel_inputs),
         repeats=repeats,
     )

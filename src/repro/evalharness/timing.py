@@ -62,6 +62,31 @@ def time_fn(
     ).min
 
 
+def time_pair(
+    fn_a: Callable, fn_b: Callable, *, repeats: int = 3, warmup: int = 1
+) -> tuple[float, float]:
+    """Best-of-``repeats`` wall times of two functions, measured in turns.
+
+    Each repeat times one call of ``fn_a`` and then one of ``fn_b``, so a
+    change in host speed during the measurement affects both alike; two
+    back-to-back :func:`time_fn` calls would charge a drift to whichever
+    side ran second.  Use it when the two times are compared.
+    """
+    for _ in range(max(0, warmup)):
+        fn_a()
+        fn_b()
+    best_a = best_b = math.inf
+    for _ in range(max(1, repeats)):
+        start = time.perf_counter()
+        fn_a()
+        middle = time.perf_counter()
+        fn_b()
+        end = time.perf_counter()
+        best_a = min(best_a, middle - start)
+        best_b = min(best_b, end - middle)
+    return best_a, best_b
+
+
 def geomean(values: Iterable[float]) -> float:
     """Geometric mean (the paper's aggregate for all speedup claims)."""
     values = [v for v in values if v > 0]

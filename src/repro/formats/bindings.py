@@ -9,9 +9,9 @@ Binding is registry-driven and *level-driven*: each container class
 registers which attribute fills which level of its format's composition
 (:func:`register_container`), and the UF/symbol names are derived from
 the level structure via
-:meth:`repro.formats.levels.Composition.env_from_arrays`.  Formats whose
-descriptor carries no composition fall back to the legacy name-based
-environment tables kept at the bottom of this module.
+:meth:`repro.formats.levels.Composition.env_from_arrays`.  A format
+without a composition cannot be bound.  The environment holds the
+container's own typed arrays, not copies.
 
 The same binding derives a container's invariants: :func:`check_container`
 checks the bound environment against its composition
@@ -108,15 +108,23 @@ def _bound(container, what: str):
     The composition is that of the format detected with
     ``assume_sorted=False``: sorted and unsorted coordinate formats
     (COO/SCOO, COO3D/SCOO3D) bind identical UF names, so the
-    sortedness scan never changes the environment.
+    sortedness scan never changes the environment.  A format without a
+    composition raises :class:`BindingError`.
     """
     binding = _binding_of(container)
     if binding is None:
         raise BindingError(f"no {what} for container {container!r}")
     from .library import get_format
 
-    name = binding.format_name(container, assume_sorted=False)
-    return binding, get_format(name).levels
+    composition = get_format(
+        binding.format_name(container, assume_sorted=False)
+    ).levels
+    if composition is None:
+        raise BindingError(
+            f"{container!r}: its format has no level composition to "
+            f"derive the {what} from"
+        )
+    return binding, composition
 
 
 def _env(binding, composition, container) -> dict:
@@ -129,13 +137,10 @@ def _env(binding, composition, container) -> dict:
 def container_to_env(container) -> dict:
     """Bind a container's arrays to its descriptor's UF / symbol names.
 
-    The environment is derived from the format's level composition when
-    it has one; hand-written descriptors use the legacy name-based
-    tables in :func:`_legacy_container_to_env`.
+    The environment is derived from the format's level composition; a
+    format without one raises :class:`BindingError`.
     """
     binding, composition = _bound(container, "environment binding")
-    if composition is None:
-        return _legacy_container_to_env(container)
     return _env(binding, composition, container)
 
 
@@ -149,11 +154,6 @@ def check_container(container, *, assume_sorted: bool = False) -> None:
     on — and an order violation names that promise and its remedy.
     """
     binding, composition = _bound(container, "level binding")
-    if composition is None:
-        raise BindingError(
-            f"{container!r}: its format has no level composition to "
-            f"derive invariants from"
-        )
     promised = (
         assume_sorted
         and composition.family == "coord"
@@ -359,114 +359,6 @@ register_container(
 
 
 # ----------------------------------------------------------------------
-# Legacy name-based environments (formats without a composition).
-
-
-def _legacy_container_to_env(container) -> dict:
-    if isinstance(container, MortonCOOMatrix):
-        return {
-            "row_m": container.row,
-            "col_m": container.col,
-            "Asrc": container.val,
-            "NR": container.nrows,
-            "NC": container.ncols,
-            "NNZ": container.nnz,
-        }
-    if isinstance(container, COOMatrix):
-        return {
-            "row1": container.row,
-            "col1": container.col,
-            "Asrc": container.val,
-            "NR": container.nrows,
-            "NC": container.ncols,
-            "NNZ": container.nnz,
-        }
-    if isinstance(container, CSRMatrix):
-        return {
-            "rowptr": container.rowptr,
-            "col2": container.col,
-            "Asrc": container.val,
-            "NR": container.nrows,
-            "NC": container.ncols,
-            "NNZ": container.nnz,
-        }
-    if isinstance(container, CSCMatrix):
-        return {
-            "colptr": container.colptr,
-            "row2": container.row,
-            "Asrc": container.val,
-            "NR": container.nrows,
-            "NC": container.ncols,
-            "NNZ": container.nnz,
-        }
-    if isinstance(container, DIAMatrix):
-        return {
-            "off": container.off,
-            "Asrc": container.data,
-            "NR": container.nrows,
-            "NC": container.ncols,
-            "ND": container.ndiags,
-        }
-    if isinstance(container, BCSRMatrix):
-        return {
-            "browptr": container.browptr,
-            "bcol": container.bcol,
-            "Asrc": container.data,
-            "NR": container.nrows,
-            "NC": container.ncols,
-            "NBR": container.nblockrows,
-            "NB": container.nblocks,
-            "NBC": -(-container.ncols // container.bsize),
-        }
-    if isinstance(container, ELLMatrix):
-        return {
-            "ellcol": container.col,
-            "Asrc": container.val,
-            "NR": container.nrows,
-            "NC": container.ncols,
-            "W": container.width,
-        }
-    if isinstance(container, CSFTensor):
-        return {
-            "rootidx": container.rootidx,
-            "fptr": container.fptr,
-            "fibidx": container.fibidx,
-            "kptr": container.kptr,
-            "kidx": container.kidx,
-            "Asrc": container.val,
-            "NR": container.dims[0],
-            "NC": container.dims[1],
-            "NZ": container.dims[2],
-            "NROOT": container.nroots,
-            "NFIB": container.nfibers,
-            "NNZ": container.nnz,
-        }
-    if isinstance(container, MortonCOOTensor3D):
-        return {
-            "row_m": container.row,
-            "col_m": container.col,
-            "z_m": container.z,
-            "Asrc": container.val,
-            "NR": container.dims[0],
-            "NC": container.dims[1],
-            "NZ": container.dims[2],
-            "NNZ": container.nnz,
-        }
-    if isinstance(container, COOTensor3D):
-        return {
-            "row1": container.row,
-            "col1": container.col,
-            "z1": container.z,
-            "Asrc": container.val,
-            "NR": container.dims[0],
-            "NC": container.dims[1],
-            "NZ": container.dims[2],
-            "NNZ": container.nnz,
-        }
-    raise BindingError(f"no environment binding for container {container!r}")
-
-
-# ----------------------------------------------------------------------
 # Destination direction: inspector outputs -> container.
 
 
@@ -491,7 +383,7 @@ _DEST_BUILDERS: dict[str, Callable] = {
         env.get("NR"), env.get("NC"), get("colptr"), get("row2"), data
     ),
     "DIA": lambda get, data, env, name: DIAMatrix(
-        env.get("NR"), env.get("NC"), list(get("off")), data
+        env.get("NR"), env.get("NC"), get("off"), data
     ),
     "COO3D": lambda get, data, env, name: COOTensor3D(
         (env.get("NR"), env.get("NC"), env.get("NZ")),

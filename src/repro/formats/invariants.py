@@ -28,6 +28,7 @@ Three rules hold for every checker:
 
 from __future__ import annotations
 
+from array import array
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -40,6 +41,7 @@ from repro.errors import (
     UnsortedInputError,
 )
 from repro.runtime.morton import morton_vec
+from repro.runtime.storage import INDEX, as_ndarray
 
 #: Linearized coordinate keys are only formed below this bound.
 KEY_LIMIT = 1 << 62
@@ -50,7 +52,12 @@ KEY_LIMIT = 1 << 62
 
 
 def _ints(seq) -> np.ndarray:
-    """``seq`` as an int64 array; exact object array if a value overflows."""
+    """``seq`` as an int64 array; exact object array if a value overflows.
+
+    A container's ``array('q')`` field is read in place, without a copy.
+    """
+    if isinstance(seq, array) and seq.typecode == INDEX:
+        return as_ndarray(seq, INDEX)
     if isinstance(seq, np.ndarray) and seq.dtype == np.int64:
         return seq
     try:

@@ -53,6 +53,7 @@ generated conversions against.
 
 from __future__ import annotations
 
+import functools
 import random
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
@@ -559,8 +560,13 @@ def _emit_coord(comp: Composition) -> FormatDescriptor:
 # compressed family (CSR / CSC / DCSR / CSF / ...)
 
 
+@functools.lru_cache(maxsize=256)
 def _compressed_names(comp: Composition) -> list[dict]:
-    """Derived per-level naming: loop var, ptr/idx UFs, count symbol."""
+    """Derived per-level naming: loop var, ptr/idx UFs, count symbol.
+
+    Memoized per composition (every bind and check of a compressed
+    container asks); callers read the entries and never change them.
+    """
     levels = comp.levels
     dense_levels = [lv for lv in levels if lv.kind == "dense"]
     comp_levels = [lv for lv in levels if lv.kind == "compressed"]

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 
 from repro.formats.descriptor import FormatDescriptor
 from repro.runtime.executor import compile_inspector
+from repro.runtime.storage import as_list
 from repro.spf import Computation, SymbolTable
 from repro.spf.codegen.printers import print_expr
 from repro.synthesis.compose import (
@@ -55,8 +56,9 @@ class GeneratedKernel:
         return self._compiled
 
     def __call__(self, **inputs):
+        """Run the interpreted kernel on list copies of typed arrays."""
         fn = self.compile()
-        return fn(*[inputs[p] for p in self.params])
+        return fn(*[as_list(inputs[p]) for p in self.params])
 
 
 def synthesize_kernel(
@@ -151,9 +153,8 @@ def run_kernel(container, kind: str, **extra):
         kernel.compile()
         _KERNEL_CACHE[key] = kernel
     env = container_to_env(container)
+    # The kernel reads list copies, so ``scale`` never writes the container.
     env["Adata"] = env.pop("Asrc")
-    if kind == "scale":
-        env["Adata"] = list(env["Adata"])  # do not mutate the container
     env.update(extra)
     outputs = kernel(**{p: env[p] for p in kernel.params})
     return outputs[kernel.returns[0]]

@@ -48,13 +48,16 @@ def mttkrp_hicoo(tensor: HiCOOTensor, B: Matrix, C: Matrix) -> Matrix:
     rank = len(B[0]) if B else 0
     out = zeros(tensor.dims[0], rank)
     bits = tensor.block_bits
-    for block, (bi, bj, bk) in enumerate(tensor.bind):
+    bptr, eind, val = (
+        tensor.bptr.tolist(), tensor.element_offsets(), tensor.val.tolist()
+    )
+    for block, (bi, bj, bk) in enumerate(tensor.block_coords()):
         base_i = bi << bits
         base_j = bj << bits
         base_k = bk << bits
-        for p in range(tensor.bptr[block], tensor.bptr[block + 1]):
-            ei, ej, ek = tensor.eind[p]
-            v = tensor.val[p]
+        for p in range(bptr[block], bptr[block + 1]):
+            ei, ej, ek = eind[p]
+            v = val[p]
             brow = B[base_j + ej]
             crow = C[base_k + ek]
             orow = out[base_i + ei]

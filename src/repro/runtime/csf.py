@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from typing import Iterator, Sequence
 
+from .storage import index_array, value_array
 from .tensors3d import COOTensor3D, _ValidatedTensor
 
 
@@ -38,12 +39,12 @@ class CSFTensor(_ValidatedTensor):
         val: Sequence[float],
     ):
         self.dims = (int(dims[0]), int(dims[1]), int(dims[2]))
-        self.rootidx = list(rootidx)
-        self.fptr = list(fptr)
-        self.fibidx = list(fibidx)
-        self.kptr = list(kptr)
-        self.kidx = list(kidx)
-        self.val = list(val)
+        self.rootidx = index_array(rootidx, "rootidx")
+        self.fptr = index_array(fptr, "fptr")
+        self.fibidx = index_array(fibidx, "fibidx")
+        self.kptr = index_array(kptr, "kptr")
+        self.kidx = index_array(kidx, "kidx")
+        self.val = value_array(val, "val")
 
     @property
     def nnz(self) -> int:
@@ -81,9 +82,10 @@ class CSFTensor(_ValidatedTensor):
     @classmethod
     def from_coo(cls, tensor: COOTensor3D) -> "CSFTensor":
         """Assemble from (any-order) COO by sorting lexicographically."""
-        entries = sorted(
-            zip(tensor.row, tensor.col, tensor.z, tensor.val)
-        )
+        entries = sorted(zip(
+            tensor.row.tolist(), tensor.col.tolist(), tensor.z.tolist(),
+            tensor.val.tolist(),
+        ))
         rootidx: list[int] = []
         fptr = [0]
         fibidx: list[int] = []

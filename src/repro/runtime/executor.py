@@ -73,7 +73,6 @@ _NUMPY_EXTRAS: dict = {
     "np": npvec.np,
     "ASARRAY_INT": npvec.ASARRAY_INT,
     "ASARRAY_FLOAT": npvec.ASARRAY_FLOAT,
-    "TOLIST": npvec.TOLIST,
     "BOOLMASK": npvec.BOOLMASK,
     "SEGMENTS": npvec.SEGMENTS,
     "FILL_POS": npvec.FILL_POS,

@@ -6,8 +6,10 @@ per block HiCOO stores compact *element* offsets (a few bits each) while
 the block coordinates are stored once per block:
 
 * ``bptr``   — start position of each block's nonzeros (CSR-style pointer),
-* ``bind``   — the block coordinate triple per block,
-* ``eind``   — the within-block element offsets per nonzero,
+* ``bind``   — the block coordinate triple per block, flattened
+  (``bind[3*b : 3*b + 3]``),
+* ``eind``   — the within-block element offsets per nonzero, flattened
+  (``eind[3*p : 3*p + 3]``),
 * ``val``    — the values.
 
 Assembly reuses the blocked z-Morton sort from the Table 4 baseline: the
@@ -27,7 +29,14 @@ from repro.errors import (
 )
 
 from .morton import morton3
+from .storage import index_array, listed, value_array
 from .tensors3d import COOTensor3D, _ValidatedTensor
+
+
+def _triples(flat) -> list[tuple[int, int, int]]:
+    """A flattened triple array as a list of ``(x, y, z)`` tuples."""
+    flat = flat.tolist()
+    return list(zip(flat[0::3], flat[1::3], flat[2::3]))
 
 
 class HiCOOTensor(_ValidatedTensor):
@@ -46,10 +55,10 @@ class HiCOOTensor(_ValidatedTensor):
     ):
         self.dims = (int(dims[0]), int(dims[1]), int(dims[2]))
         self.block_bits = int(block_bits)
-        self.bptr = list(bptr)
-        self.bind = [tuple(b) for b in bind]
-        self.eind = [tuple(e) for e in eind]
-        self.val = list(val)
+        self.bptr = index_array(bptr, "bptr")
+        self.bind = index_array([c for b in bind for c in b], "bind")
+        self.eind = index_array([c for e in eind for c in e], "eind")
+        self.val = value_array(val, "val")
 
     @property
     def nnz(self) -> int:
@@ -57,11 +66,19 @@ class HiCOOTensor(_ValidatedTensor):
 
     @property
     def nblocks(self) -> int:
-        return len(self.bind)
+        return len(self.bind) // 3
 
     @property
     def block_side(self) -> int:
         return 1 << self.block_bits
+
+    def block_coords(self) -> list[tuple[int, int, int]]:
+        """The block coordinate triple of every block, in storage order."""
+        return _triples(self.bind)
+
+    def element_offsets(self) -> list[tuple[int, int, int]]:
+        """The within-block offset triple of every nonzero."""
+        return _triples(self.eind)
 
     def check(self) -> None:
         if self.block_bits < 1:
@@ -79,20 +96,22 @@ class HiCOOTensor(_ValidatedTensor):
             raise StructureError(
                 "bptr must be non-decreasing", container=repr(self)
             )
-        if len(self.eind) != self.nnz:
+        if len(self.eind) != 3 * self.nnz:
             raise ShapeError(
                 "one element index triple per nonzero required",
                 container=repr(self),
             )
         side = self.block_side
-        for block, (bi, bj, bk) in enumerate(self.bind):
-            for p in range(self.bptr[block], self.bptr[block + 1]):
-                ei, ej, ek = self.eind[p]
+        bptr, eind = self.bptr.tolist(), self.element_offsets()
+        blocks = self.block_coords()
+        for block, (bi, bj, bk) in enumerate(blocks):
+            for p in range(bptr[block], bptr[block + 1]):
+                ei, ej, ek = eind[p]
                 if not (0 <= ei < side and 0 <= ej < side and 0 <= ek < side):
                     raise BoundsError(
-                        f"element offset {self.eind[p]} outside block side "
+                        f"element offset {eind[p]} outside block side "
                         f"{side}",
-                        coordinate=self.eind[p],
+                        coordinate=eind[p],
                         position=p,
                         container=repr(self),
                     )
@@ -111,7 +130,7 @@ class HiCOOTensor(_ValidatedTensor):
                         container=repr(self),
                     )
         # Blocks must follow the Morton curve (HiCOO's storage order).
-        keys = [morton3(*b) for b in self.bind]
+        keys = [morton3(*b) for b in blocks]
         for n, (a, b) in enumerate(zip(keys, keys[1:]), start=1):
             if a >= b:
                 raise UnsortedInputError(
@@ -124,13 +143,14 @@ class HiCOOTensor(_ValidatedTensor):
     # ------------------------------------------------------------------
     def nonzeros(self):
         """Yield ``(i, j, k, value)`` in storage order."""
-        for block, (bi, bj, bk) in enumerate(self.bind):
+        bptr, eind, val = self.bptr.tolist(), self.element_offsets(), self.val
+        for block, (bi, bj, bk) in enumerate(self.block_coords()):
             base_i = bi << self.block_bits
             base_j = bj << self.block_bits
             base_k = bk << self.block_bits
-            for p in range(self.bptr[block], self.bptr[block + 1]):
-                ei, ej, ek = self.eind[p]
-                yield base_i + ei, base_j + ej, base_k + ek, self.val[p]
+            for p in range(bptr[block], bptr[block + 1]):
+                ei, ej, ek = eind[p]
+                yield base_i + ei, base_j + ej, base_k + ek, val[p]
 
     def to_coo(self) -> COOTensor3D:
         rows, cols, zs, vals = [], [], [], []
@@ -159,6 +179,7 @@ class HiCOOTensor(_ValidatedTensor):
         if block_bits < 1:
             raise ValueError("block_bits must be >= 1")
         mask = (1 << block_bits) - 1
+        tensor = listed(tensor)
 
         buckets: dict[int, list[int]] = {}
         block_coords: dict[int, tuple[int, int, int]] = {}

@@ -1,9 +1,12 @@
 """Sparse matrix containers for every 2-D format in the paper (Figure 1).
 
-These are plain-Python containers (lists, not numpy) so that synthesized
-inspectors — which are interpreted Python loops — and the baseline
-converters operate at the same abstraction level; relative performance
-comparisons then reflect algorithmic differences, as in the paper.
+Each container stores its index fields as ``array('q')`` and its value
+fields as ``array('d')`` (:mod:`.storage`): the gate, the format binding
+and the numpy and C tiers read those buffers in place, and a constructor
+copies what the caller passes, rejecting an index that is not an int64
+with a named :class:`~repro.errors.ValidationError`.  Interpreted code —
+``to_dense``, the scalar reference tier, the baselines — reads a list
+copy taken once at its entry.
 
 Every container validates its structural invariants in :meth:`check` and
 round-trips through a dense list-of-lists for correctness testing.
@@ -16,6 +19,7 @@ from typing import Iterator, Sequence
 from repro.errors import DenseMismatchError
 
 from .morton import morton2
+from .storage import index_array, value_array
 
 Dense = list  # list[list[float]]
 
@@ -94,9 +98,9 @@ class COOMatrix(_ValidatedMatrix):
     ):
         self.nrows = int(nrows)
         self.ncols = int(ncols)
-        self.row = list(row)
-        self.col = list(col)
-        self.val = list(val)
+        self.row = index_array(row, "row")
+        self.col = index_array(col, "col")
+        self.val = value_array(val, "val")
 
     @property
     def nnz(self) -> int:
@@ -115,18 +119,20 @@ class COOMatrix(_ValidatedMatrix):
         return _bindings().first_unsorted_position(self)
 
     def sorted_lexicographic(self) -> "COOMatrix":
-        order = sorted(range(self.nnz), key=lambda n: (self.row[n], self.col[n]))
+        row, col, val = self.row.tolist(), self.col.tolist(), self.val.tolist()
+        order = sorted(range(self.nnz), key=lambda n: (row[n], col[n]))
         return COOMatrix(
             self.nrows,
             self.ncols,
-            [self.row[n] for n in order],
-            [self.col[n] for n in order],
-            [self.val[n] for n in order],
+            [row[n] for n in order],
+            [col[n] for n in order],
+            [val[n] for n in order],
         )
 
     def to_dense(self) -> Dense:
         dense = _dense_zeros(self.nrows, self.ncols)
-        for i, j, v in zip(self.row, self.col, self.val):
+        for i, j, v in zip(self.row.tolist(), self.col.tolist(),
+                           self.val.tolist()):
             dense[i][j] = v
         return dense
 
@@ -157,15 +163,14 @@ class MortonCOOMatrix(COOMatrix):
 
     @classmethod
     def from_coo(cls, coo: COOMatrix) -> "MortonCOOMatrix":
-        order = sorted(
-            range(coo.nnz), key=lambda n: morton2(coo.row[n], coo.col[n])
-        )
+        row, col, val = coo.row.tolist(), coo.col.tolist(), coo.val.tolist()
+        order = sorted(range(coo.nnz), key=lambda n: morton2(row[n], col[n]))
         return cls(
             coo.nrows,
             coo.ncols,
-            [coo.row[n] for n in order],
-            [coo.col[n] for n in order],
-            [coo.val[n] for n in order],
+            [row[n] for n in order],
+            [col[n] for n in order],
+            [val[n] for n in order],
         )
 
 
@@ -184,9 +189,9 @@ class CSRMatrix(_ValidatedMatrix):
     ):
         self.nrows = int(nrows)
         self.ncols = int(ncols)
-        self.rowptr = list(rowptr)
-        self.col = list(col)
-        self.val = list(val)
+        self.rowptr = index_array(rowptr, "rowptr")
+        self.col = index_array(col, "col")
+        self.val = value_array(val, "val")
 
     @property
     def nnz(self) -> int:
@@ -194,9 +199,12 @@ class CSRMatrix(_ValidatedMatrix):
 
     def to_dense(self) -> Dense:
         dense = _dense_zeros(self.nrows, self.ncols)
+        rowptr, col, val = (
+            self.rowptr.tolist(), self.col.tolist(), self.val.tolist()
+        )
         for i in range(self.nrows):
-            for k in range(self.rowptr[i], self.rowptr[i + 1]):
-                dense[i][self.col[k]] = self.val[k]
+            for k in range(rowptr[i], rowptr[i + 1]):
+                dense[i][col[k]] = val[k]
         return dense
 
     @classmethod
@@ -237,9 +245,9 @@ class CSCMatrix(_ValidatedMatrix):
     ):
         self.nrows = int(nrows)
         self.ncols = int(ncols)
-        self.colptr = list(colptr)
-        self.row = list(row)
-        self.val = list(val)
+        self.colptr = index_array(colptr, "colptr")
+        self.row = index_array(row, "row")
+        self.val = value_array(val, "val")
 
     @property
     def nnz(self) -> int:
@@ -247,9 +255,12 @@ class CSCMatrix(_ValidatedMatrix):
 
     def to_dense(self) -> Dense:
         dense = _dense_zeros(self.nrows, self.ncols)
+        colptr, row, val = (
+            self.colptr.tolist(), self.row.tolist(), self.val.tolist()
+        )
         for j in range(self.ncols):
-            for k in range(self.colptr[j], self.colptr[j + 1]):
-                dense[self.row[k]][j] = self.val[k]
+            for k in range(colptr[j], colptr[j + 1]):
+                dense[row[k]][j] = val[k]
         return dense
 
     @classmethod
@@ -290,8 +301,8 @@ class DIAMatrix(_ValidatedMatrix):
     ):
         self.nrows = int(nrows)
         self.ncols = int(ncols)
-        self.off = list(off)
-        self.data = list(data)
+        self.off = index_array(off, "off")
+        self.data = value_array(data, "data")
 
     @property
     def ndiags(self) -> int:
@@ -300,11 +311,12 @@ class DIAMatrix(_ValidatedMatrix):
     def to_dense(self) -> Dense:
         dense = _dense_zeros(self.nrows, self.ncols)
         nd = self.ndiags
+        off, data = self.off.tolist(), self.data.tolist()
         for i in range(self.nrows):
             for d in range(nd):
-                j = i + self.off[d]
+                j = i + off[d]
                 if 0 <= j < self.ncols:
-                    value = self.data[nd * i + d]
+                    value = data[nd * i + d]
                     if value != 0.0:
                         dense[i][j] = value
         return dense
@@ -357,9 +369,9 @@ class BCSRMatrix(_ValidatedMatrix):
         self.nrows = int(nrows)
         self.ncols = int(ncols)
         self.bsize = int(bsize)
-        self.browptr = list(browptr)
-        self.bcol = list(bcol)
-        self.data = list(data)
+        self.browptr = index_array(browptr, "browptr")
+        self.bcol = index_array(bcol, "bcol")
+        self.data = value_array(data, "data")
 
     @property
     def nblockrows(self) -> int:
@@ -372,16 +384,18 @@ class BCSRMatrix(_ValidatedMatrix):
     def to_dense(self) -> Dense:
         dense = _dense_zeros(self.nrows, self.ncols)
         bs = self.bsize
+        browptr, bcol = self.browptr.tolist(), self.bcol.tolist()
+        data = self.data.tolist()
         for bi in range(self.nblockrows):
-            for bk in range(self.browptr[bi], self.browptr[bi + 1]):
-                bj = self.bcol[bk]
+            for bk in range(browptr[bi], browptr[bi + 1]):
+                bj = bcol[bk]
                 base = bk * bs * bs
                 for r in range(bs):
                     for c in range(bs):
                         i = bi * bs + r
                         j = bj * bs + c
                         if i < self.nrows and j < self.ncols:
-                            value = self.data[base + r * bs + c]
+                            value = data[base + r * bs + c]
                             if value != 0.0:
                                 dense[i][j] = value
         return dense
@@ -440,16 +454,17 @@ class ELLMatrix(_ValidatedMatrix):
         self.nrows = int(nrows)
         self.ncols = int(ncols)
         self.width = int(width)
-        self.col = list(col)
-        self.val = list(val)
+        self.col = index_array(col, "col")
+        self.val = value_array(val, "val")
 
     def to_dense(self) -> Dense:
         dense = _dense_zeros(self.nrows, self.ncols)
+        col, val = self.col.tolist(), self.val.tolist()
         for i in range(self.nrows):
             for w in range(self.width):
-                j = self.col[i * self.width + w]
+                j = col[i * self.width + w]
                 if j != self.PAD:
-                    dense[i][j] = self.val[i * self.width + w]
+                    dense[i][j] = val[i * self.width + w]
         return dense
 
     @classmethod
@@ -509,10 +524,10 @@ class DCSRMatrix(_ValidatedMatrix):
     ):
         self.nrows = int(nrows)
         self.ncols = int(ncols)
-        self.rowidx = list(rowidx)
-        self.dptr = list(dptr)
-        self.dcol = list(dcol)
-        self.val = list(val)
+        self.rowidx = index_array(rowidx, "rowidx")
+        self.dptr = index_array(dptr, "dptr")
+        self.dcol = index_array(dcol, "dcol")
+        self.val = value_array(val, "val")
 
     @property
     def nnz(self) -> int:
@@ -525,9 +540,12 @@ class DCSRMatrix(_ValidatedMatrix):
 
     def to_dense(self) -> Dense:
         dense = _dense_zeros(self.nrows, self.ncols)
-        for p, i in enumerate(self.rowidx):
-            for k in range(self.dptr[p], self.dptr[p + 1]):
-                dense[i][self.dcol[k]] = self.val[k]
+        dptr, dcol, val = (
+            self.dptr.tolist(), self.dcol.tolist(), self.val.tolist()
+        )
+        for p, i in enumerate(self.rowidx.tolist()):
+            for k in range(dptr[p], dptr[p + 1]):
+                dense[i][dcol[k]] = val[k]
         return dense
 
     @classmethod
@@ -582,9 +600,9 @@ class BCSCMatrix(_ValidatedMatrix):
         self.nrows = int(nrows)
         self.ncols = int(ncols)
         self.bsize = int(bsize)
-        self.bcolptr = list(bcolptr)
-        self.brow = list(brow)
-        self.data = list(data)
+        self.bcolptr = index_array(bcolptr, "bcolptr")
+        self.brow = index_array(brow, "brow")
+        self.data = value_array(data, "data")
 
     @property
     def nblockcols(self) -> int:
@@ -597,16 +615,18 @@ class BCSCMatrix(_ValidatedMatrix):
     def to_dense(self) -> Dense:
         dense = _dense_zeros(self.nrows, self.ncols)
         bs = self.bsize
+        bcolptr, brow = self.bcolptr.tolist(), self.brow.tolist()
+        data = self.data.tolist()
         for bj in range(self.nblockcols):
-            for bk in range(self.bcolptr[bj], self.bcolptr[bj + 1]):
-                bi = self.brow[bk]
+            for bk in range(bcolptr[bj], bcolptr[bj + 1]):
+                bi = brow[bk]
                 base = bk * bs * bs
                 for r in range(bs):
                     for c in range(bs):
                         i = bi * bs + r
                         j = bj * bs + c
                         if i < self.nrows and j < self.ncols:
-                            value = self.data[base + r * bs + c]
+                            value = data[base + r * bs + c]
                             if value != 0.0:
                                 dense[i][j] = value
         return dense

@@ -22,6 +22,8 @@ from __future__ import annotations
 
 from repro._prof import PROF
 
+from .storage import INDEX, VALUE, as_ndarray
+
 try:
     import numpy as np
 except ImportError:  # pragma: no cover - the reference image ships numpy
@@ -38,32 +40,19 @@ def require_numpy() -> None:
 
 
 def ASARRAY_INT(values):
-    """Index/coordinate column as an int64 array (empty-safe)."""
-    return np.asarray(values, dtype=np.int64)
+    """Index/coordinate column as an int64 array (empty-safe).
+
+    A container's ``array('q')`` becomes a read-only view of its buffer.
+    """
+    return as_ndarray(values, INDEX)
 
 
 def ASARRAY_FLOAT(values):
-    """Data column as a float64 array (empty-safe)."""
-    return np.asarray(values, dtype=np.float64)
+    """Data column as a float64 array (empty-safe).
 
-
-def TOLIST(value):
-    """Convert numpy outputs back to the scalar backend's container types."""
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, np.generic):
-        return value.item()
-    return value
-
-
-def MATERIALIZE(result):
-    """Convert an inspector's native result dict to plain python containers.
-
-    The numpy backend's generated functions return arrays; this is the call
-    boundary where they become the scalar backend's lists/ints so outputs
-    compare bit-identical.  Scalar-fallback values pass through untouched.
+    A container's ``array('d')`` becomes a read-only view of its buffer.
     """
-    return {name: TOLIST(value) for name, value in result.items()}
+    return as_ndarray(values, VALUE)
 
 
 def BOOLMASK(n, cond):

@@ -13,6 +13,7 @@ from repro.errors import DenseMismatchError
 
 from .matrices import _bindings
 from .morton import morton3
+from .storage import index_array, value_array
 
 
 class _ValidatedTensor:
@@ -69,10 +70,10 @@ class COOTensor3D(_ValidatedTensor):
         val: Sequence[float],
     ):
         self.dims = (int(dims[0]), int(dims[1]), int(dims[2]))
-        self.row = list(row)
-        self.col = list(col)
-        self.z = list(z)
-        self.val = list(val)
+        self.row = index_array(row, "row")
+        self.col = index_array(col, "col")
+        self.z = index_array(z, "z")
+        self.val = value_array(val, "val")
 
     @property
     def nnz(self) -> int:
@@ -95,16 +96,15 @@ class COOTensor3D(_ValidatedTensor):
         return self.first_unsorted_position() is None
 
     def sorted_lexicographic(self) -> "COOTensor3D":
-        order = sorted(
-            range(self.nnz),
-            key=lambda n: (self.row[n], self.col[n], self.z[n]),
-        )
+        row, col, z = self.row.tolist(), self.col.tolist(), self.z.tolist()
+        val = self.val.tolist()
+        order = sorted(range(self.nnz), key=lambda n: (row[n], col[n], z[n]))
         return COOTensor3D(
             self.dims,
-            [self.row[n] for n in order],
-            [self.col[n] for n in order],
-            [self.z[n] for n in order],
-            [self.val[n] for n in order],
+            [row[n] for n in order],
+            [col[n] for n in order],
+            [z[n] for n in order],
+            [val[n] for n in order],
         )
 
     def __repr__(self):
@@ -118,14 +118,15 @@ class MortonCOOTensor3D(COOTensor3D):
 
     @classmethod
     def from_coo(cls, coo: COOTensor3D) -> "MortonCOOTensor3D":
+        row, col, z = coo.row.tolist(), coo.col.tolist(), coo.z.tolist()
+        val = coo.val.tolist()
         order = sorted(
-            range(coo.nnz),
-            key=lambda n: morton3(coo.row[n], coo.col[n], coo.z[n]),
+            range(coo.nnz), key=lambda n: morton3(row[n], col[n], z[n])
         )
         return cls(
             coo.dims,
-            [coo.row[n] for n in order],
-            [coo.col[n] for n in order],
-            [coo.z[n] for n in order],
-            [coo.val[n] for n in order],
+            [row[n] for n in order],
+            [col[n] for n in order],
+            [z[n] for n in order],
+            [val[n] for n in order],
         )

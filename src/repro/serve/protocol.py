@@ -66,8 +66,10 @@ def parse_matrix(payload: Mapping[str, Any]):
     """Build the COO container a convert request carries.
 
     Validation of the *values* (bounds, duplicates, sortedness) is the
-    validate gate's job inside ``convert()``; this only checks the
-    document structure.
+    validate gate's job inside ``convert()``; this checks the document
+    structure, and the constructor rejects an index that is not an
+    int64 or a value that is not a number with a
+    :class:`~repro.errors.ValidationError` naming the field.
     """
     from repro.runtime import COOMatrix
 
@@ -90,20 +92,14 @@ def parse_matrix(payload: Mapping[str, Any]):
             f"matrix row/col/val lengths differ: "
             f"{len(row)}/{len(col)}/{len(val)}"
         )
-    return COOMatrix(rows, cols, list(row), list(col), list(val))
-
-
-def _jsonable(value):
-    """Arrays out of an inspector may be numpy; JSON needs plain lists."""
-    if hasattr(value, "tolist"):
-        return value.tolist()
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
+    return COOMatrix(rows, cols, row, col, val)
 
 
 def serialize_container(container, format_name: str) -> dict:
-    """A result container as its UF-named arrays plus shape symbols."""
+    """A result container as its UF-named arrays plus shape symbols.
+
+    Each typed array becomes a JSON-ready list with one ``tolist()``.
+    """
     from repro.formats import container_to_env
 
     env = container_to_env(container)
@@ -113,7 +109,7 @@ def serialize_container(container, format_name: str) -> dict:
         if isinstance(value, int):
             shape[name] = value
         else:
-            arrays[name] = _jsonable(value)
+            arrays[name] = value.tolist()
     return {
         "arrays": arrays,
         "shape": shape,

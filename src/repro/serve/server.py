@@ -550,7 +550,9 @@ class ConversionServer:
                 if isinstance(doc, dict)
                 else doc
             )
-        except ProtocolError as exc:
+        except (ProtocolError, ValidationError) as exc:
+            # A ValidationError here is the matrix constructor rejecting
+            # an index or value; its message names the field.
             return _reject(400, exc, header_id)
         trace_id = request["trace_id"] or header_id or obs.new_trace_id()
         if self._pending >= self.workers + self.backlog:

@@ -40,9 +40,9 @@ Correctness ground rules (the differential tests in
   including the last-duplicate-wins collapse for repeated coordinates
   (``STABLE_POS``) and dense key ranks for ``unique=True`` (``DENSE_POS``);
 * the generated function returns its native representation (numpy
-  arrays); ``SynthesizedConversion.__call__`` materializes plain python
-  lists (``MATERIALIZE``) so observed outputs are bit-identical to the
-  scalar backend's.
+  arrays); ``SynthesizedConversion.__call__`` copies them into the typed
+  arrays every tier materializes (:meth:`repro.backends.Backend.materialize`),
+  so observed outputs are bit-identical to the scalar backend's.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ _FUNC_RENAMES = {
 _NON_DATA_NAMES = frozenset(
     {"max", "min", "len", "range", "int", "float", "list", "np"}
     | {
-        "ASARRAY_INT", "ASARRAY_FLOAT", "TOLIST", "BOOLMASK", "SEGMENTS",
+        "ASARRAY_INT", "ASARRAY_FLOAT", "BOOLMASK", "SEGMENTS",
         "FILL_POS", "COUNT_POS", "STABLE_POS", "DENSE_POS",
     }
     | set(_FUNC_RENAMES) | set(_FUNC_RENAMES.values())
@@ -1234,8 +1234,8 @@ def emit_numpy_function(
     Returns the function source plus per-nest vectorization stats.  The
     emitted function expects the numpy execution namespace
     (``base_namespace("numpy")``) and returns numpy arrays (its native
-    representation); materializing the scalar backend's plain lists is the
-    caller's job (``repro.runtime.npvec.MATERIALIZE``).
+    representation); materializing the containers' typed arrays is the
+    caller's job (:meth:`repro.backends.Backend.materialize`).
     """
     forced: set[str] = set()
     for _ in range(16):  # bounded by the number of permutation objects
@@ -1263,8 +1263,8 @@ def emit_numpy_function(
         raise RuntimeError("vectorizer failed to converge")
     lines.extend(emitter.lines)
     # Return the backend's native representation (numpy arrays); callers
-    # that need the scalar backend's plain lists materialize at the call
-    # boundary (``SynthesizedConversion.__call__`` via ``MATERIALIZE``).
+    # materialize typed arrays at the call boundary
+    # (``SynthesizedConversion.__call__`` via ``Backend.materialize``).
     ret_items = ", ".join(f"{n!r}: {n}" for n in returns)
     lines.append(f"    return {{{ret_items}}}")
     notes = list(emitter.notes)

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 
 import repro.obs as obs
 from repro.runtime.executor import compile_inspector
+from repro.runtime.storage import as_list
 from repro.spf import Computation, SymbolTable
 
 
@@ -118,9 +119,11 @@ class SynthesizedConversion:
     def __call__(self, **inputs):
         """Run the inspector; returns the dict of destination arrays.
 
-        Results are always plain python containers, whichever backend
-        lowered the inspector; use :meth:`run_native` to keep the numpy
-        backend's arrays.
+        Results have the same types whichever backend lowered the
+        inspector — the typed arrays containers store (``array('d')``
+        for ``Adst``, ``array('q')`` for every other array) and Python
+        scalars; use :meth:`run_native` to keep the backend's own
+        representation.
         """
         from repro.backends import get_backend
 
@@ -130,10 +133,12 @@ class SynthesizedConversion:
     def run_native(self, **inputs):
         """Run the inspector in its backend's native representation.
 
-        The numpy backend returns numpy arrays (scalar-fallback values pass
-        through as-is); the python backend returns lists.  Benchmarks time
-        this entry point so list<->array boundary conversion is not charged
-        to the inspector.
+        The numpy and C backends return numpy arrays (scalar-fallback
+        values pass through as-is); the python backend returns lists.
+        Interpreted source — the python tier, or a C conversion that fell
+        back to scalar code — reads its array inputs as lists, copied
+        once here.  Benchmarks time this entry point so the copy into
+        typed arrays is not charged to the inspector.
 
         Under tracing (``REPRO_TRACE=1`` / ``trace=True``) the run is
         wrapped in an ``execute`` span with nnz / allocation / throughput
@@ -143,8 +148,16 @@ class SynthesizedConversion:
         if obs.tracing():
             return self._run_traced(inputs)
         fn = self.compile()
+        return fn(*self._arguments(inputs))
+
+    def _arguments(self, inputs) -> list:
+        """The inputs in parameter order, as lists for interpreted code."""
+        from repro.backends import get_backend
+
         ordered = [inputs[p] for p in self.params]
-        return fn(*ordered)
+        if get_backend(self.backend).interprets(self.source):
+            ordered = [as_list(value) for value in ordered]
+        return ordered
 
     def _instrumented_fn(self):
         """The per-statement instrumented callable, or None."""
@@ -170,7 +183,7 @@ class SynthesizedConversion:
         return self._instrumented or None
 
     def _run_traced(self, inputs: dict):
-        ordered = [inputs[p] for p in self.params]
+        ordered = self._arguments(inputs)
         source_data = inputs.get(SOURCE_DATA)
         nnz = len(source_data) if hasattr(source_data, "__len__") else None
         with obs.span(

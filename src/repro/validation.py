@@ -155,6 +155,15 @@ def _equivalence_containers(src: str, matrices):
     return containers
 
 
+def _typed(outputs: dict) -> dict:
+    """Each output paired with its element type: ``array('q')`` and
+    ``array('d')`` holding equal numbers compare equal on their own."""
+    return {
+        name: (getattr(value, "typecode", type(value).__name__), value)
+        for name, value in outputs.items()
+    }
+
+
 def backend_equivalence_test(
     trials: int = 4,
     *,
@@ -221,11 +230,9 @@ def backend_equivalence_test(
                 env = container_to_env(container)
                 other_out = other(**{p: env[p] for p in other.params})
                 report.conversions_checked += 1
-                if scalar_out != other_out:
-                    diff = [
-                        k for k in scalar_out
-                        if scalar_out[k] != other_out.get(k)
-                    ]
+                ours, theirs = _typed(scalar_out), _typed(other_out)
+                if ours != theirs:
+                    diff = [k for k in ours if ours[k] != theirs.get(k)]
                     report.failures.append(
                         f"{src}->{dst} on {tag} ({other.backend}): "
                         f"outputs differ in {diff}"

@@ -28,11 +28,12 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Optional, Sequence
 
 import repro.obs as obs
 from repro.backends import backend_names, get_backend
-from repro.errors import BoundsError, ValidationError
+from repro.errors import BoundsError, StructureError, ValidationError
 from repro.formats import get_format
 from repro.runtime import (
     BCSCMatrix,
@@ -339,11 +340,13 @@ _ARRAY_FIELDS = {
 
 
 def _arrays_differ(dst: str, a, b) -> Optional[str]:
+    """The first typed field whose values or typecode differ, or None."""
     fields = _ARRAY_FIELDS.get(dst)
     if fields is None and dst.startswith("BCSR"):
         fields = _ARRAY_FIELDS["BCSR"]
     for name in fields or ():
-        if list(getattr(a, name)) != list(getattr(b, name)):
+        x, y = getattr(a, name), getattr(b, name)
+        if x != y or x.typecode != y.typecode:
             return name
     return None
 
@@ -674,7 +677,12 @@ def _shrink_tensor(tensor: COOTensor3D, predicate, *,
 
 
 def _gate_probes(rng) -> list[tuple[str, object, dict]]:
-    """(label, malformed container, convert kwargs) triples for the gate."""
+    """(label, malformed container, convert kwargs) triples for the gate.
+
+    A probe whose input the container constructor itself must reject (an
+    index beyond int64, a non-integral index) carries the constructor
+    call, which :func:`_run_gate_probe` makes.
+    """
     dup = COOMatrix(3, 3, [0, 0, 1], [1, 1, 2], [1.0, 2.0, 3.0])
     oob_row = COOMatrix(2, 2, [0, 5], [0, 1], [1.0, 2.0])
     oob_col = COOMatrix(2, 2, [0, 1], [0, -3], [1.0, 2.0])
@@ -689,7 +697,8 @@ def _gate_probes(rng) -> list[tuple[str, object, dict]]:
     dup3 = COOTensor3D((2, 2, 2), [0, 0], [1, 1], [1, 1], [1.0, 2.0])
     oob3 = COOTensor3D((2, 2, 2), [0, 3], [0, 0], [0, 0], [1.0, 2.0])
     unsorted3 = COOTensor3D((2, 2, 2), [1, 0], [0, 0], [0, 0], [1.0, 2.0])
-    huge = COOMatrix(2, 2, [0, 2**63], [0, 1], [1.0, 2.0])
+    huge = partial(COOMatrix, 2, 2, [0, 2**63], [0, 1], [1.0, 2.0])
+    fractional = partial(COOMatrix, 2, 2, [0.5, 1], [0, 1], [1.0, 2.0])
     bad_mcoo = MortonCOOMatrix(2, 2, [1, 0], [1, 0], [1.0, 2.0])
     bad_bcsr = BCSRMatrix(4, 4, 2, [0, 1, 2], [0, 2], [1.0] * 8)
     bad_bcsc = BCSCMatrix(4, 4, 2, [0, 2, 2], [1, 1], [1.0] * 8)
@@ -715,6 +724,8 @@ def _gate_probes(rng) -> list[tuple[str, object, dict]]:
         ("coo3d-unsorted-claimed-sorted", unsorted3, {"dst": "MCOO3"}),
         ("coo-coordinate-beyond-int64", huge,
          {"dst": "CSR", "error": BoundsError}),
+        ("coo-non-integral-coordinate", fractional,
+         {"dst": "CSR", "error": StructureError}),
         ("mcoo-not-morton-ordered", bad_mcoo, {"dst": "CSR"}),
         ("bcsr-block-column-out-of-bounds", bad_bcsr, {"dst": "CSR"}),
         ("bcsc-duplicate-block-rows", bad_bcsc, {"dst": "CSR"}),
@@ -730,6 +741,8 @@ def _run_gate_probe(label, container, kwargs, backend) -> Optional[str]:
 
     expected = kwargs.get("error", ValidationError)
     try:
+        if callable(container):  # a constructor call the probe rejects
+            container = container()
         convert(container, kwargs["dst"], backend=backend,
                 validate="inputs")
     except expected:
@@ -929,10 +942,11 @@ def fuzz_random_formats(
                     ref_backend, ref = reference_outputs
 
                     def _plain(value):
-                        # Outputs mix arrays and scalar size symbols.
+                        # Outputs mix typed arrays and scalar size symbols.
                         return (
                             value if isinstance(value, (int, float))
-                            else list(value)
+                            else (getattr(value, "typecode", None),
+                                  list(value))
                         )
 
                     differing = [

@@ -110,7 +110,7 @@ class TestCompileCache:
             "m = COOMatrix(3, 4, [0, 1, 2, 2], [1, 0, 2, 3],\n"
             "              [1.0, 2.0, 3.0, 4.0])\n"
             "csr = convert(m, 'CSR', backend='c')\n"
-            "assert csr.rowptr == [0, 1, 2, 4], csr.rowptr\n"
+            "assert csr.rowptr.tolist() == [0, 1, 2, 4], csr.rowptr\n"
             "c = PROF.snapshot()['counters']\n"
             "print(json.dumps({k: v for k, v in c.items()\n"
             "                  if k.startswith('cbackend.')}))\n"

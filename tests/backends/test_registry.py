@@ -90,7 +90,7 @@ class TestRegistration:
 
         coo = COOMatrix.from_dense([[1.0, 0.0], [0.0, 2.0]])
         csr = convert(coo, "CSR", backend="tracing-test", validate="off")
-        assert csr.rowptr == [0, 1, 2]
+        assert csr.rowptr.tolist() == [0, 1, 2]
 
     def test_registered_backend_listed_by_cli(self, custom_backend, capsys):
         from repro.__main__ import main
@@ -126,3 +126,45 @@ class TestAbstractBase:
             backend.namespace()
         with pytest.raises(NotImplementedError):
             backend.estimate_cost(None)
+
+
+class TestNativeInputs:
+    """One staging hook for the numpy and C tiers, typed by the field's
+    role (``Asrc`` float64, every other array int64), never by the first
+    element."""
+
+    @pytest.fixture(params=("numpy", "c"))
+    def backend(self, request):
+        from repro.backends import BackendUnavailableError
+
+        backend = get_backend(request.param)
+        try:
+            backend.require()
+        except BackendUnavailableError as err:
+            pytest.skip(str(err))
+        return backend
+
+    def test_mixed_data_column_stages_as_float64(self, backend):
+        import numpy as np
+
+        staged = backend.native_inputs({"Asrc": [1, 2.5], "row1": [0, 1],
+                                        "NNZ": 2})
+        assert staged["Asrc"].dtype == np.float64
+        assert staged["Asrc"].tolist() == [1.0, 2.5]
+        assert staged["row1"].dtype == np.int64
+        assert staged["NNZ"] == 2
+
+    def test_empty_data_column_stages_as_float64(self, backend):
+        import numpy as np
+
+        staged = backend.native_inputs({"Asrc": [], "row1": []})
+        assert staged["Asrc"].dtype == np.float64
+        assert staged["row1"].dtype == np.int64
+
+    def test_python_tier_stages_lists(self):
+        from array import array
+
+        staged = get_backend("python").native_inputs(
+            {"Asrc": array("d", [1.5]), "NNZ": 1}
+        )
+        assert staged == {"Asrc": [1.5], "NNZ": 1}

@@ -59,7 +59,7 @@ class TestTacoStyle:
 
     def test_dia_offsets_sorted(self):
         out = taco_style.coo_to_dia(COO)
-        assert out.off == sorted(out.off)
+        assert out.off.tolist() == sorted(out.off)
 
 
 class TestSparskitStyle:

@@ -86,7 +86,7 @@ class TestContainerToEnv:
         t = COOTensor3D((2, 3, 4), [0], [1], [2], [1.0])
         env = container_to_env(t)
         assert env["NZ"] == 4
-        assert env["z1"] == [2]
+        assert env["z1"].tolist() == [2]
 
 
 class TestOutputsToContainer:
@@ -104,7 +104,7 @@ class TestOutputsToContainer:
             "CSR", outputs, {"rowptr": "rowptr2", "col2": "col22"},
             {"NR": 2, "NC": 2},
         )
-        assert m.rowptr == [0, 1, 3]
+        assert m.rowptr.tolist() == [0, 1, 3]
 
     def test_unknown_format(self):
         with pytest.raises(BindingError):
@@ -114,8 +114,9 @@ class TestLevelDrivenBindings:
     """Bindings resolved from level structure, not hand-written tables."""
 
     def test_env_matches_legacy_path(self):
-        from repro.formats.bindings import _legacy_container_to_env
         from repro.runtime import ELLMatrix
+
+        from .legacy_env import legacy_container_to_env
 
         dense = [[1.0, 0.0, 2.0], [0.0, 3.0, 0.0], [4.0, 5.0, 6.0]]
         containers = [
@@ -128,7 +129,21 @@ class TestLevelDrivenBindings:
         ]
         for container in containers:
             assert container_to_env(container) == \
-                _legacy_container_to_env(container)
+                legacy_container_to_env(container)
+
+    def test_format_without_composition_does_not_bind(self, monkeypatch):
+        """No name-based fallback: a format whose descriptor carries no
+        level composition cannot be bound or checked."""
+        from types import SimpleNamespace
+
+        from repro.formats import library
+
+        monkeypatch.setattr(library, "get_format",
+                            lambda name: SimpleNamespace(levels=None))
+        csr = CSRMatrix.from_dense(DENSE)
+        for bind in (container_to_env, lambda c: c.check()):
+            with pytest.raises(BindingError, match="no level composition"):
+                bind(csr)
 
     def test_parameterized_block_sizes_bind(self):
         """Regression: BCSR{k}/BCSC{k} names must bind the right arrays."""
@@ -165,7 +180,7 @@ class TestLevelDrivenBindings:
         dense = [[0.0, 1.0], [0.0, 0.0], [2.0, 3.0]]
         dcsr = DCSRMatrix.from_dense(dense)
         env = container_to_env(dcsr)
-        assert env["rowidx"] == [0, 2]
+        assert env["rowidx"].tolist() == [0, 2]
         assert env["dptr"] == dcsr.dptr
         assert env["dcol"] == dcsr.dcol
         assert env["NDR"] == 2

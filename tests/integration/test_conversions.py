@@ -201,6 +201,6 @@ class TestChainedConversions:
         ]
         coo = COOMatrix.from_dense(dense)
         csr = convert(coo, "CSR")
-        assert csr.rowptr == [0, 0, 1, 1]
+        assert csr.rowptr.tolist() == [0, 0, 1, 1]
         csc = convert(coo, "CSC")
-        assert csc.colptr == [0, 0, 1, 1]
+        assert csc.colptr.tolist() == [0, 0, 1, 1]

@@ -72,14 +72,14 @@ class TestRectangularDIA:
     def test_tall_subdiagonal(self, backend):
         dense = [[0.0], [0.0], [0.0], [9.0]]  # offset -3 on a 4x1 matrix
         out = _roundtrip(dense, "DIA", backend)
-        assert out.off == [-3]
+        assert out.off.tolist() == [-3]
 
     def test_wide_superdiagonal(self, backend):
         dense = [[0.0, 0.0, 0.0, 8.0]]  # offset +3 on a 1x4 matrix
         out = _roundtrip(dense, "DIA", backend)
-        assert out.off == [3]
+        assert out.off.tolist() == [3]
 
     def test_every_diagonal_of_a_dense_rectangle(self, backend):
         dense = [[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]]
         out = _roundtrip(dense, "DIA", backend)
-        assert out.off == [-1, 0, 1, 2]
+        assert out.off.tolist() == [-1, 0, 1, 2]

@@ -51,14 +51,14 @@ class TestReadCoordinate:
 2 1
 """
         m = reads(text)
-        assert m.val == [1.0, 1.0]
+        assert m.val.tolist() == [1.0, 1.0]
 
     def test_integer_field(self):
         text = """%%MatrixMarket matrix coordinate integer general
 1 1 1
 1 1 7
 """
-        assert reads(text).val == [7.0]
+        assert reads(text).val.tolist() == [7.0]
 
     def test_symmetric_expansion(self):
         text = """%%MatrixMarket matrix coordinate real symmetric
@@ -86,7 +86,7 @@ class TestReadCoordinate:
 1 1 1.5
 1 1 2.5
 """
-        assert reads(text).val == [4.0]
+        assert reads(text).val.tolist() == [4.0]
 
     def test_bad_header(self):
         with pytest.raises(MatrixMarketError):
@@ -208,4 +208,4 @@ class TestTensorFile:
 
     def test_output_sorted(self):
         t = reads_tensor("2 1 1 1.0\n1 1 1 2.0\n")
-        assert t.row == [0, 1]
+        assert t.row.tolist() == [0, 1]

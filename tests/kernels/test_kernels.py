@@ -140,7 +140,7 @@ class TestGeneratedKernels:
         container = CSRMatrix.from_dense(DENSE)
         before = list(container.val)
         scaled = run_kernel(container, "scale", alpha=3.0)
-        assert container.val == before
+        assert container.val.tolist() == before
         assert close(scaled, [3.0 * v for v in before])
 
     def test_generated_matches_handwritten(self):

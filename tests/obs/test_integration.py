@@ -47,7 +47,7 @@ class TestTracedConvert:
         # phases (case match, compose, optimize, lower) and runtime
         # execution with per-statement children.
         csr = repro.convert(_sample_coo(), "CSR", trace=True)
-        assert csr.rowptr == [0, 2, 3, 5]
+        assert csr.rowptr.tolist() == [0, 2, 3, 5]
         roots = TRACER.finished_roots()
         assert [r.name for r in roots] == ["convert"]
         root = roots[0]

@@ -13,6 +13,7 @@ on the error subclass and its ``coordinate`` / ``position`` /
 from __future__ import annotations
 
 import random
+from array import array
 
 import pytest
 
@@ -43,8 +44,14 @@ from repro.verify import gate
 from .scalar_checks import scalar_check, scalar_first_unsorted
 
 #: Values a mutation may write into an index array: the usual off-by-one
-#: suspects plus ones no int64 can hold.
+#: suspects plus the int64 extremes.  Index arrays are ``array('q')``, so
+#: a value past int64 is stored as the nearest extreme (:func:`_clamp`);
+#: constructors reject such values outright (tests/runtime/test_storage.py).
 EXTREMES = (-1, -2, 2**63, 2**63 - 1, -(2**63) - 1, 2**70)
+
+
+def _clamp(value: int) -> int:
+    return max(-(2**63), min(value, 2**63 - 1))
 
 
 def _dense(rng: random.Random, nrows: int, ncols: int) -> list:
@@ -116,7 +123,7 @@ COORD_AXES = {
 def _arrays(container) -> list[str]:
     return [
         name for name, value in vars(container).items()
-        if isinstance(value, list)
+        if isinstance(value, array)
     ]
 
 
@@ -154,13 +161,13 @@ def _mutate(container, rng: random.Random) -> str:
         return f"insert into {name}"
     q = rng.randrange(len(arr))
     if op == "out_of_range":
-        arr[q] = rng.choice(EXTREMES + (arr[q] + 7, arr[q] + 1))
+        arr[q] = _clamp(rng.choice(EXTREMES + (arr[q] + 7, arr[q] + 1)))
     elif op == "duplicate" and q > 0:
         arr[q] = arr[q - 1]
     elif op == "swap" and q > 0:
         arr[q - 1], arr[q] = arr[q], arr[q - 1]
     else:  # pointer corruption (any index array) or fallback nudge
-        arr[q] += rng.choice((-3, -1, 1, 2))
+        arr[q] = _clamp(arr[q] + rng.choice((-3, -1, 1, 2)))
     return f"{op} on {name}[{q}]"
 
 
@@ -226,11 +233,12 @@ def test_first_unsorted_position_and_sorted_gate_agree(kind):
 
 class TestEdgeCases:
     def test_coordinate_beyond_int64_is_a_bounds_error(self):
-        coo = COOMatrix(4, 4, [0, 2**63], [1, 1], [1.0, 2.0])
+        # Typed storage rejects it at construction, naming field and
+        # position, before any check() could run.
         with pytest.raises(BoundsError) as exc:
-            coo.check()
-        assert exc.value.coordinate == (2**63, 1)
+            COOMatrix(4, 4, [0, 2**63], [1, 1], [1.0, 2.0])
         assert exc.value.position == 1
+        assert "row[1] = 9223372036854775808" in str(exc.value)
 
     def test_wide_shapes_use_lexsort_not_an_overflowing_key(self):
         big = 2**40

@@ -30,10 +30,10 @@ class TestAssembly:
         h = HiCOOTensor.from_coo(tensor, block_bits=4)
         reordered = blocked_morton_sort(tensor, block_bits=4)
         flat = list(h.nonzeros())
-        assert [e[0] for e in flat] == reordered.row
-        assert [e[1] for e in flat] == reordered.col
-        assert [e[2] for e in flat] == reordered.z
-        assert [e[3] for e in flat] == reordered.val
+        assert [e[0] for e in flat] == reordered.row.tolist()
+        assert [e[1] for e in flat] == reordered.col.tolist()
+        assert [e[2] for e in flat] == reordered.z.tolist()
+        assert [e[3] for e in flat] == reordered.val.tolist()
 
     def test_block_count_shrinks_with_bigger_blocks(self, tensor):
         small = HiCOOTensor.from_coo(tensor, block_bits=2)
@@ -67,7 +67,7 @@ class TestValidation:
 
     def test_out_of_block_offset_rejected(self):
         h = self.small()
-        h.eind[0] = (9, 0, 0)
+        h.eind[0] = 9  # element 0's offset triple becomes (9, ., .)
         with pytest.raises(ValueError):
             h.check()
 

@@ -89,7 +89,7 @@ class TestCSR:
         csr = CSRMatrix.from_dense(DENSE)
         csr.check()
         assert dense_equal(csr.to_dense(), DENSE)
-        assert csr.rowptr == [0, 2, 2, 4, 6]
+        assert csr.rowptr.tolist() == [0, 2, 2, 4, 6]
 
     def test_check_rejects_bad_rowptr_length(self):
         with pytest.raises(ValueError):
@@ -113,7 +113,7 @@ class TestCSC:
         csc = CSCMatrix.from_dense(DENSE)
         csc.check()
         assert dense_equal(csc.to_dense(), DENSE)
-        assert csc.colptr == [0, 2, 3, 5, 6]
+        assert csc.colptr.tolist() == [0, 2, 3, 5, 6]
 
     def test_check_rejects_bad_colptr_end(self):
         with pytest.raises(ValueError):
@@ -132,13 +132,13 @@ class TestDIA:
 
     def test_offsets_sorted_unique(self):
         dia = DIAMatrix.from_dense(DENSE)
-        assert dia.off == sorted(set(dia.off))
+        assert dia.off.tolist() == sorted(set(dia.off))
 
     def test_data_layout_is_row_major_by_diagonal(self):
         # data[ND * i + d] per the paper's kd = ND*ii + d access.
         dia = DIAMatrix.from_dense([[1.0, 2.0], [0.0, 3.0]])
-        assert dia.off == [0, 1]
-        assert dia.data == [1.0, 2.0, 3.0, 0.0]
+        assert dia.off.tolist() == [0, 1]
+        assert dia.data.tolist() == [1.0, 2.0, 3.0, 0.0]
 
     def test_check_rejects_unsorted_offsets(self):
         with pytest.raises(ValueError):
@@ -292,7 +292,7 @@ class TestDCSR:
 
         dcsr = DCSRMatrix.from_dense(DENSE)
         # Row 1 of DENSE is empty and must not appear.
-        assert dcsr.rowidx == [0, 2, 3]
+        assert dcsr.rowidx.tolist() == [0, 2, 3]
         assert dcsr.ndrows == 3
         assert dcsr.nnz == 6
 
@@ -301,7 +301,7 @@ class TestDCSR:
 
         dcsr = DCSRMatrix.from_dense([[0.0, 0.0], [0.0, 0.0]])
         dcsr.check()
-        assert dcsr.rowidx == [] and dcsr.dptr == [0]
+        assert dcsr.rowidx.tolist() == [] and dcsr.dptr.tolist() == [0]
         assert dense_equal(dcsr.to_dense(), [[0.0, 0.0], [0.0, 0.0]])
 
     def test_check_rejects_unsorted_rowidx(self):

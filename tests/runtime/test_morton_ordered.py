@@ -244,7 +244,7 @@ class TestTensors3D:
     def test_sorted_lexicographic(self):
         t = COOTensor3D((2, 2, 2), [1, 0], [0, 1], [0, 1], [1.0, 2.0])
         s = t.sorted_lexicographic()
-        assert s.row == [0, 1]
+        assert s.row.tolist() == [0, 1]
         assert s.to_dict() == t.to_dict()
 
     def test_morton_from_coo(self):

@@ -41,9 +41,9 @@ class TestConvertEndpoint:
         resp = client.convert(coo, "CSR")
         assert resp["ok"] and resp["schema"] == "repro-serve/1"
         direct = convert(coo, "CSR")
-        assert resp["result"]["arrays"]["rowptr"] == direct.rowptr
-        assert resp["result"]["arrays"]["col2"] == direct.col
-        assert resp["result"]["arrays"]["Asrc"] == direct.val
+        assert resp["result"]["arrays"]["rowptr"] == direct.rowptr.tolist()
+        assert resp["result"]["arrays"]["col2"] == direct.col.tolist()
+        assert resp["result"]["arrays"]["Asrc"] == direct.val.tolist()
         assert resp["meta"]["seconds"] >= 0
 
     def test_planned_route(self, client):
@@ -90,6 +90,25 @@ class TestConvertEndpoint:
             client.convert(bad, "CSR")
         assert err.value.status == 400
         assert "Duplicate" in err.value.body["error"]["type"]
+
+    @pytest.mark.parametrize("row, error", [
+        ([0.5, 1], "StructureError"),
+        ([0, 9223372036854775808], "BoundsError"),
+    ])
+    def test_unrepresentable_index_is_400_naming_the_field(
+        self, client, row, error
+    ):
+        bad = {"rows": 2, "cols": 2, "row": row, "col": [0, 1],
+               "val": [1.0, 2.0]}
+        for backend in ("python", "c"):
+            with pytest.raises(ServeError) as err:
+                client.convert(bad, "CSR", backend=backend)
+            assert err.value.status == 400
+            assert err.value.body["error"]["type"] == error
+            assert "row[" in err.value.body["error"]["message"]
+        # The daemon keeps serving.
+        good = {**bad, "row": [0, 1]}
+        assert client.convert(good, "CSR")["ok"]
 
     def test_unsynthesizable_pair_is_422(self, client):
         with pytest.raises(ServeError) as err:

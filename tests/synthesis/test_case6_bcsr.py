@@ -101,7 +101,7 @@ class TestBcsrDestinationCorrectness:
         dense = [[1.0, 2.0], [3.0, 4.0]]
         out = convert(COOMatrix.from_dense(dense), "BCSR")
         assert out.nblocks == 1
-        assert out.data == [1.0, 2.0, 3.0, 4.0]
+        assert out.data.tolist() == [1.0, 2.0, 3.0, 4.0]
 
     def test_uneven_edge_blocks(self):
         # 3x3 with 2x2 blocks: edge blocks are partial.

@@ -185,6 +185,6 @@ class TestCustomFormatSynthesis:
             NR=2, NC=3, NNZ=3,
         )
         # Descending column order: (0,2), (1,1), (0,0).
-        assert out["col_r"] == [2, 1, 0]
-        assert out["row_r"] == [0, 1, 0]
-        assert out["Adst"] == [2.0, 3.0, 1.0]
+        assert out["col_r"].tolist() == [2, 1, 0]
+        assert out["row_r"].tolist() == [0, 1, 0]
+        assert out["Adst"].tolist() == [2.0, 3.0, 1.0]

@@ -169,7 +169,7 @@ class TestShrinking:
 
         small = _shrink_tensor(tensor, predicate)
         assert small.nnz == 1
-        assert small.val == [9.0]
+        assert small.val.tolist() == [9.0]
 
     def test_shrink_keeps_failure_when_nothing_smaller_fails(self):
         dense = [[1.0]]
