@@ -140,7 +140,7 @@ def cmd_synthesize(args) -> int:
 
 def cmd_convert(args) -> int:
     from repro.io import read_matrix, write_matrix
-    from repro import convert, dense_equal
+    from repro import convert
     from repro.planner import default_planner
 
     matrix = read_matrix(args.input)
@@ -181,56 +181,41 @@ def cmd_convert(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.verify:
-        if not dense_equal(result.to_dense(), matrix.to_dense()):
+        # Equal nonzero-entry maps <=> equal dense images, without one.
+        if _nonzero_map(result) != _nonzero_map(matrix):
             print("VERIFICATION FAILED", file=sys.stderr)
             return 1
-        print("verified against dense reference", file=sys.stderr)
-    # Persist by converting the result back to COO coordinates.
-    from repro import COOMatrix
-
-    out_coo = COOMatrix.from_dense(result.to_dense())
-    write_matrix(out_coo, args.output,
+        print("verified against the input's nonzero entries",
+              file=sys.stderr)
+    # Persist the result's stored entries as sorted COO coordinates.
+    write_matrix(result.sorted_lexicographic(), args.output,
                  comment=f"converted to {args.to} by repro")
     print(f"wrote {args.output} ({result})", file=sys.stderr)
     return 0
 
 
+def _nonzero_map(matrix) -> tuple:
+    """A matrix's shape and coordinate -> value map of its nonzeros."""
+    entries = {c: v for c, v in matrix.to_dict().items() if v != 0.0}
+    return (matrix.nrows, matrix.ncols), entries
+
+
 def _stage_matrix(matrix, src: str):
     """Re-materialize a read matrix as a ``src``-format container.
 
-    Built from the dense image with the runtime constructors —
+    Assembled from the COO's entries by the format's composition —
     independent of the synthesized conversions the plan will exercise.
     """
-    from repro.runtime import (
-        BCSRMatrix,
-        COOMatrix,
-        CSCMatrix,
-        CSRMatrix,
-        DIAMatrix,
-        ELLMatrix,
-        MortonCOOMatrix,
-    )
+    from repro.formats.bindings import assemble_container
+    from repro.runtime import container_class
 
     src = src.upper()
     if src == "COO":
         return matrix
-    dense = matrix.to_dense()
-    if src == "SCOO":
-        return COOMatrix.from_dense(dense)
-    if src == "MCOO":
-        return MortonCOOMatrix.from_coo(COOMatrix.from_dense(dense))
-    if src == "CSR":
-        return CSRMatrix.from_dense(dense)
-    if src == "CSC":
-        return CSCMatrix.from_dense(dense)
-    if src == "DIA":
-        return DIAMatrix.from_dense(dense)
-    if src == "ELL":
-        return ELLMatrix.from_dense(dense)
-    if src.startswith("BCSR"):
-        bsize = int(src[4:]) if src[4:] else 2
-        return BCSRMatrix.from_dense(dense, bsize)
-    raise ValueError(f"cannot stage a matrix as source format {src!r}")
+    cls = container_class(src)
+    if cls is None:
+        raise ValueError(f"cannot stage a matrix as source format {src!r}")
+    return assemble_container(cls, matrix, format_name=src)
 
 
 def cmd_plan(args) -> int:

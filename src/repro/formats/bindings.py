@@ -5,133 +5,169 @@ a container holds concrete arrays.  Bindings translate both ways so the
 high-level :func:`repro.convert` API can run synthesized inspectors on
 containers directly.
 
-Binding is registry-driven and *level-driven*: each container class
-registers which attribute fills which level of its format's composition
-(:func:`register_container`), and the UF/symbol names are derived from
-the level structure via
-:meth:`repro.formats.levels.Composition.env_from_arrays`.  A format
-without a composition cannot be bound.  The environment holds the
-container's own typed arrays, not copies.
+Nothing here is written per format.  Each container class declares
+which attribute fills which role of its format's level composition
+(:class:`repro.runtime.container.Layout`), and the UF/symbol name of
+each role is derived from the levels
+(:func:`repro.formats.levels.level_names`).  From the two, this module
+derives, per container class and format:
 
-The same binding derives a container's invariants: :func:`check_container`
-checks the bound environment against its composition
-(:meth:`~repro.formats.levels.Composition.check`), which is what every
-container's ``check()`` runs.
+* the bind (:func:`container_to_env`): the container's own typed arrays
+  under the descriptor's names, not copies;
+* the pack (:func:`outputs_to_container`) and the assembly from cells
+  (:func:`assemble_container`): the constructor arguments read back
+  from those names;
+* the invariants (:func:`check_container`): the composition's
+  :meth:`~repro.formats.levels.Composition.check`, with each array named
+  by its attribute.
+
+A format without a composition cannot be bound.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
+import operator
 from typing import Callable, Mapping, NamedTuple
 
 from repro.errors import ShapeError, UnsortedInputError
-from repro.runtime import (
-    BCSCMatrix,
-    BCSRMatrix,
-    CSFTensor,
-    COOMatrix,
-    COOTensor3D,
-    CSCMatrix,
-    CSRMatrix,
-    DCSRMatrix,
-    DIAMatrix,
-    ELLMatrix,
-    MortonCOOMatrix,
-    MortonCOOTensor3D,
-)
+from repro.runtime.container import LevelContainer, container_class
 
-from . import invariants
+from . import invariants, library
+from .levels import level_names
 
 
 class BindingError(ValueError):
     """Raised when a container cannot be bound to a format descriptor."""
 
 
-class ContainerBinding(NamedTuple):
-    """How one container class binds to its format's level composition."""
+class _Plan(NamedTuple):
+    """How one container class binds to one format."""
 
-    #: ``container -> descriptor name`` (may inspect the data, e.g. the
-    #: COO sortedness check; receives ``assume_sorted`` as keyword).
-    format_name: Callable
-    #: ``container -> (shape, data, level_arrays, extras)`` where
-    #: ``level_arrays`` aligns with the composition's levels (see
-    #: :meth:`Composition.env_from_arrays`).
-    level_arrays: Callable
+    composition: object
+    #: Per level, ``{role: attribute}`` of the roles the level binds.
+    levels: tuple
+    #: ``environment -> shape tuple``, and whether one attribute holds
+    #: the whole tuple.
+    shape: Callable
+    dims: bool
+    #: The level arguments of the constructor in order, as
+    #: ``(constant, key)``: a value the composition fixes (a block size),
+    #: else the UF or symbol name the argument is bound to.
+    arguments: tuple
+    #: UF / symbol name -> attribute, for error messages.
+    names: dict
 
 
-#: Registered bindings in resolution order (subclasses must precede
-#: their bases, like MortonCOOMatrix before COOMatrix).
-_CONTAINERS: list[tuple[type, ContainerBinding]] = []
+@functools.lru_cache(maxsize=256)
+def _plan(cls: type, fmt) -> _Plan:
+    """Read ``cls``'s layout against the role names of ``fmt``'s levels.
 
-
-def register_container(
-    container_cls: type,
-    format_name: Callable,
-    level_arrays: Callable,
-) -> None:
-    """Register a container class's level binding.
-
-    Resolution walks registrations in order with ``isinstance``, so
-    register subclasses before their base classes.  Re-registering a
-    class replaces its binding in place.
+    Memoized per class and descriptor (the library hands out one
+    descriptor per name); callers never change the plan.
     """
-    binding = ContainerBinding(format_name, level_arrays)
-    for pos, (cls, _) in enumerate(_CONTAINERS):
-        if cls is container_cls:
-            _CONTAINERS[pos] = (container_cls, binding)
-            return
-    _CONTAINERS.append((container_cls, binding))
+    composition, layout = fmt.levels, cls.layout
+    shape = composition.shape_syms
+    dims = isinstance(layout.shape, str)
+    if dims:
+        names = {s: f"{layout.shape}[{x}]" for x, s in enumerate(shape)}
+    else:
+        names = dict(zip(shape, layout.shape))
+    levels, arguments = [], []
+    for level, declared, bound in zip(
+        composition.levels, layout.levels, level_names(composition)
+    ):
+        levels.append({r: a for r, a in declared.items() if r in bound})
+        for role, attr in declared.items():
+            if role == "block":
+                arguments.append((True, level.block))
+            else:
+                arguments.append((False, bound[role]))
+                names[bound[role]] = attr
+    names["Asrc"] = layout.values
+    return _Plan(composition, tuple(levels), operator.itemgetter(*shape),
+                 dims, tuple(arguments), names)
 
 
-def _binding_of(container) -> ContainerBinding | None:
-    for cls, binding in _CONTAINERS:
-        if isinstance(container, cls):
-            return binding
-    return None
+def _binding(name: str, cls: type, what) -> _Plan:
+    """The plan binding ``cls`` to library format ``name``."""
+    fmt = library.get_format(name)
+    if fmt.levels is None:
+        raise BindingError(
+            f"{what!r}: its format has no level composition to derive its "
+            f"binding from"
+        )
+    return _plan(cls, fmt)
+
+
+def _declared_format(container) -> str:
+    """The format a container's class declares, with its block size.
+
+    A non-default block size binds the parameterized descriptor: mapping
+    every BCSRMatrix to the block-2 "BCSR" would hand a bsize-4 container
+    to an inspector reading 2x2 blocks.
+    """
+    if not isinstance(container, LevelContainer):
+        raise BindingError(f"no format descriptor for container {container!r}")
+    cls = type(container)
+    name = cls.format_name
+    for x, level in enumerate(cls.layout.levels):
+        if "block" in level:
+            block = getattr(container, level["block"])
+            if block < 1:
+                raise ShapeError(
+                    "block size must be positive", container=repr(container)
+                )
+            default = _binding(name, cls, container).composition.levels[x]
+            if block != default.block:
+                name = f"{name}{block}"
+    return name
+
+
+def _bound(container) -> tuple[_Plan, dict]:
+    plan = _binding(_declared_format(container), type(container), container)
+    return plan, _env(container, plan)
+
+
+def _env(container, plan: _Plan) -> dict:
+    layout = type(container).layout
+    return plan.composition.env_from_arrays(
+        layout.shape_of(container),
+        getattr(container, layout.values),
+        [{r: getattr(container, a) for r, a in level.items()}
+         for level in plan.levels],
+    )
+
+
+def bound(container):
+    """``(composition, environment)`` of a container, without a data scan.
+
+    The composition is that of the format its class declares: sorted and
+    unsorted coordinate formats (COO/SCOO, COO3D/SCOO3D) bind identical
+    UF names, so the sortedness scan never changes the environment.  A
+    format without a composition raises :class:`BindingError`.
+    """
+    plan, env = _bound(container)
+    return plan.composition, env
 
 
 def container_format(container, *, assume_sorted: bool = True) -> str:
     """The descriptor name matching a runtime container.
 
-    For plain COO containers, ``assume_sorted`` selects SCOO when the data
-    is lexicographically sorted (the paper's Figure 2 assumption).
+    An unordered coordinate container whose entries are sorted binds to
+    its sorted form under ``assume_sorted`` (SCOO for COO: the paper's
+    Figure 2 assumption).
     """
-    binding = _binding_of(container)
-    if binding is None:
-        raise BindingError(f"no format descriptor for container {container!r}")
-    return binding.format_name(container, assume_sorted=assume_sorted)
-
-
-def _bound(container, what: str):
-    """``(binding, composition)`` of a container, without a data scan.
-
-    The composition is that of the format detected with
-    ``assume_sorted=False``: sorted and unsorted coordinate formats
-    (COO/SCOO, COO3D/SCOO3D) bind identical UF names, so the
-    sortedness scan never changes the environment.  A format without a
-    composition raises :class:`BindingError`.
-    """
-    binding = _binding_of(container)
-    if binding is None:
-        raise BindingError(f"no {what} for container {container!r}")
-    from .library import get_format
-
-    composition = get_format(
-        binding.format_name(container, assume_sorted=False)
-    ).levels
-    if composition is None:
-        raise BindingError(
-            f"{container!r}: its format has no level composition to "
-            f"derive the {what} from"
-        )
-    return binding, composition
-
-
-def _env(binding, composition, container) -> dict:
-    shape, data, level_arrays, extras = binding.level_arrays(container)
-    return composition.env_from_arrays(
-        shape, data, level_arrays, extras=extras
-    )
+    name = _declared_format(container)
+    sorted_format = type(container).layout.sorted_format
+    if assume_sorted and sorted_format:
+        plan = _binding(name, type(container), container)
+        if plan.composition._resolved_ordering() is None and \
+                invariants.first_unsorted_position(
+                    plan.composition, _env(container, plan)) is None:
+            return sorted_format
+    return name
 
 
 def container_to_env(container) -> dict:
@@ -140,8 +176,7 @@ def container_to_env(container) -> dict:
     The environment is derived from the format's level composition; a
     format without one raises :class:`BindingError`.
     """
-    binding, composition = _bound(container, "environment binding")
-    return _env(binding, composition, container)
+    return _bound(container)[1]
 
 
 def check_container(container, *, assume_sorted: bool = False) -> None:
@@ -153,21 +188,17 @@ def check_container(container, *, assume_sorted: bool = False) -> None:
     ordered variant — the SCOO precondition the sorted descriptors rely
     on — and an order violation names that promise and its remedy.
     """
-    binding, composition = _bound(container, "level binding")
+    plan, env = _bound(container)
+    composition = plan.composition
     promised = (
         assume_sorted
         and composition.family == "coord"
         and composition._resolved_ordering() is None
     )
     if promised:
-        composition = dataclasses.replace(composition, ordering="lex")
-    env = _env(binding, composition, container)
+        composition = _sorted_variant(composition)
     try:
-        composition.check(
-            env,
-            container=repr(container),
-            names=_attribute_names(container, env),
-        )
+        composition.check(env, container=repr(container), names=plan.names)
     except UnsortedInputError as err:
         if not promised:
             raise
@@ -182,233 +213,27 @@ def check_container(container, *, assume_sorted: bool = False) -> None:
         ) from None
 
 
-def _attribute_names(container, env: Mapping) -> dict[str, str]:
-    """UF name -> the container attribute bound to it, for messages.
-
-    Matched by identity: a binding hands the container's own arrays to
-    the environment, so each bound array is one of its attributes.
-    """
-    attrs = {
-        id(value): attr for attr, value in vars(container).items()
-        if not isinstance(value, (int, float, tuple))
-    }
-    return {
-        uf: attrs[id(value)] for uf, value in env.items()
-        if id(value) in attrs
-    }
+@functools.lru_cache(maxsize=64)
+def _sorted_variant(composition):
+    """An unordered coordinate composition, lexicographically ordered."""
+    return dataclasses.replace(composition, ordering="lex")
 
 
 def first_unsorted_position(container) -> int | None:
     """First position of a coordinate container breaking lexicographic
     order (ties allowed), or ``None`` when it is sorted."""
-    binding, composition = _bound(container, "level binding")
-    return invariants.first_unsorted_position(
-        composition, _env(binding, composition, container)
-    )
+    return invariants.first_unsorted_position(*bound(container))
 
 
-# ----------------------------------------------------------------------
-# Per-class bindings: which attribute fills which level.
-
-
-def _coo_name(c, *, assume_sorted):
-    if assume_sorted and c.first_unsorted_position() is None:
-        return "SCOO"
-    return "COO"
-
-
-def _coo3d_name(c, *, assume_sorted):
-    if assume_sorted and c.first_unsorted_position() is None:
-        return "SCOO3D"
-    return "COO3D"
-
-
-def _block_name(family: str) -> Callable:
-    def name(c, *, assume_sorted):
-        # Non-default block sizes bind to their parameterized descriptor;
-        # mapping every BCSRMatrix to the block-2 "BCSR" would hand a
-        # bsize-4 container to an inspector reading 2x2 blocks.
-        if c.bsize < 1:
-            raise ShapeError(
-                "block size must be positive", container=repr(c)
-            )
-        return family if c.bsize == 2 else f"{family}{c.bsize}"
-
-    return name
-
-
-register_container(
-    MortonCOOMatrix,
-    lambda c, *, assume_sorted: "MCOO",
-    lambda c: (
-        (c.nrows, c.ncols),
-        c.val,
-        [{"coord": c.row}, {"coord": c.col}],
-        None,
-    ),
-)
-register_container(
-    COOMatrix,
-    _coo_name,
-    lambda c: (
-        (c.nrows, c.ncols),
-        c.val,
-        [{"coord": c.row}, {"coord": c.col}],
-        None,
-    ),
-)
-register_container(
-    CSRMatrix,
-    lambda c, *, assume_sorted: "CSR",
-    lambda c: (
-        (c.nrows, c.ncols),
-        c.val,
-        [None, {"ptr": c.rowptr, "idx": c.col}],
-        None,
-    ),
-)
-register_container(
-    CSCMatrix,
-    lambda c, *, assume_sorted: "CSC",
-    lambda c: (
-        (c.nrows, c.ncols),
-        c.val,
-        [None, {"ptr": c.colptr, "idx": c.row}],
-        None,
-    ),
-)
-register_container(
-    DIAMatrix,
-    lambda c, *, assume_sorted: "DIA",
-    lambda c: ((c.nrows, c.ncols), c.data, [None, {"idx": c.off}], None),
-)
-register_container(
-    BCSRMatrix,
-    _block_name("BCSR"),
-    lambda c: (
-        (c.nrows, c.ncols),
-        c.data,
-        [None, {"ptr": c.browptr, "idx": c.bcol}],
-        {"NBR": c.nblockrows, "NBC": -(-c.ncols // c.bsize)},
-    ),
-)
-register_container(
-    BCSCMatrix,
-    _block_name("BCSC"),
-    lambda c: (
-        (c.nrows, c.ncols),
-        c.data,
-        [None, {"ptr": c.bcolptr, "idx": c.brow}],
-        {"NBR": -(-c.nrows // c.bsize), "NBC": c.nblockcols},
-    ),
-)
-register_container(
-    ELLMatrix,
-    lambda c, *, assume_sorted: "ELL",
-    lambda c: (
-        (c.nrows, c.ncols),
-        c.val,
-        [None, {"idx": c.col, "width": c.width}],
-        None,
-    ),
-)
-register_container(
-    DCSRMatrix,
-    lambda c, *, assume_sorted: "DCSR",
-    lambda c: (
-        (c.nrows, c.ncols),
-        c.val,
-        [{"idx": c.rowidx}, {"ptr": c.dptr, "idx": c.dcol}],
-        None,
-    ),
-)
-register_container(
-    CSFTensor,
-    lambda c, *, assume_sorted: "CSF",
-    lambda c: (
-        c.dims,
-        c.val,
-        [
-            {"idx": c.rootidx},
-            {"ptr": c.fptr, "idx": c.fibidx},
-            {"ptr": c.kptr, "idx": c.kidx},
-        ],
-        None,
-    ),
-)
-register_container(
-    MortonCOOTensor3D,
-    lambda c, *, assume_sorted: "MCOO3",
-    lambda c: (
-        c.dims,
-        c.val,
-        [{"coord": c.row}, {"coord": c.col}, {"coord": c.z}],
-        None,
-    ),
-)
-register_container(
-    COOTensor3D,
-    _coo3d_name,
-    lambda c: (
-        c.dims,
-        c.val,
-        [{"coord": c.row}, {"coord": c.col}, {"coord": c.z}],
-        None,
-    ),
-)
-
-
-# ----------------------------------------------------------------------
-# Destination direction: inspector outputs -> container.
-
-
-def _block_size(name: str, family: str) -> int:
-    suffix = name[len(family):]
-    return int(suffix) if suffix else 2
-
-
-#: Destination builders by format family (trailing block digits
-#: stripped).  Each receives ``(get, data, src_env, name)``.
-_DEST_BUILDERS: dict[str, Callable] = {
-    "COO": lambda get, data, env, name: COOMatrix(
-        env.get("NR"), env.get("NC"), get("row1"), get("col1"), data
-    ),
-    "MCOO": lambda get, data, env, name: MortonCOOMatrix(
-        env.get("NR"), env.get("NC"), get("row_m"), get("col_m"), data
-    ),
-    "CSR": lambda get, data, env, name: CSRMatrix(
-        env.get("NR"), env.get("NC"), get("rowptr"), get("col2"), data
-    ),
-    "CSC": lambda get, data, env, name: CSCMatrix(
-        env.get("NR"), env.get("NC"), get("colptr"), get("row2"), data
-    ),
-    "DIA": lambda get, data, env, name: DIAMatrix(
-        env.get("NR"), env.get("NC"), get("off"), data
-    ),
-    "COO3D": lambda get, data, env, name: COOTensor3D(
-        (env.get("NR"), env.get("NC"), env.get("NZ")),
-        get("row1"), get("col1"), get("z1"), data,
-    ),
-    "MCOO3": lambda get, data, env, name: MortonCOOTensor3D(
-        (env.get("NR"), env.get("NC"), env.get("NZ")),
-        get("row_m"), get("col_m"), get("z_m"), data,
-    ),
-    "BCSR": lambda get, data, env, name: BCSRMatrix(
-        env.get("NR"), env.get("NC"), _block_size(name, "BCSR"),
-        get("browptr"), get("bcol"), data,
-    ),
-    "BCSC": lambda get, data, env, name: BCSCMatrix(
-        env.get("NR"), env.get("NC"), _block_size(name, "BCSC"),
-        get("bcolptr"), get("brow"), data,
-    ),
-}
-_DEST_BUILDERS["SCOO"] = _DEST_BUILDERS["COO"]
-_DEST_BUILDERS["SCOO3D"] = _DEST_BUILDERS["COO3D"]
-
-
-def register_destination(family: str, builder: Callable) -> None:
-    """Register a destination container builder for a format family."""
-    _DEST_BUILDERS[family.upper()] = builder
+def _build(cls, plan: _Plan, shape, arrays, values, rename={}):
+    """``cls(...)``: the shape read from ``shape``, each level argument
+    from ``arrays`` under its (``rename``-d) UF or symbol name."""
+    extents = plan.shape(shape)
+    arguments = [extents] if plan.dims else list(extents)
+    for constant, key in plan.arguments:
+        arguments.append(key if constant else arrays[rename.get(key, key)])
+    arguments.append(values)
+    return cls(*arguments)
 
 
 def outputs_to_container(
@@ -423,17 +248,49 @@ def outputs_to_container(
     (possibly suffixed) names the generated inspector returned; ``src_env``
     supplies the shape symbols.
     """
+    try:
+        fmt = library.get_format(dst_name)
+    except KeyError:
+        fmt = None
+    cls, plan = _destination(dst_name, fmt)
+    return _build(cls, plan, src_env, outputs, outputs["Adst"],
+                  uf_output_map)
 
-    def get(canonical: str):
-        return outputs[uf_output_map.get(canonical, canonical)]
 
-    data = outputs["Adst"]
-    name = dst_name.upper()
-    builder = _DEST_BUILDERS.get(name) or _DEST_BUILDERS.get(
-        name.rstrip("0123456789")
-    )
-    if builder is None:
-        raise BindingError(
-            f"no container for destination format {dst_name!r}"
-        )
-    return builder(get, data, src_env, name)
+@functools.lru_cache(maxsize=256)
+def _destination(name: str, fmt) -> tuple[type, _Plan]:
+    """The container class packing format ``name``, and its plan."""
+    cls = container_class(name)
+    if cls is None or fmt is None or fmt.levels is None:
+        raise BindingError(f"no container for destination format {name!r}")
+    return cls, _plan(cls, fmt)
+
+
+def assemble_container(cls, source, params=(), named=None, *,
+                       format_name: str | None = None):
+    """A ``cls`` container holding ``source``'s entries.
+
+    ``source`` is a dense image (its nonzero cells) or another container
+    (its stored entries).  The format is ``format_name``, else the one
+    ``cls`` declares with the layout's parameters applied: ``params`` /
+    ``named`` bind them like constructor arguments (``bsize``, ``width``;
+    an omitted one takes the format's default).
+    """
+    roles = cls.layout.params
+    given = dict(zip(roles, params), **(named or {}))
+    if len(params) > len(roles) or set(given) - set(roles):
+        raise TypeError(f"{cls.__name__} takes parameters {list(roles)}")
+    name = format_name or cls.format_name
+    for attr, value in given.items():
+        if value is not None and roles[attr] == "block":
+            name = f"{name}{value}"
+    plan = _binding(name, cls, cls)
+    symbols = {
+        symbol: given[attr] for symbol, attr in plan.names.items()
+        if given.get(attr) is not None
+    }
+    if isinstance(source, LevelContainer):
+        source_plan, env = _bound(source)
+        source = source_plan.composition.entries(env)
+    env = plan.composition.assemble(source, symbols=symbols)
+    return _build(cls, plan, env, env, env["Asrc"])

@@ -45,8 +45,11 @@ refactor; the hand-written forms survive only as test oracles.
 
 Beyond descriptor derivation the composition carries the format's
 *dense semantics*: :meth:`Composition.assemble` builds the format's
-arrays from a dense image and :meth:`Composition.interpret` reads them
-back, independently of any synthesized inspector — the oracle pair the
+arrays from coordinate cells (:class:`Cells`) or a dense image, and
+:meth:`Composition.entries` reads the stored entries back —
+:meth:`Composition.interpret` turns them into the dense image.  Every
+runtime container's round trip runs through these, and, being
+independent of any synthesized inspector, they are the oracle pair the
 random-composition fuzzer (``repro fuzz --random-formats``) checks
 generated conversions against.
 """
@@ -56,7 +59,9 @@ from __future__ import annotations
 import functools
 import random
 from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
+
+import numpy as np
 
 from repro.ir import (
     FloorDiv,
@@ -66,6 +71,9 @@ from repro.ir import (
     lexicographic,
     morton,
 )
+
+from repro.runtime.morton import morton_vec
+from repro.runtime.storage import INDEX, VALUE, as_ndarray
 
 from .descriptor import FormatDescriptor, FormatError
 
@@ -222,21 +230,37 @@ class Composition:
                 f"{self.name}: morton ordering requires singleton levels"
             )
 
+    def __hash__(self) -> int:
+        # Every memoized per-format lookup (bind, pack, check) hashes its
+        # composition, so the hash is computed once per instance.
+        try:
+            return self._hash
+        except AttributeError:
+            value = hash((self.name, self.levels, self.ordering,
+                          self.description))
+            object.__setattr__(self, "_hash", value)
+            return value
+
+    def __reduce__(self):
+        # Rebuild from the fields: a cached string hash is per process.
+        return (type(self),
+                (self.name, self.levels, self.ordering, self.description))
+
     # ------------------------------------------------------------------
-    @property
+    @functools.cached_property
     def dims(self) -> tuple[str, ...]:
         """Dimensions in level order."""
         return tuple(level.dim for level in self.levels)
 
-    @property
+    @functools.cached_property
     def rank(self) -> int:
         return len(self.levels)
 
-    @property
+    @functools.cached_property
     def canonical_dims(self) -> tuple[str, ...]:
         return CANONICAL_DIMS[: self.rank]
 
-    @property
+    @functools.cached_property
     def shape_syms(self) -> tuple[str, ...]:
         return tuple(DIM_SHAPE_SYM[d] for d in self.canonical_dims)
 
@@ -327,17 +351,45 @@ class Composition:
             raise LevelError(f"malformed composition dict: {err}") from err
 
     # ------------------------------------------------------------------
-    # Dense semantics (the fuzzer's oracle): assemble and interpret.
+    # Dense semantics: assemble, read back, interpret.
 
-    def assemble(self, dense) -> dict:
-        """Build the format's arrays from a dense image.
+    def assemble(self, source, *, symbols: Mapping | None = None) -> dict:
+        """Build the format's arrays from coordinate cells.
 
-        Returns the full inspector environment — UF arrays, ``Asrc`` and
-        every size symbol — exactly like
+        ``source`` is a :class:`Cells` or a dense image (nested lists,
+        read as the cells of its nonzero entries in row-major order).
+        Entries are ordered as the format stores them; duplicate
+        coordinates are kept, not collapsed, so :meth:`check` still
+        rejects them.  ``symbols`` overrides a size the format would
+        otherwise derive (a padded level's width, which must not be
+        below the longest run).
+
+        Returns the full inspector environment — UF arrays (int64 / float64
+        numpy arrays), ``Asrc`` and every size symbol — exactly like
         :func:`repro.formats.bindings.container_to_env` would for a
         runtime container of the format.
         """
-        return _ASSEMBLERS[self.family](self, dense)
+        cells = source if isinstance(source, Cells) else \
+            Cells.from_dense(source, self.rank, self.name)
+        if len(cells.shape) != self.rank:
+            raise LevelError(
+                f"{self.name}: cells of rank {len(cells.shape)} != format "
+                f"rank {self.rank}"
+            )
+        return _ASSEMBLERS[self.family](self, cells, symbols or {})
+
+    def entries(self, env: Mapping) -> "Cells":
+        """The stored entries of an environment, in storage order.
+
+        Padding is not an entry: ``-1`` slots of a padded level, and
+        zero or out-of-range slots of offset and blocked levels, are
+        skipped; every other stored value is one, explicit zeros
+        included.  This one reader serves :meth:`interpret` and every
+        container's ``to_dense`` / ``to_dict`` / ``nonzeros``.
+        """
+        shape = _env_shape(self, env)
+        coords, values = _READERS[self.family](self, env, shape)
+        return Cells(shape, tuple(coords), values)
 
     def interpret(self, env: Mapping) -> list:
         """Read the dense image back from an environment of arrays.
@@ -346,7 +398,7 @@ class Composition:
         (plus shape symbols), which is how synthesized conversions *into*
         a composed format are checked without a bespoke container.
         """
-        return _INTERPRETERS[self.family](self, env)
+        return self.entries(env).to_dense()
 
     def check(
         self,
@@ -363,12 +415,24 @@ class Composition:
         with vectorized numpy passes (:mod:`repro.formats.invariants`).
         Raises a :class:`~repro.errors.ValidationError` subclass carrying
         the offending coordinate or position; ``container`` names the
-        container in its message, and ``names`` maps UF names (and
-        ``Asrc``) to the words the message uses for those arrays.
+        container in its message, and ``names`` maps UF and shape symbols
+        (and ``Asrc``) to the words the message uses for them.  A
+        negative shape raises :class:`~repro.errors.ShapeError` before any
+        array is read.
         """
+        from repro.errors import ShapeError
+
         from .invariants import CHECKERS
 
-        CHECKERS[self.family](self, env, container, names or {})
+        names = names or {}
+        for sym in self.shape_syms:
+            if env[sym] < 0:
+                raise ShapeError(
+                    f"{names.get(sym, sym)} must not be negative, got "
+                    f"{env[sym]}",
+                    container=container,
+                )
+        CHECKERS[self.family](self, env, container, names)
 
     def env_from_arrays(
         self,
@@ -386,40 +450,24 @@ class Composition:
         (compressed; root levels have no ``"ptr"``), ``"idx"`` (offset:
         the offsets; padded: the padded column array, plus ``"width"``).
         All UF names and count symbols are derived from the level
-        structure, so a container binding only states which attribute
-        fills which level.  ``extras`` adds container-specific symbols
-        (e.g. BCSR's ``NBR``/``NBC``).
+        structure (:func:`level_names`), so a container binding only
+        states which attribute fills which level.  ``extras`` adds
+        further symbols.
         """
         env: dict = {}
+        for names, arrays in zip(level_names(self), level_arrays):
+            for role, name in names.items():
+                env[name] = (
+                    len(arrays["idx"]) if role == "count" else arrays[role]
+                )
         if self.family == "coord":
-            ufs = _coord_ufs_of(self)
-            for level, arrays in zip(self.levels, level_arrays):
-                env[ufs[level.dim]] = arrays["coord"]
             env["NNZ"] = len(data)
-        elif self.family == "compressed":
-            names = _compressed_names(self)
-            for entry, arrays in zip(names, level_arrays):
-                if "idx" not in entry:
-                    continue  # dense level
-                if "ptr" in entry:
-                    env[entry["ptr"]] = arrays["ptr"]
-                env[entry["idx"]] = arrays["idx"]
-                env[entry["count"]] = len(arrays["idx"])
-        elif self.family == "offset":
-            level = self.levels[1]
-            env[level.uf] = level_arrays[1]["idx"]
-            env[level.count] = len(level_arrays[1]["idx"])
-        elif self.family == "padded":
-            level = self.levels[1]
-            env[_padded_uf(self)] = level_arrays[1]["idx"]
-            env[level.width] = level_arrays[1]["width"]
-        else:  # blocked
-            nm = _blocked_names(self)
-            env[nm["ptr"]] = level_arrays[1]["ptr"]
-            env[nm["idx"]] = level_arrays[1]["idx"]
-            env[nm["count"]] = len(level_arrays[1]["idx"])
         env["Asrc"] = data
         env.update(_shape_env(self, shape))
+        if self.family == "blocked":
+            block = self.levels[0].block
+            env["NBR"] = -(-shape[0] // block)
+            env["NBC"] = -(-shape[1] // block)
         env.update(extras or {})
         return env
 
@@ -891,32 +939,119 @@ def _emit_blocked(comp: Composition) -> FormatDescriptor:
 
 
 # ----------------------------------------------------------------------
-# Dense semantics: assemble (dense -> arrays)
+# Role names: which UF or symbol each level role binds
 
 
-def _dense_shape(dense) -> tuple[int, ...]:
-    shape = []
-    node = dense
-    while isinstance(node, list):
-        shape.append(len(node))
-        node = node[0] if node else 0.0
-    return tuple(shape)
+@functools.lru_cache(maxsize=256)
+def level_names(comp: Composition) -> tuple[dict, ...]:
+    """Per level, the UF or symbol name each structural role binds.
+
+    Roles are ``"coord"`` (singleton), ``"ptr"`` / ``"idx"`` (compressed,
+    blocked, and the offset and padded index arrays), ``"count"`` (the
+    symbol counting a level's positions) and ``"width"`` (a padded
+    level's width symbol); dense levels bind nothing.  Memoized per
+    composition; callers read the entries and never change them.
+    """
+    if comp.family == "coord":
+        ufs = _coord_ufs_of(comp)
+        return tuple({"coord": ufs[level.dim]} for level in comp.levels)
+    if comp.family == "compressed":
+        return tuple(
+            {role: entry[role] for role in ("ptr", "idx", "count")
+             if role in entry}
+            for entry in _compressed_names(comp)
+        )
+    level = comp.levels[1]
+    if comp.family == "offset":
+        return ({}, {"idx": level.uf, "count": level.count})
+    if comp.family == "padded":
+        return ({}, {"idx": _padded_uf(comp), "width": level.width})
+    nm = _blocked_names(comp)
+    return ({}, {"ptr": nm["ptr"], "idx": nm["idx"], "count": nm["count"]})
 
 
-def _nonzero_cells(dense, rank: int) -> list[tuple[tuple[int, ...], float]]:
-    """``((i, j, ...), value)`` pairs in canonical row-major order."""
-    cells = []
+# ----------------------------------------------------------------------
+# Dense semantics: coordinate cells
 
-    def walk(node, coord):
-        if len(coord) == rank:
-            if node != 0.0:
-                cells.append((tuple(coord), node))
-            return
-        for x, child in enumerate(node):
-            walk(child, coord + [x])
 
-    walk(dense, [])
-    return cells
+class Cells(NamedTuple):
+    """Stored entries as columns: the shape, one int64 coordinate column
+    per canonical dimension, and the float64 values, entry by entry."""
+
+    shape: tuple[int, ...]
+    coords: tuple
+    values: np.ndarray
+
+    @classmethod
+    def from_dense(cls, dense, rank: int, name: str = "dense") -> "Cells":
+        """The nonzero entries of a dense image, in row-major order."""
+        image = np.array(dense, dtype=np.float64)
+        if image.ndim != rank:
+            if image.size or image.ndim > rank:
+                raise LevelError(
+                    f"{name}: dense rank {image.ndim} != format rank {rank}"
+                )
+            image = image.reshape(image.shape + (0,) * (rank - image.ndim))
+        flat = np.flatnonzero(image)
+        return cls(
+            tuple(int(n) for n in image.shape),
+            tuple(c.astype(np.int64, copy=False)
+                  for c in np.unravel_index(flat, image.shape)),
+            image.ravel()[flat],
+        )
+
+    def tuples(self):
+        """``(i, j[, k], value)`` per entry, as Python scalars."""
+        return zip(*(c.tolist() for c in self.coords), self.values.tolist())
+
+    def to_dict(self) -> dict:
+        """Coordinate -> value; a repeated coordinate keeps its last value."""
+        # A memoryview iterates Python scalars without a list copy.
+        return dict(zip(zip(*map(memoryview, self.coords)),
+                        memoryview(self.values)))
+
+    def to_dense(self) -> list:
+        """The dense image; a repeated coordinate keeps its last value.
+
+        Entries are grouped by their leading coordinate (a stable sort,
+        skipped when it already leads in order) and written row by row.
+        """
+        dense = _zeros(self.shape)
+        lead, values = self.coords[0], self.values
+        rest = self.coords[1:]
+        if lead.size > 1 and (lead[1:] < lead[:-1]).any():
+            order = np.argsort(lead, kind="stable")
+            lead, values = lead[order], values[order]
+            rest = [c[order] for c in rest]
+        bounds = np.searchsorted(lead, np.arange(self.shape[0] + 1)).tolist()
+        vals = values.tolist()
+        if len(rest) == 1:
+            cols = rest[0].tolist()
+            for x, row in enumerate(dense):
+                lo, hi = bounds[x], bounds[x + 1]
+                for j, value in zip(cols[lo:hi], vals[lo:hi]):
+                    row[j] = value
+        else:
+            ys, zs = (c.tolist() for c in rest)
+            for x, plane in enumerate(dense):
+                for n in range(bounds[x], bounds[x + 1]):
+                    plane[ys[n]][zs[n]] = vals[n]
+        return dense
+
+
+def _zeros(shape: Sequence[int]) -> list:
+    if len(shape) == 2:
+        return [[0.0] * shape[1] for _ in range(shape[0])]
+    return [_zeros(shape[1:]) for _ in range(shape[0])]
+
+
+def _index(values) -> np.ndarray:
+    """An index array (typed, numpy or list) as int64, typed ones in place."""
+    return as_ndarray(values, INDEX)
+
+
+def _value(values) -> np.ndarray:
+    return as_ndarray(values, VALUE)
 
 
 def _shape_env(comp: Composition, shape: Sequence[int]) -> dict:
@@ -928,168 +1063,161 @@ def _shape_env(comp: Composition, shape: Sequence[int]) -> dict:
     return dict(zip(comp.shape_syms, shape))
 
 
+def _env_shape(comp: Composition, env: Mapping) -> tuple[int, ...]:
+    try:
+        return tuple(int(env[s]) for s in comp.shape_syms)
+    except KeyError as err:
+        raise LevelError(
+            f"{comp.name}: environment lacks shape symbol {err}"
+        ) from None
+
+
 def _dim_index(comp: Composition, dim: str) -> int:
     return comp.canonical_dims.index(dim)
 
 
-def _assemble_coord(comp: Composition, dense) -> dict:
-    shape = _dense_shape(dense)
-    env = _shape_env(comp, shape)
-    cells = _nonzero_cells(dense, comp.rank)
+def _starts(*keys: np.ndarray) -> np.ndarray:
+    """Whether each entry of sorted key columns starts a new key."""
+    n = keys[0].size
+    new = np.ones(n, dtype=bool)
+    if n > 1:
+        new[1:] = keys[0][1:] != keys[0][:-1]
+        for key in keys[1:]:
+            new[1:] |= key[1:] != key[:-1]
+    return new
+
+
+def _lex_order(*keys: np.ndarray):
+    """The stable lexicographic order of key columns (the first key
+    primary), as an index for ``column[order]``: no sort when the keys
+    already are in order, as cells read from a dense image often are."""
+    from .invariants import _first_descent
+
+    if _first_descent(keys) is None:
+        return slice(None)
+    return np.lexsort(keys[::-1])
+
+
+def _pointers(parents: np.ndarray, segments: int) -> np.ndarray:
+    """The pointer array of positions whose (sorted) parents are given."""
+    counts = np.bincount(parents, minlength=segments)
+    return np.concatenate(([0], np.cumsum(counts))).astype(np.int64, copy=False)
+
+
+# ----------------------------------------------------------------------
+# Dense semantics: assemble (cells -> arrays), one whole-array pass each
+
+
+def _assemble_coord(comp: Composition, cells: Cells, symbols) -> dict:
+    cols = [cells.coords[_dim_index(comp, d)] for d in comp.dims]
     resolved = comp._resolved_ordering()
-    order = [_dim_index(comp, d) for d in comp.dims]
-    if resolved == "lex":
-        cells.sort(key=lambda cv: tuple(cv[0][x] for x in order))
-    elif resolved == "morton":
-        from repro.runtime.morton import morton as morton_key
-
-        cells.sort(key=lambda cv: morton_key(*(cv[0][x] for x in order)))
-    ufs = _coord_ufs_of(comp)
-    for d, uf in ufs.items():
-        x = _dim_index(comp, d)
-        env[uf] = [coord[x] for coord, _ in cells]
-    env["Asrc"] = [value for _, value in cells]
-    env["NNZ"] = len(cells)
-    return env
-
-
-def _assemble_compressed(comp: Composition, dense) -> dict:
-    shape = _dense_shape(dense)
-    env = _shape_env(comp, shape)
-    cells = _nonzero_cells(dense, comp.rank)
-    names = _compressed_names(comp)
-    level_axes = [_dim_index(comp, lv.dim) for lv in comp.levels]
-    # Group nonzeros by their level-order coordinate prefix.
-    keyed = sorted(
-        (tuple(coord[x] for x in level_axes), value)
-        for coord, value in cells
+    coords, values = cells.coords, cells.values
+    if resolved is not None:
+        if resolved == "lex":
+            order = _lex_order(*cols)
+        else:
+            order = np.argsort(morton_vec(*cols), kind="stable")
+        coords = [c[order] for c in coords]
+        values = values[order]
+    return comp.env_from_arrays(
+        cells.shape, values,
+        [{"coord": coords[_dim_index(comp, level.dim)]}
+         for level in comp.levels],
     )
-    prefixes: list[tuple[int, ...]] = [()]
+
+
+def _assemble_compressed(comp: Composition, cells: Cells, symbols) -> dict:
+    axes = [_dim_index(comp, level.dim) for level in comp.levels]
+    keys = [cells.coords[axis] for axis in axes]
+    order = _lex_order(*keys)
+    keys = [key[order] for key in keys]
+    nnz = keys[0].size
+    # ``parent``: each entry's position at the previous level (one
+    # virtual root before the first), ``segments`` that level's size.
+    parent = np.zeros(nnz, dtype=np.int64)
+    segments = 1
+    level_arrays: list = []
+    last = comp.rank - 1
     for index, level in enumerate(comp.levels):
-        entry = names[index]
-        axis_size = shape[level_axes[index]]
+        key = keys[index]
         if level.kind == "dense":
-            prefixes = [p + (x,) for p in prefixes for x in range(axis_size)]
+            size = cells.shape[axes[index]]
+            parent = parent * size + key
+            segments *= size
+            level_arrays.append(None)
             continue
-        ptr = [0]
-        idx: list[int] = []
-        next_prefixes = []
-        for prefix in prefixes:
-            children = sorted(
-                {
-                    key[index]
-                    for key, _ in keyed
-                    if key[: index] == prefix
-                }
-            )
-            idx.extend(children)
-            ptr.append(len(idx))
-            next_prefixes.extend(prefix + (c,) for c in children)
-        prefixes = next_prefixes
-        env[entry["idx"]] = idx
-        env[entry["count"]] = len(idx)
-        if "ptr" in entry:
-            env[entry["ptr"]] = ptr
-    values = dict(keyed)
-    env["Asrc"] = [values[p] for p in prefixes]
-    env["NNZ"] = len(prefixes)
-    return env
+        # A compressed level stores each distinct prefix once; the last
+        # level stores every entry, duplicates included.
+        new = np.ones(nnz, dtype=bool) if index == last else \
+            _starts(parent, key)
+        first = np.flatnonzero(new)
+        arrays = {"idx": key[first]}
+        if index > 0:
+            arrays["ptr"] = _pointers(parent[first], segments)
+        level_arrays.append(arrays)
+        parent = np.cumsum(new) - 1
+        segments = first.size
+    return comp.env_from_arrays(
+        cells.shape, cells.values[order], level_arrays
+    )
 
 
-def _assemble_offset(comp: Composition, dense) -> dict:
-    shape = _dense_shape(dense)
-    env = _shape_env(comp, shape)
-    base_axis = _dim_index(comp, comp.levels[0].dim)
-    dim_axis = _dim_index(comp, comp.levels[1].dim)
+def _assemble_offset(comp: Composition, cells: Cells, symbols) -> dict:
+    base = cells.coords[_dim_index(comp, comp.levels[0].dim)]
+    diagonal = cells.coords[_dim_index(comp, comp.levels[1].dim)] - base
+    offsets = np.unique(diagonal)
+    nd = offsets.size
+    data = np.zeros(cells.shape[_dim_index(comp, comp.levels[0].dim)] * nd)
+    data[nd * base + np.searchsorted(offsets, diagonal)] = cells.values
+    return comp.env_from_arrays(cells.shape, data, [None, {"idx": offsets}])
+
+
+def _assemble_padded(comp: Composition, cells: Cells, symbols) -> dict:
     level = comp.levels[1]
-    cells = _nonzero_cells(dense, comp.rank)
-    offsets = sorted({c[dim_axis] - c[base_axis] for c, _ in cells})
-    nd = len(offsets)
-    data = [0.0] * (shape[base_axis] * nd)
-    for coord, value in cells:
-        d = offsets.index(coord[dim_axis] - coord[base_axis])
-        data[nd * coord[base_axis] + d] = value
-    env[level.uf] = offsets
-    env[level.count] = nd
-    env["Asrc"] = data
-    return env
-
-
-def _assemble_padded(comp: Composition, dense) -> dict:
-    shape = _dense_shape(dense)
-    env = _shape_env(comp, shape)
     base_axis = _dim_index(comp, comp.levels[0].dim)
-    dim_axis = _dim_index(comp, comp.levels[1].dim)
-    level = comp.levels[1]
-    per_base: dict[int, list[tuple[int, float]]] = {}
-    for coord, value in _nonzero_cells(dense, comp.rank):
-        per_base.setdefault(coord[base_axis], []).append(
-            (coord[dim_axis], value)
-        )
-    width = max((len(v) for v in per_base.values()), default=0)
-    cols: list[int] = []
-    vals: list[float] = []
-    for x in range(shape[base_axis]):
-        entries = sorted(per_base.get(x, []))
-        for j, v in entries:
-            cols.append(j)
-            vals.append(v)
-        for _ in range(width - len(entries)):
-            cols.append(PAD)
-            vals.append(0.0)
-    env[_padded_uf(comp)] = cols
-    env[level.width] = width
-    env["Asrc"] = vals
-    return env
+    base = cells.coords[base_axis]
+    dim = cells.coords[_dim_index(comp, level.dim)]
+    order = _lex_order(base, dim)
+    base, dim = base[order], dim[order]
+    nbase = cells.shape[base_axis]
+    counts = np.bincount(base, minlength=nbase)
+    natural = int(counts.max(initial=0))
+    width = symbols.get(level.width)
+    width = natural if width is None else int(width)
+    if width < natural:
+        raise ValueError(f"width {width} below the natural width {natural}")
+    starts = np.cumsum(counts) - counts
+    slot = base * width + np.arange(base.size) - starts[base]
+    cols = np.full(nbase * width, PAD, dtype=np.int64)
+    vals = np.zeros(nbase * width)
+    cols[slot] = dim
+    vals[slot] = cells.values[order]
+    return comp.env_from_arrays(
+        cells.shape, vals, [None, {"idx": cols, "width": width}]
+    )
 
 
-def _assemble_blocked(comp: Composition, dense) -> dict:
-    shape = _dense_shape(dense)
-    env = _shape_env(comp, shape)
+def _assemble_blocked(comp: Composition, cells: Cells, symbols) -> dict:
     nm = _blocked_names(comp)
     b = nm["b"]
     a0 = _dim_index(comp, nm["d0"])
     a1 = _dim_index(comp, nm["d1"])
-    nb0 = -(-shape[a0] // b)
-    nb1 = -(-shape[a1] // b)
-    ptr = [0]
-    idx: list[int] = []
-    data: list[float] = []
-
-    def cell(i, j):
-        coord = [0, 0]
-        coord[a0], coord[a1] = i, j
-        if coord[0] < shape[0] and coord[1] < shape[1]:
-            return dense[coord[0]][coord[1]]
-        return 0.0
-
-    for b0 in range(nb0):
-        for b1 in range(nb1):
-            block = []
-            nonzero = False
-            for r0 in range(b):
-                for r1 in range(b):
-                    v = cell(b0 * b + r0, b1 * b + r1)
-                    nonzero = nonzero or v != 0.0
-                    block.append(v)
-            if nonzero:
-                idx.append(b1)
-                # Within-block layout is canonical row-major
-                # (kd = b*b*bk + b*ri + ci) whatever the block order.
-                if a0 == 0:
-                    data.extend(block)
-                else:
-                    data.extend(
-                        block[r1 * b + r0]
-                        for r0 in range(b)
-                        for r1 in range(b)
-                    )
-        ptr.append(len(idx))
-    env[nm["ptr"]] = ptr
-    env[nm["idx"]] = idx
-    env[nm["count"]] = len(idx)
-    env["Asrc"] = data
-    return env
+    block0 = cells.coords[a0] // b
+    block1 = cells.coords[a1] // b
+    order = _lex_order(block0, block1)
+    block0, block1 = block0[order], block1[order]
+    new = _starts(block0, block1)
+    first = np.flatnonzero(new)
+    i, j = (c[order] for c in cells.coords)
+    # Within-block layout is canonical row-major (kd = b*b*bk + b*ri + ci)
+    # whatever the block order.
+    data = np.zeros(first.size * b * b)
+    data[(np.cumsum(new) - 1) * (b * b) + (i % b) * b + j % b] = \
+        cells.values[order]
+    ptr = _pointers(block0[first], -(-cells.shape[a0] // b))
+    return comp.env_from_arrays(
+        cells.shape, data, [None, {"ptr": ptr, "idx": block1[first]}]
+    )
 
 
 _ASSEMBLERS = {
@@ -1102,150 +1230,95 @@ _ASSEMBLERS = {
 
 
 # ----------------------------------------------------------------------
-# Dense semantics: interpret (arrays -> dense)
+# Dense semantics: read the stored entries back (arrays -> cells)
 
 
-def _zeros(shape: Sequence[int]) -> list:
-    if len(shape) == 1:
-        return [0.0] * shape[0]
-    return [_zeros(shape[1:]) for _ in range(shape[0])]
-
-
-def _set_cell(dense, coord, value):
-    node = dense
-    for x in coord[:-1]:
-        node = node[x]
-    node[coord[-1]] = value
-
-
-def _env_shape(comp: Composition, env: Mapping) -> tuple[int, ...]:
-    try:
-        return tuple(int(env[s]) for s in comp.shape_syms)
-    except KeyError as err:
-        raise LevelError(
-            f"{comp.name}: environment lacks shape symbol {err}"
-        ) from None
-
-
-def _interpret_coord(comp: Composition, env: Mapping) -> list:
-    shape = _env_shape(comp, env)
-    dense = _zeros(shape)
+def _read_coord(comp: Composition, env: Mapping, shape):
     ufs = _coord_ufs_of(comp)
-    arrays = [env[ufs[d]] for d in comp.canonical_dims]
-    data = env["Asrc"]
-    for n in range(len(data)):
-        _set_cell(dense, [arr[n] for arr in arrays], data[n])
-    return dense
+    coords = [_index(env[ufs[d]]) for d in comp.canonical_dims]
+    return coords, _value(env["Asrc"])
 
 
-def _interpret_compressed(comp: Composition, env: Mapping) -> list:
-    shape = _env_shape(comp, env)
-    dense = _zeros(shape)
+def _read_compressed(comp: Composition, env: Mapping, shape):
     names = _compressed_names(comp)
-    level_axes = [_dim_index(comp, lv.dim) for lv in comp.levels]
-    data = env["Asrc"]
-
-    def walk(index, prev_pos, coord):
-        if index == comp.rank:
-            _set_cell(dense, coord, data[prev_pos])
-            return
-        level = comp.levels[index]
-        entry = names[index]
-        axis = level_axes[index]
+    # Walk the levels, keeping the coordinate column of every level so
+    # far, indexed by position at the current level.
+    coords: list = [None] * comp.rank
+    positions = 1
+    for index, level in enumerate(comp.levels):
+        axis = _dim_index(comp, level.dim)
         if level.kind == "dense":
             size = shape[axis]
-            for x in range(size):
-                here = coord[:]
-                here[axis] = x
-                flat = x if prev_pos is None else prev_pos * size + x
-                walk(index + 1, flat, here)
-            return
-        if "ptr" in entry:
-            ptr = env[entry["ptr"]]
-            lo, hi = ptr[prev_pos], ptr[prev_pos + 1]
-        else:
-            lo, hi = 0, len(env[entry["idx"]])
-        idx = env[entry["idx"]]
-        for p in range(lo, hi):
-            here = coord[:]
-            here[axis] = idx[p]
-            walk(index + 1, p, here)
-
-    walk(0, None, [0] * comp.rank)
-    return dense
+            coords = [None if c is None else np.repeat(c, size)
+                      for c in coords]
+            coords[axis] = np.tile(np.arange(size, dtype=np.int64),
+                                   positions)
+            positions *= size
+            continue
+        idx = _index(env[names[index]["idx"]])
+        if "ptr" in names[index]:
+            parent = np.repeat(
+                np.arange(positions), np.diff(_index(env[names[index]["ptr"]]))
+            )
+            coords = [None if c is None else c[parent] for c in coords]
+        coords[axis] = idx
+        positions = idx.size
+    return coords, _value(env["Asrc"])
 
 
-def _interpret_offset(comp: Composition, env: Mapping) -> list:
-    shape = _env_shape(comp, env)
-    dense = _zeros(shape)
+def _read_offset(comp: Composition, env: Mapping, shape):
     level = comp.levels[1]
     base_axis = _dim_index(comp, comp.levels[0].dim)
     dim_axis = _dim_index(comp, level.dim)
-    offsets = env[level.uf]
-    nd = len(offsets)
-    data = env["Asrc"]
-    for x in range(shape[base_axis]):
-        for d in range(nd):
-            y = x + offsets[d]
-            if 0 <= y < shape[dim_axis]:
-                value = data[nd * x + d]
-                if value != 0.0:
-                    coord = [0, 0]
-                    coord[base_axis], coord[dim_axis] = x, y
-                    _set_cell(dense, coord, value)
-    return dense
+    offsets = _index(env[level.uf])
+    data = _value(env["Asrc"])
+    base = np.repeat(np.arange(shape[base_axis], dtype=np.int64),
+                     offsets.size)
+    dim = base + np.tile(offsets, shape[base_axis])
+    keep = (dim >= 0) & (dim < shape[dim_axis]) & (data != 0.0)
+    coords = [None, None]
+    coords[base_axis], coords[dim_axis] = base[keep], dim[keep]
+    return coords, data[keep]
 
 
-def _interpret_padded(comp: Composition, env: Mapping) -> list:
-    shape = _env_shape(comp, env)
-    dense = _zeros(shape)
+def _read_padded(comp: Composition, env: Mapping, shape):
     level = comp.levels[1]
     base_axis = _dim_index(comp, comp.levels[0].dim)
-    dim_axis = _dim_index(comp, level.dim)
-    width = int(env[level.width])
-    cols = env[_padded_uf(comp)]
-    data = env["Asrc"]
-    for x in range(shape[base_axis]):
-        for w in range(width):
-            j = cols[width * x + w]
-            if j != PAD:
-                coord = [0, 0]
-                coord[base_axis], coord[dim_axis] = x, j
-                _set_cell(dense, coord, data[width * x + w])
-    return dense
+    cols = _index(env[_padded_uf(comp)])
+    base = np.repeat(np.arange(shape[base_axis], dtype=np.int64),
+                     int(env[level.width]))
+    keep = cols != PAD
+    coords = [None, None]
+    coords[base_axis] = base[keep]
+    coords[_dim_index(comp, level.dim)] = cols[keep]
+    return coords, _value(env["Asrc"])[keep]
 
 
-def _interpret_blocked(comp: Composition, env: Mapping) -> list:
-    shape = _env_shape(comp, env)
-    dense = _zeros(shape)
+def _read_blocked(comp: Composition, env: Mapping, shape):
     nm = _blocked_names(comp)
     b = nm["b"]
-    a0 = _dim_index(comp, nm["d0"])
-    a1 = _dim_index(comp, nm["d1"])
-    ptr, idx, data = env[nm["ptr"]], env[nm["idx"]], env["Asrc"]
-    for b0 in range(len(ptr) - 1):
-        for bk in range(ptr[b0], ptr[b0 + 1]):
-            b1 = idx[bk]
-            for r0 in range(b):
-                for r1 in range(b):
-                    coord = [0, 0]
-                    coord[a0] = b0 * b + r0
-                    coord[a1] = b1 * b + r1
-                    if coord[0] < shape[0] and coord[1] < shape[1]:
-                        ri = coord[0] - (coord[0] // b) * b
-                        ci = coord[1] - (coord[1] // b) * b
-                        value = data[b * b * bk + b * ri + ci]
-                        if value != 0.0:
-                            _set_cell(dense, coord, value)
-    return dense
+    ptr = _index(env[nm["ptr"]])
+    idx = _index(env[nm["idx"]])
+    data = _value(env["Asrc"])
+    block = np.arange(data.size, dtype=np.int64) // (b * b)
+    within = np.arange(data.size, dtype=np.int64) % (b * b)
+    origin = [None, None]
+    origin[_dim_index(comp, nm["d0"])] = np.repeat(
+        np.arange(ptr.size - 1, dtype=np.int64), np.diff(ptr)
+    )[block] * b
+    origin[_dim_index(comp, nm["d1"])] = idx[block] * b
+    i = origin[0] + within // b
+    j = origin[1] + within % b
+    keep = (i < shape[0]) & (j < shape[1]) & (data != 0.0)
+    return [i[keep], j[keep]], data[keep]
 
 
-_INTERPRETERS = {
-    "coord": _interpret_coord,
-    "compressed": _interpret_compressed,
-    "offset": _interpret_offset,
-    "padded": _interpret_padded,
-    "blocked": _interpret_blocked,
+_READERS = {
+    "coord": _read_coord,
+    "compressed": _read_compressed,
+    "offset": _read_offset,
+    "padded": _read_padded,
+    "blocked": _read_blocked,
 }
 
 

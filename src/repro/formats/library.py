@@ -259,6 +259,9 @@ def get_format(name: str) -> FormatDescriptor:
     to tuned parameterizations by plain string.
     """
     key = name.upper()
+    fmt = _BUILT.get(key)
+    if fmt is not None:
+        return fmt
     for family in _PARAMETERIZED:
         if key == f"{family}2":
             key = family  # the library's default blocked descriptor

@@ -20,15 +20,6 @@ import math
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from repro.runtime import (
-    BCSRMatrix,
-    COOMatrix,
-    CSCMatrix,
-    CSRMatrix,
-    DIAMatrix,
-    ELLMatrix,
-)
-
 #: Block sizes the profiler computes fill ratios for; the auto-tuner's
 #: BCSR candidate space is drawn from this set (block 1 is excluded:
 #: Case 6 needs a non-trivial affine decomposition to resolve positions).
@@ -114,68 +105,6 @@ class MatrixStats:
         }
 
 
-# ----------------------------------------------------------------------
-# Coordinate extraction — each container yields (i, j) pairs without
-# densifying.  Unknown containers fall back to their dense image.
-# ----------------------------------------------------------------------
-def _iter_coords(container):
-    if isinstance(container, COOMatrix):  # covers MCOO subclasses
-        return zip(container.row, container.col)
-    if isinstance(container, CSRMatrix):
-        def gen_csr():
-            for i in range(container.nrows):
-                for k in range(container.rowptr[i], container.rowptr[i + 1]):
-                    yield i, container.col[k]
-        return gen_csr()
-    if isinstance(container, CSCMatrix):
-        def gen_csc():
-            for j in range(container.ncols):
-                for k in range(container.colptr[j], container.colptr[j + 1]):
-                    yield container.row[k], j
-        return gen_csc()
-    if isinstance(container, DIAMatrix):
-        def gen_dia():
-            nd = container.ndiags
-            for i in range(container.nrows):
-                for d in range(nd):
-                    j = i + container.off[d]
-                    if 0 <= j < container.ncols and (
-                        container.data[nd * i + d] != 0.0
-                    ):
-                        yield i, j
-        return gen_dia()
-    if isinstance(container, BCSRMatrix):
-        def gen_bcsr():
-            bs = container.bsize
-            for bi in range(container.nblockrows):
-                for bk in range(
-                    container.browptr[bi], container.browptr[bi + 1]
-                ):
-                    bj = container.bcol[bk]
-                    base = bk * bs * bs
-                    for r in range(bs):
-                        for c in range(bs):
-                            if container.data[base + r * bs + c] != 0.0:
-                                yield bi * bs + r, bj * bs + c
-        return gen_bcsr()
-    if isinstance(container, ELLMatrix):
-        def gen_ell():
-            for i in range(container.nrows):
-                for w in range(container.width):
-                    j = container.col[i * container.width + w]
-                    if j != ELLMatrix.PAD:
-                        yield i, j
-        return gen_ell()
-    if hasattr(container, "to_dense"):
-        def gen_dense():
-            for i, row in enumerate(container.to_dense()):
-                for j, v in enumerate(row):
-                    if v != 0.0:
-                        yield i, j
-        return gen_dense()
-    raise TypeError(f"cannot profile container {container!r}")
-
-
 def _shape(container) -> tuple[int, int]:
     if hasattr(container, "nrows"):
         return container.nrows, container.ncols
@@ -188,10 +117,11 @@ def _shape(container) -> tuple[int, int]:
 def matrix_stats(
     container, *, blocks: tuple[int, ...] = BLOCK_CANDIDATES
 ) -> MatrixStats:
-    """Profile a container in one pass over its nonzeros.
+    """Profile a container in one pass over its stored entries.
 
-    Accepts any 2-D runtime container (COO/CSR/CSC/DIA/BCSR/ELL and the
-    Morton orders); anything else is profiled through its dense image.
+    Accepts any runtime container (3-D ones profile their leading two
+    modes); the entries come from its format's stored-entry reader
+    (``nonzeros()``), so no container is densified.
     Cost: O(nnz * len(blocks)) time, O(rows + diags + blocks) space.
     """
     import repro.obs as obs
@@ -204,7 +134,7 @@ def matrix_stats(
         block_sets: dict[int, set] = {b: set() for b in blocks}
         bandwidth = 0
         nnz = 0
-        for i, j in _iter_coords(container):
+        for i, j, *_ in container.nonzeros():
             nnz += 1
             row_counts[i] = row_counts.get(i, 0) + 1
             d = j - i

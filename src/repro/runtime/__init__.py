@@ -2,6 +2,7 @@
 
 from .morton import demorton2, demorton3, morton, morton2, morton3, morton_nd
 from .ordered_list import LexBucketPermutation, OrderedList, OrderedSet
+from .container import CONTAINERS, Layout, LevelContainer, container_class
 from .matrices import (
     BCSCMatrix,
     BCSRMatrix,
@@ -22,6 +23,7 @@ from .executor import CompiledInspector, base_namespace, compile_inspector
 __all__ = [
     "BCSCMatrix",
     "BCSRMatrix",
+    "CONTAINERS",
     "COOMatrix",
     "COOTensor3D",
     "CSFTensor",
@@ -32,6 +34,8 @@ __all__ = [
     "DIAMatrix",
     "ELLMatrix",
     "HiCOOTensor",
+    "Layout",
+    "LevelContainer",
     "LexBucketPermutation",
     "MortonCOOMatrix",
     "MortonCOOTensor3D",
@@ -39,6 +43,7 @@ __all__ = [
     "OrderedSet",
     "base_namespace",
     "compile_inspector",
+    "container_class",
     "demorton2",
     "demorton3",
     "dense_equal",

@@ -28,9 +28,10 @@ from repro.errors import (
     UnsortedInputError,
 )
 
+from .container import compare_contents
 from .morton import morton3
 from .storage import index_array, listed, value_array
-from .tensors3d import COOTensor3D, _ValidatedTensor
+from .tensors3d import COOTensor3D
 
 
 def _triples(flat) -> list[tuple[int, int, int]]:
@@ -39,8 +40,12 @@ def _triples(flat) -> list[tuple[int, int, int]]:
     return list(zip(flat[0::3], flat[1::3], flat[2::3]))
 
 
-class HiCOOTensor(_ValidatedTensor):
-    """Blocked 3-D sparse tensor with compact per-block element indices."""
+class HiCOOTensor:
+    """Blocked 3-D sparse tensor with compact per-block element indices.
+
+    HiCOO's nested position hierarchy has no level composition, so its
+    storage and ``check()`` are written here by hand.
+    """
 
     format_name = "HICOO"
 
@@ -139,6 +144,11 @@ class HiCOOTensor(_ValidatedTensor):
                     position=n,
                     container=repr(self),
                 )
+
+    def check_against_dense(self, reference, *, tol: float = 0.0) -> None:
+        """Validate invariants and compare ``to_dict()`` to ``reference``."""
+        self.check()
+        compare_contents(self, reference, tol)
 
     # ------------------------------------------------------------------
     def nonzeros(self):

@@ -45,6 +45,8 @@ def typed(values, typecode: str, field: str) -> array:
     non-numeric value :class:`~repro.errors.StructureError`, each naming
     ``field`` and the position.
     """
+    if type(values) is array and values.typecode == typecode:
+        return array(typecode, values)  # the pack's case: one memcpy
     if hasattr(values, "dtype"):
         dtype = values.dtype
         if (values.ndim == 1 and dtype.kind == _KINDS[typecode]

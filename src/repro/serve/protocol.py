@@ -65,10 +65,10 @@ class ProtocolError(ValueError):
 def parse_matrix(payload: Mapping[str, Any]):
     """Build the COO container a convert request carries.
 
-    Validation of the *values* (bounds, duplicates, sortedness) is the
-    validate gate's job inside ``convert()``; this checks the document
-    structure, and the constructor rejects an index that is not an
-    int64 or a value that is not a number with a
+    Validation of the *values* (bounds, duplicates, sortedness, a
+    negative shape) is the validate gate's job inside ``convert()``;
+    this checks the document structure, and the constructor rejects an
+    index that is not an int64 or a value that is not a number with a
     :class:`~repro.errors.ValidationError` naming the field.
     """
     from repro.runtime import COOMatrix
@@ -79,7 +79,8 @@ def parse_matrix(payload: Mapping[str, Any]):
     if missing:
         raise ProtocolError(f"matrix is missing fields {sorted(missing)}")
     rows, cols = payload["rows"], payload["cols"]
-    if not isinstance(rows, int) or not isinstance(cols, int):
+    # bool is an int subclass: JSON true must not read as 1 row.
+    if any(type(n) is not int for n in (rows, cols)):
         raise ProtocolError("matrix rows/cols must be integers")
     row, col, val = payload["row"], payload["col"], payload["val"]
     if not (

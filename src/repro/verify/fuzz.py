@@ -35,6 +35,7 @@ import repro.obs as obs
 from repro.backends import backend_names, get_backend
 from repro.errors import BoundsError, StructureError, ValidationError
 from repro.formats import get_format
+from repro.formats.bindings import assemble_container
 from repro.runtime import (
     BCSCMatrix,
     BCSRMatrix,
@@ -48,6 +49,7 @@ from repro.runtime import (
     ELLMatrix,
     MortonCOOMatrix,
     MortonCOOTensor3D,
+    container_class,
     dense_equal,
 )
 from repro.synthesis import SynthesisError, synthesize_cached
@@ -55,18 +57,19 @@ from repro.synthesis import SynthesisError, synthesize_cached
 Dense = list
 
 #: Conversion sources/destinations covered by the fuzzer.  Sources span
-#: every container with a descriptor; destinations are the formats
-#: ``outputs_to_container`` can materialize.
-#: Parameterized BCSR names ride along so the tuner's non-default block
+#: every container kind; destinations are every dest-capable format.
+#: Parameterized blocked names ride along so the tuner's non-default block
 #: sizes get the same differential coverage as the block-2 default.
 SOURCES_2D = (
     "COO", "SCOO", "MCOO", "CSR", "CSC", "DIA", "BCSR", "BCSR3", "ELL",
+    "DCSR", "BCSC",
 )
-DESTS_2D = ("SCOO", "MCOO", "CSR", "CSC", "DIA", "BCSR", "BCSR3", "BCSR4")
+DESTS_2D = (
+    "SCOO", "MCOO", "CSR", "CSC", "DIA", "BCSR", "BCSR3", "BCSR4", "BCSC",
+    "BCSC3",
+)
 SOURCES_3D = ("COO3D", "SCOO3D", "MCOO3", "CSF")
 DESTS_3D = ("SCOO3D", "MCOO3")
-
-BCSR_BSIZE = 2  # the block size outputs_to_container materializes
 
 
 # ----------------------------------------------------------------------
@@ -242,32 +245,24 @@ def _shuffle_coo(coo: COOMatrix, rng) -> COOMatrix:
     )
 
 
-def _make_source_2d(src: str, dense: Dense, rng) -> object | None:
-    """Build the source container *independently* of the code under test."""
-    coo = COOMatrix.from_dense(dense)
+def _assemble(src: str, source):
+    """A ``src`` container holding ``source``'s entries (a dense image or
+    a container), built by the format's own composition — independently
+    of the synthesized code under test."""
+    return assemble_container(container_class(src), source, format_name=src)
+
+
+def _make_source_2d(src: str, dense: Dense, rng) -> object:
     if src == "COO":
-        return _shuffle_coo(coo, rng)
-    if src == "SCOO":
-        return coo
-    if src == "MCOO":
-        return MortonCOOMatrix.from_coo(coo)
-    if src == "CSR":
-        return CSRMatrix.from_dense(dense)
-    if src == "CSC":
-        return CSCMatrix.from_dense(dense)
-    if src == "DIA":
-        return DIAMatrix.from_dense(dense)
-    if src.startswith("BCSR"):
-        bsize = int(src[4:]) if src[4:] else BCSR_BSIZE
-        return BCSRMatrix.from_dense(dense, bsize)
-    if src == "ELL":
-        ell = ELLMatrix.from_dense(dense)
-        # Sometimes over-allocate the width: inspectors must treat PAD
-        # columns as absent whether or not any row fills the width.
-        if rng.random() < 0.5:
-            return ELLMatrix.from_dense(dense, ell.width + rng.randint(1, 3))
-        return ell
-    raise KeyError(src)
+        return _shuffle_coo(COOMatrix.from_dense(dense), rng)
+    container = _assemble(src, dense)
+    # Sometimes over-allocate an ELL width: inspectors must treat PAD
+    # columns as absent whether or not any row fills the width.
+    if isinstance(container, ELLMatrix) and rng.random() < 0.5:
+        return ELLMatrix.from_dense(
+            dense, container.width + rng.randint(1, 3)
+        )
+    return container
 
 
 def _make_source_3d(src: str, tensor: COOTensor3D, rng) -> object:
@@ -282,13 +277,7 @@ def _make_source_3d(src: str, tensor: COOTensor3D, rng) -> object:
             [coo.z[n] for n in order],
             [coo.val[n] for n in order],
         )
-    if src == "SCOO3D":
-        return coo
-    if src == "MCOO3":
-        return MortonCOOTensor3D.from_coo(coo)
-    if src == "CSF":
-        return CSFTensor.from_coo(coo)
-    raise KeyError(src)
+    return _assemble(src, coo)
 
 
 # ----------------------------------------------------------------------
@@ -326,27 +315,12 @@ def _baseline_outputs(src: str, dst: str, container) -> list:
     return refs
 
 
-_ARRAY_FIELDS = {
-    "CSR": ("rowptr", "col", "val"),
-    "CSC": ("colptr", "row", "val"),
-    "DIA": ("off", "data"),
-    "SCOO": ("row", "col", "val"),
-    "MCOO": ("row", "col", "val"),
-    "BCSR": ("browptr", "bcol", "data"),
-    "SCOO3D": ("row", "col", "z", "val"),
-    "COO3D": ("row", "col", "z", "val"),
-    "MCOO3": ("row", "col", "z", "val"),
-}
-
-
-def _arrays_differ(dst: str, a, b) -> Optional[str]:
-    """The first typed field whose values or typecode differ, or None."""
-    fields = _ARRAY_FIELDS.get(dst)
-    if fields is None and dst.startswith("BCSR"):
-        fields = _ARRAY_FIELDS["BCSR"]
-    for name in fields or ():
+def _fields_differ(a, b) -> Optional[str]:
+    """The first declared field whose values or typecode differ, or None."""
+    for name, _ in type(a).layout.fields:
         x, y = getattr(a, name), getattr(b, name)
-        if x != y or x.typecode != y.typecode:
+        if x != y or getattr(x, "typecode", None) != \
+                getattr(y, "typecode", None):
             return name
     return None
 
@@ -465,7 +439,7 @@ class FuzzReport:
 
 
 def _input_repr(container) -> dict:
-    if hasattr(container, "to_dense"):
+    if hasattr(container, "nrows"):
         return {
             "dense": container.to_dense(),
             "container": repr(container),
@@ -522,7 +496,7 @@ def _run_case_2d(dense: Dense, src: str, dst: str, backend: str,
     except Exception as err:  # noqa: BLE001 - baseline crash is a finding
         return "baseline", f"baseline raised {type(err).__name__}: {err}"
     for ref in refs:
-        differing = _arrays_differ(dst, out, ref)
+        differing = _fields_differ(out, ref)
         if differing is not None:
             return (
                 "baseline",
@@ -537,7 +511,7 @@ def _run_case_2d(dense: Dense, src: str, dst: str, backend: str,
             assume_sorted=(src != "COO"),
             validate="off",
         )
-        differing = _arrays_differ(dst, out, scalar)
+        differing = _fields_differ(out, scalar)
         if differing is not None:
             return (
                 "backend",
@@ -577,7 +551,7 @@ def _run_case_3d(tensor: COOTensor3D, src: str, dst: str, backend: str,
             assume_sorted=(src != "COO3D"),
             validate="off",
         )
-        differing = _arrays_differ(dst, out, scalar)
+        differing = _fields_differ(out, scalar)
         if differing is not None:
             return (
                 "backend",
@@ -927,9 +901,16 @@ def fuzz_random_formats(
                              optimize, "run",
                              f"{type(err).__name__}: {err}")
                         continue
-                    got = dst_comp.interpret(
-                        _env_from_outputs(conversion, outputs, src_env)
-                    )
+                    try:
+                        got = dst_comp.interpret(
+                            _env_from_outputs(conversion, outputs, src_env)
+                        )
+                    except Exception as err:  # noqa: BLE001 - a finding
+                        fail(case, comp, dense, direction, backend,
+                             optimize, "dense",
+                             f"outputs unreadable: {type(err).__name__}: "
+                             f"{err}")
+                        continue
                     if not _dense_nd_equal(got, dense):
                         fail(case, comp, dense, direction, backend,
                              optimize, "dense",

@@ -99,12 +99,11 @@ def check_output(result, source, *, level: str = "full") -> None:
         return
     _record_check("output")
     try:
-        if hasattr(result, "to_dense") and hasattr(source, "to_dense"):
-            result.check_against_dense(source.to_dense())
-        elif hasattr(result, "to_dict") and hasattr(source, "to_dict"):
-            result.check_against_dense(source.to_dict())
-        else:  # pragma: no cover - every container has one of the two
-            result.check()
+        # Matrices compare dense images, tensors their coordinate maps.
+        result.check_against_dense(
+            source.to_dense() if hasattr(source, "nrows")
+            else source.to_dict()
+        )
     except ValidationError as err:
         _record_rejection(err, "output")
         raise

@@ -138,9 +138,9 @@ class TestLevelDrivenBindings:
 
         from repro.formats import library
 
+        csr = CSRMatrix.from_dense(DENSE)  # assembly needs the composition
         monkeypatch.setattr(library, "get_format",
                             lambda name: SimpleNamespace(levels=None))
-        csr = CSRMatrix.from_dense(DENSE)
         for bind in (container_to_env, lambda c: c.check()):
             with pytest.raises(BindingError, match="no level composition"):
                 bind(csr)
@@ -195,25 +195,36 @@ class TestLevelDrivenBindings:
         assert env["NBC"] == 1 and env["NBR"] == 1
         assert container_format(bcsc) == "BCSC"
 
-    def test_register_container_round_trip(self):
-        from repro.formats.bindings import register_container
+    def test_subclasses_bind_check_and_convert_as_their_base(self):
+        """A user subclass declares nothing and stores, binds, checks and
+        converts exactly as its base, under its own name."""
+        from repro import convert
 
-        class FakeCSR(CSRMatrix):
+        class MyCSR(CSRMatrix):
             pass
 
-        register_container(
-            FakeCSR, "CSR",
-            lambda c: [None, {"ptr": c.rowptr, "idx": c.col}],
-        )
-        try:
-            fake = FakeCSR.from_dense(DENSE)
-            assert container_format(fake) == "CSR"
-            assert container_to_env(fake)["rowptr"] == fake.rowptr
-        finally:
-            from repro.formats.bindings import _CONTAINERS
+        class MyTensor(COOTensor3D):
+            pass
 
-            _CONTAINERS[:] = [(cls, b) for cls, b in _CONTAINERS
-                              if cls is not FakeCSR]
+        base = CSRMatrix.from_dense(DENSE)
+        mine = MyCSR.from_dense(DENSE)
+        assert type(mine) is MyCSR and vars(mine) == vars(base)
+        assert container_format(mine) == "CSR"
+        assert container_to_env(mine) == container_to_env(base)
+        assert repr(mine) == "MyCSR(2x2, nnz=3)"
+        mine.check()
+        assert vars(convert(mine, "CSC")) == vars(convert(base, "CSC"))
+        with pytest.raises(ValueError, match="MyCSR"):
+            MyCSR(2, 2, [0, 1, 1], [5], [1.0]).check()
+
+        t = COOTensor3D((2, 2, 2), [1, 0], [0, 1], [1, 0], [2.0, 1.0])
+        mt = MyTensor(t.dims, t.row, t.col, t.z, t.val)
+        assert container_format(mt) == "COO3D"
+        assert container_to_env(mt) == container_to_env(t)
+        mt.check()
+        assert vars(convert(mt, "MCOO3", assume_sorted=False)) == \
+            vars(convert(t, "MCOO3", assume_sorted=False))
+        assert mt.to_dict() == t.to_dict()
 
     def test_blocked_destination_builders(self):
         from repro.runtime import BCSCMatrix

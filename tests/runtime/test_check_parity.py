@@ -291,6 +291,24 @@ class TestEdgeCases:
             container.check()
         assert message in str(exc.value)
 
+    @pytest.mark.parametrize("container, attribute", [
+        (COOMatrix(-5, 3, [], [], []), "nrows"),
+        (CSRMatrix(-1, 2, [], [], []), "nrows"),
+        (CSCMatrix(2, -1, [], [], []), "ncols"),
+        (DIAMatrix(-2, 2, [], []), "nrows"),
+        (ELLMatrix(2, -2, 0, [], []), "ncols"),
+        (COOTensor3D((2, -3, 2), [], [], [], []), "dims[1]"),
+        (CSFTensor((-1, 2, 2), [], [0], [], [0], [], []), "dims[0]"),
+    ])
+    def test_negative_shape_is_a_shape_error(self, container, attribute):
+        """A negative shape is rejected ahead of any array check, naming
+        the attribute, for every container."""
+        from repro.errors import ShapeError
+
+        with pytest.raises(ShapeError) as exc:
+            container.check()
+        assert f"{attribute} must not be negative" in str(exc.value)
+
     def test_block_size_must_be_positive(self):
         from repro.errors import ShapeError
 

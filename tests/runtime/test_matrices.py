@@ -83,6 +83,28 @@ class TestMortonCOO:
         with pytest.raises(ValueError):
             MortonCOOMatrix(2, 2, [1, 0], [1, 0], [1.0, 2.0]).check()
 
+    def test_from_dense_orders_by_morton(self):
+        """from_dense assembles in the MCOO composition's Morton order,
+        not COO's row-major one."""
+        for dense in (DENSE, [[0.0, 0.0, 1.0, 0.0], [2.0, 0.0, 0.0, 0.0],
+                              [0.0] * 4, [0.0] * 4]):
+            mcoo = MortonCOOMatrix.from_dense(dense)
+            expected = MortonCOOMatrix.from_coo(COOMatrix.from_dense(dense))
+            assert type(mcoo) is MortonCOOMatrix
+            assert vars(mcoo) == vars(expected)
+            assert mcoo.row.typecode == "q" and mcoo.val.typecode == "d"
+            mcoo.check()
+        assert mcoo.row.tolist() == [1, 0]
+
+    def test_gate_error_names_the_subclass(self):
+        from repro import convert
+        from repro.errors import UnsortedInputError
+
+        bad = MortonCOOMatrix(4, 4, [0, 1], [2, 0], [1.0, 2.0])
+        assert repr(bad) == "MortonCOOMatrix(4x4, nnz=2)"
+        with pytest.raises(UnsortedInputError, match="MortonCOOMatrix"):
+            convert(bad, "CSR")
+
 
 class TestCSR:
     def test_roundtrip(self):

@@ -19,8 +19,8 @@ from repro import convert, get_conversion
 from repro.backends import BackendUnavailableError, get_backend
 from repro.errors import BoundsError, StructureError
 from repro.formats import container_to_env
-from repro.formats.bindings import _CONTAINERS
 from repro.runtime import (
+    CONTAINERS,
     BCSCMatrix,
     BCSRMatrix,
     COOMatrix,
@@ -94,7 +94,7 @@ def assert_typed(container) -> None:
 
 def test_every_registered_kind_is_covered():
     covered = {type(c) for c in _containers(DENSE)}
-    assert {cls for cls, _ in _CONTAINERS} <= covered
+    assert set(CONTAINERS.values()) <= covered
 
 
 @pytest.mark.parametrize("dense", [DENSE, EMPTY], ids=["filled", "empty"])

@@ -110,6 +110,19 @@ class TestConvertEndpoint:
         good = {**bad, "row": [0, 1]}
         assert client.convert(good, "CSR")["ok"]
 
+    @pytest.mark.parametrize("rows, error", [
+        (-5, "ShapeError"),
+        (True, "ProtocolError"),
+    ])
+    def test_bad_shape_is_400_naming_the_error(self, client, rows, error):
+        bad = {"rows": rows, "cols": 3, "row": [], "col": [], "val": []}
+        with pytest.raises(ServeError) as err:
+            client.convert(bad, "CSR")
+        assert err.value.status == 400
+        assert err.value.body["error"]["type"] == error
+        # The daemon keeps serving.
+        assert client.convert({**bad, "rows": 2}, "CSR")["ok"]
+
     def test_unsynthesizable_pair_is_422(self, client):
         with pytest.raises(ServeError) as err:
             client.convert(_coo(), "ELL")  # no direct COO->ELL synthesis

@@ -138,6 +138,42 @@ class TestConvert:
         ) == 0
         assert dense_equal(read_matrix(dst).to_dense(), DENSE)
 
+    def test_large_sparse_input_is_never_densified(self, tmp_path, capsys):
+        """A 20,000 x 20,000 input with 3 entries converts and verifies
+        from its entries: its dense image would hold 4e8 cells."""
+        src = tmp_path / "big.mtx"
+        src.write_text(
+            "%%MatrixMarket matrix coordinate real general\n"
+            "20000 20000 3\n1 20000 1.5\n7 3 -2.0\n20000 1 4.0\n"
+        )
+        dst = tmp_path / "out.mtx"
+        assert main(
+            ["convert", str(src), str(dst), "--to", "CSR", "--verify"]
+        ) == 0
+        assert "verified" in capsys.readouterr().err
+        out = read_matrix(dst)
+        assert (out.nrows, out.ncols) == (20000, 20000)
+        assert sorted(out.nonzeros()) == [
+            (0, 19999, 1.5), (6, 2, -2.0), (19999, 0, 4.0)
+        ]
+
+    def test_verify_catches_a_wrong_result(self, tmp_path, monkeypatch,
+                                           capsys):
+        import repro
+
+        src = self.make_input(tmp_path)
+        real = repro.convert
+
+        def corrupt(*args, **kwargs):
+            out = real(*args, **kwargs)
+            out.val[0] += 1.0
+            return out
+
+        monkeypatch.setattr(repro, "convert", corrupt)
+        assert main(["convert", str(src), str(tmp_path / "out.mtx"),
+                     "--to", "CSR", "--verify"]) == 1
+        assert "VERIFICATION FAILED" in capsys.readouterr().err
+
     def test_binary_search_flag(self, tmp_path):
         src = self.make_input(tmp_path)
         dst = tmp_path / "out.mtx"

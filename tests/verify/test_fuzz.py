@@ -30,11 +30,11 @@ class TestGenerators:
 
 class TestGateProbes:
     def test_every_registered_container_has_a_malformed_probe(self):
-        from repro.formats.bindings import _CONTAINERS
+        from repro.runtime import CONTAINERS
         from repro.verify.fuzz import _gate_probes
 
         probed = {type(c) for _, c, _ in _gate_probes(random.Random(0))}
-        assert {cls for cls, _ in _CONTAINERS} <= probed
+        assert set(CONTAINERS.values()) <= probed
 
     @pytest.mark.parametrize("backend", ("python", "numpy"))
     def test_probes_raise_the_expected_errors(self, backend):
@@ -80,6 +80,37 @@ class TestFuzzRuns:
                       optimize_levels=(True,), ranks=(2,))
         assert report.combos_covered == report.combos_total
         assert "OK" in report.summary()
+
+
+class TestCoverage:
+    def test_every_container_kind_is_a_source(self):
+        from repro.runtime import CONTAINERS, container_class
+        from repro.verify.fuzz import SOURCES_2D, SOURCES_3D
+
+        sourced = {container_class(s) for s in SOURCES_2D + SOURCES_3D}
+        assert set(CONTAINERS.values()) <= sourced
+
+    def test_doubly_compressed_and_blocked_column_pairs(self):
+        report = fuzz(cases=40, seed=2, backends=("python",),
+                      optimize_levels=(True,), ranks=(2,),
+                      sources_2d=("DCSR", "BCSC", "CSR"),
+                      dests_2d=("CSR", "BCSC", "BCSC3", "SCOO", "DIA"))
+        assert report.ok, report.summary()
+        assert report.combos_covered == report.combos_total == 13
+
+    def test_every_declared_field_is_compared(self):
+        from repro.runtime import BCSCMatrix
+        from repro.verify.fuzz import _fields_differ
+
+        dense = [[1.0, 0.0, 2.0], [0.0, 0.0, 3.0]]
+        a = BCSCMatrix.from_dense(dense, 2)
+        b = BCSCMatrix.from_dense(dense, 2)
+        assert _fields_differ(a, b) is None
+        b.brow[0] += 1
+        assert _fields_differ(a, b) == "brow"
+        b = BCSCMatrix.from_dense(dense, 2)
+        b.data[-1] = 9.0
+        assert _fields_differ(a, b) == "data"
 
 
 class TestBugDetectionPower:

@@ -78,6 +78,15 @@ class TestIssueRepros:
         out.check()
         assert dense_equal(out.to_dense(), uns.to_dense())
 
+    def test_negative_shape_is_rejected_at_the_default_level(self, backend):
+        from repro.errors import ShapeError
+
+        with pytest.raises(ShapeError, match="nrows must not be negative"):
+            convert(COOMatrix(-5, 3, [], [], []), "CSR", backend=backend)
+        tensor = COOTensor3D((2, -3, 2), [], [], [], [])
+        with pytest.raises(ShapeError, match=r"dims\[1\]"):
+            convert(tensor, "MCOO3", backend=backend)
+
     def test_validate_off_preserves_legacy_fallback(self, backend):
         uns = COOMatrix(3, 3, [2, 0, 1], [0, 2, 1], [1.0, 2.0, 3.0])
         out = convert(uns, "CSR", backend=backend, validate="off")
