@@ -11,9 +11,9 @@ vectorized lowerings of a synthesized inspector:
   arrays containers store, at the public ``convert()`` boundary
   (:meth:`Backend.materialize`),
 * **input staging** — the native representation benchmark harnesses feed
-  the inspector (:meth:`Backend.native_inputs`), and whether the lowered
+  the inspector (:meth:`Backend.native_inputs`), and whether the backend's
   source is interpreted Python that reads list inputs
-  (:meth:`Backend.interprets`),
+  (:attr:`Backend.interprets`),
 * **cost estimation** — the planner's machine-independent edge weights
   (:meth:`Backend.estimate_cost`),
 
@@ -165,6 +165,10 @@ class Backend:
     #: sets both python and numpy so a shared bug in either pairing is
     #: caught.
     differential_references: tuple[str, ...] = ()
+    #: Whether this backend's source runs as interpreted scalar Python,
+    #: which reads its array inputs as lists copied once at its entry
+    #: (:meth:`SynthesizedConversion.run_native`).
+    interprets: bool = False
 
     # ------------------------------------------------------------------
     def require(self) -> None:
@@ -225,14 +229,6 @@ class Backend:
             if isinstance(value, (array, list)) else value
             for name, value in inputs.items()
         }
-
-    def interprets(self, source: str) -> bool:
-        """Whether ``source`` runs as interpreted scalar Python.
-
-        Interpreted code reads its array inputs as lists, copied once
-        at its entry (:meth:`SynthesizedConversion.run_native`).
-        """
-        return False
 
     def estimate_cost(self, conversion, stats=None) -> float:
         """Machine-independent cost of one synthesized conversion.

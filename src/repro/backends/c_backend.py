@@ -1,10 +1,11 @@
 """The compiled-C lowering backend (cffi + content-hashed .so cache).
 
 The third tier behind the backend registry: :mod:`repro.spf.codegen.c_emit`
-hardens the display C into compilable C99, this module compiles it into a
-shared object through cffi and marshals the inspector's containers across
-the FFI boundary as contiguous int64/float64 buffers (zero-copy for the
-containers' typed arrays and for numpy arrays of the declared dtype).
+prints every conversion's typed statements as compilable C99, this module
+compiles it into a shared object through cffi and marshals the inspector's
+containers across the FFI boundary as contiguous int64/float64 buffers
+(zero-copy for the containers' typed arrays and for numpy arrays of the
+declared dtype).
 
 Compiled artifacts are cached on disk following the PR 2 disk-cache
 conventions:
@@ -376,10 +377,9 @@ def _wrapper_source(name: str, params: Sequence[str], emitted) -> str:
 class CBackend(Backend):
     """Compiled C99 loop nests behind cffi — the native tier.
 
-    Lowers through :func:`repro.spf.codegen.c_emit.emit_c`; conversions
-    the emitter cannot translate fall back to the interpreted scalar
-    source (per conversion, with a note) so ``backend="c"`` never fails
-    where ``backend="python"`` would succeed.
+    Lowers through :func:`repro.spf.codegen.c_emit.emit_c`, which prints
+    every statement kind synthesis emits: each conversion runs as a
+    compiled wrapper, never as interpreted source.
     """
 
     name = "c"
@@ -391,7 +391,6 @@ class CBackend(Backend):
             "compiled-loops",
             "radix-sort-rank",
             "hash-lookup",
-            "scalar-fallback",
         ),
         requires=("cffi", "numpy"),
     )
@@ -426,38 +425,21 @@ class CBackend(Backend):
         scalar_source: str | None = None,
     ) -> Lowering:
         import repro.obs as obs
-        from repro.spf.codegen.c_emit import CEmitError, emit_c
+        from repro.spf.codegen.c_emit import emit_c
 
-        try:
-            with obs.span("c.codegen", category="codegen", inspector=comp.name):
-                emitted = emit_c(comp, list(params), list(returns), symtab)
-        except CEmitError as err:
-            if scalar_source is None:
-                scalar_source = comp.codegen_function(
-                    list(params), list(returns), symtab
-                )
-            return Lowering(
-                source=scalar_source,
-                notes=[f"fell back to interpreted scalar source: {err}"],
-            )
+        with obs.span("c.codegen", category="codegen", inspector=comp.name):
+            emitted = emit_c(comp, list(params), list(returns), symtab)
         return Lowering(
             source=_wrapper_source(comp.name, list(params), emitted)
         )
 
     def namespace(self) -> dict:
-        # The wrapper needs __C_RUN; the base helpers ride along so a
-        # fallen-back scalar source executes in the same namespace.
+        # The wrapper needs __C_RUN; the base helpers ride along.
         from repro.runtime import executor
 
         namespace = dict(executor._BASE_NAMESPACE)
         namespace["__C_RUN"] = _c_run
         return namespace
-
-    def interprets(self, source: str) -> bool:
-        # A conversion the emitter could not translate runs its scalar
-        # source instead of the wrapper, which opens with its spec
-        # (_wrapper_source); a prefix test spares scanning the embedded C.
-        return not source.startswith("__C_SPEC_")
 
     def estimate_cost(self, conversion, stats=None) -> float:
         """Cost model for compiled inspectors.
@@ -466,13 +448,8 @@ class CBackend(Backend):
         executable source is a marshalling wrapper — weighted at compiled
         per-element cost: ~1/500 of an interpreted element, ~1/5 of a
         numpy-vectorized one, plus a fixed FFI dispatch/marshal floor so
-        tiny matrices still prefer the tierless paths.  A conversion that
-        fell back to scalar source costs what the python tier charges.
+        tiny matrices still prefer the tierless paths.
         """
-        if self.interprets(conversion.source):
-            from .registry import get_backend
-
-            return get_backend("python").estimate_cost(conversion, stats)
         feats = source_features(
             conversion.scalar_source or conversion.source
         )

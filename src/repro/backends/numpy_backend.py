@@ -16,10 +16,11 @@ from .base import (
 class NumpyBackend(Backend):
     """Whole-array re-emission of each loop nest via ``repro.spf.codegen``.
 
-    Nests the vectorizer cannot prove safe fall back to scalar statements
-    inside the same function; :attr:`Lowering.vector_stats` reports the
-    split.  Outputs must agree with the scalar backend element for
-    element (``differential_reference``).
+    Nests the read/write hazard check rejects print as scalar statements
+    inside the same function (no synthesized conversion has one);
+    :attr:`Lowering.vector_stats` reports the split.  Outputs must agree
+    with the scalar backend element for element
+    (``differential_reference``).
     """
 
     name = "numpy"

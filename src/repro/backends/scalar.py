@@ -29,6 +29,7 @@ class PythonBackend(Backend):
         strategies=("scalar-loops",),
     )
     differential_reference = None
+    interprets = True
 
     def lower(
         self,
@@ -56,9 +57,6 @@ class PythonBackend(Backend):
         from repro.runtime.storage import as_list
 
         return {name: as_list(value) for name, value in inputs.items()}
-
-    def interprets(self, source: str) -> bool:
-        return True
 
     def estimate_cost(self, conversion, stats=None) -> float:
         """Cost model for interpreted scalar inspectors.

@@ -62,7 +62,7 @@ def _run_binary_search(ctx: PassContext) -> int:
     # reverse edge must only exist at call time.
     from repro.synthesis.optimize import rewrite_linear_search
 
-    rewritten = rewrite_linear_search(ctx.comp, ctx.symtab)
+    rewritten = rewrite_linear_search(ctx.comp)
     if rewritten:
         ctx.notes.append(
             "linear search over monotonic UF replaced by binary search"

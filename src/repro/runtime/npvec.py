@@ -160,15 +160,16 @@ def STABLE_POS(keys, coords):
     """OrderedList positions: stable sort rank with last-duplicate-wins.
 
     ``keys`` are the sort key columns (primary first), ``coords`` the raw
-    coordinate columns.  The scalar ``OrderedList`` builds its rank dict by
-    enumerating the sorted items, so identical coordinate tuples all map to
-    the rank of their *last* occurrence in sorted order; this reproduces
-    that collapse.
+    coordinate columns.  No keys (``key=None``) means insertion order.  The
+    scalar ``OrderedList`` builds its rank dict by enumerating the sorted
+    items, so identical coordinate tuples all map to the rank of their
+    *last* occurrence in sorted order; this reproduces that collapse.
     """
     PROF.incr("npvec.stable_pos")
-    n = keys[0].shape[0]
-    rank = np.empty(n, dtype=np.int64)
-    rank[np.lexsort(tuple(reversed(keys)))] = np.arange(n, dtype=np.int64)
+    n = coords[0].shape[0]
+    rank = np.arange(n, dtype=np.int64)
+    if keys:
+        rank[np.lexsort(tuple(reversed(keys)))] = rank.copy()
     if n == 0:
         return rank
     # Collapse identical coordinate tuples to the max rank in their group.

@@ -1,17 +1,23 @@
 """Lowered AST for generated inspector code.
 
 The SPF code generator (polyhedra scanning) lowers a
-:class:`~repro.spf.computation.Computation` into this small AST, which the
-printers in :mod:`repro.spf.codegen` turn into executable Python or display
-C.  Nodes carry IR expressions (:class:`~repro.ir.Expr`), not strings, so the
-printers decide how UF calls render (array subscript vs function call).
+:class:`~repro.spf.computation.Computation` into this small AST: loops,
+guards and let bindings around statement bodies, which are the typed nodes
+of :mod:`repro.spf.statements` (or an opaque :class:`Raw` in hand-built
+computations).  Nodes carry IR expressions (:class:`~repro.ir.Expr`), not
+strings, so each printer in :mod:`repro.spf.codegen` decides how UF calls
+render (array subscript, function call, C pointer access, numpy gather).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+import re
+from dataclasses import dataclass
+from typing import Iterable, Mapping, Sequence
 
 from repro.ir import Constraint, Expr, ExprLike, as_expr
+
+_WORD = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
 
 class Node:
@@ -94,21 +100,39 @@ class Guard(Node):
         return f"Guard({self.constraints!r}, {self.body!r})"
 
 
+@dataclass(frozen=True)
 class Raw(Node):
-    """A statement body in source form (the Stmt text from the SPF-IR).
+    """An opaque statement body in Python source form.
 
-    The text references tuple variables by name; both printers splice it in
-    verbatim (the C printer appends a ``;`` when missing).
+    Only hand-built computations (tests, kernel executors, the tandem
+    combination) use it; synthesis emits the typed kinds of
+    :mod:`repro.spf.statements`.  The Python printer splices the text in
+    verbatim and the display C printer appends a ``;``; the numpy and
+    native C lowerings reject it.
     """
 
-    __slots__ = ("text", "label")
+    text: str
 
-    def __init__(self, text: str, label: str = ""):
-        self.text = text
-        self.label = label
+    def names(self) -> set[str]:
+        return set(_WORD.findall(self.text))
 
-    def __repr__(self):
-        return f"Raw({self.text!r})"
+    def rename_vars(self, mapping: Mapping[str, str]) -> "Raw":
+        """Rename identifiers in one simultaneous word-boundary pass."""
+        return self._replace_words({k: v for k, v in mapping.items() if k != v})
+
+    def substitute_vars(self, mapping: Mapping[str, ExprLike]) -> "Raw":
+        """Replace identifiers by parenthesized expressions, simultaneously."""
+        return self._replace_words(
+            {k: f"({as_expr(v)})" for k, v in mapping.items()}
+        )
+
+    def _replace_words(self, mapping: Mapping[str, str]) -> "Raw":
+        if not mapping:
+            return self
+        pattern = re.compile(
+            r"\b(?:" + "|".join(re.escape(k) for k in mapping) + r")\b"
+        )
+        return Raw(pattern.sub(lambda m: mapping[m.group(0)], self.text))
 
 
 class Comment(Node):

@@ -1,8 +1,9 @@
 """Native C99 emission of a lowered SPF program.
 
 The display C printer (:class:`~repro.spf.codegen.printers.CPrinter`)
-shows the paper's CodeGen+ style output; this module is the *hardened*
-version that the compiled backend actually builds and runs:
+shows the paper's CodeGen+ style output around each statement's Python
+form; this module is the printer the compiled backend actually builds
+and runs:
 
 * typed signatures — every inspector compiles to one exported entry
   point ``repro_run(arrs, lens, scalars, out)`` taking the input arrays
@@ -16,12 +17,13 @@ version that the compiled backend actually builds and runs:
 * UF calls lowered to array indexing, permutation lookups lowered to a
   hash-rank map built by a stable radix sort.
 
-Statement bodies arrive as :class:`~repro.spf.ast_nodes.Raw` Python
-source (the SPF-IR ``Stmt`` texts); they are parsed with :mod:`ast` and
-translated over a closed grammar.  Anything outside the grammar raises
-:class:`CEmitError`, which the C backend turns into a per-conversion
-fallback to the scalar lowering — unsupported shapes degrade, they do
-not break.
+Statement bodies arrive as the typed kinds of
+:mod:`repro.spf.statements`, one C rule each, with expressions rendered
+through the shared :class:`~repro.spf.codegen.printers.ExprPrinter`.  A
+statement outside the closed set (an opaque ``Raw`` body, a multi-index
+array, a Morton key inside a larger expression) raises
+:class:`~repro.spf.statements.UnsupportedStatement` at synthesis time,
+naming the statement; there is no interpreted fallback.
 
 Error protocol: ``repro_run`` returns 0 on success or an ``RT_E*`` code
 the Python wrapper maps back onto the exception the scalar runtime
@@ -30,23 +32,16 @@ would have raised (``MemoryError``, ``KeyError``, ``ValueError``).
 
 from __future__ import annotations
 
-import ast
 from dataclasses import dataclass, field
 
-from repro.ir import Eq, Expr, FloorDiv, Mod, Mul, Sym, UFCall, Var
-from ..ast_nodes import Comment, ForLoop, Guard, LetEq, Program, Raw
-from .printers import SymbolTable
+from repro.ir import FloorDiv, Mod, Sym, UFCall, Var
+from .. import statements as st
+from ..ast_nodes import Comment, ForLoop, Guard, LetEq, Program
+from .printers import ExprPrinter, SymbolTable
 
 #: Array dtype tags shared with the Python-side marshaller.
 I8 = "i8"
 F8 = "f8"
-
-#: Names of the float64 value arrays (everything else is int64).
-_FLOAT_ARRAYS = ("Asrc", "Adst")
-
-
-class CEmitError(ValueError):
-    """The computation uses a shape the C emitter does not support."""
 
 
 @dataclass
@@ -273,13 +268,14 @@ static int rt_lexperm_lookup(rt_lexperm* p, int64_t bucket, int64_t* out) {
 
 /* ------------------------------------------------------------------ */
 /* rt_olist — OrderedList: append coordinate tuples + their key tuples,*/
-/* finalize with a stable LSD radix sort over the key columns, then    */
-/* serve lookups from an open-addressing coords -> rank hash map.      */
-/* Duplicate coordinate tuples take the rank of their last occurrence  */
-/* in sorted order; unique=1 collapses equal keys onto one rank.       */
+/* finalize with a stable LSD radix sort over the key columns (none:   */
+/* insertion order), then serve lookups from an open-addressing        */
+/* coords -> rank hash map.  Duplicate coordinate tuples take the rank */
+/* of their last occurrence in sorted order; unique=1 collapses equal  */
+/* keys onto one rank.                                                  */
 typedef struct {
     int64_t arity, keylen;
-    int desc, unique;
+    int unique;
     int64_t n, cap;
     int64_t* coords;     /* n * arity */
     int64_t* keys;       /* n * keylen */
@@ -291,12 +287,11 @@ typedef struct {
 } rt_olist;
 
 static void rt_olist_init(
-    rt_olist* o, int64_t arity, int64_t keylen, int desc, int unique
+    rt_olist* o, int64_t arity, int64_t keylen, int unique
 ) {
     memset(o, 0, sizeof(*o));
     o->arity = arity;
     o->keylen = keylen;
-    o->desc = desc;
     o->unique = unique;
 }
 static void rt_olist_free(rt_olist* o) {
@@ -313,8 +308,10 @@ static int rt_olist_push(rt_olist* o, const int64_t* c, const int64_t* k) {
         int64_t* nk;
         if (!nc) return RT_ENOMEM;
         o->coords = nc;
+        /* At least one word per item: realloc(p, 0) would free p. */
         nk = (int64_t*)realloc(
-            o->keys, (size_t)(ncap * o->keylen) * sizeof(int64_t));
+            o->keys, (size_t)(ncap * (o->keylen ? o->keylen : 1))
+                     * sizeof(int64_t));
         if (!nk) return RT_ENOMEM;
         o->keys = nk;
         o->cap = ncap;
@@ -358,15 +355,13 @@ static int rt_olist_finalize(rt_olist* o) {
     }
     for (i = 0; i < n; i++) order[i] = i;
     /* Stable LSD radix, least-significant key column last-to-first;   */
-    /* the sign bit is flipped so unsigned digit order == signed order,*/
-    /* and descending lists sort by the complemented key.              */
+    /* the sign bit is flipped so unsigned digit order == signed order.*/
     for (col = kl - 1; col >= 0; col--) {
         uint64_t diff = 0, first = 0;
         int shift;
         for (i = 0; i < n; i++) {
             uint64_t k = (uint64_t)o->keys[i * kl + col]
                          ^ 0x8000000000000000ULL;
-            if (o->desc) k = ~k;
             kcol[i] = k;
             if (i == 0) first = k; else diff |= k ^ first;
         }
@@ -479,14 +474,8 @@ def _s(name: str) -> str:
     return f"s_{name}"
 
 
-_CMP_OPS = {
-    ast.Eq: "==",
-    ast.NotEq: "!=",
-    ast.Lt: "<",
-    ast.LtE: "<=",
-    ast.Gt: ">",
-    ast.GtE: ">=",
-}
+_MORTON = {2: "rt_morton2", 3: "rt_morton3"}
+_COMBINE = {"max": "rt_max2", "min": "rt_min2"}
 
 
 @dataclass
@@ -494,15 +483,51 @@ class _ObjInfo:
     kind: str  # "olist" | "iset" | "lexperm"
     arity: int = 0
     keylen: int = 0
-    desc: bool = False
-    unique: bool = False
     which: int = 0  # lexperm bucket coordinate
+
+
+class _CExprs(ExprPrinter):
+    """C rendering: mangled names, Python floor semantics, pointer access.
+
+    With ``env`` set (an ordered-list key function) variables are the key
+    function's coordinate slots instead of locals.
+    """
+
+    nest_bounds = True
+
+    def __init__(self, em: "_Emitter", env: dict[str, str] | None = None):
+        super().__init__(em.symtab)
+        self.em = em
+        self.env = env
+
+    def atom(self, atom) -> str:
+        if isinstance(atom, (Var, Sym)):
+            if self.env is None:
+                return _v(atom.name)
+            if atom.name not in self.env:
+                raise self.em.err(f"free variable {atom.name!r} in a sort key")
+            return self.env[atom.name]
+        if isinstance(atom, FloorDiv):
+            return f"RT_FDIV({self.expr(atom.numer)}, {atom.denom})"
+        if isinstance(atom, Mod):
+            return f"RT_FMOD({self.expr(atom.numer)}, {atom.denom})"
+        if isinstance(atom, UFCall):
+            kind = self.em.kind.get(atom.name, self.symtab.kind_of(atom.name))
+            if kind not in ("array", "iset"):
+                raise self.em.err(
+                    f"cannot inline {kind} call {atom.name!r} in an expression"
+                )
+            if len(atom.args) != 1:
+                raise self.em.err(f"multi-index access {atom}")
+            base = _v(atom.name) if kind == "array" else f"{_s(atom.name)}.data"
+            return f"{base}[{self.expr(atom.args[0])}]"
+        return super().atom(atom)
 
 
 class _Emitter:
     """Single-use translator: one lowered Program → one C function."""
 
-    def __init__(self, program: Program, name, params, returns, symtab):
+    def __init__(self, program, name, params, returns, symtab):
         self.program = program
         self.name = name
         self.params = list(params)
@@ -513,14 +538,14 @@ class _Emitter:
             p for p in self.params if p not in symtab.arrays
         ]
         #: Current classification of every name, updated in program order
-        #: (an OrderedSet local rebinds to an array at ``to_list()``).
+        #: (an OrderedSet local rebinds to an array when materialized).
         self.kind: dict[str, str] = {}
         for p in self.array_params:
             self.kind[p] = "array"
         for p in self.scalar_params:
             self.kind[p] = "scalar"
         self.arr_type: dict[str, str] = {
-            p: (F8 if p in _FLOAT_ARRAYS else I8) for p in self.array_params
+            p: (F8 if p == st.SOURCE_VALUES else I8) for p in self.array_params
         }
         self.scalars: list[str] = []  # declaration order
         self.local_arrays: list[str] = []
@@ -528,11 +553,11 @@ class _Emitter:
         self.body: list[str] = []
         self.helpers: list[str] = []  # per-object key/insert functions
         self.fail_used = False
-        self._tmp = 0
+        self.e = _CExprs(self)
 
     # -- small utilities ------------------------------------------------
-    def err(self, why: str) -> CEmitError:
-        return CEmitError(f"{self.name}: {why}")
+    def err(self, why: str) -> st.UnsupportedStatement:
+        return st.UnsupportedStatement(f"C lowering of {self.name}: {why}")
 
     def line(self, ind: int, text: str) -> None:
         self.body.append("    " * ind + text)
@@ -557,194 +582,38 @@ class _Emitter:
         self.kind[name] = "array"
         self.arr_type[name] = dtype
 
-    # -- IR expression translation --------------------------------------
-    def ir_expr(self, expr: Expr) -> str:
-        parts: list[str] = []
-        for atom, coef in expr.terms:
-            text = self.ir_atom(atom)
-            if coef == 1:
-                piece = text
-            elif coef == -1:
-                piece = f"-{text}"
-            else:
-                piece = f"{coef} * {text}"
-            if parts:
-                if piece.startswith("-"):
-                    parts.append(f"- {piece[1:]}")
-                else:
-                    parts.append(f"+ {piece}")
-            else:
-                parts.append(piece)
-        if expr.const or not parts:
-            if parts:
-                sign = "+" if expr.const >= 0 else "-"
-                parts.append(f"{sign} {abs(expr.const)}")
-            else:
-                parts.append(str(expr.const))
-        return " ".join(parts)
+    def declare_object(self, name: str, info: _ObjInfo) -> None:
+        if name in self.objects:
+            raise self.err(f"object {name!r} constructed twice")
+        self.objects[name] = info
+        self.kind[name] = info.kind
 
-    def ir_atom(self, atom) -> str:
-        if isinstance(atom, (Var, Sym)):
-            return _v(atom.name)
-        if isinstance(atom, Mul):
-            return f"{_v(atom.sym.name)} * ({self.ir_expr(atom.factor)})"
-        if isinstance(atom, FloorDiv):
-            return f"RT_FDIV({self.ir_expr(atom.numer)}, {atom.denom})"
-        if isinstance(atom, Mod):
-            return f"RT_FMOD({self.ir_expr(atom.numer)}, {atom.denom})"
-        if isinstance(atom, UFCall):
-            kind = self.kind.get(atom.name, self.symtab.kind_of(atom.name))
-            args = [self.ir_expr(a) for a in atom.args]
-            if kind == "array":
-                if len(args) != 1:
-                    raise self.err(
-                        f"multi-index array access {atom.name!r}"
-                    )
-                return f"{_v(atom.name)}[{args[0]}]"
-            if kind == "iset":
-                if len(args) != 1:
-                    raise self.err(f"multi-index set access {atom.name!r}")
-                return f"{_s(atom.name)}.data[{args[0]}]"
-            raise self.err(
-                f"cannot inline {kind} call {atom.name!r} in an expression"
-            )
-        raise self.err(f"unknown IR atom {atom!r}")
+    def slot(self, array: str, index) -> str:
+        """``array[index]`` over a local or parameter int64/float64 array."""
+        if self.kind.get(array) != "array" or len(index) != 1:
+            raise self.err(f"store into {array!r} with {len(index)} indices")
+        return f"{_v(array)}[{self.e.expr(index[0])}]"
 
-    def ir_constraint(self, c) -> str:
-        pos = Expr()
-        neg = Expr()
-        for atom, coef in c.expr.terms:
-            if coef > 0:
-                pos = pos + Expr(terms=((atom, coef),))
-            else:
-                neg = neg + Expr(terms=((atom, -coef),))
-        if c.expr.const > 0:
-            pos = pos + c.expr.const
-        elif c.expr.const < 0:
-            neg = neg + (-c.expr.const)
-        op = "==" if isinstance(c, Eq) else ">="
-        return f"{self.ir_expr(pos)} {op} {self.ir_expr(neg)}"
-
-    def ir_bound(self, exprs, combiner: str) -> str:
-        rendered = [self.ir_expr(e) for e in exprs]
-        out = rendered[0]
-        for piece in rendered[1:]:
-            out = f"{combiner}({out}, {piece})"
-        return out
-
-    # -- Python (Raw statement) expression translation ------------------
-    def py_expr(self, e: ast.expr) -> str:
-        if isinstance(e, ast.Name):
-            kind = self.kind.get(e.id, "scalar")
-            if kind != "scalar":
-                raise self.err(f"bare {kind} reference {e.id!r}")
-            self.declare_scalar(e.id)
-            return _v(e.id)
-        if isinstance(e, ast.Constant):
-            if isinstance(e.value, bool):
-                return "1" if e.value else "0"
-            if isinstance(e.value, int):
-                return str(e.value)
-            if isinstance(e.value, float):
-                return repr(e.value)
-            raise self.err(f"unsupported constant {e.value!r}")
-        if isinstance(e, ast.UnaryOp) and isinstance(e.op, ast.USub):
-            return f"(-{self.py_expr(e.operand)})"
-        if isinstance(e, ast.BinOp):
-            left = self.py_expr(e.left)
-            right = self.py_expr(e.right)
-            if isinstance(e.op, ast.Add):
-                return f"({left} + {right})"
-            if isinstance(e.op, ast.Sub):
-                return f"({left} - {right})"
-            if isinstance(e.op, ast.Mult):
-                return f"({left} * {right})"
-            if isinstance(e.op, ast.FloorDiv):
-                return f"RT_FDIV({left}, {right})"
-            if isinstance(e.op, ast.Mod):
-                return f"RT_FMOD({left}, {right})"
-            raise self.err(f"unsupported operator {ast.dump(e.op)}")
-        if isinstance(e, ast.Subscript):
-            return self.py_subscript(e)
-        if isinstance(e, ast.Call):
-            return self.py_call_expr(e)
-        if isinstance(e, ast.Compare):
-            if len(e.ops) != 1:
-                raise self.err("chained comparisons unsupported")
-            op = _CMP_OPS.get(type(e.ops[0]))
-            if op is None:
-                raise self.err(f"comparison {ast.dump(e.ops[0])}")
-            left = self.py_expr(e.left)
-            right = self.py_expr(e.comparators[0])
-            return f"({left} {op} {right})"
-        if isinstance(e, ast.BoolOp) and isinstance(e.op, ast.And):
-            return "(" + " && ".join(self.py_expr(v) for v in e.values) + ")"
-        raise self.err(f"unsupported expression {ast.dump(e)}")
-
-    def py_subscript(self, e: ast.Subscript) -> str:
-        if not isinstance(e.value, ast.Name):
-            raise self.err("computed subscript base")
-        base = e.value.id
-        idx = self.py_expr(e.slice)
-        kind = self.kind.get(base)
+    def sized(self, name: str) -> tuple[str, str]:
+        """(data pointer, length) of an array or ordered set."""
+        kind = self.kind.get(name)
         if kind == "array":
-            return f"{_v(base)}[{idx}]"
+            return _v(name), f"{_v(name)}__len"
         if kind == "iset":
-            return f"{_s(base)}.data[{idx}]"
-        raise self.err(f"subscript of {kind or 'unknown'} {base!r}")
-
-    def py_call_expr(self, e: ast.Call) -> str:
-        if not isinstance(e.func, ast.Name):
-            raise self.err(f"call {ast.dump(e.func)} in expression")
-        fn = e.func.id
-        if fn in ("max", "min"):
-            comb = "rt_max2" if fn == "max" else "rt_min2"
-            args = [self.py_expr(a) for a in e.args]
-            out = args[0]
-            for piece in args[1:]:
-                out = f"{comb}({out}, {piece})"
-            return out
-        if fn == "len":
-            return self.py_len(e)
-        if fn == "BSEARCH":
-            if len(e.args) != 2 or not isinstance(e.args[0], ast.Name):
-                raise self.err("BSEARCH over a non-name haystack")
-            hay = e.args[0].id
-            needle = self.py_expr(e.args[1])
-            kind = self.kind.get(hay)
-            if kind == "array":
-                return f"rt_bsearch({_v(hay)}, {_v(hay)}__len, {needle})"
-            if kind == "iset":
-                return f"rt_bsearch({_s(hay)}.data, {_s(hay)}.n, {needle})"
-            raise self.err(f"BSEARCH over {kind or 'unknown'} {hay!r}")
-        raise self.err(f"call to {fn!r} in expression")
-
-    def py_len(self, e: ast.Call) -> str:
-        if len(e.args) != 1 or not isinstance(e.args[0], ast.Name):
-            raise self.err("len() of a non-name")
-        target = e.args[0].id
-        kind = self.kind.get(target)
-        if kind == "array":
-            return f"{_v(target)}__len"
-        if kind == "iset":
-            return f"{_s(target)}.n"
-        if kind == "lexperm":
-            return f"{_s(target)}.total"
-        raise self.err(f"len() of {kind or 'unknown'} {target!r}")
+            return f"{_s(name)}.data", f"{_s(name)}.n"
+        raise self.err(f"{name!r} is a {kind or 'missing'} value, not an array")
 
     # -- node translation ------------------------------------------------
     def node(self, node, ind: int) -> None:
         if isinstance(node, Program):
             for child in node.body:
                 self.node(child, ind)
-            return
-        if isinstance(node, Comment):
+        elif isinstance(node, Comment):
             self.line(ind, f"/* {node.text} */")
-            return
-        if isinstance(node, ForLoop):
+        elif isinstance(node, ForLoop):
             self.declare_scalar(node.var)
-            lb = self.ir_bound(node.lowers, "rt_max2")
-            ub = self.ir_bound(node.uppers, "rt_min2")
+            lb = self.e.bound(node.lowers, "rt_max2")
+            ub = self.e.bound(node.uppers, "rt_min2")
             var = _v(node.var)
             self.line(
                 ind, f"for ({var} = {lb}; {var} <= {ub}; {var}++) {{"
@@ -752,31 +621,24 @@ class _Emitter:
             for child in node.body:
                 self.node(child, ind + 1)
             self.line(ind, "}")
-            return
-        if isinstance(node, Guard):
+        elif isinstance(node, Guard):
             conds = " && ".join(
-                f"({self.ir_constraint(c)})" for c in node.constraints
+                f"({self.e.constraint(c)})" for c in node.constraints
             )
             self.line(ind, f"if ({conds}) {{")
             for child in node.body:
                 self.node(child, ind + 1)
             self.line(ind, "}")
-            return
-        if isinstance(node, LetEq):
+        elif isinstance(node, LetEq):
             self.let_eq(node, ind)
-            return
-        if isinstance(node, Raw):
-            try:
-                tree = ast.parse(node.text)
-            except SyntaxError as exc:
-                raise self.err(f"unparseable statement {node.text!r}") from exc
-            for st in tree.body:
-                self.py_stmt(st, ind)
-            return
-        raise self.err(f"unknown AST node {node!r}")
+        elif isinstance(node, st.Statement):
+            self.statement(node, ind)
+        else:
+            raise self.err(f"cannot print {node!r}")
 
     def let_eq(self, node: LetEq, ind: int) -> None:
         expr = node.expr
+        self.declare_scalar(node.var)
         # A whole-expression permutation lookup (`k = P(i, j)`) lowers to
         # a fallible runtime call, not an inline expression.
         if (
@@ -787,15 +649,15 @@ class _Emitter:
         ):
             atom = expr.terms[0][0]
             info = self.objects.get(atom.name)
-            if info is not None:
-                self.declare_scalar(node.var)
-                args = [self.ir_expr(a) for a in atom.args]
+            if info is not None and info.kind in ("olist", "lexperm"):
+                args = [self.e.expr(a) for a in atom.args]
                 self.emit_lookup(node.var, atom.name, info, args, ind)
                 return
-        self.declare_scalar(node.var)
-        self.line(ind, f"{_v(node.var)} = {self.ir_expr(expr)};")
+        self.line(ind, f"{_v(node.var)} = {self.e.expr(expr)};")
 
     def emit_lookup(self, var, obj, info: _ObjInfo, args, ind) -> None:
+        if len(args) != info.arity:
+            raise self.err(f"{obj!r} lookup arity mismatch")
         if info.kind == "lexperm":
             self.check(
                 ind,
@@ -803,327 +665,167 @@ class _Emitter:
                 f"&{_v(var)})",
             )
             return
-        if info.kind == "olist":
-            if len(args) != info.arity:
-                raise self.err(f"{obj!r} lookup arity mismatch")
-            coords = ", ".join(args)
-            self.line(ind, "{")
-            self.line(
-                ind + 1, f"int64_t c__[{info.arity}] = {{{coords}}};"
-            )
-            self.check(
-                ind + 1, f"rt_olist_lookup(&{_s(obj)}, c__, &{_v(var)})"
-            )
-            self.line(ind, "}")
-            return
-        raise self.err(f"lookup on {info.kind} object {obj!r}")
+        self.line(ind, "{")
+        self.line(ind + 1, f"int64_t c__[{info.arity}] = {{{', '.join(args)}}};")
+        self.check(ind + 1, f"rt_olist_lookup(&{_s(obj)}, c__, &{_v(var)})")
+        self.line(ind, "}")
 
-    # -- Raw Python statements -------------------------------------------
-    def py_stmt(self, st: ast.stmt, ind: int) -> None:
-        if isinstance(st, ast.Assign):
-            if len(st.targets) != 1:
-                raise self.err("multi-target assignment")
-            target = st.targets[0]
-            if isinstance(target, ast.Name):
-                self.py_assign_name(target.id, st.value, ind)
-                return
-            if isinstance(target, ast.Subscript):
-                lhs = self.py_subscript(target)
-                self.line(ind, f"{lhs} = {self.py_expr(st.value)};")
-                return
-            raise self.err(f"assignment target {ast.dump(target)}")
-        if isinstance(st, ast.AugAssign):
-            if not isinstance(st.op, ast.Add):
-                raise self.err("only += augmented assignment supported")
-            if not isinstance(st.target, ast.Subscript):
-                raise self.err("augmented assignment to a non-subscript")
-            lhs = self.py_subscript(st.target)
-            self.line(ind, f"{lhs} += {self.py_expr(st.value)};")
-            return
-        if isinstance(st, ast.Expr) and isinstance(st.value, ast.Call):
-            self.py_call_stmt(st.value, ind)
-            return
-        if isinstance(st, ast.If):
-            if st.orelse:
-                raise self.err("if/else in statement body")
-            cond = self.py_expr(st.test)
-            self.line(ind, f"if ({cond}) {{")
-            for child in st.body:
-                self.py_stmt(child, ind + 1)
-            self.line(ind, "}")
-            return
-        raise self.err(f"unsupported statement {ast.dump(st)}")
-
-    def py_assign_name(self, name: str, value: ast.expr, ind: int) -> None:
-        # Permutation-structure constructors.
-        if isinstance(value, ast.Call) and isinstance(value.func, ast.Name):
-            ctor = value.func.id
-            if ctor == "OrderedList":
-                self.setup_olist(name, value, ind)
-                return
-            if ctor == "OrderedSet":
-                if name in self.objects:
-                    raise self.err(f"object {name!r} constructed twice")
-                self.objects[name] = _ObjInfo(kind="iset")
-                self.kind[name] = "iset"
-                self.line(ind, f"rt_iset_init(&{_s(name)});")
-                return
-            if ctor == "LexBucketPermutation":
-                self.setup_lexperm(name, value, ind)
-                return
-        # Allocation: `x = [0] * (expr)` / `x = [0.0] * (expr)`.
-        if (
-            isinstance(value, ast.BinOp)
-            and isinstance(value.op, ast.Mult)
-            and isinstance(value.left, ast.List)
-        ):
-            elts = value.left.elts
-            if len(elts) != 1 or not isinstance(elts[0], ast.Constant):
-                raise self.err("allocation with a non-constant fill")
-            dtype = F8 if isinstance(elts[0].value, float) else I8
-            if elts[0].value != 0 and elts[0].value != 0.0:
-                raise self.err("allocation with a non-zero fill")
-            size = self.py_expr(value.right)
-            self.declare_array(name, dtype)
-            alloc = "rt_alloc_f64" if dtype == F8 else "rt_alloc_i64"
-            self.check(
-                ind, f"{alloc}({size}, &{_v(name)}, &{_v(name)}__len)"
-            )
-            return
-        if isinstance(value, ast.Call):
-            # `x = len(...)`, `x = list(arr)`, `x = s.to_list()`,
-            # `x = BSEARCH(arr, v)`.
-            if isinstance(value.func, ast.Name):
-                fn = value.func.id
-                if fn == "list":
-                    if len(value.args) != 1 or not isinstance(
-                        value.args[0], ast.Name
-                    ):
-                        raise self.err("list() of a non-name")
-                    src = value.args[0].id
-                    if self.kind.get(src) != "array":
-                        raise self.err(f"list() of non-array {src!r}")
-                    if self.arr_type.get(src) != I8:
-                        raise self.err("list() copy of a float array")
-                    self.declare_array(name, I8)
-                    self.check(
-                        ind,
-                        f"rt_copy_i64({_v(src)}, {_v(src)}__len, "
-                        f"&{_v(name)}, &{_v(name)}__len)",
-                    )
-                    return
-            if isinstance(value.func, ast.Attribute):
-                if value.func.attr != "to_list" or value.args:
-                    raise self.err(
-                        f"method call {value.func.attr!r} in assignment"
-                    )
-                if not isinstance(value.func.value, ast.Name):
-                    raise self.err("to_list() of a non-name")
-                src = value.func.value.id
-                info = self.objects.get(src)
-                if info is None or info.kind != "iset":
-                    raise self.err(f"to_list() of non-set {src!r}")
-                self.declare_array(name, I8)
-                self.check(
-                    ind,
-                    f"rt_iset_to_array(&{_s(src)}, &{_v(name)}, "
-                    f"&{_v(name)}__len)",
+    # -- statements -------------------------------------------------------
+    def statement(self, node: st.Statement, ind: int) -> None:
+        e = self.e.expr
+        if isinstance(node, st.Alloc):
+            size = e(node.size)
+            dtype = F8 if node.floating else I8
+            self.declare_array(node.name, dtype)
+            alloc = "rt_alloc_f64" if node.floating else "rt_alloc_i64"
+            v = _v(node.name)
+            self.check(ind, f"{alloc}({size}, &{v}, &{v}__len)")
+            if not node.fill.is_zero():
+                if node.floating:
+                    raise self.err(f"{node!r} fills a float array")
+                self.line(
+                    ind, f"{{ int64_t t__; for (t__ = 0; t__ < {v}__len; "
+                    f"t__++) {v}[t__] = {e(node.fill)}; }}",
                 )
-                if name == src:
-                    # The set variable rebinds to its materialized array
-                    # (`off = off.to_list()`); its struct stays alive for
-                    # cleanup but the name now denotes the array.
-                    pass
-                return
-            if isinstance(value.func, ast.Name) and value.func.id == "len":
-                target = value.args[0]
-                if (
-                    isinstance(target, ast.Name)
-                    and self.objects.get(target.id) is not None
-                    and self.objects[target.id].kind == "olist"
-                ):
-                    self.declare_scalar(name)
-                    self.check(
-                        ind,
-                        f"rt_olist_len(&{_s(target.id)}, &{_v(name)})",
-                    )
-                    return
-        # General scalar assignment (includes len of sets/arrays/lexperms,
-        # BSEARCH, subscripts, arithmetic).
-        self.declare_scalar(name)
-        self.line(ind, f"{_v(name)} = {self.py_expr(value)};")
-
-    def setup_olist(self, name: str, call: ast.Call, ind: int) -> None:
-        if name in self.objects:
-            raise self.err(f"object {name!r} constructed twice")
-        if not call.args or not isinstance(call.args[0], ast.Constant):
-            raise self.err("OrderedList with a non-literal arity")
-        arity = int(call.args[0].value)
-        key = None
-        desc = False
-        unique = False
-        for kw in call.keywords:
-            if kw.arg == "key":
-                key = kw.value
-            elif kw.arg == "op":
-                if not isinstance(kw.value, ast.Constant):
-                    raise self.err("OrderedList op is not a literal")
-                desc = kw.value.value == ">"
-            elif kw.arg == "unique":
-                if not isinstance(kw.value, ast.Constant):
-                    raise self.err("OrderedList unique is not a literal")
-                unique = bool(kw.value.value)
-            else:
-                raise self.err(f"OrderedList keyword {kw.arg!r}")
-        if not isinstance(key, ast.Lambda):
-            raise self.err("OrderedList without a literal key lambda")
-        lam_params = [a.arg for a in key.args.args]
-        if len(lam_params) != arity:
-            raise self.err("OrderedList key arity mismatch")
-        if not isinstance(key.body, ast.Tuple):
-            raise self.err("OrderedList key is not a tuple")
-        keylen = len(key.body.elts)
-        info = _ObjInfo(
-            kind="olist", arity=arity, keylen=keylen, desc=desc,
-            unique=unique,
-        )
-        self.objects[name] = info
-        self.kind[name] = "olist"
-        self.emit_olist_helpers(name, info, lam_params, key.body.elts)
-        self.line(
-            ind,
-            f"rt_olist_init(&{_s(name)}, {arity}, {keylen}, "
-            f"{int(desc)}, {int(unique)});",
-        )
-
-    def emit_olist_helpers(self, name, info, lam_params, key_elts) -> None:
-        """The per-object key function and arity-typed insert wrapper."""
-        env = {p: f"c[{i}]" for i, p in enumerate(lam_params)}
-        lines = [
-            f"static int rt_key_{_v(name)}"
-            "(const int64_t* c, int64_t* k) {",
-        ]
-        fallible = False
-        for pos, elt in enumerate(key_elts):
-            if (
-                isinstance(elt, ast.Call)
-                and isinstance(elt.func, ast.Name)
-                and elt.func.id in ("MORTON", "MORTON2", "MORTON3")
+        elif isinstance(node, st.ArrayCopy):
+            if self.kind.get(node.source) != "array" or (
+                self.arr_type.get(node.source) != I8
             ):
-                args = [self.key_expr(a, env) for a in elt.args]
-                if len(args) == 2:
-                    fn = "rt_morton2"
-                elif len(args) == 3:
-                    fn = "rt_morton3"
-                else:
-                    raise self.err("MORTON key with unsupported arity")
+                raise self.err(f"{node!r} copies a non-int64-array")
+            self.declare_array(node.name, I8)
+            src, dst = _v(node.source), _v(node.name)
+            self.check(
+                ind, f"rt_copy_i64({src}, {src}__len, &{dst}, &{dst}__len)"
+            )
+        elif isinstance(node, st.Histogram):
+            self.line(ind, f"{self.slot(node.array, (node.bucket + 1,))} += 1;")
+        elif isinstance(node, st.Scatter):
+            slot = self.slot(node.array, node.index)
+            self.line(ind, f"{slot} = {e(node.value)};")
+        elif isinstance(node, st.Reduce):
+            slot = self.slot(node.array, node.index)
+            self.line(
+                ind,
+                f"{slot} = {_COMBINE[node.op]}({slot}, {e(node.value)});",
+            )
+        elif isinstance(node, st.PrefixFix):
+            cur = self.slot(node.array, (node.index,))
+            prev = self.slot(node.array, (node.index - 1,))
+            value = (
+                f"{cur} + {prev}" if node.op == "+"
+                else f"{_COMBINE[node.op]}({cur}, {prev})"
+            )
+            self.line(ind, f"{cur} = {value};")
+        elif isinstance(node, st.BucketFill):
+            self.declare_scalar(node.var)
+            slot = self.slot(node.fill, (node.bucket,))
+            self.line(ind, f"{_v(node.var)} = {slot};")
+            self.line(ind, f"{slot} = {_v(node.var)} + 1;")
+        elif isinstance(node, st.NewOrderedList):
+            self.new_olist(node, ind)
+        elif isinstance(node, st.NewBucketPermutation):
+            self.declare_object(
+                node.name,
+                _ObjInfo("lexperm", arity=node.arity, which=node.which),
+            )
+            self.check(ind, f"rt_lexperm_init(&{_s(node.name)}, {e(node.nbuckets)})")
+        elif isinstance(node, st.NewOrderedSet):
+            self.declare_object(node.name, _ObjInfo("iset", arity=1))
+            self.line(ind, f"rt_iset_init(&{_s(node.name)});")
+        elif isinstance(node, st.Insert):
+            self.insert(node, ind)
+        elif isinstance(node, st.Length):
+            self.length(node, ind)
+        elif isinstance(node, st.Materialize):
+            if self.kind.get(node.name) != "iset":
+                raise self.err(f"{node!r} of a non-set")
+            self.declare_array(node.name, I8)
+            v = _v(node.name)
+            self.check(
+                ind, f"rt_iset_to_array(&{_s(node.name)}, &{v}, &{v}__len)"
+            )
+        elif isinstance(node, st.BinarySearch):
+            self.declare_scalar(node.var)
+            data, length = self.sized(node.array)
+            var = _v(node.var)
+            self.line(
+                ind, f"{var} = rt_bsearch({data}, {length}, {e(node.value)});"
+            )
+            self.line(ind, f"if ({var} >= 0) {{")
+            self.statement(node.stmt, ind + 1)
+            self.line(ind, "}")
+        else:
+            raise self.err(f"cannot print {node!r}")
+
+    def new_olist(self, node: st.NewOrderedList, ind: int) -> None:
+        """Declare an ordered list plus its key and insert helpers."""
+        if node.unique and not node.key:
+            raise self.err(f"{node!r} collapses ties without a key")
+        arity, keylen = len(node.params), len(node.key)
+        self.declare_object(node.name, _ObjInfo("olist", arity, keylen))
+        keys = _CExprs(self, {p: f"c[{i}]" for i, p in enumerate(node.params)})
+        v = _v(node.name)
+        lines = [f"static int rt_key_{v}(const int64_t* c, int64_t* k) {{"]
+        fallible = False
+        for pos, key in enumerate(node.key):
+            call = key.terms[0][0] if len(key.terms) == 1 else None
+            if (
+                isinstance(call, UFCall)
+                and key == call.as_expr()
+                and len(call.args) in _MORTON
+                and call.name.startswith("MORTON")
+            ):
+                args = ", ".join(keys.expr(a) for a in call.args)
                 fallible = True
                 lines.append(
-                    f"    rc = {fn}({', '.join(args)}, &k[{pos}]); "
+                    f"    rc = {_MORTON[len(call.args)]}({args}, &k[{pos}]); "
                     "if (rc) return rc;"
                 )
             else:
-                lines.append(f"    k[{pos}] = {self.key_expr(elt, env)};")
+                lines.append(f"    k[{pos}] = {keys.expr(key)};")
         if fallible:
             lines.insert(1, "    int rc;")
-        lines.append("    return RT_OK;")
-        lines.append("}")
+        lines += ["    return RT_OK;", "}"]
+        cargs = ", ".join(f"int64_t a{i}" for i in range(arity))
+        coords = ", ".join(f"a{i}" for i in range(arity))
+        lines += [
+            f"static int rt_insert_{v}(rt_olist* o, {cargs}) {{",
+            f"    int64_t c[{arity}] = {{{coords}}};",
+            f"    int64_t k[{max(keylen, 1)}];",
+            f"    int rc = rt_key_{v}(c, k);",
+            "    if (rc) return rc;",
+            "    return rt_olist_push(o, c, k);",
+            "}",
+        ]
         self.helpers.append("\n".join(lines))
-        cargs = ", ".join(f"int64_t a{i}" for i in range(info.arity))
-        coords = ", ".join(f"a{i}" for i in range(info.arity))
-        self.helpers.append(
-            "\n".join(
-                [
-                    f"static int rt_insert_{_v(name)}"
-                    f"(rt_olist* o, {cargs}) {{",
-                    f"    int64_t c[{info.arity}] = {{{coords}}};",
-                    f"    int64_t k[{info.keylen}];",
-                    f"    int rc = rt_key_{_v(name)}(c, k);",
-                    "    if (rc) return rc;",
-                    "    return rt_olist_push(o, c, k);",
-                    "}",
-                ]
-            )
+        self.line(
+            ind,
+            f"rt_olist_init(&{_s(node.name)}, {arity}, {keylen}, "
+            f"{int(node.unique)});",
         )
 
-    def key_expr(self, e: ast.expr, env: dict) -> str:
-        """Key-lambda body expressions over the coordinate environment."""
-        if isinstance(e, ast.Name):
-            if e.id not in env:
-                raise self.err(f"free variable {e.id!r} in key lambda")
-            return env[e.id]
-        if isinstance(e, ast.Constant) and isinstance(e.value, int):
-            return str(e.value)
-        if isinstance(e, ast.UnaryOp) and isinstance(e.op, ast.USub):
-            return f"(-{self.key_expr(e.operand, env)})"
-        if isinstance(e, ast.BinOp):
-            left = self.key_expr(e.left, env)
-            right = self.key_expr(e.right, env)
-            if isinstance(e.op, ast.FloorDiv):
-                return f"RT_FDIV({left}, {right})"
-            if isinstance(e.op, ast.Mod):
-                return f"RT_FMOD({left}, {right})"
-            if isinstance(e.op, ast.Add):
-                return f"({left} + {right})"
-            if isinstance(e.op, ast.Sub):
-                return f"({left} - {right})"
-            if isinstance(e.op, ast.Mult):
-                return f"({left} * {right})"
-        raise self.err(f"unsupported key expression {ast.dump(e)}")
-
-    def setup_lexperm(self, name: str, call: ast.Call, ind: int) -> None:
-        if name in self.objects:
-            raise self.err(f"object {name!r} constructed twice")
-        if len(call.args) != 3 or call.keywords:
-            raise self.err("LexBucketPermutation signature mismatch")
-        nb = self.py_expr(call.args[0])
-        if not isinstance(call.args[1], ast.Constant) or not isinstance(
-            call.args[2], ast.Constant
-        ):
-            raise self.err("LexBucketPermutation with non-literal layout")
-        info = _ObjInfo(
-            kind="lexperm",
-            arity=int(call.args[2].value),
-            which=int(call.args[1].value),
-        )
-        self.objects[name] = info
-        self.kind[name] = "lexperm"
-        self.check(ind, f"rt_lexperm_init(&{_s(name)}, {nb})")
-
-    def py_call_stmt(self, call: ast.Call, ind: int) -> None:
-        if not isinstance(call.func, ast.Attribute) or not isinstance(
-            call.func.value, ast.Name
-        ):
-            raise self.err(f"call statement {ast.dump(call)}")
-        obj = call.func.value.id
-        method = call.func.attr
-        info = self.objects.get(obj)
-        if info is None:
-            raise self.err(f"method call on non-object {obj!r}")
-        if method != "insert":
-            raise self.err(f"unsupported method {obj}.{method}()")
-        args = [self.py_expr(a) for a in call.args]
+    def insert(self, node: st.Insert, ind: int) -> None:
+        info = self.objects.get(node.obj)
+        if info is None or len(node.args) != info.arity:
+            raise self.err(f"{node!r} does not match its object")
+        args = [self.e.expr(a) for a in node.args]
+        obj = _s(node.obj)
         if info.kind == "iset":
-            if len(args) != 1:
-                raise self.err("OrderedSet.insert arity mismatch")
-            self.check(ind, f"rt_iset_insert(&{_s(obj)}, {args[0]})")
-            return
-        if info.kind == "lexperm":
-            if len(args) != info.arity:
-                raise self.err("LexBucketPermutation.insert arity mismatch")
-            self.check(
-                ind,
-                f"rt_lexperm_insert(&{_s(obj)}, {args[info.which]})",
-            )
-            return
-        if info.kind == "olist":
-            if len(args) != info.arity:
-                raise self.err("OrderedList.insert arity mismatch")
-            self.check(
-                ind, f"rt_insert_{_v(obj)}(&{_s(obj)}, {', '.join(args)})"
-            )
-            return
-        raise self.err(f"insert on {info.kind} object {obj!r}")
+            self.check(ind, f"rt_iset_insert(&{obj}, {args[0]})")
+        elif info.kind == "lexperm":
+            self.check(ind, f"rt_lexperm_insert(&{obj}, {args[info.which]})")
+        else:
+            self.check(ind, f"rt_insert_{_v(node.obj)}(&{obj}, {', '.join(args)})")
+
+    def length(self, node: st.Length, ind: int) -> None:
+        self.declare_scalar(node.name)
+        kind, target = self.kind.get(node.obj), _v(node.name)
+        if kind == "olist":
+            self.check(ind, f"rt_olist_len(&{_s(node.obj)}, &{target})")
+        elif kind == "lexperm":
+            self.line(ind, f"{target} = {_s(node.obj)}.total;")
+        else:
+            self.line(ind, f"{target} = {self.sized(node.obj)[1]};")
 
     # -- assembly ---------------------------------------------------------
     def run(self) -> CEmitted:
@@ -1246,9 +948,9 @@ class _Emitter:
 def emit_c(comp, params, returns, symtab: SymbolTable) -> CEmitted:
     """Emit a compilable C99 translation unit for one computation.
 
-    Raises :class:`CEmitError` when the computation uses a construct the
-    closed statement grammar does not cover; callers are expected to fall
-    back to the scalar lowering in that case.
+    Raises :class:`~repro.spf.statements.UnsupportedStatement`, naming the
+    statement, when the computation uses a construct outside the closed
+    statement set.
     """
     program = comp.lower()
     emitter = _Emitter(program, comp.name, params, returns, symtab)

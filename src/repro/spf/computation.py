@@ -12,17 +12,18 @@ scans the iteration space Fourier–Motzkin style and emits executable Python
 from __future__ import annotations
 
 import itertools
-import re
 from typing import Iterable, Mapping, Sequence
 
 from repro.ir import Constraint, Expr, Geq, IntSet, bounds_on_var, parse_set
 from .ast_nodes import ForLoop, Guard, LetEq, Node, Program, Raw
 from .codegen.printers import (
+    RUNTIME_FUNCTIONS,
     CPrinter,
     PythonPrinter,
     SymbolTable,
     emit_python_function,
 )
+from .statements import Statement
 
 
 class Schedule:
@@ -89,34 +90,19 @@ class Schedule:
         return "[" + ", ".join(str(e) for e in self.entries) + "]"
 
 
-_WORD_RE_CACHE: dict[str, re.Pattern] = {}
-
-
-def _rename_in_text(text: str, mapping: Mapping[str, str]) -> str:
-    """Rename identifiers in statement text with word-boundary matching."""
-    if not mapping:
-        return text
-    for old, new in mapping.items():
-        pattern = _WORD_RE_CACHE.get(old)
-        if pattern is None:
-            pattern = re.compile(rf"\b{re.escape(old)}\b")
-            _WORD_RE_CACHE[old] = pattern
-        text = pattern.sub(new, text)
-    return text
-
-
 class Stmt:
-    """One statement: body text + iteration space + schedule + accesses.
+    """One statement: body + iteration space + schedule + accesses.
 
-    ``text`` is the statement body in assignment-style source that is valid
-    in both generated Python and display C (e.g. ``rowptr[ii + 1] = n + 1``).
-    ``reads`` and ``writes`` name the data spaces the statement touches; the
-    transformations (dead code elimination, fusion legality) work on these.
+    ``body`` is a typed statement (:mod:`repro.spf.statements`); a string
+    becomes an opaque :class:`~repro.spf.ast_nodes.Raw` body, which
+    hand-built computations use.  ``reads`` and ``writes`` name the data
+    spaces the statement touches; the transformations (dead code
+    elimination, fusion legality) work on these.
     """
 
     def __init__(
         self,
-        text: str,
+        body: Statement | Raw | str,
         iteration_space: IntSet | str,
         schedule: Schedule | Sequence[int | str] | None = None,
         reads: Iterable[str] = (),
@@ -124,6 +110,8 @@ class Stmt:
         name: str = "",
         phase: int = 0,
     ):
+        if isinstance(body, str):
+            body = Raw(body)
         if isinstance(iteration_space, str):
             iteration_space = parse_set(iteration_space)
         if schedule is not None and not isinstance(schedule, Schedule):
@@ -140,7 +128,7 @@ class Stmt:
                         "schedule loop vars must match iteration space tuple: "
                         f"{schedule} vs {iteration_space.tuple_vars}"
                     )
-        self.text = text
+        self.body = body
         self.space = iteration_space
         self.schedule = schedule
         self.reads = tuple(reads)
@@ -148,11 +136,17 @@ class Stmt:
         self.name = name
         self.phase = phase
 
+    @property
+    def text(self) -> str:
+        """The body's Python form."""
+        return PythonPrinter(_DISPLAY_SYMTAB).statement(self.body)
+
     def with_schedule(self, schedule: Schedule | Sequence[int | str]) -> "Stmt":
-        return Stmt(self.text, self.space, schedule, self.reads, self.writes,
+        return Stmt(self.body, self.space, schedule, self.reads, self.writes,
                     self.name, self.phase)
 
     def rename_tuple_vars(self, mapping: Mapping[str, str]) -> "Stmt":
+        """Rename tuple variables simultaneously in space, schedule and body."""
         new_space = self.space.with_tuple_vars(
             [mapping.get(v, v) for v in self.space.tuple_vars]
         )
@@ -160,7 +154,7 @@ class Stmt:
             self.schedule.rename_loop_vars(mapping) if self.schedule else None
         )
         return Stmt(
-            _rename_in_text(self.text, mapping),
+            self.body.rename_vars(mapping),
             new_space,
             new_schedule,
             self.reads,
@@ -171,6 +165,10 @@ class Stmt:
 
     def __repr__(self):
         return f"Stmt({self.name or self.text!r}, {self.space})"
+
+
+#: Renders :attr:`Stmt.text` outside any conversion's symbol table.
+_DISPLAY_SYMTAB = SymbolTable(functions=RUNTIME_FUNCTIONS)
 
 
 class LoweringError(ValueError):
@@ -298,7 +296,7 @@ def _emit(items: list[_Item], depth: int) -> list[Node]:
         enders = [it for it in group if len(it.levels) == depth]
         conts = [it for it in group if len(it.levels) > depth]
         for item in enders:
-            nodes.append(Raw(item.stmt.text, label=item.stmt.name))
+            nodes.append(item.stmt.body)
         if not conts:
             continue
         keys = {it.levels[depth].key() for it in conts}
@@ -334,9 +332,9 @@ def _names_used(node: Node) -> set[str]:
             names |= c.var_names() | c.sym_names()
         for child in node.body:
             names |= _names_used(child)
-    elif isinstance(node, Raw):
-        names |= set(re.findall(r"[A-Za-z_][A-Za-z_0-9]*", node.text))
-    elif isinstance(node, (Program,)):
+    elif isinstance(node, (Statement, Raw)):
+        names |= node.names()
+    elif isinstance(node, Program):
         for child in node.body:
             names |= _names_used(child)
     return names
@@ -392,7 +390,7 @@ class Computation:
 
     def new_stmt(
         self,
-        text: str,
+        body: Statement | Raw | str,
         iteration_space: IntSet | str,
         reads: Iterable[str] = (),
         writes: Iterable[str] = (),
@@ -400,7 +398,7 @@ class Computation:
     ) -> Stmt:
         """Create, register, and return a statement with a default schedule."""
         return self.add_stmt(
-            Stmt(text, iteration_space, None, reads, writes, phase=phase)
+            Stmt(body, iteration_space, None, reads, writes, phase=phase)
         )
 
     def replace_stmts(self, stmts: Sequence[Stmt]) -> None:
@@ -487,19 +485,19 @@ class Computation:
         params: Sequence[str],
         returns: Sequence[str],
         symtab: SymbolTable | None = None,
-        preamble: Sequence[str] = (),
     ):
         """Generate a NumPy-vectorized function wrapping the computation.
 
         Returns a :class:`~repro.spf.codegen.vectorize.NumpyLowering` with
-        the source and per-nest vectorization stats; unmatched nests fall
-        back to the scalar printer inside the emitted function.
+        the source and per-nest vectorization stats; a nest the read/write
+        hazard check rejects prints through the scalar printer inside the
+        emitted function.
         """
         from .codegen.vectorize import emit_numpy_function
 
         symtab = symtab or SymbolTable()
         return emit_numpy_function(
-            self.name, params, self.lower(), returns, symtab, preamble
+            self.name, params, self.lower(), returns, symtab
         )
 
     def __repr__(self):

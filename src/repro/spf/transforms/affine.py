@@ -65,7 +65,7 @@ def interchange(comp: Computation, name: str, var_a: str, var_b: str) -> Stmt:
         entries[2 * ia + 1],
     )
     new_stmt = Stmt(
-        stmt.text, new_space, Schedule(entries), stmt.reads, stmt.writes,
+        stmt.body, new_space, Schedule(entries), stmt.reads, stmt.writes,
         stmt.name, stmt.phase,
     )
     return _replace(comp, index, new_stmt)
@@ -85,14 +85,9 @@ def shift(comp: Computation, name: str, var: str, offset: int) -> Stmt:
     )
     new_space = IntSet(stmt.space.tuple_vars, [shifted])
     # The body must read the original iterator value.
-    fresh = f"__orig_{var}"
-    renamed_text = Stmt(
-        stmt.text, stmt.space, None
-    ).rename_tuple_vars({var: fresh}).text
-    text = renamed_text.replace(fresh, f"({var} - {offset})")
     new_stmt = Stmt(
-        text, new_space, stmt.schedule, stmt.reads, stmt.writes,
-        stmt.name, stmt.phase,
+        stmt.body.substitute_vars({var: Var(var) - offset}), new_space,
+        stmt.schedule, stmt.reads, stmt.writes, stmt.name, stmt.phase,
     )
     return _replace(comp, index, new_stmt)
 
@@ -110,14 +105,10 @@ def skew(comp: Computation, name: str, inner: str, outer: str,
         {inner: Var(inner) - factor * Var(outer)}
     )
     new_space = IntSet(tuple_vars, [substituted])
-    fresh = f"__orig_{inner}"
-    renamed_text = Stmt(
-        stmt.text, stmt.space, None
-    ).rename_tuple_vars({inner: fresh}).text
-    text = renamed_text.replace(fresh, f"({inner} - {factor} * {outer})")
     new_stmt = Stmt(
-        text, new_space, stmt.schedule, stmt.reads, stmt.writes,
-        stmt.name, stmt.phase,
+        stmt.body.substitute_vars({inner: Var(inner) - factor * Var(outer)}),
+        new_space, stmt.schedule, stmt.reads, stmt.writes, stmt.name,
+        stmt.phase,
     )
     return _replace(comp, index, new_stmt)
 
@@ -165,7 +156,7 @@ def tile(comp: Computation, name: str, var: str, size: int) -> Stmt:
     constraints.append(equals(Var(var), size * Var(vt) + Var(vi)))
     new_space = IntSet(new_vars, [Conjunction(constraints)])
     new_stmt = Stmt(
-        stmt.text, new_space, None, stmt.reads, stmt.writes,
+        stmt.body, new_space, None, stmt.reads, stmt.writes,
         stmt.name, stmt.phase,
     )
     assert stmt.schedule is not None
@@ -199,13 +190,9 @@ def full_unroll(comp: Computation, name: str, var: str) -> list[Stmt]:
     for value in range(lo, hi + 1):
         inst_conj = conj.substitute_vars({var: value})
         space = IntSet(new_vars, [inst_conj])
-        fresh = f"__unroll_{var}"
-        text = Stmt(stmt.text, stmt.space, None).rename_tuple_vars(
-            {var: fresh}
-        ).text.replace(fresh, str(value))
         replacements.append(
-            Stmt(text, space, None, stmt.reads, stmt.writes,
-                 f"{stmt.name}_u{value}", stmt.phase)
+            Stmt(stmt.body.substitute_vars({var: value}), space, None,
+                 stmt.reads, stmt.writes, f"{stmt.name}_u{value}", stmt.phase)
         )
     stmts = list(comp.stmts)
     stmts[index : index + 1] = replacements

@@ -18,7 +18,7 @@ def _signature(stmt: Stmt) -> tuple:
     constraint_key = tuple(
         sorted(str(c) for c in renamed.space.single_conjunction)
     )
-    return (renamed.text, renamed.space.tuple_vars, constraint_key,
+    return (renamed.body, renamed.space.tuple_vars, constraint_key,
             tuple(sorted(stmt.writes)))
 
 

@@ -15,12 +15,14 @@ from repro.ir import (
     Expr,
     Geq,
     IntSet,
+    UFCall,
     Var,
     equals,
 )
 from repro.pipeline.artifacts import BuiltComputation, CaseMatch, ComposedRelation
 from repro.spf import Computation, Stmt, SymbolTable
-from repro.spf.codegen.printers import print_expr
+from repro.spf import statements as st
+from repro.spf.codegen.printers import RUNTIME_FUNCTIONS
 
 from .compose import _domain_size_expr
 from .sizing import derive_size_symbols, dest_data_size
@@ -78,11 +80,9 @@ def build_stage(
             | set(dst_r.index_ufs())
             | {SOURCE_DATA, DEST_DATA}
         ),
-        functions={"MORTON", "MORTON2", "MORTON3", "BSEARCH"},
+        functions=RUNTIME_FUNCTIONS,
         objects={PERMUTATION},
     )
-    def pexpr(e):
-        return print_expr(e, symtab, "py")
 
     params = sorted(src.index_ufs()) + sorted(src.size_symbols()) + [SOURCE_DATA]
     param_set = set(params)
@@ -112,7 +112,6 @@ def build_stage(
         match,
         bucket_spec=bucket_spec,
         inline_bucket=inline_bucket,
-        pexpr=pexpr,
         notes=notes,
     )
     pos_definition = match.pos_definition
@@ -120,7 +119,7 @@ def build_stage(
     for sym, origin in sym_sources.items():
         if origin == PERMUTATION:
             comp.new_stmt(
-                f"{sym} = len({PERMUTATION})",
+                st.Length(sym, PERMUTATION),
                 empty_space,
                 reads=[PERMUTATION],
                 writes=[sym],
@@ -155,20 +154,20 @@ def build_stage(
         if domain is None:
             raise SynthesisError(f"UF {plan.uf!r} has no declared domain")
         size = _domain_size_expr(domain)
-        init = "0" if plan.kind in ("scatter", "max") else pexpr(
+        init = (
             _domain_size_expr(dst_r.uf_ranges[plan.uf])
-            if plan.uf in dst_r.uf_ranges
+            if plan.kind == "min" and plan.uf in dst_r.uf_ranges
             else Expr(0)
         )
         comp.new_stmt(
-            f"{plan.uf} = [{init}] * ({pexpr(size)})",
+            st.Alloc(plan.uf, size, init),
             empty_space,
             writes=[plan.uf],
             phase=alloc_phase_for(size),
         )
     for uf in insert_ufs:
         comp.new_stmt(
-            f"{uf} = OrderedSet()",
+            st.NewOrderedSet(uf),
             empty_space,
             writes=[uf],
             phase=PH_ALLOC,
@@ -191,10 +190,8 @@ def build_stage(
     )
     if pos_stateful:
         assert position_var is not None and bucket_spec is not None
-        bexpr = pexpr(dense_exprs[bucket_spec[0]])
         comp.new_stmt(
-            f"{position_var} = P_fill[{bexpr}]\n"
-            f"P_fill[{bexpr}] = {position_var} + 1",
+            st.BucketFill(position_var, "P_fill", dense_exprs[bucket_spec[0]]),
             src_space,
             reads=sorted(src.index_ufs()) + ["P_fill"],
             writes=["__pos__", "P_fill"],
@@ -225,22 +222,16 @@ def build_stage(
         space = extended_space(
             uses_pos and not propagate_pos and not pos_stateful
         )
-        args = [finalize_expr(a) for a in plan.args]
+        args = tuple(finalize_expr(a) for a in plan.args)
         value = finalize_expr(plan.value)
         if plan.kind == "insert":
-            text = f"{plan.uf}.insert({pexpr(value)})"
+            body = st.Insert(plan.uf, (value,))
         elif plan.kind == "scatter":
-            index = ", ".join(pexpr(a) for a in args)
-            text = f"{plan.uf}[{index}] = {pexpr(value)}"
+            body = st.Scatter(plan.uf, args, value)
         else:
-            fn = "max" if plan.kind == "max" else "min"
-            index = ", ".join(pexpr(a) for a in args)
-            text = (
-                f"{plan.uf}[{index}] = {fn}({plan.uf}[{index}], "
-                f"{pexpr(value)})"
-            )
+            body = st.Reduce(plan.uf, args, value, plan.kind)
         comp.new_stmt(
-            text,
+            body,
             space,
             reads=population_reads,
             writes=[plan.uf],
@@ -251,7 +242,7 @@ def build_stage(
     for sym, origin in sym_sources.items():
         if origin != PERMUTATION:
             comp.new_stmt(
-                f"{sym} = len({origin})",
+                st.Length(sym, origin),
                 empty_space,
                 reads=[origin],
                 writes=[sym],
@@ -276,7 +267,7 @@ def build_stage(
                 # guards and binary searches then index without structure
                 # call overhead.
                 comp.new_stmt(
-                    f"{uf} = {uf}.to_list()",
+                    st.Materialize(uf),
                     empty_space,
                     reads=[uf],
                     writes=[uf],
@@ -304,7 +295,7 @@ def build_stage(
             ],
         )
         comp.new_stmt(
-            f"{uf}[{dvar}] = max({uf}[{dvar}], {uf}[{dvar} - 1])",
+            st.PrefixFix(uf, Var(dvar), "max"),
             enforce_space,
             reads=[uf],
             writes=[uf],
@@ -318,7 +309,7 @@ def build_stage(
     # --- destination data allocation ------------------------------------
     dst_size = dest_data_size(src, dst_r, conj, match, sym_sources)
     comp.new_stmt(
-        f"{DEST_DATA} = [0.0] * ({pexpr(dst_size)})",
+        st.Alloc(DEST_DATA, dst_size, floating=True),
         empty_space,
         writes=[DEST_DATA],
         phase=alloc_phase_for(dst_size),
@@ -404,8 +395,11 @@ def build_stage(
             "blocks fusion with population)"
         )
     comp.new_stmt(
-        f"{DEST_DATA}[{pexpr(copy_kd_expr)}] = "
-        f"{SOURCE_DATA}[{pexpr(match.src_data_expr)}]",
+        st.Scatter(
+            DEST_DATA,
+            (copy_kd_expr,),
+            UFCall(SOURCE_DATA, [match.src_data_expr]),
+        ),
         copy_space,
         reads=copy_reads,
         writes=[DEST_DATA],
@@ -419,7 +413,7 @@ def build_stage(
     for stmt in ordered:
         comp.add_stmt(
             Stmt(
-                stmt.text,
+                stmt.body,
                 stmt.space,
                 None,
                 stmt.reads,

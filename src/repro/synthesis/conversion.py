@@ -133,11 +133,10 @@ class SynthesizedConversion:
     def run_native(self, **inputs):
         """Run the inspector in its backend's native representation.
 
-        The numpy and C backends return numpy arrays (scalar-fallback
-        values pass through as-is); the python backend returns lists.
-        Interpreted source — the python tier, or a C conversion that fell
-        back to scalar code — reads its array inputs as lists, copied
-        once here.  Benchmarks time this entry point so the copy into
+        The numpy and C backends return numpy arrays (scalar values pass
+        through as-is); the python backend returns lists.  Interpreted
+        source — the python tier — reads its array inputs as lists,
+        copied once here.  Benchmarks time this entry point so the copy into
         typed arrays is not charged to the inspector.
 
         Under tracing (``REPRO_TRACE=1`` / ``trace=True``) the run is
@@ -155,7 +154,7 @@ class SynthesizedConversion:
         from repro.backends import get_backend
 
         ordered = [inputs[p] for p in self.params]
-        if get_backend(self.backend).interprets(self.source):
+        if get_backend(self.backend).interprets:
             ordered = [as_list(value) for value in ordered]
         return ordered
 

@@ -10,17 +10,19 @@ to TACO.
 
 from __future__ import annotations
 
-from repro.ir import Conjunction, Eq, IntSet, UFCall, Var
-from repro.spf import Computation, Stmt, SymbolTable
-from repro.spf.codegen.printers import print_expr
+from repro.ir import Conjunction, Eq, IntSet, UFCall, Var, bounds_on_var
+from repro.spf import Computation, Schedule, Stmt
+from repro.spf import statements as st
 
 
-def _find_search_pattern(stmt: Stmt):
-    """Detect a loop variable that linearly searches a monotonic UF.
+def _find_search_pattern(stmt: Stmt, increasing: set[str]):
+    """Detect a loop variable that linearly searches a strictly increasing UF.
 
     Looks for a tuple variable ``v`` whose only non-bound constraint is an
-    equality ``uf(v) = expr`` with ``v`` absent from ``expr``.  Returns
-    ``(v, uf_name, expr)`` or None.
+    equality ``uf(v) = expr`` with ``v`` absent from ``expr`` and ``uf`` in
+    ``increasing``.  A position loop over a UF that merely rises within
+    segments (``jj = col(k)`` under ``rowptr(ii) <= k < rowptr(ii+1)``)
+    is not a search.  Returns ``(v, uf_name, expr)`` or None.
     """
     conj = stmt.space.single_conjunction
     for v in stmt.space.tuple_vars:
@@ -31,8 +33,6 @@ def _find_search_pattern(stmt: Stmt):
         for c in conj.constraints_on(v):
             if not isinstance(c, Eq):
                 # bounds (Geq) are fine; anything else disqualifies
-                from repro.ir import bounds_on_var
-
                 kind, _ = bounds_on_var(c, v)
                 if kind not in ("lower", "upper"):
                     ok = False
@@ -47,7 +47,11 @@ def _find_search_pattern(stmt: Stmt):
                 ok = False
                 continue
             call, coef = calls[0]
-            if coef not in (1, -1) or call.args != (Var(v).as_expr(),):
+            if (
+                coef not in (1, -1)
+                or call.args != (Var(v).as_expr(),)
+                or call.name not in increasing
+            ):
                 ok = False
                 continue
             rest = c.expr.without(call)
@@ -61,18 +65,22 @@ def _find_search_pattern(stmt: Stmt):
     return None
 
 
-def rewrite_linear_search(comp: Computation, symtab: SymbolTable) -> int:
+def rewrite_linear_search(comp: Computation) -> int:
     """Replace linear-search loops over monotonic UFs with binary search.
 
-    Returns the number of statements rewritten.  The rewritten statement
-    drops the searched variable from its iteration space and computes it
-    with ``BSEARCH`` (provided by the runtime namespace), guarded against
-    absence for safety.
+    The searchable UFs are the set-populated ones (an ordered set holds
+    sorted unique values, so it is strictly increasing).  Returns the
+    number of statements rewritten.  The rewritten statement drops the
+    searched variable from its iteration space and computes it with a
+    guarded :class:`~repro.spf.statements.BinarySearch`.
     """
+    increasing = {
+        s.body.name for s in comp.stmts if isinstance(s.body, st.NewOrderedSet)
+    }
     rewritten = 0
     new_stmts = []
     for stmt in comp.stmts:
-        pattern = _find_search_pattern(stmt)
+        pattern = _find_search_pattern(stmt, increasing)
         if pattern is None:
             new_stmts.append(stmt)
             continue
@@ -84,21 +92,13 @@ def rewrite_linear_search(comp: Computation, symtab: SymbolTable) -> int:
         new_space = IntSet(
             tuple(v for v in stmt.space.tuple_vars if v != var), [keep]
         )
-        target_text = print_expr(target, symtab, "py")
-        text = (
-            f"{var} = BSEARCH({uf}, {target_text})\n"
-            f"if {var} >= 0:\n"
-            f"    {stmt.text}"
-        )
         assert stmt.schedule is not None
-        from repro.spf import Schedule
-
         schedule = Schedule.default(
             stmt.schedule.static_at(0), new_space.tuple_vars
         )
         new_stmts.append(
             Stmt(
-                text,
+                st.BinarySearch(var, uf, target, stmt.body),
                 new_space,
                 schedule,
                 stmt.reads,

@@ -11,12 +11,13 @@ counting sort's prefix array.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Optional
 
 from repro.formats.descriptor import FormatDescriptor
 from repro.ir import Conjunction, Expr, Geq, IntSet, Var
 from repro.pipeline.artifacts import CaseMatch
 from repro.spf import Computation
+from repro.spf import statements as st
 
 from .compose import _bare_var_name, _dense_var_definitions
 from .conversion import (
@@ -25,9 +26,6 @@ from .conversion import (
     PH_PERM,
     PH_PERMSYM,
 )
-
-#: Expression printer type the build stage passes down.
-ExprPrinter = Callable[[Expr], str]
 
 
 def bucket_permutation_spec(
@@ -73,7 +71,6 @@ def emit_permutation(
     *,
     bucket_spec: Optional[tuple[str, Expr]],
     inline_bucket: bool,
-    pexpr: ExprPrinter,
     notes: list[str],
 ) -> bool:
     """Emit the permutation population statements; returns ``pos_stateful``.
@@ -95,15 +92,14 @@ def emit_permutation(
         # index arrays (no per-element structure calls).
         assert bucket_spec is not None
         bucket_var, nbuckets = bucket_spec
-        bexpr = pexpr(dense_exprs[bucket_var])
         comp.new_stmt(
-            f"P_count = [0] * ({pexpr(nbuckets + 1)})",
+            st.Alloc("P_count", nbuckets + 1),
             empty_space,
             writes=["P_count"],
             phase=PH_ALLOC,
         )
         comp.new_stmt(
-            f"P_count[{bexpr} + 1] += 1",
+            st.Histogram("P_count", dense_exprs[bucket_var]),
             src_space,
             reads=sorted(src.index_ufs()),
             writes=["P_count"],
@@ -114,14 +110,14 @@ def emit_permutation(
             [Conjunction([Geq(Var("x") - 1), Geq(nbuckets - Var("x"))])],
         )
         comp.new_stmt(
-            "P_count[x] = P_count[x] + P_count[x - 1]",
+            st.PrefixFix("P_count", Var("x"), "+"),
             prefix_space,
             reads=["P_count"],
             writes=["P_count"],
             phase=PH_PERMSYM,
         )
         comp.new_stmt(
-            "P_fill = list(P_count)",
+            st.ArrayCopy("P_fill", "P_count"),
             empty_space,
             reads=["P_count"],
             writes=["P_fill"],
@@ -138,15 +134,15 @@ def emit_permutation(
         bucket_var, nbuckets = bucket_spec
         which = dense_order.index(bucket_var)
         comp.new_stmt(
-            f"{PERMUTATION} = LexBucketPermutation({pexpr(nbuckets)}, "
-            f"{which}, {len(dense_order)})",
+            st.NewBucketPermutation(
+                PERMUTATION, nbuckets, which, len(dense_order)
+            ),
             empty_space,
             writes=[PERMUTATION],
             phase=PH_ALLOC,
         )
-        insert_args = ", ".join(pexpr(dense_exprs[v]) for v in dense_order)
         comp.new_stmt(
-            f"{PERMUTATION}.insert({insert_args})",
+            st.Insert(PERMUTATION, tuple(dense_exprs[v] for v in dense_order)),
             src_space,
             reads=sorted(src.index_ufs()),
             writes=[PERMUTATION],
@@ -157,44 +153,34 @@ def emit_permutation(
             f"P = LexBucketPermutation({nbuckets}, which={which})"
         )
         return False
-    dense_order = list(src.dense_vars)
+    dense_order = tuple(src.dense_vars)
+    key: tuple[Expr, ...] = ()
     if dst_r.ordering is not None:
         # Lambda parameters follow the dense-space order used at insert
-        # time; the key body is the destination's ordering key rewritten
-        # over the source's dense variable names (positional match).
+        # time; the key is the destination's ordering key rewritten over
+        # the source's dense variable names (positional match).
         to_src = dict(zip(dst_r.dense_vars, src.dense_vars))
-        key_body = ", ".join(
-            pexpr(k.rename_vars(to_src)) for k in dst_r.ordering.key_exprs
-        )
-        lambda_params = ", ".join(dense_order)
-        key_text = f"lambda {lambda_params}: ({key_body},)"
-        op = "<"
-    else:
-        key_text = "None"
-        op = "<"
-    unique_text = (
-        ", unique=True"
-        if dst_r.ordering is not None and dst_r.ordering.collapse_ties
-        else ""
+        key = tuple(k.rename_vars(to_src) for k in dst_r.ordering.key_exprs)
+    new_list = st.NewOrderedList(
+        PERMUTATION,
+        dense_order,
+        key,
+        unique=dst_r.ordering is not None and dst_r.ordering.collapse_ties,
     )
-    comp.new_stmt(
-        f"{PERMUTATION} = OrderedList({len(dense_order)}, 1, "
-        f"key={key_text}, op=\"{op}\"{unique_text})",
+    created = comp.new_stmt(
+        new_list,
         empty_space,
         writes=[PERMUTATION],
         phase=PH_ALLOC,
     )
-    insert_args = ", ".join(pexpr(dense_exprs[v]) for v in dense_order)
     comp.new_stmt(
-        f"{PERMUTATION}.insert({insert_args})",
+        st.Insert(PERMUTATION, tuple(dense_exprs[v] for v in dense_order)),
         src_space,
         reads=sorted(src.index_ufs()),
         writes=[PERMUTATION],
         phase=PH_PERM,
     )
-    notes.append(
-        f"P = OrderedList({len(dense_order)}, 1, key={key_text}, op='<')"
-    )
+    notes.append(created.text)
     return False
 
 
@@ -284,7 +270,7 @@ def alias_prefix_ufs(
         ):
             match.plans.remove(plan)
             comp.new_stmt(
-                f"{plan.uf} = list(P_count)",
+                st.ArrayCopy(plan.uf, "P_count"),
                 empty_space,
                 reads=["P_count"],
                 writes=[plan.uf],

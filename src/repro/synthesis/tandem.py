@@ -141,7 +141,7 @@ def tandem(
     conversion_names = []
     for stmt in conversion.computation.stmts:
         added = combined.add_stmt(
-            Stmt(stmt.text, stmt.space, None, stmt.reads, stmt.writes,
+            Stmt(stmt.body, stmt.space, None, stmt.reads, stmt.writes,
                  "", stmt.phase)
         )
         conversion_names.append(added.name)

@@ -5,7 +5,9 @@ inputs (empty, single row/column, fully dense, dense rows, single
 diagonal, tall/wide rectangles, power-law and banded structure, unsorted
 orders, plus deliberately *malformed* duplicate/out-of-bounds/unsorted
 containers) and push them through every synthesizable format pair x
-lowering backend x optimize flag, cross-checking:
+lowering backend x optimize flag — and once more through every DIA
+destination with ``binary_search=True`` (the Figure 3 rewrite, its own
+``:bsearch`` variant in the report) — cross-checking:
 
 * **dense semantics** — the converted container's invariants and dense
   image versus the input's (via the ``validate="full"`` gate *and* an
@@ -342,6 +344,8 @@ class FuzzFailure:
     stage: str  # convert | structure | dense | baseline | backend | gate
     message: str
     input_repr: dict
+    #: The Figure 3 variant: the copy's linear search became a binary one.
+    binary_search: bool = False
 
     def to_dict(self) -> dict:
         return {
@@ -351,6 +355,7 @@ class FuzzFailure:
             "dst": self.dst,
             "backend": self.backend,
             "optimize": self.optimize,
+            "binary_search": self.binary_search,
             "stage": self.stage,
             "message": self.message,
             "input": self.input_repr,
@@ -374,8 +379,9 @@ class FuzzReport:
     #: without a C toolchain records *why* the C tier was not fuzzed.
     skipped_backends: list = field(default_factory=list)
     failures: list = field(default_factory=list)
-    #: Per-combo span attribution: ``"SRC->DST:backend:opt" ->
-    #: {"cases", "seconds", "failures"}`` aggregated over the run.
+    #: Per-combo span attribution: ``"SRC->DST:backend:opt"`` (plus
+    #: ``":bsearch"`` for the binary-search variant) ->
+    #: ``{"cases", "seconds", "failures"}`` aggregated over the run.
     combo_timings: dict = field(default_factory=dict)
 
     @property
@@ -425,10 +431,11 @@ class FuzzReport:
                 "for exhaustive pair coverage"
             )
         for failure in self.failures:
+            variant = " binary_search=True" if failure.binary_search else ""
             lines.append(
                 f"  FAIL case {failure.case} [{failure.stage}] "
                 f"{failure.src}->{failure.dst} backend={failure.backend} "
-                f"optimize={failure.optimize} ({failure.kind}): "
+                f"optimize={failure.optimize}{variant} ({failure.kind}): "
                 f"{failure.message}"
             )
         return "\n".join(lines)
@@ -468,7 +475,8 @@ def _reference_backends(backend: str) -> tuple[str, ...]:
 
 
 def _run_case_2d(dense: Dense, src: str, dst: str, backend: str,
-                 optimize: bool, rng) -> Optional[tuple[str, str]]:
+                 optimize: bool, rng,
+                 binary_search: bool = False) -> Optional[tuple[str, str]]:
     """Run one conversion case; return (stage, message) on discrepancy."""
     from repro import convert
 
@@ -478,6 +486,7 @@ def _run_case_2d(dense: Dense, src: str, dst: str, backend: str,
             container, dst,
             backend=backend,
             optimize=optimize,
+            binary_search=binary_search,
             assume_sorted=(src != "COO"),
             validate="full",
         )
@@ -508,6 +517,7 @@ def _run_case_2d(dense: Dense, src: str, dst: str, backend: str,
             container, dst,
             backend=reference_backend,
             optimize=optimize,
+            binary_search=binary_search,
             assume_sorted=(src != "COO"),
             validate="off",
         )
@@ -951,7 +961,7 @@ def fuzz_random_formats(
 
 
 def _synthesizable_pairs(sources, dests, backends, optimize_levels,
-                         skipped: list) -> list:
+                         skipped: list, binary_search: bool = False) -> list:
     combos = []
     seen_skipped = set()
     for optimize in optimize_levels:
@@ -964,14 +974,19 @@ def _synthesizable_pairs(sources, dests, backends, optimize_levels,
                         synthesize_cached(
                             get_format(src), get_format(dst),
                             optimize=optimize, backend=backend,
+                            binary_search=binary_search,
                         )
                     except SynthesisError:
-                        pair = f"{src}->{dst}"
+                        pair = f"{src}->{dst}" + (
+                            " (binary search)" if binary_search else ""
+                        )
                         if pair not in seen_skipped:
                             seen_skipped.add(pair)
                             skipped.append(pair)
                         continue
-                    combos.append((src, dst, backend, optimize))
+                    combos.append(
+                        (src, dst, backend, optimize, binary_search)
+                    )
     return combos
 
 
@@ -1049,6 +1064,14 @@ def fuzz(
             _synthesizable_pairs(sources_2d, dests_2d, backends,
                                  optimize_levels, report.skipped_pairs)
         )
+        # The Figure 3 conversions: every DIA destination once more with
+        # the copy's linear search rewritten into a binary search.
+        combos.extend(
+            _synthesizable_pairs(sources_2d, [d for d in dests_2d
+                                              if d == "DIA"],
+                                 backends, optimize_levels,
+                                 report.skipped_pairs, binary_search=True)
+        )
     if 3 in ranks:
         combos.extend(
             _synthesizable_pairs(SOURCES_3D, DESTS_3D, backends,
@@ -1079,12 +1102,15 @@ def fuzz(
         for case in range(cases):
             if len(report.failures) >= max_failures:
                 break
-            src, dst, backend, optimize = combos[case % len(combos)]
-            covered.add((src, dst, backend, optimize))
+            combo = combos[case % len(combos)]
+            src, dst, backend, optimize, bsearch = combo
+            covered.add(combo)
             report.cases_run += 1
             report.conversions_checked += 1
             case_seed = rng.randrange(1 << 30)
-            combo_key = f"{src}->{dst}:{backend}:opt{int(optimize)}"
+            combo_key = f"{src}->{dst}:{backend}:opt{int(optimize)}" + (
+                ":bsearch" if bsearch else ""
+            )
             case_start = time.perf_counter()
             with obs.span(
                 "fuzz.case", category="fuzz", case=case, combo=combo_key
@@ -1129,20 +1155,20 @@ def fuzz(
                         return (
                             _run_case_2d(candidate, src, dst, backend,
                                          optimize,
-                                         random.Random(case_seed))
+                                         random.Random(case_seed), bsearch)
                             is not None
                         )
 
                     outcome = _run_case_2d(
                         dense, src, dst, backend, optimize,
-                        random.Random(case_seed),
+                        random.Random(case_seed), bsearch,
                     )
                     if outcome is not None:
                         if shrink:
                             dense = _shrink_dense(dense, predicate_2d)
                             outcome = _run_case_2d(
                                 dense, src, dst, backend, optimize,
-                                random.Random(case_seed),
+                                random.Random(case_seed), bsearch,
                             ) or outcome
                         stage, message = outcome
                         report.failures.append(
@@ -1151,6 +1177,7 @@ def fuzz(
                                 backend=backend, optimize=optimize,
                                 stage=stage, message=message,
                                 input_repr={"dense": dense},
+                                binary_search=bsearch,
                             )
                         )
                 failed = outcome is not None

@@ -1,4 +1,4 @@
-"""The compiled-C tier: artifact cache, availability gating, fallback.
+"""The compiled-C tier: artifact cache, availability gating, coverage.
 
 The compile-cache tests pin the PR 2 disk-cache conventions on the .so
 artifact store: content-hashed reuse across processes, a cache miss when
@@ -189,13 +189,6 @@ class TestExecution:
         with pytest.raises(OverflowError):
             conv(**{p: env[p] for p in conv.params})
 
-    def test_cost_model_delegates_for_fallback_source(self):
-        # A conversion whose source is not a compiled wrapper costs what
-        # the python tier charges (the fallback executes scalar loops).
-        conv = synthesize(get_format("COO"), get_format("CSR"))
-        c_cost = get_backend("c").estimate_cost(conv)
-        assert c_cost == get_backend("python").estimate_cost(conv)
-
     def test_native_cost_below_numpy_with_stats(self, cache_dir):
         import dataclasses
 
@@ -211,6 +204,18 @@ class TestExecution:
         assert get_backend("c").estimate_cost(c_conv, big) < get_backend(
             "numpy"
         ).estimate_cost(np_conv, big)
+
+
+@needs_c
+def test_sweep_runs_compiled_without_fallback():
+    # Every conversion of the sweep (library pairs, Figure 3 binary
+    # searches, random compositions) lowers to a compiled wrapper: the C
+    # tier has no interpreted fallback.
+    from tests.sweep import synthesized
+
+    labels = [label for label, conversion in synthesized("c")
+              if not conversion.source.startswith("__C_SPEC_")]
+    assert labels == []
 
 
 class TestAvailability:

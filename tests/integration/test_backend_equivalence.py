@@ -13,7 +13,11 @@ import pytest
 
 from repro import COOMatrix, container_to_env, convert, dense_equal
 from repro.formats import get_format
+from repro.ir import IntSet, Sym, UFCall, Var
 from repro.planner import PLANNABLE_2D, PLANNABLE_3D
+from repro.runtime.executor import base_namespace
+from repro.spf import Computation, SymbolTable
+from repro.spf import statements as st
 from repro.synthesis import SynthesisError, synthesize
 from repro.validation import backend_equivalence_test
 
@@ -78,14 +82,28 @@ def test_duplicate_coordinates_match():
 
 
 def test_fallback_path_is_exercised():
-    # At least one format pair must go through the scalar fallback so the
-    # mixed vectorized/scalar emission stays covered: SCOO->BCSR retains
-    # scalar nests, and SCOO->DIA's linear search is the canonical one.
-    vec = synthesize(get_format("SCOO"), get_format("BCSR"),
-                     backend="numpy")
-    stats = vec.vector_stats or {}
-    assert stats.get("scalar_nests", 0) >= 1
-    assert stats.get("vectorized_nests", 0) >= 1
+    # No synthesized conversion has a hazard nest, so a hand-built one
+    # keeps the mixed vectorized/scalar emission covered: the second nest
+    # reads `a` at a neighbouring slot while writing it.
+    comp = Computation("hazard")
+    comp.new_stmt(st.Alloc("a", Sym("N") + 1), IntSet(()), writes=["a"])
+    comp.new_stmt(st.Scatter("a", (Var("i"),), 2 * Var("i")),
+                  "{[i] : 0 <= i < N}", writes=["a"])
+    comp.new_stmt(
+        st.Scatter("a", (Var("i") + 1,), UFCall("a", [Var("i")]) + 1),
+        "{[i] : 0 <= i < N}", reads=["a"], writes=["a"],
+    )
+    symtab = SymbolTable(arrays={"a"})
+    lowering = comp.codegen_function_numpy(["N"], ["a"], symtab)
+    assert (lowering.vectorized_nests, lowering.scalar_nests) == (1, 1)
+    assert "a both read and written in one nest" in lowering.source
+    scalar = comp.codegen_function(["N"], ["a"], symtab)
+    results = []
+    for backend, source in (("python", scalar), ("numpy", lowering.source)):
+        namespace = base_namespace(backend)
+        exec(source, namespace)
+        results.append(list(namespace["hazard"](5)["a"]))
+    assert results[0] == results[1] == [0, 1, 2, 3, 4, 5]
 
 
 def _typed_fields(csr):
@@ -120,7 +138,7 @@ needs_c = pytest.mark.skipif(
 )
 
 #: A representative slice of the pair matrix for the per-test C gate —
-#: sort, histogram, binary-search, Morton, block and scalar-fallback
+#: sort, histogram, binary-search, Morton, block and key-less permutation
 #: shapes.  CI's native job runs the full matrix via
 #: ``backend_equivalence_test(backends=("numpy", "c"))``.
 C_SMOKE_PAIRS = [
@@ -130,6 +148,7 @@ C_SMOKE_PAIRS = [
     ("COO", "MCOO"),
     ("SCOO", "BCSR"),
     ("CSF", "MCOO3"),
+    ("DIA", "COO"),
 ]
 
 

@@ -129,3 +129,11 @@ class TestTunedDestinationsExecute:
                           binary_search=cand.candidate.binary_search,
                           validate="full")
             assert dense_equal(out.to_dense(), dense), cand.candidate.label
+
+
+def test_compressed_sources_get_both_dia_candidates(store):
+    csr = convert(banded(32, 32, stencil_offsets(5), seed=11), "CSR")
+    result = tune(csr, "DIA", measure=False, store=store)
+    assert {c.candidate.label for c in result.candidates} == {
+        "DIA linear-search", "DIA binary-search",
+    }

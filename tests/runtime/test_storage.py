@@ -200,15 +200,19 @@ def test_python_tier_receives_lists():
         == {list}
 
 
-@pytest.mark.parametrize("src", ("DIA", "ELL", "BCSR"))
-def test_c_scalar_fallbacks_receive_lists(src):
+@pytest.mark.parametrize("src", ("DIA", "ELL", "BCSR", "BCSC"))
+def test_c_tier_receives_typed_arrays(src):
+    # The key-less permutations into COO run compiled too, reading the
+    # containers' own typed arrays.
     _tier("c")
     conversion = get_conversion(src, "COO", backend="c")
-    assert get_backend("c").interprets(conversion.source)
+    assert not get_backend("c").interprets
+    assert "__C_RUN(" in conversion.source
     source = {"DIA": DIAMatrix.from_dense, "ELL": ELLMatrix.from_dense,
-              "BCSR": lambda d: BCSRMatrix.from_dense(d, 2)}[src](DENSE)
+              "BCSR": lambda d: BCSRMatrix.from_dense(d, 2),
+              "BCSC": lambda d: BCSCMatrix.from_dense(d, 2)}[src](DENSE)
     assert _recorded_argument_types(conversion, container_to_env(source)) \
-        == {list}
+        == {array}
 
 
 def test_caller_sequences_stay_the_callers():

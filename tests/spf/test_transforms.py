@@ -168,3 +168,18 @@ class TestFuse:
         env = {"N": 4, "a": [0] * 4, "b": [0] * 4}
         exec(comp.codegen(), {}, env)
         assert env["b"] == [1, 3, 5, 7]
+
+    def test_fusion_renames_loop_variables_simultaneously(self):
+        # Joining the second nest renames x -> i and, to avoid the clash,
+        # its own i -> i_f0; applied one key at a time, both would end up
+        # as i_f0.
+        comp = Computation("fused")
+        comp.new_stmt("out1[i] = i", "{[i] : 0 <= i < N}", writes=["out1"])
+        comp.new_stmt("out2[x, i] = x * 10 + i",
+                      "{[x, i] : 0 <= x < N && 0 <= i < M}", writes=["out2"])
+        assert apply_all_fusion(comp) == 1
+        env = {"N": 3, "M": 2, "out1": [None] * 3, "out2": {}}
+        exec(comp.codegen(), {}, env)
+        assert env["out1"] == [0, 1, 2]
+        assert env["out2"] == {(x, i): x * 10 + i
+                               for x in range(3) for i in range(2)}

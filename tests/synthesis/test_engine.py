@@ -167,3 +167,47 @@ class TestNamesAndMetadata:
             for dst_name in names:
                 conv = synthesize(get_format(src_name), get_format(dst_name))
                 assert conv.source.startswith("def ")
+
+
+def _library_sources():
+    from repro.formats.library import all_formats
+
+    dense_2d = [[0.0, 5.0, 0.0, 7.0], [0.0, 0.0, 0.0, 0.0],
+                [1.0, 0.0, 2.0, 0.0], [0.0, 4.0, 0.0, 3.0]]
+    dense_3d = [[[0.0, 1.0], [2.0, 0.0]], [[0.0, 0.0], [3.0, 4.0]]]
+    for fmt in all_formats():
+        yield fmt, fmt.levels.assemble(dense_3d if fmt.rank == 3 else dense_2d)
+
+
+class TestBinarySearchEveryPair:
+    """``binary_search=True`` only rewrites searches of increasing UFs."""
+
+    @pytest.mark.parametrize("optimize", [True, False])
+    def test_matches_linear_search_outputs(self, optimize):
+        from repro.formats.library import all_formats
+
+        checked = 0
+        for src, env in _library_sources():
+            for dst in all_formats():
+                if dst.name == src.name:
+                    continue
+                try:
+                    linear = synthesize(src, dst, optimize=optimize)
+                except SynthesisError:
+                    continue
+                binary = synthesize(src, dst, optimize=optimize,
+                                    binary_search=True)
+                args = {p: env[p] for p in linear.params}
+                assert binary(**args) == linear(**args), (src.name, dst.name)
+                checked += 1
+        assert checked == 81
+
+    @pytest.mark.parametrize("src", ["CSR", "CSC", "DCSR"])
+    def test_position_loops_are_not_searches(self, src):
+        # The position loop k (rowptr(i) <= k < rowptr(i+1), j = col(k))
+        # walks a UF that only rises within a row: the search is over off.
+        for optimize in (True, False):
+            conv = synthesize(get_format(src), dia(), optimize=optimize,
+                              binary_search=True)
+            assert "= BSEARCH(off, " in conv.source
+            assert "for d in range" not in conv.source

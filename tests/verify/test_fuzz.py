@@ -96,7 +96,7 @@ class TestCoverage:
                       sources_2d=("DCSR", "BCSC", "CSR"),
                       dests_2d=("CSR", "BCSC", "BCSC3", "SCOO", "DIA"))
         assert report.ok, report.summary()
-        assert report.combos_covered == report.combos_total == 13
+        assert report.combos_covered == report.combos_total == 16
 
     def test_every_declared_field_is_compared(self):
         from repro.runtime import BCSCMatrix
