@@ -389,8 +389,8 @@ class CBackend(Backend):
         vectorized=False,
         strategies=(
             "compiled-loops",
-            "radix-sort-rank",
-            "hash-lookup",
+            "counting-sort-rank",
+            "positional-lookup",
         ),
         requires=("cffi", "numpy"),
     )
@@ -456,7 +456,7 @@ class CBackend(Backend):
         if stats is None:
             cost = 0.05 + 0.02 * feats["passes"]
             if feats["sort"]:
-                cost += 0.08  # radix rank + hash build
+                cost += 0.08  # counting/radix sort + rank array build
             if feats["set"]:
                 cost += 0.02
             if feats["bucket_perm"]:

@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from repro.ir import Constraint, Expr, ExprLike, as_expr
+from repro.ir import Constraint, Expr, ExprLike, UFCall, as_expr
 
 _WORD = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
@@ -83,6 +83,31 @@ class LetEq(Node):
 
     def __repr__(self):
         return f"LetEq({self.var!r}, {self.expr})"
+
+
+class RankLookup(LetEq):
+    """``var = obj(args...)``: a rank lookup that replays ``obj``'s insert.
+
+    Only :func:`repro.spf.replay.mark_rank_lookups` builds one, after
+    checking that the lookup runs under the one insert's loops and guards
+    with its arguments, in a later nest.  Each pass of lookups then asks
+    for the ranks of the inserted tuples in insertion order, so a lowering
+    may serve the n-th lookup of a pass from position n.  Prints like the
+    ``LetEq`` it replaces.
+    """
+
+    __slots__ = ()
+
+    @property
+    def call(self) -> UFCall:
+        return self.expr.terms[0][0]  # type: ignore[return-value]
+
+    @property
+    def obj(self) -> str:
+        return self.call.name
+
+    def __repr__(self):
+        return f"RankLookup({self.var!r}, {self.expr})"
 
 
 class Guard(Node):

@@ -14,8 +14,11 @@ and runs:
   encodings, binary search, and floor-division helpers re-implemented in
   C with ``malloc``/``realloc`` growth, matching the Python runtime in
   :mod:`repro.runtime` element for element,
-* UF calls lowered to array indexing, permutation lookups lowered to a
-  hash-rank map built by a stable radix sort.
+* UF calls lowered to array indexing; rank lookups, which
+  :mod:`repro.spf.replay` proved replay their insert, read a rank array
+  by position.  A stable sort builds it: one counting pass per key
+  component with a declared range, 16-bit radix passes for Morton keys
+  and components without one.
 
 Statement bodies arrive as the typed kinds of
 :mod:`repro.spf.statements`, one C rule each, with expressions rendered
@@ -27,7 +30,8 @@ naming the statement; there is no interpreted fallback.
 
 Error protocol: ``repro_run`` returns 0 on success or an ``RT_E*`` code
 the Python wrapper maps back onto the exception the scalar runtime
-would have raised (``MemoryError``, ``KeyError``, ``ValueError``).
+would have raised (``MemoryError``, ``KeyError``, ``ValueError``), or
+``OverflowError`` for a 3-D Morton coordinate of 2**42 or more.
 """
 
 from __future__ import annotations
@@ -36,7 +40,8 @@ from dataclasses import dataclass, field
 
 from repro.ir import FloorDiv, Mod, Sym, UFCall, Var
 from .. import statements as st
-from ..ast_nodes import Comment, ForLoop, Guard, LetEq, Program
+from ..ast_nodes import Comment, ForLoop, Guard, LetEq, Program, RankLookup
+from ..replay import mark_rank_lookups
 from .printers import ExprPrinter, SymbolTable
 
 #: Array dtype tags shared with the Python-side marshaller.
@@ -76,7 +81,7 @@ typedef struct { void* ptr; long long len; } rt_buf;
 #define RT_ENOMEM  1   /* -> MemoryError */
 #define RT_EKEY    2   /* -> KeyError / IndexError */
 #define RT_EVALUE  3   /* -> ValueError (negative Morton coordinate) */
-#define RT_ERANGE  4   /* -> OverflowError (key exceeds 62 bits) */
+#define RT_ERANGE  4   /* -> OverflowError (3-D Morton coordinate >= 2**42) */
 #define RT_ESTATE  5   /* -> RuntimeError (protocol violation) */
 
 #define RT_CK(x) do { rc = (x); if (rc != 0) goto fail; } while (0)
@@ -135,37 +140,44 @@ static int64_t rt_bsearch(const int64_t* a, int64_t n, int64_t v) {
     return -1;
 }
 
-/* Morton (Z-order) keys: first coordinate takes the low bit, matching */
-/* repro.runtime.morton.  Coordinates above the 62-bit key budget fall */
-/* back to the arbitrary-precision Python path via RT_ERANGE.          */
-static int rt_morton2(int64_t i, int64_t j, int64_t* out) {
-    uint64_t x, y, key = 0;
-    int shift = 0;
+/* Morton (Z-order) keys as two 63-bit words, high word first, which   */
+/* the multi-column sort orders as one 126-bit key.  The first         */
+/* coordinate takes the low bit, matching repro.runtime.morton.  2-D   */
+/* takes every int64 coordinate, 3-D every coordinate below 2**42.     */
+static uint64_t rt_spread2(uint64_t x) {  /* 32 bits -> even bits */
+    x &= 0xFFFFFFFFULL;
+    x = (x | (x << 16)) & 0x0000FFFF0000FFFFULL;
+    x = (x | (x << 8)) & 0x00FF00FF00FF00FFULL;
+    x = (x | (x << 4)) & 0x0F0F0F0F0F0F0F0FULL;
+    x = (x | (x << 2)) & 0x3333333333333333ULL;
+    return (x | (x << 1)) & 0x5555555555555555ULL;
+}
+static uint64_t rt_spread3(uint64_t x) {  /* 21 bits -> every third bit */
+    x &= 0x1FFFFFULL;
+    x = (x | (x << 32)) & 0x001F00000000FFFFULL;
+    x = (x | (x << 16)) & 0x001F0000FF0000FFULL;
+    x = (x | (x << 8)) & 0x100F00F00F00F00FULL;
+    x = (x | (x << 4)) & 0x10C30C30C30C30C3ULL;
+    return (x | (x << 2)) & 0x1249249249249249ULL;
+}
+static int rt_morton2(int64_t i, int64_t j, int64_t* key) {
+    uint64_t lo, hi;  /* key bits 0..63 and 64..125 */
     if (i < 0 || j < 0) return RT_EVALUE;
-    if (i >= ((int64_t)1 << 31) || j >= ((int64_t)1 << 31)) return RT_ERANGE;
-    x = (uint64_t)i; y = (uint64_t)j;
-    while (x || y) {
-        key |= (x & 1u) << shift;
-        key |= (y & 1u) << (shift + 1);
-        x >>= 1; y >>= 1; shift += 2;
-    }
-    *out = (int64_t)key;
+    lo = rt_spread2((uint64_t)i) | (rt_spread2((uint64_t)j) << 1);
+    hi = rt_spread2((uint64_t)i >> 32) | (rt_spread2((uint64_t)j >> 32) << 1);
+    key[0] = (int64_t)((hi << 1) | (lo >> 63));
+    key[1] = (int64_t)(lo & 0x7FFFFFFFFFFFFFFFULL);
     return RT_OK;
 }
-static int rt_morton3(int64_t i, int64_t j, int64_t k, int64_t* out) {
-    uint64_t x, y, z, key = 0;
-    int shift = 0;
+static int rt_morton3(int64_t i, int64_t j, int64_t k, int64_t* key) {
+    const int64_t limit = (int64_t)1 << 42;
+    uint64_t x = (uint64_t)i, y = (uint64_t)j, z = (uint64_t)k;
     if (i < 0 || j < 0 || k < 0) return RT_EVALUE;
-    if (i >= ((int64_t)1 << 20) || j >= ((int64_t)1 << 20) ||
-        k >= ((int64_t)1 << 20)) return RT_ERANGE;
-    x = (uint64_t)i; y = (uint64_t)j; z = (uint64_t)k;
-    while (x || y || z) {
-        key |= (x & 1u) << shift;
-        key |= (y & 1u) << (shift + 1);
-        key |= (z & 1u) << (shift + 2);
-        x >>= 1; y >>= 1; z >>= 1; shift += 3;
-    }
-    *out = (int64_t)key;
+    if (i >= limit || j >= limit || k >= limit) return RT_ERANGE;
+    key[0] = (int64_t)(rt_spread3(x >> 21) | (rt_spread3(y >> 21) << 1)
+                       | (rt_spread3(z >> 21) << 2));
+    key[1] = (int64_t)(rt_spread3(x) | (rt_spread3(y) << 1)
+                       | (rt_spread3(z) << 2));
     return RT_OK;
 }
 
@@ -267,186 +279,244 @@ static int rt_lexperm_lookup(rt_lexperm* p, int64_t bucket, int64_t* out) {
 }
 
 /* ------------------------------------------------------------------ */
-/* rt_olist — OrderedList: append coordinate tuples + their key tuples,*/
-/* finalize with a stable LSD radix sort over the key columns (none:   */
-/* insertion order), then serve lookups from an open-addressing        */
-/* coords -> rank hash map.  Duplicate coordinate tuples take the rank */
-/* of their last occurrence in sorted order; unique=1 collapses equal  */
-/* keys onto one rank.                                                  */
+/* Stable LSD sorts of an index vector by columns of a row-major int64 */
+/* table (`stride` words a row), the first column most significant.    */
+
+/* A counting pass allocates its column's range, so a column counts    */
+/* only while the range is at most RT_COUNT_CAP(n) for n rows; a wider */
+/* one takes the radix path.  Measured with gcc -O2 on a 2-core x86-64 */
+/* VM, one column of uniform random keys, best of 7: at n = 199k,      */
+/* counting took 0.64-0.91x the radix time up to a range of 1.3n,      */
+/* 1.03x at 2.6n and 1.8x at 10.5n; at n = 10k it still won at 2**16   */
+/* (6.5n) and lost from 2**18 (26n).  The cap also keeps the count     */
+/* array no larger than the rank array or the radix path's own 2**16   */
+/* counters.                                                           */
+#define RT_COUNT_CAP(n) ((n) > 65536 ? (n) : 65536)
+
+static void rt_swap(int64_t** a, int64_t** b) {
+    int64_t* t = *a; *a = *b; *b = t;
+}
+
+static int rt_same(const int64_t* a, const int64_t* b, int64_t len) {
+    int64_t i;
+    for (i = 0; i < len; i++) if (a[i] != b[i]) return 0;
+    return 1;
+}
+
+/* One stable counting pass: order by digit[] values in [0, range). */
+static void rt_count_pass(
+    const int64_t* digit, int64_t range, int64_t n,
+    int64_t** order, int64_t** tmp, int64_t* cnt
+) {
+    int64_t i, run = 0;
+    memset(cnt, 0, (size_t)range * sizeof(int64_t));
+    for (i = 0; i < n; i++) cnt[digit[i]] += 1;
+    for (i = 0; i < range; i++) {
+        int64_t c = cnt[i];
+        cnt[i] = run;
+        run += c;
+    }
+    for (i = 0; i < n; i++) (*tmp)[cnt[digit[(*order)[i]]]++] = (*order)[i];
+    rt_swap(order, tmp);
+}
+
+/* Stable sort of the items 0..n-1 into *order by ncols columns.      */
+/* Column c takes one counting pass when range (may be NULL) has       */
+/* range[c] > 0, else one per 16-bit digit that varies, the sign bit   */
+/* flipped so that unsigned digit order is signed order.  *tmp is left */
+/* free.                                                               */
+static int rt_sort_rows(
+    const int64_t* table, int64_t stride, int64_t ncols,
+    const int64_t* range, int64_t n, int64_t** order, int64_t** tmp
+) {
+    int64_t c, i, words = 65536;
+    int64_t *cnt, *digit;
+    int shift;
+    for (c = 0; c < ncols; c++)
+        if (range && range[c] > words) words = range[c];
+    cnt = (int64_t*)malloc((size_t)words * sizeof(int64_t));
+    digit = (int64_t*)malloc((size_t)(n > 0 ? n : 1) * sizeof(int64_t));
+    if (!cnt || !digit) {
+        free(cnt); free(digit);
+        return RT_ENOMEM;
+    }
+    for (i = 0; i < n; i++) (*order)[i] = i;
+    for (c = ncols - 1; c >= 0; c--) {
+        const int64_t* col = table + c;
+        int64_t r = range ? range[c] : 0;
+        uint64_t diff = 0;
+        for (i = 1; r <= 0 && i < n; i++)
+            diff |= (uint64_t)(col[i * stride] ^ col[0]);
+        for (shift = 0; shift < 64; shift += 16) {
+            if (r > 0 ? shift > 0 : ((diff >> shift) & 0xFFFFULL) == 0)
+                continue;
+            for (i = 0; i < n; i++)
+                digit[i] = r > 0 ? col[i * stride]
+                    : (int64_t)((((uint64_t)col[i * stride]
+                                  ^ 0x8000000000000000ULL) >> shift)
+                                & 0xFFFFULL);
+            rt_count_pass(digit, r > 0 ? r : 65536, n, order, tmp, cnt);
+        }
+    }
+    free(cnt); free(digit);
+    return RT_OK;
+}
+
+/* ------------------------------------------------------------------ */
+/* rt_olist — OrderedList: append each inserted tuple's key words (and */
+/* its coordinates, when only they tell duplicates apart), then        */
+/* finalize with a stable sort into rank[i], the sorted position of    */
+/* the i-th insert.  Every lookup replays the insert's iteration       */
+/* (repro.spf.replay), so the n-th lookup of a pass reads rank[n]; the */
+/* cursor rewinds after each complete pass.  Duplicate coordinate      */
+/* tuples take the rank of their last occurrence in sorted order;      */
+/* unique=1 collapses equal keys onto one rank.  No key (keylen 0)     */
+/* keeps insertion order.                                              */
 typedef struct {
     int64_t arity, keylen;
-    int unique;
+    int unique, injective;
     int64_t n, cap;
-    int64_t* coords;     /* n * arity */
     int64_t* keys;       /* n * keylen */
+    int64_t* coords;     /* n * arity, kept for non-injective keys only */
+    int64_t* range;      /* keylen declared exclusive bounds, 0 = none */
+    int64_t* rank;       /* per insert, once finalized */
+    int64_t cursor, distinct;
     int finalized;
-    int64_t distinct;
-    int64_t* ht_idx;     /* hash slots -> item index, -1 empty */
-    int64_t* ht_rank;
-    uint64_t mask;
 } rt_olist;
 
-static void rt_olist_init(
-    rt_olist* o, int64_t arity, int64_t keylen, int unique
+static void rt_olist_free(rt_olist* o) {
+    free(o->keys); free(o->coords); free(o->range); free(o->rank);
+    o->keys = NULL; o->coords = NULL; o->range = NULL; o->rank = NULL;
+}
+
+static int rt_olist_init(
+    rt_olist* o, int64_t arity, int64_t keylen, int unique, int injective,
+    const int64_t* range
 ) {
+    rt_olist_free(o);
     memset(o, 0, sizeof(*o));
     o->arity = arity;
     o->keylen = keylen;
     o->unique = unique;
-}
-static void rt_olist_free(rt_olist* o) {
-    free(o->coords); free(o->keys); free(o->ht_idx); free(o->ht_rank);
-    o->coords = NULL; o->keys = NULL; o->ht_idx = NULL; o->ht_rank = NULL;
+    o->injective = injective;
+    o->range = (int64_t*)calloc((size_t)(keylen ? keylen : 1),
+                                sizeof(int64_t));
+    if (!o->range) return RT_ENOMEM;
+    if (keylen) memcpy(o->range, range, (size_t)keylen * sizeof(int64_t));
+    return RT_OK;
 }
 
 static int rt_olist_push(rt_olist* o, const int64_t* c, const int64_t* k) {
+    int keep = !o->unique && !o->injective;
+    int64_t i;
     if (o->finalized) return RT_ESTATE;
     if (o->n == o->cap) {
         int64_t ncap = o->cap ? o->cap * 2 : 16;
-        int64_t* nc = (int64_t*)realloc(
-            o->coords, (size_t)(ncap * o->arity) * sizeof(int64_t));
-        int64_t* nk;
-        if (!nc) return RT_ENOMEM;
-        o->coords = nc;
         /* At least one word per item: realloc(p, 0) would free p. */
-        nk = (int64_t*)realloc(
+        int64_t* nk = (int64_t*)realloc(
             o->keys, (size_t)(ncap * (o->keylen ? o->keylen : 1))
                      * sizeof(int64_t));
         if (!nk) return RT_ENOMEM;
         o->keys = nk;
+        if (keep) {
+            int64_t* nc = (int64_t*)realloc(
+                o->coords, (size_t)(ncap * o->arity) * sizeof(int64_t));
+            if (!nc) return RT_ENOMEM;
+            o->coords = nc;
+        }
         o->cap = ncap;
     }
-    memcpy(o->coords + o->n * o->arity, c,
-           (size_t)o->arity * sizeof(int64_t));
-    memcpy(o->keys + o->n * o->keylen, k,
-           (size_t)o->keylen * sizeof(int64_t));
+    for (i = 0; i < o->keylen; i++) o->keys[o->n * o->keylen + i] = k[i];
+    if (keep)
+        for (i = 0; i < o->arity; i++) o->coords[o->n * o->arity + i] = c[i];
     o->n += 1;
     return RT_OK;
 }
 
-static uint64_t rt_mix(uint64_t x) {
-    x += 0x9E3779B97F4A7C15ULL;
-    x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-    x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-    return x ^ (x >> 31);
-}
-static uint64_t rt_hash_coords(const int64_t* c, int64_t arity) {
-    uint64_t h = 0x243F6A8885A308D3ULL;
-    int64_t a;
-    for (a = 0; a < arity; a++) h = rt_mix(h ^ (uint64_t)c[a]);
-    return h;
+/* Along the sorted order, give each run of equal rows (w words) the   */
+/* rank of its last member.  Ranks ascend within a run, so every copy  */
+/* of a tuple takes the rank of its last occurrence in sorted order.   */
+static void rt_last_of_runs(
+    const int64_t* rows, int64_t w, const int64_t* order, int64_t n,
+    int64_t* rank
+) {
+    int64_t p, last = n - 1;
+    for (p = n - 2; p >= 0; p--) {
+        if (!rt_same(rows + order[p] * w, rows + order[p + 1] * w, w))
+            last = p;
+        rank[order[p]] = rank[order[last]];
+    }
 }
 
 static int rt_olist_finalize(rt_olist* o) {
-    int64_t n = o->n, kl = o->keylen, i, col, next_rank;
-    uint64_t cap;
-    int64_t* order = NULL;
-    int64_t* tmp = NULL;
-    uint64_t* kcol = NULL;
-    int64_t* cnt = NULL;
+    int64_t n = o->n, kl = o->keylen, m = n > 0 ? n : 1, p, c;
+    int64_t *order, *tmp, *range;
+    int rc = RT_OK;
     if (o->finalized) return RT_OK;
-    order = (int64_t*)malloc((size_t)(n > 0 ? n : 1) * sizeof(int64_t));
-    tmp = (int64_t*)malloc((size_t)(n > 0 ? n : 1) * sizeof(int64_t));
-    kcol = (uint64_t*)malloc((size_t)(n > 0 ? n : 1) * sizeof(uint64_t));
-    cnt = (int64_t*)malloc((size_t)65536 * sizeof(int64_t));
-    if (!order || !tmp || !kcol || !cnt) {
-        free(order); free(tmp); free(kcol); free(cnt);
-        return RT_ENOMEM;
-    }
-    for (i = 0; i < n; i++) order[i] = i;
-    /* Stable LSD radix, least-significant key column last-to-first;   */
-    /* the sign bit is flipped so unsigned digit order == signed order.*/
-    for (col = kl - 1; col >= 0; col--) {
-        uint64_t diff = 0, first = 0;
-        int shift;
-        for (i = 0; i < n; i++) {
-            uint64_t k = (uint64_t)o->keys[i * kl + col]
-                         ^ 0x8000000000000000ULL;
-            kcol[i] = k;
-            if (i == 0) first = k; else diff |= k ^ first;
+    order = (int64_t*)malloc((size_t)m * sizeof(int64_t));
+    tmp = (int64_t*)malloc((size_t)m * sizeof(int64_t));
+    range = (int64_t*)calloc((size_t)(kl ? kl : 1), sizeof(int64_t));
+    if (!order || !tmp || !range) { rc = RT_ENOMEM; goto done; }
+    /* Count a column only while its range is small enough to allocate */
+    /* and holds every key: one key outside (possible when validation  */
+    /* is off) sends the whole list to the radix path.                  */
+    for (c = 0; c < kl; c++) {
+        uint64_t r = (uint64_t)o->range[c];
+        if (r == 0 || r > (uint64_t)RT_COUNT_CAP(n)) continue;
+        for (p = 0; p < n && (uint64_t)o->keys[p * kl + c] < r; p++) {}
+        if (p < n) {
+            memset(range, 0, (size_t)kl * sizeof(int64_t));
+            break;
         }
-        for (shift = 0; shift < 64; shift += 16) {
-            int64_t run = 0;
-            int b;
-            if (((diff >> shift) & 0xFFFFULL) == 0) continue;
-            memset(cnt, 0, (size_t)65536 * sizeof(int64_t));
-            for (i = 0; i < n; i++)
-                cnt[(kcol[order[i]] >> shift) & 0xFFFFULL] += 1;
-            for (b = 0; b < 65536; b++) {
-                int64_t c = cnt[b];
-                cnt[b] = run;
-                run += c;
-            }
-            for (i = 0; i < n; i++) {
-                uint64_t d = (kcol[order[i]] >> shift) & 0xFFFFULL;
-                tmp[cnt[d]++] = order[i];
-            }
-            { int64_t* sw = order; order = tmp; tmp = sw; }
-        }
+        range[c] = (int64_t)r;
     }
-    free(kcol); free(cnt);
-    kcol = NULL; cnt = NULL;
-    /* coords -> rank hash map; later (sorted-order) writes overwrite  */
-    /* earlier ones, giving Python's dict last-wins semantics.         */
-    cap = 16;
-    while (cap < (uint64_t)(2 * n + 1)) cap <<= 1;
-    free(o->ht_idx); free(o->ht_rank);
-    o->ht_idx = (int64_t*)malloc((size_t)cap * sizeof(int64_t));
-    o->ht_rank = (int64_t*)malloc((size_t)cap * sizeof(int64_t));
-    if (!o->ht_idx || !o->ht_rank) {
-        free(order); free(tmp);
-        return RT_ENOMEM;
-    }
-    for (i = 0; i < (int64_t)cap; i++) o->ht_idx[i] = -1;
-    o->mask = cap - 1;
-    next_rank = -1;
-    for (i = 0; i < n; i++) {
-        int64_t it = order[i];
-        const int64_t* cc = o->coords + it * o->arity;
-        uint64_t h;
-        if (o->unique) {
-            if (i == 0 || memcmp(o->keys + order[i - 1] * kl,
-                                 o->keys + it * kl,
-                                 (size_t)kl * sizeof(int64_t)) != 0)
-                next_rank += 1;
-        } else {
-            next_rank = i;
+    rc = rt_sort_rows(o->keys, kl, kl, range, n, &order, &tmp);
+    if (rc) goto done;
+    /* The sort leaves tmp free; it becomes the rank array. */
+    free(o->rank);
+    o->rank = tmp;
+    tmp = NULL;
+    if (o->unique) {
+        o->distinct = n ? 1 : 0;
+        for (p = 0; p < n; p++) {
+            if (p && !rt_same(o->keys + order[p - 1] * kl,
+                              o->keys + order[p] * kl, kl))
+                o->distinct += 1;
+            o->rank[order[p]] = o->distinct - 1;
         }
-        h = rt_hash_coords(cc, o->arity) & o->mask;
-        for (;;) {
-            int64_t slot = o->ht_idx[h];
-            if (slot < 0 ||
-                memcmp(o->coords + slot * o->arity, cc,
-                       (size_t)o->arity * sizeof(int64_t)) == 0) {
-                o->ht_idx[h] = it;
-                o->ht_rank[h] = next_rank;
-                break;
-            }
-            h = (h + 1) & o->mask;
+    } else {
+        /* Equal tuples are adjacent in sorted order when the key is    */
+        /* injective; otherwise a sort by the coordinates makes them so. */
+        const int64_t* rows = o->keys;
+        int64_t w = kl;
+        for (p = 0; p < n; p++) o->rank[order[p]] = p;
+        if (!o->injective) {
+            tmp = (int64_t*)malloc((size_t)m * sizeof(int64_t));
+            if (!tmp) { rc = RT_ENOMEM; goto done; }
+            rc = rt_sort_rows(o->coords, o->arity, o->arity, NULL, n,
+                              &order, &tmp);
+            if (rc) goto done;
+            rows = o->coords;
+            w = o->arity;
         }
+        rt_last_of_runs(rows, w, order, n, o->rank);
     }
-    o->distinct = (n == 0) ? 0 : next_rank + 1;
-    free(order); free(tmp);
+    free(o->keys); free(o->coords);
+    o->keys = NULL; o->coords = NULL;
+    o->cursor = 0;
     o->finalized = 1;
-    return RT_OK;
+done:
+    free(order); free(tmp); free(range);
+    return rc;
 }
 
-static int rt_olist_lookup(rt_olist* o, const int64_t* c, int64_t* out) {
-    uint64_t h;
+static int rt_olist_rank(rt_olist* o, int64_t* out) {
     int rc;
     if (!o->finalized) { rc = rt_olist_finalize(o); if (rc) return rc; }
     if (o->n == 0) return RT_EKEY;
-    h = rt_hash_coords(c, o->arity) & o->mask;
-    for (;;) {
-        int64_t it = o->ht_idx[h];
-        if (it < 0) return RT_EKEY;
-        if (memcmp(o->coords + it * o->arity, c,
-                   (size_t)o->arity * sizeof(int64_t)) == 0) {
-            *out = o->ht_rank[h];
-            return RT_OK;
-        }
-        h = (h + 1) & o->mask;
-    }
+    *out = o->rank[o->cursor];
+    if (++o->cursor == o->n) o->cursor = 0;
+    return RT_OK;
 }
 
 static int rt_olist_len(rt_olist* o, int64_t* out) {
@@ -482,7 +552,6 @@ _COMBINE = {"max": "rt_max2", "min": "rt_min2"}
 class _ObjInfo:
     kind: str  # "olist" | "iset" | "lexperm"
     arity: int = 0
-    keylen: int = 0
     which: int = 0  # lexperm bucket coordinate
 
 
@@ -637,38 +706,23 @@ class _Emitter:
             raise self.err(f"cannot print {node!r}")
 
     def let_eq(self, node: LetEq, ind: int) -> None:
-        expr = node.expr
         self.declare_scalar(node.var)
-        # A whole-expression permutation lookup (`k = P(i, j)`) lowers to
-        # a fallible runtime call, not an inline expression.
-        if (
-            len(expr.terms) == 1
-            and expr.const == 0
-            and expr.terms[0][1] == 1
-            and isinstance(expr.terms[0][0], UFCall)
-        ):
-            atom = expr.terms[0][0]
-            info = self.objects.get(atom.name)
-            if info is not None and info.kind in ("olist", "lexperm"):
-                args = [self.e.expr(a) for a in atom.args]
-                self.emit_lookup(node.var, atom.name, info, args, ind)
-                return
-        self.line(ind, f"{_v(node.var)} = {self.e.expr(expr)};")
+        if isinstance(node, RankLookup):
+            self.rank_lookup(node, ind)
+        else:
+            self.line(ind, f"{_v(node.var)} = {self.e.expr(node.expr)};")
 
-    def emit_lookup(self, var, obj, info: _ObjInfo, args, ind) -> None:
-        if len(args) != info.arity:
-            raise self.err(f"{obj!r} lookup arity mismatch")
+    def rank_lookup(self, node: RankLookup, ind: int) -> None:
+        """A replayed lookup: the next rank in insertion order."""
+        info, args = self.objects.get(node.obj), node.call.args
+        if info is None or len(args) != info.arity:
+            raise self.err(f"{node!r} does not match its object")
+        obj, var = _s(node.obj), _v(node.var)
         if info.kind == "lexperm":
-            self.check(
-                ind,
-                f"rt_lexperm_lookup(&{_s(obj)}, {args[info.which]}, "
-                f"&{_v(var)})",
-            )
-            return
-        self.line(ind, "{")
-        self.line(ind + 1, f"int64_t c__[{info.arity}] = {{{', '.join(args)}}};")
-        self.check(ind + 1, f"rt_olist_lookup(&{_s(obj)}, c__, &{_v(var)})")
-        self.line(ind, "}")
+            bucket = self.e.expr(args[info.which])
+            self.check(ind, f"rt_lexperm_lookup(&{obj}, {bucket}, &{var})")
+        else:
+            self.check(ind, f"rt_olist_rank(&{obj}, &{var})")
 
     # -- statements -------------------------------------------------------
     def statement(self, node: st.Statement, ind: int) -> None:
@@ -758,33 +812,38 @@ class _Emitter:
             raise self.err(f"cannot print {node!r}")
 
     def new_olist(self, node: st.NewOrderedList, ind: int) -> None:
-        """Declare an ordered list plus its key and insert helpers."""
+        """Declare an ordered list plus its key and insert helpers.
+
+        A Morton component fills two key words, high word first; any
+        other component fills one word and passes its declared range.
+        """
         if node.unique and not node.key:
             raise self.err(f"{node!r} collapses ties without a key")
-        arity, keylen = len(node.params), len(node.key)
-        self.declare_object(node.name, _ObjInfo("olist", arity, keylen))
+        arity = len(node.params)
         keys = _CExprs(self, {p: f"c[{i}]" for i, p in enumerate(node.params)})
         v = _v(node.name)
         lines = [f"static int rt_key_{v}(const int64_t* c, int64_t* k) {{"]
+        ranges: list[str] = []
         fallible = False
-        for pos, key in enumerate(node.key):
-            call = key.terms[0][0] if len(key.terms) == 1 else None
-            if (
-                isinstance(call, UFCall)
-                and key == call.as_expr()
-                and len(call.args) in _MORTON
-                and call.name.startswith("MORTON")
-            ):
+        for key, bound in zip(node.key, node.ranges or [None] * len(node.key)):
+            call = st.morton_call(key)
+            if call is not None and len(call.args) in _MORTON:
                 args = ", ".join(keys.expr(a) for a in call.args)
                 fallible = True
                 lines.append(
-                    f"    rc = {_MORTON[len(call.args)]}({args}, &k[{pos}]); "
-                    "if (rc) return rc;"
+                    f"    rc = {_MORTON[len(call.args)]}({args}, "
+                    f"&k[{len(ranges)}]); if (rc) return rc;"
                 )
+                ranges += ["0", "0"]
             else:
-                lines.append(f"    k[{pos}] = {keys.expr(key)};")
+                lines.append(f"    k[{len(ranges)}] = {keys.expr(key)};")
+                ranges.append(
+                    "0" if bound is None else self.range_of(node, bound)
+                )
         if fallible:
             lines.insert(1, "    int rc;")
+        keylen = len(ranges)
+        self.declare_object(node.name, _ObjInfo("olist", arity))
         lines += ["    return RT_OK;", "}"]
         cargs = ", ".join(f"int64_t a{i}" for i in range(arity))
         coords = ", ".join(f"a{i}" for i in range(arity))
@@ -798,11 +857,22 @@ class _Emitter:
             "}",
         ]
         self.helpers.append("\n".join(lines))
-        self.line(
-            ind,
+        self.line(ind, "{")
+        words = ", ".join(ranges) or "0"
+        self.line(ind + 1, f"const int64_t r__[] = {{{words}}};")
+        self.check(
+            ind + 1,
             f"rt_olist_init(&{_s(node.name)}, {arity}, {keylen}, "
-            f"{int(node.unique)});",
+            f"{int(node.unique)}, {int(node.injective)}, r__)",
         )
+        self.line(ind, "}")
+
+    def range_of(self, node: st.NewOrderedList, bound) -> str:
+        """A declared key range, over scalars already in scope."""
+        names = bound.var_names() | bound.sym_names() | bound.uf_names()
+        if any(self.kind.get(n) != "scalar" for n in names):
+            raise self.err(f"{node!r} declares a range over non-scalars")
+        return self.e.expr(bound)
 
     def insert(self, node: st.Insert, ind: int) -> None:
         info = self.objects.get(node.obj)
@@ -952,6 +1022,6 @@ def emit_c(comp, params, returns, symtab: SymbolTable) -> CEmitted:
     statement, when the computation uses a construct outside the closed
     statement set.
     """
-    program = comp.lower()
+    program = mark_rank_lookups(comp.lower())
     emitter = _Emitter(program, comp.name, params, returns, symtab)
     return emitter.run()

@@ -17,8 +17,9 @@ of NumPy array operations instead, one rule per statement kind of
   :class:`~repro.spf.statements.Reduce` -> ``np.maximum.at`` /
   ``np.minimum.at``;
 * ordered list / bucket permutation / ordered set populations -> key-column
-  sorts (``np.lexsort`` with a vectorized Morton interleave, ``np.unique``)
-  with rank lookups replaced by precomputed position vectors.
+  sorts (``np.lexsort`` with a vectorized Morton interleave, ``np.unique``);
+  each :class:`~repro.spf.ast_nodes.RankLookup` (a lookup the replay pass
+  proved replays its insert) reads the precomputed position vector.
 
 The only nests printed statement by statement through the scalar printer
 are the ones the read/write hazard check rejects (an array written by one
@@ -47,7 +48,7 @@ from typing import Sequence
 
 from repro.ir import Expr, Sym, UFCall, Var
 from .. import statements as st
-from ..ast_nodes import Comment, ForLoop, Guard, LetEq, Node, Program
+from ..ast_nodes import Comment, ForLoop, Guard, LetEq, Node, Program, RankLookup
 from .printers import ExprPrinter, PythonPrinter, SymbolTable
 
 #: Scalar runtime helper -> its column-wise counterpart.
@@ -77,8 +78,6 @@ class _Perm:
     """One vectorized permutation or set object."""
 
     decl: st.Statement
-    sig: tuple = ()  # iteration signature of the insert nest
-    args: tuple = ()  # canonical insert arguments
     coords: tuple[str, ...] = ()
     pos: str = ""  # position vector lookups read
     length: str = ""  # what ``len(obj)`` evaluates to
@@ -293,8 +292,6 @@ class _Nest:
         self.root = root
         self.lines: list[_Line] = []
         self.vec: list[str] = []  # per-iteration columns, in binding order
-        self.lets: dict[str, Expr] = {}  # let var -> definition over loops
-        self.sig: list[tuple] = []
         self.flat: str | None = None  # a column spanning the flat space
         self.pending: list[_Perm] = []
         #: Root loop bounds while its column is an untouched arange.
@@ -310,9 +307,6 @@ class _Nest:
         text = printer.expr(expr)
         uses |= printer.uses
         return text
-
-    def canon(self, expr: Expr) -> Expr:
-        return expr.substitute_vars(self.lets) if self.lets else expr
 
     def window(self, index: Expr, uses: set[str]) -> str | None:
         """Slice text for ``root + c`` while the root column is intact."""
@@ -383,11 +377,6 @@ class _Nest:
                 self.statement(node)
 
     def enter_loop(self, loop: ForLoop) -> None:
-        self.sig.append((
-            "loop", loop.var,
-            tuple(sorted(str(self.canon(e)) for e in loop.lowers)),
-            tuple(sorted(str(self.canon(e)) for e in loop.uppers)),
-        ))
         uses: set[str] = set()
         if self.flat is None:
             scalar = ExprPrinter(self.em.symtab)
@@ -437,40 +426,18 @@ class _Nest:
         return out
 
     def enter_guard(self, guard: Guard) -> None:
-        self.sig.append(("guard", tuple(sorted(
-            str(c.substitute_vars(self.lets)) for c in guard.constraints
-        ))))
         printer = _VectorExprs(self)
         cond = " & ".join(f"({printer.constraint(c)})" for c in guard.constraints)
         self.filter(cond, printer.uses)
 
     def let(self, node: LetEq) -> None:
-        expr = node.expr
-        if len(expr.terms) == 1 and not expr.const and expr.terms[0][1] == 1:
-            call = expr.terms[0][0]
-            perm = self.em.perms.get(getattr(call, "name", None))
-            if perm is not None and not isinstance(perm.decl, st.NewOrderedSet):
-                self.lookup(node.var, perm, call.args)
-                return
-        uses: set[str] = set()
-        self.add(f"{node.var} = {self.vexpr(expr, uses)}", uses)
-        self.lets[node.var] = self.canon(expr)
+        if isinstance(node, RankLookup):
+            pos = self.em.perms[node.obj].pos
+            self.add(f"{node.var} = {pos}", {pos})
+        else:
+            uses: set[str] = set()
+            self.add(f"{node.var} = {self.vexpr(node.expr, uses)}", uses)
         self.vec.append(node.var)
-
-    def lookup(self, var: str, perm: _Perm, args) -> None:
-        if not perm.pos:
-            raise st.UnsupportedStatement(
-                f"numpy lowering: {var} = {perm.name}(...) before its insert"
-            )
-        if tuple(self.sig) != perm.sig or tuple(
-            self.canon(a) for a in args
-        ) != perm.args:
-            raise st.UnsupportedStatement(
-                f"numpy lowering: {var} = {perm.name}(...) does not replay "
-                "the insert's iteration"
-            )
-        self.add(f"{var} = {perm.pos}", {perm.pos})
-        self.vec.append(var)
 
     def search(self, node: st.BinarySearch) -> None:
         uses: set[str] = {node.array}
@@ -532,7 +499,7 @@ class _Nest:
 
     def insert(self, node: st.Insert) -> None:
         perm = self.em.perms.get(node.obj)
-        if perm is None or perm.sig:
+        if perm is None or perm.coords:
             raise st.UnsupportedStatement(
                 f"numpy lowering: {node!r} is not the one insert of a "
                 "vectorized object"
@@ -544,8 +511,6 @@ class _Nest:
             self.add(f"{column} = {self.vexpr(arg, uses)}", uses)
             coords.append(column)
         perm.coords = tuple(coords)
-        perm.args = tuple(self.canon(a) for a in node.args)
-        perm.sig = tuple(self.sig)
         self.pending.append(perm)
 
     def finalize(self, perm: _Perm) -> None:

@@ -23,6 +23,7 @@ from .codegen.printers import (
     SymbolTable,
     emit_python_function,
 )
+from .replay import mark_rank_lookups
 from .statements import Statement
 
 
@@ -497,7 +498,7 @@ class Computation:
 
         symtab = symtab or SymbolTable()
         return emit_numpy_function(
-            self.name, params, self.lower(), returns, symtab
+            self.name, params, mark_rank_lookups(self.lower()), returns, symtab
         )
 
     def __repr__(self):

@@ -17,7 +17,9 @@ attribute-query / assembly vocabulary of Chou et al. (OOPSLA 2020):
 
 Rank lookups (``k = P(i, j)``) are not statements: they stay
 :class:`~repro.ir.UFCall` atoms on the permutation object inside a
-``LetEq``.  Hand-built computations may still carry an opaque
+``LetEq``, which :func:`repro.spf.replay.mark_rank_lookups` turns into a
+:class:`~repro.spf.ast_nodes.RankLookup` once it has proved the lookup
+replays its insert.  Hand-built computations may still carry an opaque
 :class:`~repro.spf.ast_nodes.Raw` body, which only the Python and display C
 printers accept.
 """
@@ -27,7 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields, replace
 from typing import Callable, Iterator, Mapping
 
-from repro.ir import Expr, ExprLike, as_expr
+from repro.ir import Expr, ExprLike, UFCall, Var, as_expr
 from .ast_nodes import Node
 
 
@@ -57,6 +59,10 @@ class Statement(Node):
                 object.__setattr__(
                     self, f.name, tuple(as_expr(v) for v in value)
                 )
+            elif f.type == "tuple[Expr | None, ...]":
+                object.__setattr__(self, f.name, tuple(
+                    None if v is None else as_expr(v) for v in value
+                ))
 
     def exprs(self) -> Iterator[Expr]:
         """Every operand expression, nested statements included."""
@@ -116,6 +122,26 @@ class Statement(Node):
     def substitute_vars(self, mapping: Mapping[str, ExprLike]) -> "Statement":
         """Replace tuple variables by expressions in every operand."""
         return self._rebuild(lambda e: e.substitute_vars(mapping), lambda v: v)
+
+
+def morton_call(key: Expr) -> UFCall | None:
+    """The ``MORTON(...)`` call ``key`` consists of, if it is one."""
+    call = key.terms[0][0] if len(key.terms) == 1 else None
+    if (
+        isinstance(call, UFCall)
+        and key == call.as_expr()
+        and call.name.startswith("MORTON")
+    ):
+        return call
+    return None
+
+
+def _bare(expr: Expr) -> str | None:
+    """The variable ``expr`` is, if it is a bare one."""
+    atom = expr.terms[0][0] if len(expr.terms) == 1 else None
+    if isinstance(atom, Var) and expr == atom.as_expr():
+        return atom.name
+    return None
 
 
 # -- storage -----------------------------------------------------------------
@@ -216,16 +242,38 @@ class NewOrderedList(Statement):
 
     ``key`` is the sort key tuple over the lambda ``params``; empty means
     ``key=None`` — insertion order, the last duplicate winning.  With
-    ``unique`` equal keys collapse onto one rank.
+    ``unique`` equal keys collapse onto one rank.  ``ranges`` holds one
+    exclusive upper bound per key component (None where synthesis declares
+    none), over symbolic constants; a lowering may sort a component by
+    counting within its range, but must not trust it: an input that skips
+    validation can hold keys outside it.  The Python form omits it.
     """
 
     name: str
     params: tuple[str, ...]
     key: tuple[Expr, ...] = ()
     unique: bool = False
+    ranges: tuple[Expr | None, ...] = ()
+
+    def __post_init__(self):
+        super().__post_init__()
+        if self.ranges and len(self.ranges) != len(self.key):
+            raise ValueError(f"{self!r}: one range per key component")
 
     def _rebuild(self, on_expr, on_var):
         return self  # the key is closed over its own parameters
+
+    @property
+    def injective(self) -> bool:
+        """Whether equal keys imply equal coordinate tuples: every
+        parameter is a bare key component, or the key is one Morton
+        interleave of all the parameters."""
+        bare = {_bare(k) for k in self.key}
+        if set(self.params) <= bare:
+            return True
+        call = morton_call(self.key[0]) if len(self.key) == 1 else None
+        args = [_bare(a) for a in call.args] if call is not None else []
+        return len(args) == len(self.params) and set(args) == set(self.params)
 
 
 @dataclass(frozen=True)

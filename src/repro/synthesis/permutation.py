@@ -14,7 +14,7 @@ from __future__ import annotations
 from typing import Optional
 
 from repro.formats.descriptor import FormatDescriptor
-from repro.ir import Conjunction, Expr, Geq, IntSet, Var
+from repro.ir import Conjunction, Expr, FloorDiv, Geq, IntSet, Var
 from repro.pipeline.artifacts import CaseMatch
 from repro.spf import Computation
 from repro.spf import statements as st
@@ -61,6 +61,38 @@ def bucket_permutation_spec(
         return None
     back = dict(zip(dst.dense_vars, src.dense_vars))
     return back.get(bucket, bucket), uppers[0] + 1
+
+
+def key_ranges(
+    src: FormatDescriptor, dst: FormatDescriptor
+) -> tuple[Optional[Expr], ...]:
+    """One exclusive upper bound per destination ordering key component.
+
+    Sized like :func:`bucket_permutation_spec`'s buckets, from the bound
+    ``ub`` of a dense variable ``v`` in the destination's dense range: a
+    bare ``v`` gets ``ub + 1`` and a blocked ``(v) // c`` gets
+    ``ub // c + 1``.  A Morton key, any other shape, or a bound over
+    anything but the source's size symbols gets None; ``()`` when no
+    component has a bound.  A lowering reads the ranges before the first
+    insert, so they may name only the inspector's scalar parameters.
+    """
+    dense_range = dst.sparse_to_dense.range(strict=False).single_conjunction
+    params = set(src.size_symbols())
+    ranges: list[Optional[Expr]] = []
+    for key in dst.ordering.key_exprs:
+        var, denom = _bare_var_name(key), 1
+        atom = key.terms[0][0] if len(key.terms) == 1 else None
+        if isinstance(atom, FloorDiv) and key == atom.as_expr():
+            var, denom = _bare_var_name(atom.numer), atom.denom
+        uppers = dense_range.upper_bounds(var) if var is not None else []
+        ub = uppers[0] if uppers else None
+        if ub is None or ub.uf_names() or not (
+            ub.sym_names() | ub.var_names() <= params
+        ):
+            ranges.append(None)
+        else:
+            ranges.append((FloorDiv(ub, denom) if denom > 1 else ub) + 1)
+    return tuple(ranges) if any(r is not None for r in ranges) else ()
 
 
 def emit_permutation(
@@ -155,17 +187,20 @@ def emit_permutation(
         return False
     dense_order = tuple(src.dense_vars)
     key: tuple[Expr, ...] = ()
+    ranges: tuple[Optional[Expr], ...] = ()
     if dst_r.ordering is not None:
         # Lambda parameters follow the dense-space order used at insert
         # time; the key is the destination's ordering key rewritten over
         # the source's dense variable names (positional match).
         to_src = dict(zip(dst_r.dense_vars, src.dense_vars))
         key = tuple(k.rename_vars(to_src) for k in dst_r.ordering.key_exprs)
+        ranges = key_ranges(src, dst_r)
     new_list = st.NewOrderedList(
         PERMUTATION,
         dense_order,
         key,
         unique=dst_r.ordering is not None and dst_r.ordering.collapse_ties,
+        ranges=ranges,
     )
     created = comp.new_stmt(
         new_list,

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import pytest
 
-from repro import COOMatrix, convert
+from repro import COOMatrix, COOTensor3D, convert
 from repro._prof import PROF
 from repro.backends import (
     BackendUnavailableError,
@@ -27,6 +27,8 @@ from repro.backends import (
 )
 from repro.formats import get_format
 from repro.synthesis import synthesize
+
+from tests.sweep import synthesized
 
 np = pytest.importorskip("numpy")
 
@@ -178,16 +180,61 @@ class TestExecution:
         assert (a.rowptr, a.col, a.val) == (b.rowptr, b.col, b.val)
 
     def test_error_code_maps_to_overflow(self, cache_dir):
-        # Morton keys are range-checked in C (31 bits per 2-D coordinate);
-        # RT_ERANGE must surface as the OverflowError the interpreted
-        # runtime raises, not as a wrong answer.
+        # 3-D Morton keys are two 63-bit words in C, so a coordinate must
+        # stay below 2**42; RT_ERANGE must surface as OverflowError, not
+        # as a wrong answer.
         from repro import container_to_env
 
-        conv = synthesize(get_format("COO"), get_format("MCOO"), backend="c")
-        big = COOMatrix(2**31 + 1, 2, [2**31], [0], [1.0])
+        conv = synthesize(
+            get_format("COO3D"), get_format("MCOO3"), backend="c"
+        )
+        big = COOTensor3D((2**42 + 1, 2, 2), [2**42], [0], [0], [1.0])
         env = container_to_env(big)
         with pytest.raises(OverflowError):
             conv(**{p: env[p] for p in conv.params})
+
+    @pytest.mark.parametrize("container,dst", [
+        (COOTensor3D((2**22, 8, 8), [0, 5, 2**22 - 1], [3, 7, 1],
+                     [6, 0, 2], [1.0, 2.0, 3.0]), "MCOO3"),
+        (COOMatrix(2**31 + 2, 4, [0, 3, 2**31 + 1], [3, 2, 0],
+                   [1.0, 2.0, 3.0]), "MCOO"),
+        # Keys whose order only the high word decides: (2**21, 0, 0) and
+        # (0, 2**31) sort after (1, 1, 1) and (1, 1).
+        (COOTensor3D((2**41, 2, 2), [0, 1, 2**21, 2**41 - 1],
+                     [0, 1, 0, 1], [1, 1, 0, 0], [1.0, 2.0, 3.0, 4.0]),
+         "MCOO3"),
+        (COOMatrix(2**40, 2**40, [0, 1, 2**39], [2**31, 1, 2**38],
+                   [1.0, 2.0, 3.0]), "MCOO"),
+    ], ids=["3d-2**22", "2d-2**31+1", "3d-high-word", "2d-high-word"])
+    def test_morton_keys_take_wide_coordinates(self, cache_dir, container,
+                                               dst):
+        # C Morton keys are two 63-bit words, high word first: 2-D takes
+        # every int64 coordinate, 3-D every coordinate below 2**42.
+        outputs = [vars(convert(container, dst, backend=backend))
+                   for backend in ("python", "numpy", "c")]
+        assert outputs[0] == outputs[1] == outputs[2]
+
+    @pytest.mark.parametrize("container,dst", [
+        (COOMatrix(2**40, 2**40, [2**40 - 1, 7, 2**39], [3, 2**40 - 2, 5],
+                   [1.0, 2.0, 3.0]), "SCOO"),
+        (COOTensor3D((2**40,) * 3, [2**40 - 1, 7, 2**39],
+                     [3, 2**40 - 2, 5], [9, 2**38, 0], [1.0, 2.0, 3.0]),
+         "SCOO3D"),
+        (COOMatrix(4, 4, [2, 9, 0, -1], [1, 0, -1, 3],
+                   [1.0, 2.0, 3.0, 4.0]), "SCOO"),
+    ], ids=["dims-2**40", "dims-2**40-3d", "coords-out-of-range"])
+    def test_key_ranges_never_size_or_index_counts(self, cache_dir,
+                                                   container, dst):
+        # A declared dimension sizes a counting pass only when it is small
+        # next to the list, and a key outside its range (validation off)
+        # sends the list to the radix path instead of indexing counts.
+        assert "OrderedList(" in synthesize(
+            get_format(container.format_name), get_format(dst)
+        ).source
+        expected = vars(convert(container, dst, backend="python",
+                                validate="off"))
+        assert vars(convert(container, dst, backend="c",
+                            validate="off")) == expected
 
     def test_native_cost_below_numpy_with_stats(self, cache_dir):
         import dataclasses
@@ -211,11 +258,24 @@ def test_sweep_runs_compiled_without_fallback():
     # Every conversion of the sweep (library pairs, Figure 3 binary
     # searches, random compositions) lowers to a compiled wrapper: the C
     # tier has no interpreted fallback.
-    from tests.sweep import synthesized
-
     labels = [label for label, conversion in synthesized("c")
               if not conversion.source.startswith("__C_SPEC_")]
     assert labels == []
+
+
+@needs_c
+def test_sweep_ranks_without_hashing():
+    # Every rank lookup on the C tier reads a position vector the replay
+    # pass licensed: no translation unit of the sweep hashes coordinates.
+    import ast
+
+    ranked = 0
+    for label, conversion in synthesized("c"):
+        spec = conversion.source.split(" = ", 1)[1].split("\n", 1)[0]
+        unit = ast.literal_eval(spec)["c"]
+        assert "hash" not in unit and "rt_olist_lookup" not in unit, label
+        ranked += "RT_CK(rt_olist_rank(" in unit
+    assert ranked > 0
 
 
 class TestAvailability:

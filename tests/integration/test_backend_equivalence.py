@@ -11,7 +11,15 @@ from array import array
 
 import pytest
 
-from repro import COOMatrix, container_to_env, convert, dense_equal
+from repro import (
+    COOMatrix,
+    COOTensor3D,
+    DIAMatrix,
+    ELLMatrix,
+    container_to_env,
+    convert,
+    dense_equal,
+)
 from repro.formats import get_format
 from repro.ir import IntSet, Sym, UFCall, Var
 from repro.planner import PLANNABLE_2D, PLANNABLE_3D
@@ -66,19 +74,52 @@ def test_empty_matrix_all_targets():
         assert dense_equal(a.to_dense(), b.to_dense())
 
 
+#: Sources holding repeated coordinate tuples, which only reach an
+#: inspector when validation is off, one per ``OrderedList`` shape the
+#: destination asks for: lexicographic 2-D and 3-D keys, Morton keys,
+#: blocked ``unique=True`` keys and insertion order (no key).
+_DUP_2D = COOMatrix(5, 5, [3, 0, 2, 0, 3, 2, 4], [1, 1, 0, 1, 1, 4, 4],
+                    [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0])
+_DUP_3D = COOTensor3D((3, 3, 2), [1, 0, 1, 2, 1], [0, 1, 0, 2, 0],
+                      [1, 1, 1, 0, 1], [1.0, 2.0, 3.0, 4.0, 5.0])
+DUPLICATE_CASES = [
+    (_DUP_2D, "CSR"),
+    (_DUP_2D, "CSC"),
+    (_DUP_2D, "SCOO"),
+    (_DUP_3D, "SCOO3D"),
+    (_DUP_2D, "MCOO"),
+    (_DUP_3D, "MCOO3"),
+    (_DUP_2D, "BCSR"),
+    # Insertion order: the copies of a tuple are not adjacent.
+    (DIAMatrix(3, 3, [0, 1, 0], [float(v) for v in range(1, 10)]), "COO"),
+    (ELLMatrix(2, 3, 3, [1, 0, 1, 2, -1, -1],
+               [1.0, 2.0, 3.0, 4.0, 0.0, 0.0]), "COO"),
+]
+
+
+def _raw_outputs(container, dst, backend):
+    conversion = synthesize(
+        get_format(container.format_name), get_format(dst), backend=backend
+    )
+    env = container_to_env(container)
+    return conversion(**{p: env[p] for p in conversion.params})
+
+
+def _duplicates_agree(backend):
+    for container, dst in DUPLICATE_CASES:
+        label = f"{container.format_name}->{dst}"
+        assert "OrderedList(" in synthesize(
+            get_format(container.format_name), get_format(dst)
+        ).source, label
+        reference = _raw_outputs(container, dst, "python")
+        assert _raw_outputs(container, dst, backend) == reference, label
+
+
 def test_duplicate_coordinates_match():
-    # Unsorted COO with duplicate coordinates exercises the stable-rank
-    # helpers' tie handling; both backends must agree exactly.
-    dup = COOMatrix(3, 3, [0, 0, 2, 2], [1, 1, 0, 0], [1.0, 2.0, 3.0, 4.0])
-    for dst in ("CSR", "CSC"):
-        scalar = synthesize(get_format("COO"), get_format(dst))
-        vector = synthesize(get_format("COO"), get_format(dst),
-                            backend="numpy")
-        env = container_to_env(dup)
-        a = scalar(**{p: env[p] for p in scalar.params})
-        env = container_to_env(dup)
-        b = vector(**{p: env[p] for p in vector.params})
-        assert a == b
+    # Repeated coordinate tuples take the rank of their last occurrence
+    # in sorted order (blocked keys: one rank per block); the numpy
+    # positional ranks must agree exactly with the scalar OrderedList.
+    _duplicates_agree("numpy")
 
 
 def test_fallback_path_is_exercised():
@@ -161,6 +202,11 @@ def test_pair_equivalent_c(src, dst):
     )
     assert report.ok, report.failures
     assert report.conversions_checked > 0
+
+
+@needs_c
+def test_duplicate_coordinates_match_c():
+    _duplicates_agree("c")
 
 
 @needs_c
