@@ -16,8 +16,9 @@ measurements:
   every pair should be served from disk (file load + exec only).
 
 Emits ``BENCH_pr2.json`` with per-pair timings, geomean speedups, the
-per-phase time breakdown from the profiling registry, and the warm run's
-cache counters (so "warm really did hit the disk cache" is checkable).
+per-phase time breakdown from the ``repro.obs`` histograms of seconds,
+and the warm run's cache counters (so "warm really did hit the disk
+cache" is checkable).
 
 Usage::
 
@@ -73,17 +74,27 @@ for a, b in itertools.permutations(PLANNABLE_2D, 2):
     pairs[f"{a}->{b}"] = {"ms": (time.perf_counter() - t0) * 1e3, "ok": ok}
 
 result = {"pairs": pairs, "phases": {}, "counters": {}}
-try:
-    from repro.evalharness.profiling import profile_snapshot
-except ImportError:
-    pass
-else:
-    snap = profile_snapshot()
-    result["phases"] = {
-        k: v for k, v in snap["timers"].items()
-        if k.startswith(("synthesis.", "cache.", "ir."))
-    }
-    result["counters"] = snap["counters"]
+if mode in ("cold", "warm"):
+    # The report reads telemetry of these two runs only, and both run
+    # this tree: every *_seconds histogram is a phase, every counter
+    # series a counter.
+    from repro.obs import METRICS
+
+    for name, metric in METRICS.snapshot().items():
+        for sample in metric["samples"]:
+            labels = ", ".join(
+                f"{k}={v}" for k, v in sorted(sample["labels"].items())
+            )
+            key = f"{name}{{{labels}}}" if labels else name
+            value = sample["value"]
+            if metric["kind"] == "histogram" and name.endswith("_seconds"):
+                result["phases"][key] = {
+                    "seconds": value["sum"], "calls": value["count"],
+                }
+            elif metric["kind"] == "counter":
+                result["counters"][key] = value
+    if not result["phases"] or not result["counters"]:
+        raise SystemExit(f"{mode} run recorded no phases or no counters")
 
 with open(outpath, "w") as fh:
     json.dump(result, fh)
@@ -254,7 +265,7 @@ def main(argv: list[str] | None = None) -> int:
             "warm_counters": {
                 k: v
                 for k, v in warm["counters"].items()
-                if k.startswith("cache.")
+                if k.startswith("repro_cache_")
             },
         },
         "synthesis_phases": {

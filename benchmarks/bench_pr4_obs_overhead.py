@@ -156,13 +156,11 @@ def main(argv: list[str] | None = None) -> int:
             )
 
     cache_counters = obs.unified_snapshot()["cache"]["counters"]
-    lookups = sum(
-        cache_counters.get(k, 0)
-        for k in ("cache.memo.hit", "cache.disk.hit", "cache.miss")
+    hits = (
+        cache_counters["repro_cache_memo_hit_total"]
+        + cache_counters["repro_cache_disk_hit_total"]
     )
-    hits = cache_counters.get("cache.memo.hit", 0) + cache_counters.get(
-        "cache.disk.hit", 0
-    )
+    lookups = hits + cache_counters["repro_cache_miss_total"]
     report = {
         "obs_overhead": {
             "experiment": "tracing disabled vs enabled on warmed "

@@ -14,11 +14,13 @@ Methodology follows the repo's benchmarking conventions:
   marginal one),
 * min over repeats, synthesis and the .so compile pre-warmed outside the
   timed region,
-* the timed region is pinned warm: the ``cbackend.compile.miss`` counter
-  must not move during timing (every compile happened in warm-up) while
-  ``cbackend.compile.hit`` must grow (every timed C call was served from
-  the artifact cache).  A miss inside the timed region fails the run —
-  that would mean compile time leaked into an inspector measurement.
+* the timed region is pinned warm: the
+  ``repro_cbackend_compile_miss_total`` counter must not move during
+  timing (every compile happened in warm-up) while
+  ``repro_cbackend_compile_hit_total`` must grow (every timed C call was
+  served from the artifact cache).  A miss inside the timed region fails
+  the run — that would mean compile time leaked into an inspector
+  measurement.
 
 The gate: geomean C-over-numpy speedup across all cells >= 2x.
 
@@ -42,10 +44,10 @@ REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
 from repro import convert, get_conversion  # noqa: E402
-from repro._prof import PROF  # noqa: E402
 from repro.backends import BackendUnavailableError, get_backend  # noqa: E402
 from repro.datagen import load  # noqa: E402
 from repro.formats import container_to_env  # noqa: E402
+from repro.obs import METRICS  # noqa: E402
 
 #: 10x the conftest default (0.02) — the acceptance scale for this bench.
 SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "0.2"))
@@ -62,6 +64,11 @@ PAIRS = [
     ("fig2c", "SCOO", "CSR", MATRICES),
     ("fig2d", "COO", "DIA", DIA_MATRICES),
 ]
+
+
+def _count(name: str) -> float:
+    """A counter's total over its labels; KeyError if none is declared."""
+    return sum(s["value"] for s in METRICS.snapshot()[name]["samples"])
 
 
 def _staged_inputs(conv, container, backend_name: str) -> dict:
@@ -127,7 +134,8 @@ def main(argv: list[str] | None = None) -> int:
             run_c(), run_np()
             cells.append((fig, src, dst, name, coo.nnz, run_c, run_np))
 
-    before = PROF.snapshot()["counters"]
+    miss0 = _count("repro_cbackend_compile_miss_total")
+    hit0 = _count("repro_cbackend_compile_hit_total")
     for fig, src, dst, name, nnz, run_c, run_np in cells:
         c_ms, np_ms = _race_ms(run_c, run_np, args.repeats)
         rows.append([fig, f"{src}->{dst}", name, nnz, np_ms, c_ms,
@@ -138,12 +146,8 @@ def main(argv: list[str] | None = None) -> int:
             f"({np_ms / c_ms:.1f}x)",
             file=sys.stderr,
         )
-    after = PROF.snapshot()["counters"]
-
-    miss_delta = (after.get("cbackend.compile.miss", 0)
-                  - before.get("cbackend.compile.miss", 0))
-    hit_delta = (after.get("cbackend.compile.hit", 0)
-                 - before.get("cbackend.compile.hit", 0))
+    miss_delta = _count("repro_cbackend_compile_miss_total") - miss0
+    hit_delta = _count("repro_cbackend_compile_hit_total") - hit0
 
     speedups = [row[6] for row in rows]
     geomean = math.exp(sum(math.log(s) for s in speedups) / len(speedups))

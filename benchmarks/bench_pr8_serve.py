@@ -46,13 +46,18 @@ from pathlib import Path
 REPO = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO / "src"))
 
-from repro._prof import PROF  # noqa: E402
 from repro.datagen.matrices import random_uniform  # noqa: E402
+from repro.obs import METRICS  # noqa: E402
 from repro.serve import ConversionServer, ServeClient, coo_payload  # noqa: E402
 from repro.synthesis import cache as cache_mod  # noqa: E402
 from repro.synthesis import clear_memo  # noqa: E402
 
 PAIRS = ["CSR", "CSC", "DIA", "MCOO"]
+
+
+def _count(name: str) -> float:
+    """A counter's total over its labels; KeyError if none is declared."""
+    return sum(s["value"] for s in METRICS.snapshot()[name]["samples"])
 
 
 def _matrices(count: int = 4, n: int = 24, nnz: int = 96) -> list:
@@ -162,7 +167,7 @@ def bench_coalescing(tmp: str) -> dict:
     try:
         client = ServeClient(server.address)
         payload = coo_payload(random_uniform(32, 32, 96, seed=99))
-        before = PROF.counters.get("cache.coalesced", 0)
+        before = _count("repro_cache_coalesced_total")
         n = 8
         barrier = threading.Barrier(n)
         errors: list[Exception] = []
@@ -181,7 +186,7 @@ def bench_coalescing(tmp: str) -> dict:
             t.join()
         if errors:
             raise errors[0]
-        coalesced = PROF.counters.get("cache.coalesced", 0) - before
+        coalesced = _count("repro_cache_coalesced_total") - before
         syntheses = len(calls)
         return {
             "concurrent_requests": n,
@@ -221,7 +226,7 @@ def bench_lru_budget(tmp: str) -> dict:
             "budget_entries": budget,
             "distinct_fingerprints": distinct,
             "max_entries_observed": max_entries,
-            "evictions": PROF.counters.get("cache.disk.evict", 0),
+            "evictions": _count("repro_cache_disk_evict_total"),
         }
     finally:
         server.shutdown()

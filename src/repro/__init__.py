@@ -20,6 +20,7 @@ Section 3.2 algorithm), :mod:`repro.runtime` (containers and the executor),
 
 import time as _time
 
+from . import obs
 from .errors import (
     BoundsError,
     DenseMismatchError,
@@ -63,6 +64,15 @@ from .planner import (
 )
 
 __version__ = "1.0.0"
+
+_CONVERSIONS = obs.counter("repro_conversions", "completed convert() calls")
+_CONVERSION_SECONDS = obs.histogram(
+    "repro_conversion_seconds", "inspector execution time of convert()"
+)
+_CONVERT_SECONDS = obs.histogram(
+    "repro_convert_seconds",
+    "end-to-end wall time of convert(): gate, bind, inspector, pack",
+)
 
 
 def get_conversion(
@@ -126,7 +136,6 @@ def convert(
     ``False`` force tracing on/off for the calling thread.
     """
     call_start = _time.perf_counter()
-    import repro.obs as obs
     from repro.backends import available_backend
     from repro.verify import gate
 
@@ -169,16 +178,9 @@ def convert(
                 )
             with obs.span("validate.output", category="verify"):
                 gate.check_output(result, container, level=level)
-    obs.METRICS.counter(
-        "repro_conversions", "completed convert() calls"
-    ).inc(src=src_name, dst=dst_name, backend=backend)
-    obs.METRICS.histogram(
-        "repro_conversion_seconds", "inspector execution time of convert()"
-    ).observe(elapsed, backend=backend)
-    obs.METRICS.histogram(
-        "repro_convert_seconds",
-        "end-to-end wall time of convert(): gate, bind, inspector, pack",
-    ).observe(_time.perf_counter() - call_start, backend=backend)
+    _CONVERSIONS.inc(src=src_name, dst=dst_name, backend=backend)
+    _CONVERSION_SECONDS.observe(elapsed, backend=backend)
+    _CONVERT_SECONDS.observe(_time.perf_counter() - call_start, backend=backend)
     return result
 
 

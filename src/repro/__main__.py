@@ -48,9 +48,12 @@ Commands:
 * ``tail ADDR`` — follow a live daemon's request log (trace id, pair,
   backend, cache outcome, latency per request).
 
-``--profile`` (any command) prints a phase-attributed timing report to
-stderr on exit: synthesis time split across compose/solve/codegen, IR memo
-hit rates, and inspector-cache hits and misses.
+``--profile`` (any command) prints the telemetry table of ``repro stats``
+to stderr on exit: synthesis time per phase (``repro_synthesis_seconds``,
+labelled compose/solve/build/optimize/codegen, plus ``total`` per
+cache-missing synthesis) and per optimization pass, IR memo hits and
+misses per operation, inspector-cache hits and misses, and the span
+aggregates when tracing.
 
 For the paper's evaluation sweep use ``python benchmarks/run_experiments.py``.
 """
@@ -568,18 +571,7 @@ def cmd_stats(args) -> int:
     elif args.format == "prom":
         print(obs.prometheus_text(snapshot), end="")
     else:  # table
-        from repro.evalharness.profiling import render_report
-
-        merged = dict(snapshot["prof"])
-        merged["metrics"] = snapshot.get("metrics")
-        merged["spans"] = snapshot.get("spans")
-        print(render_report(merged))
-        cache = snapshot.get("cache")
-        if cache:
-            print("-- inspector cache --")
-            print(f"root:          {cache['root']}")
-            print(f"entries:       {cache['entries']}")
-            print(f"memo entries:  {cache['memo_entries']}")
+        print(obs.table_text(snapshot))
     return 0
 
 
@@ -599,7 +591,7 @@ def cmd_cache(args) -> int:
             print(f"entries:       {stats['entries']}")
             print(f"stale entries: {stats['stale_entries']} (other versions)")
             for key in sorted(stats["counters"]):
-                print(f"{key + ':':22s}{stats['counters'][key]}")
+                print(f"{key + ':':40s}{stats['counters'][key]}")
         return 0
     if args.action == "clear":
         removed = clear_disk_cache(all_versions=args.all_versions)
@@ -884,8 +876,8 @@ def main(argv: list[str] | None = None) -> int:
 
     p_stats = sub.add_parser(
         "stats",
-        help="print the unified telemetry snapshot (flat counters, typed "
-             "metrics, span aggregates, cache shape)",
+        help="print the unified telemetry snapshot (typed metrics, span "
+             "aggregates, cache shape)",
     )
     p_stats.add_argument("--format", choices=["table", "json", "prom"],
                          default="table")
@@ -998,9 +990,9 @@ def main(argv: list[str] | None = None) -> int:
     }
     status = handlers[args.command](args)
     if args.profile:
-        from repro.evalharness.profiling import render_full_report
+        import repro.obs as obs
 
-        print(render_full_report(), file=sys.stderr)
+        print(obs.table_text(), file=sys.stderr)
     return status
 
 

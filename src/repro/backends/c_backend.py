@@ -44,6 +44,8 @@ from array import array
 from pathlib import Path
 from typing import Sequence
 
+import repro.obs as obs
+
 from .base import (
     Backend,
     BackendCapabilities,
@@ -233,30 +235,34 @@ def _compile_artifact(c_source: str, so_path: Path, cc: str) -> None:
 #: Process-wide memo of loaded shared objects keyed on the full source
 #: digest — one dlopen per distinct translation unit per process.
 _LIB_MEMO: dict[str, object] = {}
+_COMPILE_HIT = obs.counter(
+    "repro_cbackend_compile_hit_total", "C artifacts served from a cache"
+)
+_COMPILE_MISS = obs.counter(
+    "repro_cbackend_compile_miss_total", "C compiler invocations"
+)
 
 
 def load_library(c_source: str):
     """dlopen the compiled artifact for ``c_source``, compiling on miss.
 
-    ``cbackend.compile.hit`` counts artifacts served from the disk cache
-    (or this process's memo); ``cbackend.compile.miss`` counts actual
-    compiler invocations — CI pins warm runs on the hit counter.
+    ``repro_cbackend_compile_hit_total`` counts artifacts served from the
+    disk cache (or this process's memo);
+    ``repro_cbackend_compile_miss_total`` counts actual compiler
+    invocations — CI pins warm runs on the hit counter.
     """
-    import repro.obs as obs
-    from repro._prof import PROF
-
     digest = hashlib.sha256(c_source.encode()).hexdigest()
     lib = _LIB_MEMO.get(digest)
     if lib is not None:
-        PROF.incr("cbackend.compile.hit")
+        _COMPILE_HIT.inc()
         return lib
     base = artifact_dir() if disk_enabled() else _scratch_dir()
     so_path = base / f"{digest[:24]}.so"
     if so_path.exists():
-        PROF.incr("cbackend.compile.hit")
+        _COMPILE_HIT.inc()
         cached = True
     else:
-        PROF.incr("cbackend.compile.miss")
+        _COMPILE_MISS.inc()
         cached = False
         cc = compiler_path()
         if cc is None:
@@ -424,7 +430,6 @@ class CBackend(Backend):
         *,
         scalar_source: str | None = None,
     ) -> Lowering:
-        import repro.obs as obs
         from repro.spf.codegen.c_emit import emit_c
 
         with obs.span("c.codegen", category="codegen", inspector=comp.name):

@@ -4,12 +4,18 @@ from __future__ import annotations
 
 import threading
 
+import repro.obs as obs
+
 from .base import Backend
 
 _LOCK = threading.Lock()
 #: Insertion-ordered: the first registered backend is the default /
 #: reference lowering.
 _REGISTRY: dict[str, Backend] = {}
+_FALLBACKS = obs.counter(
+    "repro_backend_fallback_total",
+    "requests for an unavailable backend served by another tier",
+)
 
 
 class BackendUnavailableError(ValueError):
@@ -76,8 +82,8 @@ def available_backend(backend: "str | Backend") -> Backend:
     newest registration backwards (c → numpy → python), so a request for
     the compiled tier on a box without a toolchain degrades to the numpy
     tier, and to the reference scalar backend as the last resort.  Every
-    degradation increments the ``backend.fallback`` profile counters; if
-    nothing is available the requested backend's own
+    degradation increments ``repro_backend_fallback_total{requested,
+    effective}``; if nothing is available the requested backend's own
     :class:`BackendUnavailableError` propagates.
     """
     requested = get_backend(backend)
@@ -86,8 +92,6 @@ def available_backend(backend: "str | Backend") -> Backend:
         return requested
     except Exception:  # noqa: BLE001 - any require failure triggers fallback
         pass
-    from repro._prof import PROF
-
     for candidate in reversed(all_backends()):
         if candidate.name == requested.name:
             continue
@@ -95,8 +99,7 @@ def available_backend(backend: "str | Backend") -> Backend:
             candidate.require()
         except Exception:  # noqa: BLE001
             continue
-        PROF.incr("backend.fallback")
-        PROF.incr(f"backend.fallback.{requested.name}->{candidate.name}")
+        _FALLBACKS.inc(requested=requested.name, effective=candidate.name)
         return candidate
     requested.require()  # nothing available: surface the original error
     return requested

@@ -1,12 +1,6 @@
 """Evaluation harness: timing, reporting, and per-figure experiment drivers."""
 
 from .timing import TimingStats, geomean, speedup_table, time_fn, time_fn_stats
-from .profiling import (
-    PROF,
-    profile_snapshot,
-    render_report,
-    reset_profile,
-)
 from .reporting import render_speedups, render_table
 from .experiments import (
     CONVERSIONS,
@@ -25,19 +19,15 @@ from .amortization import Amortization, amortization_report, measure_amortizatio
 __all__ = [
     "Amortization",
     "CONVERSIONS",
-    "PROF",
     "TimingStats",
     "amortization_report",
     "measure_amortization",
     "ExperimentResult",
     "ToolSupport",
     "geomean",
-    "profile_snapshot",
-    "render_report",
     "render_speedups",
     "render_table",
     "render_table5",
-    "reset_profile",
     "run_conversion_experiment",
     "run_fig2a",
     "run_fig2b",

@@ -9,9 +9,10 @@ opaque atoms (the approach IEGenLib takes).
 
 from __future__ import annotations
 
+import time
 from typing import Iterable, Mapping, Optional, Sequence
 
-from repro._prof import PROF
+import repro.obs as obs
 
 from . import memo as _memo
 from .constraints import Constraint, Eq, Geq, bounds_on_var
@@ -19,6 +20,11 @@ from .terms import Atom, Expr, ExprLike, FloorDiv, Mod, Mul, Sym, UFCall, Var
 
 _PROJECT_MEMO = _memo.table("conjunction.project_out")
 _SUBST_VARS_MEMO = _memo.table("conjunction.substitute_vars")
+
+#: Time spent in projections that missed the memo (or ran without it).
+_PROJECT_SECONDS = obs.histogram(
+    "repro_ir_project_out_seconds", "uncached Conjunction.project_out time"
+)
 
 
 class ProjectionError(Exception):
@@ -212,22 +218,24 @@ class Conjunction:
         equality is found first, so set-equal conjunctions with different
         constraint order must not share memo entries.
         """
-        if not _memo.ENABLED:
-            with PROF.timer("ir.project_out"):
-                return self._project_out(name, strict=strict)
         key = (self.constraints, name, strict)
-        cached = _memo.lookup(_PROJECT_MEMO, "project_out", key)
-        if cached is None:
-            with PROF.timer("ir.project_out"):
-                try:
-                    cached = self._project_out(name, strict=strict)
-                except ProjectionError as err:
-                    _memo.store(_PROJECT_MEMO, key, err)
-                    raise
-            _memo.store(_PROJECT_MEMO, key, cached)
-        elif isinstance(cached, ProjectionError):
-            raise cached
-        return cached
+        if _memo.ENABLED:
+            cached = _memo.lookup(_PROJECT_MEMO, "project_out", key)
+            if cached is not None:
+                if isinstance(cached, ProjectionError):
+                    raise cached
+                return cached
+        start = time.perf_counter()
+        try:
+            result = self._project_out(name, strict=strict)
+        except ProjectionError as err:
+            result = err
+        _PROJECT_SECONDS.observe(time.perf_counter() - start)
+        if _memo.ENABLED:
+            _memo.store(_PROJECT_MEMO, key, result)
+        if isinstance(result, ProjectionError):
+            raise result
+        return result
 
     def _project_out(self, name: str, *, strict: bool = True) -> "Conjunction":
         definition = self.defining_equality(name)

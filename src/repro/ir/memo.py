@@ -5,8 +5,8 @@ is immutable, and atoms/expressions are interned, so the expensive
 algebraic operations — substitution, Fourier–Motzkin projection, relation
 composition — are pure functions of their (hash-consed) operands.  This
 module centralizes the memo dictionaries those operations key into, the
-hit/miss counters surfaced by :mod:`repro.evalharness.profiling`, and the
-kill switch used by benchmarks to measure the un-memoized path
+``repro_ir_memo_lookups_total{op, outcome}`` counter (``repro stats``,
+``repro --profile``), and the kill switch used by benchmarks to measure the un-memoized path
 (``REPRO_IR_MEMO=0``).
 
 Tables are plain dicts: reads and writes are atomic under the GIL, and a
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import os
 
-from repro._prof import PROF
+import repro.obs as obs
 
 #: Kill switch: ``REPRO_IR_MEMO=0`` disables both operation memo tables
 #: and the intern-table reuse, approximating the pre-hash-consing IR for
@@ -40,23 +40,17 @@ def table(name: str) -> dict:
     return t
 
 
-#: Pre-formatted (hit, miss) counter names per operation — lookup() runs
-#: tens of thousands of times per synthesis, so no f-strings on that path.
-_COUNTER_NAMES: dict[str, tuple[str, str]] = {}
+#: Memo reads per operation, ``outcome`` ``hit`` or ``miss``.
+LOOKUPS = obs.counter(
+    "repro_ir_memo_lookups_total",
+    "IR memo-table reads by operation and outcome",
+)
 
 
 def lookup(t: dict, name: str, key):
     """Memo read with hit/miss accounting; returns None on miss."""
-    names = _COUNTER_NAMES.get(name)
-    if names is None:
-        names = _COUNTER_NAMES.setdefault(
-            name, (f"ir.{name}.hit", f"ir.{name}.miss")
-        )
     value = t.get(key)
-    if value is None:
-        PROF.incr(names[1])
-        return None
-    PROF.incr(names[0])
+    LOOKUPS.inc(op=name, outcome="miss" if value is None else "hit")
     return value
 
 

@@ -4,10 +4,12 @@ The observability layer behind ``repro trace`` and ``repro stats``:
 
 * **spans** (:mod:`.core`) — hierarchical, thread-attributed trace trees
   over synthesis phases and runtime execution,
-* **metrics** (:mod:`.metrics`) — typed counters/gauges/histograms plus
-  the :func:`unified_snapshot` merging every telemetry source,
+* **metrics** (:mod:`.metrics`) — the one registry of typed
+  counters/gauges/histograms every layer records into, plus the
+  :func:`unified_snapshot` document over it,
 * **exporters** (:mod:`.export`) — JSONL events, Chrome trace-event JSON
-  (Perfetto-loadable), Prometheus text exposition, all atomic,
+  (Perfetto-loadable), Prometheus text exposition (all atomic), and the
+  human-readable table behind ``repro stats`` and ``--profile``,
 * **instrumentation** (:mod:`.instrument`) — per-statement timing hooks
   injected into generated inspector source while tracing.
 
@@ -58,6 +60,7 @@ from .export import (
     parse_prometheus_text,
     prometheus_text,
     span_tree,
+    table_text,
     validate_chrome_trace,
     write_all,
     write_chrome_trace,
@@ -94,6 +97,7 @@ __all__ = [
     "reset_all",
     "span",
     "span_tree",
+    "table_text",
     "trace_dir",
     "tracing",
     "unified_snapshot",

@@ -258,31 +258,17 @@ def _exemplar_suffix(exemplar: Optional[dict]) -> str:
 def prometheus_text(snapshot: Optional[dict] = None) -> str:
     """The unified snapshot in Prometheus text exposition format.
 
-    Flat ``prof`` counters become ``repro_<name>_total`` counters and
-    timers become ``repro_<name>_seconds_total`` / ``_calls_total``
-    pairs; typed instruments keep their registered names (histograms get
-    the standard ``_bucket`` / ``_sum`` / ``_count`` series).
+    Typed instruments keep their registered names (histograms get the
+    standard ``_bucket`` / ``_sum`` / ``_count`` series); memo table
+    sizes and span aggregates are rendered as labelled series.
     """
     snap = snapshot if snapshot is not None else unified_snapshot()
     lines: list[str] = []
 
-    counters = snap.get("prof", {}).get("counters", {})
-    for name in sorted(counters):
-        metric = f"repro_{_prom_name(name)}_total"
-        lines.append(f"# TYPE {metric} counter")
-        lines.append(f"{metric} {_fmt(counters[name])}")
-
-    timers = snap.get("prof", {}).get("timers", {})
-    for name in sorted(timers):
-        entry = timers[name]
-        base = f"repro_{_prom_name(name)}"
-        lines.append(f"# TYPE {base}_seconds_total counter")
-        lines.append(f"{base}_seconds_total {_fmt(entry['seconds'])}")
-        lines.append(f"# TYPE {base}_calls_total counter")
-        lines.append(f"{base}_calls_total {_fmt(entry['calls'])}")
-
     for name in sorted(snap.get("metrics", {})):
         metric = snap["metrics"][name]
+        if not metric["samples"]:  # declared at import, never recorded
+            continue
         prom = _prom_name(name)
         kind = metric["kind"]
         if metric.get("help"):
@@ -358,6 +344,63 @@ def write_prometheus(
     path: str | Path, snapshot: Optional[dict] = None
 ) -> None:
     atomic_write_text(path, prometheus_text(snapshot))
+
+
+# ----------------------------------------------------------------------
+# Human-readable table (`repro stats`, `repro --profile`)
+# ----------------------------------------------------------------------
+def table_text(snapshot: Optional[dict] = None) -> str:
+    """The unified snapshot as a human-readable report.
+
+    What ``repro stats --format table`` prints and ``repro --profile``
+    writes to stderr: one line per typed-metric series (histograms as
+    count / sum / min / max — seconds for the ``*_seconds`` timers,
+    e.g. per synthesis phase and per pass), the span aggregates, and the
+    inspector cache's shape and counters.
+    """
+    snap = snapshot if snapshot is not None else unified_snapshot()
+    lines = ["== telemetry =="]
+
+    metric_lines = []
+    metrics = snap.get("metrics") or {}
+    for name in sorted(metrics):
+        metric = metrics[name]
+        for sample in metric["samples"]:
+            value = sample["value"]
+            if metric["kind"] == "histogram":
+                value = (
+                    f"count={value['count']} sum={value['sum']:.6g} "
+                    f"min={value['min']:.6g} max={value['max']:.6g}"
+                )
+            metric_lines.append(
+                f"{name}{_prom_labels(sample['labels'])}: {value}"
+            )
+    if metric_lines:
+        lines.append("-- metrics --")
+        lines.extend(metric_lines)
+
+    spans = snap.get("spans") or {}
+    if spans:
+        lines.append("-- span aggregates --")
+        for name in sorted(spans):
+            entry = spans[name]
+            lines.append(
+                f"{name:26s}{entry['seconds'] * 1e3:10.2f} ms"
+                f"{entry['count']:8d} spans"
+            )
+
+    cache = snap.get("cache")
+    if cache:
+        lines.append("-- inspector cache --")
+        lines.append(f"root:          {cache['root']}")
+        lines.append(f"entries:       {cache['entries']}")
+        lines.append(f"memo entries:  {cache['memo_entries']}")
+        for name in sorted(cache["counters"]):
+            lines.append(f"{name}: {cache['counters'][name]}")
+
+    if len(lines) == 1:
+        lines.append("(nothing recorded)")
+    return "\n".join(lines)
 
 
 _NUMBER = r"[-+]?(?:\d+\.?\d*(?:[eE][-+]?\d+)?|Inf|NaN)"

@@ -38,6 +38,10 @@ DEFAULT_RETAIN = 512
 #: Default latency threshold marking a request "slow", in seconds.
 DEFAULT_SLOW_SECONDS = 0.25
 
+_RECORDS = METRICS.counter(
+    "repro_flight_records", "requests admitted to the flight recorder"
+)
+
 
 class RequestRecord:
     """One finished request: identity, outcome, and (optionally) its trace."""
@@ -160,9 +164,7 @@ class FlightRecorder:
                 self._retained.move_to_end(record.trace_id)
                 while len(self._retained) > self.retain:
                     self._retained.popitem(last=False)
-        METRICS.counter(
-            "repro_flight_records", "requests admitted to the flight recorder"
-        ).inc(reason=record.reason or "ok")
+        _RECORDS.inc(reason=record.reason or "ok")
         return record
 
     # -- queries --------------------------------------------------------

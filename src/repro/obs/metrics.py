@@ -1,26 +1,26 @@
 """Typed metrics — counters, gauges, histograms — and the unified snapshot.
 
-Two generations of telemetry coexist in the package:
+:data:`METRICS` is the process's one telemetry registry.  Every layer
+declares its instruments once, at import, beside the code that records
+into them, and calls ``inc`` / ``set`` / ``observe`` on them directly:
+cache and compile-cache counters, IR memo lookups by operation and
+outcome, synthesis-phase and optimization-pass durations (histograms of
+seconds), backend selection and fallback, validation-gate activity,
+fuzzer outcomes, conversion latency.  Where a name would carry data
+(an operation, a phase, a pass) it is a label instead.
 
-* the dependency-free :data:`repro._prof.PROF` registry of flat counters
-  and accumulating timers that the lowest layers (IR memo tables, the
-  synthesis engine, the inspector cache) record into, and
-* this module's *typed* instruments with Prometheus-style names and
-  label sets — cache telemetry per layer, backend selection,
-  validation-gate rejections by :class:`~repro.errors.ValidationError`
-  subclass, fuzzer combo outcomes, conversion latency histograms.
-
-:func:`unified_snapshot` merges both (plus IR memo table sizes, the
-inspector disk-cache shape, and the span summary) into the single
+:func:`unified_snapshot` adds IR memo table sizes, the inspector disk
+cache's shape and the span summary to the typed instruments: the single
 JSON-compatible document behind ``repro stats``, the Prometheus exporter
-and the ``REPRO_CACHE_STATS_FILE`` dump — one source of truth, however
-the numbers were recorded.
+and the ``REPRO_CACHE_STATS_FILE`` dump.
 """
 
 from __future__ import annotations
 
 import threading
 import time
+from bisect import bisect_left
+from itertools import accumulate
 from typing import Mapping, Optional, Sequence
 
 #: Default histogram bucket upper bounds, in seconds (latency-shaped).
@@ -36,6 +36,8 @@ DEFAULT_BUCKETS = (
 
 
 def _label_key(labels: Mapping[str, object]) -> tuple:
+    if not labels:  # the unlabelled hot path skips the sort
+        return ()
     return tuple(sorted((k, str(v)) for k, v in labels.items()))
 
 
@@ -120,6 +122,8 @@ class Histogram(Metric):
 
     def observe(self, value: float, exemplar: str | None = None, **labels) -> None:
         key = _label_key(labels)
+        # The smallest bound >= value; len(buckets) is the +Inf bucket.
+        slot = bisect_left(self.buckets, value)
         with self._lock:
             series = self._series.get(key)
             if series is None:
@@ -128,19 +132,16 @@ class Histogram(Metric):
                     "sum": 0.0,
                     "min": value,
                     "max": value,
-                    "buckets": [0] * len(self.buckets),
-                    # One slot per bucket plus the implicit +Inf bucket.
+                    # Per-bucket (not cumulative) counts and exemplars: one
+                    # slot per bound plus the implicit +Inf bucket.
+                    "buckets": [0] * (len(self.buckets) + 1),
                     "exemplars": [None] * (len(self.buckets) + 1),
                 }
             series["count"] += 1
             series["sum"] += value
             series["min"] = min(series["min"], value)
             series["max"] = max(series["max"], value)
-            slot = len(self.buckets)
-            for index, bound in enumerate(self.buckets):
-                if value <= bound:
-                    series["buckets"][index] += 1
-                    slot = min(slot, index)
+            series["buckets"][slot] += 1
             if exemplar:
                 series["exemplars"][slot] = {
                     "trace_id": str(exemplar),
@@ -149,14 +150,15 @@ class Histogram(Metric):
                 }
 
     def _samples(self) -> list[dict]:
+        """Series with ``buckets`` cumulative per bound (Prometheus ``le``)."""
         with self._lock:
             items = [
                 (
                     key,
                     dict(
                         value,
-                        buckets=list(value["buckets"]),
-                        exemplars=list(value.get("exemplars") or ()),
+                        buckets=list(accumulate(value["buckets"][:-1])),
+                        exemplars=list(value["exemplars"]),
                     ),
                 )
                 for key, value in self._series.items()
@@ -227,30 +229,26 @@ METRICS = MetricsRegistry()
 def unified_snapshot(*, include_cache: bool = True) -> dict:
     """Everything observable about the process, as one JSON document.
 
-    Sections: ``prof`` (the flat counter/timer registry), ``metrics``
-    (typed instruments), ``ir_memo_tables`` (entries per memo table),
-    ``spans`` (per-name aggregate over recorded trace trees), and —
-    unless ``include_cache=False`` — ``cache`` (the inspector disk
-    cache's :func:`~repro.synthesis.cache.cache_stats`, whose counters
-    come from the same ``prof`` section so ``repro stats`` and
-    ``repro cache stats`` can never disagree).
+    Sections: ``metrics`` (every typed instrument), ``ir_memo_tables``
+    (entries per memo table), ``spans`` (per-name aggregate over
+    recorded trace trees), and — unless ``include_cache=False`` —
+    ``cache`` (the inspector disk cache's
+    :func:`~repro.synthesis.cache.cache_stats`, whose counters read the
+    same typed cache counters as the ``metrics`` section, so
+    ``repro stats`` and ``repro cache stats`` can never disagree).
     """
-    from repro._prof import PROF
+    # Imported lazily: obs imports nothing from repro at module level,
+    # since the IR and the synthesis cache themselves record into it.
+    from repro.ir import memo
+
     from .core import TRACER
 
     snapshot = {
-        "prof": PROF.snapshot(),
         "metrics": METRICS.snapshot(),
         "spans": TRACER.span_summary(),
+        "ir_memo_tables": memo.stats(),
     }
-    try:
-        from repro.ir import memo
-
-        snapshot["ir_memo_tables"] = memo.stats()
-    except ImportError:  # pragma: no cover - memo is always importable
-        snapshot["ir_memo_tables"] = {}
     if include_cache:
-        # Imported lazily: synthesis.cache itself records into this module.
         from repro.synthesis.cache import cache_stats
 
         snapshot["cache"] = cache_stats()
@@ -259,9 +257,7 @@ def unified_snapshot(*, include_cache: bool = True) -> dict:
 
 def reset_all() -> None:
     """Zero every telemetry source (between benchmark repetitions)."""
-    from repro._prof import PROF
     from .core import TRACER
 
-    PROF.reset()
     METRICS.reset()
     TRACER.clear()

@@ -15,9 +15,10 @@ into its keys — disabling a pass can never be served a cached inspector
 built with the full pipeline.
 
 Observability: every pass run is wrapped in a ``pass.<name>`` span (child
-of the ``synthesis.optimize`` stage span under tracing), a
-``pass.<name>`` profiling timer, and typed metrics counting runs and
-removed statements.
+of the ``synthesis.optimize`` stage span under tracing) and observed in
+the ``repro_pass_seconds{pass}`` histogram, whose ``_count`` is the run
+count; ``repro_pass_statements_changed`` counts removed or rewritten
+statements.
 """
 
 from __future__ import annotations
@@ -28,10 +29,17 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 import repro.obs as obs
-from repro._prof import PROF
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.spf import Computation, SymbolTable
+
+_PASS_SECONDS = obs.histogram(
+    "repro_pass_seconds", "optimization pass wall time by pass"
+)
+_PASS_CHANGED = obs.counter(
+    "repro_pass_statements_changed",
+    "statements removed or rewritten by passes",
+)
 
 #: Canonical name of the opt-in Figure 3 rewrite (the ``binary_search=``
 #: flag resolves to requesting this pass).
@@ -185,8 +193,8 @@ class PassManager:
         """Run the configured passes over ``ctx.comp``, in order.
 
         Each pass gets a ``pass.<name>`` span (with before/after statement
-        counts), a ``pass.<name>`` profiling timer, and increments the
-        ``repro_pass_runs`` / ``repro_pass_statements_changed`` metrics.
+        counts), one ``repro_pass_seconds`` observation, and adds what it
+        changed to ``repro_pass_statements_changed``.
         """
         results: list[PassResult] = []
         for name in config.enabled:
@@ -197,16 +205,10 @@ class PassManager:
                 changed = int(p.run(ctx) or 0)
             elapsed = time.perf_counter() - start
             after = len(ctx.comp.stmts)
-            PROF.add_time(f"pass.{name}", elapsed)
+            _PASS_SECONDS.observe(elapsed, **{"pass": name})
             span.set(changed=changed, stmts_before=before, stmts_after=after)
-            obs.METRICS.counter(
-                "repro_pass_runs", "optimization pass executions"
-            ).inc(**{"pass": name})
             if changed:
-                obs.METRICS.counter(
-                    "repro_pass_statements_changed",
-                    "statements removed or rewritten by passes",
-                ).inc(changed, **{"pass": name})
+                _PASS_CHANGED.inc(changed, **{"pass": name})
             results.append(
                 PassResult(
                     name=name,

@@ -32,6 +32,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
+import repro.obs as obs
 from repro.backends import available_backend, get_backend
 from repro.formats import (
     container_format,
@@ -43,6 +44,11 @@ from repro.synthesis import SynthesisError, SynthesizedConversion, synthesize_ca
 
 from .coststore import CostStore, conversion_cost_key, default_cost_store
 from .stats import MatrixStats, matrix_stats
+
+_PREDICTION_RATIO = obs.histogram(
+    "repro_cost_prediction_ratio",
+    "calibrated predicted cost / measured seconds per conversion",
+)
 
 #: Formats participating in planning.  Source-only formats (BCSR, CSF,
 #: ELL) are included: they simply have no incoming edges, so the planner
@@ -298,7 +304,6 @@ class ConversionPlanner:
         and the calibrated prediction-vs-actual ratio lands in the
         ``repro_cost_prediction_ratio`` obs histogram.
         """
-        import repro.obs as obs
         from repro.verify import gate
 
         level = gate.normalize_level(validate)
@@ -358,7 +363,6 @@ class ConversionPlanner:
         first and plans with per-matrix edge costs, feeding measured step
         timings back into the learned-cost store.
         """
-        import repro.obs as obs
         from repro.verify import gate
 
         level = gate.normalize_level(validate)
@@ -411,8 +415,6 @@ def record_measurement(
     label: str = "",
 ) -> None:
     """Fold one measured conversion into the store and the obs metrics."""
-    import repro.obs as obs
-
     if predicted is None:
         predicted = estimate_cost(conversion, stats)
     calibration = store.calibration()
@@ -424,12 +426,8 @@ def record_measurement(
         label=label,
     )
     if calibration is not None and seconds > 0:
-        obs.METRICS.histogram(
-            "repro_cost_prediction_ratio",
-            "calibrated predicted cost / measured seconds per conversion",
-        ).observe(
-            (predicted * calibration) / seconds,
-            backend=conversion.backend,
+        _PREDICTION_RATIO.observe(
+            (predicted * calibration) / seconds, backend=conversion.backend
         )
 
 

@@ -38,12 +38,21 @@ import threading
 import time
 from pathlib import Path
 
-from repro._prof import PROF
+import repro.obs as obs
 
 try:  # POSIX only; the store degrades to best-effort merge without it.
     import fcntl
 except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None  # type: ignore[assignment]
+
+_WRITE = obs.counter("repro_costs_write_total", "cost-store flushes")
+_WRITE_ERROR = obs.counter(
+    "repro_costs_write_error_total", "cost-store flushes that failed"
+)
+_HIT = obs.counter("repro_costs_hit_total", "cost-store lookups answered")
+_MISS = obs.counter("repro_costs_miss_total", "cost-store lookups unanswered")
+_RECORD = obs.counter("repro_costs_record_total", "measurements recorded")
+_EVICT = obs.counter("repro_costs_evict_total", "cost-store entries evicted")
 
 
 @contextlib.contextmanager
@@ -196,9 +205,9 @@ class CostStore:
         payload = {"schema": _SCHEMA, "entries": self._entries or {}}
         try:
             _atomic_write_json(self.path, payload)
-            PROF.incr("costs.write")
+            _WRITE.inc()
         except OSError:
-            PROF.incr("costs.write_error")
+            _WRITE_ERROR.inc()
 
     # -- the store API --------------------------------------------------
     @staticmethod
@@ -215,7 +224,7 @@ class CostStore:
             return None
         with self._lock:
             entry = self._load().get(self._key(conv_key, bucket))
-        PROF.incr("costs.hit" if entry else "costs.miss")
+        (_HIT if entry else _MISS).inc()
         return dict(entry) if entry else None
 
     def record(
@@ -252,7 +261,7 @@ class CostStore:
                 self._merge_from_disk_locked(entries)
                 self._evict_locked(entries)
                 self._flush()
-        PROF.incr("costs.record")
+        _RECORD.inc()
 
     def _evict_locked(self, entries: dict[str, dict]) -> None:
         excess = len(entries) - self.limit
@@ -263,7 +272,7 @@ class CostStore:
         )[:excess]
         for key in oldest:
             del entries[key]
-        PROF.incr("costs.evict", excess)
+        _EVICT.inc(excess)
 
     def calibration(self) -> float | None:
         """Median measured-seconds per predicted-unit, or None if unknown.

@@ -17,8 +17,15 @@ measured costs between *similar* matrices, not just identical ones.
 from __future__ import annotations
 
 import math
+import time
 from dataclasses import dataclass, field
 from typing import Mapping
+
+import repro.obs as obs
+
+_STATS_SECONDS = obs.histogram(
+    "repro_plan_stats_seconds", "matrix_stats() profiling time"
+)
 
 #: Block sizes the profiler computes fill ratios for; the auto-tuner's
 #: BCSR candidate space is drawn from this set (block 1 is excluded:
@@ -124,11 +131,9 @@ def matrix_stats(
     (``nonzeros()``), so no container is densified.
     Cost: O(nnz * len(blocks)) time, O(rows + diags + blocks) space.
     """
-    import repro.obs as obs
-    from repro._prof import PROF
-
     nrows, ncols = _shape(container)
-    with obs.span("plan.stats", category="plan"), PROF.timer("plan.stats"):
+    start = time.perf_counter()
+    with obs.span("plan.stats", category="plan"):
         row_counts: dict[int, int] = {}
         diags: set[int] = set()
         block_sets: dict[int, set] = {b: set() for b in blocks}
@@ -154,7 +159,7 @@ def matrix_stats(
             row_mean = row_cv = 0.0
             row_max = 0
         cells = nrows * ncols
-        return MatrixStats(
+        stats = MatrixStats(
             nrows=nrows,
             ncols=ncols,
             nnz=nnz,
@@ -169,3 +174,5 @@ def matrix_stats(
                 for b, seen in block_sets.items()
             },
         )
+    _STATS_SECONDS.observe(time.perf_counter() - start)
+    return stats

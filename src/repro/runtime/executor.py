@@ -11,6 +11,8 @@ from __future__ import annotations
 
 from typing import Callable, Mapping
 
+import repro.obs as obs
+
 from . import npvec
 from .morton import morton, morton2, morton3, morton2_vec, morton3_vec, morton_vec
 from .ordered_list import LexBucketPermutation, OrderedList, OrderedSet
@@ -143,6 +145,12 @@ class CompiledInspector:
 #: package, so a key that ignores them could serve a stale closure to code
 #: that reloads the package in place (importlib.reload-style workflows).
 _COMPILE_CACHE: dict[tuple[str, str, str, str], CompiledInspector] = {}
+_COMPILE_HIT = obs.counter(
+    "repro_cache_compile_hit_total", "inspector compile-cache hits"
+)
+_COMPILE_MISS = obs.counter(
+    "repro_cache_compile_miss_total", "inspector compile-cache misses"
+)
 
 
 def compile_inspector(
@@ -156,8 +164,6 @@ def compile_inspector(
     Calls with ``extra_env`` bypass the cache: the environment is part of
     the compiled closure and mappings are not reliably hashable.
     """
-    import repro.obs as obs
-    from repro._prof import PROF
     from repro.backends import get_backend
 
     backend = get_backend(backend).name
@@ -169,13 +175,13 @@ def compile_inspector(
     key = (name, source, backend, code_version_hash())
     cached = _COMPILE_CACHE.get(key)
     if cached is None:
-        PROF.incr("cache.compile.miss")
+        _COMPILE_MISS.inc()
         with obs.span("compile", category="compile", inspector=name):
             cached = _COMPILE_CACHE[key] = CompiledInspector(
                 name, source, backend=backend
             )
     else:
-        PROF.incr("cache.compile.hit")
+        _COMPILE_HIT.inc()
     return cached
 
 

@@ -20,7 +20,7 @@ All helpers preserve the scalar backend's semantics exactly:
 
 from __future__ import annotations
 
-from repro._prof import PROF
+import repro.obs as obs
 
 from .storage import INDEX, VALUE, as_ndarray
 
@@ -28,6 +28,16 @@ try:
     import numpy as np
 except ImportError:  # pragma: no cover - the reference image ships numpy
     np = None
+
+_STABLE_POS = obs.counter(
+    "repro_npvec_stable_pos_total", "STABLE_POS (OrderedList rank) calls"
+)
+_DENSE_POS = obs.counter(
+    "repro_npvec_dense_pos_total", "DENSE_POS (unique OrderedList) calls"
+)
+_BSEARCH_V = obs.counter(
+    "repro_npvec_bsearch_v_total", "BSEARCH_V (vectorized search) calls"
+)
 
 
 def require_numpy() -> None:
@@ -165,7 +175,7 @@ def STABLE_POS(keys, coords):
     items, so identical coordinate tuples all map to the rank of their
     *last* occurrence in sorted order; this reproduces that collapse.
     """
-    PROF.incr("npvec.stable_pos")
+    _STABLE_POS.inc()
     n = coords[0].shape[0]
     rank = np.arange(n, dtype=np.int64)
     if keys:
@@ -187,7 +197,7 @@ def DENSE_POS(keys):
 
     Returns ``(positions, distinct_count)``; equal key tuples share a rank.
     """
-    PROF.incr("npvec.dense_pos")
+    _DENSE_POS.inc()
     n = keys[0].shape[0]
     if n == 0:
         return np.empty(0, dtype=np.int64), 0
@@ -200,7 +210,7 @@ def DENSE_POS(keys):
 
 def BSEARCH_V(arr, values):
     """Vectorized :func:`repro.runtime.executor.bsearch`: -1 when absent."""
-    PROF.incr("npvec.bsearch_v")
+    _BSEARCH_V.inc()
     values = np.asarray(values)
     pos = np.searchsorted(arr, values)
     found = pos < arr.shape[0]

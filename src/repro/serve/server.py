@@ -12,7 +12,8 @@ tensors; a resident service is what makes that amortization real:
 * **coalescing** — concurrent requests sharing a (src, dst, backend,
   pass-config) fingerprint serialize on the synthesis cache's per-key
   in-flight lock (:mod:`repro.synthesis.cache`): exactly one synthesis
-  runs, every waiter is served its result (``cache.coalesced``);
+  runs, every waiter is served its result
+  (``repro_cache_coalesced_total``);
 * **execution** — conversions run on a bounded thread pool across all
   three backend tiers (the registry's c -> numpy -> python degradation
   applies per request); beyond ``workers + backlog`` queued requests the
@@ -60,6 +61,7 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 
+import repro.obs as obs
 from repro.errors import ValidationError
 
 from .protocol import (
@@ -78,6 +80,13 @@ DEFAULT_MAX_BODY = 64 * 1024 * 1024
 
 #: Default latency above which the flight recorder retains a trace, ms.
 DEFAULT_SLOW_MS = 250.0
+
+_WORKERS = obs.gauge("repro_serve_workers", "conversion worker threads")
+_REQUESTS = obs.counter("repro_serve_requests", "conversion-service requests")
+_REQUEST_SECONDS = obs.histogram(
+    "repro_serve_request_seconds", "end-to-end request latency by endpoint"
+)
+_SHED = obs.counter("repro_serve_shed", "requests shed with 503")
 
 _STATUS_TEXT = {
     200: "OK",
@@ -172,8 +181,6 @@ class ConversionServer:
     # -- lifecycle ------------------------------------------------------
     async def start(self) -> None:
         """Bind the listening socket and start accepting requests."""
-        import repro.obs as obs
-
         self._loop = asyncio.get_running_loop()
         self._stop = asyncio.Event()
         self._pool = ThreadPoolExecutor(
@@ -197,9 +204,7 @@ class ConversionServer:
             sock = self._server.sockets[0]
             self.address = sock.getsockname()[:2]
         self.started_at = time.time()
-        obs.METRICS.gauge(
-            "repro_serve_workers", "conversion worker threads"
-        ).set(self.workers)
+        _WORKERS.set(self.workers)
 
     async def serve_until_stopped(self) -> None:
         assert self._server is not None and self._stop is not None
@@ -366,8 +371,6 @@ class ConversionServer:
 
     # -- routing --------------------------------------------------------
     async def _route(self, method, target, headers, body):
-        import repro.obs as obs
-
         path, _, query = target.partition("?")
         start = time.perf_counter()
         status, payload, content_type, extra = await self._dispatch(
@@ -379,13 +382,8 @@ class ConversionServer:
             "/debug/trace" if path.startswith("/debug/trace/") else path
         )
         trace_id = (extra or {}).get("X-Repro-Trace-Id")
-        obs.METRICS.counter(
-            "repro_serve_requests", "conversion-service requests"
-        ).inc(endpoint=endpoint, status=str(status))
-        obs.METRICS.histogram(
-            "repro_serve_request_seconds",
-            "end-to-end request latency by endpoint",
-        ).observe(elapsed, exemplar=trace_id, endpoint=endpoint)
+        _REQUESTS.inc(endpoint=endpoint, status=str(status))
+        _REQUEST_SECONDS.observe(elapsed, exemplar=trace_id, endpoint=endpoint)
         self._write_access_log(method, path, status, elapsed, trace_id)
         return status, payload, content_type, extra
 
@@ -394,14 +392,11 @@ class ConversionServer:
         if path == "/healthz" and method == "GET":
             return 200, self._health_body(), json_type, {}
         if path == "/metrics" and method == "GET":
-            import repro.obs as obs
             from repro.obs.export import PROMETHEUS_CONTENT_TYPE
 
             text = obs.prometheus_text()
             return 200, text.encode(), PROMETHEUS_CONTENT_TYPE, {}
         if path == "/stats" and method == "GET":
-            import repro.obs as obs
-
             return 200, obs.unified_snapshot(), json_type, {}
         if path.startswith("/debug/") and method == "GET":
             status, payload = self._handle_debug(path, query)
@@ -513,8 +508,6 @@ class ConversionServer:
 
     # -- the conversion endpoint ----------------------------------------
     async def _handle_convert(self, body: bytes, headers: dict):
-        import repro.obs as obs
-
         # Client-supplied correlation: the JSON field is validated
         # strictly (400 on a bad value, inside parse_convert_request);
         # the header is best-effort and silently ignored when invalid.
@@ -556,9 +549,7 @@ class ConversionServer:
             return _reject(400, exc, header_id)
         trace_id = request["trace_id"] or header_id or obs.new_trace_id()
         if self._pending >= self.workers + self.backlog:
-            obs.METRICS.counter(
-                "repro_serve_shed", "requests shed with 503"
-            ).inc()
+            _SHED.inc()
             return _reject(
                 503,
                 ProtocolError("server at capacity, retry later"),
@@ -675,8 +666,6 @@ class ConversionServer:
         conversion opens lands inside the request's ``serve.request``
         tree instead of rooting as an orphan on this pool thread.
         """
-        import repro.obs as obs
-
         with obs.TRACER.adopt(ctx):
             if queued_at is not None:
                 obs.add_span(

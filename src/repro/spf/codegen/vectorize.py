@@ -46,6 +46,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
+import repro.obs as obs
 from repro.ir import Expr, Sym, UFCall, Var
 from .. import statements as st
 from ..ast_nodes import Comment, ForLoop, Guard, LetEq, Node, Program, RankLookup
@@ -57,6 +58,14 @@ _VECTOR_FUNCS = {"MORTON": "MORTON_V", "MORTON2": "MORTON2_V", "MORTON3": "MORTO
 _ACCUMULATE = {"+": "np.cumsum", "max": "np.maximum.accumulate",
                "min": "np.minimum.accumulate"}
 _UFUNC = {"max": "np.maximum", "min": "np.minimum"}
+
+_VECTORIZED_NESTS = obs.counter(
+    "repro_vectorize_nests_vectorized_total", "loop nests lowered to numpy"
+)
+_SCALAR_NESTS = obs.counter(
+    "repro_vectorize_nests_scalar_total",
+    "loop nests the numpy lowering left scalar",
+)
 
 
 @dataclass
@@ -720,10 +729,8 @@ def emit_numpy_function(
     notes = list(emitter.notes)
     for obj in sorted(emitter.scalar_objects):
         notes.append(f"scalar fallback: permutation object {obj}")
-    from repro._prof import PROF
-
-    PROF.incr("vectorize.nests.vectorized", emitter.vectorized)
-    PROF.incr("vectorize.nests.scalar", emitter.fallbacks)
+    _VECTORIZED_NESTS.inc(emitter.vectorized)
+    _SCALAR_NESTS.inc(emitter.fallbacks)
     return NumpyLowering(
         source="\n".join(lines) + "\n",
         vectorized_nests=emitter.vectorized,

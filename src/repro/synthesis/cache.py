@@ -33,8 +33,9 @@ Environment knobs:
   (unset or empty = unbounded),
 * ``REPRO_CACHE_MAX_ENTRIES`` — LRU entry-count budget per version
   partition (unset or empty = unbounded),
-* ``REPRO_CACHE_STATS_FILE=path`` — dump hit/miss counters as JSON at
-  process exit (used by CI to assert cache effectiveness).
+* ``REPRO_CACHE_STATS_FILE=path`` — dump the unified telemetry snapshot
+  (cache counters included) as JSON at process exit (used by CI to
+  assert cache effectiveness).
 """
 
 from __future__ import annotations
@@ -46,16 +47,54 @@ import os
 import re
 import tempfile
 import threading
+import time
 from pathlib import Path
 from typing import Sequence
 
 import repro.obs as obs
-from repro._prof import PROF
 from repro.codeversion import code_version_hash
 from repro.formats.descriptor import FormatDescriptor
 
 from .conversion import SynthesisError, SynthesizedConversion
-from .engine import synthesize as _raw_synthesize
+from .engine import PHASE_SECONDS, synthesize as _raw_synthesize
+
+_MEMO_HIT = obs.counter("repro_cache_memo_hit_total", "synthesis memo hits")
+_COALESCED = obs.counter(
+    "repro_cache_coalesced_total",
+    "lookups served a result another thread synthesized meanwhile",
+)
+_DISK_HIT = obs.counter("repro_cache_disk_hit_total", "disk-cache hits")
+_DISK_NEGATIVE_HIT = obs.counter(
+    "repro_cache_disk_negative_hit_total",
+    "disk-cache hits on a recorded synthesis failure",
+)
+_MISS = obs.counter("repro_cache_miss_total", "lookups that ran synthesis")
+_DISK_WRITE = obs.counter("repro_cache_disk_write_total", "disk-cache writes")
+_DISK_NEGATIVE_WRITE = obs.counter(
+    "repro_cache_disk_negative_write_total",
+    "synthesis failures recorded on disk",
+)
+_DISK_WRITE_ERROR = obs.counter(
+    "repro_cache_disk_write_error_total", "disk-cache writes that failed"
+)
+_DISK_EVICT = obs.counter(
+    "repro_cache_disk_evict_total", "disk-cache entries evicted by budget"
+)
+#: The counters :func:`cache_stats` reports.
+_COUNTERS = (
+    _MEMO_HIT,
+    _COALESCED,
+    _DISK_HIT,
+    _DISK_NEGATIVE_HIT,
+    _MISS,
+    _DISK_WRITE,
+    _DISK_NEGATIVE_WRITE,
+    _DISK_WRITE_ERROR,
+    _DISK_EVICT,
+)
+_DISK_LOAD_SECONDS = obs.histogram(
+    "repro_cache_disk_load_seconds", "disk-cache entry read time"
+)
 
 #: Serialized SynthesizedConversion fields round-tripped through disk.
 _PAYLOAD_FIELDS = (
@@ -87,8 +126,8 @@ _MEMO: dict[tuple, SynthesizedConversion | SynthesisError] = {}
 
 #: Per-key in-flight synthesis locks: N threads missing on the same key
 #: serialize here, so exactly one runs synthesis and the rest are served
-#: its memoized result (``cache.coalesced``).  The daemon's request
-#: coalescing is this same primitive reached through ``convert()``.
+#: its memoized result (``repro_cache_coalesced_total``).  The daemon's
+#: request coalescing is this same primitive reached through ``convert()``.
 _INFLIGHT_GUARD = threading.Lock()
 _INFLIGHT: dict[tuple, threading.Lock] = {}
 
@@ -226,7 +265,7 @@ def _store_disk(
         # (and often slowest) synthesis attempts; they are just as safe as
         # positive ones — the key covers format content and code version.
         payload = {"synthesis_error": str(conv)}
-        PROF.incr("cache.disk.negative_write")
+        _DISK_NEGATIVE_WRITE.inc()
     else:
         payload = {f: getattr(conv, f) for f in _PAYLOAD_FIELDS}
         payload["params"] = list(conv.params)
@@ -239,9 +278,9 @@ def _store_disk(
     payload["code_version"] = code_version_hash()
     try:
         _atomic_write_json(_entry_path(key), payload)
-        PROF.incr("cache.disk.write")
+        _DISK_WRITE.inc()
     except OSError:
-        PROF.incr("cache.disk.write_error")
+        _DISK_WRITE_ERROR.inc()
         return
     enforce_budget()
 
@@ -291,7 +330,7 @@ def enforce_budget(partition: Path | None = None) -> int:
         count -= 1
         removed += 1
     if removed:
-        PROF.incr("cache.disk.evict", removed)
+        _DISK_EVICT.inc(removed)
     return removed
 
 
@@ -387,7 +426,7 @@ def synthesize_cached(
     ) as span:
         cached = _MEMO.get(key)
         if cached is not None:
-            PROF.incr("cache.memo.hit")
+            _MEMO_HIT.inc()
             span.set(outcome="memo_hit")
             if isinstance(cached, SynthesisError):
                 raise cached
@@ -401,47 +440,48 @@ def synthesize_cached(
         with _inflight_lock(key):
             cached = _MEMO.get(key)
             if cached is not None:
-                PROF.incr("cache.memo.hit")
-                PROF.incr("cache.coalesced")
+                _MEMO_HIT.inc()
+                _COALESCED.inc()
                 span.set(outcome="coalesced")
                 if isinstance(cached, SynthesisError):
                     raise cached
                 return cached
 
             if use_disk and disk_enabled():
-                with PROF.timer("cache.disk.load"):
-                    loaded = _load_disk(key)
+                start = time.perf_counter()
+                loaded = _load_disk(key)
+                _DISK_LOAD_SECONDS.observe(time.perf_counter() - start)
                 if loaded is not None:
-                    PROF.incr("cache.disk.hit")
+                    _DISK_HIT.inc()
                     _MEMO[key] = loaded
                     if isinstance(loaded, SynthesisError):
-                        PROF.incr("cache.disk.negative_hit")
+                        _DISK_NEGATIVE_HIT.inc()
                         span.set(outcome="disk_negative_hit")
                         raise loaded
                     span.set(outcome="disk_hit")
                     return loaded
 
-            PROF.incr("cache.miss")
+            _MISS.inc()
             span.set(outcome="miss")
+            start = time.perf_counter()
             try:
-                with PROF.timer("synthesis.total"):
-                    conv = _raw_synthesize(
-                        src,
-                        dst,
-                        optimize=optimize,
-                        binary_search=binary_search,
-                        name=name,
-                        backend=backend_name,
-                        disabled_passes=tuple(disabled_passes),
-                    )
+                conv = _raw_synthesize(
+                    src,
+                    dst,
+                    optimize=optimize,
+                    binary_search=binary_search,
+                    name=name,
+                    backend=backend_name,
+                    disabled_passes=tuple(disabled_passes),
+                )
             except SynthesisError as err:
-                _MEMO[key] = err
-                if use_disk and disk_enabled():
-                    _store_disk(key, err)
-                raise
+                conv = err
+            PHASE_SECONDS.observe(time.perf_counter() - start, phase="total")
             _MEMO[key] = conv
             if use_disk and disk_enabled():
                 _store_disk(key, conv)
+            if isinstance(conv, SynthesisError):
+                raise conv
             return conv
 
 
@@ -476,10 +516,6 @@ def clear_disk_cache(*, all_versions: bool = False) -> int:
 
 def cache_stats() -> dict:
     """Counters plus on-disk shape of the cache, for the CLI and CI."""
-    snap = PROF.snapshot()
-    counters = {
-        k: v for k, v in snap["counters"].items() if k.startswith("cache.")
-    }
     root = cache_root()
     current = cache_dir()
     current_entries = (
@@ -499,7 +535,7 @@ def cache_stats() -> dict:
         "max_entries": cache_max_entries(),
         "stale_entries": stale,
         "memo_entries": len(_MEMO),
-        "counters": counters,
+        "counters": {c.name: c.value() for c in _COUNTERS},
     }
 
 
@@ -570,13 +606,9 @@ def stats_file_payload() -> dict:
 
     ``repro stats`` and ``repro cache stats`` both read through
     :func:`repro.obs.unified_snapshot`, so the file reports the same
-    numbers as the CLI.  The top-level ``counters`` mirror of the cache
-    counters is kept for existing consumers (the CI cache job asserts on
-    it).
+    numbers as the CLI.
     """
-    snapshot = obs.unified_snapshot()
-    snapshot["counters"] = dict(snapshot["cache"]["counters"])
-    return snapshot
+    return obs.unified_snapshot()
 
 
 _stats_file = os.environ.get("REPRO_CACHE_STATS_FILE")

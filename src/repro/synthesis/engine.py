@@ -31,7 +31,6 @@ from __future__ import annotations
 import time
 
 import repro.obs as obs
-from repro._prof import PROF
 from repro.backends import Backend, get_backend
 from repro.formats.descriptor import FormatDescriptor
 from repro.pipeline import BINARY_SEARCH, PASSES, PassContext
@@ -60,18 +59,26 @@ from .conversion import (  # noqa: F401  (re-exported for compatibility)
 from .lower import lower_stage
 
 
+#: Wall time per synthesis phase: ``compose``, ``solve``, ``build``,
+#: ``optimize``, ``codegen``, and ``total`` for a whole cache-missing
+#: :func:`~repro.synthesis.cache.synthesize_cached` call.
+PHASE_SECONDS = obs.histogram(
+    "repro_synthesis_seconds", "synthesis wall time by phase"
+)
+
+
 def _phase(
     name: str, start: float, span_name: str | None = None, **attrs
 ) -> float:
-    """Close one synthesis phase: PROF timer + trace span; returns *now*.
+    """Close one synthesis phase: histogram + trace span; returns *now*.
 
-    Each mark feeds both the flat ``synthesis.<timer>`` registry
-    (historical names) and — under tracing — a child span of the enclosing
-    ``synthesize`` span (pipeline taxonomy names, e.g. the ``solve``
-    timer surfaces as the ``synthesis.case_match`` span).
+    Each mark feeds the ``repro_synthesis_seconds{phase=<name>}``
+    histogram (historical phase names) and — under tracing — a child span
+    of the enclosing ``synthesize`` span (pipeline taxonomy names, e.g.
+    the ``solve`` phase surfaces as the ``synthesis.case_match`` span).
     """
     now = time.perf_counter()
-    PROF.add_time(f"synthesis.{name}", now - start)
+    PHASE_SECONDS.observe(now - start, phase=name)
     obs.add_span(
         f"synthesis.{span_name or name}", start, now, category="synthesis",
         **attrs,
@@ -140,7 +147,7 @@ def _synthesize_impl(
     fn_name = name or f"{src.name.lower()}_to_{dst.name.lower()}"
 
     # Phase attribution: explicit marks (not nested ``with`` blocks), so
-    # stage timings land in the flat profile; see repro.evalharness.profiling.
+    # each stage lands in PHASE_SECONDS under its own phase label.
     _mark = time.perf_counter()
 
     composed = compose_stage(src, dst, notes)
@@ -181,8 +188,8 @@ def _synthesize_impl(
             stmts_after=len(comp.stmts),
             eliminated=stmts_before_optimize - len(comp.stmts),
         )
-    PROF.add_time(
-        "synthesis.optimize", time.perf_counter() - start_optimize
+    PHASE_SECONDS.observe(
+        time.perf_counter() - start_optimize, phase="optimize"
     )
     _mark = time.perf_counter()
 

@@ -58,6 +58,8 @@ from repro.synthesis import SynthesisError, synthesize_cached
 
 Dense = list
 
+_FUZZ_CASES = obs.counter("repro_fuzz_cases", "fuzzer cases by outcome")
+
 #: Conversion sources/destinations covered by the fuzzer.  Sources span
 #: every container kind; destinations are every dest-capable format.
 #: Parameterized blocked names ride along so the tuner's non-default block
@@ -1041,12 +1043,8 @@ def fuzz(
             continue
         available.append(candidate)
     backends = tuple(available)
-    fuzz_cases_metric = obs.METRICS.counter(
-        "repro_fuzz_cases", "fuzzer cases by outcome"
-    )
-
     def _account(combo_key: str, start: float, failed: bool) -> None:
-        fuzz_cases_metric.inc(outcome="fail" if failed else "ok")
+        _FUZZ_CASES.inc(outcome="fail" if failed else "ok")
         if not obs.tracing():
             # Wall times are attribution data, not fuzzing results: the
             # report stays byte-deterministic across runs unless traced.

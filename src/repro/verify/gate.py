@@ -25,26 +25,16 @@ debugging and the differential fuzzer.
 
 from __future__ import annotations
 
+import repro.obs as obs
 from repro.errors import ValidationError
 
 VALIDATE_LEVELS = ("off", "inputs", "full")
 
-
-def _record_rejection(err: ValidationError, where: str) -> None:
-    """Count a gate rejection by ``ValidationError`` subclass and site."""
-    import repro.obs as obs
-
-    obs.METRICS.counter(
-        "repro_gate_rejections", "validation-gate rejections"
-    ).inc(error=type(err).__name__, where=where)
-
-
-def _record_check(where: str) -> None:
-    import repro.obs as obs
-
-    obs.METRICS.counter(
-        "repro_gate_checks", "validation-gate checks run"
-    ).inc(where=where)
+_CHECKS = obs.counter("repro_gate_checks", "validation-gate checks run")
+#: Rejections by ``ValidationError`` subclass and site.
+_REJECTIONS = obs.counter(
+    "repro_gate_rejections", "validation-gate rejections"
+)
 
 
 def normalize_level(level: str | None) -> str:
@@ -77,13 +67,13 @@ def check_input(container, *, level: str = "inputs",
     level = normalize_level(level)
     if level == "off":
         return
-    _record_check("input")
+    _CHECKS.inc(where="input")
     from repro.formats.bindings import check_container
 
     try:
         check_container(container, assume_sorted=assume_sorted)
     except ValidationError as err:
-        _record_rejection(err, "input")
+        _REJECTIONS.inc(error=type(err).__name__, where="input")
         raise
 
 
@@ -97,7 +87,7 @@ def check_output(result, source, *, level: str = "full") -> None:
     """
     if normalize_level(level) != "full":
         return
-    _record_check("output")
+    _CHECKS.inc(where="output")
     try:
         # Matrices compare dense images, tensors their coordinate maps.
         result.check_against_dense(
@@ -105,7 +95,7 @@ def check_output(result, source, *, level: str = "full") -> None:
             else source.to_dict()
         )
     except ValidationError as err:
-        _record_rejection(err, "output")
+        _REJECTIONS.inc(error=type(err).__name__, where="output")
         raise
 
 

@@ -18,7 +18,6 @@ from pathlib import Path
 import pytest
 
 from repro import COOMatrix, COOTensor3D, convert
-from repro._prof import PROF
 from repro.backends import (
     BackendUnavailableError,
     available_backend,
@@ -26,6 +25,7 @@ from repro.backends import (
     get_backend,
 )
 from repro.formats import get_format
+from repro.obs import METRICS
 from repro.synthesis import synthesize
 
 from tests.sweep import synthesized
@@ -48,8 +48,8 @@ needs_c = pytest.mark.skipif(
 )
 
 
-def _counter(name: str) -> int:
-    return PROF.snapshot()["counters"].get(name, 0)
+def _counter(name: str, **labels) -> int:
+    return METRICS.counter(name).value(**labels)
 
 
 def _matrix() -> COOMatrix:
@@ -79,11 +79,10 @@ def _run_c_conversion():
 @needs_c
 class TestCompileCache:
     def test_miss_then_disk_hit(self, cache_dir):
-        miss0, hit0 = _counter("cbackend.compile.miss"), _counter(
-            "cbackend.compile.hit"
-        )
+        miss0 = _counter("repro_cbackend_compile_miss_total")
+        hit0 = _counter("repro_cbackend_compile_hit_total")
         _run_c_conversion()
-        assert _counter("cbackend.compile.miss") == miss0 + 1
+        assert _counter("repro_cbackend_compile_miss_total") == miss0 + 1
         # Artifact + its .c source are published in the partition dir.
         sos = list(cache_dir.glob("*/*.so"))
         assert len(sos) == 1
@@ -93,29 +92,29 @@ class TestCompileCache:
         # must be served from disk: hit, no second compile.
         c_backend.clear_lib_memo()
         _run_c_conversion()
-        assert _counter("cbackend.compile.miss") == miss0 + 1
-        assert _counter("cbackend.compile.hit") > hit0
+        assert _counter("repro_cbackend_compile_miss_total") == miss0 + 1
+        assert _counter("repro_cbackend_compile_hit_total") > hit0
 
     def test_memo_hit_without_reload(self, cache_dir):
         _run_c_conversion()
-        hit0 = _counter("cbackend.compile.hit")
-        miss0 = _counter("cbackend.compile.miss")
+        hit0 = _counter("repro_cbackend_compile_hit_total")
+        miss0 = _counter("repro_cbackend_compile_miss_total")
         _run_c_conversion()  # same translation unit, memoized dlopen
-        assert _counter("cbackend.compile.hit") == hit0 + 1
-        assert _counter("cbackend.compile.miss") == miss0
+        assert _counter("repro_cbackend_compile_hit_total") == hit0 + 1
+        assert _counter("repro_cbackend_compile_miss_total") == miss0
 
     def test_cross_process_artifact_reuse(self, cache_dir):
         script = (
             "import json\n"
             "from repro import COOMatrix, convert\n"
-            "from repro._prof import PROF\n"
+            "from repro.obs import METRICS\n"
             "m = COOMatrix(3, 4, [0, 1, 2, 2], [1, 0, 2, 3],\n"
             "              [1.0, 2.0, 3.0, 4.0])\n"
             "csr = convert(m, 'CSR', backend='c')\n"
             "assert csr.rowptr.tolist() == [0, 1, 2, 4], csr.rowptr\n"
-            "c = PROF.snapshot()['counters']\n"
-            "print(json.dumps({k: v for k, v in c.items()\n"
-            "                  if k.startswith('cbackend.')}))\n"
+            "print(json.dumps({o: METRICS.counter(\n"
+            "    f'repro_cbackend_compile_{o}_total').value()\n"
+            "    for o in ('hit', 'miss')}))\n"
         )
 
         def run_once() -> dict:
@@ -134,31 +133,31 @@ class TestCompileCache:
             return json.loads(proc.stdout.splitlines()[-1])
 
         cold = run_once()
-        assert cold.get("cbackend.compile.miss", 0) >= 1
+        assert cold["miss"] >= 1
         warm = run_once()
-        assert warm.get("cbackend.compile.miss", 0) == 0
-        assert warm.get("cbackend.compile.hit", 0) >= 1
+        assert warm["miss"] == 0
+        assert warm["hit"] >= 1
 
     def test_miss_on_code_version_bump(self, cache_dir, monkeypatch):
         _run_c_conversion()
-        miss0 = _counter("cbackend.compile.miss")
+        miss0 = _counter("repro_cbackend_compile_miss_total")
         monkeypatch.setattr(
             "repro.codeversion.code_version_hash", lambda: "0" * 64
         )
         c_backend.clear_lib_memo()
         _run_c_conversion()
-        assert _counter("cbackend.compile.miss") == miss0 + 1
+        assert _counter("repro_cbackend_compile_miss_total") == miss0 + 1
         assert (cache_dir / c_backend.artifact_dir().name).name.startswith(
             "0" * 12
         )
 
     def test_miss_on_compiler_change(self, cache_dir, monkeypatch):
         _run_c_conversion()
-        miss0 = _counter("cbackend.compile.miss")
+        miss0 = _counter("repro_cbackend_compile_miss_total")
         monkeypatch.setattr(c_backend, "_COMPILER_TAG", "f" * 16)
         c_backend.clear_lib_memo()
         _run_c_conversion()
-        assert _counter("cbackend.compile.miss") == miss0 + 1
+        assert _counter("repro_cbackend_compile_miss_total") == miss0 + 1
         assert c_backend.artifact_dir().name.endswith("f" * 12)
 
     def test_disable_knob_confines_to_scratch(self, cache_dir, monkeypatch):
@@ -299,9 +298,10 @@ class TestAvailability:
     def test_available_backend_degrades_to_numpy(self, monkeypatch):
         monkeypatch.setenv("CC", "/nonexistent/cc")
         monkeypatch.setattr(c_backend, "_COMPILER_TAG", None)
-        fallback0 = _counter("backend.fallback.c->numpy")
+        pair = {"requested": "c", "effective": "numpy"}
+        fallback0 = _counter("repro_backend_fallback_total", **pair)
         assert available_backend("c").name == "numpy"
-        assert _counter("backend.fallback.c->numpy") == fallback0 + 1
+        assert _counter("repro_backend_fallback_total", **pair) == fallback0 + 1
 
     def test_convert_degrades_instead_of_failing(self, monkeypatch):
         monkeypatch.setenv("CC", "/nonexistent/cc")

@@ -5,7 +5,6 @@ import json
 import pytest
 
 import repro.obs as obs
-from repro._prof import PROF
 from repro.obs import (
     METRICS,
     TRACER,
@@ -107,9 +106,10 @@ class TestJsonl:
 
 class TestPrometheus:
     def test_text_parses_under_the_strict_parser(self):
-        PROF.incr("cache.memo.hit", 3)
-        with PROF.timer("synthesis.total"):
-            pass
+        METRICS.counter("repro_cache_memo_hit_total").inc(3)
+        METRICS.histogram("repro_synthesis_seconds").observe(
+            0.02, phase="total"
+        )
         METRICS.counter("repro_conversions", "done").inc(src="COO", dst="CSR")
         METRICS.histogram("repro_conversion_seconds").observe(0.002)
         _record_tree()
@@ -125,8 +125,9 @@ class TestPrometheus:
             ]
             == 1
         )
-        assert ("repro_synthesis_total_seconds_total", ()) in samples
-        assert ("repro_synthesis_total_calls_total", ()) in samples
+        phase = (("phase", "total"),)
+        assert samples[("repro_synthesis_seconds_count", phase)] == 1
+        assert samples[("repro_synthesis_seconds_sum", phase)] == 0.02
         # histogram series: +Inf bucket, sum, count
         assert (
             samples[("repro_conversion_seconds_bucket", (("le", "+Inf"),))]
@@ -173,7 +174,7 @@ class TestPrometheus:
 
 class TestWriteAll:
     def test_writes_all_four_artifacts(self, tmp_path):
-        PROF.incr("cache.miss")
+        METRICS.counter("repro_cache_miss_total").inc()
         _record_tree()
         paths = write_all(tmp_path)
         assert sorted(paths) == [
@@ -190,7 +191,7 @@ class TestWriteAll:
             json.loads(line)
         parse_prometheus_text((tmp_path / "metrics.prom").read_text())
         stats = json.loads((tmp_path / "stats.json").read_text())
-        assert stats["prof"]["counters"]["cache.miss"] == 1
+        assert stats["cache"]["counters"]["repro_cache_miss_total"] == 1
 
     def test_no_tmp_droppings_left_behind(self, tmp_path):
         _record_tree()

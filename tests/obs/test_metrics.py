@@ -3,7 +3,6 @@
 import pytest
 
 import repro.obs as obs
-from repro._prof import PROF
 from repro.obs import METRICS, MetricsRegistry, unified_snapshot
 from repro.obs.metrics import Counter, Gauge, Histogram
 
@@ -38,14 +37,15 @@ class TestInstruments:
 
     def test_histogram_buckets_are_cumulative(self):
         hist = Histogram("latency", buckets=(0.01, 0.1, 1.0))
-        for value in (0.005, 0.05, 0.5, 5.0):
+        # 0.1 sits exactly on a bound: it counts in that bound's bucket.
+        for value in (0.005, 0.05, 0.1, 0.5, 5.0):
             hist.observe(value)
         sample = hist.snapshot()["samples"][0]["value"]
-        assert sample["count"] == 4
-        assert sample["sum"] == pytest.approx(5.555)
+        assert sample["count"] == 5
+        assert sample["sum"] == pytest.approx(5.655)
         assert sample["min"] == pytest.approx(0.005)
         assert sample["max"] == pytest.approx(5.0)
-        assert sample["buckets"] == [1, 2, 3]  # cumulative per bound
+        assert sample["buckets"] == [1, 3, 4]  # cumulative per bound
 
     def test_registry_get_or_create_returns_same_instrument(self):
         registry = MetricsRegistry()
@@ -70,38 +70,37 @@ class TestInstruments:
 
 class TestUnifiedSnapshot:
     def test_sections_present(self):
-        snapshot = unified_snapshot()
-        for key in ("prof", "metrics", "spans", "ir_memo_tables", "cache"):
-            assert key in snapshot, key
+        assert sorted(unified_snapshot()) == [
+            "cache", "ir_memo_tables", "metrics", "spans",
+        ]
 
-    def test_cache_section_mirrors_prof_counters(self):
+    def test_cache_section_reads_the_typed_cache_counters(self):
         """`repro stats` and `repro cache stats` must report the same
-        numbers: the cache section's counters are the prof registry's
-        ``cache.*`` subset by construction."""
-        PROF.incr("cache.memo.hit", 4)
-        PROF.incr("cache.miss", 1)
+        numbers: the cache section's counters are the typed cache
+        counters the ``metrics`` section holds."""
+        METRICS.counter("repro_cache_memo_hit_total").inc(4)
+        METRICS.counter("repro_cache_miss_total").inc()
         snapshot = unified_snapshot()
-        expected = {
-            k: v
-            for k, v in snapshot["prof"]["counters"].items()
-            if k.startswith("cache.")
-        }
-        assert snapshot["cache"]["counters"] == expected
+        counters = snapshot["cache"]["counters"]
+        assert counters["repro_cache_memo_hit_total"] == 4
+        assert counters["repro_cache_miss_total"] == 1
+        for name, value in counters.items():
+            samples = snapshot["metrics"][name]["samples"]
+            assert value == sum(s["value"] for s in samples), name
 
         from repro.synthesis.cache import cache_stats
 
-        assert cache_stats()["counters"] == expected
+        assert cache_stats()["counters"] == counters
 
-    def test_stats_file_payload_keeps_legacy_counters_mirror(self):
-        """The REPRO_CACHE_STATS_FILE dump is the unified snapshot plus a
-        top-level ``counters`` mirror (CI's cache job asserts on it)."""
-        PROF.incr("cache.disk.write", 2)
+    def test_stats_file_payload_is_the_unified_snapshot(self):
+        """The REPRO_CACHE_STATS_FILE dump is the unified snapshot itself
+        (CI's cache job reads ``["cache"]["counters"]``)."""
+        METRICS.counter("repro_cache_disk_write_total").inc(2)
         from repro.synthesis.cache import stats_file_payload
 
         payload = stats_file_payload()
-        assert payload["counters"]["cache.disk.write"] == 2
-        assert payload["counters"] == payload["cache"]["counters"]
-        assert "prof" in payload and "metrics" in payload
+        assert sorted(payload) == sorted(unified_snapshot())
+        assert payload["cache"]["counters"]["repro_cache_disk_write_total"] == 2
 
     def test_typed_metrics_land_in_snapshot(self):
         METRICS.counter("repro_test_metric", "docs").inc(3, kind="x")
@@ -112,7 +111,6 @@ class TestUnifiedSnapshot:
         assert "cache" not in snapshot
 
     def test_reset_all_zeroes_every_source(self):
-        PROF.incr("cache.miss")
         METRICS.counter("repro_reset_probe").inc()
         obs.TRACER.enable()
         with obs.span("probe"):
@@ -120,7 +118,6 @@ class TestUnifiedSnapshot:
         obs.reset_all()
         obs.TRACER.disable()
         snapshot = unified_snapshot(include_cache=False)
-        assert snapshot["prof"]["counters"] == {}
         assert snapshot["spans"] == {}
         probe = snapshot["metrics"].get("repro_reset_probe")
         assert probe is None or probe["samples"] == []

@@ -5,11 +5,13 @@ import time
 
 import pytest
 
+from repro.obs import METRICS
 from repro.runtime import COOMatrix
 from repro.serve import ConversionServer, ServeClient
 from repro.synthesis import cache as cache_mod
 from repro.synthesis import clear_memo
-from repro._prof import PROF
+
+COALESCED = METRICS.counter("repro_cache_coalesced_total")
 
 
 @pytest.fixture
@@ -49,7 +51,7 @@ def test_concurrent_duplicate_requests_coalesce(cold_cache, monkeypatch):
     server = ConversionServer(port=0, workers=8).start_in_background()
     try:
         client = ServeClient(server.address)
-        coalesced_before = PROF.counters.get("cache.coalesced", 0)
+        coalesced_before = COALESCED.value()
         n = 6
         barrier = threading.Barrier(n)
         responses = [None] * n
@@ -74,7 +76,7 @@ def test_concurrent_duplicate_requests_coalesce(cold_cache, monkeypatch):
         assert all(r["ok"] for r in responses)
         # The acceptance bar: >= 2 waiters served per synthesis.
         assert len(calls) == 1, f"{len(calls)} syntheses for one fingerprint"
-        coalesced = PROF.counters.get("cache.coalesced", 0) - coalesced_before
+        coalesced = COALESCED.value() - coalesced_before
         assert coalesced >= 2, f"only {coalesced} coalesced waiters"
 
         # The coalescing counter is scrapeable from the live endpoint.

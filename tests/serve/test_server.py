@@ -173,7 +173,7 @@ class TestOpsEndpoints:
 
     def test_stats_snapshot(self, client):
         snapshot = client.stats()
-        assert "cache" in snapshot and "prof" in snapshot
+        assert "cache" in snapshot and "metrics" in snapshot
 
 
 class TestLoadShedding:

@@ -17,6 +17,7 @@ import pytest
 
 from repro.formats import get_format
 from repro.io.descriptor_json import descriptor_from_dict, descriptor_to_dict
+from repro.obs import METRICS
 from repro.planner.coststore import CostStore
 from repro.synthesis import (
     cache_stats,
@@ -26,7 +27,8 @@ from repro.synthesis import (
     synthesize_cached,
 )
 from repro.synthesis import cache as cache_mod
-from repro._prof import PROF
+
+COALESCED = METRICS.counter("repro_cache_coalesced_total")
 
 
 @pytest.fixture
@@ -121,7 +123,7 @@ class TestInflightCoalescing:
         n = 8
         barrier = threading.Barrier(n)
         results = [None] * n
-        coalesced_before = PROF.counters.get("cache.coalesced", 0)
+        coalesced_before = COALESCED.value()
 
         def worker(slot):
             barrier.wait()
@@ -140,7 +142,7 @@ class TestInflightCoalescing:
 
         assert len(calls) == 1, f"{len(calls)} syntheses for one key"
         assert all(r is results[0] for r in results)
-        assert PROF.counters.get("cache.coalesced", 0) > coalesced_before
+        assert COALESCED.value() > coalesced_before
 
     def test_distinct_keys_do_not_serialize(self, isolated_cache):
         # Locks are per key: COO->CSR and CSR->CSC proceed independently.

@@ -9,6 +9,7 @@ clearing the cache must bring back the same artifact.
 import pytest
 
 from repro.formats import get_format
+from repro.obs import METRICS
 from repro.synthesis import (
     SynthesisError,
     cache_stats,
@@ -19,7 +20,9 @@ from repro.synthesis import (
     synthesize_cached,
 )
 from repro.synthesis import cache as cache_mod
-from repro._prof import PROF
+
+MEMO_HITS = METRICS.counter("repro_cache_memo_hit_total")
+MISSES = METRICS.counter("repro_cache_miss_total")
 
 
 @pytest.fixture
@@ -50,20 +53,20 @@ class TestMemo:
     def test_second_call_is_memo_hit(self, isolated_cache):
         src, dst = get_format("COO"), get_format("CSR")
         first = synthesize_cached(src, dst)
-        hits_before = PROF.counters.get("cache.memo.hit", 0)
+        hits_before = MEMO_HITS.value()
         second = synthesize_cached(src, dst)
         assert second is first
-        assert PROF.counters.get("cache.memo.hit", 0) == hits_before + 1
+        assert MEMO_HITS.value() == hits_before + 1
 
     def test_failures_memoized(self, isolated_cache):
         src, dst = get_format("COO"), get_format("ELL")
         with pytest.raises(SynthesisError):
             synthesize_cached(src, dst)
-        misses_before = PROF.counters.get("cache.miss", 0)
+        misses_before = MISSES.value()
         with pytest.raises(SynthesisError):
             synthesize_cached(src, dst)
         # The second failure came from a cache layer, not re-synthesis.
-        assert PROF.counters.get("cache.miss", 0) == misses_before
+        assert MISSES.value() == misses_before
 
     def test_planner_synthesizes_once_per_pair(self, isolated_cache):
         # Regression: the planner's edge-cost sweep must route through the
@@ -71,9 +74,9 @@ class TestMemo:
         from repro.planner import ConversionPlanner
 
         ConversionPlanner(["COO", "CSR"]).edge_cost("COO", "CSR")
-        misses_before = PROF.counters.get("cache.miss", 0)
+        misses_before = MISSES.value()
         ConversionPlanner(["COO", "CSR"]).edge_cost("COO", "CSR")
-        assert PROF.counters.get("cache.miss", 0) == misses_before
+        assert MISSES.value() == misses_before
 
 
 class TestDiskRoundTrip:
@@ -96,11 +99,11 @@ class TestDiskRoundTrip:
         with pytest.raises(SynthesisError):
             synthesize_cached(get_format("COO"), get_format("ELL"))
         clear_memo()
-        misses_before = PROF.counters.get("cache.miss", 0)
+        misses_before = MISSES.value()
         with pytest.raises(SynthesisError):
             synthesize_cached(get_format("COO"), get_format("ELL"))
         # Served by the persisted negative entry — no re-synthesis.
-        assert PROF.counters.get("cache.miss", 0) == misses_before
+        assert MISSES.value() == misses_before
 
     def test_loaded_conversion_executes(self, isolated_cache):
         from repro.runtime.executor import compile_inspector

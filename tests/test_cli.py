@@ -341,10 +341,61 @@ class TestLiveDaemonCommands:
              "--format", "json"]
         ) == 0
         snapshot = json.loads(capsys.readouterr().out)
-        assert "prof" in snapshot and "metrics" in snapshot
+        assert "metrics" in snapshot and "cache" in snapshot
 
     def test_stats_unreachable_daemon_is_an_error(self, capsys):
         assert main(
             ["stats", "--addr", "127.0.0.1:1", "--format", "json"]
         ) == 1
         assert "error" in capsys.readouterr().err
+
+
+class TestTelemetryReports:
+    def test_profile_then_stats_table_from_a_saved_snapshot(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        from repro.obs import METRICS
+        from repro.synthesis import clear_memo
+
+        # A cold synthesis: fresh inspector cache, empty synthesis memo.
+        # The registry is not reset — CI's cache job reads the counters
+        # of the whole suite from the exit dump — so phase counts are
+        # compared to before.
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        monkeypatch.delenv("REPRO_CACHE_DISABLE", raising=False)
+        clear_memo()
+        before = {
+            s["labels"]["phase"]: s["value"]["count"]
+            for s in METRICS.histogram("repro_synthesis_seconds")
+            .snapshot()["samples"]
+        }
+        src = tmp_path / "in.mtx"
+        write_matrix(COOMatrix.from_dense(DENSE), src)
+        assert main(
+            ["--profile", "convert", str(src), str(tmp_path / "out.mtx"),
+             "--to", "CSR"]
+        ) == 0
+        err = capsys.readouterr().err
+        series = dict(
+            line.split(": ", 1) for line in err.splitlines() if ": " in line
+        )
+        for phase in ("compose", "solve", "build", "optimize", "codegen"):
+            line = series[f'repro_synthesis_seconds{{phase="{phase}"}}']
+            assert line.startswith(f"count={before.get(phase, 0) + 1} sum=")
+        memo_outcomes = {
+            name.rsplit("outcome=", 1)[1].strip('"}')
+            for name in series
+            if name.startswith("repro_ir_memo_lookups_total{")
+        }
+        assert memo_outcomes == {"hit", "miss"}
+        assert "-- inspector cache --" in err
+        assert int(series["repro_cache_miss_total"]) >= 1
+        assert int(series["repro_cache_memo_hit_total"]) >= 0
+
+        assert main(["stats", "--format", "json"]) == 0
+        saved = tmp_path / "stats.json"
+        saved.write_text(capsys.readouterr().out)
+        assert main(["stats", "--input", str(saved)]) == 0
+        table = capsys.readouterr().out
+        assert table.startswith("== telemetry ==")
+        assert 'repro_synthesis_seconds{phase="compose"}: count=' in table
