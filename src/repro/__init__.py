@@ -129,7 +129,10 @@ def convert(
     emitting a silently corrupt container; ``"full"`` additionally checks
     the output and its dense image; ``"off"`` trusts the caller (benchmark
     mode — an unsorted plain COO then simply binds to the sorting COO
-    descriptor as before).
+    descriptor as before).  Under ``"off"`` every coordinate must lie
+    inside the declared dims: the C tier does not bound-check its stores,
+    so COO→CSR with a row of ``NR + 3`` corrupts the heap and can abort
+    the process ("double free or corruption") or crash it.
 
     ``trace`` controls the :mod:`repro.obs` span tree for this call:
     ``None`` follows the process-wide ``REPRO_TRACE`` setting, ``True`` /

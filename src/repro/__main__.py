@@ -524,8 +524,10 @@ def cmd_trace(args) -> int:
         )
     # The trace exists to show the synthesis stages, so force a live
     # synthesis: a memo or disk hit would replace the compose/build/
-    # per-pass spans with a single cache-load span.
-    os.environ["REPRO_CACHE_DISABLE"] = "1"
+    # per-pass spans with a single cache-load span.  An explicit
+    # REPRO_CACHE_DISABLE=0 keeps the disk cache, to trace a conversion
+    # served from it.
+    os.environ.setdefault("REPRO_CACHE_DISABLE", "1")
     clear_memo()
     try:
         result = convert(
@@ -945,8 +947,9 @@ def main(argv: list[str] | None = None) -> int:
                               "override via the request document)")
     p_serve.add_argument("--validate", choices=["off", "inputs", "full"],
                          default="inputs",
-                         help="default validation gate for requests "
-                              "that do not specify one")
+                         help="validation gate for requests that do "
+                              "not specify one; a request may only ask "
+                              "for this level or a stricter one")
     p_serve.add_argument("--access-log", metavar="PATH",
                          help="append one JSON line per request (trace "
                               "id, status, latency, pair, cache outcome)")

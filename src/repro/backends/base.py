@@ -3,8 +3,9 @@
 A backend owns everything that differs between the scalar-Python and
 vectorized lowerings of a synthesized inspector:
 
-* **lowering** — turning an optimized SPF :class:`~repro.spf.Computation`
-  into executable source (:meth:`Backend.lower`),
+* **lowering** — printing the lowered program of an optimized SPF
+  computation as executable source (:meth:`Backend.lower`), and its
+  deep-trace timed variant (:meth:`Backend.timed_source`),
 * **execution namespace** — the runtime helpers generated code may
   reference (:meth:`Backend.namespace`),
 * **result materialization** — copying native outputs into the typed
@@ -36,7 +37,7 @@ from typing import TYPE_CHECKING, Mapping, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.planner.stats import MatrixStats
-    from repro.spf import Computation, SymbolTable
+    from repro.spf import Program, SymbolTable
 
 
 @dataclass(frozen=True)
@@ -75,35 +76,41 @@ class Lowering:
     notes: list[str] = field(default_factory=list)
 
 
-def structural_features(conversion) -> dict:
-    """Cost-relevant structure shared by the backend cost models.
+def program_features(program: "Program") -> dict:
+    """Cost-relevant structure of a lowered program, shared by every
+    backend cost model.
 
-    Derived from the generated source: loop-nest count, whether a
-    comparison-sort permutation / ordered-set / bucket permutation is
-    built, and whether per-nonzero searches (linear or binary) survive in
-    the code.  Backends weight these features differently but detect them
-    identically.
+    ``passes`` counts loops; ``sort``, ``set`` and ``bucket_perm`` say
+    whether a comparison-sort permutation, an ordered set or a bucket
+    permutation (built by an object or inlined over ``P_count``) is
+    constructed; ``bsearch`` and ``linear_search`` whether per-nonzero
+    searches survive — a guard anywhere with a loop over ``d`` is a linear
+    diagonal search.  Backends weight these features differently but
+    detect them identically.
     """
-    return source_features(conversion.source)
+    from repro.spf import statements as st
+    from repro.spf.ast_nodes import ForLoop, Guard, walk
 
-
-def source_features(source: str) -> dict:
-    """:func:`structural_features` over a source string directly.
-
-    Backends whose executable ``conversion.source`` is not the scalar
-    lowering (the C backend's is a marshalling wrapper) feature-extract
-    from ``conversion.scalar_source`` instead.
-    """
+    nodes = []
+    for node in walk(program):
+        nodes.append(node)
+        while isinstance(node, st.BinarySearch):
+            node = node.stmt
+            nodes.append(node)
+    kinds = {type(node) for node in nodes}
+    loops = [node for node in nodes if isinstance(node, ForLoop)]
     return {
-        "passes": source.count("for "),
-        "sort": "OrderedList(" in source,
-        "set": "OrderedSet(" in source,
-        "bucket_perm": (
-            "LexBucketPermutation(" in source or "P_count" in source
+        "passes": len(loops),
+        "sort": st.NewOrderedList in kinds,
+        "set": st.NewOrderedSet in kinds,
+        "bucket_perm": st.NewBucketPermutation in kinds or any(
+            isinstance(node, st.Statement) and "P_count" in node.names()
+            for node in nodes
         ),
-        "bsearch": "BSEARCH(" in source or "BSEARCH_V(" in source,
-        # A guarded loop inside the copy is a per-nonzero linear search.
-        "linear_search": "if (" in source and "for d in range" in source,
+        "bsearch": st.BinarySearch in kinds,
+        "linear_search": Guard in kinds and any(
+            loop.var == "d" for loop in loops
+        ),
     }
 
 
@@ -176,19 +183,24 @@ class Backend:
 
     def lower(
         self,
-        comp: "Computation",
+        program: "Program",
+        name: str,
         params: Sequence[str],
         returns: Sequence[str],
         symtab: "SymbolTable",
-        *,
-        scalar_source: str | None = None,
     ) -> Lowering:
-        """Lower an optimized computation to executable source.
-
-        ``scalar_source`` is the already-generated scalar lowering, passed
-        as a hint so the scalar backend does not lower twice.
-        """
+        """Print a lowered program as the executable inspector ``name``."""
         raise NotImplementedError
+
+    def timed_source(self, conversion) -> str | None:
+        """The deep-trace variant of ``conversion``'s source, or None.
+
+        Printed from ``conversion.program``, it reports each top-level
+        node through ``__OBS_CLOCK`` / ``__OBS_STMT``
+        (:func:`repro.spf.codegen.printers.timed`).  None runs the
+        untimed inspector under deep tracing too.
+        """
+        return None
 
     def namespace(self) -> dict:
         """The globals available to inspectors compiled for this backend."""

@@ -50,7 +50,7 @@ from .base import (
     Backend,
     BackendCapabilities,
     Lowering,
-    source_features,
+    program_features,
     workload_units,
 )
 from .registry import BackendUnavailableError
@@ -423,20 +423,17 @@ class CBackend(Backend):
 
     def lower(
         self,
-        comp,
+        program,
+        name: str,
         params: Sequence[str],
         returns: Sequence[str],
         symtab,
-        *,
-        scalar_source: str | None = None,
     ) -> Lowering:
         from repro.spf.codegen.c_emit import emit_c
 
-        with obs.span("c.codegen", category="codegen", inspector=comp.name):
-            emitted = emit_c(comp, list(params), list(returns), symtab)
-        return Lowering(
-            source=_wrapper_source(comp.name, list(params), emitted)
-        )
+        with obs.span("c.codegen", category="codegen", inspector=name):
+            emitted = emit_c(program, name, list(params), list(returns), symtab)
+        return Lowering(source=_wrapper_source(name, list(params), emitted))
 
     def namespace(self) -> dict:
         # The wrapper needs __C_RUN; the base helpers ride along.
@@ -449,15 +446,12 @@ class CBackend(Backend):
     def estimate_cost(self, conversion, stats=None) -> float:
         """Cost model for compiled inspectors.
 
-        The structural features come from the *scalar* source — the
-        executable source is a marshalling wrapper — weighted at compiled
-        per-element cost: ~1/500 of an interpreted element, ~1/5 of a
-        numpy-vectorized one, plus a fixed FFI dispatch/marshal floor so
-        tiny matrices still prefer the tierless paths.
+        The structural features of the lowered program, weighted at
+        compiled per-element cost: ~1/500 of an interpreted element, ~1/5
+        of a numpy-vectorized one, plus a fixed FFI dispatch/marshal floor
+        so tiny matrices still prefer the tierless paths.
         """
-        feats = source_features(
-            conversion.scalar_source or conversion.source
-        )
+        feats = program_features(conversion.program)
         if stats is None:
             cost = 0.05 + 0.02 * feats["passes"]
             if feats["sort"]:

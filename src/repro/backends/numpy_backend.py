@@ -8,9 +8,21 @@ from .base import (
     Backend,
     BackendCapabilities,
     Lowering,
-    structural_features,
+    program_features,
     workload_units,
 )
+
+
+def _print(program, name, params, returns, symtab, *, timing=False):
+    from repro.spf.codegen.vectorize import emit_numpy_function
+    from repro.spf.replay import mark_rank_lookups
+
+    # Marking rewrites the program in place; a marked program prints the
+    # same on every tier and marks again to itself.
+    return emit_numpy_function(
+        name, params, mark_rank_lookups(program), returns, symtab,
+        timing=timing,
+    )
 
 
 class NumpyBackend(Backend):
@@ -47,16 +59,13 @@ class NumpyBackend(Backend):
 
     def lower(
         self,
-        comp,
+        program,
+        name: str,
         params: Sequence[str],
         returns: Sequence[str],
         symtab,
-        *,
-        scalar_source: str | None = None,
     ) -> Lowering:
-        lowering = comp.codegen_function_numpy(
-            list(params), list(returns), symtab
-        )
+        lowering = _print(program, name, params, returns, symtab)
         return Lowering(
             source=lowering.source,
             vector_stats={
@@ -65,6 +74,16 @@ class NumpyBackend(Backend):
             },
             notes=list(lowering.notes),
         )
+
+    def timed_source(self, conversion) -> str:
+        return _print(
+            conversion.program,
+            conversion.name,
+            conversion.params,
+            conversion.returns,
+            conversion.symtab,
+            timing=True,
+        ).source
 
     def namespace(self) -> dict:
         from repro.runtime import executor, npvec
@@ -77,8 +96,8 @@ class NumpyBackend(Backend):
     def estimate_cost(self, conversion, stats=None) -> float:
         """Cost model for vectorized inspectors.
 
-        Residual ``for`` loops are the scalar-fallback nests; vectorized
-        nests cost a small constant each (a handful of array passes —
+        Each scalar-fallback nest costs one pass; vectorized nests cost a
+        small constant each (a handful of array passes —
         numpy's per-element work is a couple of orders of magnitude
         cheaper than an interpreted pass).  With ``stats``, nests are
         charged per element touched on the profiled matrix: a vectorized
@@ -86,33 +105,28 @@ class NumpyBackend(Backend):
         helpers (lexsort ranks, vectorized binary search) carry the same
         discount.
         """
-        source = conversion.source
+        feats = program_features(conversion.program)
         vstats = conversion.vector_stats or {}
-        if stats is None:
-            cost = float(source.count("for "))
-            cost += 0.05 * vstats.get("vectorized_nests", 0)
-            if "STABLE_POS(" in source or "DENSE_POS(" in source:
-                cost += 0.2  # lexsort rank
-            if "FILL_POS(" in source or "COUNT_POS(" in source:
-                cost += 0.05
-            if "BSEARCH_V(" in source:
-                cost += 0.05
-            if "if (" in source and "for d in range" in source:
-                cost += 4.0  # linear search survived in a fallback nest
-            return cost
-        feats = structural_features(conversion)
-        units = workload_units(conversion, stats)
         vectorized = vstats.get("vectorized_nests", 0)
-        scalar = vstats.get("scalar_nests", feats["passes"])
+        scalar = vstats.get("scalar_nests", 0)
+        if stats is None:
+            cost = float(scalar)
+            cost += 0.05 * vectorized
+            if feats["sort"]:
+                cost += 0.2  # lexsort rank
+            if feats["bucket_perm"]:
+                cost += 0.05
+            if feats["bsearch"]:
+                cost += 0.05
+            return cost
+        units = workload_units(conversion, stats)
         total_nests = max(vectorized + scalar, 1)
         # Per-element weight of one pass: vectorized share at 0.01,
         # scalar-fallback share at the interpreted 1.0.
         unit = (0.01 * vectorized + 1.0 * scalar) / total_nests
         cost = total_nests * units["pass_elems"] * unit
-        if feats["sort"] or "STABLE_POS(" in source or "DENSE_POS(" in source:
+        if feats["sort"]:
             cost += 0.05 * units["sort_elems"]
         if feats["bsearch"]:
             cost += 0.05 * units["bsearch_elems"]
-        if feats["linear_search"]:
-            cost += units["linear_search_elems"]  # survives interpreted
         return cost

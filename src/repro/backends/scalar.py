@@ -8,7 +8,7 @@ from .base import (
     Backend,
     BackendCapabilities,
     Lowering,
-    structural_features,
+    program_features,
     workload_units,
 )
 
@@ -33,17 +33,29 @@ class PythonBackend(Backend):
 
     def lower(
         self,
-        comp,
+        program,
+        name: str,
         params: Sequence[str],
         returns: Sequence[str],
         symtab,
-        *,
-        scalar_source: str | None = None,
     ) -> Lowering:
-        source = scalar_source
-        if source is None:
-            source = comp.codegen_function(list(params), list(returns), symtab)
-        return Lowering(source=source)
+        from repro.spf import emit_python_function
+
+        return Lowering(
+            source=emit_python_function(name, params, program, returns, symtab)
+        )
+
+    def timed_source(self, conversion) -> str:
+        from repro.spf import emit_python_function
+
+        return emit_python_function(
+            conversion.name,
+            conversion.params,
+            conversion.program,
+            conversion.returns,
+            conversion.symtab,
+            timing=True,
+        )
 
     def namespace(self) -> dict:
         # Lazy: repro.runtime.__init__ imports the executor, which resolves
@@ -68,7 +80,7 @@ class PythonBackend(Backend):
         touched on the profiled matrix (interpreted per-element weight
         1.0 everywhere).
         """
-        feats = structural_features(conversion)
+        feats = program_features(conversion.program)
         if stats is None:
             cost = float(feats["passes"])
             if feats["sort"]:

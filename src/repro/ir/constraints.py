@@ -33,6 +33,9 @@ class Constraint:
     def __setattr__(self, key, value):  # pragma: no cover - immutability guard
         raise AttributeError("Constraint is immutable")
 
+    def __reduce__(self):  # rebuilt through the constructor, not setattr
+        return (type(self), (self.expr,))
+
     def __eq__(self, other):
         return other is self or (
             type(other) is type(self) and other.expr == self.expr

@@ -93,6 +93,9 @@ class Var(Atom):
     def __init__(self, name: str):  # construction happens in __new__
         pass
 
+    def __reduce__(self):  # unpickles to the interned instance
+        return (Var, (self.name,))
+
     def __setattr__(self, key, value):  # pragma: no cover - immutability guard
         raise AttributeError("Var is immutable")
 
@@ -137,6 +140,9 @@ class Sym(Atom):
 
     def __init__(self, name: str):  # construction happens in __new__
         pass
+
+    def __reduce__(self):  # unpickles to the interned instance
+        return (Sym, (self.name,))
 
     def __setattr__(self, key, value):  # pragma: no cover - immutability guard
         raise AttributeError("Sym is immutable")
@@ -196,6 +202,9 @@ class UFCall(Atom):
 
     def __init__(self, name, args):  # construction happens in __new__
         pass
+
+    def __reduce__(self):  # unpickles to the interned instance
+        return (UFCall, (self.name, self.args))
 
     def __setattr__(self, key, value):  # pragma: no cover - immutability guard
         raise AttributeError("UFCall is immutable")
@@ -258,6 +267,9 @@ class Mul(Atom):
     def __init__(self, sym, factor):  # construction happens in __new__
         pass
 
+    def __reduce__(self):  # unpickles to the interned instance
+        return (Mul, (self.sym, self.factor))
+
     def __setattr__(self, key, value):  # pragma: no cover - immutability guard
         raise AttributeError("Mul is immutable")
 
@@ -314,6 +326,9 @@ class FloorDiv(Atom):
     def __init__(self, numer, denom):  # construction happens in __new__
         pass
 
+    def __reduce__(self):  # unpickles to the interned instance
+        return (FloorDiv, (self.numer, self.denom))
+
     def __setattr__(self, key, value):  # pragma: no cover - immutability guard
         raise AttributeError("FloorDiv is immutable")
 
@@ -369,6 +384,9 @@ class Mod(Atom):
 
     def __init__(self, numer, denom):  # construction happens in __new__
         pass
+
+    def __reduce__(self):  # unpickles to the interned instance
+        return (Mod, (self.numer, self.denom))
 
     def __setattr__(self, key, value):  # pragma: no cover - immutability guard
         raise AttributeError("Mod is immutable")
@@ -466,6 +484,9 @@ class Expr:
 
     def __init__(self, const=0, terms=()):  # construction happens in __new__
         pass
+
+    def __reduce__(self):  # unpickles to the interned instance
+        return (Expr, (self.const, self.terms))
 
     def __setattr__(self, key, value):  # pragma: no cover - immutability guard
         raise AttributeError("Expr is immutable")

@@ -10,8 +10,11 @@ The observability layer behind ``repro trace`` and ``repro stats``:
 * **exporters** (:mod:`.export`) — JSONL events, Chrome trace-event JSON
   (Perfetto-loadable), Prometheus text exposition (all atomic), and the
   human-readable table behind ``repro stats`` and ``--profile``,
-* **instrumentation** (:mod:`.instrument`) — per-statement timing hooks
-  injected into generated inspector source while tracing.
+* **per-statement spans** — under deep tracing the python and numpy
+  tiers run a timed variant printed from the conversion's lowered
+  program (:meth:`repro.backends.Backend.timed_source`), which reports
+  each top-level node as an ``execute.stmt`` span; the C tier runs
+  untimed.
 
 Environment knobs:
 

@@ -184,8 +184,8 @@ class TraceContext:
     ``parent`` instead of becoming orphan roots of the pool thread, and
     tracing is thread-locally forced to ``active``.
 
-    ``detail`` gates the heavyweight per-statement executor
-    instrumentation: always-on service tracing keeps the span tree
+    ``detail`` gates the per-statement timed variant of the inspector:
+    always-on service tracing keeps the span tree
     (synthesis phases, cache outcome, execute) but skips the per-``stmt``
     clock hooks unless explicitly requested.
     """
@@ -268,7 +268,7 @@ class Tracer:
         return Tracer._Forced(self, value)
 
     def stmt_detail(self) -> bool:
-        """Should traced executions compile per-statement instrumentation?
+        """Should traced executions run the per-statement timed variant?
 
         ``True`` (the default) preserves the historical deep-trace
         behavior of ``REPRO_TRACE=1`` / ``trace=True``; an adopted

@@ -7,7 +7,8 @@ The conversion path is an explicit pipeline::
       → CaseMatch                      (step 3: classify constraints)
       → BuiltComputation               (steps 4-5: raw SPF Computation)
       → [PassManager]                  (optimized Computation, in place)
-      → LoweredSource                  (backend lowering)
+      → LoweredSource                  (the lowered Program + its backend
+                                        source)
       → CompiledInspector              (repro.runtime.executor, lazy)
 
 Each stage consumes the previous artifact and nothing else, which is what
@@ -26,7 +27,7 @@ from typing import TYPE_CHECKING, Optional
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.formats.descriptor import FormatDescriptor
     from repro.ir import Conjunction, Expr, IntSet, Relation
-    from repro.spf import Computation, SymbolTable
+    from repro.spf import Computation, Program, SymbolTable
 
 
 @dataclass(frozen=True)
@@ -106,15 +107,15 @@ class BuiltComputation:
 class LoweredSource:
     """Output of the lowering stage, for one backend.
 
-    ``scalar_source`` is always the scalar-Python lowering (kept for
-    display, differential testing, and the disk-cache payload); ``source``
-    is the active backend's executable lowering.  The display C rendering
-    is not part of this artifact — it is generated lazily by
-    :attr:`repro.synthesis.SynthesizedConversion.c_source`.
+    ``program`` is the optimized computation lowered once to the loop and
+    statement AST; it is the record of the conversion that cost features,
+    the display C (:attr:`repro.synthesis.SynthesizedConversion.c_source`)
+    and the deep-trace timed variant are printed from, on every tier.
+    ``source`` is the active backend's executable printing of it.
     """
 
     backend: str
     source: str
-    scalar_source: str
+    program: "Program"
     vector_stats: dict | None = None
     notes: list[str] = field(default_factory=list)

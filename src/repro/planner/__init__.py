@@ -3,7 +3,7 @@
 The paper's conclusion positions the synthesis machinery as "a foundation
 for a complete automatic layout transformation for workloads".  This
 package takes that step: it builds the graph of directly synthesizable
-conversions, assigns each edge a cost estimated *from the generated code
+conversions, assigns each edge a cost estimated *from the lowered program
 itself* (passes over the nonzeros, permutation structures, searches), and
 plans cheapest conversion chains — including pairs with no direct
 synthesis (DIA→DIA goes through sorted COO).
@@ -62,7 +62,8 @@ def estimate_cost(
 ) -> float:
     """A machine-independent cost estimate for one synthesized conversion.
 
-    Derived from the generated code's structure: each loop nest over the
+    Derived from the lowered program's statement kinds (see
+    :func:`repro.backends.base.program_features`): each loop nest over the
     nonzeros costs one pass; comparison-sort permutations cost an extra
     log-factor pass; per-nonzero searches cost a diagonal-count factor.
     The absolute scale is arbitrary — only relative comparisons matter, but

@@ -12,7 +12,8 @@ A convert request::
      "matrix": {"rows": R, "cols": C,
                 "row": [...], "col": [...], "val": [...]},
      "backend": "python",       # optional; degrades c -> numpy -> python
-     "validate": "inputs",      # off | inputs | full
+     "validate": "inputs",      # off | inputs | full; at least the
+                                #   daemon's --validate level
      "optimize": true,
      "binary_search": false,
      "plan": false,             # route through the multi-step planner

@@ -63,6 +63,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import repro.obs as obs
 from repro.errors import ValidationError
+from repro.verify.gate import VALIDATE_LEVELS
 
 from .protocol import (
     SCHEMA,
@@ -543,6 +544,17 @@ class ConversionServer:
                 if isinstance(doc, dict)
                 else doc
             )
+            # A request may tighten the daemon's input gate, never loosen
+            # it: the native tier trusts ungated coordinates.
+            levels = VALIDATE_LEVELS
+            if levels.index(request["validate"]) < levels.index(
+                self.default_validate
+            ):
+                raise ProtocolError(
+                    f"validate={request['validate']!r} is weaker than this "
+                    f"daemon's validate={self.default_validate!r}; ask for "
+                    "that level or a stricter one"
+                )
         except (ProtocolError, ValidationError) as exc:
             # A ValidationError here is the matrix constructor rejecting
             # an index or value; its message names the field.

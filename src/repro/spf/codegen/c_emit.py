@@ -1015,13 +1015,13 @@ class _Emitter:
         )
 
 
-def emit_c(comp, params, returns, symtab: SymbolTable) -> CEmitted:
-    """Emit a compilable C99 translation unit for one computation.
+def emit_c(program, name, params, returns, symtab: SymbolTable) -> CEmitted:
+    """Emit a compilable C99 translation unit for one lowered program.
 
+    Marks the program's rank lookups in place (marking is idempotent).
     Raises :class:`~repro.spf.statements.UnsupportedStatement`, naming the
-    statement, when the computation uses a construct outside the closed
+    statement, when the program uses a construct outside the closed
     statement set.
     """
-    program = mark_rank_lookups(comp.lower())
-    emitter = _Emitter(program, comp.name, params, returns, symtab)
+    emitter = _Emitter(mark_rank_lookups(program), name, params, returns, symtab)
     return emitter.run()

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 from repro.ir import Constraint, Eq, Expr, FloorDiv, Mod, Mul, Sym, UFCall, Var
 from .. import statements as st
-from ..ast_nodes import Comment, ForLoop, Guard, LetEq, Node, Program, Raw
+from ..ast_nodes import Comment, ForLoop, Guard, LetEq, Node, Program, Raw, walk
 
 
 class SymbolTable:
@@ -314,6 +314,41 @@ class CPrinter(_DisplayCExprs):
         return [f"{pad}{line}" for line in text.splitlines()]
 
 
+def span_label(node: Node) -> str:
+    """What a top-level node does, from its statement kinds and targets.
+
+    A statement reads ``Alloc rowptr``; a loop nest lists its kinds in
+    first-use order, e.g. ``for n: Histogram rowptr; Scatter col2, Adst``.
+    """
+    if isinstance(node, st.Statement):
+        return f"{type(node).__name__} {node.target}"
+    kinds: dict[str, dict] = {}  # kind -> its targets, both in first-use order
+    for inner in walk(node):
+        if isinstance(inner, st.Statement):
+            kinds.setdefault(type(inner).__name__, {})[inner.target] = None
+    body = "; ".join(f"{kind} {', '.join(t)}" for kind, t in kinds.items())
+    if isinstance(node, ForLoop):
+        return f"for {node.var}: {body}"
+    if isinstance(node, Guard):
+        return f"if: {body}"
+    return body or type(node).__name__
+
+
+def timed(index: int, node: Node, lines: list[str], pad: str) -> list[str]:
+    """Bracket one top-level node's lines with the deep-trace clock hooks.
+
+    The timed variant of an inspector calls ``__OBS_CLOCK()`` before and
+    after each top-level node and reports the pair through
+    ``__OBS_STMT(index, label, start, end)``; both come from its globals.
+    """
+    return [
+        f"{pad}__obs_t = __OBS_CLOCK()",
+        *lines,
+        f"{pad}__OBS_STMT({index}, {span_label(node)!r}, __obs_t, "
+        "__OBS_CLOCK())",
+    ]
+
+
 def emit_python_function(
     name: str,
     params: Sequence[str],
@@ -321,18 +356,24 @@ def emit_python_function(
     returns: Sequence[str],
     symtab: SymbolTable,
     preamble: Sequence[str] = (),
+    *,
+    timing: bool = False,
 ) -> str:
     """Wrap a lowered program into a Python function definition.
 
     ``params`` are the inputs (source UF arrays, symbolic constants, helper
     functions); ``returns`` are the destination names returned as a dict.
+    ``timing`` prints the deep-trace variant (:func:`timed`).
     """
     printer = PythonPrinter(symtab)
     lines = [f"def {name}({', '.join(params)}):"]
     for line in preamble:
         lines.append(f"    {line}")
-    body = printer.print(program, indent=1)
-    lines.append(body)
+    if timing:
+        for index, node in enumerate(program.body):
+            lines.extend(timed(index, node, printer._lines(node, 1), "    "))
+    else:
+        lines.append(printer.print(program, indent=1))
     ret_items = ", ".join(f"{n!r}: {n}" for n in returns)
     lines.append(f"    return {{{ret_items}}}")
     return "\n".join(lines) + "\n"

@@ -50,7 +50,7 @@ import repro.obs as obs
 from repro.ir import Expr, Sym, UFCall, Var
 from .. import statements as st
 from ..ast_nodes import Comment, ForLoop, Guard, LetEq, Node, Program, RankLookup
-from .printers import ExprPrinter, PythonPrinter, SymbolTable
+from .printers import ExprPrinter, PythonPrinter, SymbolTable, timed
 
 #: Scalar runtime helper -> its column-wise counterpart.
 _VECTOR_FUNCS = {"MORTON": "MORTON_V", "MORTON2": "MORTON2_V", "MORTON3": "MORTON3_V"}
@@ -703,6 +703,8 @@ def emit_numpy_function(
     program: Program,
     returns: Sequence[str],
     symtab: SymbolTable,
+    *,
+    timing: bool = False,
 ) -> NumpyLowering:
     """Numpy-backend counterpart of :func:`.printers.emit_python_function`.
 
@@ -711,6 +713,8 @@ def emit_numpy_function(
     (``base_namespace("numpy")``) and returns numpy arrays (its native
     representation); materializing the containers' typed arrays is the
     caller's job (:meth:`repro.backends.Backend.materialize`).
+    ``timing`` prints the deep-trace variant (:func:`.printers.timed`),
+    which the nest counters do not count again.
     """
     emitter = _Emitter(symtab, params, program)
     lines = [f"def {name}({', '.join(params)}):"]
@@ -719,7 +723,13 @@ def emit_numpy_function(
             conv = "ASARRAY_FLOAT" if p == st.SOURCE_VALUES else "ASARRAY_INT"
             lines.append(f"    {p} = {conv}({p})")
             emitter.arrays.add(p)
-    emitter.emit(program.body, 1)
+    for index, node in enumerate(program.body):
+        start = len(emitter.lines)
+        emitter.emit([node], 1)
+        if timing:
+            emitter.lines[start:] = timed(
+                index, node, emitter.lines[start:], "    "
+            )
     lines.extend(emitter.lines)
     # Return the backend's native representation (numpy arrays); callers
     # materialize typed arrays at the call boundary
@@ -729,8 +739,9 @@ def emit_numpy_function(
     notes = list(emitter.notes)
     for obj in sorted(emitter.scalar_objects):
         notes.append(f"scalar fallback: permutation object {obj}")
-    _VECTORIZED_NESTS.inc(emitter.vectorized)
-    _SCALAR_NESTS.inc(emitter.fallbacks)
+    if not timing:
+        _VECTORIZED_NESTS.inc(emitter.vectorized)
+        _SCALAR_NESTS.inc(emitter.fallbacks)
     return NumpyLowering(
         source="\n".join(lines) + "\n",
         vectorized_nests=emitter.vectorized,

@@ -23,7 +23,6 @@ from .codegen.printers import (
     SymbolTable,
     emit_python_function,
 )
-from .replay import mark_rank_lookups
 from .statements import Statement
 
 
@@ -479,26 +478,6 @@ class Computation:
         symtab = symtab or SymbolTable()
         return emit_python_function(
             self.name, params, self.lower(), returns, symtab, preamble
-        )
-
-    def codegen_function_numpy(
-        self,
-        params: Sequence[str],
-        returns: Sequence[str],
-        symtab: SymbolTable | None = None,
-    ):
-        """Generate a NumPy-vectorized function wrapping the computation.
-
-        Returns a :class:`~repro.spf.codegen.vectorize.NumpyLowering` with
-        the source and per-nest vectorization stats; a nest the read/write
-        hazard check rejects prints through the scalar printer inside the
-        emitted function.
-        """
-        from .codegen.vectorize import emit_numpy_function
-
-        symtab = symtab or SymbolTable()
-        return emit_numpy_function(
-            self.name, params, mark_rank_lookups(self.lower()), returns, symtab
         )
 
     def __repr__(self):

@@ -6,7 +6,7 @@ and substitution go through :meth:`Expr.rename_vars` /
 :meth:`Expr.substitute_vars`, never through text, and each lowering — the
 scalar Python printer, the display C printer, the numpy vectorizer and the
 native C emitter — is a printer over this set.  This is the
-attribute-query / assembly vocabulary of Chou et al. (OOPSLA 2020):
+attribute-query / assembly vocabulary of Chou et al. (PLDI 2020):
 
 * storage: :class:`Alloc`, :class:`ArrayCopy`;
 * assembly: :class:`Histogram`, :class:`Scatter`, :class:`Reduce`,

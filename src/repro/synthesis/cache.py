@@ -14,9 +14,11 @@ Three layers make repeated synthesis cheap:
 Disk entries are JSON payloads written atomically (tempfile +
 ``os.replace``), so concurrent processes warming the same cache directory
 are safe.  A conversion loaded from disk carries the generated source,
-signature and metadata but not the in-memory SPF ``computation`` /
-``symtab`` (those are synthesis intermediates; callers that need them —
-like tandem synthesis — use :func:`repro.synthesis.synthesize` directly).
+signature, metadata and the lowered ``program`` with its ``symtab`` — the
+record its cost features, display C and deep-trace timing are printed
+from — but not the SPF ``computation`` (a synthesis intermediate; callers
+that need it — like tandem synthesis — use
+:func:`repro.synthesis.synthesize` directly).
 
 Disk entries are sharded into 256 two-hex-digit subdirectories per
 version partition (``<version>/<xx>/<entry>.json``) so a hot cache never
@@ -41,9 +43,11 @@ Environment knobs:
 from __future__ import annotations
 
 import atexit
+import base64
 import hashlib
 import json
 import os
+import pickle
 import re
 import tempfile
 import threading
@@ -104,15 +108,15 @@ _PAYLOAD_FIELDS = (
     "params",
     "returns",
     "source",
-    "scalar_source",
     "uf_output_map",
     "notes",
     "backend",
     "vector_stats",
 )
 
-#: Bumped to 2 when the cache key grew the pass-pipeline fingerprint.
-_PAYLOAD_VERSION = 2
+#: Bumped to 2 when the cache key grew the pass-pipeline fingerprint, to 3
+#: when the pickled ``program`` replaced the stored text renderings.
+_PAYLOAD_VERSION = 3
 
 #: Attribute the computed fingerprint is memoized under, directly on the
 #: descriptor object.  A module-level ``id()``-keyed table here used to
@@ -270,10 +274,9 @@ def _store_disk(
         payload = {f: getattr(conv, f) for f in _PAYLOAD_FIELDS}
         payload["params"] = list(conv.params)
         payload["returns"] = list(conv.returns)
-        # Payload-contract key: the memoized display C if this process
-        # rendered it, else null — reading ``conv.c_source`` here would
-        # defeat the lazy generation the field exists for.
-        payload["c_source"] = conv._c_source
+        payload["program"] = base64.b64encode(
+            pickle.dumps((conv.program, conv.symtab))
+        ).decode("ascii")
     payload["version"] = _PAYLOAD_VERSION
     payload["code_version"] = code_version_hash()
     try:
@@ -354,6 +357,8 @@ def _load_disk(
         return None  # belt and braces: the directory is already versioned
     if "synthesis_error" in payload:
         return SynthesisError(payload["synthesis_error"])
+    # Unpickling adds no trust: this same entry's ``source`` is exec'd.
+    program, symtab = pickle.loads(base64.b64decode(payload["program"]))
     return SynthesizedConversion(
         name=payload["name"],
         src_format=payload["src_format"],
@@ -362,12 +367,11 @@ def _load_disk(
         params=tuple(payload["params"]),
         returns=tuple(payload["returns"]),
         source=payload["source"],
-        _c_source=payload.get("c_source"),
-        symtab=None,
+        symtab=symtab,
+        program=program,
         uf_output_map=dict(payload["uf_output_map"]),
         notes=list(payload["notes"]),
         backend=payload["backend"],
-        scalar_source=payload["scalar_source"],
         vector_stats=payload["vector_stats"],
     )
 

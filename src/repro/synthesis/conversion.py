@@ -4,7 +4,10 @@ This module is the bottom of the synthesis package's import graph: the
 stage modules (:mod:`.compose`, :mod:`.casematch`, :mod:`.build`,
 :mod:`.lower`) all import the constants and :class:`SynthesisError` from
 here, and :mod:`.engine` assembles their artifacts into a
-:class:`SynthesizedConversion`.
+:class:`SynthesizedConversion`.  Its lowered ``program`` is the record of
+the conversion: the cost features, the display C and the deep-trace timed
+variant are all printed from it, whether the conversion was synthesized
+in this process or loaded from the disk cache.
 """
 
 from __future__ import annotations
@@ -15,7 +18,7 @@ from dataclasses import dataclass, field
 import repro.obs as obs
 from repro.runtime.executor import compile_inspector
 from repro.runtime.storage import as_list
-from repro.spf import Computation, SymbolTable
+from repro.spf import Computation, CPrinter, Program, SymbolTable
 
 
 class SynthesisError(ValueError):
@@ -43,7 +46,7 @@ PH_COPY = 8
 
 
 def _record_stmt_span(index: int, label: str, start: float, end: float):
-    """The ``__OBS_STMT`` hook instrumented inspectors report through."""
+    """The ``__OBS_STMT`` hook timed inspectors report through."""
     obs.add_span(label, start, end, category="execute.stmt", index=index)
 
 
@@ -61,51 +64,47 @@ def _array_bytes(value) -> int:
 class SynthesizedConversion:
     """The output of :func:`repro.synthesis.synthesize`.
 
-    ``source`` is the generated Python inspector; :attr:`c_source` renders
-    the display C version of the loop chain on demand; ``notes`` logs the
-    synthesis decisions (which case produced each statement, whether the
-    permutation was eliminated...).
+    ``program`` is the optimized computation lowered once (with the
+    ``symtab`` its printers read); ``source`` is the active backend's
+    executable printing of it; :attr:`c_source` prints the display C
+    version on demand; ``notes`` logs the synthesis decisions (which case
+    produced each statement, whether the permutation was eliminated...).
+    ``computation`` is the SPF computation itself, kept in memory only
+    (tandem synthesis re-optimizes it): a conversion loaded from the disk
+    cache has ``computation=None`` and everything else.
     """
 
     name: str
     src_format: str
     dst_format: str
-    computation: Computation
+    computation: Computation | None
     params: tuple[str, ...]
     returns: tuple[str, ...]
     source: str
     symtab: SymbolTable
+    program: Program
     uf_output_map: dict[str, str]
     notes: list[str] = field(default_factory=list)
-    #: Lowering backend this conversion was synthesized for: ``source`` is
-    #: the active backend's source, ``scalar_source`` always the scalar one.
+    #: Lowering backend whose executable source ``source`` is.
     backend: str = "python"
-    scalar_source: str = ""
     #: ``{"vectorized_nests": n, "scalar_nests": m}`` for the numpy backend.
     vector_stats: dict | None = None
-    #: Memoized display-C rendering; populated lazily by :attr:`c_source`
-    #: (or from the disk-cache payload when a past process rendered it).
+    #: Memoized display-C rendering; populated lazily by :attr:`c_source`.
     _c_source: str | None = None
     _compiled: object = None
-    #: Per-statement instrumented compile, built lazily under tracing;
-    #: ``False`` records that instrumentation was attempted and failed.
-    _instrumented: object = None
+    #: The deep-trace timed variant, compiled on first use.
+    _timed: object = None
 
     @property
     def c_source(self) -> str:
-        """The display C rendering of the loop chain, generated on demand.
+        """The display C rendering of the loop chain, printed on demand.
 
-        Every conversion used to pay C codegen up front; now only
-        consumers that ask (``repro convert --c``, the walkthrough
-        example) trigger it.  Conversions rehydrated from the disk cache
-        carry whatever the writing process had rendered (possibly
-        nothing — the SPF intermediates needed to regenerate are not
-        persisted, so the display C is empty then).
+        Only consumers that ask (``repro convert --c``, the walkthrough
+        example) pay for it; it prints the stored program, so a conversion
+        served from the disk cache renders the same text.
         """
         if self._c_source is None:
-            if self.computation is None or self.symtab is None:
-                return ""
-            self._c_source = self.computation.codegen(self.symtab, lang="c")
+            self._c_source = CPrinter(self.symtab).print(self.program)
         return self._c_source
 
     def compile(self):
@@ -141,8 +140,9 @@ class SynthesizedConversion:
 
         Under tracing (``REPRO_TRACE=1`` / ``trace=True``) the run is
         wrapped in an ``execute`` span with nnz / allocation / throughput
-        attributes and per-statement child spans from the instrumented
-        lowering (:mod:`repro.obs.instrument`).
+        attributes; under deep tracing the python and numpy tiers run the
+        timed variant (:meth:`repro.backends.Backend.timed_source`), whose
+        top-level nodes report ``execute.stmt`` child spans.
         """
         if obs.tracing():
             return self._run_traced(inputs)
@@ -158,48 +158,41 @@ class SynthesizedConversion:
             ordered = [as_list(value) for value in ordered]
         return ordered
 
-    def _instrumented_fn(self):
-        """The per-statement instrumented callable, or None."""
-        if self._instrumented is None:
-            from repro.obs.instrument import instrument_source
+    def _timed_fn(self):
+        """The deep-trace timed callable, or None on a tier without one."""
+        if self._timed is None:
+            from repro.backends import get_backend
 
-            rewritten = instrument_source(self.source, self.name)
-            if rewritten is None:
-                self._instrumented = False
-            else:
-                try:
-                    self._instrumented = compile_inspector(
-                        self.name,
-                        rewritten[0],
-                        extra_env={
-                            "__OBS_STMT": _record_stmt_span,
-                            "__OBS_CLOCK": time.perf_counter,
-                        },
-                        backend=self.backend,
-                    )
-                except ValueError:
-                    self._instrumented = False
-        return self._instrumented or None
+            source = get_backend(self.backend).timed_source(self)
+            if source is None:
+                return None
+            self._timed = compile_inspector(
+                self.name,
+                source,
+                extra_env={
+                    "__OBS_STMT": _record_stmt_span,
+                    "__OBS_CLOCK": time.perf_counter,
+                },
+                backend=self.backend,
+            )
+        return self._timed
 
     def _run_traced(self, inputs: dict):
         ordered = self._arguments(inputs)
         source_data = inputs.get(SOURCE_DATA)
         nnz = len(source_data) if hasattr(source_data, "__len__") else None
+        # Per-statement hooks are deep-trace only: always-on service
+        # tracing (an adopted context with detail=False) keeps the execute
+        # span but runs the untimed inspector.  The timed variant compiles
+        # before the span opens, so ``execute`` times only the run.
+        timed = self._timed_fn() if obs.TRACER.stmt_detail() else None
         with obs.span(
             "execute",
             category="runtime",
             conversion=self.name,
             backend=self.backend,
         ) as span:
-            # Per-statement hooks are deep-trace only: always-on service
-            # tracing (an adopted context with detail=False) keeps the
-            # execute span but runs the uninstrumented inspector.
-            fn = (
-                self._instrumented_fn()
-                if obs.TRACER.stmt_detail()
-                else None
-            ) or self.compile()
-            result = fn(*ordered)
+            result = (timed or self.compile())(*ordered)
         attrs = {}
         if nnz is not None:
             attrs["nnz"] = nnz

@@ -211,9 +211,9 @@ def _synthesize_impl(
         returns=built.returns,
         source=lowered.source,
         symtab=built.symtab,
+        program=lowered.program,
         uf_output_map=uf_output_map,
         notes=notes,
         backend=backend.name,
-        scalar_source=lowered.scalar_source,
         vector_stats=lowered.vector_stats,
     )

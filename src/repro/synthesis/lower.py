@@ -1,12 +1,12 @@
-"""Lowering stage: optimized computation → backend source.
+"""Lowering stage: optimized computation → lowered program → backend source.
 
-The scalar Python lowering is always generated (it feeds differential
-testing, backend fallbacks, and the disk-cache payload); the active
-backend's :meth:`~repro.backends.Backend.lower` hook then produces the
-executable source — which for the scalar backend is the scalar source
-itself.  The display C rendering is *not* generated here: it is lazy on
-:attr:`~repro.synthesis.SynthesizedConversion.c_source`, so conversions
-whose consumers never ask for it pay nothing.
+The computation is lowered exactly once, to the loop and statement
+:class:`~repro.spf.Program`; the active backend's
+:meth:`~repro.backends.Backend.lower` hook prints that program as its
+executable source.  The program travels on with the conversion (and
+through the disk cache), so the cost models, the display C rendering
+(:attr:`~repro.synthesis.SynthesizedConversion.c_source`, printed on
+demand) and the deep-trace timed variant never lower again.
 """
 
 from __future__ import annotations
@@ -19,17 +19,13 @@ def lower_stage(
     built: BuiltComputation, backend: Backend, notes: list[str]
 ) -> LoweredSource:
     """Lower the built computation for ``backend``."""
-    params = list(built.params)
-    returns = list(built.returns)
-    scalar_source = built.comp.codegen_function(
-        params, returns, built.symtab
-    )
+    program = built.comp.lower()
     lowering = backend.lower(
-        built.comp,
-        params,
-        returns,
+        program,
+        built.comp.name,
+        list(built.params),
+        list(built.returns),
         built.symtab,
-        scalar_source=scalar_source,
     )
     if lowering.vector_stats is not None:
         stats = lowering.vector_stats
@@ -42,7 +38,7 @@ def lower_stage(
     return LoweredSource(
         backend=backend.name,
         source=lowering.source,
-        scalar_source=scalar_source,
+        program=program,
         vector_stats=lowering.vector_stats,
         notes=list(lowering.notes),
     )

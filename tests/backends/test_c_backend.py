@@ -390,11 +390,19 @@ class TestLazyCSource:
         assert conv._c_source is source  # memoized
         assert conv.c_source is source
 
-    def test_disk_loaded_conversion_degrades_to_empty(self):
-        import dataclasses
+    def test_disk_loaded_conversion_prints_the_same(
+        self, tmp_path, monkeypatch
+    ):
+        from repro.synthesis import clear_memo, synthesize_cached
 
-        conv = synthesize(get_format("COO"), get_format("CSR"))
-        stripped = dataclasses.replace(
-            conv, computation=None, symtab=None, _c_source=None
-        )
-        assert stripped.c_source == ""
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        monkeypatch.delenv("REPRO_CACHE_DISABLE", raising=False)
+        clear_memo()
+        fresh = synthesize_cached(get_format("COO"), get_format("CSR"))
+        clear_memo()
+        loaded = synthesize_cached(get_format("COO"), get_format("CSR"))
+        clear_memo()
+        assert loaded.computation is None  # served from disk
+        assert loaded._c_source is None
+        assert loaded.c_source == fresh.c_source
+        assert "for (" in loaded.c_source

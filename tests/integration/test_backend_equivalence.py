@@ -20,6 +20,7 @@ from repro import (
     convert,
     dense_equal,
 )
+from repro.backends import get_backend
 from repro.formats import get_format
 from repro.ir import IntSet, Sym, UFCall, Var
 from repro.planner import PLANNABLE_2D, PLANNABLE_3D
@@ -135,8 +136,10 @@ def test_fallback_path_is_exercised():
         "{[i] : 0 <= i < N}", reads=["a"], writes=["a"],
     )
     symtab = SymbolTable(arrays={"a"})
-    lowering = comp.codegen_function_numpy(["N"], ["a"], symtab)
-    assert (lowering.vectorized_nests, lowering.scalar_nests) == (1, 1)
+    lowering = get_backend("numpy").lower(
+        comp.lower(), comp.name, ["N"], ["a"], symtab
+    )
+    assert lowering.vector_stats == {"vectorized_nests": 1, "scalar_nests": 1}
     assert "a both read and written in one nest" in lowering.source
     scalar = comp.codegen_function(["N"], ["a"], symtab)
     results = []

@@ -7,13 +7,14 @@ programmatically built terms agree on hash/equality, and the intern
 tables behave under concurrent construction.
 """
 
+import pickle
 import threading
 
 import pytest
 
-from repro.ir import memo
+from repro.ir import Eq, Geq, memo
 from repro.ir.parser import parse_relation, parse_set
-from repro.ir.terms import Expr, Mod, Mul, Sym, UFCall, Var
+from repro.ir.terms import Expr, FloorDiv, Mod, Mul, Sym, UFCall, Var
 
 
 class TestCanonicalization:
@@ -142,3 +143,33 @@ class TestThreadSafety:
             t.join()
         assert not errors
         assert len(set(sources.values())) == 1
+
+
+class TestPickling:
+    """Disk-cache entries pickle lowered programs over interned terms."""
+
+    @pytest.mark.parametrize("build", [
+        lambda: Var("i").as_expr(),
+        lambda: Sym("NR").as_expr(),
+        lambda: UFCall("rowptr", [Var("i") + 1]).as_expr(),
+        lambda: Mul(Sym("ND"), Var("ii")).as_expr(),
+        lambda: FloorDiv(Var("i"), 2).as_expr(),
+        lambda: Mod(Var("i"), 3).as_expr(),
+    ], ids=["Var", "Sym", "UFCall", "Mul", "FloorDiv", "Mod"])
+    def test_expressions_unpickle_to_the_interned_instance(self, build):
+        if not memo.ENABLED:
+            pytest.skip("interning disabled via REPRO_IR_MEMO=0")
+        expr = build()
+        loaded = pickle.loads(pickle.dumps(expr))
+        assert loaded is expr
+        assert loaded.terms[0][0] is expr.terms[0][0]
+
+    @pytest.mark.parametrize("kind", [Eq, Geq])
+    def test_constraints_rebuild_over_the_interned_expression(self, kind):
+        if not memo.ENABLED:
+            pytest.skip("interning disabled via REPRO_IR_MEMO=0")
+        constraint = kind(UFCall("rowptr", [Var("i")]) - Var("k") + 1)
+        loaded = pickle.loads(pickle.dumps(constraint))
+        assert type(loaded) is kind
+        assert loaded == constraint
+        assert loaded.expr is constraint.expr

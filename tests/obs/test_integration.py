@@ -142,13 +142,17 @@ class TestTracedConvert:
     def test_numpy_backend_traces_with_statement_children(
         self, fresh_synthesis
     ):
+        from repro.spf.codegen.printers import span_label
+
         repro.convert(_sample_coo(), "CSR", backend="numpy", trace=True)
         root = TRACER.finished_roots()[0]
         execute = _find(root, "execute")[0]
         assert execute.attrs["backend"] == "numpy"
-        assert any(
-            c.category == "execute.stmt" for c in execute.children
-        )
+        # One child per top-level node of the lowered program, in order.
+        program = repro.get_conversion("SCOO", "CSR", backend="numpy").program
+        assert [
+            (c.name, c.category) for c in execute.children
+        ] == [(span_label(node), "execute.stmt") for node in program.body]
 
 
 class TestTracedPlanner:

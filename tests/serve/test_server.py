@@ -1,12 +1,17 @@
 """The daemon end to end: conversions, errors, metrics, sockets."""
 
 import threading
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro import convert, dense_equal
 from repro.runtime import COOMatrix
 from repro.serve import ConversionServer, ServeClient, ServeError
+from tests.tiers import needs_c
+
+SRC_DIR = str(Path(repro.__file__).parents[1])
 
 
 @pytest.fixture
@@ -157,6 +162,63 @@ class TestConvertEndpoint:
             conn.request(method, path)
             assert conn.getresponse().status == expected
             conn.close()
+
+
+class TestValidateFloor:
+    """A request may ask for the daemon's input gate or a stricter one."""
+
+    # Row 4000000 lies outside the 4x4 shape: only the gate stands
+    # between it and the native tier's unchecked stores.
+    OUT_OF_DIMS = {"rows": 4, "cols": 4, "row": [0, 1, 4000000],
+                   "col": [0, 1, 2], "val": [1.0, 2.0, 3.0]}
+
+    @needs_c
+    def test_weaker_request_is_400_and_the_daemon_keeps_serving(
+        self, tmp_path
+    ):
+        import os
+        import re
+        import subprocess
+        import sys
+
+        env = dict(os.environ, REPRO_CACHE_DIR=str(tmp_path / "spf"),
+                   REPRO_CBACKEND_DIR=str(tmp_path / "cc"))
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (SRC_DIR, env.get("PYTHONPATH")) if p
+        )
+        daemon = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--backend", "c"],
+            stderr=subprocess.PIPE, text=True, env=env,
+        )
+        try:
+            line = daemon.stderr.readline()
+            host, port = re.search(r"http://([^:]+):(\d+)", line).groups()
+            client = ServeClient((host, int(port)))
+            with pytest.raises(ServeError) as err:
+                client.convert(self.OUT_OF_DIMS, "CSR", validate="off")
+            assert err.value.status == 400
+            assert err.value.body["error"]["type"] == "ProtocolError"
+            message = err.value.body["error"]["message"]
+            assert "validate" in message and "'inputs'" in message
+            good = {**self.OUT_OF_DIMS, "row": [0, 1, 3]}
+            assert client.convert(good, "CSR")["ok"]
+            assert daemon.poll() is None
+        finally:
+            daemon.terminate()
+            daemon.wait(timeout=30)
+            daemon.stderr.close()
+
+    def test_stricter_request_is_served(self, client):
+        assert client.convert(_coo(), "CSR", validate="full")["ok"]
+
+    def test_off_daemon_accepts_off_requests(self):
+        server = ConversionServer(port=0, validate="off").start_in_background()
+        try:
+            client = ServeClient(server.address)
+            assert client.convert(_coo(), "CSR", validate="off")["ok"]
+        finally:
+            server.shutdown()
 
 
 class TestOpsEndpoints:

@@ -56,7 +56,7 @@ class TestDeadSpaces:
 
     def test_synthesized_conversion_has_no_dead_spaces(self):
         # Raw synthesize, not get_conversion: a conversion served from the
-        # persistent inspector cache carries source only (computation=None).
+        # persistent inspector cache carries no computation (None).
         from repro import get_format
         from repro.synthesis import synthesize
 

@@ -10,6 +10,7 @@ the python tier never runs the pass.
 
 import pytest
 
+from repro.backends import get_backend
 from repro.ir import Geq, IntSet, Sym, UFCall, Var
 from repro.spf import Computation, SymbolTable, walk
 from repro.spf import statements as st
@@ -101,9 +102,11 @@ def test_numpy_and_c_reject_what_python_runs():
     python = comp.codegen_function(params, ["out"], symtab)
     assert "k = P(c[n], r[n])" in python
     with pytest.raises(st.UnsupportedStatement, match=r"rank lookup k = P"):
-        comp.codegen_function_numpy(params, ["out"], symtab)
+        get_backend("numpy").lower(
+            comp.lower(), comp.name, params, ["out"], symtab
+        )
     with pytest.raises(st.UnsupportedStatement, match=r"rank lookup k = P"):
-        emit_c(comp, params, ["out"], symtab)
+        emit_c(comp.lower(), comp.name, params, ["out"], symtab)
 
 
 def test_sweep_marks_every_lookup():
@@ -115,3 +118,24 @@ def test_sweep_marks_every_lookup():
         assert not _marks(comp.lower()), label
         lookups += len(_marks(mark_rank_lookups(comp.lower())))
     assert lookups > 0
+
+
+@pytest.mark.parametrize("backend", ["numpy", "c"])
+def test_stored_program_survives_marking(backend):
+    # The numpy and C lowerings mark the conversion's stored program in
+    # place: it still prints what an unmarked lowering prints, and marking
+    # it again changes nothing a printer emits.
+    from repro.spf import CPrinter, emit_python_function
+
+    for label, conv in synthesized(backend):
+        comp, symtab = conv.computation, conv.symtab
+        assert emit_python_function(
+            conv.name, conv.params, conv.program, conv.returns, symtab
+        ) == comp.codegen_function(conv.params, conv.returns, symtab), label
+        assert CPrinter(symtab).print(conv.program) == comp.codegen(
+            symtab, lang="c"
+        ), label
+        relowered = get_backend(backend).lower(
+            conv.program, conv.name, conv.params, conv.returns, conv.symtab
+        )
+        assert relowered.source == conv.source, label

@@ -201,9 +201,13 @@ def _lower_and_run(comp, returns, backend):
     if backend == "python":
         source = comp.codegen_function(params, returns, SYMTAB)
     elif backend == "numpy":
-        source = comp.codegen_function_numpy(params, returns, SYMTAB).source
+        source = get_backend("numpy").lower(
+            comp.lower(), comp.name, params, returns, SYMTAB
+        ).source
     else:
-        source = get_backend("c").lower(comp, params, returns, SYMTAB).source
+        source = get_backend("c").lower(
+            comp.lower(), comp.name, params, returns, SYMTAB
+        ).source
         assert "__C_RUN(" in source
     namespace = get_backend(backend).namespace()
     exec(source, namespace)
@@ -241,9 +245,9 @@ def test_numpy_and_c_reject_raw_statements_by_name():
     comp.new_stmt("out[i] = i", OVER_N)
     symtab = SymbolTable(arrays={"out"})
     with pytest.raises(st.UnsupportedStatement, match=r"out\[i\] = i"):
-        comp.codegen_function_numpy(["N"], [], symtab)
+        get_backend("numpy").lower(comp.lower(), comp.name, ["N"], [], symtab)
     with pytest.raises(st.UnsupportedStatement, match=r"out\[i\] = i"):
-        emit_c(comp, ["N"], [], symtab)
+        emit_c(comp.lower(), comp.name, ["N"], [], symtab)
 
 
 def test_rename_is_simultaneous():

@@ -4,6 +4,7 @@ import pytest
 
 from repro.formats import coo, coo3d, csc, csr, dia, get_format, mcoo, mcoo3, scoo
 from repro.synthesis import SynthesisError, synthesize
+from tests.tiers import needs_c
 
 
 class TestScooToCsr:
@@ -211,3 +212,26 @@ class TestBinarySearchEveryPair:
                               binary_search=True)
             assert "= BSEARCH(off, " in conv.source
             assert "for d in range" not in conv.source
+
+
+@pytest.mark.parametrize(
+    "backend", ["python", "numpy", pytest.param("c", marks=needs_c)]
+)
+def test_one_lowering_per_synthesis(backend, monkeypatch):
+    """The computation is lowered once; every consumer prints that program."""
+    from repro.planner import estimate_cost
+    from repro.spf import Computation
+
+    calls = []
+    lower = Computation.lower
+
+    def counting(self):
+        calls.append(self.name)
+        return lower(self)
+
+    monkeypatch.setattr(Computation, "lower", counting)
+    conv = synthesize(coo(), csc(), backend=backend)
+    assert calls == [conv.name]
+    assert "for (int" in conv.c_source
+    estimate_cost(conv)
+    assert calls == [conv.name]

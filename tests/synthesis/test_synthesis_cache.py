@@ -20,6 +20,7 @@ from repro.synthesis import (
     synthesize_cached,
 )
 from repro.synthesis import cache as cache_mod
+from tests.tiers import needs_c
 
 MEMO_HITS = METRICS.counter("repro_cache_memo_hit_total")
 MISSES = METRICS.counter("repro_cache_miss_total")
@@ -111,7 +112,7 @@ class TestDiskRoundTrip:
         synthesize_cached(get_format("COO"), get_format("CSR"))
         clear_memo()
         conv = synthesize_cached(get_format("COO"), get_format("CSR"))
-        assert conv.computation is None  # disk entries carry source only
+        assert conv.computation is None  # served from disk, not synthesized
         compiled = compile_inspector(conv.name, conv.source)
         args = dict(
             row1=[0, 0, 1, 2],
@@ -125,6 +126,91 @@ class TestDiskRoundTrip:
         assert out["rowptr"] == [0, 2, 3, 4]
         assert out["col2"] == [0, 2, 1, 2]
         assert out["Adst"] == [1.0, 2.0, 3.0, 4.0]
+
+
+def _stmt_labels(conversion) -> list[str]:
+    """The ``execute.stmt`` labels of one deep-traced run."""
+    from repro.obs import TRACER
+
+    dense = [[1.0, 0.0, 2.0], [0.0, 0.0, 3.0], [4.0, 5.0, 0.0]]
+    env = get_format(conversion.src_format).levels.assemble(dense)
+    TRACER.clear()
+    with TRACER.forced(True):
+        conversion.run_native(**{p: env[p] for p in conversion.params})
+    (execute,) = [r for r in TRACER.finished_roots() if r.name == "execute"]
+    TRACER.clear()
+    return [c.name for c in execute.children if c.category == "execute.stmt"]
+
+
+class TestDiskRecord:
+    """The lowered program is the record a disk entry restores: a
+    conversion served from disk prints, costs and traces like a fresh one."""
+
+    @pytest.mark.parametrize(
+        "backend", ["python", "numpy", pytest.param("c", marks=needs_c)]
+    )
+    @pytest.mark.parametrize(
+        "pair", [("SCOO", "CSR"), ("COO", "CSC"), ("COO", "DIA")]
+    )
+    def test_disk_loaded_equals_fresh(self, isolated_cache, backend, pair):
+        from repro.backends.base import program_features
+        from repro.datagen.matrices import banded, stencil_offsets
+        from repro.planner import estimate_cost
+        from repro.planner.stats import matrix_stats
+
+        src, dst = (get_format(name) for name in pair)
+        fresh = synthesize_cached(src, dst, backend=backend)
+        clear_memo()
+        loaded = synthesize_cached(src, dst, backend=backend)
+        assert fresh.computation is not None
+        assert loaded.computation is None  # served from disk
+
+        assert loaded.c_source == fresh.c_source
+        assert "for (" in loaded.c_source
+        assert program_features(loaded.program) == program_features(
+            fresh.program
+        )
+        stats = matrix_stats(banded(64, 64, stencil_offsets(5), seed=0))
+        for profile in (None, stats):
+            assert estimate_cost(loaded, profile) == estimate_cost(
+                fresh, profile
+            )
+        labels = _stmt_labels(fresh)
+        assert _stmt_labels(loaded) == labels
+        # One span per top-level node; the C tier runs untimed.
+        assert len(labels) == (
+            0 if backend == "c" else len(fresh.program.body)
+        )
+
+    def test_payload_holds_the_program_not_text_renderings(
+        self, isolated_cache
+    ):
+        import json
+
+        synthesize_cached(get_format("SCOO"), get_format("CSR"))
+        (entry,) = isolated_cache.rglob("*.json")
+        payload = json.loads(entry.read_text())
+        assert payload["version"] == 3
+        assert set(payload) == {
+            "name", "src_format", "dst_format", "params", "returns",
+            "source", "uf_output_map", "notes", "backend", "vector_stats",
+            "program", "version", "code_version",
+        }
+
+    def test_stale_version_is_never_decoded(self, isolated_cache):
+        import json
+
+        synthesize_cached(get_format("SCOO"), get_format("CSR"))
+        (entry,) = isolated_cache.rglob("*.json")
+        payload = json.loads(entry.read_text())
+        payload["version"] = 2
+        payload["program"] = "not a pickle"
+        entry.write_text(json.dumps(payload))
+        clear_memo()
+        misses = MISSES.value()
+        conv = synthesize_cached(get_format("SCOO"), get_format("CSR"))
+        assert MISSES.value() == misses + 1
+        assert conv.computation is not None
 
 
 class TestEquivalence:
