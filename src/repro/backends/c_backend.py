@@ -59,11 +59,18 @@ from .registry import BackendUnavailableError
 #: as void pointers + element counts (int64 or float64 buffers, per the
 #: spec manifest); outputs come back as (pointer, length) pairs the caller
 #: must release through ``repro_free``.  Scalar returns use ``len`` with a
-#: NULL pointer.
+#: NULL pointer.  The two ``repro_json_*`` functions are the daemon's JSON
+#: array formatter (:mod:`repro.serve.jsontext`), a library of its own;
+#: cffi resolves each symbol on first use, so one declaration set serves
+#: both kinds of library.
 _CDEF = """
 typedef struct { void* ptr; long long len; } rt_buf;
 int repro_run(void** arrs, long long* lens, long long* scalars, rt_buf* out);
 void repro_free(void* p);
+long long repro_json_i64(const long long* v, long long n, char* out,
+                         long long* len);
+long long repro_json_f64(const double* v, long long n, char* out,
+                         long long* len);
 """
 
 #: Error codes returned by ``repro_run`` (mirrors RUNTIME_C in c_emit),
@@ -232,8 +239,10 @@ def _compile_artifact(c_source: str, so_path: Path, cc: str) -> None:
     os.replace(tmp_so, so_path)
 
 
-#: Process-wide memo of loaded shared objects keyed on the full source
-#: digest — one dlopen per distinct translation unit per process.
+#: Process-wide memo of loaded shared objects keyed on the source text
+#: itself — one dlopen per distinct translation unit per process.  A str
+#: caches its hash, so a warm lookup neither encodes nor digests the
+#: source; the sha256 that names the artifact runs only on a miss.
 _LIB_MEMO: dict[str, object] = {}
 _COMPILE_HIT = obs.counter(
     "repro_cbackend_compile_hit_total", "C artifacts served from a cache"
@@ -251,11 +260,11 @@ def load_library(c_source: str):
     ``repro_cbackend_compile_miss_total`` counts actual compiler
     invocations — CI pins warm runs on the hit counter.
     """
-    digest = hashlib.sha256(c_source.encode()).hexdigest()
-    lib = _LIB_MEMO.get(digest)
+    lib = _LIB_MEMO.get(c_source)
     if lib is not None:
         _COMPILE_HIT.inc()
         return lib
+    digest = hashlib.sha256(c_source.encode()).hexdigest()
     base = artifact_dir() if disk_enabled() else _scratch_dir()
     so_path = base / f"{digest[:24]}.so"
     if so_path.exists():
@@ -275,7 +284,7 @@ def load_library(c_source: str):
         "c.load", category="compile", artifact=so_path.name, cached=cached
     ):
         lib = _ffi().dlopen(str(so_path))
-    _LIB_MEMO[digest] = lib
+    _LIB_MEMO[c_source] = lib
     return lib
 
 

@@ -27,6 +27,10 @@ A successful response::
      "trace_id": "abc123",
      "meta": {"backend": "...", "seconds": ..., "trace_id": "abc123"}}
 
+Every response body is exactly the bytes ``json.dumps`` writes for the
+document; the daemon writes result arrays natively when it can
+(:mod:`repro.serve.jsontext`).
+
 Failures carry ``{"ok": false, "error": {"type": ..., "message": ...}}``
 with the :class:`~repro.errors.ValidationError` subclass name in
 ``type`` for gate rejections.  Every ``/convert`` response — success or
@@ -97,10 +101,12 @@ def parse_matrix(payload: Mapping[str, Any]):
     return COOMatrix(rows, cols, row, col, val)
 
 
-def serialize_container(container, format_name: str) -> dict:
+def result_document(container, format_name: str) -> dict:
     """A result container as its UF-named arrays plus shape symbols.
 
-    Each typed array becomes a JSON-ready list with one ``tolist()``.
+    The arrays are the container's own ``array('q')``/``array('d')``
+    fields, which :func:`repro.serve.jsontext.encode` writes as the JSON
+    lists ``json.dumps`` would.
     """
     from repro.formats import container_to_env
 
@@ -111,13 +117,22 @@ def serialize_container(container, format_name: str) -> dict:
         if isinstance(value, int):
             shape[name] = value
         else:
-            arrays[name] = value.tolist()
+            arrays[name] = value
     return {
         "arrays": arrays,
         "shape": shape,
         "repr": repr(container),
         "format": format_name,
     }
+
+
+def serialize_container(container, format_name: str) -> dict:
+    """:func:`result_document` with each array as a JSON-ready list."""
+    doc = result_document(container, format_name)
+    doc["arrays"] = {
+        name: values.tolist() for name, values in doc["arrays"].items()
+    }
+    return doc
 
 
 def parse_convert_request(doc: Mapping[str, Any]) -> dict:

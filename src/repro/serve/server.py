@@ -16,8 +16,10 @@ tensors; a resident service is what makes that amortization real:
   (``repro_cache_coalesced_total``);
 * **execution** — conversions run on a bounded thread pool across all
   three backend tiers (the registry's c -> numpy -> python degradation
-  applies per request); beyond ``workers + backlog`` queued requests the
-  server sheds load with a 503 instead of queueing unboundedly;
+  applies per request), and the worker encodes the response too
+  (:mod:`repro.serve.jsontext`); beyond ``workers + backlog`` queued
+  requests the server sheds load with a 503 instead of queueing
+  unboundedly;
 * **observability** — every ``/convert`` request runs under a
   request-scoped trace: the daemon opens a detached ``serve.request``
   span on the event loop, the worker thread *adopts* it
@@ -65,12 +67,13 @@ import repro.obs as obs
 from repro.errors import ValidationError
 from repro.verify.gate import VALIDATE_LEVELS
 
+from . import jsontext
 from .protocol import (
     SCHEMA,
     ProtocolError,
     error_body,
     parse_convert_request,
-    serialize_container,
+    result_document,
 )
 
 #: Default cap on queued-but-not-running requests before load shedding.
@@ -88,6 +91,10 @@ _REQUEST_SECONDS = obs.histogram(
     "repro_serve_request_seconds", "end-to-end request latency by endpoint"
 )
 _SHED = obs.counter("repro_serve_shed", "requests shed with 503")
+_ENCODES = obs.counter(
+    "repro_serve_encode_total",
+    "/convert responses encoded on a worker, by who wrote the arrays",
+)
 
 _STATUS_TEXT = {
     200: "OK",
@@ -112,6 +119,16 @@ def _parse_query(query: str) -> dict:
             name, _, value = part.partition("=")
             params[name] = value
     return params
+
+
+def _content_length(value: str) -> int:
+    """The Content-Length header's value: ASCII digits, else a 400."""
+    if not (value.isascii() and value.isdigit()):
+        raise ProtocolError(
+            f"Content-Length must be a non-negative decimal integer, "
+            f"got {value!r}"
+        )
+    return int(value)
 
 
 def _int_param(params: dict, name: str) -> int | None:
@@ -189,6 +206,11 @@ class ConversionServer:
             thread_name_prefix="repro-serve",
             initializer=self._name_worker_thread,
         )
+        # Built off the loop: until it loads, responses take the stdlib
+        # path, with the same bytes.
+        threading.Thread(
+            target=jsontext.load, name="repro-serve-jsontext", daemon=True
+        ).start()
         if self.access_log_path:
             self._access_fh = open(  # noqa: SIM115 - closed on stop
                 self.access_log_path, "a", encoding="utf-8"
@@ -294,7 +316,15 @@ class ConversionServer:
     async def _handle_connection(self, reader, writer) -> None:
         try:
             while True:
-                request = await self._read_request(reader)
+                try:
+                    request = await self._read_request(reader)
+                except ProtocolError as exc:
+                    # The body's extent is unknown: answer and hang up.
+                    await self._write_response(
+                        writer, 400, error_body(exc), "application/json",
+                        False,
+                    )
+                    break
                 if request is None:
                     break
                 method, target, headers, body = request
@@ -339,7 +369,7 @@ class ConversionServer:
                 break
             name, _, value = raw.decode("latin1").partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or 0)
+        length = _content_length(headers.get("content-length", "0"))
         if length > self.max_body:
             # Drain nothing; the 413 response closes the connection.
             return (method.upper(), target, {"connection": "close"}, b"!")
@@ -515,7 +545,7 @@ class ConversionServer:
         header_id = headers.get("x-repro-trace-id", "")
         if not obs.valid_trace_id(header_id):
             header_id = ""
-        started = time.perf_counter()
+        started = time.perf_counter()  # decode starts
 
         def _reject(status, exc, trace_id, *, dst=""):
             trace_id = trace_id or obs.new_trace_id()
@@ -559,6 +589,7 @@ class ConversionServer:
             # A ValidationError here is the matrix constructor rejecting
             # an index or value; its message names the field.
             return _reject(400, exc, header_id)
+        decoded = time.perf_counter()
         trace_id = request["trace_id"] or header_id or obs.new_trace_id()
         if self._pending >= self.workers + self.backlog:
             _SHED.inc()
@@ -579,6 +610,7 @@ class ConversionServer:
             endpoint="/convert",
             dst=request["dst"],
         )
+        root.start = started  # the root covers decode through encode
         ctx = obs.TraceContext(
             trace_id=trace_id, parent=root, active=True, detail=False
         )
@@ -586,20 +618,17 @@ class ConversionServer:
         queued_at = time.perf_counter()
         self._pending += 1
         try:
-            status, payload = await loop.run_in_executor(
-                self._pool, self._do_convert, request, ctx, queued_at
+            status, payload, body = await loop.run_in_executor(
+                self._pool, self._do_convert, request, trace_id, ctx,
+                (started, decoded), queued_at,
             )
         finally:
             self._pending -= 1
         obs.TRACER.close_span(root)
         root.set(status=status)
-        payload["trace_id"] = trace_id
-        meta = payload.get("meta")
-        if isinstance(meta, dict):
-            meta["trace_id"] = trace_id
         self._record_convert(trace_id, request, status, payload, root,
                              started)
-        return status, payload, trace_id
+        return status, body, trace_id
 
     def _record_request(self, trace_id, **fields):
         """Admit one finished request to the flight recorder, if enabled."""
@@ -671,22 +700,36 @@ class ConversionServer:
             except (OSError, ValueError):
                 pass
 
-    def _do_convert(self, request: dict, ctx=None, queued_at=None):
-        """Worker-thread body: gate, synthesize (coalesced), execute.
+    def _do_convert(self, request: dict, trace_id: str, ctx, decoded,
+                    queued_at):
+        """Worker-thread body: gate, synthesize (coalesced), execute,
+        encode.
 
         Runs under :meth:`repro.obs.Tracer.adopt`, so every span the
         conversion opens lands inside the request's ``serve.request``
         tree instead of rooting as an orphan on this pool thread.
+        ``decoded`` is the (start, end) the event loop measured for the
+        body's decode.  Returns the status, the payload and its bytes.
         """
         with obs.TRACER.adopt(ctx):
-            if queued_at is not None:
-                obs.add_span(
-                    "serve.queue_wait",
-                    queued_at,
-                    time.perf_counter(),
-                    category="serve",
-                )
-            return self._convert_body(request)
+            obs.add_span("serve.decode", *decoded, category="serve")
+            obs.add_span(
+                "serve.queue_wait",
+                queued_at,
+                time.perf_counter(),
+                category="serve",
+            )
+            status, payload = self._convert_body(request)
+            payload["trace_id"] = trace_id
+            meta = payload.get("meta")
+            if isinstance(meta, dict):
+                meta["trace_id"] = trace_id
+            lib = jsontext.formatter()
+            path = "stdlib" if lib is None else "native"
+            with obs.span("serve.encode", category="serve", path=path):
+                body = jsontext.encode(payload, lib)
+            _ENCODES.inc(path=path)
+            return status, payload, body
 
     def _convert_body(self, request: dict):
         from repro import convert
@@ -734,7 +777,7 @@ class ConversionServer:
                 "ok": True,
                 "schema": SCHEMA,
                 "format": request["dst"],
-                "result": serialize_container(result, request["dst"]),
+                "result": result_document(result, request["dst"]),
                 "meta": {
                     "backend": backend,
                     "validate": request["validate"],

@@ -13,6 +13,7 @@ point (``convert``, the planner, the fuzzer) silently falls back a tier.
 import json
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
@@ -102,6 +103,20 @@ class TestCompileCache:
         _run_c_conversion()  # same translation unit, memoized dlopen
         assert _counter("repro_cbackend_compile_hit_total") == hit0 + 1
         assert _counter("repro_cbackend_compile_miss_total") == miss0
+
+    def test_warm_call_skips_the_source_hash(self, cache_dir, monkeypatch):
+        _run_c_conversion()
+
+        def no_hash(*_args, **_kwargs):
+            raise AssertionError("a warm load_library hashed its source")
+
+        monkeypatch.setattr(
+            c_backend, "hashlib", types.SimpleNamespace(sha256=no_hash)
+        )
+        hit0 = _counter("repro_cbackend_compile_hit_total")
+        _, out = _run_c_conversion()
+        assert _counter("repro_cbackend_compile_hit_total") == hit0 + 1
+        assert list(out["rowptr"]) == [0, 1, 2, 4]
 
     def test_cross_process_artifact_reuse(self, cache_dir):
         script = (

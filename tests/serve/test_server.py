@@ -1,5 +1,6 @@
 """The daemon end to end: conversions, errors, metrics, sockets."""
 
+import json
 import threading
 from pathlib import Path
 
@@ -8,7 +9,7 @@ import pytest
 import repro
 from repro import convert, dense_equal
 from repro.runtime import COOMatrix
-from repro.serve import ConversionServer, ServeClient, ServeError
+from repro.serve import ConversionServer, ServeClient, ServeError, coo_payload
 from tests.tiers import needs_c
 
 SRC_DIR = str(Path(repro.__file__).parents[1])
@@ -149,6 +150,53 @@ class TestConvertEndpoint:
         resp = conn.getresponse()
         assert resp.status == 400
         conn.close()
+
+    @pytest.mark.parametrize("value", [b"abc", b"-5", b"", b"\xb2"])
+    def test_malformed_content_length_is_400_naming_the_header(
+        self, server, caplog, value
+    ):
+        import socket
+
+        with socket.create_connection(server.address, timeout=30) as sock:
+            sock.sendall(
+                b"POST /convert HTTP/1.1\r\nContent-Length: " + value
+                + b"\r\n\r\n{}"
+            )
+            data = b""
+            while chunk := sock.recv(65536):  # the daemon hangs up
+                data += chunk
+        head, _, body = data.partition(b"\r\n\r\n")
+        assert head.startswith(b"HTTP/1.1 400 ")
+        assert b"Connection: close" in head
+        error = json.loads(body)["error"]
+        assert error["type"] == "ProtocolError"
+        assert "Content-Length" in error["message"]
+        # No traceback in the log, and the daemon keeps serving.
+        assert not [r for r in caplog.records if r.exc_info]
+        assert ServeClient(server.address).convert(_coo(), "CSR")["ok"]
+
+    def test_response_bytes_are_the_stdlib_encoding(self, server):
+        from repro.serve import jsontext, serialize_container
+
+        jsontext.load()  # the native path when the C tier is present
+        coo = _coo(4)
+        doc = {"dst": "CSC", "matrix": coo_payload(coo),
+               "trace_id": "pinned-1"}
+        status, _ctype, data = ServeClient(server.address)._request(
+            "POST", "/convert", doc
+        )
+        assert status == 200
+        seconds = json.loads(data)["meta"]["seconds"]
+        expected = {
+            "ok": True,
+            "schema": "repro-serve/1",
+            "format": "CSC",
+            "result": serialize_container(convert(coo, "CSC"), "CSC"),
+            "meta": {"backend": "python", "validate": "inputs",
+                     "seconds": seconds, "trace_id": "pinned-1"},
+            "trace_id": "pinned-1",
+        }
+        assert data == json.dumps(expected).encode()
 
     def test_unknown_route_404_and_bad_method_405(self, server):
         import http.client

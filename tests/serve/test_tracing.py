@@ -142,6 +142,27 @@ class TestDebugEndpoints:
         workers = {n["thread"] for n in _walk(root["children"][0])}
         assert any(t.startswith("repro-serve-") for t in workers)
 
+    def test_wire_layers_bracket_the_conversion(self, client):
+        from repro.serve import jsontext
+
+        # Loaded or not, the span and the counter name the path that ran.
+        path = "stdlib" if jsontext.load() is None else "native"
+        encodes = obs.METRICS.counter("repro_serve_encode_total")
+        before = encodes.value(path=path)
+        trace_id = client.convert(_coo(7), "CSR")["trace_id"]
+        root = client.debug_trace(trace_id)["root"]
+        children = root["children"]
+        names = [c["name"] for c in children]
+        assert names[:2] == ["serve.decode", "serve.queue_wait"], names
+        assert names[-1] == "serve.encode", names
+        assert children[-1]["attrs"] == {"path": path}
+        assert encodes.value(path=path) == before + 1
+        # The root covers decode through encode.
+        first, last = children[0], children[-1]
+        assert root["start_us"] <= first["start_us"]
+        assert (last["start_us"] + last["dur_us"]
+                <= root["start_us"] + root["dur_us"])
+
     def test_trace_tree_as_chrome_trace_validates(self, client):
         trace_id = client.convert(_coo(6), "CSR")["trace_id"]
         chrome = client.debug_trace(trace_id, format="chrome")
