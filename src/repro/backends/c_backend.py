@@ -40,6 +40,7 @@ import os
 import shutil
 import subprocess
 import tempfile
+import threading
 from array import array
 from pathlib import Path
 from typing import Sequence
@@ -197,16 +198,25 @@ def _scratch_dir() -> Path:
 
 
 _FFI = None
+_FFI_LOCK = threading.Lock()
 
 
 def _ffi():
+    """The one ``cffi.FFI`` every artifact is opened and called through.
+
+    A library's cdata types belong to the FFI that opened it, so threads
+    racing the first call (the daemon's formatter build and its first C
+    conversion) must not each build one.
+    """
     global _FFI
     if _FFI is None:
-        import cffi
+        with _FFI_LOCK:
+            if _FFI is None:
+                import cffi
 
-        ffi = cffi.FFI()
-        ffi.cdef(_CDEF)
-        _FFI = ffi
+                ffi = cffi.FFI()
+                ffi.cdef(_CDEF)
+                _FFI = ffi
     return _FFI
 
 

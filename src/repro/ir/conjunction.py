@@ -21,7 +21,7 @@ from .terms import Atom, Expr, ExprLike, FloorDiv, Mod, Mul, Sym, UFCall, Var
 _PROJECT_MEMO = _memo.table("conjunction.project_out")
 _SUBST_VARS_MEMO = _memo.table("conjunction.substitute_vars")
 
-#: Time spent in projections that missed the memo (or ran without it).
+#: Time spent in projections that missed the memo.
 _PROJECT_SECONDS = obs.histogram(
     "repro_ir_project_out_seconds", "uncached Conjunction.project_out time"
 )
@@ -97,24 +97,19 @@ class Conjunction:
         return Conjunction(c.substitute(mapping) for c in self.constraints)
 
     def substitute_vars(self, mapping: Mapping[str, ExprLike]) -> "Conjunction":
-        if not self.constraints or not _memo.ENABLED:
-            return Conjunction(
-                c.substitute_vars(mapping) for c in self.constraints
-            )
+        if not self.constraints:
+            return self
         # Keyed on the ordered constraint tuple, not the (set-equal)
         # conjunction: downstream solving is sensitive to constraint order,
         # so set-equal-but-reordered conjunctions must not share entries.
         key = (self.constraints, _memo.freeze_mapping(mapping))
-        cached = _memo.lookup(_SUBST_VARS_MEMO, "conj_substitute_vars", key)
-        if cached is None:
-            cached = _memo.store(
-                _SUBST_VARS_MEMO,
-                key,
-                Conjunction(
-                    c.substitute_vars(mapping) for c in self.constraints
-                ),
-            )
-        return cached
+        return _memo.memo(
+            _SUBST_VARS_MEMO, "conj_substitute_vars", key,
+            self._substitute_vars, mapping,
+        )
+
+    def _substitute_vars(self, mapping: Mapping[str, ExprLike]) -> "Conjunction":
+        return Conjunction(c.substitute_vars(mapping) for c in self.constraints)
 
     def rename_vars(self, mapping: Mapping[str, str]) -> "Conjunction":
         return Conjunction(c.rename_vars(mapping) for c in self.constraints)
@@ -218,23 +213,23 @@ class Conjunction:
         equality is found first, so set-equal conjunctions with different
         constraint order must not share memo entries.
         """
-        key = (self.constraints, name, strict)
-        if _memo.ENABLED:
-            cached = _memo.lookup(_PROJECT_MEMO, "project_out", key)
-            if cached is not None:
-                if isinstance(cached, ProjectionError):
-                    raise cached
-                return cached
+        result = _memo.memo(
+            _PROJECT_MEMO, "project_out", (self.constraints, name, strict),
+            self._timed_project_out, name, strict,
+        )
+        if isinstance(result, ProjectionError):
+            raise result
+        return result
+
+    def _timed_project_out(self, name: str, strict: bool):
+        """The uncached projection, timed; a failure is returned (and so
+        memoized) rather than raised."""
         start = time.perf_counter()
         try:
             result = self._project_out(name, strict=strict)
         except ProjectionError as err:
             result = err
         _PROJECT_SECONDS.observe(time.perf_counter() - start)
-        if _memo.ENABLED:
-            _memo.store(_PROJECT_MEMO, key, result)
-        if isinstance(result, ProjectionError):
-            raise result
         return result
 
     def _project_out(self, name: str, *, strict: bool = True) -> "Conjunction":

@@ -199,13 +199,10 @@ def bounds_on_var(constraint: Constraint, name: str):
     Only unit coefficients are handled; the sparse formats in the paper never
     need scaled tuple variables, and refusing keeps the solver honest.
     """
-    if not _memo.ENABLED:
-        return _bounds_on_var(constraint, name)
-    key = (constraint, name)
-    cached = _memo.lookup(_BOUNDS_MEMO, "bounds_on_var", key)
-    if cached is None:
-        cached = _memo.store(_BOUNDS_MEMO, key, _bounds_on_var(constraint, name))
-    return cached
+    return _memo.memo(
+        _BOUNDS_MEMO, "bounds_on_var", (constraint, name),
+        _bounds_on_var, constraint, name,
+    )
 
 
 def _bounds_on_var(constraint: Constraint, name: str):

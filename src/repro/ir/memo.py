@@ -5,9 +5,9 @@ is immutable, and atoms/expressions are interned, so the expensive
 algebraic operations — substitution, Fourier–Motzkin projection, relation
 composition — are pure functions of their (hash-consed) operands.  This
 module centralizes the memo dictionaries those operations key into, the
-``repro_ir_memo_lookups_total{op, outcome}`` counter (``repro stats``,
-``repro --profile``), and the kill switch used by benchmarks to measure the un-memoized path
-(``REPRO_IR_MEMO=0``).
+one lookup → compute → store sequence they all run (:func:`memo`), and
+the ``repro_ir_memo_lookups_total{op, outcome}`` counter (``repro
+stats``, ``repro --profile``).
 
 Tables are plain dicts: reads and writes are atomic under the GIL, and a
 racing recomputation stores an equal (interned: identical) value, so no
@@ -17,14 +17,11 @@ pathological workload from growing without bound.
 
 from __future__ import annotations
 
-import os
+from typing import Callable, TypeVar
 
 import repro.obs as obs
 
-#: Kill switch: ``REPRO_IR_MEMO=0`` disables both operation memo tables
-#: and the intern-table reuse, approximating the pre-hash-consing IR for
-#: the cold-synthesis ablation benchmark.
-ENABLED = os.environ.get("REPRO_IR_MEMO", "1") not in ("0", "false", "off")
+T = TypeVar("T")
 
 #: Per-table entry cap; the table is cleared wholesale when exceeded.
 MAX_ENTRIES = 1 << 20
@@ -47,15 +44,18 @@ LOOKUPS = obs.counter(
 )
 
 
-def lookup(t: dict, name: str, key):
-    """Memo read with hit/miss accounting; returns None on miss."""
+def memo(t: dict, op: str, key, compute: Callable[..., T], *args) -> T:
+    """``t[key]``, or ``compute(*args)`` stored under ``key`` on a miss.
+
+    Each read counts on :data:`LOOKUPS` under ``op``; a table at its cap
+    is cleared before the store.
+    """
     value = t.get(key)
-    LOOKUPS.inc(op=name, outcome="miss" if value is None else "hit")
-    return value
-
-
-def store(t: dict, key, value):
-    """Memo write honoring the size cap; returns ``value``."""
+    if value is not None:
+        LOOKUPS.inc(op=op, outcome="hit")
+        return value
+    LOOKUPS.inc(op=op, outcome="miss")
+    value = compute(*args)
     if len(t) >= MAX_ENTRIES:
         t.clear()
     t[key] = value

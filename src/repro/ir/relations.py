@@ -123,15 +123,11 @@ class Relation:
             return self
         if len(new_in) != self.in_arity or len(new_out) != self.out_arity:
             raise ValueError("arity mismatch in tuple renaming")
-        if not _memo.ENABLED:
-            return self._with_tuple_vars(new_in, new_out)
         key = (self.structural_key(), new_in, new_out)
-        cached = _memo.lookup(_RENAME_MEMO, "rel_with_tuple_vars", key)
-        if cached is None:
-            cached = _memo.store(
-                _RENAME_MEMO, key, self._with_tuple_vars(new_in, new_out)
-            )
-        return cached
+        return _memo.memo(
+            _RENAME_MEMO, "rel_with_tuple_vars", key,
+            self._with_tuple_vars, new_in, new_out,
+        )
 
     def _with_tuple_vars(self, new_in: tuple, new_out: tuple) -> "Relation":
         mapping = dict(zip(self.in_vars + self.out_vars, new_in + new_out))
@@ -205,13 +201,10 @@ class Relation:
 
         Compositions are memoized on the interned operand pair.
         """
-        if not _memo.ENABLED:
-            return self._compose(inner, strict)
         key = (self.structural_key(), inner.structural_key(), strict)
-        cached = _memo.lookup(_COMPOSE_MEMO, "compose", key)
-        if cached is None:
-            cached = _memo.store(_COMPOSE_MEMO, key, self._compose(inner, strict))
-        return cached
+        return _memo.memo(
+            _COMPOSE_MEMO, "compose", key, self._compose, inner, strict
+        )
 
     def _compose(self, inner: "Relation", strict: bool) -> "Relation":
         if inner.out_arity != self.in_arity:
@@ -252,15 +245,10 @@ class Relation:
 
         Memoized on the interned (relation, set) pair.
         """
-        if not _memo.ENABLED:
-            return self._apply_to_set(domain, strict)
         key = (self.structural_key(), domain.structural_key(), strict)
-        cached = _memo.lookup(_APPLY_MEMO, "apply_to_set", key)
-        if cached is None:
-            cached = _memo.store(
-                _APPLY_MEMO, key, self._apply_to_set(domain, strict)
-            )
-        return cached
+        return _memo.memo(
+            _APPLY_MEMO, "apply_to_set", key, self._apply_to_set, domain, strict
+        )
 
     def _apply_to_set(self, domain: IntSet, strict: bool) -> IntSet:
         if domain.arity != self.in_arity:
@@ -298,26 +286,16 @@ class Relation:
         return IntSet(self.in_vars + self.out_vars, self.conjunctions)
 
     def domain(self, *, strict: bool = False) -> IntSet:
-        if not _memo.ENABLED:
-            return self._domain_or_range("domain", strict)
         key = (self.structural_key(), "domain", strict)
-        cached = _memo.lookup(_DOMAIN_MEMO, "domain", key)
-        if cached is None:
-            cached = _memo.store(
-                _DOMAIN_MEMO, key, self._domain_or_range("domain", strict)
-            )
-        return cached
+        return _memo.memo(
+            _DOMAIN_MEMO, "domain", key, self._domain_or_range, "domain", strict
+        )
 
     def range(self, *, strict: bool = False) -> IntSet:
-        if not _memo.ENABLED:
-            return self._domain_or_range("range", strict)
         key = (self.structural_key(), "range", strict)
-        cached = _memo.lookup(_DOMAIN_MEMO, "range", key)
-        if cached is None:
-            cached = _memo.store(
-                _DOMAIN_MEMO, key, self._domain_or_range("range", strict)
-            )
-        return cached
+        return _memo.memo(
+            _DOMAIN_MEMO, "range", key, self._domain_or_range, "range", strict
+        )
 
     def _domain_or_range(self, which: str, strict: bool) -> IntSet:
         drop = self.out_vars if which == "domain" else self.in_vars

@@ -116,15 +116,11 @@ class IntSet:
             raise ValueError(
                 f"arity mismatch: {self.arity} tuple vars, got {len(new_vars)}"
             )
-        if not _memo.ENABLED:
-            return self._with_tuple_vars(new_vars)
         key = (self.structural_key(), new_vars)
-        cached = _memo.lookup(_RENAME_MEMO, "set_with_tuple_vars", key)
-        if cached is None:
-            cached = _memo.store(
-                _RENAME_MEMO, key, self._with_tuple_vars(new_vars)
-            )
-        return cached
+        return _memo.memo(
+            _RENAME_MEMO, "set_with_tuple_vars", key,
+            self._with_tuple_vars, new_vars,
+        )
 
     def _with_tuple_vars(self, new_vars: tuple) -> "IntSet":
         mapping = dict(zip(self.tuple_vars, new_vars))
@@ -156,15 +152,11 @@ class IntSet:
         """Remove a tuple variable, existentially quantifying it (memoized)."""
         if name not in self.tuple_vars:
             raise ValueError(f"{name!r} is not a tuple variable of {self}")
-        if not _memo.ENABLED:
-            return self._project_out(name, strict)
         key = (self.structural_key(), name, strict)
-        cached = _memo.lookup(_PROJECT_MEMO, "set_project_out", key)
-        if cached is None:
-            cached = _memo.store(
-                _PROJECT_MEMO, key, self._project_out(name, strict)
-            )
-        return cached
+        return _memo.memo(
+            _PROJECT_MEMO, "set_project_out", key,
+            self._project_out, name, strict,
+        )
 
     def _project_out(self, name: str, strict: bool) -> "IntSet":
         new_vars = tuple(v for v in self.tuple_vars if v != name)

@@ -75,7 +75,7 @@ class Var(Atom):
     _interned: dict = {}
 
     def __new__(cls, name: str):
-        self = cls._interned.get(name) if _memo.ENABLED else None
+        self = cls._interned.get(name)
         if self is not None:
             return self
         if not name or not name.isidentifier():
@@ -84,8 +84,6 @@ class Var(Atom):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "_hash", hash(("Var", name)))
         object.__setattr__(self, "_skey", (0, name))
-        if not _memo.ENABLED:
-            return self
         # setdefault is atomic: a racing thread's duplicate loses and the
         # single winner is returned to both.
         return cls._interned.setdefault(name, self)
@@ -125,7 +123,7 @@ class Sym(Atom):
     _interned: dict = {}
 
     def __new__(cls, name: str):
-        self = cls._interned.get(name) if _memo.ENABLED else None
+        self = cls._interned.get(name)
         if self is not None:
             return self
         if not name or not name.isidentifier():
@@ -134,8 +132,6 @@ class Sym(Atom):
         object.__setattr__(self, "name", name)
         object.__setattr__(self, "_hash", hash(("Sym", name)))
         object.__setattr__(self, "_skey", (1, name))
-        if not _memo.ENABLED:
-            return self
         return cls._interned.setdefault(name, self)
 
     def __init__(self, name: str):  # construction happens in __new__
@@ -186,7 +182,7 @@ class UFCall(Atom):
             )
         args = tuple(as_expr(a) for a in args)
         key = (name, args)
-        self = cls._interned.get(key) if _memo.ENABLED else None
+        self = cls._interned.get(key)
         if self is not None:
             return self
         self = object.__new__(cls)
@@ -196,8 +192,6 @@ class UFCall(Atom):
         object.__setattr__(
             self, "_skey", (2, name, tuple(a.sort_key() for a in args))
         )
-        if not _memo.ENABLED:
-            return self
         return cls._interned.setdefault(key, self)
 
     def __init__(self, name, args):  # construction happens in __new__
@@ -252,7 +246,7 @@ class Mul(Atom):
             raise TypeError(f"Mul needs a Sym as first factor, got {sym!r}")
         factor = as_expr(factor)
         key = (sym, factor)
-        self = cls._interned.get(key) if _memo.ENABLED else None
+        self = cls._interned.get(key)
         if self is not None:
             return self
         self = object.__new__(cls)
@@ -260,8 +254,6 @@ class Mul(Atom):
         object.__setattr__(self, "factor", factor)
         object.__setattr__(self, "_hash", hash(("Mul",) + key))
         object.__setattr__(self, "_skey", (3, sym.name, factor.sort_key()))
-        if not _memo.ENABLED:
-            return self
         return cls._interned.setdefault(key, self)
 
     def __init__(self, sym, factor):  # construction happens in __new__
@@ -311,7 +303,7 @@ class FloorDiv(Atom):
                              f"got {denom!r}")
         numer = as_expr(numer)
         key = (numer, denom)
-        self = cls._interned.get(key) if _memo.ENABLED else None
+        self = cls._interned.get(key)
         if self is not None:
             return self
         self = object.__new__(cls)
@@ -319,8 +311,6 @@ class FloorDiv(Atom):
         object.__setattr__(self, "denom", denom)
         object.__setattr__(self, "_hash", hash(("FloorDiv",) + key))
         object.__setattr__(self, "_skey", (4, denom, numer.sort_key()))
-        if not _memo.ENABLED:
-            return self
         return cls._interned.setdefault(key, self)
 
     def __init__(self, numer, denom):  # construction happens in __new__
@@ -370,7 +360,7 @@ class Mod(Atom):
                              f"got {denom!r}")
         numer = as_expr(numer)
         key = (numer, denom)
-        self = cls._interned.get(key) if _memo.ENABLED else None
+        self = cls._interned.get(key)
         if self is not None:
             return self
         self = object.__new__(cls)
@@ -378,8 +368,6 @@ class Mod(Atom):
         object.__setattr__(self, "denom", denom)
         object.__setattr__(self, "_hash", hash(("Mod",) + key))
         object.__setattr__(self, "_skey", (5, denom, numer.sort_key()))
-        if not _memo.ENABLED:
-            return self
         return cls._interned.setdefault(key, self)
 
     def __init__(self, numer, denom):  # construction happens in __new__
@@ -467,7 +455,7 @@ class Expr:
         else:
             normalized = ()
         key = (int(const), normalized)
-        self = cls._interned.get(key) if _memo.ENABLED else None
+        self = cls._interned.get(key)
         if self is not None:
             return self
         self = object.__new__(cls)
@@ -478,8 +466,6 @@ class Expr:
         object.__setattr__(self, "_vnames", None)
         object.__setattr__(self, "_ufcalls", None)
         object.__setattr__(self, "_str", None)
-        if not _memo.ENABLED:
-            return self
         return cls._interned.setdefault(key, self)
 
     def __init__(self, const=0, terms=()):  # construction happens in __new__
@@ -643,13 +629,10 @@ class Expr:
         """
         if not self.terms:
             return self
-        if not _memo.ENABLED:
-            return self._substitute(mapping)
         key = (self, _memo.freeze_mapping(mapping))
-        cached = _memo.lookup(_SUBST_MEMO, "substitute", key)
-        if cached is None:
-            cached = _memo.store(_SUBST_MEMO, key, self._substitute(mapping))
-        return cached
+        return _memo.memo(
+            _SUBST_MEMO, "substitute", key, self._substitute, mapping
+        )
 
     def _substitute(self, mapping: Mapping[Atom, ExprLike]) -> "Expr":
         # Accumulate coefficients in a dict and build one Expr at the end
@@ -713,15 +696,10 @@ class Expr:
         """Rename uninterpreted functions everywhere in the expression."""
         if not self.terms:
             return self
-        if not _memo.ENABLED:
-            return self._rename_ufs(mapping)
         key = (self, _memo.freeze_mapping(mapping))
-        cached = _memo.lookup(_RENAME_UFS_MEMO, "rename_ufs", key)
-        if cached is None:
-            cached = _memo.store(
-                _RENAME_UFS_MEMO, key, self._rename_ufs(mapping)
-            )
-        return cached
+        return _memo.memo(
+            _RENAME_UFS_MEMO, "rename_ufs", key, self._rename_ufs, mapping
+        )
 
     def _rename_ufs(self, mapping: Mapping[str, str]) -> "Expr":
         acc: dict[Atom, int] = {}

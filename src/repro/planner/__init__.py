@@ -477,7 +477,10 @@ def convert_via_plan(
     matrix_aware: bool = False,
 ):
     """Convert through the cheapest available chain (module-level helper)."""
-    src = container_format(container, assume_sorted=assume_sorted)
+    # The declared format picks the planner without a sortedness scan:
+    # sorted and unsorted coordinate forms share a rank, and
+    # ``planner.execute`` detects the source itself.
+    src = container_format(container, assume_sorted=False)
     planner = (
         default_planner_3d(backend)
         if src in PLANNABLE_3D

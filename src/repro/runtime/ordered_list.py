@@ -48,7 +48,6 @@ class OrderedList:
         key: Optional[Callable[..., object]] = None,
         op: str = "<",
         unique: bool = False,
-        vector_key: Optional[Callable[..., tuple]] = None,
     ):
         if in_arity < 1:
             raise ValueError("in_arity must be >= 1")
@@ -60,10 +59,6 @@ class OrderedList:
         self.out_arity = out_arity
         self.key = key
         self.op = op
-        #: Optional column-wise form of ``key``: takes int64 coordinate
-        #: columns, returns key columns.  Lets :meth:`finalize` compute all
-        #: keys in a few vector ops instead of one python call per tuple.
-        self.vector_key = vector_key
         #: When true, tuples with equal *keys* collapse onto one rank — the
         #: blocked-format case, where every nonzero of a block shares the
         #: block's position.  ``len`` then counts distinct keys.
@@ -122,10 +117,9 @@ class OrderedList:
     def _sorted_items(self) -> list[tuple[int, ...]]:
         """Stable key sort of the inserted tuples.
 
-        Fast path: compute key *columns* and rank them with a single
-        ``np.lexsort`` (one vectorized pass when :attr:`vector_key` is set,
-        else one python key call per tuple but a C-level columnar sort)
-        instead of sorting python tuples.  Falls back to ``sorted`` for
+        Fast path: compute key *columns* (one python key call per tuple)
+        and rank them with a single C-level ``np.lexsort`` instead of
+        sorting python tuples.  Falls back to ``sorted`` for
         descending order, tiny inputs, or keys that don't fit int64.
         """
         items = self._items
@@ -135,15 +129,10 @@ class OrderedList:
             and len(items) >= _NUMPY_SORT_THRESHOLD
         ):
             try:
-                if self.vector_key is not None:
-                    coords = _np.asarray(items, dtype=_np.int64)
-                    key_cols = self.vector_key(*(coords[:, a] for a in range(coords.shape[1])))
-                else:
-                    key_rows = [self.key(*t) for t in items]
-                    key_cols = [
-                        _np.asarray(col, dtype=_np.int64)
-                        for col in zip(*key_rows)
-                    ]
+                key_rows = [self.key(*t) for t in items]
+                key_cols = [
+                    _np.asarray(col, dtype=_np.int64) for col in zip(*key_rows)
+                ]
                 order = _np.lexsort(tuple(reversed(list(key_cols))))
                 return [items[i] for i in order.tolist()]
             except (OverflowError, TypeError, ValueError):

@@ -153,16 +153,10 @@ class ConversionServer:
         validate: str = "inputs",
         max_body: int = DEFAULT_MAX_BODY,
         record: bool = True,
-        recorder_capacity: int | None = None,
-        recorder_retain: int | None = None,
         slow_ms: float = DEFAULT_SLOW_MS,
         access_log: str | None = None,
     ):
-        from repro.obs.flight import (
-            DEFAULT_CAPACITY,
-            DEFAULT_RETAIN,
-            FlightRecorder,
-        )
+        from repro.obs.flight import FlightRecorder
         from repro.verify.gate import normalize_level
 
         self.host = host
@@ -175,13 +169,7 @@ class ConversionServer:
         self.max_body = max_body
         self.slow_ms = slow_ms
         self.recorder = (
-            FlightRecorder(
-                capacity=recorder_capacity or DEFAULT_CAPACITY,
-                retain=recorder_retain or DEFAULT_RETAIN,
-                slow_seconds=slow_ms / 1e3,
-            )
-            if record
-            else None
+            FlightRecorder(slow_seconds=slow_ms / 1e3) if record else None
         )
         self.access_log_path = access_log
         self.started_at: float | None = None

@@ -388,7 +388,6 @@ def synthesize_cached(
     name: str | None = None,
     backend: str = "python",
     disabled_passes: tuple[str, ...] = (),
-    use_disk: bool = True,
 ) -> SynthesizedConversion:
     """:func:`repro.synthesis.synthesize` behind the memo and disk cache.
 
@@ -451,7 +450,7 @@ def synthesize_cached(
                     raise cached
                 return cached
 
-            if use_disk and disk_enabled():
+            if disk_enabled():
                 start = time.perf_counter()
                 loaded = _load_disk(key)
                 _DISK_LOAD_SECONDS.observe(time.perf_counter() - start)
@@ -482,7 +481,7 @@ def synthesize_cached(
                 conv = err
             PHASE_SECONDS.observe(time.perf_counter() - start, phase="total")
             _MEMO[key] = conv
-            if use_disk and disk_enabled():
+            if disk_enabled():
                 _store_disk(key, conv)
             if isinstance(conv, SynthesisError):
                 raise conv

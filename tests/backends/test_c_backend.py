@@ -267,6 +267,37 @@ class TestExecution:
         ).estimate_cost(np_conv, big)
 
 
+def test_racing_first_calls_share_one_ffi(monkeypatch):
+    # A library's cdata types belong to the FFI that opened it.  When the
+    # daemon's formatter build and its first C conversion each built one,
+    # later calls passed one FFI's buffers to a library opened through
+    # the other and failed with a TypeError.
+    import threading
+
+    pytest.importorskip("cffi")
+    monkeypatch.setattr(c_backend, "_FFI", None)
+    barrier = threading.Barrier(8)
+    seen = []
+
+    def first_call():
+        barrier.wait()
+        seen.append(c_backend._ffi())
+
+    threads = [threading.Thread(target=first_call) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(seen) == 8
+    assert len({id(ffi) for ffi in seen}) == 1
+
+
 @needs_c
 def test_sweep_runs_compiled_without_fallback():
     # Every conversion of the sweep (library pairs, Figure 3 binary

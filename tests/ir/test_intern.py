@@ -12,7 +12,7 @@ import threading
 
 import pytest
 
-from repro.ir import Eq, Geq, memo
+from repro.ir import Eq, Geq
 from repro.ir.parser import parse_relation, parse_set
 from repro.ir.terms import Expr, FloorDiv, Mod, Mul, Sym, UFCall, Var
 
@@ -24,8 +24,6 @@ class TestCanonicalization:
         assert (a + b) - b == a
 
     def test_roundtrip_is_same_object_when_interned(self):
-        if not memo.ENABLED:
-            pytest.skip("interning disabled via REPRO_IR_MEMO=0")
         a = Var("i") + 2 * Var("j") + 3
         b = Var("k") - Sym("NR")
         assert ((a + b) - b) is a
@@ -64,12 +62,9 @@ class TestInternedVsParsed:
         c1 = r1.conjunctions[0].constraints[0]
         c2 = r2.conjunctions[0].constraints[0]
         assert c1 == c2 and hash(c1) == hash(c2)
-        if memo.ENABLED:
-            assert c1.expr is c2.expr
+        assert c1.expr is c2.expr
 
     def test_parsed_expr_is_interned_instance(self):
-        if not memo.ENABLED:
-            pytest.skip("interning disabled via REPRO_IR_MEMO=0")
         rel = parse_relation("{[i] -> [j] : j = col(i) + 1}")
         expr = rel.conjunctions[0].constraints[0].expr
         rebuilt = Expr(
@@ -83,8 +78,6 @@ class TestInternedVsParsed:
         assert hash(Var("N")) != hash(Sym("N"))
 
     def test_opaque_atoms_intern(self):
-        if not memo.ENABLED:
-            pytest.skip("interning disabled via REPRO_IR_MEMO=0")
         assert Mul(Sym("NR"), Var("i")) is Mul(Sym("NR"), Var("i"))
         assert Mod(Var("i") + 1, 4) is Mod(Var("i") + 1, 4)
 
@@ -115,8 +108,7 @@ class TestThreadSafety:
         assert len(results) == 8
         first = results[0]
         assert all(e == first for e in results)
-        if memo.ENABLED:
-            assert all(e is first for e in results)
+        assert all(e is first for e in results)
 
     def test_concurrent_synthesis(self):
         from repro.formats import get_format
@@ -157,8 +149,6 @@ class TestPickling:
         lambda: Mod(Var("i"), 3).as_expr(),
     ], ids=["Var", "Sym", "UFCall", "Mul", "FloorDiv", "Mod"])
     def test_expressions_unpickle_to_the_interned_instance(self, build):
-        if not memo.ENABLED:
-            pytest.skip("interning disabled via REPRO_IR_MEMO=0")
         expr = build()
         loaded = pickle.loads(pickle.dumps(expr))
         assert loaded is expr
@@ -166,8 +156,6 @@ class TestPickling:
 
     @pytest.mark.parametrize("kind", [Eq, Geq])
     def test_constraints_rebuild_over_the_interned_expression(self, kind):
-        if not memo.ENABLED:
-            pytest.skip("interning disabled via REPRO_IR_MEMO=0")
         constraint = kind(UFCall("rowptr", [Var("i")]) - Var("k") + 1)
         loaded = pickle.loads(pickle.dumps(constraint))
         assert type(loaded) is kind

@@ -32,7 +32,7 @@ def tracing_off():
 
 
 def _per_site_cost(iterations: int = 20_000) -> float:
-    """Median-of-5 per-call cost of a disabled span site, in seconds."""
+    """Best-of-5 per-call cost of a disabled span site, in seconds."""
     best = float("inf")
     for _ in range(5):
         start = time.perf_counter()
@@ -80,16 +80,19 @@ def test_enabled_tracing_still_cheap_relative_to_synthesis():
     """Tracing on: span bookkeeping stays well under synthesis cost.
 
     This is a sanity bound (10x looser than the disabled-path pin), not a
-    benchmark — BENCH_pr4.json records the measured enabled overhead.
+    benchmark.  Best of 5 batches, like :func:`_per_site_cost`, so a GC
+    pause of the surrounding suite's heap lands in one batch only.
     """
     TRACER.enable()
-    start = time.perf_counter()
-    for _ in range(1_000):
-        with obs.span("outer", category="test"):
-            with obs.span("inner"):
-                pass
-    per_tree = (time.perf_counter() - start) / 1_000
+    per_tree = float("inf")
+    for _ in range(5):
+        start = time.perf_counter()
+        for _ in range(1_000):
+            with obs.span("outer", category="test"):
+                with obs.span("inner"):
+                    pass
+        per_tree = min(per_tree, (time.perf_counter() - start) / 1_000)
+        TRACER.clear()
     TRACER.disable()
-    TRACER.clear()
     # A two-span tree must build in well under 100us (typical: ~2us).
     assert per_tree < 100e-6

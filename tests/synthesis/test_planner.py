@@ -102,6 +102,38 @@ class TestExecution:
             out = convert_via_plan(coo, dst)
             assert dense_equal(out.to_dense(), dense), dst
 
+    @pytest.mark.parametrize("validate", ["off", "inputs"])
+    @pytest.mark.parametrize("rank", [2, 3])
+    def test_sorted_coo_is_scanned_for_order_once(
+        self, monkeypatch, rank, validate
+    ):
+        # The 2-D or 3-D planner is picked from the declared format; only
+        # the planner's own source detection scans the entries.
+        from repro.formats import invariants
+        from repro.runtime.tensors3d import COOTensor3D
+
+        scans = []
+        real = invariants.first_unsorted_position
+
+        def spy(comp, env):
+            scans.append(comp)
+            return real(comp, env)
+
+        monkeypatch.setattr(invariants, "first_unsorted_position", spy)
+        if rank == 2:
+            dense = random_dense(4)
+            out = convert_via_plan(
+                COOMatrix.from_dense(dense), "CSR", validate=validate
+            )
+            assert dense_equal(out.to_dense(), dense)
+        else:
+            tensor = COOTensor3D(
+                (2, 2, 3), [0, 0, 1], [0, 1, 1], [2, 0, 1], [1.0, 2.0, 3.0]
+            )
+            out = convert_via_plan(tensor, "MCOO3", validate=validate)
+            assert sorted(out.val) == [1.0, 2.0, 3.0]
+        assert len(scans) == 1
+
     def test_execute_from_dia(self):
         dense = random_dense(3)
         dia_m = DIAMatrix.from_dense(dense)
