@@ -37,7 +37,8 @@ Commands:
 * ``cache stats|clear|warm`` — inspect, clear, or pre-populate the
   persistent inspector cache (``$REPRO_CACHE_DIR``, default
   ``~/.cache/repro-spf``); ``clear`` touches only inspector partitions,
-  never the learned-cost store,
+  never the learned-cost store; ``warm --backend c`` also builds each
+  conversion's C library, as its first call would,
 * ``serve`` — run the conversion-as-a-service daemon: a JSON HTTP API
   (TCP or ``--unix`` socket) with validation-gated admission, request
   coalescing on synthesis fingerprints, a bounded worker pool,
@@ -606,6 +607,9 @@ def cmd_cache(args) -> int:
         f"({summary['unsynthesizable']} pairs have no direct synthesis)",
         file=sys.stderr,
     )
+    if summary["unbuilt"]:
+        print(f"built no {args.backend} artifacts: {summary['unbuilt']}",
+              file=sys.stderr)
     return 0
 
 
@@ -919,12 +923,15 @@ def main(argv: list[str] | None = None) -> int:
         help="also delete entries written by other code versions",
     )
     p_warm = cache_sub.add_parser(
-        "warm", help="pre-synthesize the planner's conversion graph"
+        "warm",
+        help="pre-synthesize the planner's conversion graph and build "
+        "its compiled artifacts (--backend c)",
     )
     p_warm.add_argument("--backend", choices=BACKENDS,
                         default="python")
     p_warm.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for parallel warming")
+                        help="worker processes for parallel synthesis "
+                        "and compiles")
 
     p_serve = sub.add_parser(
         "serve",

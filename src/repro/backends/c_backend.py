@@ -10,13 +10,23 @@ declared dtype).
 Compiled artifacts are cached on disk following the PR 2 disk-cache
 conventions:
 
-* content-hashed — the artifact name is ``sha256(c_source)``, so identical
-  generated C compiles exactly once across processes,
+* content-hashed — an inspector library is named by ``sha256`` of its C
+  source and of the runtime object's name, so identical generated C
+  compiles exactly once across processes and a changed runtime never
+  serves a stale library,
 * version-partitioned — the cache directory embeds both the package's
   code-version hash and a compiler-version tag, so neither a synthesizer
   change nor a toolchain upgrade can serve a stale binary,
 * atomically published — compile to a temp path, ``os.replace`` into
   place, safe under concurrent writers.
+
+The runtime routines every inspector calls (``RUNTIME_C`` in
+:mod:`repro.spf.codegen.c_emit`) are compiled once per cache directory
+into ``runtime-<hash>.o`` (``-fPIC``, hidden visibility), named by its
+source and the compiler tag and built on the first inspector compile
+that needs it.  Each inspector unit embeds the runtime header and links
+that object, so gcc optimizes only the unit's own loops; every library
+still exports only ``repro_run`` and ``repro_free``.
 
 Environment knobs:
 
@@ -35,6 +45,7 @@ every entry point can degrade gracefully to the numpy tier.
 
 from __future__ import annotations
 
+import ast
 import hashlib
 import os
 import shutil
@@ -74,7 +85,8 @@ long long repro_json_f64(const double* v, long long n, char* out,
                          long long* len);
 """
 
-#: Error codes returned by ``repro_run`` (mirrors RUNTIME_C in c_emit),
+#: Error codes returned by ``repro_run`` (the ``RT_E*`` codes of
+#: ``RUNTIME_H`` in c_emit),
 #: mapped onto the exception the interpreted runtime would have raised.
 _ERRNO = {
     1: MemoryError,
@@ -84,7 +96,10 @@ _ERRNO = {
     5: RuntimeError,
 }
 
-_CFLAGS = ("-O2", "-shared", "-fPIC", "-std=c99")
+_CFLAGS = ("-O2", "-fPIC", "-std=c99")
+#: An inspector or formatter library, and the runtime object it links.
+_LIBRARY = ("-shared",)
+_OBJECT = ("-c", "-fvisibility=hidden")
 
 
 class CCompileError(RuntimeError):
@@ -220,33 +235,38 @@ def _ffi():
     return _FFI
 
 
-def _compile_artifact(c_source: str, so_path: Path, cc: str) -> None:
-    """Compile one translation unit and atomically publish the .so.
+def _compile_artifact(
+    c_source: str, path: Path, cc: str, flags: Sequence[str] = _LIBRARY,
+    link: Sequence[str] = (),
+) -> None:
+    """Compile one translation unit and atomically publish the result.
 
     The .c file is published alongside the artifact for debugging; both
     writes go through temp-path + ``os.replace`` so concurrent processes
     compiling the same source race benignly (identical content).
+    ``link`` names the objects a library links.
     """
-    so_path.parent.mkdir(parents=True, exist_ok=True)
-    c_path = so_path.with_suffix(".c")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    c_path = path.with_suffix(".c")
     fd, tmp_c = tempfile.mkstemp(
-        dir=str(so_path.parent), prefix=c_path.name, suffix=".tmp"
+        dir=str(path.parent), prefix=c_path.name, suffix=".tmp"
     )
     with os.fdopen(fd, "w") as fh:
         fh.write(c_source)
     os.replace(tmp_c, c_path)
-    tmp_so = f"{so_path}.{os.getpid()}.tmp"
-    cmd = [cc, *_CFLAGS, "-o", tmp_so, str(c_path)]
-    proc = subprocess.run(cmd, capture_output=True, text=True)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    cmd = [cc, *_CFLAGS, *flags, "-o", tmp, str(c_path), *link]
+    with obs.span("c.compile", category="compile", artifact=path.name):
+        proc = subprocess.run(cmd, capture_output=True, text=True)
     if proc.returncode != 0:
         try:
-            os.unlink(tmp_so)
+            os.unlink(tmp)
         except OSError:
             pass
         raise CCompileError(
             f"{' '.join(cmd)} failed ({proc.returncode}):\n{proc.stderr}"
         )
-    os.replace(tmp_so, so_path)
+    os.replace(tmp, path)
 
 
 #: Process-wide memo of loaded shared objects keyed on the source text
@@ -260,36 +280,85 @@ _COMPILE_HIT = obs.counter(
 _COMPILE_MISS = obs.counter(
     "repro_cbackend_compile_miss_total", "C compiler invocations"
 )
+_RUNTIME_BUILD = obs.counter(
+    "repro_cbackend_runtime_build_total",
+    "C runtime objects compiled (not counted as compile misses)",
+)
+
+#: The runtime object of each artifact directory, ``(path, source)``:
+#: named once per directory, so a new code-version or compiler partition
+#: names (and builds) its own.
+_RUNTIME_OBJECTS: dict[Path, tuple[Path, str]] = {}
+#: One lock per artifact path: threads racing to build it wait for one
+#: build instead of each running the compiler.
+_BUILD_LOCKS: dict[Path, threading.Lock] = {}
 
 
-def load_library(c_source: str):
+def _runtime_object(base: Path) -> tuple[Path, str]:
+    """The runtime object inspector libraries in ``base`` link, and its
+    source; named by a hash of that source and the compiler tag."""
+    found = _RUNTIME_OBJECTS.get(base)
+    if found is None:
+        from repro.spf.codegen.c_emit import runtime_source
+
+        source = runtime_source()
+        tag = compiler_version_tag() or "nocc"
+        digest = hashlib.sha256(f"{tag}\n{source}".encode()).hexdigest()
+        found = _RUNTIME_OBJECTS[base] = (
+            base / f"runtime-{digest[:24]}.o", source
+        )
+    return found
+
+
+def _build_once(path: Path, build) -> bool:
+    """Run ``build()`` unless ``path`` exists; whether it ran."""
+    with _BUILD_LOCKS.setdefault(path, threading.Lock()):
+        if path.exists():
+            return False
+        build()
+        return True
+
+
+def load_library(c_source: str, *, runtime: bool = False):
     """dlopen the compiled artifact for ``c_source``, compiling on miss.
 
+    ``runtime=True`` links the runtime object (an inspector unit, which
+    embeds the runtime header), building it first if it is not on disk;
+    the artifact's name then covers the object's too.
     ``repro_cbackend_compile_hit_total`` counts artifacts served from the
     disk cache (or this process's memo);
-    ``repro_cbackend_compile_miss_total`` counts actual compiler
-    invocations — CI pins warm runs on the hit counter.
+    ``repro_cbackend_compile_miss_total`` counts library compiles and
+    ``repro_cbackend_runtime_build_total`` runtime object builds — CI
+    pins warm runs on the miss counter.
     """
     lib = _LIB_MEMO.get(c_source)
     if lib is not None:
         _COMPILE_HIT.inc()
         return lib
-    digest = hashlib.sha256(c_source.encode()).hexdigest()
     base = artifact_dir() if disk_enabled() else _scratch_dir()
+    obj, obj_source = _runtime_object(base) if runtime else (None, "")
+    named = c_source + obj.name if obj else c_source
+    digest = hashlib.sha256(named.encode()).hexdigest()
     so_path = base / f"{digest[:24]}.so"
-    if so_path.exists():
-        _COMPILE_HIT.inc()
-        cached = True
-    else:
+
+    def build():
         _COMPILE_MISS.inc()
-        cached = False
         cc = compiler_path()
         if cc is None:
             raise BackendUnavailableError(
                 "c", "no C compiler found (checked $CC, cc, gcc, clang)"
             )
-        with obs.span("c.compile", category="compile", artifact=so_path.name):
-            _compile_artifact(c_source, so_path, cc)
+        if obj and _build_once(
+            obj, lambda: _compile_artifact(obj_source, obj, cc, _OBJECT)
+        ):
+            _RUNTIME_BUILD.inc()
+        _compile_artifact(
+            c_source, so_path, cc, link=(str(obj),) if obj else ()
+        )
+
+    cached = not _build_once(so_path, build)
+    if cached:
+        _COMPILE_HIT.inc()
     with obs.span(
         "c.load", category="compile", artifact=so_path.name, cached=cached
     ):
@@ -299,8 +368,10 @@ def load_library(c_source: str):
 
 
 def clear_lib_memo() -> None:
-    """Drop the per-process dlopen memo (mainly for tests)."""
+    """Drop the per-process dlopen and runtime-object memos (mainly for
+    tests)."""
     _LIB_MEMO.clear()
+    _RUNTIME_OBJECTS.clear()
 
 
 # ----------------------------------------------------------------------
@@ -321,7 +392,7 @@ def _c_run(spec: dict, array_args: tuple, scalar_args: tuple) -> dict:
 
     from repro.runtime.storage import INDEX, VALUE
 
-    lib = load_library(spec["c"])
+    lib = load_library(spec["c"], runtime=True)
     ffi = _ffi()
     n_arrays = len(spec["arrays"])
     arrs = ffi.new("void*[]", max(n_arrays, 1))
@@ -399,6 +470,11 @@ def _wrapper_source(name: str, params: Sequence[str], emitted) -> str:
     )
 
 
+def _wrapper_spec(source: str) -> dict:
+    """The manifest literal :func:`_wrapper_source` put first in ``source``."""
+    return ast.literal_eval(ast.parse(source).body[0].value)
+
+
 class CBackend(Backend):
     """Compiled C99 loop nests behind cffi — the native tier.
 
@@ -453,6 +529,9 @@ class CBackend(Backend):
         with obs.span("c.codegen", category="codegen", inspector=name):
             emitted = emit_c(program, name, list(params), list(returns), symtab)
         return Lowering(source=_wrapper_source(name, list(params), emitted))
+
+    def prepare(self, conversion) -> None:
+        load_library(_wrapper_spec(conversion.source)["c"], runtime=True)
 
     def namespace(self) -> dict:
         # The wrapper needs __C_RUN; the base helpers ride along.

@@ -212,6 +212,24 @@ class MetricsRegistry:
             metrics = list(self._metrics.values())
         return {metric.name: metric.snapshot() for metric in metrics}
 
+    def counts(self) -> dict[tuple[str, tuple], float]:
+        """Every counter series, as ``{(name, label key): value}``."""
+        with self._lock:
+            metrics = list(self._metrics.values())
+        out = {}
+        for metric in metrics:
+            if isinstance(metric, Counter):
+                with metric._lock:
+                    for key, value in metric._series.items():
+                        out[metric.name, key] = value
+        return out
+
+    def add_counts(self, counts: Mapping[tuple[str, tuple], float]) -> None:
+        """Add counts another process recorded (a pool worker's, in the
+        form :meth:`counts` returns) to this process's counters."""
+        for (name, key), n in counts.items():
+            self.counter(name).inc(n, **dict(key))
+
     def reset(self) -> None:
         with self._lock:
             metrics = list(self._metrics.values())

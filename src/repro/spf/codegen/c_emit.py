@@ -9,11 +9,15 @@ and runs:
   point ``repro_run(arrs, lens, scalars, out)`` taking the input arrays
   (``int64``/``float64`` buffers), their lengths, the scalar symbolic
   constants, and an output-buffer table it fills in,
-* a self-contained runtime prelude — the permutation structures
+* a C runtime in two parts — the permutation structures
   (``OrderedList`` / ``OrderedSet`` / ``LexBucketPermutation``), Morton
   encodings, binary search, and floor-division helpers re-implemented in
   C with ``malloc``/``realloc`` growth, matching the Python runtime in
-  :mod:`repro.runtime` element for element,
+  :mod:`repro.runtime` element for element.  Every unit embeds the
+  header :data:`RUNTIME_H` (types, codes, ``static inline`` per-element
+  helpers, prototypes); the routines it declares, :data:`RUNTIME_C`, are
+  compiled once per artifact directory into an object every inspector
+  library links (:func:`runtime_source` is that object's unit),
 * UF calls lowered to array indexing; rank lookups, which
   :mod:`repro.spf.replay` proved replay their insert, read a rank array
   by position.  A stable sort builds it: one counting pass per key
@@ -51,7 +55,8 @@ F8 = "f8"
 
 @dataclass
 class CEmitted:
-    """A compilable C translation unit plus its marshalling manifest."""
+    """A C translation unit, which links the runtime object, plus its
+    marshalling manifest."""
 
     c_source: str
     #: ``(name, "i8"|"f8")`` for every array parameter, in call order.
@@ -63,14 +68,21 @@ class CEmitted:
 
 
 # ---------------------------------------------------------------------------
-# The C runtime prelude.
+# The C runtime: a header every generated translation unit embeds, and the
+# routines it declares, compiled once per artifact directory into an object
+# each inspector library links (repro.backends.c_backend).
 #
-# Every generated translation unit embeds this verbatim, so each compiled
-# shared object is self-contained (no link-time coupling between cached
-# artifacts and the package version that produced them).
+# The header holds the types, the RT_* codes and macros, and `static
+# inline` definitions of the helpers an inspector calls once per element
+# (floor division, min/max, binary search, Morton keys, the sorted-set and
+# bucket-permutation inserts and lookups, the ordered-list push and rank):
+# out of line, those calls slowed fig2-large's compiled conversions.  The
+# bulk routines (sorts, finalizers, init/free/alloc/copy) are declared
+# RT_API, hidden in every library that links them, so each library still
+# exports only repro_run and repro_free.
 # ---------------------------------------------------------------------------
 
-RUNTIME_C = r"""
+RUNTIME_H = r"""
 #include <stdint.h>
 #include <stdlib.h>
 #include <string.h>
@@ -86,50 +98,35 @@ typedef struct { void* ptr; long long len; } rt_buf;
 
 #define RT_CK(x) do { rc = (x); if (rc != 0) goto fail; } while (0)
 
+/* Defined once in the runtime object, hidden in every library. */
+#define RT_API __attribute__((visibility("hidden")))
+
 /* Python floor division / modulo semantics for negative operands. */
-static int64_t rt_fdiv(int64_t a, int64_t b) {
+static inline int64_t rt_fdiv(int64_t a, int64_t b) {
     int64_t q = a / b;
     if ((a % b != 0) && ((a < 0) != (b < 0))) q -= 1;
     return q;
 }
-static int64_t rt_fmod(int64_t a, int64_t b) {
+static inline int64_t rt_fmod(int64_t a, int64_t b) {
     int64_t r = a % b;
     if (r != 0 && ((r < 0) != (b < 0))) r += b;
     return r;
 }
 #define RT_FDIV(a, b) rt_fdiv((a), (b))
 #define RT_FMOD(a, b) rt_fmod((a), (b))
-static int64_t rt_max2(int64_t a, int64_t b) { return a > b ? a : b; }
-static int64_t rt_min2(int64_t a, int64_t b) { return a < b ? a : b; }
+static inline int64_t rt_max2(int64_t a, int64_t b) { return a > b ? a : b; }
+static inline int64_t rt_min2(int64_t a, int64_t b) { return a < b ? a : b; }
 
 /* ------------------------------------------------------------------ */
 /* Allocation helpers: Python's `[0] * n` yields [] for n < 0, and the */
 /* 1-byte floor keeps output pointers non-NULL for len-0 buffers.      */
-static int rt_alloc_i64(int64_t n, int64_t** out, int64_t* len_out) {
-    if (n < 0) n = 0;
-    free(*out);
-    *out = (int64_t*)calloc((size_t)(n > 0 ? n : 1), sizeof(int64_t));
-    *len_out = n;
-    return *out ? RT_OK : RT_ENOMEM;
-}
-static int rt_alloc_f64(int64_t n, double** out, int64_t* len_out) {
-    if (n < 0) n = 0;
-    free(*out);
-    *out = (double*)calloc((size_t)(n > 0 ? n : 1), sizeof(double));
-    *len_out = n;
-    return *out ? RT_OK : RT_ENOMEM;
-}
-static int rt_copy_i64(
-    const int64_t* src, int64_t n, int64_t** out, int64_t* len_out
-) {
-    int rc = rt_alloc_i64(n, out, len_out);
-    if (rc != RT_OK) return rc;
-    if (n > 0) memcpy(*out, src, (size_t)n * sizeof(int64_t));
-    return RT_OK;
-}
+RT_API int rt_alloc_i64(int64_t n, int64_t** out, int64_t* len_out);
+RT_API int rt_alloc_f64(int64_t n, double** out, int64_t* len_out);
+RT_API int rt_copy_i64(
+    const int64_t* src, int64_t n, int64_t** out, int64_t* len_out);
 
 /* Binary search in a sorted int64 array; -1 when absent (BSEARCH). */
-static int64_t rt_bsearch(const int64_t* a, int64_t n, int64_t v) {
+static inline int64_t rt_bsearch(const int64_t* a, int64_t n, int64_t v) {
     int64_t lo = 0, hi = n - 1;
     while (lo <= hi) {
         int64_t mid = (lo + hi) >> 1;
@@ -144,7 +141,7 @@ static int64_t rt_bsearch(const int64_t* a, int64_t n, int64_t v) {
 /* the multi-column sort orders as one 126-bit key.  The first         */
 /* coordinate takes the low bit, matching repro.runtime.morton.  2-D   */
 /* takes every int64 coordinate, 3-D every coordinate below 2**42.     */
-static uint64_t rt_spread2(uint64_t x) {  /* 32 bits -> even bits */
+static inline uint64_t rt_spread2(uint64_t x) {  /* 32 bits -> even bits */
     x &= 0xFFFFFFFFULL;
     x = (x | (x << 16)) & 0x0000FFFF0000FFFFULL;
     x = (x | (x << 8)) & 0x00FF00FF00FF00FFULL;
@@ -152,7 +149,7 @@ static uint64_t rt_spread2(uint64_t x) {  /* 32 bits -> even bits */
     x = (x | (x << 2)) & 0x3333333333333333ULL;
     return (x | (x << 1)) & 0x5555555555555555ULL;
 }
-static uint64_t rt_spread3(uint64_t x) {  /* 21 bits -> every third bit */
+static inline uint64_t rt_spread3(uint64_t x) {  /* 21 bits -> every third bit */
     x &= 0x1FFFFFULL;
     x = (x | (x << 32)) & 0x001F00000000FFFFULL;
     x = (x | (x << 16)) & 0x001F0000FF0000FFULL;
@@ -160,7 +157,7 @@ static uint64_t rt_spread3(uint64_t x) {  /* 21 bits -> every third bit */
     x = (x | (x << 4)) & 0x10C30C30C30C30C3ULL;
     return (x | (x << 2)) & 0x1249249249249249ULL;
 }
-static int rt_morton2(int64_t i, int64_t j, int64_t* key) {
+static inline int rt_morton2(int64_t i, int64_t j, int64_t* key) {
     uint64_t lo, hi;  /* key bits 0..63 and 64..125 */
     if (i < 0 || j < 0) return RT_EVALUE;
     lo = rt_spread2((uint64_t)i) | (rt_spread2((uint64_t)j) << 1);
@@ -169,7 +166,7 @@ static int rt_morton2(int64_t i, int64_t j, int64_t* key) {
     key[1] = (int64_t)(lo & 0x7FFFFFFFFFFFFFFFULL);
     return RT_OK;
 }
-static int rt_morton3(int64_t i, int64_t j, int64_t k, int64_t* key) {
+static inline int rt_morton3(int64_t i, int64_t j, int64_t k, int64_t* key) {
     const int64_t limit = (int64_t)1 << 42;
     uint64_t x = (uint64_t)i, y = (uint64_t)j, z = (uint64_t)k;
     if (i < 0 || j < 0 || k < 0) return RT_EVALUE;
@@ -186,10 +183,11 @@ static int rt_morton3(int64_t i, int64_t j, int64_t k, int64_t* key) {
 /* insertion (bisect + memmove), exactly like the Python runtime.      */
 typedef struct { int64_t* data; int64_t n, cap; } rt_iset;
 
-static void rt_iset_init(rt_iset* s) { s->data = NULL; s->n = 0; s->cap = 0; }
-static void rt_iset_free(rt_iset* s) { free(s->data); s->data = NULL; s->n = 0; s->cap = 0; }
+RT_API void rt_iset_init(rt_iset* s);
+RT_API void rt_iset_free(rt_iset* s);
+RT_API int rt_iset_to_array(rt_iset* s, int64_t** out, int64_t* len_out);
 
-static int rt_iset_insert(rt_iset* s, int64_t v) {
+static inline int rt_iset_insert(rt_iset* s, int64_t v) {
     int64_t lo = 0, hi = s->n;
     while (lo < hi) {
         int64_t mid = (lo + hi) >> 1;
@@ -209,10 +207,6 @@ static int rt_iset_insert(rt_iset* s, int64_t v) {
     return RT_OK;
 }
 
-static int rt_iset_to_array(rt_iset* s, int64_t** out, int64_t* len_out) {
-    return rt_copy_i64(s->data, s->n, out, len_out);
-}
-
 /* ------------------------------------------------------------------ */
 /* rt_lexperm — LexBucketPermutation: histogram + prefix sum, lookups  */
 /* served by advancing per-bucket fill pointers with automatic rewind  */
@@ -226,21 +220,11 @@ typedef struct {
     int finalized;
 } rt_lexperm;
 
-static int rt_lexperm_init(rt_lexperm* p, int64_t nb) {
-    if (nb < 1) return RT_EVALUE;
-    free(p->counts); free(p->starts); free(p->fill);
-    p->nb = nb;
-    p->counts = (int64_t*)calloc((size_t)(nb + 1), sizeof(int64_t));
-    p->starts = NULL; p->fill = NULL;
-    p->total = 0; p->served = 0; p->finalized = 0;
-    return p->counts ? RT_OK : RT_ENOMEM;
-}
-static void rt_lexperm_free(rt_lexperm* p) {
-    free(p->counts); free(p->starts); free(p->fill);
-    p->counts = NULL; p->starts = NULL; p->fill = NULL;
-}
+RT_API int rt_lexperm_init(rt_lexperm* p, int64_t nb);
+RT_API void rt_lexperm_free(rt_lexperm* p);
+RT_API int rt_lexperm_finalize(rt_lexperm* p);
 
-static int rt_lexperm_insert(rt_lexperm* p, int64_t bucket) {
+static inline int rt_lexperm_insert(rt_lexperm* p, int64_t bucket) {
     if (bucket < -1 || bucket >= p->nb) return RT_EKEY;
     p->counts[bucket + 1] += 1;
     p->total += 1;
@@ -248,21 +232,7 @@ static int rt_lexperm_insert(rt_lexperm* p, int64_t bucket) {
     return RT_OK;
 }
 
-static int rt_lexperm_finalize(rt_lexperm* p) {
-    int64_t b;
-    free(p->starts); free(p->fill);
-    p->starts = (int64_t*)malloc((size_t)(p->nb + 1) * sizeof(int64_t));
-    p->fill = (int64_t*)malloc((size_t)(p->nb + 1) * sizeof(int64_t));
-    if (!p->starts || !p->fill) return RT_ENOMEM;
-    memcpy(p->starts, p->counts, (size_t)(p->nb + 1) * sizeof(int64_t));
-    for (b = 0; b < p->nb; b++) p->starts[b + 1] += p->starts[b];
-    memcpy(p->fill, p->starts, (size_t)(p->nb + 1) * sizeof(int64_t));
-    p->served = 0;
-    p->finalized = 1;
-    return RT_OK;
-}
-
-static int rt_lexperm_lookup(rt_lexperm* p, int64_t bucket, int64_t* out) {
+static inline int rt_lexperm_lookup(rt_lexperm* p, int64_t bucket, int64_t* out) {
     int rc;
     int64_t b = bucket;
     if (!p->finalized) { rc = rt_lexperm_finalize(p); if (rc) return rc; }
@@ -275,6 +245,130 @@ static int rt_lexperm_lookup(rt_lexperm* p, int64_t bucket, int64_t* out) {
         memcpy(p->fill, p->starts, (size_t)(p->nb + 1) * sizeof(int64_t));
         p->served = 0;
     }
+    return RT_OK;
+}
+
+/* ------------------------------------------------------------------ */
+/* rt_olist — OrderedList: append each inserted tuple's key words (and */
+/* its coordinates, when only they tell duplicates apart), then        */
+/* finalize with a stable sort into rank[i], the sorted position of    */
+/* the i-th insert.  Every lookup replays the insert's iteration       */
+/* (repro.spf.replay), so the n-th lookup of a pass reads rank[n]; the */
+/* cursor rewinds after each complete pass.  Duplicate coordinate      */
+/* tuples take the rank of their last occurrence in sorted order;      */
+/* unique=1 collapses equal keys onto one rank.  No key (keylen 0)     */
+/* keeps insertion order.                                              */
+typedef struct {
+    int64_t arity, keylen;
+    int unique, injective;
+    int64_t n, cap;
+    int64_t* keys;       /* n * keylen */
+    int64_t* coords;     /* n * arity, kept for non-injective keys only */
+    int64_t* range;      /* keylen declared exclusive bounds, 0 = none */
+    int64_t* rank;       /* per insert, once finalized */
+    int64_t cursor, distinct;
+    int finalized;
+} rt_olist;
+
+RT_API void rt_olist_free(rt_olist* o);
+RT_API int rt_olist_init(
+    rt_olist* o, int64_t arity, int64_t keylen, int unique, int injective,
+    const int64_t* range);
+RT_API int rt_olist_finalize(rt_olist* o);
+RT_API int rt_olist_len(rt_olist* o, int64_t* out);
+
+static inline int rt_olist_push(rt_olist* o, const int64_t* c, const int64_t* k) {
+    int keep = !o->unique && !o->injective;
+    int64_t i;
+    if (o->finalized) return RT_ESTATE;
+    if (o->n == o->cap) {
+        int64_t ncap = o->cap ? o->cap * 2 : 16;
+        /* At least one word per item: realloc(p, 0) would free p. */
+        int64_t* nk = (int64_t*)realloc(
+            o->keys, (size_t)(ncap * (o->keylen ? o->keylen : 1))
+                     * sizeof(int64_t));
+        if (!nk) return RT_ENOMEM;
+        o->keys = nk;
+        if (keep) {
+            int64_t* nc = (int64_t*)realloc(
+                o->coords, (size_t)(ncap * o->arity) * sizeof(int64_t));
+            if (!nc) return RT_ENOMEM;
+            o->coords = nc;
+        }
+        o->cap = ncap;
+    }
+    for (i = 0; i < o->keylen; i++) o->keys[o->n * o->keylen + i] = k[i];
+    if (keep)
+        for (i = 0; i < o->arity; i++) o->coords[o->n * o->arity + i] = c[i];
+    o->n += 1;
+    return RT_OK;
+}
+
+static inline int rt_olist_rank(rt_olist* o, int64_t* out) {
+    int rc;
+    if (!o->finalized) { rc = rt_olist_finalize(o); if (rc) return rc; }
+    if (o->n == 0) return RT_EKEY;
+    *out = o->rank[o->cursor];
+    if (++o->cursor == o->n) o->cursor = 0;
+    return RT_OK;
+}
+"""
+
+RUNTIME_C = r"""
+RT_API int rt_alloc_i64(int64_t n, int64_t** out, int64_t* len_out) {
+    if (n < 0) n = 0;
+    free(*out);
+    *out = (int64_t*)calloc((size_t)(n > 0 ? n : 1), sizeof(int64_t));
+    *len_out = n;
+    return *out ? RT_OK : RT_ENOMEM;
+}
+RT_API int rt_alloc_f64(int64_t n, double** out, int64_t* len_out) {
+    if (n < 0) n = 0;
+    free(*out);
+    *out = (double*)calloc((size_t)(n > 0 ? n : 1), sizeof(double));
+    *len_out = n;
+    return *out ? RT_OK : RT_ENOMEM;
+}
+RT_API int rt_copy_i64(
+    const int64_t* src, int64_t n, int64_t** out, int64_t* len_out
+) {
+    int rc = rt_alloc_i64(n, out, len_out);
+    if (rc != RT_OK) return rc;
+    if (n > 0) memcpy(*out, src, (size_t)n * sizeof(int64_t));
+    return RT_OK;
+}
+
+RT_API void rt_iset_init(rt_iset* s) { s->data = NULL; s->n = 0; s->cap = 0; }
+RT_API void rt_iset_free(rt_iset* s) { free(s->data); s->data = NULL; s->n = 0; s->cap = 0; }
+RT_API int rt_iset_to_array(rt_iset* s, int64_t** out, int64_t* len_out) {
+    return rt_copy_i64(s->data, s->n, out, len_out);
+}
+
+RT_API int rt_lexperm_init(rt_lexperm* p, int64_t nb) {
+    if (nb < 1) return RT_EVALUE;
+    free(p->counts); free(p->starts); free(p->fill);
+    p->nb = nb;
+    p->counts = (int64_t*)calloc((size_t)(nb + 1), sizeof(int64_t));
+    p->starts = NULL; p->fill = NULL;
+    p->total = 0; p->served = 0; p->finalized = 0;
+    return p->counts ? RT_OK : RT_ENOMEM;
+}
+RT_API void rt_lexperm_free(rt_lexperm* p) {
+    free(p->counts); free(p->starts); free(p->fill);
+    p->counts = NULL; p->starts = NULL; p->fill = NULL;
+}
+
+RT_API int rt_lexperm_finalize(rt_lexperm* p) {
+    int64_t b;
+    free(p->starts); free(p->fill);
+    p->starts = (int64_t*)malloc((size_t)(p->nb + 1) * sizeof(int64_t));
+    p->fill = (int64_t*)malloc((size_t)(p->nb + 1) * sizeof(int64_t));
+    if (!p->starts || !p->fill) return RT_ENOMEM;
+    memcpy(p->starts, p->counts, (size_t)(p->nb + 1) * sizeof(int64_t));
+    for (b = 0; b < p->nb; b++) p->starts[b + 1] += p->starts[b];
+    memcpy(p->fill, p->starts, (size_t)(p->nb + 1) * sizeof(int64_t));
+    p->served = 0;
+    p->finalized = 1;
     return RT_OK;
 }
 
@@ -362,34 +456,12 @@ static int rt_sort_rows(
     return RT_OK;
 }
 
-/* ------------------------------------------------------------------ */
-/* rt_olist — OrderedList: append each inserted tuple's key words (and */
-/* its coordinates, when only they tell duplicates apart), then        */
-/* finalize with a stable sort into rank[i], the sorted position of    */
-/* the i-th insert.  Every lookup replays the insert's iteration       */
-/* (repro.spf.replay), so the n-th lookup of a pass reads rank[n]; the */
-/* cursor rewinds after each complete pass.  Duplicate coordinate      */
-/* tuples take the rank of their last occurrence in sorted order;      */
-/* unique=1 collapses equal keys onto one rank.  No key (keylen 0)     */
-/* keeps insertion order.                                              */
-typedef struct {
-    int64_t arity, keylen;
-    int unique, injective;
-    int64_t n, cap;
-    int64_t* keys;       /* n * keylen */
-    int64_t* coords;     /* n * arity, kept for non-injective keys only */
-    int64_t* range;      /* keylen declared exclusive bounds, 0 = none */
-    int64_t* rank;       /* per insert, once finalized */
-    int64_t cursor, distinct;
-    int finalized;
-} rt_olist;
-
-static void rt_olist_free(rt_olist* o) {
+RT_API void rt_olist_free(rt_olist* o) {
     free(o->keys); free(o->coords); free(o->range); free(o->rank);
     o->keys = NULL; o->coords = NULL; o->range = NULL; o->rank = NULL;
 }
 
-static int rt_olist_init(
+RT_API int rt_olist_init(
     rt_olist* o, int64_t arity, int64_t keylen, int unique, int injective,
     const int64_t* range
 ) {
@@ -403,33 +475,6 @@ static int rt_olist_init(
                                 sizeof(int64_t));
     if (!o->range) return RT_ENOMEM;
     if (keylen) memcpy(o->range, range, (size_t)keylen * sizeof(int64_t));
-    return RT_OK;
-}
-
-static int rt_olist_push(rt_olist* o, const int64_t* c, const int64_t* k) {
-    int keep = !o->unique && !o->injective;
-    int64_t i;
-    if (o->finalized) return RT_ESTATE;
-    if (o->n == o->cap) {
-        int64_t ncap = o->cap ? o->cap * 2 : 16;
-        /* At least one word per item: realloc(p, 0) would free p. */
-        int64_t* nk = (int64_t*)realloc(
-            o->keys, (size_t)(ncap * (o->keylen ? o->keylen : 1))
-                     * sizeof(int64_t));
-        if (!nk) return RT_ENOMEM;
-        o->keys = nk;
-        if (keep) {
-            int64_t* nc = (int64_t*)realloc(
-                o->coords, (size_t)(ncap * o->arity) * sizeof(int64_t));
-            if (!nc) return RT_ENOMEM;
-            o->coords = nc;
-        }
-        o->cap = ncap;
-    }
-    for (i = 0; i < o->keylen; i++) o->keys[o->n * o->keylen + i] = k[i];
-    if (keep)
-        for (i = 0; i < o->arity; i++) o->coords[o->n * o->arity + i] = c[i];
-    o->n += 1;
     return RT_OK;
 }
 
@@ -448,7 +493,7 @@ static void rt_last_of_runs(
     }
 }
 
-static int rt_olist_finalize(rt_olist* o) {
+RT_API int rt_olist_finalize(rt_olist* o) {
     int64_t n = o->n, kl = o->keylen, m = n > 0 ? n : 1, p, c;
     int64_t *order, *tmp, *range;
     int rc = RT_OK;
@@ -510,16 +555,7 @@ done:
     return rc;
 }
 
-static int rt_olist_rank(rt_olist* o, int64_t* out) {
-    int rc;
-    if (!o->finalized) { rc = rt_olist_finalize(o); if (rc) return rc; }
-    if (o->n == 0) return RT_EKEY;
-    *out = o->rank[o->cursor];
-    if (++o->cursor == o->n) o->cursor = 0;
-    return RT_OK;
-}
-
-static int rt_olist_len(rt_olist* o, int64_t* out) {
+RT_API int rt_olist_len(rt_olist* o, int64_t* out) {
     if (o->unique) {
         int rc;
         if (!o->finalized) { rc = rt_olist_finalize(o); if (rc) return rc; }
@@ -530,8 +566,15 @@ static int rt_olist_len(rt_olist* o, int64_t* out) {
     return RT_OK;
 }
 
-void repro_free(void* p) { free(p); }
+/* The one runtime symbol every inspector library exports: outputs are */
+/* released through it.                                                */
+__attribute__((visibility("default"))) void repro_free(void* p) { free(p); }
 """
+
+
+def runtime_source() -> str:
+    """The runtime object's translation unit: the header, then its routines."""
+    return RUNTIME_H + RUNTIME_C
 
 
 def _v(name: str) -> str:
@@ -985,7 +1028,7 @@ class _Emitter:
 
         lines = [
             f"/* native inspector: {self.name} */",
-            RUNTIME_C,
+            RUNTIME_H,
         ]
         lines.extend(self.helpers)
         lines.append("")

@@ -545,28 +545,41 @@ def cache_stats() -> dict:
 # ----------------------------------------------------------------------
 # Warming
 # ----------------------------------------------------------------------
-def _planner_pairs(backend: str) -> list[tuple[str, str, str]]:
+def _planner_pairs() -> list[tuple[str, str]]:
     from repro.planner import PLANNABLE_2D, PLANNABLE_3D
 
-    pairs = []
-    for group in (PLANNABLE_2D, PLANNABLE_3D):
-        for a in group:
-            for b in group:
-                if a != b:
-                    pairs.append((a, b, backend))
-    return pairs
+    return [
+        (a, b)
+        for group in (PLANNABLE_2D, PLANNABLE_3D)
+        for a in group
+        for b in group
+        if a != b
+    ]
 
 
-def _warm_pair(job: tuple[str, str, str]) -> tuple[str, str, bool]:
-    """Synthesize one pair into the shared disk cache (worker-safe)."""
+def _warm_pair(job: tuple[str, str, str, bool]) -> tuple[bool, dict]:
+    """Synthesize one pair into the shared disk cache and, when ``build``
+    is set, build what its first call would (worker-safe).  Returns
+    whether the pair synthesizes, and the counts the job added."""
+    from repro.backends import get_backend
     from repro.formats import get_format
 
-    src, dst, backend = job
+    src, dst, backend, build = job
+    before = obs.METRICS.counts()
     try:
-        synthesize_cached(get_format(src), get_format(dst), backend=backend)
-        return (src, dst, True)
+        conv = synthesize_cached(
+            get_format(src), get_format(dst), backend=backend
+        )
     except SynthesisError:
-        return (src, dst, False)
+        conv = None
+    if conv is not None and build:
+        get_backend(backend).prepare(conv)
+    added = {
+        key: value - before.get(key, 0)
+        for key, value in obs.METRICS.counts().items()
+        if value != before.get(key, 0)
+    }
+    return conv is not None, added
 
 
 def warm(
@@ -575,30 +588,43 @@ def warm(
     jobs: int = 1,
     pairs: Sequence[tuple[str, str]] | None = None,
 ) -> dict:
-    """Pre-synthesize the planner's conversion graph into the disk cache.
+    """Pre-synthesize the planner's conversion graph into the disk cache,
+    and build each conversion's compiled artifact (the C tier's library)
+    through the same path its first call takes.
 
-    ``jobs > 1`` fans the pairs out over worker processes; atomic writes
-    make concurrent population of one cache directory safe.  Returns a
-    ``{"synthesized": n, "unsynthesizable": m}`` summary.
+    ``jobs > 1`` fans the pairs out over worker processes and adds their
+    counts (synthesis-cache writes, compiles) to this process's counters;
+    atomic writes make concurrent population of one cache directory
+    safe.  Returns a ``{"synthesized": n, "unsynthesizable": m,
+    "unbuilt": reason}`` summary; ``unbuilt`` says why no artifact was
+    built (the backend is unavailable), else None.
     """
+    from repro.backends import BackendUnavailableError, get_backend
+
+    try:
+        get_backend(backend).require()
+        unbuilt = None
+    except BackendUnavailableError as err:
+        unbuilt = err.reason
     if pairs is None:
-        jobs_list = _planner_pairs(backend)
-    else:
-        jobs_list = [(a, b, backend) for a, b in pairs]
-    ok = bad = 0
+        pairs = _planner_pairs()
+    jobs_list = [(a, b, backend, unbuilt is None) for a, b in pairs]
+    ok = 0
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for _, _, success in pool.map(_warm_pair, jobs_list):
+            for success, added in pool.map(_warm_pair, jobs_list):
                 ok += success
-                bad += not success
+                obs.METRICS.add_counts(added)
     else:
         for job in jobs_list:
-            _, _, success = _warm_pair(job)
-            ok += success
-            bad += not success
-    return {"synthesized": ok, "unsynthesizable": bad}
+            ok += _warm_pair(job)[0]
+    return {
+        "synthesized": ok,
+        "unsynthesizable": len(jobs_list) - ok,
+        "unbuilt": unbuilt,
+    }
 
 
 # ----------------------------------------------------------------------

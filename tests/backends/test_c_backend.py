@@ -10,6 +10,7 @@ contract: a missing soft dependency raises the registry's standard
 point (``convert``, the planner, the fuzzer) silently falls back a tier.
 """
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -174,6 +175,119 @@ class TestCompileCache:
         _run_c_conversion()
         assert _counter("repro_cbackend_compile_miss_total") == miss0 + 1
         assert c_backend.artifact_dir().name.endswith("f" * 12)
+        assert list(c_backend.artifact_dir().glob("runtime-*.o"))
+
+    def test_changed_runtime_source_rebuilds(self, cache_dir, monkeypatch):
+        # A library's name covers the runtime object's, which hashes the
+        # object's source: a changed runtime builds a new object and new
+        # libraries instead of serving ones linked against the old one.
+        from repro.spf.codegen import c_emit
+
+        _, before = _run_c_conversion()
+        (old_obj,) = cache_dir.glob("*/runtime-*.o")
+        (old_so,) = cache_dir.glob("*/*.so")
+        monkeypatch.setattr(
+            c_emit, "RUNTIME_C", c_emit.RUNTIME_C + "\n/* changed */\n"
+        )
+        c_backend.clear_lib_memo()
+        builds0 = _counter("repro_cbackend_runtime_build_total")
+        miss0 = _counter("repro_cbackend_compile_miss_total")
+        _, out = _run_c_conversion()
+        assert list(out["rowptr"]) == [0, 1, 2, 4]
+        assert {k: list(v) for k, v in out.items()} == {
+            k: list(v) for k, v in before.items()
+        }
+        assert _counter("repro_cbackend_runtime_build_total") == builds0 + 1
+        assert _counter("repro_cbackend_compile_miss_total") == miss0 + 1
+        objs = set(cache_dir.glob("*/runtime-*.o"))
+        sos = set(cache_dir.glob("*/*.so"))
+        assert len(objs) == 2 and old_obj in objs
+        assert len(sos) == 2 and old_so in sos
+        (new_obj,) = objs - {old_obj}
+        assert "/* changed */" in new_obj.with_suffix(".c").read_text()
+
+    def test_library_exports_only_the_abi(self, cache_dir):
+        # The runtime object's routines are hidden in every library that
+        # links it: each inspector library exports repro_run and
+        # repro_free, and no rt_* symbol.
+        import ctypes
+        import re
+
+        from repro.spf.codegen import c_emit
+
+        _run_c_conversion()
+        (so,) = cache_dir.glob("*/*.so")
+        lib = ctypes.CDLL(str(so))
+        assert lib.repro_run and lib.repro_free
+        names = set(re.findall(r"\b(rt_\w+)\(", c_emit.runtime_source()))
+        assert {"rt_sort_rows", "rt_olist_finalize", "rt_alloc_i64"} <= names
+        for name in sorted(names):
+            with pytest.raises(AttributeError):
+                getattr(lib, name)
+
+    def test_formatter_links_no_runtime_object(self, cache_dir):
+        # The daemon's JSON formatter is a library of its own: its build
+        # neither links nor waits for the inspectors' runtime object.
+        from repro.serve import jsontext
+
+        builds0 = _counter("repro_cbackend_runtime_build_total")
+        lib = c_backend.load_library(jsontext.C_SOURCE)
+        assert lib.repro_json_i64
+        assert not list(cache_dir.glob("*/*.o"))
+        assert _counter("repro_cbackend_runtime_build_total") == builds0
+        (so,) = cache_dir.glob("*/*.so")
+        digest = hashlib.sha256(jsontext.C_SOURCE.encode()).hexdigest()
+        assert so.name == f"{digest[:24]}.so"
+
+    def test_warmed_pair_needs_no_compiler(self, cache_dir, tmp_path,
+                                           monkeypatch):
+        # `repro cache warm --backend c` builds each pair's library through
+        # the loader the first call uses, so a later process compiles
+        # nothing.
+        from repro.synthesis import clear_memo
+        from repro.synthesis.cache import warm
+
+        spf_dir = tmp_path / "spf"
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(spf_dir))
+        monkeypatch.delenv("REPRO_CACHE_DISABLE", raising=False)
+        clear_memo()
+        try:
+            # convert() reads the sorted matrix below as SCOO.
+            summary = warm(backend="c", pairs=[("SCOO", "CSR")])
+        finally:
+            clear_memo()
+        assert summary == {"synthesized": 1, "unsynthesizable": 0,
+                           "unbuilt": None}
+        assert len(list(cache_dir.glob("*/*.so"))) == 1
+        script = (
+            "import json\n"
+            "from repro import COOMatrix, convert\n"
+            "from repro.obs import METRICS\n"
+            "m = COOMatrix(3, 4, [0, 1, 2, 2], [1, 0, 2, 3],\n"
+            "              [1.0, 2.0, 3.0, 4.0])\n"
+            "csr = convert(m, 'CSR', backend='c')\n"
+            "assert csr.rowptr.tolist() == [0, 1, 2, 4], csr.rowptr\n"
+            "print(json.dumps({n: METRICS.counter(n).value() for n in (\n"
+            "    'repro_cbackend_compile_miss_total',\n"
+            "    'repro_cbackend_compile_hit_total',\n"
+            "    'repro_cache_miss_total')}))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True,
+            text=True,
+            env={
+                **dict(__import__("os").environ),
+                "PYTHONPATH": SRC_DIR,
+                "REPRO_CBACKEND_DIR": str(cache_dir),
+                "REPRO_CACHE_DIR": str(spf_dir),
+            },
+        )
+        assert proc.returncode == 0, proc.stderr
+        counts = json.loads(proc.stdout.splitlines()[-1])
+        assert counts["repro_cbackend_compile_miss_total"] == 0
+        assert counts["repro_cbackend_compile_hit_total"] >= 1
+        assert counts["repro_cache_miss_total"] == 0
 
     def test_disable_knob_confines_to_scratch(self, cache_dir, monkeypatch):
         monkeypatch.setenv("REPRO_CBACKEND_DISABLE", "1")
@@ -299,6 +413,48 @@ def test_racing_first_calls_share_one_ffi(monkeypatch):
 
 
 @needs_c
+def test_racing_first_calls_build_one_runtime_object(cache_dir):
+    # Threads racing the first C calls of a fresh directory wait for one
+    # build of the runtime object (and of the library) and all succeed.
+    import threading
+
+    from repro import container_to_env
+
+    conv = synthesize(get_format("COO"), get_format("CSR"), backend="c")
+    env = container_to_env(_matrix())
+    builds0 = _counter("repro_cbackend_runtime_build_total")
+    miss0 = _counter("repro_cbackend_compile_miss_total")
+    barrier = threading.Barrier(8)
+    outs, errors = [], []
+
+    def first_call():
+        barrier.wait()
+        try:
+            outs.append(conv(**{p: env[p] for p in conv.params}))
+        except Exception as err:  # surfaced by the asserts below
+            errors.append(err)
+
+    threads = [threading.Thread(target=first_call) for _ in range(8)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert [list(out["rowptr"]) for out in outs] == [[0, 1, 2, 4]] * 8
+    (obj,) = cache_dir.glob("*/runtime-*.o")
+    assert obj.read_bytes()[:4] == b"\x7fELF"
+    assert not list(cache_dir.glob("*/*.tmp"))
+    assert _counter("repro_cbackend_runtime_build_total") == builds0 + 1
+    assert _counter("repro_cbackend_compile_miss_total") == miss0 + 1
+
+
+@needs_c
 def test_sweep_runs_compiled_without_fallback():
     # Every conversion of the sweep (library pairs, Figure 3 binary
     # searches, random compositions) lowers to a compiled wrapper: the C
@@ -356,6 +512,20 @@ class TestAvailability:
         csr = convert(m, "CSR", backend="c")
         ref = convert(m, "CSR", backend="python")
         assert (csr.rowptr, csr.col, csr.val) == (ref.rowptr, ref.col, ref.val)
+
+    def test_warm_without_compiler_says_why(self, tmp_path, monkeypatch):
+        # Without a toolchain `cache warm --backend c` still synthesizes,
+        # builds nothing and reports why.
+        from repro.synthesis.cache import warm
+
+        monkeypatch.setenv("CC", "/nonexistent/cc")
+        monkeypatch.setattr(c_backend, "_COMPILER_TAG", None)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "spf"))
+        monkeypatch.setenv("REPRO_CBACKEND_DIR", str(tmp_path / "cbackend"))
+        summary = warm(backend="c", pairs=[("SCOO", "CSR")])
+        assert summary["synthesized"] == 1
+        assert "compiler" in summary["unbuilt"]
+        assert not (tmp_path / "cbackend").exists()
 
     def test_fuzz_records_skip_reason(self, monkeypatch):
         import importlib
