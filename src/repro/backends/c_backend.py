@@ -57,6 +57,7 @@ from pathlib import Path
 from typing import Sequence
 
 import repro.obs as obs
+from repro.filelock import file_lock
 
 from .base import (
     Backend,
@@ -71,10 +72,11 @@ from .registry import BackendUnavailableError
 #: as void pointers + element counts (int64 or float64 buffers, per the
 #: spec manifest); outputs come back as (pointer, length) pairs the caller
 #: must release through ``repro_free``.  Scalar returns use ``len`` with a
-#: NULL pointer.  The two ``repro_json_*`` functions are the daemon's JSON
-#: array formatter (:mod:`repro.serve.jsontext`), a library of its own;
-#: cffi resolves each symbol on first use, so one declaration set serves
-#: both kinds of library.
+#: NULL pointer.  The ``repro_json_*`` functions are the daemon's JSON
+#: array formatter and scanners (:mod:`repro.serve.jsontext`), a library
+#: of its own that defines its own ``repro_free``; cffi resolves each
+#: symbol on first use, so one declaration set serves both kinds of
+#: library.
 _CDEF = """
 typedef struct { void* ptr; long long len; } rt_buf;
 int repro_run(void** arrs, long long* lens, long long* scalars, rt_buf* out);
@@ -83,6 +85,8 @@ long long repro_json_i64(const long long* v, long long n, char* out,
                          long long* len);
 long long repro_json_f64(const double* v, long long n, char* out,
                          long long* len);
+long long repro_json_scan_i64(const char* s, long long n, long long** out);
+long long repro_json_scan_f64(const char* s, long long n, double** out);
 """
 
 #: Error codes returned by ``repro_run`` (the ``RT_E*`` codes of
@@ -290,7 +294,8 @@ _RUNTIME_BUILD = obs.counter(
 #: names (and builds) its own.
 _RUNTIME_OBJECTS: dict[Path, tuple[Path, str]] = {}
 #: One lock per artifact path: threads racing to build it wait for one
-#: build instead of each running the compiler.
+#: build instead of each running the compiler (processes wait on a file
+#: lock beside it).
 _BUILD_LOCKS: dict[Path, threading.Lock] = {}
 
 
@@ -311,12 +316,20 @@ def _runtime_object(base: Path) -> tuple[Path, str]:
 
 
 def _build_once(path: Path, build) -> bool:
-    """Run ``build()`` unless ``path`` exists; whether it ran."""
+    """Run ``build()`` unless ``path`` exists; whether it ran.
+
+    The threads of this process, then every process building into the
+    same directory (``repro cache warm --jobs N``), take turns, so one
+    build serves them all.
+    """
     with _BUILD_LOCKS.setdefault(path, threading.Lock()):
         if path.exists():
             return False
-        build()
-        return True
+        with file_lock(path):
+            if path.exists():
+                return False
+            build()
+            return True
 
 
 def load_library(c_source: str, *, runtime: bool = False):

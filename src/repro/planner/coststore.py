@@ -30,7 +30,6 @@ learned (seconds) and predicted (unit) edge costs on one scale.
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import json
 import os
@@ -39,11 +38,7 @@ import time
 from pathlib import Path
 
 import repro.obs as obs
-
-try:  # POSIX only; the store degrades to best-effort merge without it.
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX platforms
-    fcntl = None  # type: ignore[assignment]
+from repro.filelock import file_lock
 
 _WRITE = obs.counter("repro_costs_write_total", "cost-store flushes")
 _WRITE_ERROR = obs.counter(
@@ -54,34 +49,6 @@ _MISS = obs.counter("repro_costs_miss_total", "cost-store lookups unanswered")
 _RECORD = obs.counter("repro_costs_record_total", "measurements recorded")
 _EVICT = obs.counter("repro_costs_evict_total", "cost-store entries evicted")
 
-
-@contextlib.contextmanager
-def _file_lock(path: Path):
-    """Advisory inter-process lock around a read-merge-write of ``path``.
-
-    Uses ``flock`` on a ``.lock`` sidecar so two *processes* folding
-    measurements into one store file serialize their read-modify-write
-    cycles instead of silently overwriting each other.  Degrades to a
-    no-op where ``fcntl`` is unavailable (merge-before-flush still closes
-    most of the window).
-    """
-    if fcntl is None:
-        yield
-        return
-    lock_path = path.with_suffix(path.suffix + ".lock")
-    try:
-        lock_path.parent.mkdir(parents=True, exist_ok=True)
-        handle = open(lock_path, "a+")
-    except OSError:
-        yield
-        return
-    try:
-        fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
-        yield
-    finally:
-        with contextlib.suppress(OSError):
-            fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
-        handle.close()
 
 #: Default bound on stored entries; evictions drop the oldest-updated.
 DEFAULT_MAX_ENTRIES = 4096
@@ -257,7 +224,7 @@ class CostStore:
             entry["label"] = label
             entry["updated"] = time.time()
             entries[key] = entry
-            with _file_lock(self.path):
+            with file_lock(self.path):
                 self._merge_from_disk_locked(entries)
                 self._evict_locked(entries)
                 self._flush()

@@ -1,4 +1,4 @@
-"""Response bodies as ``json.dumps`` writes them, result arrays natively.
+"""The daemon's JSON text, both ways: typed arrays natively.
 
 :func:`encode` is the one encoder of the daemon's worker-built responses:
 it returns exactly ``json.dumps(payload).encode()``.  It walks the
@@ -6,19 +6,30 @@ payload's dicts and lists itself, writes every typed result array
 (``array('q')``/``array('d')``) through :func:`array_text` and hands
 everything else to ``json.dumps``.
 
-:func:`array_text` has one fork.  When the formatter below is loaded it
-writes the array's JSON text in C (cffi drops the interpreter lock for
-the call); the formatter writes ``int64`` as decimal and ``float64`` as
-``float.__repr__`` does, declining every value whose digits it cannot
-decide exactly, and ``json.dumps(values[i:].tolist())`` finishes an
-array from its first declined value.  When the formatter is not loaded
-the whole array takes that stdlib call.  Either way the bytes are the
-same.
+:func:`decode` is the one decoder of ``/convert`` bodies: it returns
+what ``json.loads(body.decode("utf-8"))`` returns, except that the
+matrix's ``row`` and ``col`` arrive as ``array('q')`` and its ``val`` as
+``array('d')`` when the scanners below read them.  It walks the
+top-level object and ``matrix`` itself (keys through
+``json.decoder.scanstring``, every other value through the stdlib's C
+scanner) and hands each of the three arrays to a scanner, which parses
+it whole or declines it; a declined array goes to the stdlib's scanner
+at the same offset.  A body that is not ASCII, is not an object, or has
+a syntax error goes to ``json.loads`` whole, so every refusal is the
+stdlib's own.
 
-The formatter is built through :func:`repro.backends.c_backend.load_library`
+Both directions have one fork: the library below, loaded or not.  It
+writes ``int64`` as decimal and ``float64`` as ``float.__repr__`` does,
+and parses int64 and float64 literals exactly as ``int()`` and
+``float()`` do, declining every value whose digits or bits it cannot
+decide exactly; cffi drops the interpreter lock for each call.  When it
+is not loaded, arrays take ``json.dumps`` and ``json.loads`` whole.
+Either way the bytes written and the values read are the same.
+
+The library is built through :func:`repro.backends.c_backend.load_library`
 (the C tier's content-hashed artifact cache, compile counters and
 toolchain check) by :func:`load`, which the daemon runs on a background
-thread at start-up; responses written before it loads take the stdlib
+thread at start-up; bodies handled before it loads take the stdlib
 path.  It is available exactly when the C tier's ``require()`` passes.
 """
 
@@ -36,7 +47,7 @@ from repro.backends.registry import BackendUnavailableError
 #: and ``e-05``), 20 for an int64, plus ``", "``.
 WIDTH = 25
 
-C_SOURCE = r"""
+_FORMAT_C = r"""
 /* JSON array text for typed arrays, as Python's json.dumps writes them:
  * int64 as decimal, float64 as float.__repr__ does (the shortest digits
  * that read back as the value, in repr's layout).  Integer arithmetic
@@ -242,6 +253,262 @@ long long repro_json_f64(const double *v, long long n, char *out,
 }
 """
 
+#: The decimal exponents q the scanner's table covers, as in
+#: ``digits * 10**q``.  Below Q_MIN a value of at most 19 digits is under
+#: 10**-324, so zero or subnormal; above Q_MAX it is infinite.  Up to
+#: Q_EXACT the entry is exact (5**q < 2**128).
+Q_MIN, Q_EXACT, Q_MAX = -342, 55, 308
+
+
+def pow5(q: int) -> tuple[int, int]:
+    """The scanner's table entry for ``10**q``: ``(X, S)`` with
+    ``10**q * 2**-S`` equal to ``X = 5**q`` for ``0 <= q <= Q_EXACT``,
+    and strictly between ``X - 1`` and ``X``, where
+    ``2**127 < X < 2**128``, for every other q."""
+    if 0 <= q <= Q_EXACT:
+        return 5**q, q
+    if q > 0:
+        t = (5**q).bit_length() - 128
+        return -(-(5**q) // 2**t), q + t
+    b = 127 + (5**-q).bit_length()
+    return 2**b // 5**-q + 1, q - b
+
+
+def _pow5_table() -> str:
+    """The C text of the range and of :func:`pow5`'s table."""
+    rows = []
+    for q in range(Q_MIN, Q_MAX + 1):
+        x, shift = pow5(q)
+        hi, lo = divmod(x, 2**64)
+        rows.append(f"    {{0x{hi:x}ULL, 0x{lo:x}ULL, {shift}}},")
+    return (
+        f"#define Q_MIN ({Q_MIN})\n#define Q_EXACT {Q_EXACT}\n"
+        f"#define Q_MAX {Q_MAX}\n\n"
+        "/* POW5[q - Q_MIN] = {X >> 64, X mod 2**64, S} of pow5(q). */\n"
+        "typedef struct { u64 hi, lo; int shift; } pow5_entry;\n"
+        "static const pow5_entry POW5[] = {\n" + "\n".join(rows) + "\n};\n"
+    )
+
+
+_SCAN_C = r"""
+/* JSON arrays of number literals, read as int() and float() read them.
+ *
+ * repro_json_scan_i64 and repro_json_scan_f64 read s[0..n), which must
+ * be exactly one JSON array of number literals: '[' first, ']' last, JSON
+ * whitespace around values and commas.  They store the values in a
+ * buffer malloc'd into *out (release it with repro_free) and return how
+ * many there are, or return -1 with *out NULL to decline the whole
+ * array: any other kind of element, a malformed literal, or a literal
+ * the rules below cannot decide exactly.  The caller then parses the
+ * array with the stdlib.
+ *
+ * i64: an integer literal (no fraction, no exponent) within int64.
+ *
+ * f64: the double float(token) gives, bit for bit.  A literal is a sign,
+ * w (its digits without leading zeros, at most 19 of them, so w < 2**64)
+ * and q, with value w * 10**q.  w = 0 gives +-0.0 as float() does (the
+ * integer literal "-0" is the int 0, so +0.0).  w > 0 is accepted when
+ * Q_MIN <= q <= Q_MAX and the value rounded to 53 bits is a normal
+ * double (from 2**-1022, below 2**1024), unless the approximation below
+ * cannot decide it.  Integer arithmetic only: no strtod (it reads
+ * LC_NUMERIC) and no libm.
+ *
+ * With (X, S) = POW5[q - Q_MIN], let E = w * 10**q * 2**-S, so the value
+ * is E * 2**S, and P = w * X, exact in 192 bits.  With n = bitlen(P) and
+ * c = n - 54, t = floor(P / 2**c) holds P's top 54 bits and
+ * R = P mod 2**c the rest.
+ *
+ * Exact entries (0 <= q <= Q_EXACT): E = P.  The double's 53 bits are
+ * t's top 53, rounded up when t's last bit is 1 and R > 0 or the 53 bits
+ * are odd (ties to even).
+ *
+ * Other entries: 0 < P - E < w, and P > 2**127, so c >= 74.  If R >= w,
+ * E has the same top 54 bits t and a remainder R - (P - E) strictly
+ * between 0 and 2**c, so E is no tie and t's last bit alone decides the
+ * rounding.  If R < w the approximation cannot decide.  Where 5**k
+ * divides w for k = -q <= 27, w * 10**q is the integer w / 5**k (rounded
+ * through the exact entry q = 0) times 2**-k: that is how short values
+ * such as 0.5 or 1.25 take this branch.  Every other R < w declines; it
+ * needs R, at least 74 bits wide, to fall below w < 2**64 by chance.
+ *
+ * The double is m * 2**(c + 1 + S), m being the rounded 53 bits (2**53
+ * after rounding up is 2**52 one binade up).  A biased exponent outside
+ * 1..2046 declines.
+ */
+#include <stdlib.h>
+
+static int bitlen(u64 x) { return x ? 64 - __builtin_clzll(x) : 0; }
+
+/* The bits of the double nearest w * 10**q (w > 0), or 0 to decline. */
+static int f64_bits(u64 w, long long q, u64 *bits) {
+    if (q < Q_MIN || q > Q_MAX) return 0;
+    const pow5_entry *x = &POW5[q - Q_MIN];
+    u128 lo = (u128)w * x->lo;
+    u128 hi = (u128)w * x->hi + (lo >> 64);  /* P = hi * 2**64 + p0 */
+    u64 p0 = (u64)lo, p1 = (u64)hi, p2 = (u64)(hi >> 64);
+    int n = p2 ? 128 + bitlen(p2) : p1 ? 64 + bitlen(p1) : bitlen(p0);
+    int c = n - 54, small, zero;  /* R < w, R == 0 */
+    u64 t;
+    if (c <= 0) {
+        t = p0 << -c;
+        small = zero = 1;
+    } else if (c < 64) {
+        u64 r = p0 & ((1ULL << c) - 1);
+        t = (u64)(hi << (64 - c)) | p0 >> c;
+        small = r < w;
+        zero = r == 0;
+    } else {
+        u128 r = hi & (((u128)1 << (c - 64)) - 1);
+        t = (u64)(hi >> (c - 64));
+        small = r == 0 && p0 < w;
+        zero = r == 0 && p0 == 0;
+    }
+    u64 m = t >> 1;
+    if (q >= 0 && q <= Q_EXACT) {
+        m += (t & 1) && (!zero || (m & 1));
+    } else if (!small) {
+        m += t & 1;
+    } else if (q < 0 && q >= -27 && w % POW5[-q - Q_MIN].lo == 0) {
+        if (!f64_bits(w / POW5[-q - Q_MIN].lo, 0, bits)) return 0;
+        *bits -= (u64)-q << 52;
+        return 1;
+    } else {
+        return 0;
+    }
+    int e = c + 1 + x->shift + 1075;  /* biased exponent of m * 2**... */
+    if (m >> 53) {
+        m >>= 1;
+        e++;
+    }
+    if (e < 1 || e > 2046) return 0;
+    *bits = (u64)e << 52 | (m & ((1ULL << 52) - 1));
+    return 1;
+}
+
+typedef struct { u64 w; long long q; int neg, integer; } number;
+
+static int digit(const char *p, const char *end) {
+    return p < end && *p >= '0' && *p <= '9';
+}
+
+/* The number literal at p (before end) as sign, w, q and whether it is
+ * an integer literal; returns its end, or 0 when p holds none or it has
+ * more than 19 digits.  What follows it is the caller's to check.  An
+ * exponent saturates at 10**15: past any fraction a body can hold, so q
+ * stays out of range. */
+static const char *read_number(const char *p, const char *end,
+                               number *t) {
+    u64 w = 0;
+    long long q = 0;
+    int digits = 0;
+    t->neg = p < end && *p == '-';
+    p += t->neg;
+    if (!digit(p, end)) return 0;
+    if (*p == '0') {
+        p++;
+    } else {
+        for (; digit(p, end); p++) {
+            if (++digits > 19) return 0;
+            w = w * 10 + (u64)(*p - '0');
+        }
+    }
+    t->integer = 1;
+    if (p < end && *p == '.') {
+        t->integer = 0;
+        if (!digit(++p, end)) return 0;
+        for (; digit(p, end); p++, q--) {
+            if (w == 0 && *p == '0') continue;
+            if (++digits > 19) return 0;
+            w = w * 10 + (u64)(*p - '0');
+        }
+    }
+    if (p < end && (*p == 'e' || *p == 'E')) {
+        int minus = 0;
+        long long e = 0;
+        t->integer = 0;
+        p++;
+        if (p < end && (*p == '+' || *p == '-')) minus = *p++ == '-';
+        if (!digit(p, end)) return 0;
+        for (; digit(p, end); p++)
+            e = e < 100000000000000LL ? e * 10 + (*p - '0')
+                                      : 1000000000000000LL;
+        q += minus ? -e : e;
+    }
+    t->w = w;
+    t->q = q;
+    return p;
+}
+
+static int to_i64(const number *t, long long *v) {
+    if (!t->integer || t->w > (1ULL << 63) - !t->neg) return 0;
+    *v = !t->neg ? (long long)t->w
+         : t->w ? -(long long)(t->w - 1) - 1 : 0;
+    return 1;
+}
+
+static int to_f64(const number *t, double *v) {
+    u64 bits = 0;
+    if (t->w && !f64_bits(t->w, t->q, &bits)) return 0;
+    if (t->neg && (t->w || !t->integer)) bits |= 1ULL << 63;
+    memcpy(v, &bits, sizeof bits);
+    return 1;
+}
+
+static int ws(char c) {
+    return c == ' ' || c == '\t' || c == '\n' || c == '\r';
+}
+
+static long long scan_array(const char *s, long long n, int f64,
+                            char **out) {
+    const char *p = s + 1, *end = s + n - 1;
+    /* Each value takes a digit and a separator. */
+    char *buf = malloc(8 * (size_t)(n / 2 + 1));
+    long long count = 0;
+    *out = buf;
+    if (!buf) return -1;
+    if (n < 2 || s[0] != '[' || *end != ']') goto decline;
+    while (p < end && ws(*p)) p++;
+    while (p < end) {
+        number t;
+        p = read_number(p, end, &t);
+        if (!p) goto decline;
+        if (f64 ? !to_f64(&t, (double *)buf + count)
+                : !to_i64(&t, (long long *)buf + count))
+            goto decline;
+        count++;
+        while (p < end && ws(*p)) p++;
+        if (p == end) break;
+        if (*p != ',') goto decline;
+        do p++; while (p < end && ws(*p));
+        if (p == end) goto decline;  /* a trailing comma */
+    }
+    return count;
+decline:
+    free(buf);
+    *out = 0;
+    return -1;
+}
+
+long long repro_json_scan_i64(const char *s, long long n, long long **out) {
+    char *buf;
+    long long count = scan_array(s, n, 0, &buf);
+    *out = (long long *)buf;
+    return count;
+}
+
+long long repro_json_scan_f64(const char *s, long long n, double **out) {
+    char *buf;
+    long long count = scan_array(s, n, 1, &buf);
+    *out = (double *)buf;
+    return count;
+}
+
+void repro_free(void *p) { free(p); }
+"""
+
+#: The formatter's and the scanners' one translation unit.
+C_SOURCE = _FORMAT_C + _pow5_table() + _SCAN_C
+
 #: Typecode -> (formatter function, cffi buffer type).
 _KINDS = {
     "q": ("repro_json_i64", "long long[]"),
@@ -253,11 +520,13 @@ _LOAD_LOCK = threading.Lock()
 
 
 def load():
-    """Build (or find in the artifact cache) and load the formatter.
+    """Build (or find in the artifact cache) and load the library: the
+    formatter and the scanners.
 
     Returns the library, or None when the C tier is unavailable or the
-    build fails; either way :func:`encode` writes the same bytes.  Safe
-    to call from several threads: the first builds, the rest wait.
+    build fails; either way :func:`encode` writes the same bytes and
+    :func:`decode` reads the same values.  Safe to call from several
+    threads: the first builds, the rest wait.
     """
     global _LIB
     with _LOAD_LOCK:
@@ -272,7 +541,7 @@ def load():
 
 
 def formatter():
-    """The formatter if it has loaded, else None; never waits for it."""
+    """The library if it has loaded, else None; never waits for it."""
     return _LIB
 
 
@@ -344,3 +613,118 @@ def _holds_array(obj) -> bool:
     if isinstance(obj, array):
         return True
     return isinstance(obj, dict) and any(map(_holds_array, obj.values()))
+
+
+# -- the request side ----------------------------------------------------
+_WS = json.decoder.WHITESPACE.match
+#: The stdlib's value scanner (its C one when built) and string reader,
+#: configured as ``json.loads`` configures them.
+_SCAN_ONCE = json.JSONDecoder().scan_once
+_SCANSTRING = json.decoder.scanstring
+
+#: Matrix field -> (scanner, cffi type of its out pointer, typecode).
+_FIELDS = {
+    "row": ("repro_json_scan_i64", "long long **", "q"),
+    "col": ("repro_json_scan_i64", "long long **", "q"),
+    "val": ("repro_json_scan_f64", "double **", "d"),
+}
+
+
+def decode_path(body: bytes, lib) -> str:
+    """How :func:`decode` reads ``body`` with ``lib``: ``"native"`` or
+    ``"stdlib"``.  Only an ASCII body has byte offsets equal to its str
+    offsets, which the walk relies on."""
+    return "native" if lib is not None and body.isascii() else "stdlib"
+
+
+def decode(body: bytes, lib):
+    """``json.loads(body.decode("utf-8"))``, the matrix's arrays typed.
+
+    ``lib`` is the loaded library, or None for the stdlib path.  On the
+    native path ``matrix.row`` and ``matrix.col`` arrive as
+    ``array('q')`` and ``matrix.val`` as ``array('d')``, each one the
+    scanners read whole; any other value is what ``json.loads`` gives.
+    Every exception, a RecursionError on a deeply nested body among
+    them, is the one ``json.loads`` raises.
+    """
+    if decode_path(body, lib) == "stdlib":
+        return json.loads(body.decode("utf-8"))
+    text = body.decode("ascii")
+    try:
+        return _document(body, text, lib)
+    except (ValueError, IndexError, StopIteration, RecursionError):
+        return json.loads(text)
+
+
+def _document(body: bytes, text: str, lib) -> dict:
+    """The top-level object of the ASCII ``body`` (``text`` decoded).
+
+    Raises ValueError, IndexError, StopIteration or RecursionError where
+    the body is not one well-formed object.
+    """
+    ffi = c_backend._ffi()
+    src = ffi.from_buffer(body)
+
+    def member(key, i):
+        if key == "matrix" and text[i] == "{":
+            return _object(text, i, matrix_member)
+        return _SCAN_ONCE(text, i)
+
+    def matrix_member(key, i):
+        field = _FIELDS.get(key)
+        if field is not None and text[i] == "[":
+            found = _scan_array(ffi, lib, src, body, i, field)
+            if found is not None:
+                return found
+        return _SCAN_ONCE(text, i)
+
+    i = _WS(text, 0).end()
+    if text[i] != "{":
+        raise ValueError("not an object")
+    doc, i = _object(text, i, member)
+    if _WS(text, i).end() != len(text):
+        raise ValueError("extra data")
+    return doc
+
+
+def _object(text: str, i: int, member) -> tuple[dict, int]:
+    """The object whose ``{`` is ``text[i]``, and the index past its
+    ``}``.  ``member(key, j)`` reads the value at ``j`` as
+    ``(value, end)``; a repeated key keeps its last value, as in
+    ``json.loads``."""
+    obj: dict = {}
+    i = _WS(text, i + 1).end()
+    if text[i] == "}":
+        return obj, i + 1
+    while text[i] == '"':
+        key, i = _SCANSTRING(text, i + 1)
+        i = _WS(text, i).end()
+        if text[i] != ":":
+            break
+        obj[key], i = member(key, _WS(text, i + 1).end())
+        i = _WS(text, i).end()
+        if text[i] == "}":
+            return obj, i + 1
+        if text[i] != ",":
+            break
+        i = _WS(text, i + 1).end()
+    raise ValueError("malformed object")
+
+
+def _scan_array(ffi, lib, src, body: bytes, i: int, field):
+    """The typed array the scanner reads from the array at ``body[i]``,
+    and the index past it; None where it declines."""
+    name, ctype, typecode = field
+    end = body.find(b"]", i) + 1
+    if not end:
+        return None
+    out = ffi.new(ctype)
+    count = getattr(lib, name)(src + i, end - i, out)
+    if count < 0:
+        return None
+    values = array(typecode)
+    try:
+        values.frombytes(ffi.buffer(out[0], 8 * count))
+    finally:
+        lib.repro_free(out[0])
+    return values, end

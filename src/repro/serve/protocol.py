@@ -27,9 +27,12 @@ A successful response::
      "trace_id": "abc123",
      "meta": {"backend": "...", "seconds": ..., "trace_id": "abc123"}}
 
-Every response body is exactly the bytes ``json.dumps`` writes for the
-document; the daemon writes result arrays natively when it can
-(:mod:`repro.serve.jsontext`).
+Every request reads as ``json.loads`` reads it, and every response body
+is exactly the bytes ``json.dumps`` writes for the document; the daemon
+reads the matrix's arrays and writes the result arrays natively when it
+can (:mod:`repro.serve.jsontext`).  So :func:`parse_matrix` takes
+``row``/``col``/``val`` as lists or as the typed arrays the decoder
+reads.
 
 Failures carry ``{"ok": false, "error": {"type": ..., "message": ...}}``
 with the :class:`~repro.errors.ValidationError` subclass name in
@@ -42,6 +45,7 @@ correlate daemon traces with their own.
 
 from __future__ import annotations
 
+from array import array
 from typing import Any, Mapping
 
 SCHEMA = "repro-serve/1"
@@ -88,10 +92,8 @@ def parse_matrix(payload: Mapping[str, Any]):
     if any(type(n) is not int for n in (rows, cols)):
         raise ProtocolError("matrix rows/cols must be integers")
     row, col, val = payload["row"], payload["col"], payload["val"]
-    if not (
-        isinstance(row, list) and isinstance(col, list)
-        and isinstance(val, list)
-    ):
+    # Lists from json.loads, or the typed arrays jsontext.decode reads.
+    if not all(isinstance(a, (list, array)) for a in (row, col, val)):
         raise ProtocolError("matrix row/col/val must be arrays")
     if not (len(row) == len(col) == len(val)):
         raise ProtocolError(

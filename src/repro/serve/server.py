@@ -91,6 +91,10 @@ _REQUEST_SECONDS = obs.histogram(
     "repro_serve_request_seconds", "end-to-end request latency by endpoint"
 )
 _SHED = obs.counter("repro_serve_shed", "requests shed with 503")
+_DECODES = obs.counter(
+    "repro_serve_decode_total",
+    "/convert bodies decoded on the event loop, by who read the arrays",
+)
 _ENCODES = obs.counter(
     "repro_serve_encode_total",
     "/convert responses encoded on a worker, by who wrote the arrays",
@@ -546,8 +550,17 @@ class ConversionServer:
             )
             return status, error_body(exc, trace_id=trace_id), trace_id
 
+        # Decoded on the loop: cffi drops the interpreter lock while the
+        # scanners run, so the workers keep converting meanwhile.
+        lib = jsontext.formatter()
+        path = jsontext.decode_path(body, lib)
+        _DECODES.inc(path=path)
         try:
-            doc = json.loads(body.decode("utf-8"))
+            doc = jsontext.decode(body, lib)
+        except RecursionError:
+            return _reject(
+                400, ProtocolError("bad JSON: nested too deeply"), header_id
+            )
         except (UnicodeDecodeError, ValueError) as exc:
             return _reject(
                 400, ProtocolError(f"bad JSON: {exc}"), header_id
@@ -608,7 +621,7 @@ class ConversionServer:
         try:
             status, payload, body = await loop.run_in_executor(
                 self._pool, self._do_convert, request, trace_id, ctx,
-                (started, decoded), queued_at,
+                (started, decoded, path), queued_at,
             )
         finally:
             self._pending -= 1
@@ -697,10 +710,14 @@ class ConversionServer:
         conversion opens lands inside the request's ``serve.request``
         tree instead of rooting as an orphan on this pool thread.
         ``decoded`` is the (start, end) the event loop measured for the
-        body's decode.  Returns the status, the payload and its bytes.
+        body's decode and the path that read it.  Returns the status, the
+        payload and its bytes.
         """
+        start, end, read_by = decoded
         with obs.TRACER.adopt(ctx):
-            obs.add_span("serve.decode", *decoded, category="serve")
+            obs.add_span(
+                "serve.decode", start, end, category="serve", path=read_by
+            )
             obs.add_span(
                 "serve.queue_wait",
                 queued_at,

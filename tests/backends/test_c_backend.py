@@ -455,6 +455,64 @@ def test_racing_first_calls_build_one_runtime_object(cache_dir):
 
 
 @needs_c
+def test_racing_processes_build_one_runtime_object(cache_dir):
+    # Two processes compiling different units into one fresh directory
+    # (`repro cache warm --jobs 2`) wait for one runtime object build.
+    script = (
+        "import json, os, sys, time\n"
+        "from repro import container_to_env\n"
+        "from repro.formats import get_format\n"
+        "from repro.obs import METRICS\n"
+        "from repro.runtime import COOMatrix\n"
+        "from repro.synthesis import synthesize\n"
+        "dst, ready, go = sys.argv[1:]\n"
+        "conv = synthesize(get_format('COO'), get_format(dst),\n"
+        "                  backend='c')\n"
+        "env = container_to_env(COOMatrix(3, 4, [0, 1, 2, 2],\n"
+        "                                 [1, 0, 2, 3], [1.0, 2.0, 3.0, 4.0]))\n"
+        "open(ready, 'w').close()\n"
+        "while not os.path.exists(go):\n"
+        "    time.sleep(0.001)\n"
+        "conv(**{p: env[p] for p in conv.params})\n"
+        "print(json.dumps({n: METRICS.counter(f'repro_cbackend_{n}_total')\n"
+        "    .value() for n in ('runtime_build', 'compile_miss')}))\n"
+    )
+    env = {
+        **dict(__import__("os").environ),
+        "PYTHONPATH": SRC_DIR,
+        "REPRO_CBACKEND_DIR": str(cache_dir),
+        "REPRO_CACHE_DISABLE": "1",
+    }
+    go = cache_dir / "go"
+    procs = [
+        subprocess.Popen(
+            [sys.executable, "-c", script, dst, str(cache_dir / dst), str(go)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=env,
+        )
+        for dst in ("CSR", "CSC")
+    ]
+    try:
+        import time
+
+        deadline = time.monotonic() + 120
+        while not all((cache_dir / d).exists() for d in ("CSR", "CSC")):
+            assert time.monotonic() < deadline, "workers never got ready"
+            assert all(p.poll() is None for p in procs)
+            time.sleep(0.01)
+        go.touch()
+        results = [p.communicate(timeout=120) for p in procs]
+    finally:
+        for p in procs:
+            p.kill()
+    assert [p.returncode for p in procs] == [0, 0], results
+    counts = [json.loads(out.splitlines()[-1]) for out, _err in results]
+    assert [c["compile_miss"] for c in counts] == [1, 1], counts
+    assert sum(c["runtime_build"] for c in counts) == 1, counts
+    assert len(list(cache_dir.glob("*/runtime-*.o"))) == 1
+
+
+@needs_c
 def test_sweep_runs_compiled_without_fallback():
     # Every conversion of the sweep (library pairs, Figure 3 binary
     # searches, random compositions) lowers to a compiled wrapper: the C

@@ -212,6 +212,55 @@ class TestConvertEndpoint:
             conn.close()
 
 
+class TestDeepNesting:
+    BODIES = (
+        b"[" * 100000,
+        b'{"dst": "CSR", "matrix": ' + b'{"m": ' * 5000 + b"0"
+        + b"}" * 5001,
+    )
+
+    @pytest.mark.parametrize("library", ["native", "stdlib_only"])
+    def test_deeply_nested_bodies_get_a_400(self, library, request,
+                                            caplog):
+        import http.client
+
+        path = "stdlib" if request.getfixturevalue(library) is None else (
+            "native"
+        )
+        srv = ConversionServer(port=0, workers=2).start_in_background()
+        try:
+            trace_ids = []
+            for body in self.BODIES:
+                conn = http.client.HTTPConnection(*srv.address, timeout=30)
+                conn.request("POST", "/convert", body=body,
+                             headers={"Content-Type": "application/json"})
+                resp = conn.getresponse()
+                doc = json.loads(resp.read())
+                conn.close()
+                assert resp.status == 400
+                assert doc["error"] == {
+                    "type": "ProtocolError",
+                    "message": "bad JSON: nested too deeply",
+                }
+                trace_ids.append(doc["trace_id"])
+            client = ServeClient(srv.address)
+            assert client.convert(_coo(), "CSR")["ok"]
+            rows = {row["trace_id"]: row
+                    for row in client.debug_requests()["requests"]}
+            for trace_id in trace_ids:
+                assert rows[trace_id]["status"] == 400
+                assert "nested too deeply" in rows[trace_id]["error"]
+            decodes = {
+                labels: value
+                for (name, labels), value in client.metrics().items()
+                if name == "repro_serve_decode_total"
+            }
+            assert decodes[(("path", path),)] >= 3
+        finally:
+            srv.shutdown()
+        assert not [r for r in caplog.records if r.exc_info]
+
+
 class TestValidateFloor:
     """A request may ask for the daemon's input gate or a stricter one."""
 

@@ -145,18 +145,22 @@ class TestDebugEndpoints:
     def test_wire_layers_bracket_the_conversion(self, client):
         from repro.serve import jsontext
 
-        # Loaded or not, the span and the counter name the path that ran.
+        # Loaded or not, the spans and the counters name the path that
+        # ran (an ASCII body decodes natively whenever encodes do).
         path = "stdlib" if jsontext.load() is None else "native"
+        decodes = obs.METRICS.counter("repro_serve_decode_total")
         encodes = obs.METRICS.counter("repro_serve_encode_total")
-        before = encodes.value(path=path)
+        before = decodes.value(path=path), encodes.value(path=path)
         trace_id = client.convert(_coo(7), "CSR")["trace_id"]
         root = client.debug_trace(trace_id)["root"]
         children = root["children"]
         names = [c["name"] for c in children]
         assert names[:2] == ["serve.decode", "serve.queue_wait"], names
         assert names[-1] == "serve.encode", names
+        assert children[0]["attrs"] == {"path": path}
         assert children[-1]["attrs"] == {"path": path}
-        assert encodes.value(path=path) == before + 1
+        after = decodes.value(path=path), encodes.value(path=path)
+        assert after == (before[0] + 1, before[1] + 1)
         # The root covers decode through encode.
         first, last = children[0], children[-1]
         assert root["start_us"] <= first["start_us"]

@@ -1,28 +1,43 @@
 #!/usr/bin/env python
-"""Check the daemon's native float64 JSON formatter against ``float.__repr__``.
+"""Check the daemon's native float64 JSON text against the stdlib, both ways.
 
 :mod:`repro.serve.jsontext` writes result arrays through a C formatter
 that either prints a double exactly as ``float.__repr__`` does or
-declines it.  This draws seeded doubles from the generators below, runs
-each through the formatter on its own, and counts a mismatch wherever
-the formatter printed something other than ``repr``.  A declined value
-is never a mismatch (the daemon hands it to ``json.dumps``); one inside
-the accepted range must be a value the formatter's rules decline (see
-:func:`must_decline`), else it counts as an unexplained decline.
+declines it, and reads request arrays through a C scanner that either
+reads a number literal exactly as the stdlib does or declines it.
 
-The tier-1 suite runs the same generators at 2x10^5 values; CI runs this
-script at 10^7.
+Format direction: seeded doubles from the generators below, each run
+through the formatter on its own; a mismatch is any text other than
+``repr``.  A declined value is never a mismatch (the daemon hands it to
+``json.dumps``); one inside the accepted range must be a value the
+formatter's rules decline (see :func:`must_decline`), else it counts as
+an unexplained decline.
+
+Parse direction: the JSON text of seeded doubles (``repr``, or ``NaN``
+and ``Infinity``) and random decimal literals of 1-25 digits with
+exponents -30..30, each scanned alone; a mismatch is a double whose bits
+differ from what the stdlib path stores (``float(text)``, or
+``float(int(text))`` for an integer literal).  A declined literal is
+never a mismatch (the daemon hands the array to the stdlib); one the
+scanner's rules accept (see :func:`literal_must_decline`) counts as an
+unexplained decline.
+
+The tier-1 suite runs the same generators at 2x10^5 values each way; CI
+runs this script at 10^7.
 
 Usage: ``python tools/check_json_floats.py [--count N] [--seed S]``.
-Prints the declined share; exits 1 on any mismatch or unexplained
-decline, and 2 when the formatter cannot be built (no cffi or no C
-compiler).
+Prints the declined shares; exits 1 on any mismatch or unexplained
+decline in either direction, and 2 when the library cannot be built (no
+cffi or no C compiler).
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import math
+import random
+import re
 import sys
 from array import array
 from decimal import Decimal
@@ -182,6 +197,179 @@ def run(count: int, seed: int) -> dict:
     return total
 
 
+#: A JSON number literal: sign and integer part, fraction, exponent.
+NUMBER = re.compile(r"(-?(?:0|[1-9][0-9]*))(?:\.([0-9]+))?(?:[eE]([-+]?[0-9]+))?")
+
+#: The scanner declines a literal whose value, rounded to 53 bits with
+#: an unbounded exponent, falls below the least normal double or reaches
+#: 2**1024: exactly the values below TINY or from HUGE on.
+TINY = Fraction(2) ** -1022 - Fraction(2) ** -1076
+HUGE = Fraction(2) ** 1024 - Fraction(2) ** 970
+
+
+def stored(token: str) -> float:
+    """The double the stdlib path stores for a literal in ``val``:
+    ``json.loads`` then ``array('d')``, so ``float(int(text))`` for an
+    integer literal (``-0`` is ``0.0``) and ``float(text)`` otherwise."""
+    return array("d", [json.loads(token)])[0]
+
+
+def literal_must_decline(token: str) -> bool:
+    """Whether the scanner's rules decline the literal ``token``.
+
+    They are the C comment's in :mod:`repro.serve.jsontext`: not a
+    number literal, more than 19 significant digits, a decimal exponent
+    outside ``[Q_MIN, Q_MAX]``, a value outside ``[TINY, HUGE)``, or an
+    approximation that cannot decide (a remainder below the digits,
+    without the exact branch for ``w / 5**k``).
+    """
+    from repro.serve.jsontext import Q_EXACT, Q_MAX, Q_MIN, pow5
+
+    match = NUMBER.fullmatch(token)
+    if match is None:
+        return True
+    whole, frac, exp = match.groups()
+    frac = frac or ""
+    digits = (whole.lstrip("-") + frac).lstrip("0")
+    if len(digits) > 19:
+        return True
+    w = int(digits or "0")
+    if w == 0:
+        return False
+    q = int(exp or "0") - len(frac)
+    if not Q_MIN <= q <= Q_MAX:
+        return True
+    if not TINY <= w * Fraction(10) ** q < HUGE:
+        return True
+    if 0 <= q <= Q_EXACT:
+        return False
+    x, _shift = pow5(q)
+    p = w * x
+    if p % 2 ** (p.bit_length() - 54) >= w:
+        return False
+    return not (-27 <= q < 0 and w % 5**-q == 0)
+
+
+def _literal(r: random.Random) -> str:
+    """One random literal: 1-25 digits, a sign, and a layout: integer,
+    integer.fraction, 0.000digits, or digits with an exponent in
+    -30..30."""
+    n = r.randint(1, 25)
+    digits = str(r.randrange(10 ** (n - 1), 10**n))
+    sign = r.choice(("", "-"))
+    layout = r.randrange(4)
+    if layout == 0:
+        return sign + digits
+    if layout == 1 and n > 1:
+        k = r.randint(1, n - 1)
+        return f"{sign}{digits[:k]}.{digits[k:]}"
+    if layout == 2:
+        return f"{sign}0.{'0' * r.randint(0, 6)}{digits}"
+    mantissa = digits if n == 1 or r.random() < 0.3 else (
+        f"{digits[0]}.{digits[1:]}"
+    )
+    exp = r.randint(-30, 30)
+    e = r.choice("eE")
+    plus = "+" if exp >= 0 and r.random() < 0.5 else ""
+    return f"{sign}{mantissa}{e}{plus}{exp}"
+
+
+def literal_edges() -> list[str]:
+    """Zeros, integer edges, every table entry as 1, 5 and 19 nines, the
+    range ends of doubles, ties and exact dyadic values, and literals
+    that are not numbers or not JSON."""
+    tokens = ["0", "-0", "0.0", "-0.0", "0e0", "-0e-5", "0.000e99999",
+              "1", "-1", "2.5", "0.5", "1.25", "0.1", "0.3",
+              "9007199254740992", "9007199254740993", "9007199254740995",
+              "9007199254740993.0", "900719925474099.25", "4503599627370497.5",
+              "9999999999999999999", "18446744073709551615",
+              "1.7976931348623157e308", "1.7976931348623158e308",
+              "1.7976931348623159e308", "2.2250738585072014e-308",
+              "2.2250738585072011e-308", "2.225073858507201e-308",
+              "4.9406564584124654e-324", "5e-324", "1e-400", "1e400",
+              "1e23", "8.98846567431158e307", "1e1000000000000000000",
+              "NaN", "Infinity", "-Infinity", "01", "1.", ".5", "+1",
+              "1e", "1e+", "--1", "0x10", "1_000"]
+    for q in range(-350, 316):
+        tokens += [f"1e{q}", f"5e{q}", f"9999999999999999999e{q}"]
+    return tokens
+
+
+def literals(count: int, seed: int, chunk: int = 1 << 16):
+    """``count`` seeded literals in chunks, the edges first: the JSON
+    text of the format direction's generators, and random decimals."""
+    rng = np.random.default_rng(seed + 1)
+    r = random.Random(seed)
+    first = literal_edges()
+    yield first
+    left = count - len(first)
+    while left > 0:
+        n = min(chunk, left)
+        half = n // 2
+        share = -(-half // len(GENERATORS))
+        doubles = np.concatenate([g(rng, share) for g in GENERATORS])[:half]
+        tokens = [json.dumps(x) for x in doubles.tolist()]
+        tokens += [_literal(r) for _ in range(n - len(tokens))]
+        left -= len(tokens)
+        yield tokens
+
+
+def scan(text: str, field: str = "val"):
+    """The typed array the daemon's scanner for the matrix field
+    ``field`` reads from the JSON array ``text``, or None where it
+    declines."""
+    from repro.backends.c_backend import _ffi
+    from repro.serve import jsontext
+
+    lib = jsontext.load()
+    if lib is None:
+        raise RuntimeError("the native scanner is unavailable")
+    ffi = _ffi()
+    body = text.encode()
+    found = jsontext._scan_array(ffi, lib, ffi.from_buffer(body), body, 0,
+                                 jsontext._FIELDS[field])
+    return None if found is None else found[0]
+
+
+def native_values(tokens: list[str]) -> list[float | None]:
+    """Each literal as the scanner reads it alone in an array, or None
+    where it declines."""
+    values: list[float | None] = []
+    for token in tokens:
+        read = scan(f"[{token}]")
+        values.append(None if read is None else read[0])
+    return values
+
+
+def check_literals(tokens: list[str]) -> dict:
+    """Mismatches and declines of the scanner over ``tokens``."""
+    mismatches, unexplained, declined = [], [], 0
+    for token, value in zip(tokens, native_values(tokens)):
+        if value is None:
+            declined += 1
+            if not literal_must_decline(token):
+                unexplained.append(token)
+        elif value.hex() != stored(token).hex():
+            mismatches.append((token, stored(token).hex(), value.hex()))
+    return {
+        "values": len(tokens),
+        "mismatches": mismatches,
+        "unexplained": unexplained,
+        "declined": declined,
+    }
+
+
+def run_literals(count: int, seed: int) -> dict:
+    """:func:`check_literals` over :func:`literals`, totalled."""
+    total = {"values": 0, "mismatches": [], "unexplained": [],
+             "declined": 0}
+    for block in literals(count, seed):
+        part = check_literals(block)
+        for key in total:
+            total[key] += part[key]
+    return total
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--count", type=int, default=10**7)
@@ -190,12 +378,12 @@ def main(argv=None) -> int:
     from repro.serve import jsontext
 
     if jsontext.load() is None:
-        print("check_json_floats: the native formatter is unavailable "
+        print("check_json_floats: the native library is unavailable "
               "(needs cffi and a C compiler)", file=sys.stderr)
         return 2
     total = run(args.count, args.seed)
     n = total["values"]
-    print(f"{n} doubles, {len(total['mismatches'])} mismatches, "
+    print(f"format: {n} doubles, {len(total['mismatches'])} mismatches, "
           f"{total['declined']} declined ({total['declined'] / n:.2%}), "
           f"{total['declined_in_range']} of them in the accepted range, "
           f"{len(total['unexplained'])} unexplained")
@@ -203,7 +391,18 @@ def main(argv=None) -> int:
         print(f"  {hexed}: repr {want!r}, native {got!r}")
     for hexed in total["unexplained"][:20]:
         print(f"  {hexed}: declined without a tie or boundary candidate")
-    return 1 if total["mismatches"] or total["unexplained"] else 0
+    parsed = run_literals(args.count, args.seed)
+    n = parsed["values"]
+    print(f"parse: {n} literals, {len(parsed['mismatches'])} mismatches, "
+          f"{parsed['declined']} declined ({parsed['declined'] / n:.2%}), "
+          f"{len(parsed['unexplained'])} unexplained")
+    for token, want, got in parsed["mismatches"][:20]:
+        print(f"  {token}: stdlib {want}, native {got}")
+    for token in parsed["unexplained"][:20]:
+        print(f"  {token}: declined inside the accepted range")
+    failed = (total["mismatches"] or total["unexplained"]
+              or parsed["mismatches"] or parsed["unexplained"])
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":
