@@ -19,11 +19,11 @@ Commands:
 * ``passes`` — list the registered optimization passes (canonical order,
   opt-in flags) and lowering backends with their capability declarations;
   any listed pass name is valid for ``--disable-pass``,
-* ``selftest`` — differential-test every conversion on random matrices,
 * ``fuzz`` — property-based differential fuzzing: adversarial and
   malformed inputs through every synthesizable format pair x backend x
   optimize flag, with minimal-case shrinking and a JSON failure report
-  (``--trace`` adds per-combo span attribution),
+  (``--trace`` adds per-combo span attribution); a run left with no
+  available backend exits 1,
 * ``trace SRC DST`` — run one traced conversion on a random matrix and
   print its span tree (synthesis phases, per-statement runtime timing);
   ``--out DIR`` writes Chrome-trace / JSONL / Prometheus artifacts;
@@ -369,16 +369,6 @@ def cmd_kernel(args) -> int:
         print("/* display C */")
         print(kernel.c_source)
     return 0
-
-
-def cmd_selftest(args) -> int:
-    from repro.validation import differential_test
-
-    report = differential_test(
-        trials=args.trials, seed=args.seed, backend=args.backend
-    )
-    print(report.summary())
-    return 0 if report.ok else 1
 
 
 def cmd_fuzz(args) -> int:
@@ -804,20 +794,11 @@ def main(argv: list[str] | None = None) -> int:
     p_plan.add_argument("--json", action="store_true",
                         help="emit the repro-plan/1 JSON document")
 
-    p_self = sub.add_parser(
-        "selftest", help="differential-test all conversions on random data"
-    )
-    p_self.add_argument("--trials", type=int, default=20)
-    p_self.add_argument("--seed", type=int, default=0)
-    p_self.add_argument("--backend", choices=BACKENDS,
-                        default="python",
-                        help="lowering backend for the inspectors under test")
-
     p_fuzz = sub.add_parser(
         "fuzz",
         help="differential fuzzing: adversarial inputs through every "
              "format pair, cross-checked against dense semantics, "
-             "hand-written baselines, and the other backend",
+             "hand-written baselines, and the reference backends",
     )
     p_fuzz.add_argument("--cases", type=int, default=200,
                         help="conversion-case budget (default 200)")
@@ -990,7 +971,6 @@ def main(argv: list[str] | None = None) -> int:
         "plan": cmd_plan,
         "passes": cmd_passes,
         "kernel": cmd_kernel,
-        "selftest": cmd_selftest,
         "fuzz": cmd_fuzz,
         "trace": cmd_trace,
         "stats": cmd_stats,

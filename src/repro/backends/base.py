@@ -164,13 +164,9 @@ class Backend:
     name: str = "abstract"
     description: str = ""
     capabilities: BackendCapabilities = BackendCapabilities()
-    #: Name of the backend whose outputs this one must agree with in the
-    #: differential fuzzer, or None when this backend *is* the reference.
-    differential_reference: str | None = None
-    #: All reference backends the fuzzer cross-checks this one against;
-    #: empty means "just :attr:`differential_reference`".  The C backend
-    #: sets both python and numpy so a shared bug in either pairing is
-    #: caught.
+    #: The backends whose outputs the differential fuzzer requires this
+    #: one to match; empty for the reference itself.  The C backend names
+    #: both python and numpy so a shared bug in either pairing is caught.
     differential_references: tuple[str, ...] = ()
     #: Whether this backend's source runs as interpreted scalar Python,
     #: which reads its array inputs as lists copied once at its entry
@@ -268,7 +264,7 @@ class Backend:
         return {
             "name": self.name,
             "description": self.description,
-            "differential_reference": self.differential_reference,
+            "differential_references": self.differential_references,
             "capabilities": self.capabilities.to_dict(),
         }
 

@@ -508,7 +508,6 @@ class CBackend(Backend):
         ),
         requires=("cffi", "numpy"),
     )
-    differential_reference = "python"
     differential_references = ("python", "numpy")
 
     def require(self) -> None:

@@ -32,7 +32,7 @@ class NumpyBackend(Backend):
     inside the same function (no synthesized conversion has one);
     :attr:`Lowering.vector_stats` reports the split.  Outputs must agree
     with the scalar backend element for element
-    (``differential_reference``).
+    (``differential_references``).
     """
 
     name = "numpy"
@@ -50,7 +50,7 @@ class NumpyBackend(Backend):
         ),
         requires=("numpy",),
     )
-    differential_reference = "python"
+    differential_references = ("python",)
 
     def require(self) -> None:
         from repro.runtime import npvec

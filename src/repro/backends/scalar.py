@@ -28,7 +28,6 @@ class PythonBackend(Backend):
         vectorized=False,
         strategies=("scalar-loops",),
     )
-    differential_reference = None
     interprets = True
 
     def lower(

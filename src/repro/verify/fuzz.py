@@ -1,28 +1,31 @@
 """Property-based differential fuzzing of the synthesized conversions.
 
-The standing oracle for the synthesis stack: generate adversarial random
-inputs (empty, single row/column, fully dense, dense rows, single
-diagonal, tall/wide rectangles, power-law and banded structure, unsorted
-orders, plus deliberately *malformed* duplicate/out-of-bounds/unsorted
-containers) and push them through every synthesizable format pair x
-lowering backend x optimize flag — and once more through every DIA
-destination with ``binary_search=True`` (the Figure 3 rewrite, its own
-``:bsearch`` variant in the report) — cross-checking:
+The one differential harness of the synthesis stack: generate
+adversarial random inputs (empty, single row/column, fully dense, dense
+rows, single diagonal, tall/wide rectangles, power-law and banded
+structure, unsorted orders, plus deliberately *malformed*
+duplicate/out-of-bounds/unsorted containers) and push them through every
+synthesizable format pair — every planner pair among them — x lowering
+backend x optimize flag, and once more through every DIA destination
+with ``binary_search=True`` (the Figure 3 rewrite, its own ``:bsearch``
+variant in the report), cross-checking:
 
 * **dense semantics** — the converted container's invariants and dense
   image versus the input's (via the ``validate="full"`` gate *and* an
   independent comparison against the generator's dense reference),
 * **hand-written baselines** — exact output-array equality against the
   TACO/MKL/SPARSKIT-style reference converters where one exists,
-* **backend agreement** — the numpy lowering's container must match the
-  scalar lowering's, array for array,
+* **backend agreement** — each tier's container must match those of its
+  ``differential_references`` (numpy against python, C against both),
+  array for array and typecode for typecode,
 * **the validation gate** — malformed inputs must raise
   :class:`~repro.errors.ValidationError`, never return a container or
   escape as a raw ``IndexError``.
 
 Runs are deterministic per ``seed``; every failure is shrunk to a minimal
 reproducing input (greedy nonzero removal + dimension trimming) and
-reported machine-readably (:meth:`FuzzReport.to_dict`).
+reported machine-readably (:meth:`FuzzReport.to_dict`).  A run left with
+no available backend checks nothing and fails.
 """
 
 from __future__ import annotations
@@ -69,11 +72,11 @@ SOURCES_2D = (
     "DCSR", "BCSC",
 )
 DESTS_2D = (
-    "SCOO", "MCOO", "CSR", "CSC", "DIA", "BCSR", "BCSR3", "BCSR4", "BCSC",
-    "BCSC3",
+    "COO", "SCOO", "MCOO", "CSR", "CSC", "DIA", "BCSR", "BCSR3", "BCSR4",
+    "BCSC", "BCSC3",
 )
 SOURCES_3D = ("COO3D", "SCOO3D", "MCOO3", "CSF")
-DESTS_3D = ("SCOO3D", "MCOO3")
+DESTS_3D = ("COO3D", "SCOO3D", "MCOO3")
 
 
 # ----------------------------------------------------------------------
@@ -181,9 +184,9 @@ def _gen_banded(rng):
 
 
 def _gen_uniform(rng):
-    nr, nc = rng.randint(2, 10), rng.randint(2, 10)
+    nr, nc = rng.randint(1, 16), rng.randint(1, 16)
     ncells = nr * nc
-    nnz = rng.randint(0, min(ncells, 24))
+    nnz = rng.randint(0, min(ncells, 48))
     cells = rng.sample(
         [(c // nc, c % nc) for c in range(ncells)], nnz
     )
@@ -221,12 +224,12 @@ def _gen_tensor(rng, kind: str) -> COOTensor3D:
             dims, [i] * len(ks), [j] * len(ks), ks,
             [_rand_val(rng) for _ in ks],
         )
-    dims = tuple(rng.randint(1, 6) for _ in range(3))
+    dims = tuple(rng.randint(1, 8) for _ in range(3))
     seen = sorted(
         {
             (rng.randrange(dims[0]), rng.randrange(dims[1]),
              rng.randrange(dims[2]))
-            for _ in range(rng.randint(0, 12))
+            for _ in range(rng.randint(0, 24))
         }
     )
     rows, cols, zs = (
@@ -319,14 +322,29 @@ def _baseline_outputs(src: str, dst: str, container) -> list:
     return refs
 
 
-def _fields_differ(a, b) -> Optional[str]:
-    """The first declared field whose values or typecode differ, or None."""
-    for name, _ in type(a).layout.fields:
-        x, y = getattr(a, name), getattr(b, name)
-        if x != y or getattr(x, "typecode", None) != \
-                getattr(y, "typecode", None):
-            return name
-    return None
+def _fields(container) -> dict:
+    """A container's declared fields, by name."""
+    return {
+        name: getattr(container, name)
+        for name, _ in type(container).layout.fields
+    }
+
+
+def _typed(value):
+    # array('q', [1]) == array('d', [1.0]), so the element type rides along.
+    return getattr(value, "typecode", type(value).__name__), value
+
+
+def _differing(a: dict, b: dict) -> list[str]:
+    """The names whose values or element types differ between two
+    name -> value mappings, in ``a``'s order; a name on one side only
+    differs."""
+    names = list(a) + [name for name in b if name not in a]
+    return [
+        name for name in names
+        if name not in a or name not in b
+        or _typed(a[name]) != _typed(b[name])
+    ]
 
 
 # ----------------------------------------------------------------------
@@ -343,7 +361,9 @@ class FuzzFailure:
     dst: str
     backend: str
     optimize: bool
-    stage: str  # convert | structure | dense | baseline | backend | gate
+    #: convert | structure | dense | baseline | backend | gate, or
+    #: availability when no requested backend could run.
+    stage: str
     message: str
     input_repr: dict
     #: The Figure 3 variant: the copy's linear search became a binary one.
@@ -462,18 +482,59 @@ def _input_repr(container) -> dict:
     }
 
 
-def _reference_backends(backend: str) -> tuple[str, ...]:
-    """Every backend this one is differentially checked against.
+def _available_backends(backends: Sequence[str] | None,
+                        report: FuzzReport) -> tuple[str, ...]:
+    """The requested backends (all registered ones for None) whose
+    ``require()`` passes.
 
-    ``differential_references`` (plural) wins when declared — the C tier
-    is compared against both python and numpy; otherwise the single
-    ``differential_reference`` applies.
+    The others land in ``report.skipped_backends`` with the reason, so
+    fuzzing degrades the way conversion does.  A run left with none
+    would check nothing, so that is recorded as a failure.
     """
-    backend_obj = get_backend(backend)
-    refs = backend_obj.differential_references
-    if not refs and backend_obj.differential_reference is not None:
-        refs = (backend_obj.differential_reference,)
-    return tuple(r for r in refs if r != backend)
+    requested = backend_names() if backends is None else tuple(backends)
+    available = []
+    for candidate in requested:
+        try:
+            get_backend(candidate).require()
+        except Exception as err:  # noqa: BLE001 - any require failure skips
+            report.skipped_backends.append(
+                {"backend": candidate, "reason": str(err)}
+            )
+            continue
+        available.append(candidate)
+    if not available:
+        report.failures.append(
+            FuzzFailure(
+                case=-1, kind="-", src="-", dst="-",
+                backend=",".join(requested) or "-", optimize=True,
+                stage="availability",
+                message="no requested backend is available, so nothing "
+                        "was checked",
+                input_repr={},
+            )
+        )
+    return tuple(available)
+
+
+def _check_references(out, container, dst: str, backend: str,
+                      **kwargs) -> Optional[tuple[str, str]]:
+    """Compare ``out`` with the same conversion on each of ``backend``'s
+    ``differential_references``."""
+    from repro import convert
+
+    for reference_backend in get_backend(backend).differential_references:
+        reference = convert(
+            container, dst, backend=reference_backend, validate="off",
+            **kwargs,
+        )
+        differing = _differing(_fields(out), _fields(reference))
+        if differing:
+            return (
+                "backend",
+                f"{backend} lowering's {', '.join(differing)} differs from "
+                f"the {reference_backend} lowering",
+            )
+    return None
 
 
 def _run_case_2d(dense: Dense, src: str, dst: str, backend: str,
@@ -507,30 +568,19 @@ def _run_case_2d(dense: Dense, src: str, dst: str, backend: str,
     except Exception as err:  # noqa: BLE001 - baseline crash is a finding
         return "baseline", f"baseline raised {type(err).__name__}: {err}"
     for ref in refs:
-        differing = _fields_differ(out, ref)
-        if differing is not None:
+        differing = _differing(_fields(out), _fields(ref))
+        if differing:
             return (
                 "baseline",
-                f"synthesized {differing} differs from "
+                f"synthesized {', '.join(differing)} differs from "
                 f"{type(ref).__name__} baseline",
             )
-    for reference_backend in _reference_backends(backend):
-        scalar = convert(
-            container, dst,
-            backend=reference_backend,
-            optimize=optimize,
-            binary_search=binary_search,
-            assume_sorted=(src != "COO"),
-            validate="off",
-        )
-        differing = _fields_differ(out, scalar)
-        if differing is not None:
-            return (
-                "backend",
-                f"{backend} lowering's {differing} differs from the "
-                f"{reference_backend} lowering",
-            )
-    return None
+    return _check_references(
+        out, container, dst, backend,
+        optimize=optimize,
+        binary_search=binary_search,
+        assume_sorted=(src != "COO"),
+    )
 
 
 def _run_case_3d(tensor: COOTensor3D, src: str, dst: str, backend: str,
@@ -555,22 +605,10 @@ def _run_case_3d(tensor: COOTensor3D, src: str, dst: str, backend: str,
         out.check_against_dense(reference)
     except ValidationError as err:
         return "dense", str(err)
-    for reference_backend in _reference_backends(backend):
-        scalar = convert(
-            container, dst,
-            backend=reference_backend,
-            optimize=optimize,
-            assume_sorted=(src != "COO3D"),
-            validate="off",
-        )
-        differing = _fields_differ(out, scalar)
-        if differing is not None:
-            return (
-                "backend",
-                f"{backend} lowering's {differing} differs from the "
-                f"{reference_backend} lowering",
-            )
-    return None
+    return _check_references(
+        out, container, dst, backend,
+        optimize=optimize, assume_sorted=(src != "COO3D"),
+    )
 
 
 # ----------------------------------------------------------------------
@@ -835,19 +873,7 @@ def fuzz_random_formats(
 
     rng = random.Random(seed)
     report = FuzzReport(seed=seed, cases_requested=count)
-    if backends is None:
-        backends = backend_names()
-    available = []
-    for candidate in backends:
-        try:
-            get_backend(candidate).require()
-        except Exception as err:  # noqa: BLE001 - any require failure skips
-            report.skipped_backends.append(
-                {"backend": candidate, "reason": str(err)}
-            )
-            continue
-        available.append(candidate)
-    backends = tuple(available)
+    backends = _available_backends(backends, report)
     if not backends:
         return report
 
@@ -933,20 +959,7 @@ def fuzz_random_formats(
                         reference_outputs = (backend, outputs)
                         continue
                     ref_backend, ref = reference_outputs
-
-                    def _plain(value):
-                        # Outputs mix typed arrays and scalar size symbols.
-                        return (
-                            value if isinstance(value, (int, float))
-                            else (getattr(value, "typecode", None),
-                                  list(value))
-                        )
-
-                    differing = [
-                        name for name in sorted(set(ref) | set(outputs))
-                        if _plain(ref.get(name, ())) !=
-                        _plain(outputs.get(name, ()))
-                    ]
+                    differing = _differing(ref, outputs)
                     if differing:
                         fail(case, comp, dense, direction, backend,
                              optimize, "backend",
@@ -1015,7 +1028,8 @@ def fuzz(
 
     ``backends=None`` (the default) fuzzes every registered backend whose
     ``require()`` passes; unavailable ones land in
-    ``report.skipped_backends`` with the reason.  Each backend is
+    ``report.skipped_backends`` with the reason, and a run left with none
+    fails.  Each backend is
     cross-checked against all of its declared differential references —
     the C tier against both python and numpy.
 
@@ -1027,22 +1041,8 @@ def fuzz(
     """
     rng = random.Random(seed)
     report = FuzzReport(seed=seed, cases_requested=cases)
-    # Availability gate: a backend whose require() fails (no cffi, no C
-    # toolchain) is dropped from the matrix with a recorded reason rather
-    # than failing the run — fuzzing degrades exactly like conversion.
-    if backends is None:
-        backends = backend_names()
-    available = []
-    for candidate in backends:
-        try:
-            get_backend(candidate).require()
-        except Exception as err:  # noqa: BLE001 - any require failure skips
-            report.skipped_backends.append(
-                {"backend": candidate, "reason": str(err)}
-            )
-            continue
-        available.append(candidate)
-    backends = tuple(available)
+    backends = _available_backends(backends, report)
+
     def _account(combo_key: str, start: float, failed: bool) -> None:
         _FUZZ_CASES.inc(outcome="fail" if failed else "ok")
         if not obs.tracing():

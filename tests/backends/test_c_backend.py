@@ -31,23 +31,11 @@ from repro.obs import METRICS
 from repro.synthesis import synthesize
 
 from tests.sweep import synthesized
+from tests.tiers import needs_c
 
 np = pytest.importorskip("numpy")
 
 SRC_DIR = str(Path(c_backend.__file__).parents[2])
-
-
-def _c_available() -> bool:
-    try:
-        get_backend("c").require()
-    except ValueError:
-        return False
-    return True
-
-
-needs_c = pytest.mark.skipif(
-    not _c_available(), reason="C toolchain (cffi + compiler) unavailable"
-)
 
 
 def _counter(name: str, **labels) -> int:
@@ -599,6 +587,23 @@ class TestAvailability:
         assert "c" in skips and "compiler" in skips["c"]
         assert "skipped" in report.summary()
         assert report.to_dict()["skipped_backends"]
+
+    def test_fuzz_with_no_available_backend_fails(self, monkeypatch, capsys):
+        # A run that checks nothing must not read as a pass: not from
+        # fuzz(), not from fuzz_random_formats(), not at the command line.
+        from repro.__main__ import main
+        from repro.verify import fuzz, fuzz_random_formats
+
+        monkeypatch.setenv("CC", "/nonexistent/cc")
+        monkeypatch.setattr(c_backend, "_COMPILER_TAG", None)
+        for report in (fuzz(cases=2, seed=0, backends=("c",)),
+                       fuzz_random_formats(2, seed=0, backends=("c",))):
+            assert not report.ok
+            assert report.cases_run == 0
+            assert [f.stage for f in report.failures] == ["availability"]
+            assert [s["backend"] for s in report.skipped_backends] == ["c"]
+        assert main(["fuzz", "--backend", "c", "--cases", "2"]) == 1
+        assert "nothing was checked" in capsys.readouterr().out
 
 
 class TestCompilerProbe:

@@ -18,10 +18,10 @@ from repro.backends import (
 class TestBuiltins:
     def test_python_is_default_and_reference(self):
         assert backend_names()[0] == "python"
-        assert get_backend("python").differential_reference is None
+        assert get_backend("python").differential_references == ()
 
     def test_numpy_cross_checks_against_python(self):
-        assert get_backend("numpy").differential_reference == "python"
+        assert get_backend("numpy").differential_references == ("python",)
 
     def test_capabilities_declared(self):
         numpy = get_backend("numpy")
@@ -101,7 +101,7 @@ class TestRegistration:
     def test_describe_shape(self):
         desc = get_backend("numpy").describe()
         assert set(desc) == {
-            "name", "description", "differential_reference", "capabilities"
+            "name", "description", "differential_references", "capabilities"
         }
         assert desc["capabilities"]["vectorized"] is True
 

@@ -1,12 +1,21 @@
-"""The numpy lowering backend must be bit-identical to the scalar backend.
+"""Every lowering tier must agree with the scalar one on every planner pair.
 
-These tests are the acceptance gate for the vectorized lowering: for every
-synthesizable conversion pair, both backends run on the same inputs —
-randomized matrices, an empty matrix, and duplicate coordinates — and the
-raw inspector outputs (pointer arrays, permutations, padding and all) must
-compare equal element for element.
+The per-pair tests run each synthesizable pair over the planner's formats
+through the differential fuzzer's case runners, on every available tier
+(python, numpy, and C where a toolchain is present).  Each case gets the
+fuzzer's full checks: the ``validate="full"`` gate, the output's
+invariants and dense image against the input's, the hand-written
+baselines where one exists, and each tier's container against those of
+its ``differential_references``, field for field and typecode for
+typecode.  The inputs are fixed: an empty 4x5 matrix, a 1x1 matrix (an
+empty 2x3x4 tensor for 3-D pairs) and seeded draws from the fuzzer's
+uniform generators, so every pair sees the degenerate shapes a seeded
+fuzz run reaches only for some combos.  Inputs with repeated coordinates
+reach an inspector only with validation off; the duplicate cases compare
+those raw inspector outputs with the scalar tier's.
 """
 
+import random
 from array import array
 
 import pytest
@@ -27,44 +36,64 @@ from repro.planner import PLANNABLE_2D, PLANNABLE_3D
 from repro.runtime.executor import base_namespace
 from repro.spf import Computation, SymbolTable
 from repro.spf import statements as st
-from repro.synthesis import SynthesisError, synthesize
-from repro.validation import backend_equivalence_test
+from repro.synthesis import synthesize
+from repro.verify.fuzz import (
+    CASE_KINDS_2D,
+    CASE_KINDS_3D,
+    _differing,
+    _gen_tensor,
+    _gen_uniform,
+    _run_case_2d,
+    _run_case_3d,
+    _synthesizable_pairs,
+)
+
+from tests.tiers import c_available, needs_c
 
 np = pytest.importorskip("numpy")
 
-
-def _synthesizable_pairs(names):
-    pairs = []
-    for src in names:
-        for dst in names:
-            if src == dst:
-                continue
-            try:
-                synthesize(get_format(src), get_format(dst))
-            except SynthesisError:
-                continue
-            pairs.append((src, dst))
-    return pairs
+TIERS = ("python", "numpy") + (("c",) if c_available() else ())
 
 
-PAIRS_2D = _synthesizable_pairs(PLANNABLE_2D)
-PAIRS_3D = _synthesizable_pairs(PLANNABLE_3D)
+def _planner_pairs(names):
+    combos = _synthesizable_pairs(names, names, ("python",), (True,), [])
+    return [(src, dst) for src, dst, *_ in combos]
+
+
+PAIRS_2D = _planner_pairs(PLANNABLE_2D)
+PAIRS_3D = _planner_pairs(PLANNABLE_3D)
+
+INPUTS_2D = [
+    ("empty", [[0.0] * 5 for _ in range(4)]),
+    ("1x1", [[7.0]]),
+] + [(f"uniform{seed}", _gen_uniform(random.Random(seed)))
+     for seed in range(3)]
+INPUTS_3D = [("empty", COOTensor3D((2, 3, 4), [], [], [], []))] + [
+    (f"uniform{seed}", _gen_tensor(random.Random(seed), "uniform3"))
+    for seed in range(3)
+]
+
+
+def _pair_agrees(run_case, inputs, src, dst):
+    for backend in TIERS:
+        for tag, data in inputs:
+            outcome = run_case(data, src, dst, backend, True,
+                               random.Random(0))
+            assert outcome is None, (
+                f"{src}->{dst} on {tag} ({backend}): {outcome}"
+            )
 
 
 @pytest.mark.parametrize("src,dst", PAIRS_2D,
                          ids=[f"{s}-{d}" for s, d in PAIRS_2D])
 def test_pair_equivalent_2d(src, dst):
-    report = backend_equivalence_test(trials=3, seed=11, pairs=[(src, dst)])
-    assert report.ok, report.failures
-    assert report.conversions_checked > 0
+    _pair_agrees(_run_case_2d, INPUTS_2D, src, dst)
 
 
 @pytest.mark.parametrize("src,dst", PAIRS_3D,
                          ids=[f"{s}-{d}" for s, d in PAIRS_3D])
 def test_pair_equivalent_3d(src, dst):
-    report = backend_equivalence_test(trials=3, seed=11, pairs=[(src, dst)])
-    assert report.ok, report.failures
-    assert report.conversions_checked > 0
+    _pair_agrees(_run_case_3d, INPUTS_3D, src, dst)
 
 
 def test_empty_matrix_all_targets():
@@ -75,45 +104,62 @@ def test_empty_matrix_all_targets():
         assert dense_equal(a.to_dense(), b.to_dense())
 
 
-#: Sources holding repeated coordinate tuples, which only reach an
-#: inspector when validation is off, one per ``OrderedList`` shape the
-#: destination asks for: lexicographic 2-D and 3-D keys, Morton keys,
-#: blocked ``unique=True`` keys and insertion order (no key).
+#: ``(source format, container, destination)`` cases whose sources hold
+#: repeated coordinate tuples.  The first nine cover each ``OrderedList``
+#: shape a destination asks for: lexicographic 2-D and 3-D keys, Morton
+#: keys, blocked ``unique=True`` keys and insertion order (no key).  The
+#: rest run every planner pair out of COO and SCOO on one sorted input.
 _DUP_2D = COOMatrix(5, 5, [3, 0, 2, 0, 3, 2, 4], [1, 1, 0, 1, 1, 4, 4],
                     [1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0])
 _DUP_3D = COOTensor3D((3, 3, 2), [1, 0, 1, 2, 1], [0, 1, 0, 2, 0],
                       [1, 1, 1, 0, 1], [1.0, 2.0, 3.0, 4.0, 5.0])
+_DUP_SORTED = COOMatrix(3, 3, [0, 0, 2, 2], [1, 1, 0, 0],
+                        [1.0, 2.0, 3.0, 4.0])
 DUPLICATE_CASES = [
-    (_DUP_2D, "CSR"),
-    (_DUP_2D, "CSC"),
-    (_DUP_2D, "SCOO"),
-    (_DUP_3D, "SCOO3D"),
-    (_DUP_2D, "MCOO"),
-    (_DUP_3D, "MCOO3"),
-    (_DUP_2D, "BCSR"),
+    ("COO", _DUP_2D, "CSR"),
+    ("COO", _DUP_2D, "CSC"),
+    ("COO", _DUP_2D, "SCOO"),
+    ("COO3D", _DUP_3D, "SCOO3D"),
+    ("COO", _DUP_2D, "MCOO"),
+    ("COO3D", _DUP_3D, "MCOO3"),
+    ("COO", _DUP_2D, "BCSR"),
     # Insertion order: the copies of a tuple are not adjacent.
-    (DIAMatrix(3, 3, [0, 1, 0], [float(v) for v in range(1, 10)]), "COO"),
-    (ELLMatrix(2, 3, 3, [1, 0, 1, 2, -1, -1],
-               [1.0, 2.0, 3.0, 4.0, 0.0, 0.0]), "COO"),
+    ("DIA", DIAMatrix(3, 3, [0, 1, 0], [float(v) for v in range(1, 10)]),
+     "COO"),
+    ("ELL", ELLMatrix(2, 3, 3, [1, 0, 1, 2, -1, -1],
+                      [1.0, 2.0, 3.0, 4.0, 0.0, 0.0]), "COO"),
+] + [
+    (src, _DUP_SORTED, dst)
+    for src in ("COO", "SCOO")
+    for dst in ("COO", "SCOO", "MCOO", "CSR", "CSC", "DIA", "BCSR")
+    if dst != src
 ]
+#: The duplicate cases whose inspectors build no ``OrderedList``.
+NO_ORDERED_LIST = {
+    ("COO", "DIA"), ("SCOO", "COO"), ("SCOO", "CSR"), ("SCOO", "CSC"),
+    ("SCOO", "DIA"),
+}
 
 
-def _raw_outputs(container, dst, backend):
-    conversion = synthesize(
-        get_format(container.format_name), get_format(dst), backend=backend
-    )
+def _raw_outputs(src, container, dst, backend):
+    conversion = synthesize(get_format(src), get_format(dst),
+                            backend=backend)
     env = container_to_env(container)
     return conversion(**{p: env[p] for p in conversion.params})
 
 
 def _duplicates_agree(backend):
-    for container, dst in DUPLICATE_CASES:
-        label = f"{container.format_name}->{dst}"
-        assert "OrderedList(" in synthesize(
-            get_format(container.format_name), get_format(dst)
-        ).source, label
-        reference = _raw_outputs(container, dst, "python")
-        assert _raw_outputs(container, dst, backend) == reference, label
+    for src, container, dst in DUPLICATE_CASES:
+        label = f"{src}->{dst}"
+        source = synthesize(get_format(src), get_format(dst)).source
+        assert ("OrderedList(" in source) == (
+            (src, dst) not in NO_ORDERED_LIST
+        ), label
+        reference = _raw_outputs(src, container, dst, "python")
+        differing = _differing(
+            _raw_outputs(src, container, dst, backend), reference
+        )
+        assert not differing, f"{label}: {differing}"
 
 
 def test_duplicate_coordinates_match():
@@ -167,24 +213,10 @@ def test_numpy_outputs_are_plain_python():
 # ----------------------------------------------------------------------
 # Compiled tier
 # ----------------------------------------------------------------------
-def _c_available() -> bool:
-    from repro.backends import get_backend
-
-    try:
-        get_backend("c").require()
-    except ValueError:
-        return False
-    return True
-
-
-needs_c = pytest.mark.skipif(
-    not _c_available(), reason="C toolchain (cffi + compiler) unavailable"
-)
-
-#: A representative slice of the pair matrix for the per-test C gate —
-#: sort, histogram, binary-search, Morton, block and key-less permutation
-#: shapes.  CI's native job runs the full matrix via
-#: ``backend_equivalence_test(backends=("numpy", "c"))``.
+#: A representative slice of the pair matrix — sort, histogram,
+#: binary-search, Morton, block and key-less permutation shapes — that
+#: the C tier runs over every generator family of the fuzzer, with the
+#: optimized and the unoptimized plan.
 C_SMOKE_PAIRS = [
     ("COO", "CSR"),
     ("CSR", "CSC"),
@@ -200,11 +232,21 @@ C_SMOKE_PAIRS = [
 @pytest.mark.parametrize("src,dst", C_SMOKE_PAIRS,
                          ids=[f"{s}-{d}" for s, d in C_SMOKE_PAIRS])
 def test_pair_equivalent_c(src, dst):
-    report = backend_equivalence_test(
-        trials=3, seed=11, pairs=[(src, dst)], backends=("numpy", "c")
-    )
-    assert report.ok, report.failures
-    assert report.conversions_checked > 0
+    three_d = dst in PLANNABLE_3D
+    kinds = CASE_KINDS_3D if three_d else [kind for kind, _ in CASE_KINDS_2D]
+    for optimize in (False, True):
+        for seed, kind in enumerate(kinds):
+            rng = random.Random(seed)
+            if three_d:
+                outcome = _run_case_3d(_gen_tensor(rng, kind), src, dst,
+                                       "c", optimize, rng)
+            else:
+                generate = dict(CASE_KINDS_2D)[kind]
+                outcome = _run_case_2d(generate(rng), src, dst, "c",
+                                       optimize, rng)
+            assert outcome is None, (
+                f"{src}->{dst} on {kind} (optimize={optimize}): {outcome}"
+            )
 
 
 @needs_c

@@ -6,13 +6,13 @@ the Prometheus exposition.  ``repro_cache_coalesced_total``, which the
 serve-smoke CI job reads, is pinned by ``tests/serve/test_coalescing.py``.
 """
 
-import pytest
-
 import repro.obs as obs
 from repro import COOMatrix, convert
-from repro.backends import available_backend, c_backend, get_backend
+from repro.backends import available_backend, c_backend
 from repro.obs import parse_prometheus_text, prometheus_text
 from repro.synthesis import clear_memo
+
+from tests.tiers import needs_c
 
 #: benchmarks/e2e/worker.py sums these over labels (``INVARIANTS``: no
 #: synthesis miss, C compile miss or tier fallback while timing; and
@@ -22,19 +22,6 @@ WORKER_NAMES = (
     "repro_cbackend_compile_miss_total",
     "repro_backend_fallback_total",
     "repro_gate_checks",
-)
-
-
-def _c_available() -> bool:
-    try:
-        get_backend("c").require()
-    except ValueError:
-        return False
-    return True
-
-
-needs_c = pytest.mark.skipif(
-    not _c_available(), reason="C toolchain (cffi + compiler) unavailable"
 )
 
 

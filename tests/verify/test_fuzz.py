@@ -90,6 +90,27 @@ class TestCoverage:
         sourced = {container_class(s) for s in SOURCES_2D + SOURCES_3D}
         assert set(CONTAINERS.values()) <= sourced
 
+    def test_every_planner_pair_is_a_combo(self):
+        from repro.planner import PLANNABLE_2D, PLANNABLE_3D
+        from repro.verify.fuzz import (
+            DESTS_2D,
+            DESTS_3D,
+            SOURCES_2D,
+            SOURCES_3D,
+            _synthesizable_pairs,
+        )
+
+        def pairs(sources, dests):
+            combos = _synthesizable_pairs(sources, dests, ("python",),
+                                          (True,), [])
+            return {(src, dst) for src, dst, *_ in combos}
+
+        planner = pairs(PLANNABLE_2D, PLANNABLE_2D) | pairs(PLANNABLE_3D,
+                                                           PLANNABLE_3D)
+        fuzzed = pairs(SOURCES_2D, DESTS_2D) | pairs(SOURCES_3D, DESTS_3D)
+        assert planner, "no planner pair synthesizes"
+        assert not planner - fuzzed, sorted(planner - fuzzed)
+
     def test_doubly_compressed_and_blocked_column_pairs(self):
         report = fuzz(cases=40, seed=2, backends=("python",),
                       optimize_levels=(True,), ranks=(2,),
@@ -100,17 +121,28 @@ class TestCoverage:
 
     def test_every_declared_field_is_compared(self):
         from repro.runtime import BCSCMatrix
-        from repro.verify.fuzz import _fields_differ
+        from repro.verify.fuzz import _differing, _fields
 
         dense = [[1.0, 0.0, 2.0], [0.0, 0.0, 3.0]]
         a = BCSCMatrix.from_dense(dense, 2)
         b = BCSCMatrix.from_dense(dense, 2)
-        assert _fields_differ(a, b) is None
+        assert _differing(_fields(a), _fields(b)) == []
         b.brow[0] += 1
-        assert _fields_differ(a, b) == "brow"
+        assert _differing(_fields(a), _fields(b)) == ["brow"]
         b = BCSCMatrix.from_dense(dense, 2)
         b.data[-1] = 9.0
-        assert _fields_differ(a, b) == "data"
+        assert _differing(_fields(a), _fields(b)) == ["data"]
+
+    def test_element_types_are_compared(self):
+        from array import array
+
+        from repro.verify.fuzz import _differing
+
+        ints = {"idx": array("q", [1, 2]), "NNZ": 2}
+        assert _differing(ints, {"idx": array("q", [1, 2]), "NNZ": 2}) == []
+        assert _differing(ints, {"idx": array("d", [1.0, 2.0]),
+                                 "NNZ": 2.0}) == ["idx", "NNZ"]
+        assert _differing(ints, {"idx": array("q", [1, 2])}) == ["NNZ"]
 
 
 class TestBugDetectionPower:
