@@ -398,7 +398,7 @@ def cmd_fuzz(args) -> int:
         # --cases counts random compositions here, each fuzzed in every
         # synthesizable direction on every backend and optimize level.
         report = fuzz_random_formats(
-            count=args.cases,
+            count=200 if args.cases is None else args.cases,
             seed=args.seed,
             backends=backends,
             optimize_levels=optimize_levels,
@@ -800,8 +800,11 @@ def main(argv: list[str] | None = None) -> int:
              "format pair, cross-checked against dense semantics, "
              "hand-written baselines, and the reference backends",
     )
-    p_fuzz.add_argument("--cases", type=int, default=200,
-                        help="conversion-case budget (default 200)")
+    p_fuzz.add_argument("--cases", type=int, default=None,
+                        help="conversion-case budget (default: one case "
+                             "per pair/backend/optimize combo); with "
+                             "--random-formats, the number of compositions "
+                             "(default 200)")
     p_fuzz.add_argument("--seed", type=int, default=0)
     p_fuzz.add_argument("--backend", default="both", metavar="NAME[,NAME]",
                         help="backend to fuzz: a registered name, a "

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Sequence
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -70,10 +70,8 @@ class Lowering:
     """The result of lowering one computation through a backend."""
 
     source: str
-    #: e.g. ``{"vectorized_nests": n, "scalar_nests": m}`` — None when the
-    #: backend has no vectorization split to report.
+    #: ``{"vectorized_nests": n}`` on the numpy backend, None elsewhere.
     vector_stats: dict | None = None
-    notes: list[str] = field(default_factory=list)
 
 
 def program_features(program: "Program") -> dict:

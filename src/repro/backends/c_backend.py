@@ -32,15 +32,15 @@ Environment knobs:
 
 * ``REPRO_CBACKEND_DIR`` — artifact cache location (default
   ``~/.cache/repro-cbackend``),
-* ``REPRO_CBACKEND_DISABLE=1`` — skip the persistent disk layer; shared
-  objects are built in a per-process scratch directory instead,
 * ``CC`` — compiler override; when set it is authoritative (a set-but-
   missing ``CC`` makes the backend unavailable, which is how CI simulates
   a machine without a toolchain).
 
-``CBackend.require`` gates on cffi + a working compiler, raising the
-registry's :class:`~repro.backends.registry.BackendUnavailableError` so
-every entry point can degrade gracefully to the numpy tier.
+``CBackend.require`` gates on cffi, numpy and a working compiler,
+raising the registry's
+:class:`~repro.backends.registry.BackendUnavailableError` with every
+missing one in its reason, so every entry point can degrade gracefully
+to the numpy tier.
 """
 
 from __future__ import annotations
@@ -182,15 +182,6 @@ def artifact_root() -> Path:
     return Path.home() / ".cache" / "repro-cbackend"
 
 
-def disk_enabled() -> bool:
-    return os.environ.get("REPRO_CBACKEND_DISABLE", "") not in (
-        "1",
-        "true",
-        "on",
-        "yes",
-    )
-
-
 def artifact_dir() -> Path:
     """Version-partitioned artifact directory.
 
@@ -203,17 +194,6 @@ def artifact_dir() -> Path:
 
     tag = compiler_version_tag() or "nocc"
     return artifact_root() / f"{code_version_hash()[:12]}-{tag[:12]}"
-
-
-_SCRATCH: Path | None = None
-
-
-def _scratch_dir() -> Path:
-    """Per-process artifact directory when the disk layer is disabled."""
-    global _SCRATCH
-    if _SCRATCH is None:
-        _SCRATCH = Path(tempfile.mkdtemp(prefix="repro-cbackend-"))
-    return _SCRATCH
 
 
 _FFI = None
@@ -348,7 +328,7 @@ def load_library(c_source: str, *, runtime: bool = False):
     if lib is not None:
         _COMPILE_HIT.inc()
         return lib
-    base = artifact_dir() if disk_enabled() else _scratch_dir()
+    base = artifact_dir()
     obj, obj_source = _runtime_object(base) if runtime else (None, "")
     named = c_source + obj.name if obj else c_source
     digest = hashlib.sha256(named.encode()).hexdigest()
@@ -459,9 +439,9 @@ def _wrapper_source(name: str, params: Sequence[str], emitted) -> str:
     """Python wrapper embedding the C translation unit + ABI manifest.
 
     The wrapper is ordinary inspector source: it round-trips through the
-    executor's compile memo and the synthesis disk cache unchanged, and
-    only needs ``__C_RUN`` (provided by :meth:`CBackend.namespace`) at
-    exec time.  The .so compile happens lazily on first call.
+    synthesis disk cache unchanged, and only needs ``__C_RUN`` (provided
+    by :meth:`CBackend.namespace`) at exec time.  The .so compile happens
+    lazily on first call.
     """
     spec = {
         "name": name,
@@ -511,22 +491,20 @@ class CBackend(Backend):
     differential_references = ("python", "numpy")
 
     def require(self) -> None:
+        """Raise naming every missing requirement, not just the first."""
+        missing = []
         try:
             import cffi  # noqa: F401
-        except ImportError as err:
-            raise BackendUnavailableError(
-                "c", "cffi is not installed (pip install repro[native])"
-            ) from err
+        except ImportError:
+            missing.append("cffi is not installed (pip install repro[native])")
         try:
             import numpy  # noqa: F401
-        except ImportError as err:
-            raise BackendUnavailableError(
-                "c", "numpy is not installed"
-            ) from err
+        except ImportError:
+            missing.append("numpy is not installed")
         if compiler_path() is None:
-            raise BackendUnavailableError(
-                "c", "no C compiler found (checked $CC, cc, gcc, clang)"
-            )
+            missing.append("no C compiler found (checked $CC, cc, gcc, clang)")
+        if missing:
+            raise BackendUnavailableError("c", "; ".join(missing))
 
     def lower(
         self,

@@ -28,15 +28,15 @@ def _print(program, name, params, returns, symtab, *, timing=False):
 class NumpyBackend(Backend):
     """Whole-array re-emission of each loop nest via ``repro.spf.codegen``.
 
-    Nests the read/write hazard check rejects print as scalar statements
-    inside the same function (no synthesized conversion has one);
-    :attr:`Lowering.vector_stats` reports the split.  Outputs must agree
-    with the scalar backend element for element
-    (``differential_references``).
+    A program with a nest the read/write hazard check rejects is refused
+    with :class:`~repro.spf.statements.UnsupportedStatement` (no
+    synthesized conversion has one); :attr:`Lowering.vector_stats`
+    counts the vectorized nests.  Outputs must agree with the scalar
+    backend element for element (``differential_references``).
     """
 
     name = "numpy"
-    description = "vectorized whole-array lowering (scalar fallback nests)"
+    description = "vectorized whole-array lowering"
     capabilities = BackendCapabilities(
         ranks=(2, 3),
         vectorized=True,
@@ -46,7 +46,6 @@ class NumpyBackend(Backend):
             "lexicographic-rank",
             "segmented-flatten",
             "gather-scatter",
-            "scalar-fallback",
         ),
         requires=("numpy",),
     )
@@ -65,15 +64,7 @@ class NumpyBackend(Backend):
         returns: Sequence[str],
         symtab,
     ) -> Lowering:
-        lowering = _print(program, name, params, returns, symtab)
-        return Lowering(
-            source=lowering.source,
-            vector_stats={
-                "vectorized_nests": lowering.vectorized_nests,
-                "scalar_nests": lowering.scalar_nests,
-            },
-            notes=list(lowering.notes),
-        )
+        return _print(program, name, params, returns, symtab)
 
     def timed_source(self, conversion) -> str:
         return _print(
@@ -96,8 +87,7 @@ class NumpyBackend(Backend):
     def estimate_cost(self, conversion, stats=None) -> float:
         """Cost model for vectorized inspectors.
 
-        Each scalar-fallback nest costs one pass; vectorized nests cost a
-        small constant each (a handful of array passes —
+        Each nest costs a small constant (a handful of array passes —
         numpy's per-element work is a couple of orders of magnitude
         cheaper than an interpreted pass).  With ``stats``, nests are
         charged per element touched on the profiled matrix: a vectorized
@@ -106,12 +96,9 @@ class NumpyBackend(Backend):
         discount.
         """
         feats = program_features(conversion.program)
-        vstats = conversion.vector_stats or {}
-        vectorized = vstats.get("vectorized_nests", 0)
-        scalar = vstats.get("scalar_nests", 0)
+        vectorized = (conversion.vector_stats or {}).get("vectorized_nests", 0)
         if stats is None:
-            cost = float(scalar)
-            cost += 0.05 * vectorized
+            cost = 0.05 * vectorized
             if feats["sort"]:
                 cost += 0.2  # lexsort rank
             if feats["bucket_perm"]:
@@ -120,11 +107,7 @@ class NumpyBackend(Backend):
                 cost += 0.05
             return cost
         units = workload_units(conversion, stats)
-        total_nests = max(vectorized + scalar, 1)
-        # Per-element weight of one pass: vectorized share at 0.01,
-        # scalar-fallback share at the interpreted 1.0.
-        unit = (0.01 * vectorized + 1.0 * scalar) / total_nests
-        cost = total_nests * units["pass_elems"] * unit
+        cost = vectorized * units["pass_elems"] * 0.01
         if feats["sort"]:
             cost += 0.05 * units["sort_elems"]
         if feats["bsearch"]:

@@ -1,14 +1,10 @@
 """A content hash over the package's own source, for cache invalidation.
 
-Both cache layers that outlive a synthesis call key on this hash:
-
-* the persistent inspector cache (:mod:`repro.synthesis.cache`) — an
-  on-disk entry generated by an older checkout must never be served after
-  the synthesis engine or code generator changes, and
-* the executor's process-wide compile cache
-  (:mod:`repro.runtime.executor`) — identical generated *source* can still
-  behave differently when the runtime helpers it closes over change, so
-  the compile key carries the code version too.
+Every on-disk layer partitions on this hash, so an entry an older
+checkout wrote is never served after the package changes: the persistent
+inspector cache (:mod:`repro.synthesis.cache`), the C artifact directory
+(:mod:`repro.backends.c_backend`) and the learned-cost store
+(:mod:`repro.planner.coststore`).
 
 The hash covers every ``.py`` file under the installed ``repro`` package
 (sorted by relative path, content-hashed), computed once per process.
@@ -40,8 +36,3 @@ def code_version_hash() -> str:
                     digest.update(handle.read())
         _CACHED_HASH = digest.hexdigest()
     return _CACHED_HASH
-
-
-def short_code_version() -> str:
-    """First 12 hex chars — enough for directory names and log lines."""
-    return code_version_hash()[:12]

@@ -143,9 +143,6 @@ class FormatDescriptor:
             in_quantifiers |= self.ordering.uf_names()
         return in_quantifiers - self.index_ufs()
 
-    def quantifier_of(self, uf: str) -> Optional[MonotonicQuantifier]:
-        return self.monotonic.get(uf)
-
     def size_symbols(self) -> set[str]:
         """Symbolic constants of the descriptor (NNZ, ND, ... plus shape)."""
         syms = self.sparse_to_dense.sym_names() | self.data_access.sym_names()

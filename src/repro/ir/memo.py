@@ -62,13 +62,6 @@ def memo(t: dict, op: str, key, compute: Callable[..., T], *args) -> T:
     return value
 
 
-def clear_all() -> None:
-    """Drop every memo table (intern tables are left alone: identity-based
-    fast paths stay correct because structural equality is the fallback)."""
-    for t in _TABLES.values():
-        t.clear()
-
-
 def stats() -> dict[str, int]:
     """Current entry count per memo table."""
     return {name: len(t) for name, t in sorted(_TABLES.items())}

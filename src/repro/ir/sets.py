@@ -165,23 +165,6 @@ class IntSet:
             (c.project_out(name, strict=strict) for c in self.conjunctions),
         )
 
-    def project_onto(self, names: Sequence[str], *, strict: bool = True) -> "IntSet":
-        """Keep only ``names`` (in the given order), projecting the rest out."""
-        missing = [n for n in names if n not in self.tuple_vars]
-        if missing:
-            raise ValueError(f"{missing} are not tuple variables of {self}")
-        result: IntSet = self
-        for name in self.tuple_vars:
-            if name not in names:
-                result = result.project_out(name, strict=strict)
-        # Reorder to the requested order.
-        if tuple(names) != result.tuple_vars:
-            # Renaming is positional; build a permutation via intermediate names.
-            perm_vars = tuple(sorted(result.tuple_vars, key=lambda v: names.index(v)))
-            if perm_vars != result.tuple_vars:
-                result = IntSet(perm_vars, result.conjunctions)
-        return result
-
     # ------------------------------------------------------------------
     # Inspection
     # ------------------------------------------------------------------
@@ -202,9 +185,6 @@ class IntSet:
         for c in self.conjunctions:
             names |= c.uf_names()
         return names
-
-    def is_obviously_empty(self) -> bool:
-        return all(c.is_obviously_unsatisfiable() for c in self.conjunctions)
 
     # ------------------------------------------------------------------
     # Concrete evaluation

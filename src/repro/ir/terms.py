@@ -606,9 +606,6 @@ class Expr:
                 return c
         return 0
 
-    def coeff_of_var(self, name: str) -> int:
-        return self.coeff(Var(name))
-
     def without(self, atom: Atom) -> "Expr":
         """This expression with every top-level occurrence of ``atom`` removed."""
         return Expr(self.const, tuple((a, c) for a, c in self.terms if a != atom))

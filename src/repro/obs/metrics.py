@@ -3,7 +3,7 @@
 :data:`METRICS` is the process's one telemetry registry.  Every layer
 declares its instruments once, at import, beside the code that records
 into them, and calls ``inc`` / ``set`` / ``observe`` on them directly:
-cache and compile-cache counters, IR memo lookups by operation and
+synthesis-cache and C-artifact cache counters, IR memo lookups by operation and
 outcome, synthesis-phase and optimization-pass durations (histograms of
 seconds), backend selection and fallback, validation-gate activity,
 fuzzer outcomes, conversion latency.  Where a name would carry data

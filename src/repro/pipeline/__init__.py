@@ -13,7 +13,6 @@ from .artifacts import (
     CaseMatch,
     ComposedRelation,
     DescriptorPair,
-    LoweredSource,
 )
 from .passes import (
     BINARY_SEARCH,
@@ -32,7 +31,6 @@ __all__ = [
     "CaseMatch",
     "ComposedRelation",
     "DescriptorPair",
-    "LoweredSource",
     "PASSES",
     "Pass",
     "PassConfig",

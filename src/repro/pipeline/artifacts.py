@@ -7,9 +7,8 @@ The conversion path is an explicit pipeline::
       → CaseMatch                      (step 3: classify constraints)
       → BuiltComputation               (steps 4-5: raw SPF Computation)
       → [PassManager]                  (optimized Computation, in place)
-      → LoweredSource                  (the lowered Program + its backend
-                                        source)
-      → CompiledInspector              (repro.runtime.executor, lazy)
+      → (Program, Lowering)            (the lowered program + the
+                                        backend's source)
 
 Each stage consumes the previous artifact and nothing else, which is what
 makes the stages independently testable and the pass pipeline swappable.
@@ -27,7 +26,7 @@ from typing import TYPE_CHECKING, Optional
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.formats.descriptor import FormatDescriptor
     from repro.ir import Conjunction, Expr, IntSet, Relation
-    from repro.spf import Computation, Program, SymbolTable
+    from repro.spf import Computation, SymbolTable
 
 
 @dataclass(frozen=True)
@@ -101,21 +100,3 @@ class BuiltComputation:
     params: tuple[str, ...]
     returns: tuple[str, ...]
     symtab: "SymbolTable"
-
-
-@dataclass
-class LoweredSource:
-    """Output of the lowering stage, for one backend.
-
-    ``program`` is the optimized computation lowered once to the loop and
-    statement AST; it is the record of the conversion that cost features,
-    the display C (:attr:`repro.synthesis.SynthesizedConversion.c_source`)
-    and the deep-trace timed variant are printed from, on every tier.
-    ``source`` is the active backend's executable printing of it.
-    """
-
-    backend: str
-    source: str
-    program: "Program"
-    vector_stats: dict | None = None
-    notes: list[str] = field(default_factory=list)

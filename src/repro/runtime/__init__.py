@@ -18,7 +18,7 @@ from .matrices import (
 from .tensors3d import COOTensor3D, MortonCOOTensor3D
 from .hicoo import HiCOOTensor
 from .csf import CSFTensor
-from .executor import CompiledInspector, base_namespace, compile_inspector
+from .executor import base_namespace, compile_inspector
 
 __all__ = [
     "BCSCMatrix",
@@ -29,7 +29,6 @@ __all__ = [
     "CSFTensor",
     "CSCMatrix",
     "CSRMatrix",
-    "CompiledInspector",
     "DCSRMatrix",
     "DIAMatrix",
     "ELLMatrix",

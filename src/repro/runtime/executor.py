@@ -1,10 +1,10 @@
 """Executor for generated inspector code.
 
 The synthesis engine emits Python source for an inspector function; this
-module compiles it once and exposes it as a callable.  The execution
-namespace provides the runtime helpers generated code may reference — the
-Morton function, the :class:`OrderedList` / :class:`OrderedSet` permutation
-structures, and ``max`` / ``min``.
+module compiles it into a callable.  The execution namespace provides the
+runtime helpers generated code may reference — the Morton function, the
+:class:`OrderedList` / :class:`OrderedSet` permutation structures, and
+``max`` / ``min``.
 """
 
 from __future__ import annotations
@@ -37,9 +37,8 @@ def bsearch(arr, value) -> int:
     return -1
 
 
-#: Immutable parts of the execution namespace, built once at import time.
-#: ``base_namespace`` used to rebuild this dict (and the builtins dict) for
-#: every :class:`CompiledInspector`; now construction is a shallow copy.
+#: Immutable parts of the execution namespace, built once at import time;
+#: each compile takes a shallow copy.
 _BASE_BUILTINS: dict = {
     "max": max,
     "min": min,
@@ -68,9 +67,8 @@ _BASE_NAMESPACE: dict = {
 }
 
 #: Extra helpers available to inspectors lowered by the numpy backend (see
-#: :mod:`repro.spf.codegen.vectorize`).  Scalar-fallback statements inside a
-#: vectorized inspector still use the scalar helpers above, so the numpy
-#: namespace is a superset of the base one.
+#: :mod:`repro.spf.codegen.vectorize`); the numpy namespace is a superset
+#: of the base one.
 _NUMPY_EXTRAS: dict = {
     "np": npvec.np,
     "ASARRAY_INT": npvec.ASARRAY_INT,
@@ -102,19 +100,19 @@ def base_namespace(backend: str = "python") -> dict:
     return get_backend(backend).namespace()
 
 
-class CompiledInspector:
-    """A compiled inspector function plus its source for inspection."""
+def compile_inspector(
+    name: str,
+    source: str,
+    extra_env: Mapping | None = None,
+    backend: str = "python",
+) -> Callable:
+    """Compile generated source and return its function ``name``.
 
-    def __init__(
-        self,
-        name: str,
-        source: str,
-        extra_env: Mapping | None = None,
-        backend: str = "python",
-    ):
-        self.name = name
-        self.source = source
-        self.backend = backend
+    Not memoized: each owner of a source (a synthesized conversion, a
+    generated kernel, a tandem pipeline) compiles it once and keeps the
+    function.  ``extra_env`` adds globals to the backend's namespace.
+    """
+    with obs.span("compile", category="compile", inspector=name):
         namespace = base_namespace(backend)
         if extra_env:
             namespace.update(extra_env)
@@ -125,66 +123,7 @@ class CompiledInspector:
                 f"generated inspector {name!r} does not compile: {err}\n{source}"
             ) from err
         exec(code, namespace)
-        fn = namespace.get(name)
-        if not callable(fn):
-            raise ValueError(f"source does not define a function named {name!r}")
-        self._fn: Callable = fn
-
-    def __call__(self, *args, **kwargs):
-        return self._fn(*args, **kwargs)
-
-    def __repr__(self):
-        return f"CompiledInspector({self.name!r})"
-
-
-#: Process-wide memo of compiled inspectors keyed on ``(name, source,
-#: backend, code_version)``.  Planners and benchmarks repeatedly synthesize
-#: the same conversions; identical source compiles (and execs) exactly
-#: once.  The code-version component mirrors the disk cache's partitioning:
-#: the runtime helpers baked into the execution namespace are part of this
-#: package, so a key that ignores them could serve a stale closure to code
-#: that reloads the package in place (importlib.reload-style workflows).
-_COMPILE_CACHE: dict[tuple[str, str, str, str], CompiledInspector] = {}
-_COMPILE_HIT = obs.counter(
-    "repro_cache_compile_hit_total", "inspector compile-cache hits"
-)
-_COMPILE_MISS = obs.counter(
-    "repro_cache_compile_miss_total", "inspector compile-cache misses"
-)
-
-
-def compile_inspector(
-    name: str,
-    source: str,
-    extra_env: Mapping | None = None,
-    backend: str = "python",
-) -> CompiledInspector:
-    """Compile generated source into a callable inspector (memoized).
-
-    Calls with ``extra_env`` bypass the cache: the environment is part of
-    the compiled closure and mappings are not reliably hashable.
-    """
-    from repro.backends import get_backend
-
-    backend = get_backend(backend).name
-    if extra_env:
-        with obs.span("compile", category="compile", inspector=name):
-            return CompiledInspector(name, source, extra_env, backend=backend)
-    from repro.codeversion import code_version_hash
-
-    key = (name, source, backend, code_version_hash())
-    cached = _COMPILE_CACHE.get(key)
-    if cached is None:
-        _COMPILE_MISS.inc()
-        with obs.span("compile", category="compile", inspector=name):
-            cached = _COMPILE_CACHE[key] = CompiledInspector(
-                name, source, backend=backend
-            )
-    else:
-        _COMPILE_HIT.inc()
-    return cached
-
-
-def clear_compile_cache() -> None:
-    """Drop all memoized inspectors (mainly for tests)."""
-    _COMPILE_CACHE.clear()
+    fn = namespace.get(name)
+    if not callable(fn):
+        raise ValueError(f"source does not define a function named {name!r}")
+    return fn

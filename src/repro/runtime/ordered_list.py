@@ -19,7 +19,7 @@ Two variants exist:
 from __future__ import annotations
 
 import bisect
-from typing import Callable, Optional, Sequence
+from typing import Callable, Optional
 
 try:
     import numpy as _np
@@ -206,25 +206,6 @@ class LexBucketPermutation:
     def insert(self, *coords: int) -> None:
         self._counts[coords[self.which] + 1] += 1
         self._total += 1
-        self._starts = None
-
-    def insert_many(self, buckets: Sequence[int]) -> None:
-        """Bulk insert: histogram all bucket coordinates in one pass."""
-        if _np is not None and len(buckets) >= _NUMPY_SORT_THRESHOLD:
-            counts = _np.bincount(
-                _np.asarray(buckets, dtype=_np.int64) + 1,
-                minlength=len(self._counts),
-            )
-            if counts.shape[0] > len(self._counts):
-                raise IndexError("bucket coordinate out of range")
-            self._counts = [
-                c + d for c, d in zip(self._counts, counts.tolist())
-            ]
-            self._total += len(buckets)
-        else:
-            for b in buckets:
-                self._counts[b + 1] += 1
-            self._total += len(buckets)
         self._starts = None
 
     def __len__(self) -> int:

@@ -21,11 +21,12 @@ of NumPy array operations instead, one rule per statement kind of
   each :class:`~repro.spf.ast_nodes.RankLookup` (a lookup the replay pass
   proved replays its insert) reads the precomputed position vector.
 
-The only nests printed statement by statement through the scalar printer
-are the ones the read/write hazard check rejects (an array written by one
-statement and read elsewhere in the nest, or written twice).  Permutation
-objects are decided before emission: an object any hazard nest touches
-stays a scalar runtime object, and every nest touching it prints scalar.
+Every nest prints whole-array or the lowering refuses the program with
+:class:`~repro.spf.statements.UnsupportedStatement`, as the C printer
+does: a nest the read/write hazard check rejects (an array written by one
+statement and read elsewhere in the nest, or written twice) has no
+whole-array form that keeps the scalar order, so it is refused with the
+check's reason.
 
 Correctness ground rules (the differential tests in
 ``tests/integration/test_backend_equivalence.py`` enforce all of these):
@@ -43,10 +44,11 @@ Correctness ground rules (the differential tests in
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import repro.obs as obs
+from repro.backends.base import Lowering
 from repro.ir import Expr, Sym, UFCall, Var
 from .. import statements as st
 from ..ast_nodes import Comment, ForLoop, Guard, LetEq, Node, Program, RankLookup
@@ -62,24 +64,6 @@ _UFUNC = {"max": "np.maximum", "min": "np.minimum"}
 _VECTORIZED_NESTS = obs.counter(
     "repro_vectorize_nests_vectorized_total", "loop nests lowered to numpy"
 )
-_SCALAR_NESTS = obs.counter(
-    "repro_vectorize_nests_scalar_total",
-    "loop nests the numpy lowering left scalar",
-)
-
-
-@dataclass
-class NumpyLowering:
-    """Result of lowering one inspector through the numpy backend."""
-
-    source: str
-    vectorized_nests: int = 0
-    scalar_nests: int = 0
-    notes: list[str] = field(default_factory=list)
-
-    @property
-    def fully_vectorized(self) -> bool:
-        return self.scalar_nests == 0
 
 
 @dataclass
@@ -195,68 +179,6 @@ def _recurrence(loop: ForLoop) -> list[st.PrefixFix] | None:
     if not lower.is_constant() or lower.const < 1 or upper.mentions_var(loop.var):
         return None
     return body
-
-
-def _names_in(node: Node) -> set[str]:
-    """Every name a nest mentions (statement names and UF names)."""
-    if isinstance(node, st.Statement):
-        return node.names()
-    out: set[str] = set()
-    if isinstance(node, ForLoop):
-        for e in node.lowers + node.uppers:
-            out |= e.uf_names()
-    elif isinstance(node, Guard):
-        for c in node.constraints:
-            out |= c.expr.uf_names()
-    elif isinstance(node, LetEq):
-        out |= node.expr.uf_names()
-    for child in getattr(node, "body", ()):
-        out |= _names_in(child)
-    return out
-
-
-def _nests(nodes: Sequence[Node]):
-    """Top-level loop nests, including those under a symbol-only guard."""
-    for node in nodes:
-        if isinstance(node, ForLoop):
-            yield node
-        elif isinstance(node, Guard):
-            yield from _nests(node.body)
-
-
-def _scalar_plan(program: Program) -> tuple[dict[int, str], set[str]]:
-    """Decide which nests and permutation objects stay scalar.
-
-    Returns ``({id(nest): reason}, scalar object names)``: hazard nests,
-    plus every nest touching an object some scalar nest touches.
-    """
-    objects = {
-        n.name for n in _walk_statements(program.body)
-        if type(n) in _PERM_KINDS
-    }
-    scalar: dict[int, str] = {}
-    nests = list(_nests(program.body))
-    mentions = {id(n): _names_in(n) & objects for n in nests}
-    for nest in nests:
-        if _recurrence(nest) is None:
-            reason = _hazard(nest)
-            if reason is not None:
-                scalar[id(nest)] = reason
-    scalar_objects: set[str] = set()
-    changed = True
-    while changed:
-        changed = False
-        for nest in nests:
-            touched = mentions[id(nest)]
-            if id(nest) in scalar:
-                if not touched <= scalar_objects:
-                    scalar_objects |= touched
-                    changed = True
-            elif touched & scalar_objects:
-                names = ", ".join(sorted(touched & scalar_objects))
-                scalar[id(nest)] = f"touches scalar object {names}"
-                changed = True
-    return scalar, scalar_objects
 
 
 class _VectorExprs(ExprPrinter):
@@ -561,18 +483,14 @@ class _Emitter:
     """One numpy function: top-level statements plus one :class:`_Nest`
     per loop nest."""
 
-    def __init__(self, symtab: SymbolTable, params: Sequence[str],
-                 program: Program):
+    def __init__(self, symtab: SymbolTable, params: Sequence[str]):
         self.symtab = symtab
         self.scalar = PythonPrinter(symtab)
         self.params = set(params)
         self.arrays: set[str] = set()
         self.perms: dict[str, _Perm] = {}
-        self.scalar_nests, self.scalar_objects = _scalar_plan(program)
         self.lines: list[str] = []
         self.vectorized = 0
-        self.fallbacks = 0
-        self.notes: list[str] = []
         self._tmp = 0
         #: Cross-nest reuse of identical SEGMENTS calls (CSR-style bounds
         #: are recomputed per nest in the scalar program).  Keyed on the
@@ -614,16 +532,6 @@ class _Emitter:
 
     def nest(self, loop: ForLoop, indent: int) -> None:
         self.seg_cache_ok = indent == 1
-        reason = self.scalar_nests.get(id(loop))
-        if reason is not None:
-            self.fallbacks += 1
-            self.notes.append(f"scalar fallback (loop over {loop.var}): {reason}")
-            self.add(f"# scalar fallback: {reason}", indent)
-            self.add(self.scalar.print(loop), indent)
-            self.mutated |= {
-                n.target for n in _walk_statements(loop.body)
-            }
-            return
         fixes = _recurrence(loop)
         if fixes is not None:
             self.add(f"# vectorized recurrence: loop over {loop.var}", indent)
@@ -639,6 +547,12 @@ class _Emitter:
                 )
                 self.mutated.add(fix.array)
         else:
+            reason = _hazard(loop)
+            if reason is not None:
+                raise st.UnsupportedStatement(
+                    f"numpy lowering cannot vectorize the loop nest over "
+                    f"{loop.var}: {reason}"
+                )
             self.add(f"# vectorized: loop nest over {loop.var}", indent)
             for line in _Nest(self, loop).run():
                 self.add(line, indent)
@@ -665,7 +579,7 @@ class _Emitter:
         elif isinstance(node, st.ArrayCopy):
             self.add(f"{node.name} = {node.source}.copy()", indent)
             self.arrays.add(node.name)
-        elif type(node) in _PERM_KINDS and node.name not in self.scalar_objects:
+        elif type(node) in _PERM_KINDS:
             self.perms[node.name] = _Perm(node)
             self.add(
                 f"# {node.name}: vectorized {_PERM_KINDS[type(node)]}", indent
@@ -690,13 +604,6 @@ class _Emitter:
         self.mutated.add(node.target)
 
 
-def _walk_statements(nodes: Sequence[Node]):
-    for node in nodes:
-        if isinstance(node, st.Statement):
-            yield node
-        yield from _walk_statements(getattr(node, "body", ()))
-
-
 def emit_numpy_function(
     name: str,
     params: Sequence[str],
@@ -705,10 +612,10 @@ def emit_numpy_function(
     symtab: SymbolTable,
     *,
     timing: bool = False,
-) -> NumpyLowering:
+) -> Lowering:
     """Numpy-backend counterpart of :func:`.printers.emit_python_function`.
 
-    Returns the function source plus per-nest vectorization stats.  The
+    Returns the function source plus the count of vectorized nests.  The
     emitted function expects the numpy execution namespace
     (``base_namespace("numpy")``) and returns numpy arrays (its native
     representation); materializing the containers' typed arrays is the
@@ -716,7 +623,7 @@ def emit_numpy_function(
     ``timing`` prints the deep-trace variant (:func:`.printers.timed`),
     which the nest counters do not count again.
     """
-    emitter = _Emitter(symtab, params, program)
+    emitter = _Emitter(symtab, params)
     lines = [f"def {name}({', '.join(params)}):"]
     for p in params:
         if p in symtab.arrays:
@@ -736,15 +643,9 @@ def emit_numpy_function(
     # (``SynthesizedConversion.__call__`` via ``Backend.materialize``).
     ret_items = ", ".join(f"{n!r}: {n}" for n in returns)
     lines.append(f"    return {{{ret_items}}}")
-    notes = list(emitter.notes)
-    for obj in sorted(emitter.scalar_objects):
-        notes.append(f"scalar fallback: permutation object {obj}")
     if not timing:
         _VECTORIZED_NESTS.inc(emitter.vectorized)
-        _SCALAR_NESTS.inc(emitter.fallbacks)
-    return NumpyLowering(
+    return Lowering(
         source="\n".join(lines) + "\n",
-        vectorized_nests=emitter.vectorized,
-        scalar_nests=emitter.fallbacks,
-        notes=notes,
+        vector_stats={"vectorized_nests": emitter.vectorized},
     )

@@ -132,13 +132,6 @@ class Resolver:
             expr = rewritten
         return expr
 
-    def unresolved_vars(self, expr: Expr) -> set[str]:
-        return {
-            n
-            for n in expr.var_names()
-            if n in self.values and self.values[n] is None
-        }
-
 
 def classify(
     normalized: NormalizedConstraint, resolver: Resolver

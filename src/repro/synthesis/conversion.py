@@ -87,10 +87,11 @@ class SynthesizedConversion:
     notes: list[str] = field(default_factory=list)
     #: Lowering backend whose executable source ``source`` is.
     backend: str = "python"
-    #: ``{"vectorized_nests": n, "scalar_nests": m}`` for the numpy backend.
+    #: ``{"vectorized_nests": n}`` for the numpy backend.
     vector_stats: dict | None = None
     #: Memoized display-C rendering; populated lazily by :attr:`c_source`.
     _c_source: str | None = None
+    #: The compiled inspector; this conversion is its only memo.
     _compiled: object = None
     #: The deep-trace timed variant, compiled on first use.
     _timed: object = None
@@ -108,7 +109,7 @@ class SynthesizedConversion:
         return self._c_source
 
     def compile(self):
-        """Compile the generated inspector into a callable (cached)."""
+        """The generated inspector as a callable, compiled on first use."""
         if self._compiled is None:
             self._compiled = compile_inspector(
                 self.name, self.source, backend=self.backend

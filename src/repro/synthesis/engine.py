@@ -37,25 +37,8 @@ from repro.pipeline import BINARY_SEARCH, PASSES, PassContext
 
 from .build import build_stage
 from .casematch import case_match_stage
-from .compose import (  # noqa: F401  (re-exported for compatibility)
-    _bare_var_name,
-    _dense_source_exprs,
-    _dense_var_definitions,
-    _disambiguate,
-    _is_bare_var,
-    _prune_range_guards,
-    _source_data_expr,
-    _source_space,
-    compose_stage,
-)
-from .conversion import (  # noqa: F401  (re-exported for compatibility)
-    DEST_DATA,
-    PERMUTATION,
-    POSITION_VAR_SUFFIX,
-    SOURCE_DATA,
-    SynthesisError,
-    SynthesizedConversion,
-)
+from .compose import compose_stage
+from .conversion import PERMUTATION, SynthesizedConversion
 from .lower import lower_stage
 
 
@@ -193,13 +176,13 @@ def _synthesize_impl(
     )
     _mark = time.perf_counter()
 
-    lowered = lower_stage(built, backend, notes)
+    program, lowering = lower_stage(built, backend)
     _phase(
         "codegen",
         _mark,
         span_name="lower",
         backend=backend.name,
-        **(lowered.vector_stats or {}),
+        **(lowering.vector_stats or {}),
     )
 
     return SynthesizedConversion(
@@ -209,11 +192,11 @@ def _synthesize_impl(
         computation=comp,
         params=built.params,
         returns=built.returns,
-        source=lowered.source,
+        source=lowering.source,
         symtab=built.symtab,
-        program=lowered.program,
+        program=program,
         uf_output_map=uf_output_map,
         notes=notes,
         backend=backend.name,
-        vector_stats=lowered.vector_stats,
+        vector_stats=lowering.vector_stats,
     )

@@ -11,34 +11,20 @@ demand) and the deep-trace timed variant never lower again.
 
 from __future__ import annotations
 
-from repro.backends import Backend
-from repro.pipeline.artifacts import BuiltComputation, LoweredSource
+from repro.backends import Backend, Lowering
+from repro.pipeline.artifacts import BuiltComputation
+from repro.spf import Program
 
 
 def lower_stage(
-    built: BuiltComputation, backend: Backend, notes: list[str]
-) -> LoweredSource:
-    """Lower the built computation for ``backend``."""
+    built: BuiltComputation, backend: Backend
+) -> tuple[Program, Lowering]:
+    """Lower the built computation, and print it for ``backend``."""
     program = built.comp.lower()
-    lowering = backend.lower(
+    return program, backend.lower(
         program,
         built.comp.name,
         list(built.params),
         list(built.returns),
         built.symtab,
-    )
-    if lowering.vector_stats is not None:
-        stats = lowering.vector_stats
-        notes.append(
-            f"{backend.name} backend: {stats['vectorized_nests']} "
-            f"vectorized nest(s), {stats['scalar_nests']} scalar fallback "
-            "nest(s)"
-        )
-    notes.extend(f"{backend.name} backend: {n}" for n in lowering.notes)
-    return LoweredSource(
-        backend=backend.name,
-        source=lowering.source,
-        program=program,
-        vector_stats=lowering.vector_stats,
-        notes=list(lowering.notes),
     )

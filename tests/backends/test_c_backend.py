@@ -1,13 +1,13 @@
 """The compiled-C tier: artifact cache, availability gating, coverage.
 
-The compile-cache tests pin the PR 2 disk-cache conventions on the .so
-artifact store: content-hashed reuse across processes, a cache miss when
-either partition key (package code version, compiler version tag) changes,
-and the ``REPRO_CBACKEND_DISABLE`` knob confining builds to a per-process
-scratch directory.  The availability tests pin the graceful-degradation
-contract: a missing soft dependency raises the registry's standard
-:class:`BackendUnavailableError` from ``require()``, while every entry
-point (``convert``, the planner, the fuzzer) silently falls back a tier.
+The compile-cache tests pin the disk-cache conventions on the .so
+artifact store: content-hashed reuse across processes and a cache miss
+when either partition key (package code version, compiler version tag)
+changes.  The availability tests pin the graceful-degradation contract:
+a missing soft dependency raises the registry's standard
+:class:`BackendUnavailableError` from ``require()``, naming every missing
+one, while every entry point (``convert``, the planner, the fuzzer)
+silently falls back a tier.
 """
 
 import hashlib
@@ -50,7 +50,6 @@ def _matrix() -> COOMatrix:
 def cache_dir(tmp_path, monkeypatch):
     """An isolated artifact cache; the dlopen memo is cleared around it."""
     monkeypatch.setenv("REPRO_CBACKEND_DIR", str(tmp_path))
-    monkeypatch.delenv("REPRO_CBACKEND_DISABLE", raising=False)
     c_backend.clear_lib_memo()
     yield tmp_path
     c_backend.clear_lib_memo()
@@ -276,15 +275,6 @@ class TestCompileCache:
         assert counts["repro_cbackend_compile_miss_total"] == 0
         assert counts["repro_cbackend_compile_hit_total"] >= 1
         assert counts["repro_cache_miss_total"] == 0
-
-    def test_disable_knob_confines_to_scratch(self, cache_dir, monkeypatch):
-        monkeypatch.setenv("REPRO_CBACKEND_DISABLE", "1")
-        monkeypatch.setattr(c_backend, "_SCRATCH", None)
-        c_backend.clear_lib_memo()
-        conv, out = _run_c_conversion()
-        assert out["rowptr"][-1] == 4
-        assert not list(cache_dir.glob("*/*.so"))
-        assert list(c_backend._scratch_dir().glob("*.so"))
 
 
 @needs_c

@@ -109,7 +109,7 @@ class TestTimedPrinters:
         assert [
             l for l in timed.source.splitlines() if "__OBS" not in l
         ] == plain.source.splitlines()
-        assert timed.vectorized_nests == plain.vectorized_nests
+        assert timed.vector_stats == plain.vector_stats
 
     def test_empty_program_prints_a_callable(self):
         source = emit_python_function(

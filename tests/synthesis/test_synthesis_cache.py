@@ -16,7 +16,6 @@ from repro.synthesis import (
     clear_disk_cache,
     clear_memo,
     format_fingerprint,
-    synthesize,
     synthesize_cached,
 )
 from repro.synthesis import cache as cache_mod
@@ -264,14 +263,3 @@ class TestStatsAndClear:
         clear_memo()
         synthesize_cached(get_format("COO"), get_format("CSR"))
         assert cache_stats()["entries"] == 0
-
-
-class TestExecutorCompileCache:
-    def test_key_includes_code_version(self):
-        from repro.codeversion import code_version_hash
-        from repro.runtime import executor
-
-        conv = synthesize(get_format("COO"), get_format("CSR"))
-        executor.compile_inspector(conv.name, conv.source)
-        version = code_version_hash()
-        assert any(version in key for key in executor._COMPILE_CACHE)

@@ -9,6 +9,7 @@ from repro.verify import FuzzReport, fuzz
 from repro.verify.fuzz import (
     CASE_KINDS_2D,
     _run_case_2d,
+    _run_case_3d,
     _shrink_dense,
     _shrink_tensor,
     fuzz as fuzz_fn,
@@ -80,6 +81,14 @@ class TestFuzzRuns:
                       optimize_levels=(True,), ranks=(2,))
         assert report.combos_covered == report.combos_total
         assert "OK" in report.summary()
+
+    def test_default_budget_runs_one_case_per_combo(self):
+        report = fuzz(seed=0, backends=("python",),
+                      optimize_levels=(True,), ranks=(3,))
+        assert report.ok, report.summary()
+        assert report.combos_total > 0
+        assert report.cases_run == report.cases_requested \
+            == report.combos_covered == report.combos_total
 
 
 class TestCoverage:
@@ -198,6 +207,35 @@ class TestBugDetectionPower:
         stage, _ = outcome
         assert stage == "dense"
 
+    @pytest.mark.parametrize("rank", [2, 3])
+    def test_wrong_output_is_judged_not_rejected(self, rank, monkeypatch):
+        # The input gate passes a well-formed input; a tier that then
+        # returns a wrong container must read as a structure or dense
+        # finding, not as "well-formed input rejected".
+        pytest.importorskip("numpy")
+        from repro.backends import get_backend
+
+        numpy_tier = get_backend("numpy")
+        real = numpy_tier.materialize
+
+        def corrupting(outputs):
+            out = real(outputs)
+            out["Adst"][0] += 5.0
+            return out
+
+        monkeypatch.setattr(numpy_tier, "materialize", corrupting)
+        if rank == 2:
+            outcome = _run_case_2d([[1.0, 0.0], [0.0, 2.0]], "SCOO", "CSR",
+                                   "numpy", True, random.Random(0))
+        else:
+            tensor = COOTensor3D((2, 2, 2), [0, 1], [1, 0], [0, 1],
+                                 [1.0, 2.0])
+            outcome = _run_case_3d(tensor, "SCOO3D", "MCOO3", "numpy", True,
+                                   random.Random(0))
+        assert outcome is not None
+        stage, message = outcome
+        assert stage in ("structure", "dense"), message
+
 
 class TestShrinking:
     def test_shrinks_to_single_cell(self):
@@ -257,6 +295,20 @@ class TestReportRendering:
         out = capsys.readouterr().out
         assert status == 0
         assert "OK" in out
+
+    def test_cli_default_covers_every_combo(self, tmp_path, capsys):
+        from repro.__main__ import main
+
+        path = tmp_path / "report.json"
+        status = main([
+            "fuzz", "--seed", "0", "--backend", "python", "--optimize",
+            "on", "--rank", "3", "--report", str(path),
+        ])
+        assert status == 0
+        assert "WARNING" not in capsys.readouterr().out
+        payload = json.loads(path.read_text())
+        assert payload["combos_covered"] == payload["combos_total"] > 0
+        assert payload["cases_run"] == payload["combos_total"]
 
     def test_cli_report_file(self, tmp_path, capsys):
         from repro.__main__ import main
