@@ -86,9 +86,9 @@ def get_conversion(
 ) -> SynthesizedConversion:
     """Synthesize (and cache) the inspector converting between two formats.
 
-    Backed by the synthesis memo and persistent inspector cache
-    (:mod:`repro.synthesis.cache`): the first call in a warm environment
-    loads generated source from disk instead of synthesizing.
+    Backed by the process-wide synthesis memo
+    (:mod:`repro.synthesis.cache`): only the first call per pair in a
+    process synthesizes.
     ``disabled_passes`` removes optimization passes by name (``repro
     passes`` lists them); the cache keys cover the resolved pipeline.
     """

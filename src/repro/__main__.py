@@ -31,14 +31,12 @@ Commands:
   request trace from a live daemon's flight recorder (``--format
   tree|json|chrome``),
 * ``stats`` — print the unified telemetry snapshot (``--format
-  json|prom|table``); the same numbers as ``cache stats`` and the
-  ``REPRO_CACHE_STATS_FILE`` dump; ``--addr HOST:PORT`` / ``--unix
-  PATH`` scrapes a live daemon's ``/stats`` instead,
-* ``cache stats|clear|warm`` — inspect, clear, or pre-populate the
-  persistent inspector cache (``$REPRO_CACHE_DIR``, default
-  ``~/.cache/repro-spf``); ``clear`` touches only inspector partitions,
-  never the learned-cost store; ``warm --backend c`` also builds each
-  conversion's C library, as its first call would,
+  json|prom|table``); the same numbers as the ``REPRO_CACHE_STATS_FILE``
+  dump; ``--addr HOST:PORT`` / ``--unix PATH`` scrapes a live daemon's
+  ``/stats`` instead,
+* ``cache warm`` — build every planner pair's C library (under
+  ``$REPRO_CBACKEND_DIR``) as its first call would, so a later process
+  compiles nothing; ``--jobs N`` builds in N worker processes,
 * ``serve`` — run the conversion-as-a-service daemon: a JSON HTTP API
   (TCP or ``--unix`` socket) with validation-gated admission, request
   coalescing on synthesis fingerprints, a bounded worker pool,
@@ -490,8 +488,6 @@ def _cmd_trace_remote(args) -> int:
 
 
 def cmd_trace(args) -> int:
-    import os
-
     import repro.obs as obs
     from repro import convert
     from repro.datagen import random_uniform
@@ -514,11 +510,8 @@ def cmd_trace(args) -> int:
             matrix, src, backend=args.backend, trace=False
         )
     # The trace exists to show the synthesis stages, so force a live
-    # synthesis: a memo or disk hit would replace the compose/build/
-    # per-pass spans with a single cache-load span.  An explicit
-    # REPRO_CACHE_DISABLE=0 keeps the disk cache, to trace a conversion
-    # served from it.
-    os.environ.setdefault("REPRO_CACHE_DISABLE", "1")
+    # synthesis: a memo hit would replace the compose/build/per-pass spans
+    # with a bare cache.lookup span.
     clear_memo()
     try:
         result = convert(
@@ -569,36 +562,16 @@ def cmd_stats(args) -> int:
 
 
 def cmd_cache(args) -> int:
-    from repro.synthesis import cache_stats, clear_disk_cache, warm
+    from repro.synthesis import warm
 
-    if args.action == "stats":
-        import json
-
-        stats = cache_stats()
-        if args.json:
-            print(json.dumps(stats, indent=2, sort_keys=True))
-        else:
-            print(f"cache root:    {stats['root']}")
-            print(f"code version:  {stats['code_version']}")
-            print(f"disk enabled:  {stats['disk_enabled']}")
-            print(f"entries:       {stats['entries']}")
-            print(f"stale entries: {stats['stale_entries']} (other versions)")
-            for key in sorted(stats["counters"]):
-                print(f"{key + ':':40s}{stats['counters'][key]}")
-        return 0
-    if args.action == "clear":
-        removed = clear_disk_cache(all_versions=args.all_versions)
-        print(f"removed {removed} cached inspector(s)", file=sys.stderr)
-        return 0
-    # warm
-    summary = warm(backend=args.backend, jobs=args.jobs)
+    summary = warm(jobs=args.jobs)
     print(
         f"warmed {summary['synthesized']} conversions "
         f"({summary['unsynthesizable']} pairs have no direct synthesis)",
         file=sys.stderr,
     )
     if summary["unbuilt"]:
-        print(f"built no {args.backend} artifacts: {summary['unbuilt']}",
+        print(f"built no C libraries: {summary['unbuilt']}",
               file=sys.stderr)
     return 0
 
@@ -896,26 +869,16 @@ def main(argv: list[str] | None = None) -> int:
     p_kern.add_argument("--c", action="store_true")
 
     p_cache = sub.add_parser(
-        "cache", help="inspect or manage the persistent inspector cache"
+        "cache", help="build the C tier's compiled libraries ahead of time"
     )
     cache_sub = p_cache.add_subparsers(dest="action", required=True)
-    p_stats = cache_sub.add_parser("stats", help="print cache statistics")
-    p_stats.add_argument("--json", action="store_true")
-    p_clear = cache_sub.add_parser("clear", help="delete cached inspectors")
-    p_clear.add_argument(
-        "--all-versions", action="store_true",
-        help="also delete entries written by other code versions",
-    )
     p_warm = cache_sub.add_parser(
         "warm",
-        help="pre-synthesize the planner's conversion graph and build "
-        "its compiled artifacts (--backend c)",
+        help="build every planner pair's C library, as its first call "
+        "would",
     )
-    p_warm.add_argument("--backend", choices=BACKENDS,
-                        default="python")
     p_warm.add_argument("--jobs", type=int, default=1,
-                        help="worker processes for parallel synthesis "
-                        "and compiles")
+                        help="worker processes for parallel compiles")
 
     p_serve = sub.add_parser(
         "serve",

@@ -200,11 +200,6 @@ class Backend:
         """The globals available to inspectors compiled for this backend."""
         raise NotImplementedError
 
-    def prepare(self, conversion) -> None:
-        """Build what the first call of ``conversion`` would build and
-        keep on disk (the C tier's library), so that call finds it.
-        Nothing by default."""
-
     def materialize(self, outputs):
         """Copy native inspector outputs into the containers' typed arrays.
 

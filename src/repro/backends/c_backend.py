@@ -7,8 +7,8 @@ containers across the FFI boundary as contiguous int64/float64 buffers
 (zero-copy for the containers' typed arrays and for numpy arrays of the
 declared dtype).
 
-Compiled artifacts are cached on disk following the PR 2 disk-cache
-conventions:
+Compiled artifacts are cached on disk, the only generated code the
+package keeps across processes:
 
 * content-hashed — an inspector library is named by ``sha256`` of its C
   source and of the runtime object's name, so identical generated C
@@ -187,8 +187,7 @@ def artifact_dir() -> Path:
 
     Partitioned on *both* the package code version (the generated C
     changes with the synthesizer) and the compiler tag (the binary
-    changes with the toolchain) — mirrors the inspector disk cache's
-    code-version partitioning.
+    changes with the toolchain).
     """
     from repro.codeversion import code_version_hash
 
@@ -318,8 +317,8 @@ def load_library(c_source: str, *, runtime: bool = False):
     ``runtime=True`` links the runtime object (an inspector unit, which
     embeds the runtime header), building it first if it is not on disk;
     the artifact's name then covers the object's too.
-    ``repro_cbackend_compile_hit_total`` counts artifacts served from the
-    disk cache (or this process's memo);
+    ``repro_cbackend_compile_hit_total`` counts artifacts served from
+    disk (or this process's memo);
     ``repro_cbackend_compile_miss_total`` counts library compiles and
     ``repro_cbackend_runtime_build_total`` runtime object builds — CI
     pins warm runs on the miss counter.
@@ -438,10 +437,9 @@ def _c_run(spec: dict, array_args: tuple, scalar_args: tuple) -> dict:
 def _wrapper_source(name: str, params: Sequence[str], emitted) -> str:
     """Python wrapper embedding the C translation unit + ABI manifest.
 
-    The wrapper is ordinary inspector source: it round-trips through the
-    synthesis disk cache unchanged, and only needs ``__C_RUN`` (provided
-    by :meth:`CBackend.namespace`) at exec time.  The .so compile happens
-    lazily on first call.
+    The wrapper is ordinary inspector source, and only needs ``__C_RUN``
+    (provided by :meth:`CBackend.namespace`) at exec time.  The .so
+    compile happens lazily on first call.
     """
     spec = {
         "name": name,
@@ -521,6 +519,8 @@ class CBackend(Backend):
         return Lowering(source=_wrapper_source(name, list(params), emitted))
 
     def prepare(self, conversion) -> None:
+        """Build the library the first call of ``conversion`` loads, so
+        that call compiles nothing (``repro cache warm``)."""
         load_library(_wrapper_spec(conversion.source)["c"], runtime=True)
 
     def namespace(self) -> dict:

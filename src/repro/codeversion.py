@@ -1,9 +1,8 @@
 """A content hash over the package's own source, for cache invalidation.
 
 Every on-disk layer partitions on this hash, so an entry an older
-checkout wrote is never served after the package changes: the persistent
-inspector cache (:mod:`repro.synthesis.cache`), the C artifact directory
-(:mod:`repro.backends.c_backend`) and the learned-cost store
+checkout wrote is never served after the package changes: the C artifact
+directory (:mod:`repro.backends.c_backend`) and the learned-cost store
 (:mod:`repro.planner.coststore`).
 
 The hash covers every ``.py`` file under the installed ``repro`` package

@@ -356,7 +356,7 @@ def table_text(snapshot: Optional[dict] = None) -> str:
     writes to stderr: one line per typed-metric series (histograms as
     count / sum / min / max — seconds for the ``*_seconds`` timers,
     e.g. per synthesis phase and per pass), the span aggregates, and the
-    inspector cache's shape and counters.
+    synthesis memo's size and counters.
     """
     snap = snapshot if snapshot is not None else unified_snapshot()
     lines = ["== telemetry =="]
@@ -392,8 +392,6 @@ def table_text(snapshot: Optional[dict] = None) -> str:
     cache = snap.get("cache")
     if cache:
         lines.append("-- inspector cache --")
-        lines.append(f"root:          {cache['root']}")
-        lines.append(f"entries:       {cache['entries']}")
         lines.append(f"memo entries:  {cache['memo_entries']}")
         for name in sorted(cache["counters"]):
             lines.append(f"{name}: {cache['counters'][name]}")

@@ -9,8 +9,8 @@ seconds), backend selection and fallback, validation-gate activity,
 fuzzer outcomes, conversion latency.  Where a name would carry data
 (an operation, a phase, a pass) it is a label instead.
 
-:func:`unified_snapshot` adds IR memo table sizes, the inspector disk
-cache's shape and the span summary to the typed instruments: the single
+:func:`unified_snapshot` adds IR memo table sizes, the synthesis memo's
+size and the span summary to the typed instruments: the single
 JSON-compatible document behind ``repro stats``, the Prometheus exporter
 and the ``REPRO_CACHE_STATS_FILE`` dump.
 """
@@ -250,10 +250,9 @@ def unified_snapshot(*, include_cache: bool = True) -> dict:
     Sections: ``metrics`` (every typed instrument), ``ir_memo_tables``
     (entries per memo table), ``spans`` (per-name aggregate over
     recorded trace trees), and — unless ``include_cache=False`` —
-    ``cache`` (the inspector disk cache's
+    ``cache`` (the synthesis memo's
     :func:`~repro.synthesis.cache.cache_stats`, whose counters read the
-    same typed cache counters as the ``metrics`` section, so
-    ``repro stats`` and ``repro cache stats`` can never disagree).
+    same typed cache counters as the ``metrics`` section).
     """
     # Imported lazily: obs imports nothing from repro at module level,
     # since the IR and the synthesis cache themselves record into it.

@@ -6,10 +6,10 @@ predictions with short measured runs.  This module keeps those
 measurements, so the second user with a *similar* matrix (same stats
 bucket) gets the tuned plan with zero measurement.
 
-Follows the PR 2 inspector-cache conventions (:mod:`repro.synthesis.cache`):
+On disk:
 
 * one JSON file per code-version partition under ``$REPRO_COSTS_DIR``
-  (default ``<cache root>/costs``), written atomically,
+  (default ``~/.cache/repro-spf/costs``), written atomically,
 * a hash of the package source partitions the store, so entries measured
   against an older synthesizer can never steer a newer one,
 * an env kill switch, ``REPRO_COSTS_DISABLE=1``.
@@ -17,7 +17,8 @@ Follows the PR 2 inspector-cache conventions (:mod:`repro.synthesis.cache`):
 Entries are keyed ``<conversion key>|<stats bucket>`` where the
 conversion key hashes the *generated inspector source* plus backend —
 two descriptor parameterizations that lower to identical code share
-their measurements, and any code change invalidates them.  Each entry
+their measurements, as do two processes (each prints the same source),
+and any code change invalidates them.  Each entry
 keeps an exponentially weighted mean of the measured seconds, the
 prediction (in abstract cost units) current when it was recorded, and an
 update count.  The store is size-bounded: beyond ``REPRO_COSTS_MAX``
@@ -72,9 +73,7 @@ def costs_root() -> Path:
     env = os.environ.get("REPRO_COSTS_DIR")
     if env:
         return Path(env)
-    from repro.synthesis.cache import cache_root
-
-    return cache_root() / "costs"
+    return Path.home() / ".cache" / "repro-spf" / "costs"
 
 
 def costs_dir() -> Path:
@@ -167,11 +166,9 @@ class CostStore:
                 entries[key] = disk_entry
 
     def _flush(self) -> None:
-        from repro.synthesis.cache import _atomic_write_json
-
         payload = {"schema": _SCHEMA, "entries": self._entries or {}}
         try:
-            _atomic_write_json(self.path, payload)
+            obs.atomic_write_text(self.path, json.dumps(payload))
             _WRITE.inc()
         except OSError:
             _WRITE_ERROR.inc()

@@ -15,7 +15,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
-from repro.ir import Constraint, Expr, ExprLike, UFCall, as_expr
+from repro.ir import Constraint, ExprLike, UFCall, as_expr
 
 _WORD = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 

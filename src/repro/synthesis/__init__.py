@@ -17,7 +17,6 @@ from .engine import synthesize
 from .analysis import constraints_per_unknown_uf, render_table2
 from .cache import (
     cache_stats,
-    clear_disk_cache,
     clear_memo,
     format_fingerprint,
     synthesize_cached,
@@ -38,7 +37,6 @@ __all__ = [
     "case_match_stage",
     "classify",
     "compose_stage",
-    "clear_disk_cache",
     "clear_memo",
     "constraints_per_unknown_uf",
     "format_fingerprint",

@@ -326,7 +326,9 @@ def build_stage(
         needed_dst_vars.append(v)
 
     copy_kd_expr = finalize_expr(kd_expr)
-    for v in copy_kd_expr.var_names():
+    # Names come from sets: walk them sorted, so the copy's lets print in
+    # the same order whatever PYTHONHASHSEED is.
+    for v in sorted(copy_kd_expr.var_names()):
         if v in dst_vars:
             if pos_stateful and v == position_var:
                 continue  # bound by the stateful position statement
@@ -338,7 +340,7 @@ def build_stage(
         value = values.get(v)
         if value is None:
             continue
-        for dep in value.var_names():
+        for dep in sorted(value.var_names()):
             if dep in dst_vars and dep not in needed_dst_vars:
                 needed_dst_vars.append(dep)
                 frontier.append(dep)

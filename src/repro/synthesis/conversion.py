@@ -6,8 +6,7 @@ stage modules (:mod:`.compose`, :mod:`.casematch`, :mod:`.build`,
 here, and :mod:`.engine` assembles their artifacts into a
 :class:`SynthesizedConversion`.  Its lowered ``program`` is the record of
 the conversion: the cost features, the display C and the deep-trace timed
-variant are all printed from it, whether the conversion was synthesized
-in this process or loaded from the disk cache.
+variant are all printed from it.
 """
 
 from __future__ import annotations
@@ -69,15 +68,14 @@ class SynthesizedConversion:
     executable printing of it; :attr:`c_source` prints the display C
     version on demand; ``notes`` logs the synthesis decisions (which case
     produced each statement, whether the permutation was eliminated...).
-    ``computation`` is the SPF computation itself, kept in memory only
-    (tandem synthesis re-optimizes it): a conversion loaded from the disk
-    cache has ``computation=None`` and everything else.
+    ``computation`` is the optimized SPF computation itself (tandem
+    synthesis re-optimizes it).
     """
 
     name: str
     src_format: str
     dst_format: str
-    computation: Computation | None
+    computation: Computation
     params: tuple[str, ...]
     returns: tuple[str, ...]
     source: str
@@ -101,8 +99,7 @@ class SynthesizedConversion:
         """The display C rendering of the loop chain, printed on demand.
 
         Only consumers that ask (``repro convert --c``, the walkthrough
-        example) pay for it; it prints the stored program, so a conversion
-        served from the disk cache renders the same text.
+        example) pay for it.
         """
         if self._c_source is None:
             self._c_source = CPrinter(self.symtab).print(self.program)

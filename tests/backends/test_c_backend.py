@@ -1,13 +1,13 @@
 """The compiled-C tier: artifact cache, availability gating, coverage.
 
-The compile-cache tests pin the disk-cache conventions on the .so
-artifact store: content-hashed reuse across processes and a cache miss
-when either partition key (package code version, compiler version tag)
-changes.  The availability tests pin the graceful-degradation contract:
-a missing soft dependency raises the registry's standard
-:class:`BackendUnavailableError` from ``require()``, naming every missing
-one, while every entry point (``convert``, the planner, the fuzzer)
-silently falls back a tier.
+The compile-cache tests pin the .so artifact store's conventions:
+content-hashed reuse across processes, whatever their hash seed, and a
+cache miss when either partition key (package code version, compiler
+version tag) changes.  The availability tests pin the
+graceful-degradation contract: a missing soft dependency raises the
+registry's standard :class:`BackendUnavailableError` from ``require()``,
+naming every missing one, while every entry point (``convert``, the
+planner, the fuzzer) silently falls back a tier.
 """
 
 import hashlib
@@ -129,7 +129,6 @@ class TestCompileCache:
                     **dict(__import__("os").environ),
                     "PYTHONPATH": SRC_DIR,
                     "REPRO_CBACKEND_DIR": str(cache_dir),
-                    "REPRO_CACHE_DISABLE": "1",
                 },
             )
             assert proc.returncode == 0, proc.stderr
@@ -226,27 +225,41 @@ class TestCompileCache:
         digest = hashlib.sha256(jsontext.C_SOURCE.encode()).hexdigest()
         assert so.name == f"{digest[:24]}.so"
 
-    def test_warmed_pair_needs_no_compiler(self, cache_dir, tmp_path,
-                                           monkeypatch):
-        # `repro cache warm --backend c` builds each pair's library through
-        # the loader the first call uses, so a later process compiles
-        # nothing.
-        from repro.synthesis import clear_memo
-        from repro.synthesis.cache import warm
+    def test_warmed_pair_needs_no_compiler(self, cache_dir):
+        # `repro cache warm` builds each pair's library through the loader
+        # the first call uses, so a later process compiles nothing, even
+        # under another hash seed: CSR->BCSR's copy once printed its lets
+        # in set order, so its library name followed PYTHONHASHSEED, and
+        # seeds 0 and 2 printed it differently.
+        import os
 
-        spf_dir = tmp_path / "spf"
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(spf_dir))
-        monkeypatch.delenv("REPRO_CACHE_DISABLE", raising=False)
-        clear_memo()
-        try:
-            # convert() reads the sorted matrix below as SCOO.
-            summary = warm(backend="c", pairs=[("SCOO", "CSR")])
-        finally:
-            clear_memo()
-        assert summary == {"synthesized": 1, "unsynthesizable": 0,
+        def run(script: str, hash_seed: str) -> dict:
+            proc = subprocess.run(
+                [sys.executable, "-c", script],
+                capture_output=True,
+                text=True,
+                env={
+                    **os.environ,
+                    "PYTHONPATH": SRC_DIR,
+                    "PYTHONHASHSEED": hash_seed,
+                    "REPRO_CBACKEND_DIR": str(cache_dir),
+                },
+            )
+            assert proc.returncode == 0, proc.stderr
+            return json.loads(proc.stdout.splitlines()[-1])
+
+        # convert() reads the sorted matrix below as SCOO.
+        summary = run(
+            "import json\n"
+            "from repro.synthesis.cache import warm\n"
+            "print(json.dumps(warm(pairs=[('SCOO', 'CSR'),\n"
+            "                             ('CSR', 'BCSR')])))\n",
+            "0",
+        )
+        assert summary == {"synthesized": 2, "unsynthesizable": 0,
                            "unbuilt": None}
-        assert len(list(cache_dir.glob("*/*.so"))) == 1
-        script = (
+        assert len(list(cache_dir.glob("*/*.so"))) == 2
+        counts = run(
             "import json\n"
             "from repro import COOMatrix, convert\n"
             "from repro.obs import METRICS\n"
@@ -254,27 +267,15 @@ class TestCompileCache:
             "              [1.0, 2.0, 3.0, 4.0])\n"
             "csr = convert(m, 'CSR', backend='c')\n"
             "assert csr.rowptr.tolist() == [0, 1, 2, 4], csr.rowptr\n"
+            "bcsr = convert(csr, 'BCSR', backend='c')\n"
+            "assert bcsr.to_dense() == m.to_dense()\n"
             "print(json.dumps({n: METRICS.counter(n).value() for n in (\n"
             "    'repro_cbackend_compile_miss_total',\n"
-            "    'repro_cbackend_compile_hit_total',\n"
-            "    'repro_cache_miss_total')}))\n"
+            "    'repro_cbackend_compile_hit_total')}))\n",
+            "2",
         )
-        proc = subprocess.run(
-            [sys.executable, "-c", script],
-            capture_output=True,
-            text=True,
-            env={
-                **dict(__import__("os").environ),
-                "PYTHONPATH": SRC_DIR,
-                "REPRO_CBACKEND_DIR": str(cache_dir),
-                "REPRO_CACHE_DIR": str(spf_dir),
-            },
-        )
-        assert proc.returncode == 0, proc.stderr
-        counts = json.loads(proc.stdout.splitlines()[-1])
         assert counts["repro_cbackend_compile_miss_total"] == 0
         assert counts["repro_cbackend_compile_hit_total"] >= 1
-        assert counts["repro_cache_miss_total"] == 0
 
 
 @needs_c
@@ -459,7 +460,6 @@ def test_racing_processes_build_one_runtime_object(cache_dir):
         **dict(__import__("os").environ),
         "PYTHONPATH": SRC_DIR,
         "REPRO_CBACKEND_DIR": str(cache_dir),
-        "REPRO_CACHE_DISABLE": "1",
     }
     go = cache_dir / "go"
     procs = [
@@ -550,15 +550,14 @@ class TestAvailability:
         assert (csr.rowptr, csr.col, csr.val) == (ref.rowptr, ref.col, ref.val)
 
     def test_warm_without_compiler_says_why(self, tmp_path, monkeypatch):
-        # Without a toolchain `cache warm --backend c` still synthesizes,
-        # builds nothing and reports why.
+        # Without a toolchain `cache warm` still synthesizes, builds
+        # nothing and reports why.
         from repro.synthesis.cache import warm
 
         monkeypatch.setenv("CC", "/nonexistent/cc")
         monkeypatch.setattr(c_backend, "_COMPILER_TAG", None)
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "spf"))
         monkeypatch.setenv("REPRO_CBACKEND_DIR", str(tmp_path / "cbackend"))
-        summary = warm(backend="c", pairs=[("SCOO", "CSR")])
+        summary = warm(pairs=[("SCOO", "CSR")])
         assert summary["synthesized"] == 1
         assert "compiler" in summary["unbuilt"]
         assert not (tmp_path / "cbackend").exists()
@@ -658,20 +657,3 @@ class TestLazyCSource:
         assert "for (" in source
         assert conv._c_source is source  # memoized
         assert conv.c_source is source
-
-    def test_disk_loaded_conversion_prints_the_same(
-        self, tmp_path, monkeypatch
-    ):
-        from repro.synthesis import clear_memo, synthesize_cached
-
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-        monkeypatch.delenv("REPRO_CACHE_DISABLE", raising=False)
-        clear_memo()
-        fresh = synthesize_cached(get_format("COO"), get_format("CSR"))
-        clear_memo()
-        loaded = synthesize_cached(get_format("COO"), get_format("CSR"))
-        clear_memo()
-        assert loaded.computation is None  # served from disk
-        assert loaded._c_source is None
-        assert loaded.c_source == fresh.c_source
-        assert "for (" in loaded.c_source

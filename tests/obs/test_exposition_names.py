@@ -27,9 +27,7 @@ WORKER_NAMES = (
 
 @needs_c
 def test_worker_names_count_their_events(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
     monkeypatch.setenv("REPRO_CBACKEND_DIR", str(tmp_path / "cbackend"))
-    monkeypatch.delenv("REPRO_CACHE_DISABLE", raising=False)
     clear_memo()
     c_backend.clear_lib_memo()
     obs.reset_all()

@@ -31,9 +31,8 @@ def _find(root, name):
 
 
 @pytest.fixture()
-def fresh_synthesis(monkeypatch):
-    """Force a real synthesis: no memo entry, no disk-cache entry."""
-    monkeypatch.setenv("REPRO_CACHE_DISABLE", "1")
+def fresh_synthesis():
+    """Force a real synthesis: no memo entry."""
     repro.synthesis.cache.clear_memo()
     yield
     repro.synthesis.cache.clear_memo()
@@ -213,13 +212,14 @@ class TestStatsCli:
 
         from repro.__main__ import main
 
+        from repro.synthesis import cache_stats
+
         repro.convert(_sample_coo(), "CSR")
         assert main(["stats", "--format", "json"]) == 0
         stats = json.loads(capsys.readouterr().out)
-        assert main(["cache", "stats", "--json"]) == 0
-        cache = json.loads(capsys.readouterr().out)
+        cache = cache_stats()
         assert stats["cache"]["counters"] == cache["counters"]
-        assert stats["cache"]["entries"] == cache["entries"]
+        assert stats["cache"]["memo_entries"] == cache["memo_entries"]
 
     def test_stats_prom_output_parses(self, capsys):
         from repro.__main__ import main

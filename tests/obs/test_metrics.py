@@ -75,9 +75,8 @@ class TestUnifiedSnapshot:
         ]
 
     def test_cache_section_reads_the_typed_cache_counters(self):
-        """`repro stats` and `repro cache stats` must report the same
-        numbers: the cache section's counters are the typed cache
-        counters the ``metrics`` section holds."""
+        """The cache section's counters are the typed cache counters the
+        ``metrics`` section holds, so the two never disagree."""
         METRICS.counter("repro_cache_memo_hit_total").inc(4)
         METRICS.counter("repro_cache_miss_total").inc()
         snapshot = unified_snapshot()
@@ -94,13 +93,13 @@ class TestUnifiedSnapshot:
 
     def test_stats_file_payload_is_the_unified_snapshot(self):
         """The REPRO_CACHE_STATS_FILE dump is the unified snapshot itself
-        (CI's cache job reads ``["cache"]["counters"]``)."""
-        METRICS.counter("repro_cache_disk_write_total").inc(2)
+        (CI's warm step reads its ``metrics`` section)."""
+        METRICS.counter("repro_cache_miss_total").inc(2)
         from repro.synthesis.cache import stats_file_payload
 
         payload = stats_file_payload()
         assert sorted(payload) == sorted(unified_snapshot())
-        assert payload["cache"]["counters"]["repro_cache_disk_write_total"] == 2
+        assert payload["cache"]["counters"]["repro_cache_miss_total"] == 2
 
     def test_typed_metrics_land_in_snapshot(self):
         METRICS.counter("repro_test_metric", "docs").inc(3, kind="x")

@@ -1,27 +1,25 @@
 """Cache keys must cover the resolved pass pipeline.
 
 Disabling a pass changes the generated inspector, so a request with
-``disabled_passes`` must never be served an inspector cached for the
-full pipeline (or vice versa) — from the memo or from disk.
+``disabled_passes`` must never be served an inspector memoized for the
+full pipeline (or vice versa).
 """
 
 import pytest
 
 from repro.formats import get_format
-from repro.synthesis import clear_memo, synthesize_cached
+from repro.synthesis import cache_stats, clear_memo, synthesize_cached
 
 
 @pytest.fixture
-def isolated_cache(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    monkeypatch.delenv("REPRO_CACHE_DISABLE", raising=False)
+def fresh_memo():
     clear_memo()
-    yield tmp_path / "cache"
+    yield
     clear_memo()
 
 
 class TestPassConfigKeys:
-    def test_disabled_pass_gets_distinct_memo_entry(self, isolated_cache):
+    def test_disabled_pass_gets_distinct_memo_entry(self, fresh_memo):
         src, dst = get_format("SCOO"), get_format("CSR")
         full = synthesize_cached(src, dst)
         partial = synthesize_cached(src, dst, disabled_passes=("fusion",))
@@ -34,21 +32,7 @@ class TestPassConfigKeys:
             src, dst, disabled_passes=("fusion",)
         ) is partial
 
-    def test_disabled_pass_gets_distinct_disk_entry(self, isolated_cache):
-        src, dst = get_format("SCOO"), get_format("CSR")
-        full = synthesize_cached(src, dst)
-        partial = synthesize_cached(src, dst, disabled_passes=("dce",))
-        entries = list(isolated_cache.rglob("*.json"))
-        assert len(entries) == 2
-        # A cold process (memo dropped) must reload each variant from its
-        # own entry, not cross-serve the other pipeline's inspector.
-        clear_memo()
-        assert synthesize_cached(src, dst).source == full.source
-        assert synthesize_cached(
-            src, dst, disabled_passes=("dce",)
-        ).source == partial.source
-
-    def test_disable_order_is_normalized_into_one_key(self, isolated_cache):
+    def test_disable_order_is_normalized_into_one_key(self, fresh_memo):
         src, dst = get_format("SCOO"), get_format("CSR")
         a = synthesize_cached(src, dst, disabled_passes=("dce", "fusion"))
         b = synthesize_cached(src, dst, disabled_passes=("fusion", "dce"))
@@ -57,9 +41,9 @@ class TestPassConfigKeys:
         assert a is b
 
     def test_unknown_disabled_pass_rejected_before_caching(
-        self, isolated_cache
+        self, fresh_memo
     ):
         src, dst = get_format("SCOO"), get_format("CSR")
         with pytest.raises(ValueError, match="unknown optimization pass"):
             synthesize_cached(src, dst, disabled_passes=("fusoin",))
-        assert list(isolated_cache.rglob("*.json")) == []
+        assert cache_stats()["memo_entries"] == 0

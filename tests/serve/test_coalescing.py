@@ -15,10 +15,8 @@ COALESCED = METRICS.counter("repro_cache_coalesced_total")
 
 
 @pytest.fixture
-def cold_cache(tmp_path, monkeypatch):
-    """A cold synthesis world: fresh disk cache, empty memo."""
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-    monkeypatch.delenv("REPRO_CACHE_DISABLE", raising=False)
+def cold_cache():
+    """A cold synthesis world: an empty memo."""
     clear_memo()
     yield
     clear_memo()

@@ -278,8 +278,7 @@ class TestValidateFloor:
         import subprocess
         import sys
 
-        env = dict(os.environ, REPRO_CACHE_DIR=str(tmp_path / "spf"),
-                   REPRO_CBACKEND_DIR=str(tmp_path / "cc"))
+        env = dict(os.environ, REPRO_CBACKEND_DIR=str(tmp_path / "cc"))
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (SRC_DIR, env.get("PYTHONPATH")) if p
         )

@@ -352,17 +352,13 @@ class TestLiveDaemonCommands:
 
 class TestTelemetryReports:
     def test_profile_then_stats_table_from_a_saved_snapshot(
-        self, tmp_path, monkeypatch, capsys
+        self, tmp_path, capsys
     ):
         from repro.obs import METRICS
         from repro.synthesis import clear_memo
 
-        # A cold synthesis: fresh inspector cache, empty synthesis memo.
-        # The registry is not reset — CI's cache job reads the counters
-        # of the whole suite from the exit dump — so phase counts are
-        # compared to before.
-        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
-        monkeypatch.delenv("REPRO_CACHE_DISABLE", raising=False)
+        # A cold synthesis: an empty synthesis memo.  The registry is not
+        # reset, so phase counts are compared to before.
         clear_memo()
         before = {
             s["labels"]["phase"]: s["value"]["count"]
