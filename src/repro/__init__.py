@@ -119,20 +119,24 @@ def convert(
     The source descriptor is inferred from the container (sorted COO maps to
     SCOO unless ``assume_sorted=False``), the inspector is synthesized once
     and cached, and the outputs are packed back into the right container.
-    ``backend`` selects the lowering (``"python"`` scalar loops or ``"numpy"``
-    vectorized); both produce identical outputs.
+    ``backend`` selects the lowering: ``"python"`` scalar loops,
+    ``"numpy"`` whole-array passes or ``"c"`` compiled native code; all
+    three produce identical outputs, and an unavailable tier degrades
+    c -> numpy -> python.
 
     ``validate`` gates the conversion (:mod:`repro.verify.gate`):
     ``"inputs"`` (the default) runs the source container's :meth:`check`
     and — under ``assume_sorted=True`` — a cheap monotonicity scan, raising
     :class:`~repro.errors.ValidationError` on malformed input instead of
     emitting a silently corrupt container; ``"full"`` additionally checks
-    the output and its dense image; ``"off"`` trusts the caller (benchmark
-    mode — an unsorted plain COO then simply binds to the sorting COO
-    descriptor as before).  Under ``"off"`` every coordinate must lie
-    inside the declared dims: the C tier does not bound-check its stores,
-    so COO→CSR with a row of ``NR + 3`` corrupts the heap and can abort
-    the process ("double free or corruption") or crash it.
+    the output's invariants and compares its shape and stored entries with
+    the source's, O(stored entries) however large the declared shape;
+    ``"off"`` trusts the caller (benchmark mode — an unsorted plain COO
+    then simply binds to the sorting COO descriptor as before).  Under
+    ``"off"`` every coordinate must lie inside the declared dims: the C
+    tier does not bound-check its stores, so COO→CSR with a row of
+    ``NR + 3`` corrupts the heap and can abort the process ("double free
+    or corruption") or crash it.
 
     ``trace`` controls the :mod:`repro.obs` span tree for this call:
     ``None`` follows the process-wide ``REPRO_TRACE`` setting, ``True`` /

@@ -183,23 +183,20 @@ def cmd_convert(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.verify:
-        # Equal nonzero-entry maps <=> equal dense images, without one.
-        if _nonzero_map(result) != _nonzero_map(matrix):
-            print("VERIFICATION FAILED", file=sys.stderr)
+        from repro.errors import ValidationError
+
+        try:
+            result.check_against_dense(matrix)
+        except ValidationError as exc:
+            print(f"VERIFICATION FAILED: {exc}", file=sys.stderr)
             return 1
-        print("verified against the input's nonzero entries",
+        print("verified against the input's stored entries",
               file=sys.stderr)
     # Persist the result's stored entries as sorted COO coordinates.
     write_matrix(result.sorted_lexicographic(), args.output,
                  comment=f"converted to {args.to} by repro")
     print(f"wrote {args.output} ({result})", file=sys.stderr)
     return 0
-
-
-def _nonzero_map(matrix) -> tuple:
-    """A matrix's shape and coordinate -> value map of its nonzeros."""
-    entries = {c: v for c, v in matrix.to_dict().items() if v != 0.0}
-    return (matrix.nrows, matrix.ncols), entries
 
 
 def _stage_matrix(matrix, src: str):
@@ -732,7 +729,8 @@ def main(argv: list[str] | None = None) -> int:
     p_conv.add_argument("--plan", action="store_true",
                         help="use the multi-step planner")
     p_conv.add_argument("--verify", action="store_true",
-                        help="check the result against a dense reference")
+                        help="check the result's invariants and stored "
+                             "entries against the input's")
     p_conv.add_argument("--backend", choices=BACKENDS,
                         default="python",
                         help="lowering backend for the inspector")
@@ -770,7 +768,7 @@ def main(argv: list[str] | None = None) -> int:
     p_fuzz = sub.add_parser(
         "fuzz",
         help="differential fuzzing: adversarial inputs through every "
-             "format pair, cross-checked against dense semantics, "
+             "format pair, cross-checked against the generated entries, "
              "hand-written baselines, and the reference backends",
     )
     p_fuzz.add_argument("--cases", type=int, default=None,

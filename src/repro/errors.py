@@ -79,7 +79,7 @@ class UnsortedInputError(ValidationError):
 
 
 class DenseMismatchError(ValidationError):
-    """A container's dense image differs from its reference semantics."""
+    """A container's shape or stored entries differ from its reference's."""
 
     def __init__(
         self, message: str, *, coordinate=None, expected=None, actual=None,

@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro import convert, dense_equal, get_conversion
+from repro import convert, get_conversion
 from repro.baselines import REGISTRY
 from repro.baselines.hicoo import blocked_morton_sort
 from repro.datagen import DIA_SUBSET, TABLE3, TABLE4, load, load_tensor
@@ -64,12 +64,6 @@ class ExperimentResult:
             "speedups": dict(self.speedups),
             "notes": list(self.notes),
         }
-
-
-def _verify(result, reference_dense) -> None:
-    result.check()
-    if not dense_equal(result.to_dense(), reference_dense):
-        raise AssertionError("conversion produced a different matrix")
 
 
 def _native_inputs(conv, env, backend: str) -> dict:
@@ -176,20 +170,13 @@ def _run_conversion_experiment_body(
         env = container_to_env(source)
 
         if verify:
-            # Verify on a small instance of the same matrix: the dense-image
-            # comparison materializes O(nrows*ncols) cells, which at timing
-            # scales costs far more than the conversions being measured.
-            vcoo = load(name, scale=min(scale, 0.002))
-            vsource = convert(vcoo, "CSR") if src_name == "CSR" else vcoo
-            vdense = vcoo.to_dense()
+            # The matrix being timed: each result's invariants and stored
+            # entries against the source's, O(nnz) at any scale.
             for backend in backends:
-                _verify(
-                    convert(vsource, dst_name, binary_search=binary_search,
-                            backend=backend),
-                    vdense,
-                )
+                convert(source, dst_name, binary_search=binary_search,
+                        backend=backend).check_against_dense(coo)
             for lib in BASELINE_LIBS:
-                _verify(REGISTRY[(conversion, lib)](vsource), vdense)
+                REGISTRY[(conversion, lib)](source).check_against_dense(coo)
 
         row: list[object] = [name, coo.nnz]
         for backend in backends:
@@ -279,11 +266,9 @@ def run_table4(
             ours_t = MortonCOOTensor3D(
                 tensor.dims, out["row_m"], out["col_m"], out["z_m"], out["Adst"]
             )
-            ours_t.check()
+            ours_t.check_against_dense(tensor)
             hic = blocked_morton_sort(tensor, block_bits=block_bits)
             hic.check()
-            if ours_t.to_dict() != tensor.to_dict():
-                raise AssertionError("synthesized reorder lost entries")
             if (hic.row, hic.col, hic.z) != (ours_t.row, ours_t.col, ours_t.z):
                 raise AssertionError("blocked and direct Morton orders differ")
 

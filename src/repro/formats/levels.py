@@ -49,9 +49,9 @@ arrays from coordinate cells (:class:`Cells`) or a dense image, and
 :meth:`Composition.entries` reads the stored entries back —
 :meth:`Composition.interpret` turns them into the dense image.  Every
 runtime container's round trip runs through these, and, being
-independent of any synthesized inspector, they are the oracle pair the
-random-composition fuzzer (``repro fuzz --random-formats``) checks
-generated conversions against.
+independent of any synthesized inspector, ``assemble`` and ``entries``
+are the oracle pair the random-composition fuzzer (``repro fuzz
+--random-formats``) checks generated conversions against.
 """
 
 from __future__ import annotations
@@ -394,9 +394,9 @@ class Composition:
     def interpret(self, env: Mapping) -> list:
         """Read the dense image back from an environment of arrays.
 
-        The inverse of :meth:`assemble`; also accepts inspector *outputs*
-        (plus shape symbols), which is how synthesized conversions *into*
-        a composed format are checked without a bespoke container.
+        The inverse of :meth:`assemble`.  Content checks compare
+        :meth:`entries` instead, which costs O(stored entries) whatever
+        the shape.
         """
         return self.entries(env).to_dense()
 

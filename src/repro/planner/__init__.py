@@ -358,7 +358,7 @@ class ConversionPlanner:
         ``validate`` gates the chain like :func:`repro.convert`: the
         source container is checked before the first step, and at
         ``"full"`` every intermediate and the final result are checked
-        against the source's dense semantics.  ``trace`` forces the
+        against the source's shape and stored entries.  ``trace`` forces the
         :mod:`repro.obs` span tree on/off for this call (``None`` follows
         ``REPRO_TRACE``).  ``matrix_aware=True`` profiles the container
         first and plans with per-matrix edge costs, feeding measured step

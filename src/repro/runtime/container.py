@@ -173,9 +173,11 @@ class LevelContainer:
     def check_against_dense(self, reference, *, tol: float = 0.0) -> None:
         """Validate invariants *and* compare the contents to ``reference``.
 
-        ``reference`` is a dense image, or a coordinate -> value mapping
-        (the reference form of a 3-D tensor).  Structural violations
-        surface from :meth:`check`, the first differing cell as a
+        ``reference`` is another container, a
+        :class:`~repro.formats.levels.Cells`, a dense image or a
+        coordinate -> value mapping (:func:`compare_contents`).
+        Structural violations surface from :meth:`check`, a different
+        shape or the first differing coordinate as a
         :class:`~repro.errors.DenseMismatchError` naming the coordinate
         and both values.
         """
@@ -260,43 +262,52 @@ def container_class(name: str) -> type | None:
     return CONTAINERS.get(name) or CONTAINERS.get(name.rstrip("0123456789"))
 
 
-def compare_contents(container, reference, tol: float = 0.0) -> None:
-    """Raise :class:`DenseMismatchError` at the first cell where
-    ``container`` differs from a dense image or coordinate map."""
+def _shape(obj) -> tuple:
+    """The shape of a container or a :class:`~repro.formats.levels.Cells`."""
+    if hasattr(obj, "layout"):
+        return tuple(obj.layout.shape_of(obj))
+    if hasattr(obj, "dims"):  # HiCOO, which declares no layout
+        return tuple(obj.dims)
+    return obj.shape
+
+
+def compare_contents(actual, reference, tol: float = 0.0) -> None:
+    """Raise :class:`DenseMismatchError` where ``actual`` and
+    ``reference`` hold different contents.
+
+    ``actual`` is a container or a :class:`~repro.formats.levels.Cells`;
+    ``reference`` is either of those, a dense image or a coordinate ->
+    value map.  The shapes must agree whenever the reference has one
+    (a map has none), and the stored entries are compared as coordinate
+    maps, an absent coordinate reading 0.0, so the cost is O(stored
+    entries) whatever the shape.  The error names the row-major first
+    differing coordinate.
+    """
+    from repro.formats.levels import Cells
+
+    shape, have = _shape(actual), actual.to_dict()
     if isinstance(reference, Mapping):
-        actual = container.to_dict()
-        for coord in set(actual) | set(reference):
-            x = actual.get(coord, 0.0)
-            y = reference.get(coord, 0.0)
-            if abs(x - y) > tol:
-                raise DenseMismatchError(
-                    f"coordinate map differs at {coord}: stored {x!r}, "
-                    f"reference {y!r}",
-                    coordinate=coord,
-                    expected=y,
-                    actual=x,
-                    container=repr(container),
-                )
-        return
-    actual = container.to_dense()
-    if len(actual) != len(reference) or (
-        actual and reference and len(actual[0]) != len(reference[0])
-    ):
+        want_shape, want = None, reference
+    else:
+        if not hasattr(reference, "to_dict"):  # a dense image
+            reference = Cells.from_dense(reference, len(shape))
+        want_shape, want = _shape(reference), reference.to_dict()
+    if want_shape is not None and want_shape != shape:
         raise DenseMismatchError(
-            f"dense image is "
-            f"{len(actual)}x{len(actual[0]) if actual else 0}, reference "
-            f"is {len(reference)}x"
-            f"{len(reference[0]) if reference else 0}",
-            container=repr(container),
+            f"shape {shape} differs from the reference's {want_shape}",
+            container=repr(actual),
         )
-    for i, (ra, rb) in enumerate(zip(actual, reference)):
-        for j, (x, y) in enumerate(zip(ra, rb)):
-            if abs(x - y) > tol:
-                raise DenseMismatchError(
-                    f"dense image differs at ({i}, {j}): "
-                    f"stored {x!r}, reference {y!r}",
-                    coordinate=(i, j),
-                    expected=y,
-                    actual=x,
-                    container=repr(container),
-                )
+    differing = [
+        coord for coord in have.keys() | want.keys()
+        if abs(have.get(coord, 0.0) - want.get(coord, 0.0)) > tol
+    ]
+    if differing:
+        coord = min(differing)
+        x, y = have.get(coord, 0.0), want.get(coord, 0.0)
+        raise DenseMismatchError(
+            f"contents differ at {coord}: stored {x!r}, reference {y!r}",
+            coordinate=coord,
+            expected=y,
+            actual=x,
+            container=repr(actual),
+        )

@@ -146,7 +146,8 @@ class HiCOOTensor:
                 )
 
     def check_against_dense(self, reference, *, tol: float = 0.0) -> None:
-        """Validate invariants and compare ``to_dict()`` to ``reference``."""
+        """Validate invariants and compare the stored entries with
+        ``reference`` (:func:`~repro.runtime.container.compare_contents`)."""
         self.check()
         compare_contents(self, reference, tol)
 

@@ -14,9 +14,11 @@ A convert request::
      "backend": "python",       # optional; degrades c -> numpy -> python
      "validate": "inputs",      # off | inputs | full; at least the
                                 #   daemon's --validate level
-     "optimize": true,
+     "optimize": true,          # JSON booleans only
      "binary_search": false,
-     "plan": false,             # route through the multi-step planner
+     "plan": false,             # route through the multi-step planner,
+                                #   which takes neither optimize: false
+                                #   nor binary_search: true
      "assume_sorted": null,     # null = detect from the data
      "trace_id": "abc123"}      # optional client-supplied correlation id
 
@@ -162,6 +164,22 @@ def parse_convert_request(doc: Mapping[str, Any]) -> dict:
     assume_sorted = doc.get("assume_sorted")
     if assume_sorted is not None and not isinstance(assume_sorted, bool):
         raise ProtocolError("assume_sorted must be a boolean or null")
+    flags = {
+        name: doc.get(name, default)
+        for name, default in (
+            ("optimize", True), ("binary_search", False), ("plan", False)
+        )
+    }
+    for name, value in flags.items():
+        # A string or number must not read as its truth value.
+        if not isinstance(value, bool):
+            raise ProtocolError(f"{name} must be a boolean")
+    if flags["plan"] and (not flags["optimize"] or flags["binary_search"]):
+        raise ProtocolError(
+            "plan: true synthesizes every step optimized and without "
+            "binary search, so it takes neither optimize: false nor "
+            "binary_search: true"
+        )
     trace_id = doc.get("trace_id")
     if trace_id is not None:
         from repro.obs import valid_trace_id
@@ -175,9 +193,7 @@ def parse_convert_request(doc: Mapping[str, Any]) -> dict:
         "matrix": parse_matrix(doc["matrix"]),
         "backend": backend,
         "validate": validate,
-        "optimize": bool(doc.get("optimize", True)),
-        "binary_search": bool(doc.get("binary_search", False)),
-        "plan": bool(doc.get("plan", False)),
+        **flags,
         "assume_sorted": assume_sorted,
         "trace_id": trace_id,
     }

@@ -4,14 +4,15 @@ Two halves, one goal — no silent corruption:
 
 * :mod:`repro.verify.gate` — the ``validate="off"|"inputs"|"full"`` knob
   threaded through :func:`repro.convert`, the planner, and the CLI.  It
-  invokes every container's :meth:`check` (and, at ``"full"``, the dense
-  round-trip) at the conversion boundary, turning malformed inputs into
+  invokes every container's :meth:`check` (and, at ``"full"``, compares
+  the output's stored entries with the source's) at the conversion
+  boundary, turning malformed inputs into
   structured :class:`~repro.errors.ValidationError`\\ s instead of corrupt
   outputs.
 * :mod:`repro.verify.fuzz` — the property-based differential fuzzer
   (``repro fuzz``): adversarial random inputs pushed through every
   synthesizable format pair x backend x optimize flag, cross-checked
-  against dense semantics, the hand-written baselines, and the scalar
+  against the generated entries, the hand-written baselines, and the scalar
   lowering, with deterministic seeds, minimal-case shrinking, and a
   machine-readable failure report.
 """

@@ -10,11 +10,12 @@ backend x optimize flag, and once more through every DIA destination
 with ``binary_search=True`` (the Figure 3 rewrite, its own ``:bsearch``
 variant in the report), cross-checking:
 
-* **dense semantics** — the converted container's invariants
-  (``structure``) and its dense image against the generator's dense
-  reference (``dense``); ``convert`` runs with ``validate="inputs"``, so
-  its gate judges only the input and a wrong output is never reported
-  as a rejected one,
+* **contents** — the converted container's invariants (``structure``)
+  and its shape and stored entries against the generator's cells
+  (``dense``), through the one content oracle
+  (:func:`repro.runtime.container.compare_contents`); ``convert`` runs
+  with ``validate="inputs"``, so its gate judges only the input and a
+  wrong output is never reported as a rejected one,
 * **hand-written baselines** — exact output-array equality against the
   TACO/MKL/SPARSKIT-style reference converters where one exists,
 * **backend agreement** — each tier's container must match those of its
@@ -24,10 +25,13 @@ variant in the report), cross-checking:
   :class:`~repro.errors.ValidationError`, never return a container or
   escape as a raw ``IndexError``.
 
-Runs are deterministic per ``seed``; every failure is shrunk to a minimal
-reproducing input (greedy nonzero removal + dimension trimming) and
-reported machine-readably (:meth:`FuzzReport.to_dict`).  A run left with
-no available backend checks nothing and fails.
+Every case, a matrix or a 3-D tensor, is carried as the
+:class:`~repro.formats.levels.Cells` of its rank, so one source builder,
+one case runner and one shrinker serve both ranks.  Runs are
+deterministic per ``seed``; every failure is shrunk to a minimal
+reproducing input (greedy entry removal + trimming unused trailing
+indices) and reported machine-readably (:meth:`FuzzReport.to_dict`).  A
+run left with no available backend checks nothing and fails.
 """
 
 from __future__ import annotations
@@ -37,6 +41,8 @@ import time
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Optional, Sequence
+
+import numpy as np
 
 import repro.obs as obs
 from repro.backends import backend_names, get_backend
@@ -48,6 +54,7 @@ from repro.errors import (
 )
 from repro.formats import get_format
 from repro.formats.bindings import assemble_container
+from repro.formats.levels import Cells
 from repro.runtime import (
     BCSCMatrix,
     BCSRMatrix,
@@ -63,9 +70,8 @@ from repro.runtime import (
     MortonCOOTensor3D,
     container_class,
 )
+from repro.runtime.container import compare_contents
 from repro.synthesis import SynthesisError, synthesize_cached
-
-Dense = list
 
 _FUZZ_CASES = obs.counter("repro_fuzz_cases", "fuzzer cases by outcome")
 
@@ -93,40 +99,43 @@ def _rand_val(rng: random.Random) -> float:
     return round(rng.uniform(-9, 9), 3) or 1.0
 
 
-def _dense_from_cells(nrows, ncols, cells, rng) -> Dense:
-    dense = [[0.0] * ncols for _ in range(nrows)]
-    for i, j in cells:
-        dense[i][j] = _rand_val(rng)
-    return dense
+def _draw(shape, coords, rng) -> Cells:
+    """The cells of ``shape`` at the distinct ``coords``, in row-major
+    order, each holding a random nonzero value."""
+    coords = sorted(set(coords))
+    return Cells(
+        tuple(shape),
+        tuple(np.array([c[axis] for c in coords], dtype=np.int64)
+              for axis in range(len(shape))),
+        np.array([_rand_val(rng) for _ in coords], dtype=np.float64),
+    )
 
 
 def _gen_empty(rng):
-    return _dense_from_cells(rng.randint(1, 6), rng.randint(1, 6), [], rng)
+    return _draw((rng.randint(1, 6), rng.randint(1, 6)), [], rng)
 
 
 def _gen_single_cell(rng):
     nr, nc = rng.randint(1, 6), rng.randint(1, 6)
-    return _dense_from_cells(
-        nr, nc, [(rng.randrange(nr), rng.randrange(nc))], rng
-    )
+    return _draw((nr, nc), [(rng.randrange(nr), rng.randrange(nc))], rng)
 
 
 def _gen_single_row(rng):
     nc = rng.randint(1, 10)
     cells = [(0, j) for j in range(nc) if rng.random() < 0.6]
-    return _dense_from_cells(1, nc, cells, rng)
+    return _draw((1, nc), cells, rng)
 
 
 def _gen_single_col(rng):
     nr = rng.randint(1, 10)
     cells = [(i, 0) for i in range(nr) if rng.random() < 0.6]
-    return _dense_from_cells(nr, 1, cells, rng)
+    return _draw((nr, 1), cells, rng)
 
 
 def _gen_fully_dense(rng):
     nr, nc = rng.randint(1, 5), rng.randint(1, 5)
-    return _dense_from_cells(
-        nr, nc, [(i, j) for i in range(nr) for j in range(nc)], rng
+    return _draw(
+        (nr, nc), [(i, j) for i in range(nr) for j in range(nc)], rng
     )
 
 
@@ -138,7 +147,7 @@ def _gen_dense_rows(rng):
             cells.extend((i, j) for j in range(nc))
         elif rng.random() < 0.5:
             cells.append((i, rng.randrange(nc)))
-    return _dense_from_cells(nr, nc, cells, rng)
+    return _draw((nr, nc), cells, rng)
 
 
 def _gen_single_diagonal(rng):
@@ -147,25 +156,25 @@ def _gen_single_diagonal(rng):
     cells = [
         (i, i + off) for i in range(nr) if 0 <= i + off < nc
     ]
-    return _dense_from_cells(nr, nc, cells, rng)
+    return _draw((nr, nc), cells, rng)
 
 
 def _gen_tall(rng):
     nr, nc = rng.randint(6, 12), rng.randint(1, 3)
-    cells = {
+    cells = [
         (rng.randrange(nr), rng.randrange(nc))
         for _ in range(rng.randint(0, nr))
-    }
-    return _dense_from_cells(nr, nc, sorted(cells), rng)
+    ]
+    return _draw((nr, nc), cells, rng)
 
 
 def _gen_wide(rng):
     nr, nc = rng.randint(1, 3), rng.randint(6, 12)
-    cells = {
+    cells = [
         (rng.randrange(nr), rng.randrange(nc))
         for _ in range(rng.randint(0, nc))
-    }
-    return _dense_from_cells(nr, nc, sorted(cells), rng)
+    ]
+    return _draw((nr, nc), cells, rng)
 
 
 def _gen_power_law(rng):
@@ -174,7 +183,7 @@ def _gen_power_law(rng):
     nr, nc = rng.randint(4, 10), rng.randint(4, 10)
     coo = power_law(nr, nc, rng.randint(1, nr * 2),
                     seed=rng.randrange(1 << 30))
-    return coo.to_dense()
+    return _draw((nr, nc), zip(coo.row, coo.col), rng)
 
 
 def _gen_banded(rng):
@@ -186,7 +195,7 @@ def _gen_banded(rng):
     )
     coo = banded(nr, nc, offsets, density=rng.choice((1.0, 0.6)),
                  seed=rng.randrange(1 << 30))
-    return coo.to_dense()
+    return _draw((nr, nc), zip(coo.row, coo.col), rng)
 
 
 def _gen_uniform(rng):
@@ -196,9 +205,32 @@ def _gen_uniform(rng):
     cells = rng.sample(
         [(c // nc, c % nc) for c in range(ncells)], nnz
     )
-    return _dense_from_cells(nr, nc, cells, rng)
+    return _draw((nr, nc), cells, rng)
 
 
+def _gen_empty3(rng):
+    return _draw(tuple(rng.randint(1, 4) for _ in range(3)), [], rng)
+
+
+def _gen_fiber(rng):
+    """Every entry on one (i, j) fiber."""
+    dims = (rng.randint(1, 3), rng.randint(1, 3), rng.randint(2, 8))
+    i, j = rng.randrange(dims[0]), rng.randrange(dims[1])
+    ks = rng.sample(range(dims[2]), rng.randint(1, dims[2]))
+    return _draw(dims, [(i, j, k) for k in ks], rng)
+
+
+def _gen_uniform3(rng):
+    dims = tuple(rng.randint(1, 8) for _ in range(3))
+    cells = [
+        tuple(rng.randrange(n) for n in dims)
+        for _ in range(rng.randint(0, 24))
+    ]
+    return _draw(dims, cells, rng)
+
+
+#: ``(kind, generator)`` per rank; a generator takes a ``random.Random``
+#: and returns the :class:`Cells` of one case.
 CASE_KINDS_2D: tuple[tuple[str, Callable], ...] = (
     ("empty", _gen_empty),
     ("single_cell", _gen_single_cell),
@@ -213,84 +245,41 @@ CASE_KINDS_2D: tuple[tuple[str, Callable], ...] = (
     ("banded", _gen_banded),
     ("uniform", _gen_uniform),
 )
+CASE_KINDS_3D: tuple[tuple[str, Callable], ...] = (
+    ("empty3", _gen_empty3),
+    ("fiber", _gen_fiber),
+    ("uniform3", _gen_uniform3),
+)
+_CASE_KINDS = {2: CASE_KINDS_2D, 3: CASE_KINDS_3D}
 
 
-def _gen_tensor(rng, kind: str) -> COOTensor3D:
-    """A random 3-D tensor; ``kind`` selects a degenerate family."""
-    if kind == "empty3":
-        dims = tuple(rng.randint(1, 4) for _ in range(3))
-        return COOTensor3D(dims, [], [], [], [])
-    if kind == "fiber":  # all nonzeros share one (i, j) fiber
-        dims = (rng.randint(1, 3), rng.randint(1, 3), rng.randint(2, 8))
-        i, j = rng.randrange(dims[0]), rng.randrange(dims[1])
-        ks = sorted(
-            rng.sample(range(dims[2]), rng.randint(1, dims[2]))
-        )
-        return COOTensor3D(
-            dims, [i] * len(ks), [j] * len(ks), ks,
-            [_rand_val(rng) for _ in ks],
-        )
-    dims = tuple(rng.randint(1, 8) for _ in range(3))
-    seen = sorted(
-        {
-            (rng.randrange(dims[0]), rng.randrange(dims[1]),
-             rng.randrange(dims[2]))
-            for _ in range(rng.randint(0, 24))
-        }
-    )
-    rows, cols, zs = (
-        [list(axis) for axis in zip(*seen)] if seen else ([], [], [])
-    )
-    return COOTensor3D(dims, rows, cols, zs, [_rand_val(rng) for _ in rows])
+def _unordered(src: str) -> bool:
+    """Whether ``src`` is an unordered coordinate format (COO, COO3D):
+    its container declares a sorted form other than ``src``."""
+    return container_class(src).layout.sorted_format not in (None, src)
 
 
-CASE_KINDS_3D = ("empty3", "fiber", "uniform3")
+def _make_source(src: str, cells: Cells, rng):
+    """A ``src`` container holding ``cells``, built by the format's own
+    composition — independently of the synthesized code under test.
 
-
-def _shuffle_coo(coo: COOMatrix, rng) -> COOMatrix:
-    order = list(range(coo.nnz))
-    rng.shuffle(order)
-    return COOMatrix(
-        coo.nrows, coo.ncols,
-        [coo.row[n] for n in order],
-        [coo.col[n] for n in order],
-        [coo.val[n] for n in order],
-    )
-
-
-def _assemble(src: str, source):
-    """A ``src`` container holding ``source``'s entries (a dense image or
-    a container), built by the format's own composition — independently
-    of the synthesized code under test."""
-    return assemble_container(container_class(src), source, format_name=src)
-
-
-def _make_source_2d(src: str, dense: Dense, rng) -> object:
-    if src == "COO":
-        return _shuffle_coo(COOMatrix.from_dense(dense), rng)
-    container = _assemble(src, dense)
-    # Sometimes over-allocate an ELL width: inspectors must treat PAD
-    # columns as absent whether or not any row fills the width.
-    if isinstance(container, ELLMatrix) and rng.random() < 0.5:
-        return ELLMatrix.from_dense(
-            dense, container.width + rng.randint(1, 3)
+    An unordered coordinate source holds the entries shuffled, and an
+    ELL source sometimes gets a width above its longest row.
+    """
+    cls = container_class(src)
+    if _unordered(src):
+        order = list(range(len(cells.values)))
+        rng.shuffle(order)
+        cells = Cells(cells.shape, tuple(c[order] for c in cells.coords),
+                      cells.values[order])
+    container = assemble_container(cls, cells, format_name=src)
+    # Inspectors must treat PAD columns as absent whether or not any row
+    # fills the width.
+    if cls is ELLMatrix and rng.random() < 0.5:
+        return assemble_container(
+            cls, cells, (container.width + rng.randint(1, 3),)
         )
     return container
-
-
-def _make_source_3d(src: str, tensor: COOTensor3D, rng) -> object:
-    coo = tensor.sorted_lexicographic()
-    if src == "COO3D":
-        order = list(range(coo.nnz))
-        rng.shuffle(order)
-        return COOTensor3D(
-            coo.dims,
-            [coo.row[n] for n in order],
-            [coo.col[n] for n in order],
-            [coo.z[n] for n in order],
-            [coo.val[n] for n in order],
-        )
-    return _assemble(src, coo)
 
 
 # ----------------------------------------------------------------------
@@ -473,18 +462,12 @@ class FuzzReport:
 # Case execution
 
 
-def _input_repr(container) -> dict:
-    if hasattr(container, "nrows"):
-        return {
-            "dense": container.to_dense(),
-            "container": repr(container),
-        }
+def _input_repr(cells: Cells) -> dict:
+    """A case's input as JSON: its dims and ``[coordinate, value]``
+    entries."""
     return {
-        "dims": list(container.dims),
-        "entries": sorted(
-            (list(c), v) for c, v in container.to_dict().items()
-        ),
-        "container": repr(container),
+        "dims": list(cells.shape),
+        "entries": [[list(c), v] for *c, v in cells.tuples()],
     }
 
 
@@ -543,11 +526,11 @@ def _check_references(out, container, dst: str, backend: str,
     return None
 
 
-def _judge(out, reference) -> Optional[tuple[str, str]]:
+def _judge(out, cells: Cells) -> Optional[tuple[str, str]]:
     """The ``structure`` or ``dense`` finding against the generator's
-    reference (a dense image, or a 3-D coordinate map), or None."""
+    cells, or None."""
     try:
-        out.check_against_dense(reference)
+        out.check_against_dense(cells)
     except DenseMismatchError as err:
         return "dense", str(err)
     except ValidationError as err:
@@ -555,27 +538,23 @@ def _judge(out, reference) -> Optional[tuple[str, str]]:
     return None
 
 
-def _run_case_2d(dense: Dense, src: str, dst: str, backend: str,
-                 optimize: bool, rng,
-                 binary_search: bool = False) -> Optional[tuple[str, str]]:
+def _run_case(cells: Cells, src: str, dst: str, backend: str,
+              optimize: bool, rng,
+              binary_search: bool = False) -> Optional[tuple[str, str]]:
     """Run one conversion case; return (stage, message) on discrepancy."""
     from repro import convert
 
-    container = _make_source_2d(src, dense, rng)
+    container = _make_source(src, cells, rng)
+    options = dict(optimize=optimize, binary_search=binary_search,
+                   assume_sorted=not _unordered(src))
     try:
-        out = convert(
-            container, dst,
-            backend=backend,
-            optimize=optimize,
-            binary_search=binary_search,
-            assume_sorted=(src != "COO"),
-            validate="inputs",
-        )
+        out = convert(container, dst, backend=backend, validate="inputs",
+                      **options)
     except ValidationError as err:
         return "convert", f"well-formed input rejected: {err}"
     except Exception as err:  # noqa: BLE001 - any escape is a finding
         return "convert", f"{type(err).__name__}: {err}"
-    outcome = _judge(out, dense)
+    outcome = _judge(out, cells)
     if outcome is not None:
         return outcome
     try:
@@ -590,122 +569,42 @@ def _run_case_2d(dense: Dense, src: str, dst: str, backend: str,
                 f"synthesized {', '.join(differing)} differs from "
                 f"{type(ref).__name__} baseline",
             )
-    return _check_references(
-        out, container, dst, backend,
-        optimize=optimize,
-        binary_search=binary_search,
-        assume_sorted=(src != "COO"),
-    )
-
-
-def _run_case_3d(tensor: COOTensor3D, src: str, dst: str, backend: str,
-                 optimize: bool, rng) -> Optional[tuple[str, str]]:
-    from repro import convert
-
-    container = _make_source_3d(src, tensor, rng)
-    try:
-        out = convert(
-            container, dst,
-            backend=backend,
-            optimize=optimize,
-            assume_sorted=(src != "COO3D"),
-            validate="inputs",
-        )
-    except ValidationError as err:
-        return "convert", f"well-formed input rejected: {err}"
-    except Exception as err:  # noqa: BLE001
-        return "convert", f"{type(err).__name__}: {err}"
-    outcome = _judge(out, tensor.to_dict())
-    if outcome is not None:
-        return outcome
-    return _check_references(
-        out, container, dst, backend,
-        optimize=optimize, assume_sorted=(src != "COO3D"),
-    )
+    return _check_references(out, container, dst, backend, **options)
 
 
 # ----------------------------------------------------------------------
 # Shrinking
 
 
-def _shrink_dense(dense: Dense, predicate, *, budget: int = 200) -> Dense:
-    """Greedy minimization: zero out nonzeros, then trim trailing dims."""
-    current = [row[:] for row in dense]
+def _shrink(cells: Cells, predicate, *, budget: int = 200) -> Cells:
+    """Greedy minimization: drop entries, then trim unused trailing
+    indices off every axis."""
+    current = cells
     attempts = 0
     improved = True
     while improved and attempts < budget:
         improved = False
-        # 1. Try zeroing each nonzero.
-        for i, row in enumerate(current):
-            for j, v in enumerate(row):
-                if v == 0.0 or attempts >= budget:
-                    continue
-                candidate = [r[:] for r in current]
-                candidate[i][j] = 0.0
+        n = 0
+        while n < len(current.values) and attempts < budget:
+            keep = np.arange(len(current.values)) != n
+            candidate = Cells(current.shape,
+                              tuple(c[keep] for c in current.coords),
+                              current.values[keep])
+            attempts += 1
+            if predicate(candidate):
+                current, improved = candidate, True
+            else:
+                n += 1
+        for axis, coords in enumerate(current.coords):
+            while attempts < budget and current.shape[axis] > 1 \
+                    and not (coords == current.shape[axis] - 1).any():
+                shape = list(current.shape)
+                shape[axis] -= 1
+                candidate = current._replace(shape=tuple(shape))
                 attempts += 1
-                if predicate(candidate):
-                    current = candidate
-                    improved = True
-        # 2. Try dropping the last row / column.
-        while len(current) > 1 and attempts < budget:
-            candidate = [r[:] for r in current[:-1]]
-            attempts += 1
-            if predicate(candidate):
-                current = candidate
-                improved = True
-            else:
-                break
-        while current and len(current[0]) > 1 and attempts < budget:
-            candidate = [r[:-1] for r in current]
-            attempts += 1
-            if predicate(candidate):
-                current = candidate
-                improved = True
-            else:
-                break
-    return current
-
-
-def _shrink_tensor(tensor: COOTensor3D, predicate, *,
-                   budget: int = 120) -> COOTensor3D:
-    """Greedy minimization for 3-D cases: drop entries, shrink dims."""
-    current = tensor
-    attempts = 0
-    improved = True
-    while improved and attempts < budget:
-        improved = False
-        for n in range(current.nnz):
-            if attempts >= budget:
-                break
-            keep = [m for m in range(current.nnz) if m != n]
-            candidate = COOTensor3D(
-                current.dims,
-                [current.row[m] for m in keep],
-                [current.col[m] for m in keep],
-                [current.z[m] for m in keep],
-                [current.val[m] for m in keep],
-            )
-            attempts += 1
-            if predicate(candidate):
-                current = candidate
-                improved = True
-                break
-        for axis in range(3):
-            if attempts >= budget or current.dims[axis] <= 1:
-                continue
-            dims = list(current.dims)
-            dims[axis] -= 1
-            axis_coords = (current.row, current.col, current.z)[axis]
-            if any(c >= dims[axis] for c in axis_coords):
-                continue
-            candidate = COOTensor3D(
-                tuple(dims), current.row, current.col, current.z,
-                current.val,
-            )
-            attempts += 1
-            if predicate(candidate):
-                current = candidate
-                improved = True
+                if not predicate(candidate):
+                    break
+                current, improved = candidate, True
     return current
 
 
@@ -804,33 +703,10 @@ def _run_gate_probe(label, container, kwargs, backend) -> Optional[str]:
 RANDOM_FORMAT_PIVOTS = {2: "SCOO", 3: "SCOO3D"}
 
 
-def _random_dense_3d(rng) -> list:
-    """A random 3-D dense tensor (degenerate shapes included)."""
-    dims = tuple(rng.randint(1, 5) for _ in range(3))
-    dense = [
-        [[0.0] * dims[2] for _ in range(dims[1])] for _ in range(dims[0])
-    ]
-    for _ in range(rng.randint(0, 14)):
-        i, j, k = (rng.randrange(d) for d in dims)
-        dense[i][j][k] = _rand_val(rng)
-    return dense
-
-
-def _dense_nd_equal(a, b, tol: float = 1e-9) -> bool:
-    """:func:`repro.runtime.dense_equal` for any rank (nested-list dense
-    images)."""
-    if isinstance(a, list) and isinstance(b, list):
-        return len(a) == len(b) and all(
-            _dense_nd_equal(x, y, tol) for x, y in zip(a, b)
-        )
-    return not isinstance(a, list) and not isinstance(b, list) \
-        and abs(a - b) <= tol
-
-
 def _env_from_outputs(conversion, outputs: dict, src_env: dict) -> dict:
     """Map inspector outputs back into a composition's environment.
 
-    The destination composition's :meth:`interpret` wants arrays under
+    The destination composition's :meth:`entries` wants arrays under
     the descriptor's *canonical* UF names; ``uf_output_map`` translates
     those to the inspector's (possibly suffixed) output names.  Outputs
     that are neither mapped UFs nor ``Adst`` are derived size symbols
@@ -866,22 +742,24 @@ def fuzz_random_formats(
 
     Each case draws a random valid composition from
     :func:`repro.formats.levels.random_composition` and an adversarial
-    dense input, then checks — on every available backend and optimize
-    level — that
+    input from the generators of its rank, then checks — on every
+    available backend and optimize level — that
 
     * the composed descriptor *synthesizes* (a crash is a finding),
     * converting the composition's arrays to the rank's pivot format
-      (:data:`RANDOM_FORMAT_PIVOTS`) reproduces the dense image, with
+      (:data:`RANDOM_FORMAT_PIVOTS`) reproduces the input's entries, with
       the composition's own :meth:`~repro.formats.levels.Composition.
       assemble` as the independent oracle,
-    * dest-capable compositions also convert *from* the pivot, checked
-      through :meth:`~repro.formats.levels.Composition.interpret`,
+    * dest-capable compositions also convert *from* the pivot, their
+      outputs read back through :meth:`~repro.formats.levels.
+      Composition.entries`,
     * all backends produce identical output arrays.
 
-    Runs are deterministic per ``seed``.  Failures are not shrunk (each
-    case is already a single composition + small dense input); the
-    report reuses :class:`FuzzReport` with one conversion checked per
-    (direction, backend, optimize) combination.
+    Contents are compared by :func:`~repro.runtime.container.
+    compare_contents`.  Runs are deterministic per ``seed``.  Failures
+    are not shrunk (each case is already a single composition + small
+    input); the report reuses :class:`FuzzReport` with one conversion
+    checked per (direction, backend, optimize) combination.
     """
     from repro.formats.levels import LevelError, random_composition
 
@@ -891,14 +769,14 @@ def fuzz_random_formats(
     if not backends:
         return report
 
-    def fail(case, comp, dense, direction, backend, optimize, stage,
+    def fail(case, comp, cells, direction, backend, optimize, stage,
              message):
         report.failures.append(
             FuzzFailure(
                 case=case, kind=comp.family, src=direction[0],
                 dst=direction[1], backend=backend, optimize=optimize,
                 stage=stage, message=message,
-                input_repr={"spec": comp.spec(), "dense": dense},
+                input_repr={"spec": comp.spec(), **_input_repr(cells)},
             )
         )
 
@@ -907,27 +785,24 @@ def fuzz_random_formats(
             break
         case_rng = random.Random(rng.randrange(1 << 30))
         comp = random_composition(case_rng, name=f"RF{case}")
-        if comp.rank == 3:
-            dense = _random_dense_3d(case_rng)
-        else:
-            _, gen = CASE_KINDS_2D[case_rng.randrange(len(CASE_KINDS_2D))]
-            dense = gen(case_rng)
+        kinds = _CASE_KINDS[comp.rank]
+        cells = kinds[case_rng.randrange(len(kinds))][1](case_rng)
         report.cases_run += 1
         pivot_name = RANDOM_FORMAT_PIVOTS[comp.rank]
         pivot_fmt = get_format(pivot_name)
         pivot_comp = pivot_fmt.levels
         try:
             fmt = comp.build()
-            env = comp.assemble(dense)
+            env = comp.assemble(cells)
         except (LevelError, ValueError) as err:
-            fail(case, comp, dense, (comp.name, pivot_name), "-", True,
+            fail(case, comp, cells, (comp.name, pivot_name), "-", True,
                  "build", f"{type(err).__name__}: {err}")
             continue
         directions = [(fmt, pivot_fmt, comp, pivot_comp, env)]
         if comp.dest_capable:
             directions.append(
                 (pivot_fmt, fmt, pivot_comp, comp,
-                 pivot_comp.assemble(dense))
+                 pivot_comp.assemble(cells))
             )
         for src_fmt, dst_fmt, _, dst_comp, src_env in directions:
             direction = (src_fmt.name, dst_fmt.name)
@@ -941,7 +816,7 @@ def fuzz_random_formats(
                             backend=backend, optimize=optimize,
                         )
                     except SynthesisError as err:
-                        fail(case, comp, dense, direction, backend,
+                        fail(case, comp, cells, direction, backend,
                              optimize, "synthesize", str(err))
                         continue
                     try:
@@ -949,25 +824,25 @@ def fuzz_random_formats(
                             **{p: src_env[p] for p in conversion.params}
                         )
                     except Exception as err:  # noqa: BLE001 - a finding
-                        fail(case, comp, dense, direction, backend,
+                        fail(case, comp, cells, direction, backend,
                              optimize, "run",
                              f"{type(err).__name__}: {err}")
                         continue
                     try:
-                        got = dst_comp.interpret(
+                        got = dst_comp.entries(
                             _env_from_outputs(conversion, outputs, src_env)
                         )
                     except Exception as err:  # noqa: BLE001 - a finding
-                        fail(case, comp, dense, direction, backend,
+                        fail(case, comp, cells, direction, backend,
                              optimize, "dense",
                              f"outputs unreadable: {type(err).__name__}: "
                              f"{err}")
                         continue
-                    if not _dense_nd_equal(got, dense):
-                        fail(case, comp, dense, direction, backend,
-                             optimize, "dense",
-                             "dense image differs from the assemble/"
-                             "interpret oracle")
+                    try:
+                        compare_contents(got, cells)
+                    except DenseMismatchError as err:
+                        fail(case, comp, cells, direction, backend,
+                             optimize, "dense", str(err))
                         continue
                     if reference_outputs is None:
                         reference_outputs = (backend, outputs)
@@ -975,7 +850,7 @@ def fuzz_random_formats(
                     ref_backend, ref = reference_outputs
                     differing = _differing(ref, outputs)
                     if differing:
-                        fail(case, comp, dense, direction, backend,
+                        fail(case, comp, cells, direction, backend,
                              optimize, "backend",
                              f"{backend} lowering's "
                              f"{', '.join(differing)} differ from the "
@@ -1112,7 +987,6 @@ def fuzz(
                 )
 
     covered: set = set()
-    kinds_2d = list(CASE_KINDS_2D)
     with obs.TRACER.forced(trace):
         for case in range(cases):
             if len(report.failures) >= max_failures:
@@ -1130,71 +1004,29 @@ def fuzz(
             with obs.span(
                 "fuzz.case", category="fuzz", case=case, combo=combo_key
             ) as case_span:
-                if src in SOURCES_3D:
-                    kind = CASE_KINDS_3D[case % len(CASE_KINDS_3D)]
-                    tensor = _gen_tensor(random.Random(case_seed), kind)
+                kinds = _CASE_KINDS[container_class(src).layout.rank]
+                kind, gen = kinds[case % len(kinds)]
+                cells = gen(random.Random(case_seed))
 
-                    def predicate_3d(candidate):
-                        return (
-                            _run_case_3d(candidate, src, dst, backend,
-                                         optimize,
-                                         random.Random(case_seed))
-                            is not None
+                def run(candidate):
+                    return _run_case(candidate, src, dst, backend, optimize,
+                                     random.Random(case_seed), bsearch)
+
+                outcome = run(cells)
+                if outcome is not None:
+                    if shrink:
+                        cells = _shrink(cells, lambda c: run(c) is not None)
+                        outcome = run(cells) or outcome
+                    stage, message = outcome
+                    report.failures.append(
+                        FuzzFailure(
+                            case=case, kind=kind, src=src, dst=dst,
+                            backend=backend, optimize=optimize,
+                            stage=stage, message=message,
+                            input_repr=_input_repr(cells),
+                            binary_search=bsearch,
                         )
-
-                    outcome = _run_case_3d(
-                        tensor, src, dst, backend, optimize,
-                        random.Random(case_seed),
                     )
-                    if outcome is not None:
-                        if shrink:
-                            tensor = _shrink_tensor(tensor, predicate_3d)
-                            outcome = _run_case_3d(
-                                tensor, src, dst, backend, optimize,
-                                random.Random(case_seed),
-                            ) or outcome
-                        stage, message = outcome
-                        report.failures.append(
-                            FuzzFailure(
-                                case=case, kind=kind, src=src, dst=dst,
-                                backend=backend, optimize=optimize,
-                                stage=stage, message=message,
-                                input_repr=_input_repr(tensor),
-                            )
-                        )
-                else:
-                    kind, gen = kinds_2d[case % len(kinds_2d)]
-                    dense = gen(random.Random(case_seed))
-
-                    def predicate_2d(candidate):
-                        return (
-                            _run_case_2d(candidate, src, dst, backend,
-                                         optimize,
-                                         random.Random(case_seed), bsearch)
-                            is not None
-                        )
-
-                    outcome = _run_case_2d(
-                        dense, src, dst, backend, optimize,
-                        random.Random(case_seed), bsearch,
-                    )
-                    if outcome is not None:
-                        if shrink:
-                            dense = _shrink_dense(dense, predicate_2d)
-                            outcome = _run_case_2d(
-                                dense, src, dst, backend, optimize,
-                                random.Random(case_seed), bsearch,
-                            ) or outcome
-                        stage, message = outcome
-                        report.failures.append(
-                            FuzzFailure(
-                                case=case, kind=kind, src=src, dst=dst,
-                                backend=backend, optimize=optimize,
-                                stage=stage, message=message,
-                                input_repr={"dense": dense},
-                                binary_search=bsearch,
-                            )
-                        )
                 failed = outcome is not None
                 case_span.set(kind=kind, outcome="fail" if failed else "ok")
             _account(combo_key, case_start, failed)

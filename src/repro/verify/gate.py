@@ -11,16 +11,18 @@ generated code).  This module is the enforcement point:
 * ``validate="inputs"``  — run the source container's :meth:`check` plus
   the ``assume_sorted`` monotonicity precondition (the default),
 * ``validate="full"``    — additionally :meth:`check` the converted
-  output and compare its dense image against the source's.
+  output and compare its stored entries with the source's.
 
 Costs: ``"inputs"`` is a constant number of vectorized O(nnz) numpy
 passes derived from the source format's level composition
 (:meth:`repro.formats.levels.Composition.check`), plus at most one sort
 for unordered coordinate formats — none when the coordinates already
-arrive in strictly increasing order.  ``"full"`` adds an
-O(nrows * ncols) dense materialization per conversion for matrices
-(coordinate-map comparison for 3-D tensors), so reserve it for
-debugging and the differential fuzzer.
+arrive in strictly increasing order.  ``"full"`` adds the output's
+:meth:`check` and a comparison of both sides' coordinate -> value maps,
+O(stored entries) for every rank however large the declared shape
+(:func:`repro.runtime.container.compare_contents`); its Python loop
+over the entries makes it the debugging level, and the differential
+fuzzer's.
 """
 
 from __future__ import annotations
@@ -78,22 +80,18 @@ def check_input(container, *, level: str = "inputs",
 
 
 def check_output(result, source, *, level: str = "full") -> None:
-    """Gate a converted container against the source's dense semantics.
+    """Gate a converted container against the source's contents.
 
-    At ``level="full"`` the result's invariants are checked and its dense
-    image (coordinate map for 3-D tensors) must equal the source's.  Lower
-    levels do nothing — outputs of a well-formed input are correct by
-    construction, which is exactly the property the fuzzer keeps honest.
+    At ``level="full"`` the result's invariants are checked and its shape
+    and stored entries must equal the source's.  Lower levels do nothing
+    — outputs of a well-formed input are correct by construction, which
+    is exactly the property the fuzzer keeps honest.
     """
     if normalize_level(level) != "full":
         return
     _CHECKS.inc(where="output")
     try:
-        # Matrices compare dense images, tensors their coordinate maps.
-        result.check_against_dense(
-            source.to_dense() if hasattr(source, "nrows")
-            else source.to_dict()
-        )
+        result.check_against_dense(source)
     except ValidationError as err:
         _REJECTIONS.inc(error=type(err).__name__, where="output")
         raise

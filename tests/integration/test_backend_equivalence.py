@@ -1,11 +1,11 @@
 """Every lowering tier must agree with the scalar one on every planner pair.
 
 The per-pair tests run each synthesizable pair over the planner's formats
-through the differential fuzzer's case runners, on every available tier
+through the differential fuzzer's case runner, on every available tier
 (python, numpy, and C where a toolchain is present).  Each case gets the
-fuzzer's full checks: the input gate, the output's invariants and its
-dense image against the generator's, the hand-written baselines where
-one exists, and each tier's container against those of
+fuzzer's full checks: the input gate, the output's invariants, shape and
+stored entries against the generator's cells, the hand-written baselines
+where one exists, and each tier's container against those of
 its ``differential_references``, field for field and typecode for
 typecode.  The inputs are fixed: an empty 4x5 matrix, a 1x1 matrix (an
 empty 2x3x4 tensor for 3-D pairs) and seeded draws from the fuzzer's
@@ -31,6 +31,7 @@ from repro import (
 )
 from repro.backends import get_backend
 from repro.formats import get_format
+from repro.formats.levels import Cells
 from repro.ir import IntSet, Sym, UFCall, Var
 from repro.planner import PLANNABLE_2D, PLANNABLE_3D
 from repro.runtime.executor import base_namespace
@@ -41,10 +42,9 @@ from repro.verify.fuzz import (
     CASE_KINDS_2D,
     CASE_KINDS_3D,
     _differing,
-    _gen_tensor,
     _gen_uniform,
-    _run_case_2d,
-    _run_case_3d,
+    _gen_uniform3,
+    _run_case,
     _synthesizable_pairs,
 )
 
@@ -64,21 +64,21 @@ PAIRS_2D = _planner_pairs(PLANNABLE_2D)
 PAIRS_3D = _planner_pairs(PLANNABLE_3D)
 
 INPUTS_2D = [
-    ("empty", [[0.0] * 5 for _ in range(4)]),
-    ("1x1", [[7.0]]),
+    ("empty", Cells.from_dense([[0.0] * 5 for _ in range(4)], 2)),
+    ("1x1", Cells.from_dense([[7.0]], 2)),
 ] + [(f"uniform{seed}", _gen_uniform(random.Random(seed)))
      for seed in range(3)]
-INPUTS_3D = [("empty", COOTensor3D((2, 3, 4), [], [], [], []))] + [
-    (f"uniform{seed}", _gen_tensor(random.Random(seed), "uniform3"))
+INPUTS_3D = [("empty", Cells.from_dense(np.zeros((2, 3, 4)), 3))] + [
+    (f"uniform{seed}", _gen_uniform3(random.Random(seed)))
     for seed in range(3)
 ]
 
 
-def _pair_agrees(run_case, inputs, src, dst):
+def _pair_agrees(inputs, src, dst):
     for backend in TIERS:
-        for tag, data in inputs:
-            outcome = run_case(data, src, dst, backend, True,
-                               random.Random(0))
+        for tag, cells in inputs:
+            outcome = _run_case(cells, src, dst, backend, True,
+                                random.Random(0))
             assert outcome is None, (
                 f"{src}->{dst} on {tag} ({backend}): {outcome}"
             )
@@ -87,13 +87,13 @@ def _pair_agrees(run_case, inputs, src, dst):
 @pytest.mark.parametrize("src,dst", PAIRS_2D,
                          ids=[f"{s}-{d}" for s, d in PAIRS_2D])
 def test_pair_equivalent_2d(src, dst):
-    _pair_agrees(_run_case_2d, INPUTS_2D, src, dst)
+    _pair_agrees(INPUTS_2D, src, dst)
 
 
 @pytest.mark.parametrize("src,dst", PAIRS_3D,
                          ids=[f"{s}-{d}" for s, d in PAIRS_3D])
 def test_pair_equivalent_3d(src, dst):
-    _pair_agrees(_run_case_3d, INPUTS_3D, src, dst)
+    _pair_agrees(INPUTS_3D, src, dst)
 
 
 def test_empty_matrix_all_targets():
@@ -232,18 +232,11 @@ C_SMOKE_PAIRS = [
 @pytest.mark.parametrize("src,dst", C_SMOKE_PAIRS,
                          ids=[f"{s}-{d}" for s, d in C_SMOKE_PAIRS])
 def test_pair_equivalent_c(src, dst):
-    three_d = dst in PLANNABLE_3D
-    kinds = CASE_KINDS_3D if three_d else [kind for kind, _ in CASE_KINDS_2D]
+    kinds = CASE_KINDS_3D if dst in PLANNABLE_3D else CASE_KINDS_2D
     for optimize in (False, True):
-        for seed, kind in enumerate(kinds):
+        for seed, (kind, generate) in enumerate(kinds):
             rng = random.Random(seed)
-            if three_d:
-                outcome = _run_case_3d(_gen_tensor(rng, kind), src, dst,
-                                       "c", optimize, rng)
-            else:
-                generate = dict(CASE_KINDS_2D)[kind]
-                outcome = _run_case_2d(generate(rng), src, dst, "c",
-                                       optimize, rng)
+            outcome = _run_case(generate(rng), src, dst, "c", optimize, rng)
             assert outcome is None, (
                 f"{src}->{dst} on {kind} (optimize={optimize}): {outcome}"
             )

@@ -69,6 +69,35 @@ class TestParseConvertRequest:
                 {"dst": "CSR", "matrix": _matrix_doc(), "validate": "maybe"}
             )
 
+    @pytest.mark.parametrize("field,value", [
+        ("optimize", "false"),
+        ("binary_search", 1),
+        ("plan", "0"),
+    ])
+    def test_non_boolean_flag_rejected(self, field, value):
+        # bool("false") and bool("0") are True: a string must not read
+        # as its truth value.
+        with pytest.raises(ProtocolError, match=f"{field} must be a boolean"):
+            parse_convert_request(
+                {"dst": "CSR", "matrix": _matrix_doc(), field: value}
+            )
+
+    @pytest.mark.parametrize("option", [
+        {"optimize": False},
+        {"binary_search": True},
+    ])
+    def test_plan_refuses_options_it_would_drop(self, option):
+        [(name, value)] = option.items()
+        with pytest.raises(ProtocolError, match=f"plan: true .*{name}"):
+            parse_convert_request(
+                {"dst": "DIA", "matrix": _matrix_doc(), "plan": True,
+                 **option}
+            )
+        request = parse_convert_request(
+            {"dst": "DIA", "matrix": _matrix_doc(), **option}
+        )
+        assert request[name] is value
+
 
 class TestSerializeContainer:
     def test_csr_arrays_and_shape(self):

@@ -59,6 +59,13 @@ class TestConvertEndpoint:
         direct = convert(coo, "DIA")
         assert dia_arrays["off"] == list(direct.off)
 
+    def test_planned_route_refuses_options_it_would_drop(self, client):
+        with pytest.raises(ServeError) as err:
+            client.convert(_coo(3), "DIA", plan=True, binary_search=True)
+        assert err.value.status == 400
+        assert err.value.body["error"]["type"] == "ProtocolError"
+        assert "binary_search: true" in err.value.body["error"]["message"]
+
     def test_concurrent_mixed_pairs(self, client):
         # Sustained mixed-format traffic: every response must equal its
         # own direct conversion, under real thread concurrency.
@@ -307,6 +314,23 @@ class TestValidateFloor:
 
     def test_stricter_request_is_served(self, client):
         assert client.convert(_coo(), "CSR", validate="full")["ok"]
+
+    def test_full_validation_of_a_huge_declared_shape(self, client,
+                                                      monkeypatch):
+        # The output check compares stored entries: a 10^6 x 10^6 shape
+        # with two entries must never be materialized as a dense image.
+        from repro.formats import levels
+
+        def refuse(shape):
+            raise AssertionError(f"dense image of shape {shape}")
+
+        monkeypatch.setattr(levels, "_zeros", refuse)
+        n = 10**6
+        doc = {"rows": n, "cols": n, "row": [0, 5], "col": [1, n - 1],
+               "val": [1.0, 2.0]}
+        resp = client.convert(doc, "MCOO", validate="full")
+        assert resp["ok"] and resp["meta"]["validate"] == "full"
+        assert resp["result"]["shape"] == {"NR": n, "NC": n, "NNZ": 2}
 
     def test_off_daemon_accepts_off_requests(self):
         server = ConversionServer(port=0, validate="off").start_in_background()

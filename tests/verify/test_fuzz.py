@@ -2,31 +2,42 @@
 
 import json
 
+import numpy as np
 import pytest
 
-from repro.runtime import COOMatrix, COOTensor3D
+from repro.formats.levels import Cells
 from repro.verify import FuzzReport, fuzz
 from repro.verify.fuzz import (
     CASE_KINDS_2D,
-    _run_case_2d,
-    _run_case_3d,
-    _shrink_dense,
-    _shrink_tensor,
+    CASE_KINDS_3D,
+    _run_case,
+    _shrink,
     fuzz as fuzz_fn,
 )
 
 import random
 
 
+def _same(a, b):
+    """Whether two Cells hold the same shape and columns."""
+    return a.shape == b.shape and all(
+        x.tolist() == y.tolist()
+        for x, y in zip(a.coords + (a.values,), b.coords + (b.values,))
+    )
+
+
 class TestGenerators:
-    @pytest.mark.parametrize("kind,gen", CASE_KINDS_2D)
+    @pytest.mark.parametrize("kind,gen", CASE_KINDS_2D + CASE_KINDS_3D)
     def test_generators_produce_valid_dense(self, kind, gen):
+        # Distinct in-bounds coordinates in row-major order, each with a
+        # nonzero value: exactly the cells of a dense image.
         rng = random.Random(42)
         for _ in range(5):
-            dense = gen(rng)
-            assert dense and dense[0] is not None
-            width = len(dense[0])
-            assert all(len(row) == width for row in dense)
+            cells = gen(rng)
+            rank = len(cells.shape)
+            assert rank == (3 if (kind, gen) in CASE_KINDS_3D else 2)
+            assert min(cells.shape) >= 1
+            assert _same(cells, Cells.from_dense(cells.to_dense(), rank))
 
 
 class TestGateProbes:
@@ -200,9 +211,9 @@ class TestBugDetectionPower:
             return out
 
         monkeypatch.setattr(repro, "convert", corrupting)
-        dense = [[1.0, 0.0], [0.0, 2.0]]
-        outcome = _run_case_2d(dense, "SCOO", "CSR", "python", True,
-                               random.Random(0))
+        cells = Cells.from_dense([[1.0, 0.0], [0.0, 2.0]], 2)
+        outcome = _run_case(cells, "SCOO", "CSR", "python", True,
+                            random.Random(0))
         assert outcome is not None
         stage, _ = outcome
         assert stage == "dense"
@@ -224,58 +235,91 @@ class TestBugDetectionPower:
             return out
 
         monkeypatch.setattr(numpy_tier, "materialize", corrupting)
-        if rank == 2:
-            outcome = _run_case_2d([[1.0, 0.0], [0.0, 2.0]], "SCOO", "CSR",
-                                   "numpy", True, random.Random(0))
-        else:
-            tensor = COOTensor3D((2, 2, 2), [0, 1], [1, 0], [0, 1],
-                                 [1.0, 2.0])
-            outcome = _run_case_3d(tensor, "SCOO3D", "MCOO3", "numpy", True,
-                                   random.Random(0))
+        src, dst, dense = {
+            2: ("SCOO", "CSR", [[1.0, 0.0], [0.0, 2.0]]),
+            3: ("SCOO3D", "MCOO3", [[[0.0, 1.0], [0.0, 0.0]],
+                                    [[0.0, 0.0], [2.0, 0.0]]]),
+        }[rank]
+        outcome = _run_case(Cells.from_dense(dense, rank), src, dst,
+                            "numpy", True, random.Random(0))
         assert outcome is not None
         stage, message = outcome
         assert stage in ("structure", "dense"), message
 
 
 class TestShrinking:
+    """One shrinker for every rank: it drops entries, then trims unused
+    trailing indices off every axis."""
+
     def test_shrinks_to_single_cell(self):
         dense = [[1.0, 2.0, 0.0], [0.0, 3.0, 4.0], [5.0, 0.0, 6.0]]
 
         def predicate(candidate):
             # "Fails" whenever the poison value survives anywhere.
-            return any(v == 3.0 for row in candidate for v in row)
+            return 3.0 in candidate.values
 
-        small = _shrink_dense(dense, predicate)
-        nnz = sum(1 for row in small for v in row if v != 0.0)
-        assert nnz == 1
-        assert any(v == 3.0 for row in small for v in row)
+        small = _shrink(Cells.from_dense(dense, 2), predicate)
+        assert small.values.tolist() == [3.0]
+        assert [c.tolist() for c in small.coords] == [[1], [1]]
 
     def test_shrink_trims_dimensions(self):
-        dense = [[7.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]]
-
         def predicate(candidate):
-            return any(v == 7.0 for row in candidate for v in row)
+            return 7.0 in candidate.values
 
-        small = _shrink_dense(dense, predicate)
-        assert len(small) == 1
-        assert len(small[0]) == 1
+        for shape in ((3, 3), (3, 4, 2)):
+            cells = Cells(shape, tuple(np.array([0]) for _ in shape),
+                          np.array([7.0]))
+            small = _shrink(cells, predicate)
+            assert small.shape == (1,) * len(shape)
+            assert small.values.tolist() == [7.0]
+
+    def test_shrink_keeps_used_trailing_indices(self):
+        # The entry at (2, 3, 1) pins every axis: nothing trims.
+        cells = Cells((3, 4, 2), (np.array([2]), np.array([3]),
+                                  np.array([1])), np.array([5.0]))
+        small = _shrink(cells, lambda c: 5.0 in c.values)
+        assert _same(small, cells)
 
     def test_shrink_tensor_drops_entries(self):
-        tensor = COOTensor3D(
-            (3, 3, 3), [0, 1, 2], [0, 1, 2], [0, 1, 2], [1.0, 9.0, 2.0]
-        )
+        tensor = Cells((3, 3, 3), tuple(np.arange(3) for _ in range(3)),
+                       np.array([1.0, 9.0, 2.0]))
 
         def predicate(candidate):
-            return 9.0 in candidate.val
+            return 9.0 in candidate.values
 
-        small = _shrink_tensor(tensor, predicate)
-        assert small.nnz == 1
-        assert small.val.tolist() == [9.0]
+        small = _shrink(tensor, predicate)
+        assert small.values.tolist() == [9.0]
+        assert small.shape == (2, 2, 2)
 
     def test_shrink_keeps_failure_when_nothing_smaller_fails(self):
-        dense = [[1.0]]
-        small = _shrink_dense(dense, lambda c: c == [[1.0]])
-        assert small == [[1.0]]
+        cells = Cells.from_dense([[1.0]], 2)
+        small = _shrink(cells, lambda c: _same(c, cells))
+        assert _same(small, cells)
+
+    def test_failure_input_records_dims_and_entries(self, monkeypatch):
+        # A failing 2-D case reports its shrunk input the way a 3-D one
+        # does: dims and [coordinate, value] entries.
+        import repro
+
+        real = repro.convert
+
+        def corrupting(container, dst, **kw):
+            out = real(container, dst, **kw)
+            if getattr(out, "val", None):
+                out.val[0] += 5.0
+            return out
+
+        monkeypatch.setattr(repro, "convert", corrupting)
+        # Case 0 draws the empty kind; case 1 a single cell.
+        report = fuzz_fn(cases=2, seed=1, backends=("python",),
+                         optimize_levels=(True,), ranks=(2,),
+                         sources_2d=("SCOO",), dests_2d=("CSR",))
+        [failure] = report.failures
+        assert failure.stage == "dense"
+        # One entry left, and no axis extends past it.
+        [[coord, value]] = failure.input_repr["entries"]
+        assert failure.input_repr["dims"] == [c + 1 for c in coord]
+        assert value != 0.0
 
 
 class TestReportRendering:

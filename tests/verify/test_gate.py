@@ -12,6 +12,7 @@ import pytest
 from repro import (
     BoundsError,
     COOMatrix,
+    DenseMismatchError,
     DuplicateCoordinateError,
     UnsortedInputError,
     ValidationError,
@@ -158,6 +159,48 @@ class TestTensorGate:
         t = COOTensor3D((2, 2, 2), [1, 0], [0, 0], [0, 0], [1.0, 2.0])
         out = convert(t, "MCOO3", assume_sorted=False)
         assert out.to_dict() == t.to_dict()
+
+
+class TestContentOracle:
+    """``validate="full"`` compares stored entries, for every rank."""
+
+    def test_full_validation_never_densifies(self, monkeypatch):
+        from repro.formats import levels
+
+        def refuse(shape):
+            raise AssertionError(f"dense image of shape {shape}")
+
+        monkeypatch.setattr(levels, "_zeros", refuse)
+        big = COOMatrix(10**6, 10**6, [0, 5], [1, 7], [1.0, 2.0])
+        out = convert(big, "CSR", validate="full")
+        assert out.to_dict() == {(0, 1): 1.0, (5, 7): 2.0}
+
+    def test_tensor_shape_must_match_the_reference(self):
+        reference = COOTensor3D((2, 2, 2), [0, 1], [1, 0], [0, 1],
+                                [1.0, 2.0])
+        wide = COOTensor3D((5, 7, 9), [0, 1], [1, 0], [0, 1], [1.0, 2.0])
+        with pytest.raises(DenseMismatchError, match=r"shape \(5, 7, 9\)"):
+            wide.check_against_dense(reference)
+        with pytest.raises(DenseMismatchError):
+            check_output(wide, reference, level="full")
+        check_output(reference, reference, level="full")
+
+    def test_reports_the_row_major_first_difference(self):
+        from repro.formats.levels import Cells
+
+        coo = COOMatrix(4, 4, [0, 3], [2, 3], [1.0, 2.0])
+        for reference in (
+            {(3, 3): 5.0, (0, 2): 7.0},
+            [[0.0, 0.0, 7.0, 0.0], [0.0] * 4, [0.0] * 4,
+             [0.0, 0.0, 0.0, 5.0]],
+            Cells.from_dense([[0.0, 0.0, 7.0, 0.0], [0.0] * 4, [0.0] * 4,
+                              [0.0, 0.0, 0.0, 5.0]], 2),
+            COOMatrix(4, 4, [3, 0], [3, 2], [5.0, 7.0]),
+        ):
+            with pytest.raises(DenseMismatchError) as exc:
+                coo.check_against_dense(reference)
+            assert exc.value.coordinate == (0, 2)
+            assert (exc.value.actual, exc.value.expected) == (1.0, 7.0)
 
 
 class TestFullGateOnGoodInputs:
