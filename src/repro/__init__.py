@@ -184,7 +184,8 @@ def convert(
                     dst_name, outputs, conversion.uf_output_map, env
                 )
             with obs.span("validate.output", category="verify"):
-                gate.check_output(result, container, level=level)
+                gate.check_output(result, container, level=level,
+                                  format_name=dst_name)
     _CONVERSIONS.inc(src=src_name, dst=dst_name, backend=backend)
     _CONVERSION_SECONDS.observe(elapsed, backend=backend)
     _CONVERT_SECONDS.observe(_time.perf_counter() - call_start, backend=backend)

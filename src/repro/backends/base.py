@@ -15,8 +15,9 @@ vectorized lowerings of a synthesized inspector:
   the inspector (:meth:`Backend.native_inputs`), and whether the backend's
   source is interpreted Python that reads list inputs
   (:attr:`Backend.interprets`),
-* **cost estimation** — the planner's machine-independent edge weights
-  (:meth:`Backend.estimate_cost`),
+* **cost weights** — the constants the one cost model
+  (:meth:`Backend.estimate_cost`) weights a program's features with,
+  the planner's machine-independent edge weights,
 
 plus declarative :class:`BackendCapabilities` the CLI and planner can
 inspect without running anything.
@@ -75,15 +76,17 @@ class Lowering:
 
 
 def program_features(program: "Program") -> dict:
-    """Cost-relevant structure of a lowered program, shared by every
-    backend cost model.
+    """Cost-relevant structure of a lowered program, the one input of
+    every tier's cost model (:meth:`Backend.estimate_cost`).
 
-    ``passes`` counts loops; ``sort``, ``set`` and ``bucket_perm`` say
+    ``passes`` counts loops and ``nests`` the top-level loop nests (those
+    under a symbol-only guard included: a nest is what one vectorized
+    whole-array pass replaces); ``sort``, ``set`` and ``bucket_perm`` say
     whether a comparison-sort permutation, an ordered set or a bucket
     permutation (built by an object or inlined over ``P_count``) is
     constructed; ``bsearch`` and ``linear_search`` whether per-nonzero
     searches survive — a guard anywhere with a loop over ``d`` is a linear
-    diagonal search.  Backends weight these features differently but
+    diagonal search.  Tiers weight these features differently but
     detect them identically.
     """
     from repro.spf import statements as st
@@ -97,8 +100,17 @@ def program_features(program: "Program") -> dict:
             nodes.append(node)
     kinds = {type(node) for node in nodes}
     loops = [node for node in nodes if isinstance(node, ForLoop)]
+
+    def nests(body) -> int:
+        return sum(
+            1 if isinstance(node, ForLoop)
+            else nests(node.body) if isinstance(node, Guard) else 0
+            for node in body
+        )
+
     return {
         "passes": len(loops),
+        "nests": nests(program.body),
         "sort": st.NewOrderedList in kinds,
         "set": st.NewOrderedSet in kinds,
         "bucket_perm": st.NewBucketPermutation in kinds or any(
@@ -112,42 +124,54 @@ def program_features(program: "Program") -> dict:
     }
 
 
-def _bcsr_block(name: str) -> int:
-    digits = name[4:]
-    return int(digits) if digits.isdigit() else 2
+def storage_slots(fmt: str, stats: "MatrixStats") -> float:
+    """Slots library format ``fmt`` stores for the profiled matrix, read
+    off the level family of its composition: ``nrows * ndiags`` for an
+    offset level, ``nrows * row_max`` for a padded one, ``nnz / fill(b)``
+    for blocks of side ``b``, and nnz for coordinate and compressed
+    levels."""
+    from repro.formats.library import get_format
+
+    n = max(stats.nnz, 1)
+    composition = get_format(fmt).levels
+    if composition.family == "offset":
+        return float(stats.nrows * max(stats.ndiags, 1))
+    if composition.family == "padded":
+        return float(stats.nrows * max(stats.row_max, 1))
+    if composition.family == "blocked":
+        return n / max(stats.fill(composition.levels[0].block), 1e-3)
+    return float(n)
 
 
 def workload_units(conversion, stats: "MatrixStats") -> dict:
     """Per-feature element counts for one conversion on one matrix.
 
-    The matrix-independent cost models charge each structural feature a
-    constant; this scales those constants by how many elements the
-    feature actually touches on a concrete matrix:
+    The structural cost model charges each :func:`program_features`
+    feature a constant; this counts the elements the feature actually
+    touches on a concrete matrix, the per-element weights' multiplier:
 
-    * a pass visits every *storage slot* — nnz for coordinate and
-      compressed formats, ``nrows * ndiags`` for DIA, ``nrows * width``
-      for ELL, ``nnz / fill`` for a blocked format's padded blocks,
-    * a comparison sort is ``nnz * log2(nnz)``,
+    * a pass, a nest or a bucket permutation visits every *storage slot*
+      of the larger endpoint (:func:`storage_slots`),
+    * a comparison sort or an ordered set is ``nnz * log2(nnz)``,
     * a linear diagonal search is ``nnz * ndiags / 2``; its binary
       variant ``nnz * log2(ndiags)``.
     """
     n = max(stats.nnz, 1)
-    slots = float(n)
-    for fmt in (conversion.src_format, conversion.dst_format):
-        name = (fmt or "").upper()
-        if name.startswith("DIA"):
-            slots = max(slots, float(stats.nrows * max(stats.ndiags, 1)))
-        elif name.startswith("ELL"):
-            slots = max(slots, float(stats.nrows * max(stats.row_max, 1)))
-        elif name.startswith("BCSR"):
-            fill = max(stats.fill(_bcsr_block(name)), 1e-3)
-            slots = max(slots, n / fill)
+    slots = max(
+        float(n),
+        storage_slots(conversion.src_format, stats),
+        storage_slots(conversion.dst_format, stats),
+    )
+    sort = n * math.log2(n + 1)
     nd = max(stats.ndiags, 1)
     return {
-        "pass_elems": slots,
-        "sort_elems": n * math.log2(n + 1),
-        "linear_search_elems": n * nd / 2.0,
-        "bsearch_elems": n * math.log2(nd + 1),
+        "passes": slots,
+        "nests": slots,
+        "sort": sort,
+        "set": sort,
+        "bucket_perm": slots,
+        "bsearch": n * math.log2(nd + 1),
+        "linear_search": n * nd / 2.0,
     }
 
 
@@ -170,6 +194,12 @@ class Backend:
     #: which reads its array inputs as lists copied once at its entry
     #: (:meth:`SynthesizedConversion.run_native`).
     interprets: bool = False
+    #: The tier's cost model (:meth:`estimate_cost`): per
+    #: :func:`program_features` feature, ``(structural weight, weight per
+    #: element touched)``, summed in this order.
+    cost_weights: Mapping[str, tuple[float, float]] = {}
+    #: ``(structural, per-element)`` cost every estimate starts from.
+    cost_floor: tuple[float, float] = (0.0, 0.0)
 
     # ------------------------------------------------------------------
     def require(self) -> None:
@@ -240,16 +270,27 @@ class Backend:
         """Machine-independent cost of one synthesized conversion.
 
         Used by :mod:`repro.planner` as the edge weight in the conversion
-        graph; the absolute scale is arbitrary but shared across backends
-        so chains can mix lowerings.
+        graph; the absolute scale is arbitrary but shared across tiers so
+        chains can mix lowerings.  The one model: the floor plus each
+        :func:`program_features` feature times the tier's weight
+        (:attr:`cost_weights`).
 
-        ``stats`` — an optional :class:`repro.planner.stats.MatrixStats`
-        profile of the concrete input — switches the model from
-        structural per-pass constants to element-count estimates scaled
-        by the matrix (see :func:`workload_units`).  Omitting it must
-        reproduce the historical matrix-independent estimate.
+        Without ``stats`` the structural weights apply per feature; a
+        :class:`repro.planner.stats.MatrixStats` profile of the concrete
+        input switches to the per-element weights, each times the
+        elements its feature touches on that matrix
+        (:func:`workload_units`).
         """
-        raise NotImplementedError
+        if not self.cost_weights:
+            raise NotImplementedError(f"{self.name} declares no cost weights")
+        feats = program_features(conversion.program)
+        column = 0 if stats is None else 1
+        units = None if stats is None else workload_units(conversion, stats)
+        cost = self.cost_floor[column]
+        for feature, weights in self.cost_weights.items():
+            weight = weights[column] * feats[feature]
+            cost += weight if units is None else weight * units[feature]
+        return cost
 
     # ------------------------------------------------------------------
     def describe(self) -> dict:

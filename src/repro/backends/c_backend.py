@@ -59,13 +59,7 @@ from typing import Sequence
 import repro.obs as obs
 from repro.filelock import file_lock
 
-from .base import (
-    Backend,
-    BackendCapabilities,
-    Lowering,
-    program_features,
-    workload_units,
-)
+from .base import Backend, BackendCapabilities, Lowering
 from .registry import BackendUnavailableError
 
 #: The fixed ABI every generated translation unit exports.  Inputs arrive
@@ -487,6 +481,19 @@ class CBackend(Backend):
         requires=("cffi", "numpy"),
     )
     differential_references = ("python", "numpy")
+    # Compiled per-element work costs ~1/500 of an interpreted element and
+    # ~1/5 of a vectorized one; sorts are counting or radix sorts plus a
+    # rank array.  The floor is the FFI dispatch and input staging, so
+    # tiny matrices still prefer the tierless paths.
+    cost_floor = (0.05, 5.0)
+    cost_weights = {
+        "passes": (0.02, 0.002),
+        "sort": (0.08, 0.004),
+        "set": (0.02, 0.002),
+        "bucket_perm": (0.01, 0.001),
+        "bsearch": (0.02, 0.004),
+        "linear_search": (0.08, 0.002),
+    }
 
     def require(self) -> None:
         """Raise naming every missing requirement, not just the first."""
@@ -530,40 +537,3 @@ class CBackend(Backend):
         namespace = dict(executor._BASE_NAMESPACE)
         namespace["__C_RUN"] = _c_run
         return namespace
-
-    def estimate_cost(self, conversion, stats=None) -> float:
-        """Cost model for compiled inspectors.
-
-        The structural features of the lowered program, weighted at
-        compiled per-element cost: ~1/500 of an interpreted element, ~1/5
-        of a numpy-vectorized one, plus a fixed FFI dispatch/marshal floor
-        so tiny matrices still prefer the tierless paths.
-        """
-        feats = program_features(conversion.program)
-        if stats is None:
-            cost = 0.05 + 0.02 * feats["passes"]
-            if feats["sort"]:
-                cost += 0.08  # counting/radix sort + rank array build
-            if feats["set"]:
-                cost += 0.02
-            if feats["bucket_perm"]:
-                cost += 0.01
-            if feats["bsearch"]:
-                cost += 0.02
-            if feats["linear_search"]:
-                cost += 0.08
-            return cost
-        units = workload_units(conversion, stats)
-        cost = 5.0  # FFI dispatch + input staging floor
-        cost += 0.002 * feats["passes"] * units["pass_elems"]
-        if feats["sort"]:
-            cost += 0.004 * units["sort_elems"]
-        if feats["set"]:
-            cost += 0.002 * units["sort_elems"]
-        if feats["bucket_perm"]:
-            cost += 0.001 * units["pass_elems"]
-        if feats["bsearch"]:
-            cost += 0.004 * units["bsearch_elems"]
-        if feats["linear_search"]:
-            cost += 0.002 * units["linear_search_elems"]
-        return cost

@@ -4,13 +4,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from .base import (
-    Backend,
-    BackendCapabilities,
-    Lowering,
-    program_features,
-    workload_units,
-)
+from .base import Backend, BackendCapabilities, Lowering
 
 
 def _print(program, name, params, returns, symtab, *, timing=False):
@@ -50,6 +44,15 @@ class NumpyBackend(Backend):
         requires=("numpy",),
     )
     differential_references = ("python",)
+    # Each nest is a handful of whole-array passes: a vectorized element
+    # costs 1% of an interpreted one, and the sort and search helpers
+    # (lexsort ranks, vectorized binary search) carry the same discount.
+    cost_weights = {
+        "nests": (0.05, 0.01),
+        "sort": (0.2, 0.05),
+        "bucket_perm": (0.05, 0.0),
+        "bsearch": (0.05, 0.05),
+    }
 
     def require(self) -> None:
         from repro.runtime import npvec
@@ -83,33 +86,3 @@ class NumpyBackend(Backend):
         namespace = dict(executor._BASE_NAMESPACE)
         namespace.update(executor._NUMPY_EXTRAS)
         return namespace
-
-    def estimate_cost(self, conversion, stats=None) -> float:
-        """Cost model for vectorized inspectors.
-
-        Each nest costs a small constant (a handful of array passes —
-        numpy's per-element work is a couple of orders of magnitude
-        cheaper than an interpreted pass).  With ``stats``, nests are
-        charged per element touched on the profiled matrix: a vectorized
-        element costs 1% of an interpreted one, and the sort/search
-        helpers (lexsort ranks, vectorized binary search) carry the same
-        discount.
-        """
-        feats = program_features(conversion.program)
-        vectorized = (conversion.vector_stats or {}).get("vectorized_nests", 0)
-        if stats is None:
-            cost = 0.05 * vectorized
-            if feats["sort"]:
-                cost += 0.2  # lexsort rank
-            if feats["bucket_perm"]:
-                cost += 0.05
-            if feats["bsearch"]:
-                cost += 0.05
-            return cost
-        units = workload_units(conversion, stats)
-        cost = vectorized * units["pass_elems"] * 0.01
-        if feats["sort"]:
-            cost += 0.05 * units["sort_elems"]
-        if feats["bsearch"]:
-            cost += 0.05 * units["bsearch_elems"]
-        return cost

@@ -4,13 +4,7 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from .base import (
-    Backend,
-    BackendCapabilities,
-    Lowering,
-    program_features,
-    workload_units,
-)
+from .base import Backend, BackendCapabilities, Lowering
 
 
 class PythonBackend(Backend):
@@ -29,6 +23,18 @@ class PythonBackend(Backend):
         strategies=("scalar-loops",),
     )
     interprets = True
+    # Each loop over the nonzeros costs one pass, an interpreted element
+    # weight 1.0; comparison sorts pay tuple keys and hash lookups, each
+    # binary-search probe a call, and a linear diagonal search (a guarded
+    # loop inside the copy) is the costliest per-nonzero pattern.
+    cost_weights = {
+        "passes": (1.0, 1.0),
+        "sort": (4.0, 1.5),
+        "set": (1.0, 1.0),
+        "bucket_perm": (0.5, 0.5),
+        "bsearch": (1.0, 1.5),
+        "linear_search": (4.0, 1.0),
+    }
 
     def lower(
         self,
@@ -68,43 +74,3 @@ class PythonBackend(Backend):
         from repro.runtime.storage import as_list
 
         return {name: as_list(value) for name, value in inputs.items()}
-
-    def estimate_cost(self, conversion, stats=None) -> float:
-        """Cost model for interpreted scalar inspectors.
-
-        Without ``stats``: each loop nest over the nonzeros costs one
-        pass; comparison-sort permutations cost an extra log-factor pass;
-        per-nonzero linear searches cost a diagonal-count factor.  With
-        ``stats``, the same features are charged per element actually
-        touched on the profiled matrix (interpreted per-element weight
-        1.0 everywhere).
-        """
-        feats = program_features(conversion.program)
-        if stats is None:
-            cost = float(feats["passes"])
-            if feats["sort"]:
-                cost += 4.0  # comparison sort + hash lookups
-            if feats["set"]:
-                cost += 1.0
-            if feats["bucket_perm"]:
-                cost += 0.5
-            if feats["bsearch"]:
-                cost += 1.0
-            # A linear search loop (guarded loop inside the copy) is the
-            # costliest per-nonzero pattern.
-            if feats["linear_search"]:
-                cost += 4.0
-            return cost
-        units = workload_units(conversion, stats)
-        cost = feats["passes"] * units["pass_elems"]
-        if feats["sort"]:
-            cost += 1.5 * units["sort_elems"]  # tuple keys + hash lookups
-        if feats["set"]:
-            cost += 1.0 * units["sort_elems"]
-        if feats["bucket_perm"]:
-            cost += 0.5 * units["pass_elems"]
-        if feats["bsearch"]:
-            cost += 1.5 * units["bsearch_elems"]  # call overhead per probe
-        if feats["linear_search"]:
-            cost += units["linear_search_elems"]
-        return cost

@@ -1,9 +1,10 @@
 """A content hash over the package's own source, for cache invalidation.
 
-Every on-disk layer partitions on this hash, so an entry an older
-checkout wrote is never served after the package changes: the C artifact
-directory (:mod:`repro.backends.c_backend`) and the learned-cost store
-(:mod:`repro.planner.coststore`).
+Every on-disk layer keys on this hash, so an entry an older checkout
+wrote is never served after the package changes: the C artifact
+directory (:mod:`repro.backends.c_backend`) is partitioned by it, and
+the learned-cost store (:mod:`repro.planner.coststore`) folds it into
+every entry's key, so its one file needs no partitions.
 
 The hash covers every ``.py`` file under the installed ``repro`` package
 (sorted by relative path, content-hashed), computed once per process.

@@ -125,8 +125,9 @@ def _declared_format(container) -> str:
     return name
 
 
-def _bound(container) -> tuple[_Plan, dict]:
-    plan = _binding(_declared_format(container), type(container), container)
+def _bound(container, format_name: str | None = None) -> tuple[_Plan, dict]:
+    plan = _binding(format_name or _declared_format(container),
+                    type(container), container)
     return plan, _env(container, plan)
 
 
@@ -179,16 +180,20 @@ def container_to_env(container) -> dict:
     return _bound(container)[1]
 
 
-def check_container(container, *, assume_sorted: bool = False) -> None:
+def check_container(container, *, assume_sorted: bool = False,
+                    format_name: str | None = None) -> None:
     """Check a container against the invariants its composition derives.
 
     Raises the first :class:`~repro.errors.ValidationError` a sequential
-    audit of the container would meet.  Under ``assume_sorted=True`` an
-    unordered coordinate format is checked as its lexicographically
-    ordered variant — the SCOO precondition the sorted descriptors rely
-    on — and an order violation names that promise and its remedy.
+    audit of the container would meet.  The composition is that of
+    ``format_name`` when given — the format a conversion produced, so a
+    ``COOMatrix`` converted into SCOO must be sorted — else the one its
+    class declares.  Under ``assume_sorted=True`` an unordered coordinate
+    format is checked as its lexicographically ordered variant — the SCOO
+    precondition the sorted descriptors rely on — and an order violation
+    names that promise and its remedy.
     """
-    plan, env = _bound(container)
+    plan, env = _bound(container, format_name)
     composition = plan.composition
     promised = (
         assume_sorted

@@ -244,9 +244,10 @@ def register_parameterized(
 def parameterized_families() -> tuple[str, ...]:
     """The registered blocked families (``"BCSR"``, ``"BCSC"``, ...).
 
-    The auto-tuner enumerates block-size candidates for every family
-    listed here, so registering a parameterized composed family makes it
-    tunable with no tuner changes.
+    The auto-tuner enumerates block-size candidates for every
+    dest-capable blocked family listed here, so registering a
+    parameterized composed family makes it tunable with no tuner
+    changes.
     """
     return tuple(_PARAMETERIZED)
 
@@ -285,6 +286,11 @@ def get_format(name: str) -> FormatDescriptor:
         with obs.span("parse.format", category="parse", format=key):
             fmt = _BUILT[key] = factory()
     return fmt
+
+
+def format_names() -> tuple[str, ...]:
+    """The registered format names, in presentation order."""
+    return tuple(_FACTORIES)
 
 
 def all_formats() -> list[FormatDescriptor]:

@@ -62,18 +62,20 @@ def estimate_cost(
 ) -> float:
     """A machine-independent cost estimate for one synthesized conversion.
 
-    Derived from the lowered program's statement kinds (see
-    :func:`repro.backends.base.program_features`): each loop nest over the
-    nonzeros costs one pass; comparison-sort permutations cost an extra
-    log-factor pass; per-nonzero searches cost a diagonal-count factor.
-    The absolute scale is arbitrary — only relative comparisons matter, but
-    the two backends share one scale so a planner can weigh an interpreted
-    scalar pass (1.0) against a vectorized one (0.05: numpy's per-element
-    work is a couple of orders of magnitude cheaper).
+    The one cost model (:meth:`repro.backends.Backend.estimate_cost`):
+    the features of the lowered program
+    (:func:`repro.backends.base.program_features` — loops and nests,
+    sorts, ordered sets, bucket permutations, searches) weighted by the
+    conversion's tier.  The absolute scale is arbitrary — only relative
+    comparisons matter, but the tiers share one scale so a planner can
+    weigh an interpreted scalar pass (1.0) against a vectorized nest
+    (0.05: numpy's per-element work is a couple of orders of magnitude
+    cheaper).
 
-    With ``stats``, the estimate instead scales each feature by the
-    elements it touches on that concrete matrix (see
-    :meth:`repro.backends.Backend.estimate_cost`).
+    With ``stats``, each feature is instead weighted per element it
+    touches on that concrete matrix, with slot counts read off each
+    endpoint's level composition
+    (:func:`repro.backends.base.workload_units`).
     """
     return get_backend(conversion.backend).estimate_cost(conversion, stats)
 
@@ -188,15 +190,12 @@ class ConversionPlanner:
         conversion = self._conversions[(src, dst)]
         predicted = estimate_cost(conversion, stats)
         store = self.cost_store
-        if store.enabled:
-            learned = store.lookup(
-                conversion_cost_key(conversion), stats.bucket()
-            )
-            if learned is not None:
-                return learned["seconds"]
-            calibration = store.calibration()
-            if calibration is not None:
-                return predicted * calibration
+        learned = store.lookup(conversion_cost_key(conversion), stats.bucket())
+        if learned is not None:
+            return learned["seconds"]
+        calibration = store.calibration()
+        if calibration is not None:
+            return predicted * calibration
         return predicted
 
     def conversion(self, src: str, dst: str) -> SynthesizedConversion:
@@ -332,14 +331,15 @@ class ConversionPlanner:
                 current = outputs_to_container(
                     step.dst, outputs, conversion.uf_output_map, env
                 )
-                gate.check_output(current, reference, level=level)
+                gate.check_output(current, reference, level=level,
+                                  format_name=step.dst)
             predicted = (
                 estimate_cost(conversion, stats)
                 if stats is not None
                 else step.cost
             )
             timings.append(StepTiming(step.src, step.dst, predicted, elapsed))
-            if record and stats is not None and store.enabled:
+            if record and stats is not None:
                 record_measurement(
                     store,
                     conversion,

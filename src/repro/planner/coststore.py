@@ -6,23 +6,20 @@ predictions with short measured runs.  This module keeps those
 measurements, so the second user with a *similar* matrix (same stats
 bucket) gets the tuned plan with zero measurement.
 
-On disk:
-
-* one JSON file per code-version partition under ``$REPRO_COSTS_DIR``
-  (default ``~/.cache/repro-spf/costs``), written atomically,
-* a hash of the package source partitions the store, so entries measured
-  against an older synthesizer can never steer a newer one,
-* an env kill switch, ``REPRO_COSTS_DISABLE=1``.
+On disk: one JSON file, ``costs.json`` under ``$REPRO_COSTS_DIR``
+(default ``~/.cache/repro-spf/costs``), written atomically under a file
+lock.  A store fixes its path when it is built.
 
 Entries are keyed ``<conversion key>|<stats bucket>`` where the
-conversion key hashes the *generated inspector source* plus backend —
-two descriptor parameterizations that lower to identical code share
-their measurements, as do two processes (each prints the same source),
-and any code change invalidates them.  Each entry
-keeps an exponentially weighted mean of the measured seconds, the
-prediction (in abstract cost units) current when it was recorded, and an
-update count.  The store is size-bounded: beyond ``REPRO_COSTS_MAX``
-entries (default 4096) the oldest-updated entries are evicted.
+conversion key hashes the package's code version, the backend and the
+*generated inspector source* — two descriptor parameterizations that
+lower to identical code share their measurements, as do two processes
+(each prints the same source), and an entry measured against other code
+is never looked up again.  Each entry keeps an exponentially weighted
+mean of the measured seconds, the prediction (in abstract cost units)
+current when it was recorded, and an update count.  The store is
+size-bounded: beyond :data:`MAX_ENTRIES` entries the oldest-updated are
+evicted, so entries of earlier code versions age out.
 
 :meth:`CostStore.calibration` returns the median measured-seconds per
 predicted-unit over all entries — the bridge that lets Dijkstra mix
@@ -51,22 +48,13 @@ _RECORD = obs.counter("repro_costs_record_total", "measurements recorded")
 _EVICT = obs.counter("repro_costs_evict_total", "cost-store entries evicted")
 
 
-#: Default bound on stored entries; evictions drop the oldest-updated.
-DEFAULT_MAX_ENTRIES = 4096
+#: Bound on stored entries; evictions drop the oldest-updated.
+MAX_ENTRIES = 4096
 
 #: Weight of the newest measurement in the per-entry running mean.
 EWMA_ALPHA = 0.5
 
 _SCHEMA = 1
-
-
-def costs_enabled() -> bool:
-    return os.environ.get("REPRO_COSTS_DISABLE", "") not in (
-        "1",
-        "true",
-        "on",
-        "yes",
-    )
 
 
 def costs_root() -> Path:
@@ -76,63 +64,29 @@ def costs_root() -> Path:
     return Path.home() / ".cache" / "repro-spf" / "costs"
 
 
-def costs_dir() -> Path:
-    """Version-partitioned store directory for the current source tree."""
-    from repro.codeversion import code_version_hash
-
-    return costs_root() / code_version_hash()[:16]
-
-
-def max_entries() -> int:
-    try:
-        return int(os.environ.get("REPRO_COSTS_MAX", DEFAULT_MAX_ENTRIES))
-    except ValueError:
-        return DEFAULT_MAX_ENTRIES
-
-
 def conversion_cost_key(conversion) -> str:
     """Identity of one conversion for cost purposes.
 
-    Hashes the generated source and the backend: identical code has
-    identical cost behavior regardless of which descriptor names or
-    parameterizations produced it.
+    Hashes the package's code version, the backend and the generated
+    source: identical code has identical cost behavior regardless of
+    which descriptor names or parameterizations produced it.
     """
-    blob = f"{conversion.backend}\n{conversion.source}"
+    from repro.codeversion import code_version_hash
+
+    blob = f"{code_version_hash()}\n{conversion.backend}\n{conversion.source}"
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
 class CostStore:
     """A small, bounded, atomically persisted measured-cost table."""
 
-    def __init__(
-        self,
-        path: Path | str | None = None,
-        *,
-        max_entries: int | None = None,
-        enabled: bool | None = None,
-    ):
-        self.enabled = costs_enabled() if enabled is None else enabled
-        self._explicit_path = Path(path) if path is not None else None
-        self._max = max_entries
+    def __init__(self, path: Path | str | None = None):
+        self.path = Path(path) if path is not None else \
+            costs_root() / "costs.json"
         self._lock = threading.Lock()
         self._entries: dict[str, dict] | None = None
-        self._pinned_path: Path | None = None
 
     # -- file plumbing --------------------------------------------------
-    @property
-    def path(self) -> Path:
-        if self._explicit_path is not None:
-            return self._explicit_path
-        if self._pinned_path is not None:
-            # Pinned at first load: a later REPRO_COSTS_DIR change must
-            # not silently re-point flushes away from the entries we hold.
-            return self._pinned_path
-        return costs_dir() / "costs.json"
-
-    @property
-    def limit(self) -> int:
-        return self._max if self._max is not None else max_entries()
-
     def _read_disk(self) -> dict[str, dict]:
         try:
             with open(self.path) as fh:
@@ -145,9 +99,7 @@ class CostStore:
 
     def _load(self) -> dict[str, dict]:
         if self._entries is None:
-            if self._explicit_path is None and self._pinned_path is None:
-                self._pinned_path = costs_dir() / "costs.json"
-            self._entries = self._read_disk() if self.enabled else {}
+            self._entries = self._read_disk()
         return self._entries
 
     def _merge_from_disk_locked(self, entries: dict[str, dict]) -> None:
@@ -184,8 +136,6 @@ class CostStore:
         Entries look like ``{"seconds": float, "predicted": float|None,
         "count": int, "updated": float, "label": str}``.
         """
-        if not self.enabled:
-            return None
         with self._lock:
             entry = self._load().get(self._key(conv_key, bucket))
         (_HIT if entry else _MISS).inc()
@@ -201,8 +151,6 @@ class CostStore:
         label: str = "",
     ) -> None:
         """Fold one measurement into the store and persist it."""
-        if not self.enabled:
-            return
         with self._lock:
             entries = self._load()
             key = self._key(conv_key, bucket)
@@ -228,7 +176,7 @@ class CostStore:
         _RECORD.inc()
 
     def _evict_locked(self, entries: dict[str, dict]) -> None:
-        excess = len(entries) - self.limit
+        excess = len(entries) - MAX_ENTRIES
         if excess <= 0:
             return
         oldest = sorted(
@@ -245,8 +193,6 @@ class CostStore:
         same scale as learned (measured) edge costs, so a plan search can
         mix both.
         """
-        if not self.enabled:
-            return None
         with self._lock:
             ratios = sorted(
                 e["seconds"] / e["predicted"]
@@ -271,8 +217,7 @@ class CostStore:
             entries = self._load()
             removed = len(entries)
             entries.clear()
-            if self.enabled:
-                self._flush()
+            self._flush()
         return removed
 
     def stats(self) -> dict:
@@ -281,10 +226,9 @@ class CostStore:
             measured = sum(e.get("count", 0) for e in entries.values())
         return {
             "path": str(self.path),
-            "enabled": self.enabled,
             "entries": len(entries),
             "measurements": measured,
-            "limit": self.limit,
+            "limit": MAX_ENTRIES,
             "calibration": self.calibration(),
         }
 

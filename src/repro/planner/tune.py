@@ -1,16 +1,21 @@
 """Auto-tuning of parameterized destination formats.
 
 Choosing "BCSR" or "DIA" as a destination still leaves parameters open —
-the BCSR block size, whether the DIA diagonal lookup is a linear scan or
-a binary search — and the best choice depends on the matrix: a 7×7-blocked
-FEM matrix stored as 2×2 blocks pads every block boundary, a 33-diagonal
-banded matrix pays for every linear probe.  :func:`tune` searches that
-space the AutoSparse way: the matrix-aware cost model
-(:func:`repro.planner.estimate_cost` with :class:`MatrixStats`) ranks all
-candidates, only the predicted-cheapest ``top_k`` are confirmed with
-short measured runs, and measurements land in the learned-cost store so
-the next similar matrix (same stats bucket) tunes without measuring at
-all.
+the block size of a blocked family, whether an offset family's diagonal
+lookup is a linear scan or a binary search — and the best choice depends
+on the matrix: a 7×7-blocked FEM matrix stored as 2×2 blocks pads every
+block boundary, a 33-diagonal banded matrix pays for every linear probe.
+Which families are tunable, and over what, is read off each family's
+level composition (:func:`tuning_rule`), and every candidate's padding
+is its composition's storage slots per nonzero
+(:func:`repro.backends.base.storage_slots`).
+
+:func:`tune` searches that space the AutoSparse way: the matrix-aware
+cost model (:func:`repro.planner.estimate_cost` with
+:class:`MatrixStats`) ranks all candidates, only the predicted-cheapest
+``top_k`` are confirmed with short measured runs, and measurements land
+in the learned-cost store so the next similar matrix (same stats bucket)
+tunes without measuring at all.
 
 The search is deterministic: candidate enumeration is ordered, the final
 ranking breaks ties on (seconds, predicted, label), and the seed only
@@ -20,39 +25,52 @@ bias), never the outcome set.
 
 from __future__ import annotations
 
-import os
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional
 
+from repro.backends.base import storage_slots
 from repro.formats import container_format, container_to_env, get_format
-from repro.formats.library import parameterized_families
+from repro.formats.library import format_names, parameterized_families
 from repro.synthesis import SynthesisError, synthesize_cached
 
 from .coststore import CostStore, conversion_cost_key, default_cost_store
 from .stats import BLOCK_CANDIDATES, MatrixStats, matrix_stats
 
-#: Default padding budget: a parameterization storing more than this many
-#: slots per nonzero is rejected before synthesis (``REPRO_DIA_BUDGET``).
-DEFAULT_PADDING_BUDGET = 64.0
+#: A parameterization storing more than this many slots per nonzero is
+#: rejected before synthesis.
+PADDING_BUDGET = 64.0
 
-#: Families with tunable parameterizations: every registered blocked
-#: family (block-size search) plus DIA (search strategy) and ELL (width).
-TUNABLE = parameterized_families() + ("DIA", "ELL")
+
+def tuning_rule(family: str) -> str | None:
+    """How ``family`` is tuned, read off its level composition.
+
+    ``"block"`` — a blocked family registered as parameterized sweeps
+    :data:`BLOCK_CANDIDATES`; ``"search"`` — an offset family tries the
+    linear and the binary-search diagonal lookup; None — the family
+    cannot be a destination, or has no parameter to tune.
+    """
+    try:
+        composition = get_format(family).levels
+    except KeyError:
+        return None
+    if not composition.dest_capable:
+        return None
+    if composition.family == "blocked" and \
+            family.upper() in parameterized_families():
+        return "block"
+    if composition.family == "offset":
+        return "search"
+    return None
+
+
+#: The library's families with tunable parameterizations.
+TUNABLE = tuple(name for name in format_names() if tuning_rule(name))
 
 
 class TuneError(SynthesisError):
     """No viable parameterization for this family on this matrix."""
-
-
-def padding_budget() -> float:
-    try:
-        return float(
-            os.environ.get("REPRO_DIA_BUDGET", DEFAULT_PADDING_BUDGET)
-        )
-    except ValueError:
-        return DEFAULT_PADDING_BUDGET
 
 
 @dataclass(frozen=True)
@@ -133,85 +151,52 @@ class TuneResult:
 
 # ----------------------------------------------------------------------
 def candidates_for(
-    family: str,
-    stats: MatrixStats,
-    *,
-    budget: float | None = None,
-    blocks: Sequence[int] = BLOCK_CANDIDATES,
+    family: str, stats: MatrixStats
 ) -> tuple[list[Candidate], dict[str, str]]:
     """Enumerate (viable, rejected) parameterizations of ``family``.
 
     Viability is cheap and matrix-driven: blocks larger than the matrix
-    are out, and padded layouts whose slots-per-nonzero exceed the
-    padding budget are rejected *before* any synthesis or measurement —
+    are out, and layouts storing more than :data:`PADDING_BUDGET` slots
+    per nonzero are rejected *before* any synthesis or measurement —
     storing a power-law matrix as DIA is wrong at enumeration time.
     """
     family = family.upper()
-    limit = budget if budget is not None else padding_budget()
-    viable: list[Candidate] = []
-    rejected: dict[str, str] = {}
-    if family in parameterized_families():
-        # Any registered blocked family (BCSR, BCSC, composed ones):
-        # block-size viability depends only on the block fill, which is
-        # orientation-independent.
-        for b in blocks:
-            label = f"{family} block={b}"
-            if b > max(min(stats.nrows, stats.ncols), 1):
-                rejected[label] = "block exceeds matrix dimensions"
-                continue
-            padding = 1.0 / max(stats.fill(b), 1e-9)
-            if padding > limit:
-                rejected[label] = (
-                    f"padding {padding:.1f} slots/nnz exceeds budget {limit:g}"
-                )
-                continue
-            viable.append(
-                Candidate(
-                    family=family,
-                    dst=family if b == 2 else f"{family}{b}",
-                    label=label,
-                    block=b,
-                )
-            )
-    elif family == "DIA":
-        padding = stats.dia_padding
-        if padding > limit:
-            rejected["DIA"] = (
-                f"padding {padding:.1f} slots/nnz exceeds budget {limit:g}"
-            )
-        else:
-            viable.append(
-                Candidate(family="DIA", dst="DIA", label="DIA linear-search")
-            )
-            viable.append(
-                Candidate(
-                    family="DIA",
-                    dst="DIA",
-                    label="DIA binary-search",
-                    binary_search=True,
-                )
-            )
-    elif family == "ELL":
-        padding = (
-            stats.nrows * max(stats.row_max, 1) / max(stats.nnz, 1)
-        )
-        if padding > limit:
-            rejected["ELL"] = (
-                f"padding {padding:.1f} slots/nnz exceeds budget {limit:g}"
-            )
-        else:
-            viable.append(
-                Candidate(
-                    family="ELL",
-                    dst="ELL",
-                    label=f"ELL width={stats.row_max}",
-                )
-            )
-    else:
+    rule = tuning_rule(family)
+    if rule is None:
         raise TuneError(
             f"family {family!r} has no tunable parameterizations; "
             f"tunable: {TUNABLE}"
         )
+    if rule == "block":
+        default = get_format(family).levels.levels[0].block
+        points = [
+            Candidate(family, family if b == default else f"{family}{b}",
+                      f"{family} block={b}", block=b)
+            for b in BLOCK_CANDIDATES
+        ]
+    else:
+        points = [
+            Candidate(family, family, f"{family} linear-search"),
+            Candidate(family, family, f"{family} binary-search",
+                      binary_search=True),
+        ]
+    viable: list[Candidate] = []
+    rejected: dict[str, str] = {}
+    for cand in points:
+        if cand.block is not None and \
+                cand.block > max(min(stats.nrows, stats.ncols), 1):
+            rejected[cand.label] = "block exceeds matrix dimensions"
+            continue
+        padding = (
+            storage_slots(cand.dst, stats) / stats.nnz if stats.nnz else 1.0
+        )
+        if padding > PADDING_BUDGET:
+            rejected[cand.label] = (
+                f"padding {padding:.1f} slots/nnz exceeds budget "
+                f"{PADDING_BUDGET:g}"
+            )
+        else:
+            viable.append(cand)
     return viable, rejected
 
 
@@ -355,12 +340,12 @@ def tune(
 
 __all__ = [
     "Candidate",
-    "DEFAULT_PADDING_BUDGET",
+    "PADDING_BUDGET",
     "TUNABLE",
     "TuneError",
     "TuneResult",
     "TunedCandidate",
     "candidates_for",
-    "padding_budget",
     "tune",
+    "tuning_rule",
 ]

@@ -170,18 +170,21 @@ class LevelContainer:
         """
         _bindings().check_container(self)
 
-    def check_against_dense(self, reference, *, tol: float = 0.0) -> None:
+    def check_against_dense(self, reference, *, tol: float = 0.0,
+                            format_name: str | None = None) -> None:
         """Validate invariants *and* compare the contents to ``reference``.
 
         ``reference`` is another container, a
         :class:`~repro.formats.levels.Cells`, a dense image or a
         coordinate -> value mapping (:func:`compare_contents`).
-        Structural violations surface from :meth:`check`, a different
-        shape or the first differing coordinate as a
+        Structural violations surface from the invariants of
+        ``format_name`` — the format a conversion produced, else the one
+        the class declares (:func:`repro.formats.bindings.check_container`)
+        — a different shape or the first differing coordinate as a
         :class:`~repro.errors.DenseMismatchError` naming the coordinate
         and both values.
         """
-        self.check()
+        _bindings().check_container(self, format_name=format_name)
         compare_contents(self, reference, tol)
 
     def first_unsorted_position(self) -> int | None:

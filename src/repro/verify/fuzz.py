@@ -10,9 +10,10 @@ backend x optimize flag, and once more through every DIA destination
 with ``binary_search=True`` (the Figure 3 rewrite, its own ``:bsearch``
 variant in the report), cross-checking:
 
-* **contents** — the converted container's invariants (``structure``)
-  and its shape and stored entries against the generator's cells
-  (``dense``), through the one content oracle
+* **contents** — the converted container's invariants, those of the
+  format it was converted into (``structure``: an SCOO result must be
+  sorted), and its shape and stored entries against the generator's
+  cells (``dense``), through the one content oracle
   (:func:`repro.runtime.container.compare_contents`); ``convert`` runs
   with ``validate="inputs"``, so its gate judges only the input and a
   wrong output is never reported as a rejected one,
@@ -38,6 +39,7 @@ from __future__ import annotations
 
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from functools import partial
 from typing import Callable, Optional, Sequence
@@ -526,11 +528,11 @@ def _check_references(out, container, dst: str, backend: str,
     return None
 
 
-def _judge(out, cells: Cells) -> Optional[tuple[str, str]]:
-    """The ``structure`` or ``dense`` finding against the generator's
-    cells, or None."""
+def _judge(out, cells: Cells, dst: str) -> Optional[tuple[str, str]]:
+    """The ``structure`` finding against ``dst``'s invariants or the
+    ``dense`` one against the generator's cells, or None."""
     try:
-        out.check_against_dense(cells)
+        out.check_against_dense(cells, format_name=dst)
     except DenseMismatchError as err:
         return "dense", str(err)
     except ValidationError as err:
@@ -554,7 +556,7 @@ def _run_case(cells: Cells, src: str, dst: str, backend: str,
         return "convert", f"well-formed input rejected: {err}"
     except Exception as err:  # noqa: BLE001 - any escape is a finding
         return "convert", f"{type(err).__name__}: {err}"
-    outcome = _judge(out, cells)
+    outcome = _judge(out, cells, dst)
     if outcome is not None:
         return outcome
     try:
@@ -986,12 +988,22 @@ def fuzz(
                     )
                 )
 
+    # Each combo's kind is indexed by its position among its own rank's
+    # combos (plus the round, rotated by the seed), so which other ranks
+    # run beside it never changes the case it gets.
+    positions, per_rank = [], Counter()
+    for src, *_ in combos:
+        rank = container_class(src).layout.rank
+        positions.append((rank, per_rank[rank]))
+        per_rank[rank] += 1
+
     covered: set = set()
     with obs.TRACER.forced(trace):
         for case in range(cases):
             if len(report.failures) >= max_failures:
                 break
             combo = combos[case % len(combos)]
+            rank, position = positions[case % len(combos)]
             src, dst, backend, optimize, bsearch = combo
             covered.add(combo)
             report.cases_run += 1
@@ -1004,8 +1016,10 @@ def fuzz(
             with obs.span(
                 "fuzz.case", category="fuzz", case=case, combo=combo_key
             ) as case_span:
-                kinds = _CASE_KINDS[container_class(src).layout.rank]
-                kind, gen = kinds[case % len(kinds)]
+                kinds = _CASE_KINDS[rank]
+                kind, gen = kinds[
+                    (position + case // len(combos) + seed) % len(kinds)
+                ]
                 cells = gen(random.Random(case_seed))
 
                 def run(candidate):

@@ -79,19 +79,22 @@ def check_input(container, *, level: str = "inputs",
         raise
 
 
-def check_output(result, source, *, level: str = "full") -> None:
+def check_output(result, source, *, level: str = "full",
+                 format_name: str | None = None) -> None:
     """Gate a converted container against the source's contents.
 
-    At ``level="full"`` the result's invariants are checked and its shape
-    and stored entries must equal the source's.  Lower levels do nothing
-    — outputs of a well-formed input are correct by construction, which
-    is exactly the property the fuzzer keeps honest.
+    At ``level="full"`` the result's invariants are checked — those of
+    ``format_name``, the format it was converted into, so an SCOO result
+    must be sorted though its class also stores COO — and its shape and
+    stored entries must equal the source's.  Lower levels do nothing —
+    outputs of a well-formed input are correct by construction, which is
+    exactly the property the fuzzer keeps honest.
     """
     if normalize_level(level) != "full":
         return
     _CHECKS.inc(where="output")
     try:
-        result.check_against_dense(source)
+        result.check_against_dense(source, format_name=format_name)
     except ValidationError as err:
         _REJECTIONS.inc(error=type(err).__name__, where="output")
         raise

@@ -9,8 +9,6 @@ from repro.planner.coststore import reset_default_store
 def isolated_costs(tmp_path, monkeypatch):
     """Point the learned-cost store at a per-test directory."""
     monkeypatch.setenv("REPRO_COSTS_DIR", str(tmp_path / "costs"))
-    monkeypatch.delenv("REPRO_COSTS_DISABLE", raising=False)
-    monkeypatch.delenv("REPRO_COSTS_MAX", raising=False)
     reset_default_store()
     yield tmp_path / "costs"
     reset_default_store()

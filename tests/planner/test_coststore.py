@@ -1,15 +1,14 @@
-"""The learned-cost store: persistence, eviction, calibration, knobs."""
+"""The learned-cost store: persistence, eviction, calibration, keys."""
 
 import json
 import os
 
 import pytest
 
+from repro.planner import coststore
 from repro.planner.coststore import (
     CostStore,
     conversion_cost_key,
-    costs_dir,
-    costs_enabled,
     costs_root,
     default_cost_store,
     reset_default_store,
@@ -54,8 +53,9 @@ class TestRoundTrip:
 
 
 class TestEviction:
-    def test_oldest_updated_evicted(self, tmp_path):
-        store = CostStore(tmp_path / "c.json", max_entries=4)
+    def test_oldest_updated_evicted(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(coststore, "MAX_ENTRIES", 4)
+        store = CostStore(tmp_path / "c.json")
         for n in range(6):
             store.record(f"conv{n}", "bucket", 0.1)
         assert len(store) == 4
@@ -64,8 +64,9 @@ class TestEviction:
         assert store.lookup("conv1", "bucket") is None
         assert store.lookup("conv5", "bucket") is not None
 
-    def test_refreshed_entry_survives(self, tmp_path):
-        store = CostStore(tmp_path / "c.json", max_entries=2)
+    def test_refreshed_entry_survives(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(coststore, "MAX_ENTRIES", 2)
+        store = CostStore(tmp_path / "c.json")
         store.record("old", "bucket", 0.1)
         store.record("mid", "bucket", 0.1)
         store.record("old", "bucket", 0.2)  # refresh: now newer than mid
@@ -92,26 +93,11 @@ class TestCalibration:
 
 
 class TestKnobs:
-    def test_disable_switch(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("REPRO_COSTS_DISABLE", "1")
-        assert not costs_enabled()
-        store = CostStore(tmp_path / "c.json")
-        store.record("conv", "bucket", 1.0)
-        assert store.lookup("conv", "bucket") is None
-        assert not (tmp_path / "c.json").exists()
-
     def test_dir_env(self, monkeypatch, tmp_path):
         monkeypatch.setenv("REPRO_COSTS_DIR", str(tmp_path / "elsewhere"))
         assert costs_root() == tmp_path / "elsewhere"
-        # The store partition is versioned under the root.
-        assert costs_dir().parent == tmp_path / "elsewhere"
-
-    def test_max_env(self, monkeypatch, tmp_path):
-        monkeypatch.setenv("REPRO_COSTS_MAX", "2")
-        store = CostStore(tmp_path / "c.json")
-        for n in range(4):
-            store.record(f"conv{n}", "bucket", 0.1)
-        assert len(store) == 2
+        # One store file directly under the root, whatever the code version.
+        assert CostStore().path == tmp_path / "elsewhere" / "costs.json"
 
     def test_default_store_singleton_resets(self):
         first = default_cost_store()
@@ -135,6 +121,15 @@ class TestConversionKey:
         scalar = get_conversion("SCOO", "CSR", backend="python")
         vector = get_conversion("SCOO", "CSR", backend="numpy")
         assert conversion_cost_key(scalar) != conversion_cost_key(vector)
+
+    def test_code_version_distinguishes(self, monkeypatch):
+        # Entries measured against other code are never looked up again.
+        from repro import codeversion, get_conversion
+
+        conv = get_conversion("SCOO", "CSR")
+        current = conversion_cost_key(conv)
+        monkeypatch.setattr(codeversion, "_CACHED_HASH", "0" * 64)
+        assert conversion_cost_key(conv) != current
 
 
 class TestMaintenance:

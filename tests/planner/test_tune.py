@@ -9,9 +9,17 @@ from repro.datagen.matrices import (
     power_law,
     stencil_offsets,
 )
+from repro.planner import tune as tune_mod
 from repro.planner.coststore import CostStore
 from repro.planner.stats import matrix_stats
-from repro.planner.tune import TuneError, candidates_for, tune
+from repro.planner.tune import (
+    PADDING_BUDGET,
+    TUNABLE,
+    TuneError,
+    candidates_for,
+    tune,
+)
+from tests.tiers import needs_c
 
 
 @pytest.fixture()
@@ -34,11 +42,11 @@ class TestCandidates:
         assert all(c.block >= 2 for c in viable)
 
     def test_dia_rejected_over_budget(self):
-        stats = matrix_stats(power_law(128, 128, nnz=300, seed=1))
-        assert stats.dia_padding > 4
-        viable, rejected = candidates_for("DIA", stats, budget=4.0)
+        stats = matrix_stats(power_law(256, 256, nnz=300, seed=1))
+        assert stats.dia_padding > PADDING_BUDGET
+        viable, rejected = candidates_for("DIA", stats)
         assert viable == []
-        assert "DIA" in rejected
+        assert set(rejected) == {"DIA linear-search", "DIA binary-search"}
 
     def test_dia_linear_and_binary_within_budget(self):
         stats = matrix_stats(banded(64, 64, stencil_offsets(5), seed=0))
@@ -50,6 +58,20 @@ class TestCandidates:
         stats = matrix_stats(banded(8, 8, [0], seed=0))
         with pytest.raises(TuneError):
             candidates_for("CSR", stats)
+
+    def test_tunable_families_come_from_the_compositions(self):
+        # Blocked parameterized families and the offset family; ELL's
+        # padded level cannot be a destination, so it has nothing to tune.
+        assert set(TUNABLE) == {"BCSR", "BCSC", "DIA"}
+
+    def test_untunable_family_refused_before_synthesis(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("synthesized an untunable family")
+
+        monkeypatch.setattr(tune_mod, "synthesize_cached", refuse)
+        coo = banded(16, 16, stencil_offsets(3), seed=0)
+        with pytest.raises(TuneError, match="tunable: .*BCSR"):
+            tune(coo, "ELL", measure=False)
 
 
 class TestTune:
@@ -96,11 +118,25 @@ class TestTune:
                        store=store, repeats=1)
         assert sibling.measured_runs == 0
 
-    def test_tune_error_when_nothing_viable(self, store, monkeypatch):
-        monkeypatch.setenv("REPRO_DIA_BUDGET", "2")
-        coo = power_law(128, 128, nnz=300, seed=8)
+    def test_tune_error_when_nothing_viable(self, store):
+        coo = power_law(256, 256, nnz=300, seed=8)
+        assert matrix_stats(coo).dia_padding > PADDING_BUDGET
         with pytest.raises(TuneError):
             tune(coo, "DIA", store=store, measure=False)
+
+    @pytest.mark.parametrize(
+        "backend", ["python", "numpy", pytest.param("c", marks=needs_c)]
+    )
+    def test_blocked_families_pick_the_native_block(self, store, backend):
+        # BCSC's padded blocks cost what BCSR's do: both read the slot
+        # count off the blocked level, so both pick the 7x7 blocks.
+        coo = fem_blocks(84, block=7, seed=1)
+        for family in ("BCSR", "BCSC"):
+            result = tune(coo, family, backend=backend, measure=False,
+                          store=store)
+            assert result.best.candidate.label == f"{family} block=7"
+            predicted = [c.predicted for c in result.candidates]
+            assert len(set(predicted)) == len(predicted)
 
 
 class TestTunedDestinationsExecute:

@@ -20,7 +20,7 @@ from repro import (
     dense_equal,
 )
 from repro.planner import convert_via_plan
-from repro.runtime import COOTensor3D
+from repro.runtime import COOTensor3D, CSRMatrix
 from repro.verify import check_input, check_output, normalize_level
 
 BACKENDS = ("python", "numpy")
@@ -242,3 +242,50 @@ class TestConvertMetrics:
         assert inspector1[0] == inspector0[0] + 1
         # The whole call contains the inspector run it times.
         assert e2e1[1] - e2e0[1] >= inspector1[1] - inspector0[1]
+
+
+@pytest.fixture()
+def reversing_numpy_tier(monkeypatch):
+    """The numpy tier returning every output array reversed: the same
+    entries, out of the order the destination format promises."""
+    pytest.importorskip("numpy")
+    from repro.backends import get_backend
+
+    numpy_tier = get_backend("numpy")
+    real = numpy_tier.materialize
+
+    def reversing(outputs):
+        return {
+            name: value if isinstance(value, (int, float)) else value[::-1]
+            for name, value in real(outputs).items()
+        }
+
+    monkeypatch.setattr(numpy_tier, "materialize", reversing)
+
+
+class TestDestinationInvariants:
+    """A result is checked as the format it was converted into, not as
+    the format its class declares."""
+
+    def test_unsorted_scoo_result_rejected(self, reversing_numpy_tier):
+        csr = CSRMatrix(3, 3, [0, 1, 2, 3], [0, 1, 2], [1.0, 2.0, 3.0])
+        with pytest.raises(UnsortedInputError):
+            convert(csr, "SCOO", backend="numpy", validate="full")
+        # The same container is a well-formed COO result.
+        out = convert(csr, "COO", backend="numpy", validate="full")
+        assert out.to_dict() == csr.to_dict()
+
+    def test_unsorted_scoo3d_result_rejected(self, reversing_numpy_tier):
+        t = COOTensor3D((2, 2, 2), [1, 0], [0, 0], [0, 1], [1.0, 2.0])
+        with pytest.raises(UnsortedInputError):
+            convert(t, "SCOO3D", backend="numpy", assume_sorted=False,
+                    validate="full")
+
+    def test_check_output_names_the_destination(self):
+        src = COOMatrix(2, 2, [0, 1], [0, 1], [1.0, 2.0])
+        backwards = COOMatrix(2, 2, [1, 0], [1, 0], [2.0, 1.0])
+        check_output(backwards, src, level="full")
+        check_output(backwards, src, level="full", format_name="COO")
+        with pytest.raises(UnsortedInputError):
+            check_output(backwards, src, level="full", format_name="SCOO")
+
