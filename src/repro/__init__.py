@@ -38,6 +38,7 @@ from .formats import (
     get_format,
     outputs_to_container,
 )
+from .formats.bindings import run_conversion as _run_conversion
 from .runtime import (
     BCSRMatrix,
     COOMatrix,
@@ -116,9 +117,10 @@ def convert(
 ):
     """Convert a runtime container to another format via synthesized code.
 
-    The source descriptor is inferred from the container (sorted COO maps to
-    SCOO unless ``assume_sorted=False``), the inspector is synthesized once
-    and cached, and the outputs are packed back into the right container.
+    The gate binds the source once and names its descriptor (sorted COO
+    maps to SCOO unless ``assume_sorted=False``); the inspector is
+    synthesized once and cached, runs on that binding, and its outputs
+    are packed back into the right container.
     ``backend`` selects the lowering: ``"python"`` scalar loops,
     ``"numpy"`` whole-array passes or ``"c"`` compiled native code; all
     three produce identical outputs, and an unavailable tier degrades
@@ -126,7 +128,7 @@ def convert(
 
     ``validate`` gates the conversion (:mod:`repro.verify.gate`):
     ``"inputs"`` (the default) runs the source container's :meth:`check`
-    and — under ``assume_sorted=True`` — a cheap monotonicity scan, raising
+    — under ``assume_sorted=True`` a plain COO's as SCOO's — raising
     :class:`~repro.errors.ValidationError` on malformed input instead of
     emitting a silently corrupt container; ``"full"`` additionally checks
     the output's invariants and compares its shape and stored entries with
@@ -159,12 +161,9 @@ def convert(
             validate=level,
         ) as root:
             with obs.span("validate.input", category="verify"):
-                gate.check_input(
+                src_name, env = gate.check_input(
                     container, level=level, assume_sorted=assume_sorted
                 )
-            src_name = container_format(
-                container, assume_sorted=assume_sorted
-            )
             root.set(src=src_name)
             conversion = get_conversion(
                 src_name,
@@ -174,15 +173,7 @@ def convert(
                 backend=backend,
                 disabled_passes=disabled_passes,
             )
-            env = container_to_env(container)
-            inputs = {p: env[p] for p in conversion.params}
-            start = _time.perf_counter()
-            outputs = conversion(**inputs)
-            elapsed = _time.perf_counter() - start
-            with obs.span("pack_outputs", category="runtime"):
-                result = outputs_to_container(
-                    dst_name, outputs, conversion.uf_output_map, env
-                )
+            result, elapsed = _run_conversion(conversion, dst_name, env)
             with obs.span("validate.output", category="verify"):
                 gate.check_output(result, container, level=level,
                                   format_name=dst_name)

@@ -10,23 +10,21 @@ declared dtype).
 Compiled artifacts are cached on disk, the only generated code the
 package keeps across processes:
 
-* content-hashed — an inspector library is named by ``sha256`` of its C
-  source and of the runtime object's name, so identical generated C
-  compiles exactly once across processes and a changed runtime never
-  serves a stale library,
-* version-partitioned — the cache directory embeds both the package's
-  code-version hash and a compiler-version tag, so neither a synthesizer
-  change nor a toolchain upgrade can serve a stale binary,
+* named by what builds them — ``sha256`` of the compiler tag, the flags
+  and the C source (a library's also of the runtime object's name), in
+  one directory per compiler tag, so identical C compiles once across
+  processes and package versions, and a changed runtime, flag or
+  toolchain never serves a stale binary,
 * atomically published — compile to a temp path, ``os.replace`` into
   place, safe under concurrent writers.
 
 The runtime routines every inspector calls (``RUNTIME_C`` in
 :mod:`repro.spf.codegen.c_emit`) are compiled once per cache directory
-into ``runtime-<hash>.o`` (``-fPIC``, hidden visibility), named by its
-source and the compiler tag and built on the first inspector compile
-that needs it.  Each inspector unit embeds the runtime header and links
-that object, so gcc optimizes only the unit's own loops; every library
-still exports only ``repro_run`` and ``repro_free``.
+into ``runtime-<hash>.o`` (``-fPIC``, hidden visibility), built on the
+first inspector compile that needs it.  Each inspector unit embeds the
+runtime header and links that object, so gcc optimizes only the unit's
+own loops; every library still exports only ``repro_run`` and
+``repro_free``.
 
 Environment knobs:
 
@@ -169,24 +167,20 @@ def compiler_version_tag() -> str | None:
 # ----------------------------------------------------------------------
 # Artifact cache
 # ----------------------------------------------------------------------
-def artifact_root() -> Path:
-    env = os.environ.get("REPRO_CBACKEND_DIR")
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "repro-cbackend"
-
-
 def artifact_dir() -> Path:
-    """Version-partitioned artifact directory.
+    """The artifact directory: one per compiler tag, shared by every
+    version of the package (:func:`_artifact_name`)."""
+    root = os.environ.get("REPRO_CBACKEND_DIR") or \
+        Path.home() / ".cache" / "repro-cbackend"
+    return Path(root) / (compiler_version_tag() or "nocc")[:12]
 
-    Partitioned on *both* the package code version (the generated C
-    changes with the synthesizer) and the compiler tag (the binary
-    changes with the toolchain).
-    """
-    from repro.codeversion import code_version_hash
 
+def _artifact_name(source: str, flags: Sequence[str]) -> str:
+    """``sha256`` of what builds an artifact: the compiler tag, the
+    flags it compiles with and its source."""
     tag = compiler_version_tag() or "nocc"
-    return artifact_root() / f"{code_version_hash()[:12]}-{tag[:12]}"
+    text = "\n".join((tag, *_CFLAGS, *flags, source))
+    return hashlib.sha256(text.encode()).hexdigest()[:24]
 
 
 _FFI = None
@@ -213,7 +207,7 @@ def _ffi():
 
 
 def _compile_artifact(
-    c_source: str, path: Path, cc: str, flags: Sequence[str] = _LIBRARY,
+    c_source: str, path: Path, cc: str, flags: Sequence[str],
     link: Sequence[str] = (),
 ) -> None:
     """Compile one translation unit and atomically publish the result.
@@ -262,10 +256,6 @@ _RUNTIME_BUILD = obs.counter(
     "C runtime objects compiled (not counted as compile misses)",
 )
 
-#: The runtime object of each artifact directory, ``(path, source)``:
-#: named once per directory, so a new code-version or compiler partition
-#: names (and builds) its own.
-_RUNTIME_OBJECTS: dict[Path, tuple[Path, str]] = {}
 #: One lock per artifact path: threads racing to build it wait for one
 #: build instead of each running the compiler (processes wait on a file
 #: lock beside it).
@@ -274,18 +264,11 @@ _BUILD_LOCKS: dict[Path, threading.Lock] = {}
 
 def _runtime_object(base: Path) -> tuple[Path, str]:
     """The runtime object inspector libraries in ``base`` link, and its
-    source; named by a hash of that source and the compiler tag."""
-    found = _RUNTIME_OBJECTS.get(base)
-    if found is None:
-        from repro.spf.codegen.c_emit import runtime_source
+    source."""
+    from repro.spf.codegen.c_emit import runtime_source
 
-        source = runtime_source()
-        tag = compiler_version_tag() or "nocc"
-        digest = hashlib.sha256(f"{tag}\n{source}".encode()).hexdigest()
-        found = _RUNTIME_OBJECTS[base] = (
-            base / f"runtime-{digest[:24]}.o", source
-        )
-    return found
+    source = runtime_source()
+    return base / f"runtime-{_artifact_name(source, _OBJECT)}.o", source
 
 
 def _build_once(path: Path, build) -> bool:
@@ -324,8 +307,7 @@ def load_library(c_source: str, *, runtime: bool = False):
     base = artifact_dir()
     obj, obj_source = _runtime_object(base) if runtime else (None, "")
     named = c_source + obj.name if obj else c_source
-    digest = hashlib.sha256(named.encode()).hexdigest()
-    so_path = base / f"{digest[:24]}.so"
+    so_path = base / f"{_artifact_name(named, _LIBRARY)}.so"
 
     def build():
         _COMPILE_MISS.inc()
@@ -339,7 +321,7 @@ def load_library(c_source: str, *, runtime: bool = False):
         ):
             _RUNTIME_BUILD.inc()
         _compile_artifact(
-            c_source, so_path, cc, link=(str(obj),) if obj else ()
+            c_source, so_path, cc, _LIBRARY, link=(str(obj),) if obj else ()
         )
 
     cached = not _build_once(so_path, build)
@@ -354,10 +336,8 @@ def load_library(c_source: str, *, runtime: bool = False):
 
 
 def clear_lib_memo() -> None:
-    """Drop the per-process dlopen and runtime-object memos (mainly for
-    tests)."""
+    """Drop the per-process dlopen memo (mainly for tests)."""
     _LIB_MEMO.clear()
-    _RUNTIME_OBJECTS.clear()
 
 
 # ----------------------------------------------------------------------

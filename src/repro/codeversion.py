@@ -1,10 +1,10 @@
 """A content hash over the package's own source, for cache invalidation.
 
-Every on-disk layer keys on this hash, so an entry an older checkout
-wrote is never served after the package changes: the C artifact
-directory (:mod:`repro.backends.c_backend`) is partitioned by it, and
-the learned-cost store (:mod:`repro.planner.coststore`) folds it into
-every entry's key, so its one file needs no partitions.
+The learned-cost store (:mod:`repro.planner.coststore`) folds it into
+every entry's key, so a timing an older checkout measured is never
+served after the package changes.  The C artifacts do not read it: each
+is named by what builds it (:mod:`repro.backends.c_backend`), so a
+checkout that prints the same C reuses them.
 
 The hash covers every ``.py`` file under the installed ``repro`` package
 (sorted by relative path, content-hashed), computed once per process.

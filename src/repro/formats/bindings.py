@@ -21,7 +21,9 @@ derives, per container class and format:
   :meth:`~repro.formats.levels.Composition.check`, with each array named
   by its attribute.
 
-A format without a composition cannot be bound.
+A conversion binds its source once (:func:`bind_source`) and runs on
+that binding (:func:`run_conversion`).  A format without a composition
+cannot be bound.
 """
 
 from __future__ import annotations
@@ -29,8 +31,10 @@ from __future__ import annotations
 import dataclasses
 import functools
 import operator
+import time
 from typing import Callable, Mapping, NamedTuple
 
+import repro.obs as obs
 from repro.errors import ShapeError, UnsortedInputError
 from repro.runtime.container import LevelContainer, container_class
 
@@ -153,22 +157,35 @@ def bound(container):
     return plan.composition, env
 
 
-def container_format(container, *, assume_sorted: bool = True) -> str:
-    """The descriptor name matching a runtime container.
+def bind_source(container, *, assume_sorted: bool = True,
+                check: bool = False) -> tuple[str, dict]:
+    """Bind a source container once: its descriptor name and environment.
 
-    An unordered coordinate container whose entries are sorted binds to
-    its sorted form under ``assume_sorted`` (SCOO for COO: the paper's
-    Figure 2 assumption).
+    An unordered coordinate container under ``assume_sorted`` is named
+    its sorted form (SCOO for COO: the paper's Figure 2 assumption) when
+    its entries are sorted: with ``check``, when it passes
+    :func:`check_container`'s audit, which holds it to that order;
+    without, when one scan finds them sorted.
     """
     name = _declared_format(container)
+    plan, env = _bound(container, name)
     sorted_format = type(container).layout.sorted_format
-    if assume_sorted and sorted_format:
-        plan = _binding(name, type(container), container)
-        if plan.composition._resolved_ordering() is None and \
-                invariants.first_unsorted_position(
-                    plan.composition, _env(container, plan)) is None:
-            return sorted_format
-    return name
+    if check:
+        ordered = _check(container, plan, env, assume_sorted)
+    else:
+        ordered = assume_sorted and sorted_format and \
+            plan.composition._resolved_ordering() is None and \
+            invariants.first_unsorted_position(plan.composition, env) is None
+    return (ordered and sorted_format) or name, env
+
+
+def container_format(container, *, assume_sorted: bool = True) -> str:
+    """The descriptor name matching a runtime container (unchecked
+    :func:`bind_source`); without ``assume_sorted``, the one its class
+    declares, named without a bind."""
+    if not assume_sorted:
+        return _declared_format(container)
+    return bind_source(container)[0]
 
 
 def container_to_env(container) -> dict:
@@ -193,7 +210,12 @@ def check_container(container, *, assume_sorted: bool = False,
     precondition the sorted descriptors rely on — and an order violation
     names that promise and its remedy.
     """
-    plan, env = _bound(container, format_name)
+    _check(container, *_bound(container, format_name), assume_sorted)
+
+
+def _check(container, plan: _Plan, env: dict, assume_sorted: bool) -> bool:
+    """:func:`check_container` on a bound container; whether it held the
+    container to the promised order."""
     composition = plan.composition
     promised = (
         assume_sorted
@@ -216,6 +238,7 @@ def check_container(container, *, assume_sorted: bool = False,
                    "COO descriptor",
             container=repr(container),
         ) from None
+    return promised
 
 
 @functools.lru_cache(maxsize=64)
@@ -260,6 +283,21 @@ def outputs_to_container(
     cls, plan = _destination(dst_name, fmt)
     return _build(cls, plan, src_env, outputs, outputs["Adst"],
                   uf_output_map)
+
+
+def run_conversion(conversion, dst_name: str, env: Mapping):
+    """One conversion step on a bound source: the inspector's inputs read
+    from ``env``, the inspector, then the pack into a ``dst_name``
+    container.  Returns the container and the inspector's seconds."""
+    inputs = {p: env[p] for p in conversion.params}
+    start = time.perf_counter()
+    outputs = conversion(**inputs)
+    elapsed = time.perf_counter() - start
+    with obs.span("pack_outputs", category="runtime"):
+        result = outputs_to_container(
+            dst_name, outputs, conversion.uf_output_map, env
+        )
+    return result, elapsed
 
 
 @functools.lru_cache(maxsize=256)

@@ -143,16 +143,16 @@ def run_kernel(container, kind: str, **extra):
     scale).  Returns the kernel's single output (the vector / scalar / data
     array).
     """
-    from repro.formats import container_format, container_to_env, get_format
+    from repro.formats import get_format
+    from repro.formats.bindings import bind_source
 
-    fmt_name = container_format(container)
+    fmt_name, env = bind_source(container)
     key = (fmt_name, kind)
     kernel = _KERNEL_CACHE.get(key)
     if kernel is None:
         kernel = synthesize_kernel(get_format(fmt_name), kind)
         kernel.compile()
         _KERNEL_CACHE[key] = kernel
-    env = container_to_env(container)
     # The kernel reads list copies, so ``scale`` never writes the container.
     env["Adata"] = env.pop("Asrc")
     env.update(extra)

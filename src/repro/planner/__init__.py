@@ -28,18 +28,13 @@ from __future__ import annotations
 
 import heapq
 import threading
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import repro.obs as obs
 from repro.backends import available_backend, get_backend
-from repro.formats import (
-    container_format,
-    container_to_env,
-    get_format,
-    outputs_to_container,
-)
+from repro.formats import container_to_env, get_format
+from repro.formats.bindings import run_conversion
 from repro.synthesis import SynthesisError, SynthesizedConversion, synthesize_cached
 
 from .coststore import CostStore, conversion_cost_key, default_cost_store
@@ -129,6 +124,9 @@ class ConversionPlanner:
         disabled_passes: Sequence[str] = (),
         cost_store: CostStore | None = None,
     ):
+        if isinstance(formats, str):
+            raise TypeError(f"formats takes a sequence of format names, "
+                            f"not the string {formats!r}")
         self.format_names = tuple(formats or PLANNABLE_2D)
         # Normalizing through the registry validates the name up front and
         # lets callers pass a Backend instance directly; an unavailable
@@ -304,6 +302,13 @@ class ConversionPlanner:
         and the calibrated prediction-vs-actual ratio lands in the
         ``repro_cost_prediction_ratio`` obs histogram.
         """
+        return self._run_plan(plan, container, container_to_env(container),
+                              validate, original, record)
+
+    def _run_plan(self, plan, container, env, validate="off", original=None,
+                  record=None):
+        """:meth:`execute_plan` with ``container`` bound as ``env``, the
+        first step's input; each later step binds its predecessor's."""
         from repro.verify import gate
 
         level = gate.normalize_level(validate)
@@ -323,14 +328,9 @@ class ConversionPlanner:
                 cost=round(step.cost, 3),
             ):
                 conversion = self.conversion(step.src, step.dst)
-                env = container_to_env(current)
-                inputs = {p: env[p] for p in conversion.params}
-                start = time.perf_counter()
-                outputs = conversion(**inputs)
-                elapsed = time.perf_counter() - start
-                current = outputs_to_container(
-                    step.dst, outputs, conversion.uf_output_map, env
-                )
+                if current is not container:
+                    env = container_to_env(current)
+                current, elapsed = run_conversion(conversion, step.dst, env)
                 gate.check_output(current, reference, level=level,
                                   format_name=step.dst)
             predicted = (
@@ -370,16 +370,17 @@ class ConversionPlanner:
         with obs.TRACER.forced(trace), obs.span(
             "plan.execute", category="plan", dst=dst, backend=self.backend
         ) as root:
-            gate.check_input(
+            src, env = gate.check_input(
                 container, level=level, assume_sorted=assume_sorted
             )
-            src = container_format(container, assume_sorted=assume_sorted)
             root.set(src=src)
             if not self._plannable_source(src):
-                # A rank-specific planner may be needed; pick by the source.
+                rank = type(container).layout.rank
                 raise SynthesisError(
                     f"{src} is not in this planner's format set "
-                    f"{self.format_names}; use ConversionPlanner({src!r}, ...)"
+                    f"{self.format_names}; use ConversionPlanner("
+                    f"PLANNABLE_{rank}D, ...), default_planner"
+                    f"{'_3d' if rank == 3 else ''}() or convert_via_plan"
                 )
             stats = matrix_stats(container) if matrix_aware else None
             plan = self.plan(src, dst, stats=stats)
@@ -388,9 +389,7 @@ class ConversionPlanner:
                 steps=len(plan.steps),
                 matrix_aware=matrix_aware,
             )
-            result, _ = self.execute_plan(
-                plan, container, validate=validate, original=container
-            )
+            result, _ = self._run_plan(plan, container, env, level)
             return result
 
     def _plannable_source(self, src: str) -> bool:
@@ -476,17 +475,15 @@ def convert_via_plan(
     trace: bool | None = None,
     matrix_aware: bool = False,
 ):
-    """Convert through the cheapest available chain (module-level helper)."""
-    # The declared format picks the planner without a sortedness scan:
-    # sorted and unsorted coordinate forms share a rank, and
-    # ``planner.execute`` detects the source itself.
-    src = container_format(container, assume_sorted=False)
-    planner = (
-        default_planner_3d(backend)
-        if src in PLANNABLE_3D
-        else default_planner(backend)
-    )
-    return planner.execute(
+    """Convert through the cheapest available chain (module-level helper).
+
+    The container's declared rank picks the 2-D or 3-D default planner,
+    which admits the source (:meth:`ConversionPlanner.execute`).
+    """
+    layout = getattr(container, "layout", None)
+    planner = default_planner_3d if layout and layout.rank == 3 \
+        else default_planner
+    return planner(backend).execute(
         container,
         dst,
         assume_sorted=assume_sorted,

@@ -57,13 +57,6 @@ class MatrixStats:
     block_fill: Mapping[int, float] = field(default_factory=dict)
 
     # ------------------------------------------------------------------
-    @property
-    def dia_padding(self) -> float:
-        """Slots a DIA layout stores per nonzero (>= 1)."""
-        if self.nnz == 0:
-            return 1.0
-        return max(1.0, (self.nrows * max(self.ndiags, 1)) / self.nnz)
-
     def fill(self, block: int) -> float:
         """Block-fill ratio for ``block``, estimated when unprofiled."""
         got = self.block_fill.get(block)

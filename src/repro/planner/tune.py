@@ -31,7 +31,8 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from repro.backends.base import storage_slots
-from repro.formats import container_format, container_to_env, get_format
+from repro.formats import get_format
+from repro.formats.bindings import bind_source
 from repro.formats.library import format_names, parameterized_families
 from repro.synthesis import SynthesisError, synthesize_cached
 
@@ -229,7 +230,7 @@ def tune(
         store = default_cost_store()
     if stats is None:
         stats = matrix_stats(container)
-    src = container_format(container)
+    src, env = bind_source(container)
     with obs.span(
         "plan.tune", category="plan", family=family, src=src, backend=backend
     ) as span:
@@ -283,7 +284,6 @@ def tune(
                 result.candidates.append(tuned)
 
         if to_measure:
-            env = container_to_env(container)
             # The seed shuffles only the measurement order, so warm-up
             # effects don't systematically favor late candidates; the
             # result ranking below is order-independent.  Repeats are

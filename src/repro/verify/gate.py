@@ -9,7 +9,7 @@ generated code).  This module is the enforcement point:
 
 * ``validate="off"``     — trust the caller entirely (benchmark mode),
 * ``validate="inputs"``  — run the source container's :meth:`check` plus
-  the ``assume_sorted`` monotonicity precondition (the default),
+  the ``assume_sorted`` order precondition (the default),
 * ``validate="full"``    — additionally :meth:`check` the converted
   output and compare its stored entries with the source's.
 
@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import repro.obs as obs
 from repro.errors import ValidationError
+from repro.formats.bindings import bind_source
 
 VALIDATE_LEVELS = ("off", "inputs", "full")
 
@@ -54,26 +55,25 @@ def normalize_level(level: str | None) -> str:
 
 
 def check_input(container, *, level: str = "inputs",
-                assume_sorted: bool = True) -> None:
-    """Gate a source container before it reaches a synthesized inspector.
+                assume_sorted: bool = True) -> tuple[str, dict]:
+    """Admit a source container: its descriptor name and environment,
+    bound once (:func:`repro.formats.bindings.bind_source`).
 
-    Runs the container's structural :meth:`check` (bounds, duplicates,
-    pointer invariants) and, for plain COO containers under
-    ``assume_sorted=True``, the lexicographic order the sorted
-    descriptors rely on — one derived check
-    (:func:`repro.formats.bindings.check_container`) over the same
-    arrays.  Raises a :class:`~repro.errors.ValidationError` subclass
-    naming the offending coordinate or position; does nothing at
-    ``level="off"``.
+    Above ``level="off"`` that environment is checked against the
+    invariants its composition derives (bounds, duplicates, pointer
+    invariants) and, for a plain COO under ``assume_sorted=True``, the
+    lexicographic order the sorted descriptors rely on, so passing names
+    it SCOO; a violation raises a :class:`~repro.errors.ValidationError`
+    subclass naming the offending coordinate or position.
+    ``level="off"`` checks nothing; one scan detects the order.
     """
     level = normalize_level(level)
     if level == "off":
-        return
+        return bind_source(container, assume_sorted=assume_sorted)
     _CHECKS.inc(where="input")
-    from repro.formats.bindings import check_container
-
     try:
-        check_container(container, assume_sorted=assume_sorted)
+        return bind_source(container, assume_sorted=assume_sorted,
+                           check=True)
     except ValidationError as err:
         _REJECTIONS.inc(error=type(err).__name__, where="input")
         raise

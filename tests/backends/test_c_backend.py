@@ -1,9 +1,9 @@
 """The compiled-C tier: artifact cache, availability gating, coverage.
 
 The compile-cache tests pin the .so artifact store's conventions:
-content-hashed reuse across processes, whatever their hash seed, and a
-cache miss when either partition key (package code version, compiler
-version tag) changes.  The availability tests pin the
+content-hashed reuse across processes, whatever their hash seed, and
+across package code versions; a cache miss when the compiler version
+tag or a compile flag changes.  The availability tests pin the
 graceful-degradation contract: a missing soft dependency raises the
 registry's standard :class:`BackendUnavailableError` from ``require()``,
 naming every missing one, while every entry point (``convert``, the
@@ -140,18 +140,43 @@ class TestCompileCache:
         assert warm["miss"] == 0
         assert warm["hit"] >= 1
 
-    def test_miss_on_code_version_bump(self, cache_dir, monkeypatch):
+    def test_code_version_bump_compiles_nothing(self, cache_dir,
+                                               monkeypatch):
+        # Artifacts are named by what builds them, not by the package's
+        # version: a checkout that prints the same C reuses them.
+        from repro import codeversion
+
         _run_c_conversion()
+        artifacts = set(cache_dir.rglob("*"))
         miss0 = _counter("repro_cbackend_compile_miss_total")
+        builds0 = _counter("repro_cbackend_runtime_build_total")
+        monkeypatch.setattr(codeversion, "_CACHED_HASH", "0" * 64)
+        c_backend.clear_lib_memo()
+        _, out = _run_c_conversion()
+        assert list(out["rowptr"]) == [0, 1, 2, 4]
+        assert _counter("repro_cbackend_compile_miss_total") == miss0
+        assert _counter("repro_cbackend_runtime_build_total") == builds0
+        assert set(cache_dir.rglob("*")) == artifacts
+
+    @pytest.mark.parametrize("flags", ["_CFLAGS", "_LIBRARY", "_OBJECT"])
+    def test_miss_on_changed_flags(self, cache_dir, monkeypatch, flags):
+        # Every flag is in every artifact's name: the runtime object's
+        # flags rename the object and so the libraries linking it.
+        _run_c_conversion()
+        sos = set(cache_dir.glob("*/*.so"))
+        miss0 = _counter("repro_cbackend_compile_miss_total")
+        builds0 = _counter("repro_cbackend_runtime_build_total")
         monkeypatch.setattr(
-            "repro.codeversion.code_version_hash", lambda: "0" * 64
+            c_backend, flags, getattr(c_backend, flags) + ("-DREPRO_X",)
         )
         c_backend.clear_lib_memo()
-        _run_c_conversion()
+        _, out = _run_c_conversion()
+        assert list(out["rowptr"]) == [0, 1, 2, 4]
         assert _counter("repro_cbackend_compile_miss_total") == miss0 + 1
-        assert (cache_dir / c_backend.artifact_dir().name).name.startswith(
-            "0" * 12
+        assert _counter("repro_cbackend_runtime_build_total") == builds0 + (
+            flags != "_LIBRARY"
         )
+        assert len(set(cache_dir.glob("*/*.so")) - sos) == 1
 
     def test_miss_on_compiler_change(self, cache_dir, monkeypatch):
         _run_c_conversion()
@@ -221,8 +246,14 @@ class TestCompileCache:
         assert lib.repro_json_i64
         assert not list(cache_dir.glob("*/*.o"))
         assert _counter("repro_cbackend_runtime_build_total") == builds0
+        # Named, as every artifact is, by the compiler tag, the flags
+        # and its source.
         (so,) = cache_dir.glob("*/*.so")
-        digest = hashlib.sha256(jsontext.C_SOURCE.encode()).hexdigest()
+        named = "\n".join((
+            c_backend.compiler_version_tag(), *c_backend._CFLAGS,
+            *c_backend._LIBRARY, jsontext.C_SOURCE,
+        ))
+        digest = hashlib.sha256(named.encode()).hexdigest()
         assert so.name == f"{digest[:24]}.so"
 
     def test_warmed_pair_needs_no_compiler(self, cache_dir):

@@ -16,7 +16,9 @@ from repro.runtime import (
     DIAMatrix,
     ELLMatrix,
 )
+from repro.backends.base import storage_slots
 from repro.planner.stats import BLOCK_CANDIDATES, matrix_stats
+from repro.planner.tune import candidates_for
 
 
 def _dense(coo):
@@ -40,7 +42,8 @@ class TestProfiles:
         # Skewed degree distribution: many diagonals, high variation.
         assert stats.ndiags > 30
         assert stats.row_cv > 0.5
-        assert stats.dia_padding > 2.0
+        # A DIA layout would store over two slots per nonzero.
+        assert storage_slots("DIA", stats) / stats.nnz > 2.0
 
     def test_blocked_profile_prefers_native_block(self):
         coo = fem_blocks(60, block=4, seed=3)
@@ -54,7 +57,9 @@ class TestProfiles:
         stats = matrix_stats(COOMatrix(3, 4, [], [], []))
         assert stats.nnz == 0
         assert stats.density == 0.0
-        assert stats.dia_padding == 1.0
+        # No nonzero to pad around: the tuner admits DIA.
+        viable, rejected = candidates_for("DIA", stats)
+        assert len(viable) == 2 and not rejected
         assert stats.bucket()  # still a usable key
 
 

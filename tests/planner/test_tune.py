@@ -9,6 +9,7 @@ from repro.datagen.matrices import (
     power_law,
     stencil_offsets,
 )
+from repro.backends.base import storage_slots
 from repro.planner import tune as tune_mod
 from repro.planner.coststore import CostStore
 from repro.planner.stats import matrix_stats
@@ -43,7 +44,7 @@ class TestCandidates:
 
     def test_dia_rejected_over_budget(self):
         stats = matrix_stats(power_law(256, 256, nnz=300, seed=1))
-        assert stats.dia_padding > PADDING_BUDGET
+        assert storage_slots("DIA", stats) / stats.nnz > PADDING_BUDGET
         viable, rejected = candidates_for("DIA", stats)
         assert viable == []
         assert set(rejected) == {"DIA linear-search", "DIA binary-search"}
@@ -120,7 +121,8 @@ class TestTune:
 
     def test_tune_error_when_nothing_viable(self, store):
         coo = power_law(256, 256, nnz=300, seed=8)
-        assert matrix_stats(coo).dia_padding > PADDING_BUDGET
+        stats = matrix_stats(coo)
+        assert storage_slots("DIA", stats) / stats.nnz > PADDING_BUDGET
         with pytest.raises(TuneError):
             tune(coo, "DIA", store=store, measure=False)
 

@@ -102,38 +102,6 @@ class TestExecution:
             out = convert_via_plan(coo, dst)
             assert dense_equal(out.to_dense(), dense), dst
 
-    @pytest.mark.parametrize("validate", ["off", "inputs"])
-    @pytest.mark.parametrize("rank", [2, 3])
-    def test_sorted_coo_is_scanned_for_order_once(
-        self, monkeypatch, rank, validate
-    ):
-        # The 2-D or 3-D planner is picked from the declared format; only
-        # the planner's own source detection scans the entries.
-        from repro.formats import invariants
-        from repro.runtime.tensors3d import COOTensor3D
-
-        scans = []
-        real = invariants.first_unsorted_position
-
-        def spy(comp, env):
-            scans.append(comp)
-            return real(comp, env)
-
-        monkeypatch.setattr(invariants, "first_unsorted_position", spy)
-        if rank == 2:
-            dense = random_dense(4)
-            out = convert_via_plan(
-                COOMatrix.from_dense(dense), "CSR", validate=validate
-            )
-            assert dense_equal(out.to_dense(), dense)
-        else:
-            tensor = COOTensor3D(
-                (2, 2, 3), [0, 0, 1], [0, 1, 1], [2, 0, 1], [1.0, 2.0, 3.0]
-            )
-            out = convert_via_plan(tensor, "MCOO3", validate=validate)
-            assert sorted(out.val) == [1.0, 2.0, 3.0]
-        assert len(scans) == 1
-
     def test_execute_from_dia(self):
         dense = random_dense(3)
         dia_m = DIAMatrix.from_dense(dense)
@@ -148,6 +116,43 @@ class TestExecution:
         first = dict(planner._edges)
         planner.plan("SCOO", "CSR")
         assert planner._edges == first  # no re-synthesis
+
+    @pytest.mark.parametrize("rank", [2, 3])
+    def test_source_of_another_rank_names_a_working_remedy(self, rank):
+        from repro import COOTensor3D
+        from repro.planner import (
+            PLANNABLE_3D,
+            default_planner,
+            default_planner_3d,
+        )
+
+        if rank == 3:
+            source, dst = COOTensor3D(
+                (2, 2, 3), [0, 0, 1], [0, 1, 1], [2, 0, 1], [1.0, 2.0, 3.0]
+            ), "MCOO3"
+            wrong, formats, planner = ConversionPlanner(), PLANNABLE_3D, \
+                default_planner_3d
+        else:
+            source, dst = COOMatrix.from_dense(random_dense(5)), "CSR"
+            wrong, formats, planner = ConversionPlanner(PLANNABLE_3D), \
+                PLANNABLE_2D, default_planner
+        with pytest.raises(SynthesisError) as exc:
+            wrong.execute(source, dst)
+        message = str(exc.value)
+        assert f"ConversionPlanner(PLANNABLE_{rank}D, ...)" in message
+        assert f"{planner.__name__}()" in message
+        assert "convert_via_plan" in message
+        # Each call the message names converts the source.
+        for out in (
+            ConversionPlanner(formats).execute(source, dst),
+            planner().execute(source, dst),
+            convert_via_plan(source, dst),
+        ):
+            assert out.to_dict() == source.to_dict()
+
+    def test_formats_must_not_be_a_bare_string(self):
+        with pytest.raises(TypeError, match="SCOO3D"):
+            ConversionPlanner("SCOO3D")
 
 
 class TestDefaultPlannerSingletons:
