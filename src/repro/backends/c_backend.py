@@ -15,16 +15,24 @@ package keeps across processes:
   one directory per compiler tag, so identical C compiles once across
   processes and package versions, and a changed runtime, flag or
   toolchain never serves a stale binary,
-* atomically published — compile to a temp path, ``os.replace`` into
-  place, safe under concurrent writers.
+* built in two steps into fresh files — ``cc -pipe -c`` compiles the
+  unit into an object of this process's own, a second ``cc -shared``
+  links it into a temp library, and ``os.replace`` publishes that on
+  the artifact's path, which does not exist yet.  No file a build writes
+  replaces or truncates an existing one: on ext4 with ``auto_da_alloc``
+  (the default) truncating or renaming over a file forces its data out
+  first and stalls ≈45-65 ms, which a one-step ``cc -shared`` paid twice
+  per library on gcc's own temp files,
+* safe under concurrent writers — threads and processes building one
+  artifact wait for one build.
 
 The runtime routines every inspector calls (``RUNTIME_C`` in
 :mod:`repro.spf.codegen.c_emit`) are compiled once per cache directory
-into ``runtime-<hash>.o`` (``-fPIC``, hidden visibility), built on the
-first inspector compile that needs it.  Each inspector unit embeds the
-runtime header and links that object, so gcc optimizes only the unit's
-own loops; every library still exports only ``repro_run`` and
-``repro_free``.
+into ``runtime-<hash>.o`` (``-fPIC``, hidden visibility; the compile
+step alone), built on the first inspector compile that needs it.  Each
+inspector unit embeds the runtime header and links that object, so gcc
+optimizes only the unit's own loops; every library still exports only
+``repro_run`` and ``repro_free``.
 
 Environment knobs:
 
@@ -44,12 +52,13 @@ to the numpy tier.
 from __future__ import annotations
 
 import ast
+import contextlib
 import hashlib
 import os
 import shutil
 import subprocess
-import tempfile
 import threading
+import time
 from array import array
 from pathlib import Path
 from typing import Sequence
@@ -92,14 +101,17 @@ _ERRNO = {
     5: RuntimeError,
 }
 
-_CFLAGS = ("-O2", "-fPIC", "-std=c99")
-#: An inspector or formatter library, and the runtime object it links.
+#: Every compile: one unit into an object, through pipes, not temp files.
+_CFLAGS = ("-O2", "-fPIC", "-std=c99", "-pipe", "-c")
+#: The link that makes an inspector or formatter library of a unit's
+#: object, and what the runtime object compiles with besides.
 _LIBRARY = ("-shared",)
-_OBJECT = ("-c", "-fvisibility=hidden")
+_OBJECT = ("-fvisibility=hidden",)
 
 
 class CCompileError(RuntimeError):
-    """The C compiler rejected a generated translation unit."""
+    """A compile or link step of a C artifact failed; the message names
+    the command and carries the compiler's stderr."""
 
 
 # ----------------------------------------------------------------------
@@ -206,38 +218,62 @@ def _ffi():
     return _FFI
 
 
-def _compile_artifact(
-    c_source: str, path: Path, cc: str, flags: Sequence[str],
-    link: Sequence[str] = (),
-) -> None:
-    """Compile one translation unit and atomically publish the result.
+_BUILD_SECONDS = obs.histogram(
+    "repro_cbackend_build_seconds",
+    "C compiler invocations by step: compile (a unit into an object) "
+    "or link (objects into a library)",
+)
 
-    The .c file is published alongside the artifact for debugging; both
-    writes go through temp-path + ``os.replace`` so concurrent processes
-    compiling the same source race benignly (identical content).
-    ``link`` names the objects a library links.
-    """
-    path.parent.mkdir(parents=True, exist_ok=True)
-    c_path = path.with_suffix(".c")
-    fd, tmp_c = tempfile.mkstemp(
-        dir=str(path.parent), prefix=c_path.name, suffix=".tmp"
-    )
-    with os.fdopen(fd, "w") as fh:
-        fh.write(c_source)
-    os.replace(tmp_c, c_path)
-    tmp = f"{path}.{os.getpid()}.tmp"
-    cmd = [cc, *_CFLAGS, *flags, "-o", tmp, str(c_path), *link]
-    with obs.span("c.compile", category="compile", artifact=path.name):
+
+def _run_compiler(cmd: list[str], step: str, artifact: str) -> None:
+    """Run one compiler command as span ``c.<step>``, observed in
+    ``repro_cbackend_build_seconds{step}``; raise on failure."""
+    start = time.perf_counter()
+    with obs.span(f"c.{step}", category="compile", artifact=artifact):
         proc = subprocess.run(cmd, capture_output=True, text=True)
+    _BUILD_SECONDS.observe(time.perf_counter() - start, step=step)
     if proc.returncode != 0:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
         raise CCompileError(
             f"{' '.join(cmd)} failed ({proc.returncode}):\n{proc.stderr}"
         )
-    os.replace(tmp, path)
+
+
+def _compile_artifact(
+    c_source: str, path: Path, cc: str, link: Sequence[str] | None = None,
+) -> None:
+    """Build the artifact at ``path``, which does not exist yet.
+
+    ``link=None`` builds the runtime object: one compile with
+    ``_OBJECT``.  Otherwise a library: the unit compiles into an
+    intermediate object, which a second ``cc`` call links (``_LIBRARY``)
+    with the objects ``link`` names.  Every output is a fresh file named
+    for this process and ``os.replace`` moves the result onto ``path``;
+    the caller holds the artifact's locks, so no other build writes
+    these names.  The .c file is published beside the artifact, for
+    debugging, when it is absent; its name is its content's, so one on
+    disk already holds this source.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    c_path = path.with_suffix(".c")
+    if not c_path.exists():
+        obs.atomic_write_text(c_path, c_source)
+    tmp = f"{path}.{os.getpid()}.tmp"
+    obj = tmp if link is None else f"{path.with_suffix('')}.{os.getpid()}.o"
+    extra = _OBJECT if link is None else ()
+    try:
+        _run_compiler(
+            [cc, *_CFLAGS, *extra, "-o", obj, str(c_path)], "compile",
+            path.name,
+        )
+        if link is not None:
+            _run_compiler(
+                [cc, *_LIBRARY, "-o", tmp, obj, *link], "link", path.name
+            )
+        os.replace(tmp, path)
+    finally:
+        for leftover in (obj, tmp):
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(leftover)
 
 
 #: Process-wide memo of loaded shared objects keyed on the source text
@@ -249,7 +285,7 @@ _COMPILE_HIT = obs.counter(
     "repro_cbackend_compile_hit_total", "C artifacts served from a cache"
 )
 _COMPILE_MISS = obs.counter(
-    "repro_cbackend_compile_miss_total", "C compiler invocations"
+    "repro_cbackend_compile_miss_total", "C libraries compiled"
 )
 _RUNTIME_BUILD = obs.counter(
     "repro_cbackend_runtime_build_total",
@@ -317,11 +353,11 @@ def load_library(c_source: str, *, runtime: bool = False):
                 "c", "no C compiler found (checked $CC, cc, gcc, clang)"
             )
         if obj and _build_once(
-            obj, lambda: _compile_artifact(obj_source, obj, cc, _OBJECT)
+            obj, lambda: _compile_artifact(obj_source, obj, cc)
         ):
             _RUNTIME_BUILD.inc()
         _compile_artifact(
-            c_source, so_path, cc, _LIBRARY, link=(str(obj),) if obj else ()
+            c_source, so_path, cc, link=(str(obj),) if obj else ()
         )
 
     cached = not _build_once(so_path, build)

@@ -12,26 +12,30 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
 
 
 @contextlib.contextmanager
-def file_lock(path: Path):
+def file_lock(path: Path, *, shared: bool = False):
     """Hold an exclusive ``flock`` on ``<path>.lock`` for the block.
 
     Two *processes* writing ``path`` (the cost store's read-merge-write,
-    a C artifact's build) serialize on it instead of racing.  Degrades to
-    a no-op where ``fcntl`` is unavailable or the lock file cannot be
-    created.
+    a C artifact's build) serialize on it instead of racing.  ``shared``
+    takes the lock shared, for a reader that must not see a writer's
+    update half done; it creates no directory, since where there is none
+    there is nothing to read.  Degrades to a no-op where ``fcntl`` is
+    unavailable or the lock file cannot be created.
     """
     if fcntl is None:
         yield
         return
     lock_path = path.with_suffix(path.suffix + ".lock")
     try:
-        lock_path.parent.mkdir(parents=True, exist_ok=True)
+        if not shared:
+            lock_path.parent.mkdir(parents=True, exist_ok=True)
         handle = open(lock_path, "a+")
     except OSError:
         yield
         return
     try:
-        fcntl.flock(handle.fileno(), fcntl.LOCK_EX)
+        mode = fcntl.LOCK_SH if shared else fcntl.LOCK_EX
+        fcntl.flock(handle.fileno(), mode)
         yield
     finally:
         with contextlib.suppress(OSError):

@@ -149,6 +149,28 @@ class Histogram(Metric):
                     "ts": time.time(),
                 }
 
+    def merge(self, series: dict, **labels) -> None:
+        """Fold in observations another process made: ``series`` holds
+        their count, sum and per-bucket counts, and the min and max of
+        that process's series (see :meth:`MetricsRegistry.added_since`)."""
+        key = _label_key(labels)
+        with self._lock:
+            own = self._series.get(key)
+            if own is None:
+                self._series[key] = dict(
+                    series,
+                    buckets=list(series["buckets"]),
+                    exemplars=[None] * (len(self.buckets) + 1),
+                )
+                return
+            own["count"] += series["count"]
+            own["sum"] += series["sum"]
+            own["min"] = min(own["min"], series["min"])
+            own["max"] = max(own["max"], series["max"])
+            own["buckets"] = [
+                a + b for a, b in zip(own["buckets"], series["buckets"])
+            ]
+
     def _samples(self) -> list[dict]:
         """Series with ``buckets`` cumulative per bound (Prometheus ``le``)."""
         with self._lock:
@@ -212,23 +234,54 @@ class MetricsRegistry:
             metrics = list(self._metrics.values())
         return {metric.name: metric.snapshot() for metric in metrics}
 
-    def counts(self) -> dict[tuple[str, tuple], float]:
-        """Every counter series, as ``{(name, label key): value}``."""
+    def counts(self) -> dict[tuple[str, tuple], object]:
+        """Every counter and histogram series, as ``{(name, label key):
+        value}``: a counter's count, a copy of a histogram's series."""
         with self._lock:
             metrics = list(self._metrics.values())
         out = {}
         for metric in metrics:
-            if isinstance(metric, Counter):
+            if isinstance(metric, (Counter, Histogram)):
                 with metric._lock:
                     for key, value in metric._series.items():
+                        if isinstance(value, dict):
+                            value = dict(value, buckets=list(value["buckets"]))
                         out[metric.name, key] = value
         return out
 
-    def add_counts(self, counts: Mapping[tuple[str, tuple], float]) -> None:
-        """Add counts another process recorded (a pool worker's, in the
-        form :meth:`counts` returns) to this process's counters."""
-        for (name, key), n in counts.items():
-            self.counter(name).inc(n, **dict(key))
+    def added_since(self, before: Mapping) -> dict[tuple[str, tuple], object]:
+        """What the series of :meth:`counts` gained since it returned
+        ``before``: a counter's increase, a histogram's new count, sum
+        and per-bucket counts (with its whole min and max).  A pool
+        worker returns this for :meth:`add_counts` in its parent."""
+        added = {}
+        for key, value in self.counts().items():
+            prev = before.get(key)
+            if not isinstance(value, dict):
+                if value != (prev or 0):
+                    added[key] = value - (prev or 0)
+                continue
+            if prev is not None:
+                value = dict(
+                    value,
+                    count=value["count"] - prev["count"],
+                    sum=value["sum"] - prev["sum"],
+                    buckets=[
+                        a - b for a, b in zip(value["buckets"], prev["buckets"])
+                    ],
+                )
+            if value["count"]:
+                added[key] = value
+        return added
+
+    def add_counts(self, counts: Mapping[tuple[str, tuple], object]) -> None:
+        """Add what another process recorded (a pool worker's
+        :meth:`added_since`) to this process's counters and histograms."""
+        for (name, key), value in counts.items():
+            if isinstance(value, dict):
+                self.histogram(name).merge(value, **dict(key))
+            else:
+                self.counter(name).inc(value, **dict(key))
 
     def reset(self) -> None:
         with self._lock:

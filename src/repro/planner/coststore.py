@@ -7,8 +7,14 @@ measurements, so the second user with a *similar* matrix (same stats
 bucket) gets the tuned plan with zero measurement.
 
 On disk: one JSON file, ``costs.json`` under ``$REPRO_COSTS_DIR``
-(default ``~/.cache/repro-spf/costs``), written atomically under a file
-lock.  A store fixes its path when it is built.
+(default ``~/.cache/repro-spf/costs``).  A store fixes its path when it
+is built.  Each flush writes the document to a fresh temp name under
+the exclusive file lock, unlinks ``costs.json`` and renames the temp
+into place, and a load reads under the same lock taken shared, so no
+reader sees the moment between.  Renaming over the existing file would
+cost every flush an ≈65 ms stall on ext4 (``auto_da_alloc`` forces the
+new data out first), where an unlink and a rename onto a free name cost
+microseconds.
 
 Entries are keyed ``<conversion key>|<stats bucket>`` where the
 conversion key hashes the package's code version, the backend and the
@@ -28,9 +34,11 @@ learned (seconds) and predicted (unit) edge costs on one scale.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
+import tempfile
 import threading
 import time
 from pathlib import Path
@@ -99,7 +107,8 @@ class CostStore:
 
     def _load(self) -> dict[str, dict]:
         if self._entries is None:
-            self._entries = self._read_disk()
+            with file_lock(self.path, shared=True):
+                self._entries = self._read_disk()
         return self._entries
 
     def _merge_from_disk_locked(self, entries: dict[str, dict]) -> None:
@@ -117,12 +126,27 @@ class CostStore:
             ):
                 entries[key] = disk_entry
 
-    def _flush(self) -> None:
+    def _flush_locked(self) -> None:
+        """Replace the document on disk; the caller holds the exclusive
+        file lock.  No rename lands on an existing file (module doc)."""
         payload = {"schema": _SCHEMA, "entries": self._entries or {}}
+        tmp = None
         try:
-            obs.atomic_write_text(self.path, json.dumps(payload))
+            self.path.parent.mkdir(parents=True, exist_ok=True)
+            fd, tmp = tempfile.mkstemp(
+                dir=str(self.path.parent), prefix=self.path.name,
+                suffix=".tmp",
+            )
+            with os.fdopen(fd, "w", encoding="utf-8") as fh:
+                fh.write(json.dumps(payload))
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(self.path)
+            os.rename(tmp, self.path)
             _WRITE.inc()
         except OSError:
+            if tmp is not None:
+                with contextlib.suppress(OSError):
+                    os.unlink(tmp)
             _WRITE_ERROR.inc()
 
     # -- the store API --------------------------------------------------
@@ -172,7 +196,7 @@ class CostStore:
             with file_lock(self.path):
                 self._merge_from_disk_locked(entries)
                 self._evict_locked(entries)
-                self._flush()
+                self._flush_locked()
         _RECORD.inc()
 
     def _evict_locked(self, entries: dict[str, dict]) -> None:
@@ -217,7 +241,8 @@ class CostStore:
             entries = self._load()
             removed = len(entries)
             entries.clear()
-            self._flush()
+            with file_lock(self.path):
+                self._flush_locked()
         return removed
 
     def stats(self) -> dict:

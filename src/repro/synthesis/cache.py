@@ -228,12 +228,7 @@ def _warm_pair(job: tuple[str, str, bool]) -> tuple[bool, dict]:
         conv = None
     if conv is not None and build:
         get_backend("c").prepare(conv)
-    added = {
-        key: value - before.get(key, 0)
-        for key, value in obs.METRICS.counts().items()
-        if value != before.get(key, 0)
-    }
-    return conv is not None, added
+    return conv is not None, obs.METRICS.added_since(before)
 
 
 def warm(
@@ -245,7 +240,8 @@ def warm(
     through the same path that call takes.
 
     ``jobs > 1`` fans the pairs out over worker processes and adds their
-    counts (compiles, runtime-object builds) to this process's counters;
+    counts (compiles, runtime-object builds) and build timings to this
+    process's counters and histograms;
     the artifact store's locks make concurrent builds into one directory
     safe.  Returns a ``{"synthesized": n, "unsynthesizable": m,
     "unbuilt": reason}`` summary; ``unbuilt`` says why no library was

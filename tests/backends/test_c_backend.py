@@ -3,11 +3,15 @@
 The compile-cache tests pin the .so artifact store's conventions:
 content-hashed reuse across processes, whatever their hash seed, and
 across package code versions; a cache miss when the compiler version
-tag or a compile flag changes.  The availability tests pin the
-graceful-degradation contract: a missing soft dependency raises the
-registry's standard :class:`BackendUnavailableError` from ``require()``,
-naming every missing one, while every entry point (``convert``, the
-planner, the fuzzer) silently falls back a tier.
+tag or a compile flag changes.  The build-discipline tests pin how an
+artifact is built: a library is a compile and a link, the runtime object
+a compile alone, every compiler output is a fresh file, and a failed
+step raises naming its command and leaves no temp file behind.  The
+availability tests pin the graceful-degradation contract: a missing
+soft dependency raises the registry's standard
+:class:`BackendUnavailableError` from ``require()``, naming every
+missing one, while every entry point (``convert``, the planner, the
+fuzzer) silently falls back a tier.
 """
 
 import hashlib
@@ -28,6 +32,7 @@ from repro.backends import (
 )
 from repro.formats import get_format
 from repro.obs import METRICS
+from repro.obs import span as obs_span
 from repro.synthesis import synthesize
 
 from tests.sweep import synthesized
@@ -307,6 +312,150 @@ class TestCompileCache:
         )
         assert counts["repro_cbackend_compile_miss_total"] == 0
         assert counts["repro_cbackend_compile_hit_total"] >= 1
+
+
+def _spy_compiler(monkeypatch) -> list[list[str]]:
+    """Record every compiler command, asserting that its ``-o`` target
+    does not exist when it runs: no build truncates or replaces a file."""
+    commands = []
+    run = subprocess.run
+
+    def spy(cmd, *args, **kwargs):
+        if "-o" in cmd:
+            target = Path(cmd[cmd.index("-o") + 1])
+            assert not target.exists(), f"{target} exists before {cmd}"
+            commands.append(list(cmd))
+        return run(cmd, *args, **kwargs)
+
+    monkeypatch.setattr(c_backend.subprocess, "run", spy)
+    return commands
+
+
+def _build_counts() -> dict[str, int]:
+    """``repro_cbackend_build_seconds`` observations by step."""
+    hist = METRICS.histogram("repro_cbackend_build_seconds")
+    return {
+        s["labels"]["step"]: s["value"]["count"]
+        for s in hist.snapshot()["samples"]
+    }
+
+
+def _published(base: Path) -> bool:
+    """Whether ``base`` holds only sources, libraries, runtime objects
+    and lock files: no temp file and no intermediate object."""
+    return all(
+        p.suffix in (".c", ".so", ".lock")
+        or (p.name.startswith("runtime-") and p.suffix == ".o")
+        for p in base.iterdir()
+    )
+
+
+@needs_c
+class TestBuildDiscipline:
+    """A library is a ``-pipe -c`` compile and a ``-shared`` link, each
+    into a fresh file; the runtime object is the compile alone."""
+
+    def test_every_output_is_a_fresh_file(self, cache_dir, monkeypatch):
+        commands = _spy_compiler(monkeypatch)
+        counts0 = _build_counts()
+        _run_c_conversion()
+        cc = c_backend.compiler_path()
+        (obj,) = cache_dir.glob("*/runtime-*.o")
+        (so,) = cache_dir.glob("*/*.so")
+        runtime, unit, link = commands
+        # Each command is the flag tuples that name the artifacts, an
+        # output and its inputs: no flag reaches the compiler unnamed.
+        assert {"-pipe", "-c"} <= set(runtime) & set(unit)
+        assert runtime[:-3] == [cc, *c_backend._CFLAGS, *c_backend._OBJECT]
+        assert runtime[-3::2] == ["-o", str(obj.with_suffix(".c"))]
+        assert unit[:-3] == [cc, *c_backend._CFLAGS]
+        assert unit[-3::2] == ["-o", str(so.with_suffix(".c"))]
+        linked = link[link.index("-o") + 1]
+        assert "-c" not in link and "-shared" in link
+        assert link == [cc, *c_backend._LIBRARY, "-o", linked,
+                        unit[-2], str(obj)]
+        # Outputs sit beside the artifacts and are gone once published.
+        for out in (runtime[-2], unit[-2], linked):
+            assert Path(out).parent == so.parent
+            assert not Path(out).exists()
+        assert _published(so.parent)
+        counts = _build_counts()
+        assert counts.get("compile", 0) == counts0.get("compile", 0) + 2
+        assert counts.get("link", 0) == counts0.get("link", 0) + 1
+
+    def test_compile_and_link_are_sibling_spans(self, cache_dir):
+        from repro.obs import TRACER
+
+        TRACER.clear()
+        with TRACER.forced(True), obs_span("harness"):
+            _run_c_conversion()
+        (root,) = TRACER.finished_roots()
+        steps = [(s.name, s.attrs["artifact"]) for s in root.walk()
+                 if s.name in ("c.compile", "c.link")]
+        (obj,) = cache_dir.glob("*/runtime-*.o")
+        (so,) = cache_dir.glob("*/*.so")
+        assert steps == [("c.compile", obj.name), ("c.compile", so.name),
+                         ("c.link", so.name)]
+        TRACER.clear()
+
+    def test_pool_warm_reports_build_seconds(self, cache_dir, tmp_path):
+        # `repro cache warm --jobs 2` builds in worker processes; their
+        # compile and link timings reach the parent's stats file, which
+        # CI's warm step prints.
+        import os
+
+        stats = tmp_path / "warm.json"
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "from repro.synthesis.cache import warm\n"
+             "print(warm(jobs=2, pairs=[('SCOO', 'CSR'), ('CSR', 'CSC')]))\n"],
+            capture_output=True,
+            text=True,
+            env={
+                **os.environ,
+                "PYTHONPATH": SRC_DIR,
+                "REPRO_CBACKEND_DIR": str(cache_dir),
+                "REPRO_CACHE_STATS_FILE": str(stats),
+            },
+            timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        metrics = json.loads(stats.read_text())["metrics"]
+        samples = metrics["repro_cbackend_build_seconds"]["samples"]
+        assert {s["labels"]["step"]: s["value"]["count"]
+                for s in samples} == {"compile": 3, "link": 2}
+        assert all(s["value"]["sum"] > 0 for s in samples)
+        miss = metrics["repro_cbackend_compile_miss_total"]["samples"]
+        assert sum(s["value"] for s in miss) == 2
+        assert _published(c_backend.artifact_dir())
+
+    def test_rejected_unit_leaves_nothing_behind(self, cache_dir):
+        bad = "int repro_run(void) { return }\n"
+        with pytest.raises(c_backend.CCompileError) as exc:
+            c_backend.load_library(bad)
+        message = str(exc.value)
+        cc = c_backend.compiler_path()
+        assert message.startswith(f"{cc} {' '.join(c_backend._CFLAGS)} -o ")
+        assert "expected expression" in message  # the compiler's stderr
+        base = c_backend.artifact_dir()
+        assert sorted(p.suffix for p in base.iterdir()) == [".c", ".lock"]
+        # The source stays for debugging; a valid build then succeeds.
+        _, out = _run_c_conversion()
+        assert list(out["rowptr"]) == [0, 1, 2, 4]
+        assert _published(base)
+
+    def test_corrupt_runtime_object_fails_the_link(self, cache_dir):
+        obj, _source = c_backend._runtime_object(c_backend.artifact_dir())
+        obj.parent.mkdir(parents=True)
+        obj.write_bytes(b"not an object file\n")
+        with pytest.raises(c_backend.CCompileError) as exc:
+            _run_c_conversion()
+        cc = c_backend.compiler_path()
+        link = f"{cc} {' '.join(c_backend._LIBRARY)} -o "
+        assert str(exc.value).startswith(link)
+        assert str(obj) in str(exc.value)
+        assert not list(obj.parent.glob("*.so"))
+        assert _published(obj.parent)
 
 
 @needs_c

@@ -11,6 +11,7 @@ from repro import COOMatrix, convert
 from repro.backends import available_backend, c_backend
 from repro.obs import parse_prometheus_text, prometheus_text
 from repro.synthesis import clear_memo
+from repro.synthesis.cache import stats_file_payload
 
 from tests.tiers import needs_c
 
@@ -23,6 +24,10 @@ WORKER_NAMES = (
     "repro_backend_fallback_total",
     "repro_gate_checks",
 )
+
+#: CI's native-tier warm step prints this histogram's sum per ``step``
+#: label from the ``REPRO_CACHE_STATS_FILE`` dump.
+CI_HISTOGRAMS = {"repro_cbackend_build_seconds": ("compile", "link")}
 
 
 @needs_c
@@ -41,9 +46,18 @@ def test_worker_names_count_their_events(tmp_path, monkeypatch):
         monkeypatch.setattr(c_backend, "_COMPILER_TAG", None)
         assert available_backend("c").name == "numpy"
         samples = parse_prometheus_text(prometheus_text())
+        stats = stats_file_payload()["metrics"]
     finally:
         clear_memo()
         c_backend.clear_lib_memo()
     for name in WORKER_NAMES:
         total = sum(v for (n, _labels), v in samples.items() if n == name)
         assert total >= 1, name
+    for name, steps in CI_HISTOGRAMS.items():
+        sums = {
+            s["labels"]["step"]: s["value"]["sum"]
+            for s in stats[name]["samples"]
+        }
+        assert set(sums) == set(steps) and min(sums.values()) > 0, sums
+        for step in steps:
+            assert samples[f"{name}_count", (("step", step),)] >= 1

@@ -59,6 +59,33 @@ class TestInstruments:
         with pytest.raises(ValueError, match="already registered"):
             registry.gauge("thing")
 
+    def test_added_counts_carry_histograms_across_registries(self):
+        # A pool worker returns what it recorded since `before`; its
+        # parent adds the counts and folds in the observations.
+        worker, parent = MetricsRegistry(), MetricsRegistry()
+        worker.counter("n").inc(2)
+        worker.histogram("t", buckets=(0.01, 1.0)).observe(0.5, step="a")
+        before = worker.counts()
+        worker.counter("n").inc(3)
+        hist = worker.histogram("t", buckets=(0.01, 1.0))
+        for value in (0.002, 5.0):
+            hist.observe(value, step="a")
+        hist.observe(0.02, step="b")
+        parent.histogram("t", buckets=(0.01, 1.0)).observe(0.3, step="a")
+        parent.add_counts(worker.added_since(before))
+        parent.add_counts(worker.added_since(worker.counts()))  # nothing
+        assert parent.counter("n").value() == 3
+        samples = {
+            s["labels"]["step"]: s["value"]
+            for s in parent.histogram("t").snapshot()["samples"]
+        }
+        assert samples["a"]["count"] == 3
+        assert samples["a"]["sum"] == pytest.approx(5.302)
+        assert samples["a"]["buckets"] == [1, 2]  # cumulative per bound
+        assert (samples["a"]["min"], samples["a"]["max"]) == (0.002, 5.0)
+        assert samples["b"]["count"] == 1
+        assert samples["b"]["buckets"] == [0, 1]
+
     def test_reset_clears_series_but_keeps_registration(self):
         registry = MetricsRegistry()
         counter = registry.counter("n")

@@ -2,9 +2,12 @@
 
 import json
 import os
+import threading
+from pathlib import Path
 
 import pytest
 
+from repro.filelock import file_lock
 from repro.planner import coststore
 from repro.planner.coststore import (
     CostStore,
@@ -130,6 +133,52 @@ class TestConversionKey:
         current = conversion_cost_key(conv)
         monkeypatch.setattr(codeversion, "_CACHED_HASH", "0" * 64)
         assert conversion_cost_key(conv) != current
+
+
+class TestFreshFiles:
+    """A flush moves no file onto an existing one, which stalls on
+    ext4, and a load never reads the document half replaced."""
+
+    def test_record_renames_onto_no_existing_path(self, tmp_path,
+                                                   monkeypatch):
+        path = tmp_path / "c.json"
+        CostStore(path).record("a", "bucket", 1.0)
+        renames = []
+        for name in ("replace", "rename"):
+            def spy(src, dst, *args, _real=getattr(os, name), **kwargs):
+                assert not os.path.exists(dst), f"{dst} exists"
+                renames.append(Path(dst))
+                return _real(src, dst, *args, **kwargs)
+
+            monkeypatch.setattr(os, name, spy)
+        CostStore(path).record("b", "bucket", 2.0)
+        monkeypatch.undo()
+        assert renames == [path]
+        assert set(CostStore(path).entries()) == {"a|bucket", "b|bucket"}
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "c.json", "c.json.lock"]
+
+    def test_load_waits_for_a_flush_in_progress(self, tmp_path):
+        path = tmp_path / "c.json"
+        CostStore(path).record("a", "bucket", 1.0)
+        document = path.read_text()
+        loaded = []
+        reader = threading.Thread(
+            target=lambda: loaded.append(
+                CostStore(path).lookup("a", "bucket")
+            )
+        )
+        with file_lock(path):
+            # A flush between unlinking the document and renaming its
+            # successor into place.
+            path.unlink()
+            reader.start()
+            reader.join(timeout=0.2)
+            assert reader.is_alive()
+            path.write_text(document)
+        reader.join(timeout=30)
+        assert not reader.is_alive()
+        assert loaded[0]["seconds"] == 1.0
 
 
 class TestMaintenance:
