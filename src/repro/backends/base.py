@@ -272,7 +272,8 @@ class Backend:
         Used by :mod:`repro.planner` as the edge weight in the conversion
         graph; the absolute scale is arbitrary but shared across tiers so
         chains can mix lowerings.  The one model: the floor plus each
-        :func:`program_features` feature times the tier's weight
+        :func:`program_features` feature (computed once per conversion,
+        ``conversion.features``) times the tier's weight
         (:attr:`cost_weights`).
 
         Without ``stats`` the structural weights apply per feature; a
@@ -283,7 +284,7 @@ class Backend:
         """
         if not self.cost_weights:
             raise NotImplementedError(f"{self.name} declares no cost weights")
-        feats = program_features(conversion.program)
+        feats = conversion.features
         column = 0 if stats is None else 1
         units = None if stats is None else workload_units(conversion, stats)
         cost = self.cost_floor[column]

@@ -3,10 +3,12 @@
 The paper's framework expresses both the *inspector* (format conversion)
 and the *executor* (the computation over the format) in SPF, "so both can
 be optimized in tandem".  This module realizes the executor side: given any
-format descriptor, it generates the kernel that iterates the format's
-sparse iteration space — SpMV, transposed SpMV, row sums, scaling, and
-value reductions — using exactly the same polyhedra-scanning code generator
-as the synthesized conversions.
+format descriptor, it builds the kernel that iterates the format's sparse
+iteration space — SpMV, transposed SpMV, row sums, scaling, and value
+reductions — from typed statements (an ``Alloc`` of the output, then one
+``Accumulate``, or ``scale``'s ``Scatter``), lowers it once with the same
+polyhedra-scanning code generator as the conversions, and prints that
+program as the python tier's source and as display C, as a conversion is.
 
 A format added to the library therefore gets working compute kernels for
 free, with no hand-written per-format loops.
@@ -14,13 +16,15 @@ free, with no hand-written per-format loops.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
+from repro.backends import get_backend
 from repro.formats.descriptor import FormatDescriptor
+from repro.ir import IntSet, Mul, Sym, UFCall
 from repro.runtime.executor import compile_inspector
 from repro.runtime.storage import as_list
-from repro.spf import Computation, SymbolTable
-from repro.spf.codegen.printers import print_expr
+from repro.spf import Computation, CPrinter, Program, SymbolTable
+from repro.spf import statements as st
 from repro.synthesis.compose import (
     _dense_source_exprs,
     _source_data_expr,
@@ -29,6 +33,10 @@ from repro.synthesis.compose import (
 
 KERNELS = ("spmv", "spmv_t", "row_sums", "scale", "value_sum")
 
+#: Kernels whose output is the format's own value array, in the format's
+#: layout (DIA's padding, CSC's column order).
+IN_PLACE = ("scale",)
+
 
 class KernelError(ValueError):
     """Raised when a kernel cannot be generated for a descriptor."""
@@ -36,7 +44,12 @@ class KernelError(ValueError):
 
 @dataclass
 class GeneratedKernel:
-    """A compiled executor generated from a format descriptor."""
+    """A compiled executor generated from a format descriptor.
+
+    ``program`` is its computation lowered once (with the ``symtab`` its
+    printers read); ``source`` is the python tier's printing of it and
+    :attr:`c_source` the display C one.
+    """
 
     name: str
     kind: str
@@ -44,11 +57,15 @@ class GeneratedKernel:
     params: tuple[str, ...]
     returns: tuple[str, ...]
     source: str
-    c_source: str
-    computation: object = None
-    preamble: tuple[str, ...] = ()
-    notes: list[str] = field(default_factory=list)
+    symtab: SymbolTable
+    program: Program
+    computation: Computation
     _compiled: object = None
+
+    @property
+    def c_source(self) -> str:
+        """The display C rendering of the lowered program."""
+        return CPrinter(self.symtab).print(self.program)
 
     def compile(self):
         if self._compiled is None:
@@ -83,33 +100,31 @@ def synthesize_kernel(
         arrays=set(fmt.index_ufs()) | {"Adata", "x", "y"},
         functions={"MORTON", "MORTON2", "MORTON3"},
     )
-    data_expr = print_expr(_source_data_expr(fmt), symtab, "py")
-    dense = _dense_source_exprs(fmt)
-    coords = [print_expr(dense[v], symtab, "py") for v in fmt.dense_vars]
-    row, col = (coords + ["", ""])[:2]
+    position = _source_data_expr(fmt)
+    value = UFCall("Adata", [position])
+    params_extra = {"spmv": ["x"], "spmv_t": ["x"], "scale": ["alpha"]}.get(
+        kind, []
+    )
+    if kind == "scale":
+        out, alloc = "Adata", None
+        body = st.Scatter(out, (position,), Mul(Sym("alpha"), value))
+    elif kind == "value_sum":
+        out, alloc = "total", st.Alloc("total", None, floating=True)
+        body = st.Accumulate(out, (), (value,))
+    else:
+        dense = _dense_source_exprs(fmt)
+        row, col = (dense[v] for v in fmt.dense_vars)
+        size = Sym("NR")
+        if kind == "spmv_t":
+            row, col, size = col, row, Sym("NC")
+        out, alloc = "y", st.Alloc("y", size, floating=True)
+        factors = (value, UFCall("x", [col])) if params_extra else (value,)
+        body = st.Accumulate(out, (row,), factors)
 
     comp = Computation(fn_name)
-    preamble: list[str] = []
-    if kind == "spmv":
-        preamble.append("y = [0.0] * NR")
-        body = f"y[{row}] += Adata[{data_expr}] * x[{col}]"
-        params_extra, returns = ["x"], ["y"]
-    elif kind == "spmv_t":
-        preamble.append("y = [0.0] * NC")
-        body = f"y[{col}] += Adata[{data_expr}] * x[{row}]"
-        params_extra, returns = ["x"], ["y"]
-    elif kind == "row_sums":
-        preamble.append("y = [0.0] * NR")
-        body = f"y[{row}] += Adata[{data_expr}]"
-        params_extra, returns = [], ["y"]
-    elif kind == "scale":
-        body = f"Adata[{data_expr}] = alpha * Adata[{data_expr}]"
-        params_extra, returns = ["alpha"], ["Adata"]
-    else:  # value_sum
-        preamble.append("total = 0.0")
-        body = f"total += Adata[{data_expr}]"
-        params_extra, returns = [], ["total"]
-
+    returns = [out]
+    if alloc is not None:
+        comp.new_stmt(alloc, IntSet(()), writes=returns)
     reads = sorted(fmt.index_ufs()) + ["Adata"] + (
         ["x"] if "x" in params_extra else []
     )
@@ -118,18 +133,19 @@ def synthesize_kernel(
     params = sorted(fmt.index_ufs()) + sorted(fmt.size_symbols()) + [
         "Adata"
     ] + params_extra
-    source = comp.codegen_function(params, returns, symtab, preamble=preamble)
+    program = comp.lower()
     return GeneratedKernel(
         name=fn_name,
         kind=kind,
         format_name=fmt.name,
         params=tuple(params),
         returns=tuple(returns),
-        source=source,
-        c_source=comp.codegen(symtab, lang="c"),
+        source=get_backend("python").lower(
+            program, fn_name, params, returns, symtab
+        ).source,
+        symtab=symtab,
+        program=program,
         computation=comp,
-        preamble=tuple(preamble),
-        notes=[f"iteration space: {space}"],
     )
 
 

@@ -1,6 +1,6 @@
 """SPF internal representation: computations, schedules, code generation."""
 
-from .ast_nodes import Comment, ForLoop, Guard, LetEq, Node, Program, Raw, walk
+from .ast_nodes import Comment, ForLoop, Guard, LetEq, Node, Program, walk
 from .computation import Computation, LoweringError, Schedule, Stmt
 from .dataflow import dataflow_dot, dead_spaces
 from .codegen.printers import (
@@ -8,8 +8,6 @@ from .codegen.printers import (
     PythonPrinter,
     SymbolTable,
     emit_python_function,
-    print_constraint,
-    print_expr,
 )
 
 __all__ = [
@@ -25,12 +23,9 @@ __all__ = [
     "Node",
     "Program",
     "PythonPrinter",
-    "Raw",
     "Schedule",
     "Stmt",
     "SymbolTable",
     "emit_python_function",
-    "print_constraint",
-    "print_expr",
     "walk",
 ]

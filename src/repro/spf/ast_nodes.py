@@ -1,23 +1,19 @@
-"""Lowered AST for generated inspector code.
+"""Lowered AST for generated code: inspectors, kernels, tandem pipelines.
 
 The SPF code generator (polyhedra scanning) lowers a
 :class:`~repro.spf.computation.Computation` into this small AST: loops,
 guards and let bindings around statement bodies, which are the typed nodes
-of :mod:`repro.spf.statements` (or an opaque :class:`Raw` in hand-built
-computations).  Nodes carry IR expressions (:class:`~repro.ir.Expr`), not
-strings, so each printer in :mod:`repro.spf.codegen` decides how UF calls
-render (array subscript, function call, C pointer access, numpy gather).
+of :mod:`repro.spf.statements`.  Nodes carry IR expressions
+(:class:`~repro.ir.Expr`), not strings, so each printer in
+:mod:`repro.spf.codegen` decides how UF calls render (array subscript,
+function call, C pointer access, numpy gather).
 """
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from repro.ir import Constraint, ExprLike, UFCall, as_expr
-
-_WORD = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
 
 class Node:
@@ -123,41 +119,6 @@ class Guard(Node):
 
     def __repr__(self):
         return f"Guard({self.constraints!r}, {self.body!r})"
-
-
-@dataclass(frozen=True)
-class Raw(Node):
-    """An opaque statement body in Python source form.
-
-    Only hand-built computations (tests, kernel executors, the tandem
-    combination) use it; synthesis emits the typed kinds of
-    :mod:`repro.spf.statements`.  The Python printer splices the text in
-    verbatim and the display C printer appends a ``;``; the numpy and
-    native C lowerings reject it.
-    """
-
-    text: str
-
-    def names(self) -> set[str]:
-        return set(_WORD.findall(self.text))
-
-    def rename_vars(self, mapping: Mapping[str, str]) -> "Raw":
-        """Rename identifiers in one simultaneous word-boundary pass."""
-        return self._replace_words({k: v for k, v in mapping.items() if k != v})
-
-    def substitute_vars(self, mapping: Mapping[str, ExprLike]) -> "Raw":
-        """Replace identifiers by parenthesized expressions, simultaneously."""
-        return self._replace_words(
-            {k: f"({as_expr(v)})" for k, v in mapping.items()}
-        )
-
-    def _replace_words(self, mapping: Mapping[str, str]) -> "Raw":
-        if not mapping:
-            return self
-        pattern = re.compile(
-            r"\b(?:" + "|".join(re.escape(k) for k in mapping) + r")\b"
-        )
-        return Raw(pattern.sub(lambda m: mapping[m.group(0)], self.text))
 
 
 class Comment(Node):

@@ -5,8 +5,6 @@ from .printers import (
     PythonPrinter,
     SymbolTable,
     emit_python_function,
-    print_constraint,
-    print_expr,
 )
 
 __all__ = [
@@ -14,6 +12,4 @@ __all__ = [
     "PythonPrinter",
     "SymbolTable",
     "emit_python_function",
-    "print_constraint",
-    "print_expr",
 ]

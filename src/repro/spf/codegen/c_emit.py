@@ -27,8 +27,8 @@ and runs:
 Statement bodies arrive as the typed kinds of
 :mod:`repro.spf.statements`, one C rule each, with expressions rendered
 through the shared :class:`~repro.spf.codegen.printers.ExprPrinter`.  A
-statement outside the closed set (an opaque ``Raw`` body, a multi-index
-array, a Morton key inside a larger expression) raises
+form the ABI or the runtime cannot carry (a multi-index array, a float
+scalar, a Morton key inside a larger expression) raises
 :class:`~repro.spf.statements.UnsupportedStatement` at synthesis time,
 naming the statement; there is no interpreted fallback.
 
@@ -771,6 +771,11 @@ class _Emitter:
     def statement(self, node: st.Statement, ind: int) -> None:
         e = self.e.expr
         if isinstance(node, st.Alloc):
+            if node.size is None:
+                raise self.err(
+                    f"{node!r}: C allocates arrays only (the ABI carries no "
+                    "float scalars)"
+                )
             size = e(node.size)
             dtype = F8 if node.floating else I8
             self.declare_array(node.name, dtype)
@@ -805,6 +810,10 @@ class _Emitter:
                 ind,
                 f"{slot} = {_COMBINE[node.op]}({slot}, {e(node.value)});",
             )
+        elif isinstance(node, st.Accumulate):
+            slot = self.slot(node.array, node.index)
+            product = " * ".join(map(self.e.factor, node.factors))
+            self.line(ind, f"{slot} += {product};")
         elif isinstance(node, st.PrefixFix):
             cur = self.slot(node.array, (node.index,))
             prev = self.slot(node.array, (node.index - 1,))

@@ -1,8 +1,9 @@
 """Printers turning the lowered AST into Python or display C source.
 
-The Python printer produces executable inspector code (run by
-:mod:`repro.runtime.executor`); the C printer produces the kind of output the
-paper shows (CodeGen+ style) for inspection and documentation: C loop
+The Python printer produces the executable code of the python tier — the
+inspectors, the generated kernels and tandem's pipelines alike (run by
+:mod:`repro.runtime.executor`); the C printer produces the kind of output
+the paper shows (CodeGen+ style) for inspection and documentation: C loop
 headers, guards and bindings around each statement's Python form plus
 ``;``.
 
@@ -18,7 +19,7 @@ from typing import Iterable, Sequence
 
 from repro.ir import Constraint, Eq, Expr, FloorDiv, Mod, Mul, Sym, UFCall, Var
 from .. import statements as st
-from ..ast_nodes import Comment, ForLoop, Guard, LetEq, Node, Program, Raw, walk
+from ..ast_nodes import Comment, ForLoop, Guard, LetEq, Node, Program, walk
 
 
 class SymbolTable:
@@ -114,6 +115,13 @@ class ExprPrinter:
             return f"{atom.name}[{args}]"
         raise TypeError(f"cannot print atom {atom!r}")
 
+    def factor(self, expr: Expr) -> str:
+        """``expr`` as an operand of a product: bare when it is one atom."""
+        text = self.expr(expr)
+        if expr.const == 0 and len(expr.terms) == 1 and expr.terms[0][1] == 1:
+            return text
+        return f"({text})"
+
     def constraint(self, c: Constraint) -> str:
         """Render a constraint readably as ``lhs OP rhs``.
 
@@ -147,35 +155,6 @@ class ExprPrinter:
         return out
 
 
-class _DisplayCExprs(ExprPrinter):
-    """Display C: ``/`` for floor division, ``a[i][j]`` multi-indexing."""
-
-    nest_bounds = True
-
-    def atom(self, atom) -> str:
-        if isinstance(atom, FloorDiv):
-            return f"(({self.expr(atom.numer)}) / {atom.denom})"
-        if (
-            isinstance(atom, UFCall)
-            and len(atom.args) > 1
-            and self.symtab.kind_of(atom.name) == "array"
-        ):
-            return atom.name + "".join(f"[{self.expr(a)}]" for a in atom.args)
-        return super().atom(atom)
-
-
-def print_expr(expr: Expr, symtab: SymbolTable, lang: str = "py") -> str:
-    """Render an IR expression as source text."""
-    printer = ExprPrinter if lang == "py" else _DisplayCExprs
-    return printer(symtab).expr(expr)
-
-
-def print_constraint(c: Constraint, symtab: SymbolTable, lang: str = "py") -> str:
-    """Render a constraint as ``lhs OP rhs`` (see :meth:`ExprPrinter.constraint`)."""
-    printer = ExprPrinter if lang == "py" else _DisplayCExprs
-    return printer(symtab).constraint(c)
-
-
 class PythonPrinter(ExprPrinter):
     """Prints a lowered AST as executable Python."""
 
@@ -184,11 +163,11 @@ class PythonPrinter(ExprPrinter):
 
     def statement(self, node: Node) -> str:
         """The Python form of one statement body."""
-        if isinstance(node, Raw):
-            return node.text
         e = self.expr
         if isinstance(node, st.Alloc):
             fill = repr(float(node.fill.const)) if node.floating else e(node.fill)
+            if node.size is None:
+                return f"{node.name} = {fill}"
             return f"{node.name} = [{fill}] * ({e(node.size)})"
         if isinstance(node, st.ArrayCopy):
             return f"{node.name} = list({node.source})"
@@ -200,6 +179,11 @@ class PythonPrinter(ExprPrinter):
         if isinstance(node, st.Reduce):
             slot = f"{node.array}[{', '.join(e(i) for i in node.index)}]"
             return f"{slot} = {node.op}({slot}, {e(node.value)})"
+        if isinstance(node, st.Accumulate):
+            slot = node.array
+            if node.index:
+                slot += f"[{', '.join(e(i) for i in node.index)}]"
+            return f"{slot} += {' * '.join(map(self.factor, node.factors))}"
         if isinstance(node, st.PrefixFix):
             cur = f"{node.array}[{e(node.index)}]"
             prev = f"{node.array}[{e(node.index - 1)}]"
@@ -273,8 +257,22 @@ class PythonPrinter(ExprPrinter):
         return lines
 
 
-class CPrinter(_DisplayCExprs):
-    """Prints a lowered AST as display C (CodeGen+ style)."""
+class CPrinter(ExprPrinter):
+    """Prints a lowered AST as display C (CodeGen+ style): ``/`` for floor
+    division, ``a[i][j]`` multi-indexing."""
+
+    nest_bounds = True
+
+    def atom(self, atom) -> str:
+        if isinstance(atom, FloorDiv):
+            return f"(({self.expr(atom.numer)}) / {atom.denom})"
+        if (
+            isinstance(atom, UFCall)
+            and len(atom.args) > 1
+            and self.symtab.kind_of(atom.name) == "array"
+        ):
+            return atom.name + "".join(f"[{self.expr(a)}]" for a in atom.args)
+        return super().atom(atom)
 
     def print(self, node: Node, indent: int = 0) -> str:
         return "\n".join(self._lines(node, indent))
@@ -355,7 +353,6 @@ def emit_python_function(
     program: Program,
     returns: Sequence[str],
     symtab: SymbolTable,
-    preamble: Sequence[str] = (),
     *,
     timing: bool = False,
 ) -> str:
@@ -367,8 +364,6 @@ def emit_python_function(
     """
     printer = PythonPrinter(symtab)
     lines = [f"def {name}({', '.join(params)}):"]
-    for line in preamble:
-        lines.append(f"    {line}")
     if timing:
         for index, node in enumerate(program.body):
             lines.extend(timed(index, node, printer._lines(node, 1), "    "))

@@ -15,7 +15,10 @@ of NumPy array operations instead, one rule per statement kind of
   (``FILL_POS``);
 * :class:`~repro.spf.statements.Scatter` -> fancy indexing,
   :class:`~repro.spf.statements.Reduce` -> ``np.maximum.at`` /
-  ``np.minimum.at``;
+  ``np.minimum.at``, :class:`~repro.spf.statements.Accumulate` ->
+  ``np.add.at``, which adds in index order as the loop does (a scalar
+  accumulation has no whole-array form that keeps that order, so it is
+  refused);
 * ordered list / bucket permutation / ordered set populations -> key-column
   sorts (``np.lexsort`` with a vectorized Morton interleave, ``np.unique``);
   each :class:`~repro.spf.ast_nodes.RankLookup` (a lookup the replay pass
@@ -400,10 +403,17 @@ class _Nest:
                 slot = f"{node.array}[{window}]"
                 self.add(f"{slot} = {fn}({slot}, {value})", uses)
             else:
-                index = ", ".join(self.vexpr(i, uses) for i in node.index)
-                if len(node.index) > 1:
-                    index = f"({index})"
-                self.add(f"{fn}.at({node.array}, {index}, {value})", uses)
+                self.ufunc_at(fn, node, value, uses)
+        elif isinstance(node, st.Accumulate):
+            if not node.index:
+                raise st.UnsupportedStatement(
+                    f"numpy lowering cannot accumulate into the scalar "
+                    f"{node.array} in loop order: {node!r}"
+                )
+            printer = _VectorExprs(self)
+            value = " * ".join(map(printer.factor, node.factors))
+            uses |= printer.uses
+            self.ufunc_at("np.add", node, value, uses)
         elif isinstance(node, st.Histogram):
             window = self.window(node.bucket + 1, uses)
             if window is not None:
@@ -427,6 +437,14 @@ class _Nest:
                 f"numpy lowering cannot print {node!r} inside a loop"
             )
         self.em.mutated.add(node.target)
+
+    def ufunc_at(self, fn: str, node, value: str, uses: set[str]) -> None:
+        """``fn.at(array, index, value)``: unbuffered, one element at a
+        time in index order, as the loop updates its slots."""
+        index = ", ".join(self.vexpr(i, uses) for i in node.index)
+        if len(node.index) > 1:
+            index = f"({index})"
+        self.add(f"{fn}.at({node.array}, {index}, {value})", uses)
 
     def insert(self, node: st.Insert) -> None:
         perm = self.em.perms.get(node.obj)
@@ -563,7 +581,7 @@ class _Emitter:
         if not isinstance(node, st.Statement):
             raise st.UnsupportedStatement(f"numpy lowering cannot print {node!r}")
         touched = node.names() & self.perms.keys()
-        if isinstance(node, st.Alloc):
+        if isinstance(node, st.Alloc) and node.size is not None:
             dtype = "np.float64" if node.floating else "np.int64"
             size = self.scalar.expr(node.size)
             # max(0, n): a negative scalar repeat count yields an empty list.

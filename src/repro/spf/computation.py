@@ -4,9 +4,10 @@ This module reproduces the SPF-IR of Popoola et al. (COMPSAC 2021) that the
 paper's synthesis algorithm targets: a :class:`Computation` owns a list of
 :class:`Stmt` objects, each with an iteration space (an
 :class:`~repro.ir.IntSet` with uninterpreted functions), a ``2d+1`` execution
-schedule, a statement body, and read/write data accesses.  Code generation
-scans the iteration space Fourier–Motzkin style and emits executable Python
-(or display C).
+schedule, a typed statement body (:mod:`repro.spf.statements`), and
+read/write data accesses.  :meth:`Computation.lower` scans the iteration
+spaces Fourier–Motzkin style into one :class:`~repro.spf.Program`, which
+every printer — each backend's ``lower`` hook and the display C — prints.
 """
 
 from __future__ import annotations
@@ -15,14 +16,8 @@ import itertools
 from typing import Iterable, Mapping, Sequence
 
 from repro.ir import Constraint, Expr, Geq, IntSet, bounds_on_var, parse_set
-from .ast_nodes import ForLoop, Guard, LetEq, Node, Program, Raw
-from .codegen.printers import (
-    RUNTIME_FUNCTIONS,
-    CPrinter,
-    PythonPrinter,
-    SymbolTable,
-    emit_python_function,
-)
+from .ast_nodes import ForLoop, Guard, LetEq, Node, Program
+from .codegen.printers import RUNTIME_FUNCTIONS, PythonPrinter, SymbolTable
 from .statements import Statement
 
 
@@ -93,16 +88,16 @@ class Schedule:
 class Stmt:
     """One statement: body + iteration space + schedule + accesses.
 
-    ``body`` is a typed statement (:mod:`repro.spf.statements`); a string
-    becomes an opaque :class:`~repro.spf.ast_nodes.Raw` body, which
-    hand-built computations use.  ``reads`` and ``writes`` name the data
-    spaces the statement touches; the transformations (dead code
-    elimination, fusion legality) work on these.
+    ``body`` is a typed statement (:mod:`repro.spf.statements`); anything
+    else, statement text included, raises :class:`TypeError`.  ``reads``
+    and ``writes`` name the data spaces the statement touches; the
+    transformations (dead code elimination, fusion legality) work on
+    these.
     """
 
     def __init__(
         self,
-        body: Statement | Raw | str,
+        body: Statement,
         iteration_space: IntSet | str,
         schedule: Schedule | Sequence[int | str] | None = None,
         reads: Iterable[str] = (),
@@ -110,8 +105,10 @@ class Stmt:
         name: str = "",
         phase: int = 0,
     ):
-        if isinstance(body, str):
-            body = Raw(body)
+        if not isinstance(body, Statement):
+            raise TypeError(
+                f"a statement body is a typed statement, not {body!r}"
+            )
         if isinstance(iteration_space, str):
             iteration_space = parse_set(iteration_space)
         if schedule is not None and not isinstance(schedule, Schedule):
@@ -332,7 +329,7 @@ def _names_used(node: Node) -> set[str]:
             names |= c.var_names() | c.sym_names()
         for child in node.body:
             names |= _names_used(child)
-    elif isinstance(node, (Statement, Raw)):
+    elif isinstance(node, Statement):
         names |= node.names()
     elif isinstance(node, Program):
         for child in node.body:
@@ -369,7 +366,8 @@ class Computation:
 
     Mirrors the SPF-IR ``Computation`` class: statements are added in
     program order, transformations rewrite schedules/spaces, and
-    :meth:`codegen` emits source.
+    :meth:`lower` builds the program every printer prints
+    (:meth:`codegen` prints its Python statements).
     """
 
     def __init__(self, name: str = "computation"):
@@ -390,7 +388,7 @@ class Computation:
 
     def new_stmt(
         self,
-        body: Statement | Raw | str,
+        body: Statement,
         iteration_space: IntSet | str,
         reads: Iterable[str] = (),
         writes: Iterable[str] = (),
@@ -452,33 +450,9 @@ class Computation:
         return program
 
     # ------------------------------------------------------------------
-    def codegen(
-        self,
-        symtab: SymbolTable | None = None,
-        *,
-        lang: str = "py",
-    ) -> str:
-        """Generate source for the whole computation."""
-        symtab = symtab or SymbolTable()
-        program = self.lower()
-        if lang == "py":
-            return PythonPrinter(symtab).print(program)
-        if lang == "c":
-            return CPrinter(symtab).print(program)
-        raise ValueError(f"unknown language {lang!r}")
-
-    def codegen_function(
-        self,
-        params: Sequence[str],
-        returns: Sequence[str],
-        symtab: SymbolTable | None = None,
-        preamble: Sequence[str] = (),
-    ) -> str:
-        """Generate a Python function wrapping the computation."""
-        symtab = symtab or SymbolTable()
-        return emit_python_function(
-            self.name, params, self.lower(), returns, symtab, preamble
-        )
+    def codegen(self, symtab: SymbolTable | None = None) -> str:
+        """The lowered computation as Python statements (no function)."""
+        return PythonPrinter(symtab or SymbolTable()).print(self.lower())
 
     def __repr__(self):
         return f"Computation({self.name!r}, {len(self.stmts)} stmts)"

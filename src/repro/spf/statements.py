@@ -1,16 +1,18 @@
-"""The closed set of statement kinds synthesis emits.
+"""The closed set of statement kinds every computation is built from.
 
-Every statement body the build stage produces is one of the frozen nodes
-below.  Operands are IR expressions (:class:`~repro.ir.Expr`), so renaming
-and substitution go through :meth:`Expr.rename_vars` /
-:meth:`Expr.substitute_vars`, never through text, and each lowering — the
-scalar Python printer, the display C printer, the numpy vectorizer and the
-native C emitter — is a printer over this set.  This is the
-attribute-query / assembly vocabulary of Chou et al. (PLDI 2020):
+Every statement body — the build stage's, the generated kernels' and
+tandem's — is one of the frozen nodes below; there is no statement text.
+Operands are IR expressions (:class:`~repro.ir.Expr`), so renaming and
+substitution go through :meth:`Expr.rename_vars`,
+:meth:`Expr.substitute_vars` and :meth:`Expr.rename_ufs`, never through
+text, and each lowering — the scalar Python printer, the display C
+printer, the numpy vectorizer and the native C emitter — is a printer
+over this set.  This is the attribute-query / assembly vocabulary of Chou
+et al. (PLDI 2020), plus the executors' accumulation:
 
 * storage: :class:`Alloc`, :class:`ArrayCopy`;
 * assembly: :class:`Histogram`, :class:`Scatter`, :class:`Reduce`,
-  :class:`PrefixFix`, :class:`BucketFill`;
+  :class:`Accumulate`, :class:`PrefixFix`, :class:`BucketFill`;
 * permutation / set construction: :class:`NewOrderedList`,
   :class:`NewBucketPermutation`, :class:`NewOrderedSet`, :class:`Insert`;
 * queries: :class:`Length`, :class:`Materialize`, :class:`BinarySearch`.
@@ -19,9 +21,7 @@ Rank lookups (``k = P(i, j)``) are not statements: they stay
 :class:`~repro.ir.UFCall` atoms on the permutation object inside a
 ``LetEq``, which :func:`repro.spf.replay.mark_rank_lookups` turns into a
 :class:`~repro.spf.ast_nodes.RankLookup` once it has proved the lookup
-replays its insert.  Hand-built computations may still carry an opaque
-:class:`~repro.spf.ast_nodes.Raw` body, which only the Python and display C
-printers accept.
+replays its insert.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ class Statement(Node):
         # Operands accept anything expression-like (ints, atoms).
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.type == "Expr" and not isinstance(value, Expr):
+            if f.type == "Expr" or (f.type == "Expr | None" and value is not None):
                 object.__setattr__(self, f.name, as_expr(value))
             elif f.type == "tuple[Expr, ...]":
                 object.__setattr__(
@@ -123,6 +123,10 @@ class Statement(Node):
         """Replace tuple variables by expressions in every operand."""
         return self._rebuild(lambda e: e.substitute_vars(mapping), lambda v: v)
 
+    def rename_ufs(self, mapping: Mapping[str, str]) -> "Statement":
+        """Rename the arrays and functions the operands read (UF calls)."""
+        return self._rebuild(lambda e: e.rename_ufs(mapping), lambda v: v)
+
 
 def morton_call(key: Expr) -> UFCall | None:
     """The ``MORTON(...)`` call ``key`` consists of, if it is one."""
@@ -147,10 +151,14 @@ def _bare(expr: Expr) -> str | None:
 # -- storage -----------------------------------------------------------------
 @dataclass(frozen=True)
 class Alloc(Statement):
-    """``name = [fill] * (size)``: a zero-based int64 or float64 array."""
+    """``name = [fill] * (size)``: a zero-based int64 or float64 array.
+
+    Without a ``size`` it is the scalar ``name = fill``, the start of an
+    :class:`Accumulate` into a scalar.
+    """
 
     name: str
-    size: Expr
+    size: Expr | None
     fill: Expr = Expr(0)
     floating: bool = False
 
@@ -197,6 +205,23 @@ class Reduce(Statement):
     index: tuple[Expr, ...]
     value: Expr
     op: str = "max"
+
+    @property
+    def target(self) -> str:
+        return self.array
+
+
+@dataclass(frozen=True)
+class Accumulate(Statement):
+    """``array[index...] += factors[0] * factors[1] * ...``, in loop order.
+
+    An empty ``index`` adds into the scalar ``array`` (a scalar
+    :class:`Alloc`).
+    """
+
+    array: str
+    index: tuple[Expr, ...]
+    factors: tuple[Expr, ...]
 
     @property
     def target(self) -> str:
@@ -348,6 +373,7 @@ KINDS = (
     Histogram,
     Scatter,
     Reduce,
+    Accumulate,
     PrefixFix,
     BucketFill,
     NewOrderedList,

@@ -13,8 +13,10 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import repro.obs as obs
+from repro.backends.base import program_features
 from repro.runtime.executor import compile_inspector
 from repro.runtime.storage import as_list
 from repro.spf import Computation, CPrinter, Program, SymbolTable
@@ -98,12 +100,19 @@ class SynthesizedConversion:
     def c_source(self) -> str:
         """The display C rendering of the loop chain, printed on demand.
 
-        Only consumers that ask (``repro convert --c``, the walkthrough
+        Only consumers that ask (``repro synthesize --c``, the walkthrough
         example) pay for it.
         """
         if self._c_source is None:
             self._c_source = CPrinter(self.symtab).print(self.program)
         return self._c_source
+
+    @cached_property
+    def features(self) -> dict:
+        """:func:`~repro.backends.base.program_features` of
+        :attr:`program`, which never changes: computed once, for every
+        cost estimate of this conversion."""
+        return program_features(self.program)
 
     def compile(self):
         """The generated inspector as a callable, compiled on first use."""

@@ -4,7 +4,8 @@ import pytest
 
 from repro.ir import Conjunction, FloorDiv, Sym, Var, equals, greater_equal
 from repro.ir.conjunction import _eval_expr
-from repro.spf import SymbolTable, print_expr
+from repro.spf import CPrinter, SymbolTable
+from repro.spf.codegen.printers import ExprPrinter
 
 
 class TestConstruction:
@@ -70,10 +71,10 @@ class TestEvaluation:
 class TestPrinting:
     def test_python(self):
         e = FloorDiv(Sym("N") - 1, 8).as_expr() + 1
-        text = print_expr(e, SymbolTable(), "py")
+        text = ExprPrinter(SymbolTable()).expr(e)
         assert text == "((N - 1) // 8) + 1"
 
     def test_c(self):
         e = FloorDiv(Sym("N") - 1, 8).as_expr()
-        text = print_expr(e, SymbolTable(), "c")
+        text = CPrinter(SymbolTable()).expr(e)
         assert "/ 8" in text

@@ -135,6 +135,8 @@ class TestGeneratedKernels:
         container = CSRMatrix.from_dense(DENSE)
         total = run_kernel(container, "value_sum")
         assert abs(total - sum(sum(r) for r in DENSE)) < 1e-9
+        empty = run_kernel(CSRMatrix.from_dense([[0.0]]), "value_sum")
+        assert empty == 0.0 and isinstance(empty, float)
 
     def test_scale_does_not_mutate(self):
         container = CSRMatrix.from_dense(DENSE)
@@ -182,6 +184,24 @@ class TestGeneratedKernels:
     def test_c_source_emitted(self):
         kernel = synthesize_kernel(csr(), "spmv")
         assert "for (int" in kernel.c_source
+
+    def test_kernel_lowers_once(self, monkeypatch):
+        # Like a conversion, a kernel is one lowered program that both the
+        # python tier and the display C print.
+        from repro.spf import Computation
+
+        calls = []
+        lower = Computation.lower
+
+        def counting(self):
+            calls.append(self.name)
+            return lower(self)
+
+        monkeypatch.setattr(Computation, "lower", counting)
+        kernel = synthesize_kernel(csr(), "spmv")
+        assert "y = [0.0] * (NR)" in kernel.source
+        assert "y = [0.0] * (NR);" in kernel.c_source
+        assert calls == ["csr_spmv"]
 
     def test_generated_csr_spmv_shape(self):
         # The canonical CSR SpMV loop must come out of the generator.

@@ -8,6 +8,7 @@ from repro.datagen.matrices import banded, power_law, stencil_offsets
 from repro.planner import (
     ConversionPlanner,
     conversion_cost_key,
+    convert_via_plan,
     estimate_cost,
     record_measurement,
 )
@@ -52,6 +53,31 @@ class TestEstimateCostCompat:
         many = matrix_stats(power_law(64, 64, nnz=few.nnz, seed=0))
         assert many.ndiags > few.ndiags
         assert estimate_cost(conv, many) > estimate_cost(conv, few)
+
+
+def test_program_features_are_computed_once_per_conversion(monkeypatch):
+    # A conversion's lowered program never changes, so a repeated plan
+    # reads every edge's cost features from its conversion.
+    from repro.formats import dia, scoo
+    from repro.synthesis import conversion as module
+    from repro.synthesis import synthesize
+
+    calls = []
+    features = module.program_features
+    monkeypatch.setattr(
+        module, "program_features",
+        lambda program: calls.append(program) or features(program),
+    )
+    conv = synthesize(scoo(), dia())
+    stats = matrix_stats(banded(64, 64, stencil_offsets(5), seed=0))
+    assert estimate_cost(conv) < estimate_cost(conv, stats)
+    assert calls == [conv.program]
+
+    coo = banded(64, 64, stencil_offsets(5), seed=0)
+    convert_via_plan(coo, "DIA", matrix_aware=True)
+    calls.clear()
+    convert_via_plan(coo, "DIA", matrix_aware=True)
+    assert calls == []
 
 
 class TestMatrixAwarePlanning:

@@ -2,7 +2,9 @@
 
 import pytest
 
+from repro.ir import Var
 from repro.spf import Computation
+from repro.spf import statements as st
 from repro.spf.transforms import (
     TransformError,
     apply_all_fusion,
@@ -14,21 +16,34 @@ from repro.spf.transforms import (
 )
 
 
-def run(comp, env):
-    local = dict(env)
-    exec(comp.codegen(), {}, local)
-    return local
+i, j, k = Var("i"), Var("j"), Var("k")
+
+
+def out(*coords):
+    """``out.insert(coords...)``: records one point per iteration."""
+    return st.Insert("out", coords)
+
+
+class Points:
+    """Records every ``insert`` in call order; one coordinate unwrapped."""
+
+    def __init__(self):
+        self.seen = []
+
+    def insert(self, *coords):
+        self.seen.append(coords[0] if len(coords) == 1 else coords)
 
 
 def points(comp, env):
-    out = run(comp, {**env, "out": []})
-    return out["out"]
+    local = {**env, "out": Points()}
+    exec(comp.codegen(), {}, local)
+    return local["out"].seen
 
 
 class TestInterchange:
     def test_order_changes_coverage_does_not(self):
         comp = Computation()
-        s = comp.new_stmt("out.append((i, j))",
+        s = comp.new_stmt(out(i, j),
                           "{[i,j] : 0 <= i < 3 && 0 <= j < 2}")
         before = points(comp, {})
         interchange(comp, s.name, "i", "j")
@@ -38,7 +53,7 @@ class TestInterchange:
 
     def test_code_shape(self):
         comp = Computation()
-        s = comp.new_stmt("f(i, j)", "{[i,j] : 0 <= i < M && 0 <= j < N}")
+        s = comp.new_stmt(out(i, j), "{[i,j] : 0 <= i < M && 0 <= j < N}")
         interchange(comp, s.name, "i", "j")
         code = comp.codegen()
         assert code.index("for j") < code.index("for i")
@@ -46,19 +61,19 @@ class TestInterchange:
     def test_triangular_interchange_rejected(self):
         # j's bound depends on i: interchanging breaks scannability.
         comp = Computation()
-        s = comp.new_stmt("f(i, j)", "{[i,j] : 0 <= i < N && 0 <= j <= i}")
+        s = comp.new_stmt(out(i, j), "{[i,j] : 0 <= i < N && 0 <= j <= i}")
         with pytest.raises(TransformError):
             interchange(comp, s.name, "i", "j")
 
     def test_unknown_statement(self):
         comp = Computation()
-        comp.new_stmt("f(i)", "{[i] : 0 <= i < N}")
+        comp.new_stmt(out(i), "{[i] : 0 <= i < N}")
         with pytest.raises(TransformError):
             interchange(comp, "nope", "i", "i")
 
     def test_unknown_var(self):
         comp = Computation()
-        s = comp.new_stmt("f(i)", "{[i] : 0 <= i < N}")
+        s = comp.new_stmt(out(i), "{[i] : 0 <= i < N}")
         with pytest.raises(TransformError):
             interchange(comp, s.name, "i", "q")
 
@@ -66,19 +81,19 @@ class TestInterchange:
 class TestShift:
     def test_semantics_preserved(self):
         comp = Computation()
-        s = comp.new_stmt("out.append(i * i)", "{[i] : 0 <= i < 5}")
+        s = comp.new_stmt(out(i, 3 * i + 1), "{[i] : 0 <= i < 5}")
         shift(comp, s.name, "i", 7)
-        assert points(comp, {}) == [i * i for i in range(5)]
+        assert points(comp, {}) == [(n, 3 * n + 1) for n in range(5)]
 
     def test_loop_range_moved(self):
         comp = Computation()
-        s = comp.new_stmt("out.append(i)", "{[i] : 0 <= i < 4}")
+        s = comp.new_stmt(out(i), "{[i] : 0 <= i < 4}")
         shift(comp, s.name, "i", 10)
         assert "range(10, 14)" in comp.codegen()
 
     def test_negative_shift(self):
         comp = Computation()
-        s = comp.new_stmt("out.append(i)", "{[i] : 5 <= i < 9}")
+        s = comp.new_stmt(out(i), "{[i] : 5 <= i < 9}")
         shift(comp, s.name, "i", -5)
         assert "range(0, 4)" in comp.codegen()
         assert points(comp, {}) == [5, 6, 7, 8]
@@ -87,7 +102,7 @@ class TestShift:
 class TestSkew:
     def test_semantics_preserved(self):
         comp = Computation()
-        s = comp.new_stmt("out.append((i, j))",
+        s = comp.new_stmt(out(i, j),
                           "{[i,j] : 0 <= i < 4 && 0 <= j < 4}")
         skew(comp, s.name, "j", "i", 2)
         expected = sorted((i, j) for i in range(4) for j in range(4))
@@ -95,7 +110,7 @@ class TestSkew:
 
     def test_inner_must_be_inner(self):
         comp = Computation()
-        s = comp.new_stmt("f(i, j)", "{[i,j] : 0 <= i < N && 0 <= j < N}")
+        s = comp.new_stmt(out(i, j), "{[i,j] : 0 <= i < N && 0 <= j < N}")
         with pytest.raises(TransformError):
             skew(comp, s.name, "i", "j", 1)
 
@@ -103,14 +118,14 @@ class TestSkew:
 class TestTile:
     def test_exact_coverage_with_partial_tiles(self):
         comp = Computation()
-        s = comp.new_stmt("out.append(i)", "{[i] : 0 <= i < N}")
+        s = comp.new_stmt(out(i), "{[i] : 0 <= i < N}")
         tile(comp, s.name, "i", 4)
         for n in (1, 4, 7, 16, 17):
             assert points(comp, {"N": n}) == list(range(n))
 
     def test_two_loops_emitted(self):
         comp = Computation()
-        s = comp.new_stmt("out.append(i)", "{[i] : 0 <= i < N}")
+        s = comp.new_stmt(out(i), "{[i] : 0 <= i < N}")
         tile(comp, s.name, "i", 8)
         code = comp.codegen()
         assert "for i_t in" in code
@@ -119,7 +134,7 @@ class TestTile:
 
     def test_tile_inner_of_nest(self):
         comp = Computation()
-        s = comp.new_stmt("out.append((i, j))",
+        s = comp.new_stmt(out(i, j),
                           "{[i,j] : 0 <= i < 3 && 0 <= j < N}")
         tile(comp, s.name, "j", 2)
         expected = sorted((i, j) for i in range(3) for j in range(5))
@@ -127,13 +142,13 @@ class TestTile:
 
     def test_size_validation(self):
         comp = Computation()
-        s = comp.new_stmt("f(i)", "{[i] : 0 <= i < N}")
+        s = comp.new_stmt(out(i), "{[i] : 0 <= i < N}")
         with pytest.raises(TransformError):
             tile(comp, s.name, "i", 1)
 
     def test_nonzero_lower_bound_rejected(self):
         comp = Computation()
-        s = comp.new_stmt("f(i)", "{[i] : 3 <= i < N}")
+        s = comp.new_stmt(out(i), "{[i] : 3 <= i < N}")
         with pytest.raises(TransformError):
             tile(comp, s.name, "i", 4)
 
@@ -141,7 +156,7 @@ class TestTile:
 class TestFullUnroll:
     def test_replicates_body(self):
         comp = Computation()
-        s = comp.new_stmt("out.append((i, k))",
+        s = comp.new_stmt(out(i, k),
                           "{[i,k] : 0 <= i < N && 0 <= k < 3}")
         replacements = full_unroll(comp, s.name, "k")
         assert len(replacements) == 3
@@ -150,14 +165,14 @@ class TestFullUnroll:
 
     def test_unrolled_loops_refusable(self):
         comp = Computation()
-        s = comp.new_stmt("out.append(k)", "{[k] : 0 <= k < 4}")
+        s = comp.new_stmt(out(k), "{[k] : 0 <= k < 4}")
         full_unroll(comp, s.name, "k")
         assert "for " not in comp.codegen()
         assert points(comp, {}) == [0, 1, 2, 3]
 
     def test_unroll_then_fuse(self):
         comp = Computation()
-        s = comp.new_stmt("out.append((i, k))",
+        s = comp.new_stmt(out(i, k),
                           "{[i,k] : 0 <= i < N && 0 <= k < 2}")
         full_unroll(comp, s.name, "k")
         fused = apply_all_fusion(comp)
@@ -166,13 +181,13 @@ class TestFullUnroll:
 
     def test_symbolic_bound_rejected(self):
         comp = Computation()
-        s = comp.new_stmt("f(k)", "{[k] : 0 <= k < N}")
+        s = comp.new_stmt(out(k), "{[k] : 0 <= k < N}")
         with pytest.raises(TransformError):
             full_unroll(comp, s.name, "k")
 
     def test_huge_trip_count_refused(self):
         comp = Computation()
-        s = comp.new_stmt("f(k)", "{[k] : 0 <= k < 5000}")
+        s = comp.new_stmt(out(k), "{[k] : 0 <= k < 5000}")
         with pytest.raises(TransformError):
             full_unroll(comp, s.name, "k")
 
@@ -180,9 +195,7 @@ class TestFullUnroll:
 class TestComposition:
     def test_tile_then_interchange_tiles(self):
         comp = Computation()
-        s = comp.new_stmt(
-            "out.append((i, j))", "{[i,j] : 0 <= i < 8 && 0 <= j < 8}"
-        )
+        s = comp.new_stmt(out(i, j), "{[i,j] : 0 <= i < 8 && 0 <= j < 8}")
         tile(comp, s.name, "j", 4)
         # Hoist the tile loop over the i loop (classic tiling step).
         interchange(comp, s.name, "i", "j_t")

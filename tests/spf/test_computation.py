@@ -2,8 +2,30 @@
 
 import pytest
 
-from repro.ir import parse_set
-from repro.spf import Computation, LoweringError, Schedule, Stmt
+from repro.backends import get_backend
+from repro.ir import Sym, UFCall, Var
+from repro.spf import (
+    Computation,
+    CPrinter,
+    LoweringError,
+    Schedule,
+    Stmt,
+    SymbolTable,
+)
+from repro.spf import statements as st
+
+i, j, k = Var("i"), Var("j"), Var("k")
+X = st.Alloc("x", 1)
+
+
+class Points:
+    """Records the coordinates of every ``insert`` call, in call order."""
+
+    def __init__(self):
+        self.seen = []
+
+    def insert(self, *coords):
+        self.seen.append(coords)
 
 
 class TestSchedule:
@@ -41,46 +63,52 @@ class TestSchedule:
 
 class TestStmt:
     def test_parses_space_string(self):
-        stmt = Stmt("x = 1", "{[i] : 0 <= i < N}")
+        stmt = Stmt(X, "{[i] : 0 <= i < N}")
         assert stmt.space.tuple_vars == ("i",)
+
+    def test_statement_text_rejected(self):
+        with pytest.raises(TypeError, match="typed statement"):
+            Stmt("x = 1", "{[i] : 0 <= i < N}")
 
     def test_schedule_depth_must_match(self):
         with pytest.raises(ValueError):
-            Stmt("x = 1", "{[i] : 0 <= i < N}", [0, "i", 0, "j", 0])
+            Stmt(X, "{[i] : 0 <= i < N}", [0, "i", 0, "j", 0])
 
     def test_schedule_vars_must_match_space(self):
         with pytest.raises(ValueError):
-            Stmt("x = 1", "{[i] : 0 <= i < N}", [0, "j", 0])
+            Stmt(X, "{[i] : 0 <= i < N}", [0, "j", 0])
 
     def test_rename_tuple_vars_updates_text(self):
-        stmt = Stmt("a[i] = b[i]", "{[i] : 0 <= i < N}", [0, "i", 0])
+        stmt = Stmt(st.Scatter("a", (i,), UFCall("b", [i])),
+                    "{[i] : 0 <= i < N}", [0, "i", 0])
         renamed = stmt.rename_tuple_vars({"i": "z"})
         assert renamed.text == "a[z] = b[z]"
         assert renamed.space.tuple_vars == ("z",)
         assert renamed.schedule.loop_var_at(0) == "z"
 
     def test_rename_is_word_boundary(self):
-        stmt = Stmt("ii = i + imax", "{[i] : 0 <= i < N}", [0, "i", 0])
+        stmt = Stmt(st.Scatter("ii", (i,), i + Var("imax")),
+                    "{[i] : 0 <= i < N}", [0, "i", 0])
         renamed = stmt.rename_tuple_vars({"i": "q"})
-        assert renamed.text == "ii = q + imax"
+        assert renamed.text == "ii[q] = imax + q"
 
     def test_phase_preserved_by_rename(self):
-        stmt = Stmt("x = 1", "{[i] : 0 <= i < N}", phase=3)
+        stmt = Stmt(X, "{[i] : 0 <= i < N}", phase=3)
         assert stmt.rename_tuple_vars({"i": "z"}).phase == 3
 
 
 class TestLowering:
     def test_rectangular_loop(self):
         comp = Computation()
-        comp.new_stmt("out.append(i)", "{[i] : 0 <= i < N}")
+        comp.new_stmt(st.Insert("out", (i,)), "{[i] : 0 <= i < N}")
         code = comp.codegen()
         assert "for i in range(0, N):" in code
-        assert "out.append(i)" in code
+        assert "out.insert(i)" in code
 
     def test_csr_walk_matches_paper(self):
         comp = Computation()
         comp.new_stmt(
-            "out.append((i, j))",
+            st.Insert("out", (i, j)),
             "{[i,k,j] : 0 <= i < N && rowptr(i) <= k < rowptr(i+1)"
             " && j = col(k)}",
         )
@@ -90,39 +118,33 @@ class TestLowering:
 
     def test_c_output(self):
         comp = Computation()
-        comp.new_stmt("x[i] = i", "{[i] : 0 <= i < N}")
-        code = comp.codegen(lang="c")
+        comp.new_stmt(st.Scatter("x", (i,), i), "{[i] : 0 <= i < N}")
+        code = CPrinter(SymbolTable()).print(comp.lower())
         assert "for (int i = 0; i <= N - 1; i++) {" in code
         assert "x[i] = i;" in code
 
-    def test_unknown_language_rejected(self):
-        comp = Computation()
-        comp.new_stmt("x = 1", "{[i] : 0 <= i < 1}")
-        with pytest.raises(ValueError):
-            comp.codegen(lang="fortran")
-
     def test_zero_arity_statement(self):
         comp = Computation()
-        comp.new_stmt("x = 5", "{[]}")
-        assert comp.codegen().strip() == "x = 5"
+        comp.new_stmt(st.Alloc("x", 5), "{[]}")
+        assert comp.codegen().strip() == "x = [0] * (5)"
 
     def test_statement_order_follows_insertion(self):
         comp = Computation()
-        comp.new_stmt("first()", "{[]}")
-        comp.new_stmt("second()", "{[]}")
+        comp.new_stmt(st.Alloc("first", 1), "{[]}")
+        comp.new_stmt(st.Alloc("second", 1), "{[]}")
         code = comp.codegen()
         assert code.index("first") < code.index("second")
 
     def test_missing_bound_raises(self):
         comp = Computation()
-        comp.new_stmt("x = i", "{[i] : 0 <= i}")
+        comp.new_stmt(st.Scatter("x", (i,), i), "{[i] : 0 <= i}")
         with pytest.raises(LoweringError):
             comp.codegen()
 
     def test_guard_emitted_for_residual_constraint(self):
         comp = Computation()
         comp.new_stmt(
-            "out.append((i, j))",
+            st.Insert("out", (i, j)),
             "{[i,j] : 0 <= i < N && 0 <= j < N && i + j = N}",
         )
         code = comp.codegen()
@@ -132,7 +154,7 @@ class TestLowering:
         # The DIA linear-search pattern: a loop with a UF guard.
         comp = Computation()
         comp.new_stmt(
-            "hit(d)",
+            st.Insert("hit", (Var("d"),)),
             "{[n,d] : 0 <= n < NNZ && 0 <= d < ND && off(d) = col(n)}",
         )
         code = comp.codegen()
@@ -142,7 +164,7 @@ class TestLowering:
     def test_dead_let_pruned(self):
         comp = Computation()
         comp.new_stmt(
-            "use(k)",
+            st.Insert("use", (k,)),
             "{[i,k,j] : 0 <= i < N && 0 <= k < M && j = col(k)}",
         )
         code = comp.codegen()
@@ -151,7 +173,7 @@ class TestLowering:
     def test_live_let_kept(self):
         comp = Computation()
         comp.new_stmt(
-            "use(j)",
+            st.Insert("use", (j,)),
             "{[i,k,j] : 0 <= i < N && 0 <= k < M && j = col(k)}",
         )
         code = comp.codegen()
@@ -160,22 +182,23 @@ class TestLowering:
     def test_executable_output(self):
         comp = Computation()
         comp.new_stmt(
-            "out.append((i, j))",
+            st.Insert("out", (i, j)),
             "{[i,k,j] : 0 <= i < N && rowptr(i) <= k < rowptr(i+1)"
             " && j = col(k)}",
         )
         code = comp.codegen()
-        env = {"N": 2, "rowptr": [0, 2, 3], "col": [1, 3, 0], "out": []}
+        env = {"N": 2, "rowptr": [0, 2, 3], "col": [1, 3, 0], "out": Points()}
         exec(code, {}, env)
-        assert env["out"] == [(0, 1), (0, 3), (1, 0)]
+        assert env["out"].seen == [(0, 1), (0, 3), (1, 0)]
 
 
 class TestDataSpaces:
     def test_readers_and_writers_tracked(self):
         comp = Computation()
-        comp.new_stmt("a[i] = 1", "{[i] : 0 <= i < N}", writes=["a"])
-        comp.new_stmt("b[i] = a[i]", "{[i] : 0 <= i < N}", reads=["a"],
-                      writes=["b"])
+        comp.new_stmt(st.Scatter("a", (i,), 1), "{[i] : 0 <= i < N}",
+                      writes=["a"])
+        comp.new_stmt(st.Scatter("b", (i,), UFCall("a", [i])),
+                      "{[i] : 0 <= i < N}", reads=["a"], writes=["b"])
         spaces = comp.data_spaces()
         assert spaces["a"]["writers"] == ["S0"]
         assert spaces["a"]["readers"] == ["S1"]
@@ -185,11 +208,14 @@ class TestDataSpaces:
 class TestFunctionWrapper:
     def test_codegen_function_runs(self):
         comp = Computation("double_all")
-        comp.new_stmt("b[i] = 2 * a[i]", "{[i] : 0 <= i < N}")
-        source = comp.codegen_function(
-            ["a", "N"], ["b"], preamble=["b = [0] * N"]
-        )
-        namespace = {}
+        comp.new_stmt(st.Alloc("b", Sym("N")), "{[]}", writes=["b"])
+        comp.new_stmt(st.Scatter("b", (i,), 2 * UFCall("a", [i])),
+                      "{[i] : 0 <= i < N}", reads=["a"], writes=["b"])
+        python = get_backend("python")
+        source = python.lower(
+            comp.lower(), comp.name, ["a", "N"], ["b"], SymbolTable()
+        ).source
+        namespace = python.namespace()
         exec(source, namespace)
         out = namespace["double_all"]([1, 2, 3], 3)
         assert out == {"b": [2, 4, 6]}

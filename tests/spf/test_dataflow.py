@@ -1,15 +1,20 @@
 """Tests for the dataflow-graph (DOT) export."""
 
-from repro import get_conversion
+from repro.ir import Sym, UFCall, Var
 from repro.spf import Computation, dataflow_dot, dead_spaces
+from repro.spf import statements as st
+
+i = Var("i")
 
 
 def sample():
     comp = Computation("demo")
-    comp.new_stmt("t[i] = i", "{[i] : 0 <= i < N}", writes=["t"])
-    comp.new_stmt("out[i] = t[i]", "{[i] : 0 <= i < N}",
-                  reads=["t"], writes=["out"])
-    comp.new_stmt("junk[i] = i", "{[i] : 0 <= i < N}", writes=["junk"])
+    comp.new_stmt(st.Scatter("t", (i,), i), "{[i] : 0 <= i < N}",
+                  writes=["t"])
+    comp.new_stmt(st.Scatter("out", (i,), UFCall("t", [i])),
+                  "{[i] : 0 <= i < N}", reads=["t"], writes=["out"])
+    comp.new_stmt(st.Scatter("junk", (i,), i), "{[i] : 0 <= i < N}",
+                  writes=["junk"])
     return comp
 
 
@@ -36,13 +41,14 @@ class TestDot:
 
     def test_long_labels_truncated(self):
         comp = Computation()
-        comp.new_stmt("x = " + " + ".join(["1"] * 50), "{[]}", writes=["x"])
+        size = sum((Sym(f"N{k}") for k in range(50)), 0)
+        comp.new_stmt(st.Alloc("x", size), "{[]}", writes=["x"])
         dot = dataflow_dot(comp, max_label=30)
         assert "..." in dot
 
     def test_quotes_escaped(self):
-        comp = Computation()
-        comp.new_stmt('s = "hi"', "{[]}", writes=["s"])
+        comp = Computation('say "hi"')
+        comp.new_stmt(st.Alloc("s", 1), "{[]}", writes=["s"])
         dot = dataflow_dot(comp)
         assert '\\"hi\\"' in dot
 
@@ -55,8 +61,6 @@ class TestDeadSpaces:
         assert dead_spaces(sample(), ["out", "junk"]) == set()
 
     def test_synthesized_conversion_has_no_dead_spaces(self):
-        # Raw synthesize, not get_conversion: a conversion served from the
-        # persistent inspector cache carries no computation (None).
         from repro import get_format
         from repro.synthesis import synthesize
 

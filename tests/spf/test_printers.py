@@ -10,15 +10,21 @@ from repro.spf import (
     LetEq,
     Program,
     PythonPrinter,
-    Raw,
     Comment,
     SymbolTable,
-    print_constraint,
-    print_expr,
 )
+from repro.spf import statements as st
+from repro.spf.codegen.printers import ExprPrinter
 
 
 SYMTAB = SymbolTable(functions=["MORTON"])
+PY = ExprPrinter(SYMTAB)
+i = Var("i")
+
+
+def f(*args):
+    """A statement that prints as the call ``f.insert(args...)``."""
+    return st.Insert("f", args)
 
 
 class TestSymbolTable:
@@ -38,65 +44,65 @@ class TestSymbolTable:
 
 class TestExprPrinting:
     def test_affine(self):
-        assert print_expr(parse_expr("2 * i + N - 3", ["i"]), SYMTAB) == \
+        assert PY.expr(parse_expr("2 * i + N - 3", ["i"])) == \
             "2 * i + N - 3"
 
     def test_uf_as_array(self):
         e = UFCall("rowptr", [Var("i") + 1]).as_expr()
-        assert print_expr(e, SYMTAB) == "rowptr[i + 1]"
+        assert PY.expr(e) == "rowptr[i + 1]"
 
     def test_uf_as_function(self):
         e = UFCall("MORTON", [Var("i"), Var("j")]).as_expr()
-        assert print_expr(e, SYMTAB) == "MORTON(i, j)"
+        assert PY.expr(e) == "MORTON(i, j)"
 
     def test_multi_arg_array_python(self):
         e = UFCall("table", [Var("i"), Var("j")]).as_expr()
-        assert print_expr(e, SYMTAB, "py") == "table[i, j]"
+        assert PY.expr(e) == "table[i, j]"
 
     def test_multi_arg_array_c(self):
         e = UFCall("table", [Var("i"), Var("j")]).as_expr()
-        assert print_expr(e, SYMTAB, "c") == "table[i][j]"
+        assert CPrinter(SYMTAB).expr(e) == "table[i][j]"
 
     def test_mul_atom(self):
         e = Mul(Sym("ND"), Var("ii")).as_expr() + Var("d")
-        assert print_expr(e, SYMTAB) == "d + ND * (ii)"
+        assert PY.expr(e) == "d + ND * (ii)"
 
     def test_constant(self):
-        assert print_expr(parse_expr("0"), SYMTAB) == "0"
+        assert PY.expr(parse_expr("0")) == "0"
 
 
 class TestConstraintPrinting:
     def test_negative_terms_move_right(self):
         c = less_equal(UFCall("rowptr", [Var("i")]), Var("k"))
-        assert print_constraint(c, SYMTAB) == "k >= rowptr[i]"
+        assert PY.constraint(c) == "k >= rowptr[i]"
 
     def test_equality(self):
         c = equals(Var("j"), UFCall("col", [Var("k")]))
-        text = print_constraint(c, SYMTAB)
+        text = PY.constraint(c)
         assert "==" in text
         assert "j" in text and "col[k]" in text
 
     def test_strict_constant_offset(self):
         c = less(Var("i"), Sym("N"))  # i < N  =>  N - i - 1 >= 0
-        assert print_constraint(c, SYMTAB) == "N >= i + 1"
+        assert PY.constraint(c) == "N >= i + 1"
 
 
 class TestPythonPrinter:
     def test_loop_bounds_single(self):
-        loop = ForLoop("i", [parse_expr("0")], [Sym("N") - 1], [Raw("f(i)")])
+        loop = ForLoop("i", [parse_expr("0")], [Sym("N") - 1], [f(i)])
         text = PythonPrinter(SYMTAB).print(loop)
-        assert text == "for i in range(0, N):\n    f(i)"
+        assert text == "for i in range(0, N):\n    f.insert(i)"
 
     def test_loop_bounds_multiple(self):
         loop = ForLoop(
             "i", [parse_expr("0"), Sym("L")], [Sym("N") - 1, Sym("M")],
-            [Raw("f(i)")],
+            [f(i)],
         )
         text = PythonPrinter(SYMTAB).print(loop)
         assert "range(max(0, L), min(N, M + 1))" in text
 
     def test_guard(self):
-        guard = Guard([equals(Var("i"), Sym("N"))], [Raw("g()")])
+        guard = Guard([equals(Var("i"), Sym("N"))], [f()])
         text = PythonPrinter(SYMTAB).print(guard)
         assert text.startswith("if (i == N):")
 
@@ -110,29 +116,36 @@ class TestPythonPrinter:
         assert "# phase 1" in text
         assert "j = i + 1" in text
 
-    def test_multiline_raw_indented(self):
+    def test_multiline_statement_indented(self):
         loop = ForLoop("i", [parse_expr("0")], [parse_expr("3")],
-                       [Raw("a = 1\nb = 2")])
+                       [st.BucketFill("k", "fill", i)])
         lines = PythonPrinter(SYMTAB).print(loop).splitlines()
-        assert lines[1] == "    a = 1"
-        assert lines[2] == "    b = 2"
+        assert lines[1] == "    k = fill[i]"
+        assert lines[2] == "    fill[i] = k + 1"
+
+    def test_accumulate_parenthesizes_compound_factors(self):
+        a, statement = UFCall("a", [i]), PythonPrinter(SYMTAB).statement
+        assert statement(st.Accumulate("y", (i,), (a, i + 1))) == \
+            "y[i] += a[i] * (i + 1)"
+        assert statement(st.Alloc("t", None, floating=True)) == "t = 0.0"
+        assert statement(st.Accumulate("t", (), (a,))) == "t += a[i]"
 
 
 class TestCPrinter:
     def test_loop(self):
-        loop = ForLoop("i", [parse_expr("0")], [Sym("N") - 1], [Raw("f(i)")])
+        loop = ForLoop("i", [parse_expr("0")], [Sym("N") - 1], [f(i)])
         text = CPrinter(SYMTAB).print(loop)
         assert "for (int i = 0; i <= N - 1; i++) {" in text
-        assert "f(i);" in text
+        assert "f.insert(i);" in text
         assert text.rstrip().endswith("}")
 
     def test_semicolon_not_duplicated(self):
-        text = CPrinter(SYMTAB).print(Raw("x = 1;"))
-        assert text == "x = 1;"
+        text = CPrinter(SYMTAB).print(st.Scatter("x", (i,), 1))
+        assert text == "x[i] = 1;"
 
     def test_nested_min_max(self):
         loop = ForLoop(
-            "i", [parse_expr("0"), Sym("L")], [Sym("N"), Sym("M")], [Raw("f()")]
+            "i", [parse_expr("0"), Sym("L")], [Sym("N"), Sym("M")], [f()]
         )
         text = CPrinter(SYMTAB).print(loop)
         assert "max(0, L)" in text
@@ -141,7 +154,7 @@ class TestCPrinter:
     def test_guard_uses_and(self):
         guard = Guard(
             [equals(Var("i"), Sym("N")), less(Var("j"), Sym("M"))],
-            [Raw("g()")],
+            [f()],
         )
         text = CPrinter(SYMTAB).print(guard)
         assert "&&" in text
@@ -156,7 +169,7 @@ class TestForLoopValidation:
 
     def test_guard_needs_constraints(self):
         with pytest.raises(ValueError):
-            Guard([], [Raw("x")])
+            Guard([], [f()])
 
     def test_header_key_ignores_bound_order(self):
         a = ForLoop("i", [parse_expr("0"), Sym("L")], [Sym("N")])

@@ -99,7 +99,9 @@ def test_numpy_and_c_reject_what_python_runs():
                   "{[n, k] : 0 <= n < NNZ && k = P(c(n), r(n))}")
     symtab = SymbolTable(arrays={"r", "c", "out"}, objects={"P"})
     params = ["r", "c", "NNZ"]
-    python = comp.codegen_function(params, ["out"], symtab)
+    python = get_backend("python").lower(
+        comp.lower(), comp.name, params, ["out"], symtab
+    ).source
     assert "k = P(c[n], r[n])" in python
     with pytest.raises(st.UnsupportedStatement, match=r"rank lookup k = P"):
         get_backend("numpy").lower(
@@ -128,13 +130,15 @@ def test_stored_program_survives_marking(backend):
     from repro.spf import CPrinter, emit_python_function
 
     for label, conv in synthesized(backend):
-        comp, symtab = conv.computation, conv.symtab
+        fresh, symtab = conv.computation.lower(), conv.symtab
         assert emit_python_function(
             conv.name, conv.params, conv.program, conv.returns, symtab
-        ) == comp.codegen_function(conv.params, conv.returns, symtab), label
-        assert CPrinter(symtab).print(conv.program) == comp.codegen(
-            symtab, lang="c"
+        ) == emit_python_function(
+            conv.name, conv.params, fresh, conv.returns, symtab
         ), label
+        assert CPrinter(symtab).print(conv.program) == CPrinter(
+            symtab
+        ).print(fresh), label
         relowered = get_backend(backend).lower(
             conv.program, conv.name, conv.params, conv.returns, conv.symtab
         )

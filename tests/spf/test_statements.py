@@ -3,7 +3,8 @@
 One hand-built computation per statement kind runs through the python,
 numpy and C lowerings, which must agree output for output; the whole
 conversion sweep (tests/sweep.py) must lower to typed statements only,
-and the numpy printer must vectorize every nest of it.
+and the numpy printer must vectorize every nest of it.  No module that
+builds or prints statements reads statement text.
 """
 
 import ast
@@ -13,7 +14,16 @@ import pytest
 
 from repro.backends import BackendUnavailableError, get_backend
 from repro.ir import IntSet, Mod, Sym, UFCall, Var
-from repro.spf import Computation, ForLoop, Guard, Raw, SymbolTable, walk
+from repro.spf import (
+    Comment,
+    Computation,
+    ForLoop,
+    Guard,
+    LetEq,
+    Program,
+    SymbolTable,
+    walk,
+)
 from repro.spf import statements as st
 from repro.spf.codegen.c_emit import emit_c
 from repro.spf.transforms import apply_all_fusion
@@ -86,6 +96,19 @@ def _reduce(comp):
         st.Reduce("lo", (at("c", n),), n, "min"), OVER_NNZ
     )
     return ["hi", "lo"]
+
+
+def _accumulate(comp):
+    comp.new_stmt(st.Alloc("acc", M, floating=True), SCALAR)
+    comp.new_stmt(st.Alloc("sums", M, floating=True), SCALAR)
+    comp.new_stmt(
+        st.Accumulate("acc", (at("r", n),),
+                      (at("Asrc", n), at("c", n) + 1, at("Asrc", NNZ - 1 - n))),
+        OVER_NNZ,
+    )
+    comp.new_stmt(st.Accumulate("sums", (at("c", n),), (at("Asrc", n),)),
+                  OVER_NNZ)
+    return ["acc", "sums"]
 
 
 def _prefix_fix(comp):
@@ -184,6 +207,7 @@ CASES = {
     st.Histogram: _histogram,
     st.Scatter: _scatter,
     st.Reduce: _reduce,
+    st.Accumulate: _accumulate,
     st.PrefixFix: _prefix_fix,
     st.BucketFill: _bucket_fill,
     st.NewOrderedList: _ordered_list,
@@ -196,26 +220,28 @@ CASES = {
 }
 
 
-def _lower_and_run(comp, returns, backend):
-    params = sorted(INPUTS)
-    if backend == "python":
-        source = comp.codegen_function(params, returns, SYMTAB)
-    elif backend == "numpy":
-        source = get_backend("numpy").lower(
-            comp.lower(), comp.name, params, returns, SYMTAB
-        ).source
-    else:
-        source = get_backend("c").lower(
-            comp.lower(), comp.name, params, returns, SYMTAB
-        ).source
+def _lower_and_run(comp, returns, backend, inputs=INPUTS):
+    params = sorted(inputs)
+    source = get_backend(backend).lower(
+        comp.lower(), comp.name, params, returns, SYMTAB
+    ).source
+    if backend == "c":
         assert "__C_RUN(" in source
     namespace = get_backend(backend).namespace()
     exec(source, namespace)
-    outputs = namespace[comp.name](*[INPUTS[p] for p in params])
+    outputs = namespace[comp.name](*[inputs[p] for p in params])
     return {
         name: int(value) if np.ndim(value) == 0 else [float(v) for v in value]
         for name, value in outputs.items()
     }
+
+
+def _tiers():
+    try:
+        get_backend("c").require()
+    except BackendUnavailableError:
+        return ["python", "numpy"]
+    return ["python", "numpy", "c"]
 
 
 def test_every_kind_has_a_case():
@@ -224,13 +250,8 @@ def test_every_kind_has_a_case():
 
 @pytest.mark.parametrize("kind", st.KINDS, ids=lambda k: k.__name__)
 def test_kind_prints_the_same_on_every_tier(kind):
-    backends = ["python", "numpy", "c"]
-    try:
-        get_backend("c").require()
-    except BackendUnavailableError:
-        backends.remove("c")
     results = {}
-    for backend in backends:
+    for backend in _tiers():
         comp = Computation(f"kind_{kind.__name__.lower()}")
         returns = CASES[kind](comp)
         assert any(isinstance(s.body, kind) for s in comp.stmts)
@@ -240,14 +261,49 @@ def test_kind_prints_the_same_on_every_tier(kind):
         assert got == reference, backend
 
 
-def test_numpy_and_c_reject_raw_statements_by_name():
-    comp = Computation("opaque")
-    comp.new_stmt("out[i] = i", OVER_N)
-    symtab = SymbolTable(arrays={"out"})
-    with pytest.raises(st.UnsupportedStatement, match=r"out\[i\] = i"):
-        get_backend("numpy").lower(comp.lower(), comp.name, ["N"], [], symtab)
-    with pytest.raises(st.UnsupportedStatement, match=r"out\[i\] = i"):
-        emit_c(comp.lower(), comp.name, ["N"], [], symtab)
+def test_accumulate_adds_in_loop_order():
+    # 1e16 + 1.0 rounds back to 1e16, so the sum depends on the order of
+    # the additions: the loop's order reads 4.25 (the exact sum is 5.25,
+    # the reversed order 4.0).
+    comp = Computation("ordered")
+    comp.new_stmt(st.Alloc("acc", M, floating=True), SCALAR)
+    comp.new_stmt(st.Accumulate("acc", (at("r", n),), (at("Asrc", n),)),
+                  OVER_NNZ)
+    inputs = {**INPUTS, "r": [1] * 6,
+              "Asrc": [1e16, 1.0, -1e16, 1.0, 0.25, 3.0]}
+    results = {b: _lower_and_run(comp, ["acc"], b, inputs) for b in _tiers()}
+    assert results["python"] == {"acc": [0.0, 4.25, 0.0, 0.0]}
+    assert all(got == results["python"] for got in results.values())
+
+
+def test_numpy_and_c_reject_unsupported_statements_by_name():
+    # Python runs a float accumulation into a scalar; numpy has no
+    # whole-array form that keeps its order, and the C ABI carries no
+    # float scalars, nor multi-index arrays.
+    comp = Computation("total")
+    comp.new_stmt(st.Alloc("total", None, floating=True), SCALAR)
+    comp.new_stmt(st.Accumulate("total", (), (at("Asrc", n),)), OVER_NNZ)
+    params = sorted(INPUTS)
+    python = get_backend("python").lower(
+        comp.lower(), comp.name, params, ["total"], SYMTAB
+    ).source
+    namespace = get_backend("python").namespace()
+    exec(python, namespace)
+    total = namespace["total"](*[INPUTS[p] for p in params])["total"]
+    assert total == sum(INPUTS["Asrc"]) and isinstance(total, float)
+    with pytest.raises(st.UnsupportedStatement,
+                       match=r"scalar total in loop order: Accumulate\("):
+        get_backend("numpy").lower(
+            comp.lower(), comp.name, params, ["total"], SYMTAB
+        )
+    with pytest.raises(st.UnsupportedStatement,
+                       match=r"Alloc\(name='total'.*no float scalars"):
+        emit_c(comp.lower(), comp.name, params, ["total"], SYMTAB)
+    grid = Computation("grid")
+    grid.new_stmt(st.Scatter("out", (n, n), 1), OVER_NNZ)
+    with pytest.raises(st.UnsupportedStatement,
+                       match=r"store into 'out' with 2 indices"):
+        emit_c(grid.lower(), grid.name, params, [], SYMTAB)
 
 
 def test_rename_is_simultaneous():
@@ -257,8 +313,16 @@ def test_rename_is_simultaneous():
 
 
 def test_codegen_parses_no_statement_text():
-    codegen = Path(st.__file__).parent / "codegen"
-    for path in sorted(codegen.glob("*.py")):
+    # Every module that builds, rewrites or prints statements: the IR and
+    # its printers, the kernel generator, synthesis and tandem.
+    src = Path(st.__file__).parents[1]
+    modules = [
+        path
+        for package in ("spf", "kernels", "synthesis")
+        for path in sorted((src / package).rglob("*.py"))
+    ]
+    assert len(modules) > 20
+    for path in modules:
         tree = ast.parse(path.read_text())
         imported = set()
         for node in ast.walk(tree):
@@ -266,7 +330,7 @@ def test_codegen_parses_no_statement_text():
                 imported |= {a.name.split(".")[0] for a in node.names}
             elif isinstance(node, ast.ImportFrom) and node.module:
                 imported.add(node.module.split(".")[0])
-        assert not imported & {"ast", "re"}, path.name
+        assert not imported & {"ast", "re"}, path.relative_to(src)
 
 
 def test_sweep_lowers_to_typed_statements_only():
@@ -274,7 +338,9 @@ def test_sweep_lowers_to_typed_statements_only():
     for label, conversion in synthesized("python"):
         nodes = list(walk(conversion.computation.lower()))
         inner = [n.stmt for n in nodes if isinstance(n, st.BinarySearch)]
-        assert not any(isinstance(n, Raw) for n in nodes + inner), label
+        structure = (Program, ForLoop, Guard, LetEq, Comment)
+        assert all(isinstance(n, st.Statement) for n in nodes + inner
+                   if not isinstance(n, structure)), label
         count += 1
     assert count == 162 + 18 + 192
 

@@ -1,12 +1,13 @@
 """Tests for the inspector/executor tandem optimization."""
 
+import importlib
 import random
 
 import pytest
 
 from repro import COOMatrix
 from repro.formats import csc, csr, dia, mcoo, scoo
-from repro.kernels import dense_spmv
+from repro.kernels import KernelError, dense_spmv
 from repro.synthesis import tandem
 
 
@@ -81,3 +82,17 @@ class TestMetadata:
     def test_returns_are_kernel_outputs(self):
         assert tandem(scoo(), csr(), "spmv").returns == ("y",)
         assert tandem(scoo(), csr(), "value_sum").returns == ("total",)
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("dst_factory", [csr, csc, dia, mcoo],
+                             ids=["CSR", "CSC", "DIA", "MCOO"])
+    def test_scale_is_refused_before_synthesis(self, dst_factory,
+                                               monkeypatch):
+        # scale's output is the destination's value array in the
+        # destination's layout, which no kernel over the source produces.
+        module = importlib.import_module("repro.synthesis.tandem")
+        monkeypatch.setattr(module, "synthesize", None)
+        with pytest.raises(KernelError,
+                           match=r"'scale'.*value array.*layout"):
+            tandem(scoo(), dst_factory(), "scale")
