@@ -9,8 +9,8 @@ Reproduces Section 3.2 step by step for COO → MCOO (Morton-ordered COO):
 4. the Morton reordering quantifier is enforced through P's comparator,
 5. the copy statement is generated,
 
-then shows the optimized inspector in both Python and display C, and runs
-it on a small matrix.
+then shows the optimized inspector in both Python and the C the compiled
+tier builds, and runs it on a small matrix.
 
 Run:  python examples/synthesis_walkthrough.py
 """
@@ -42,7 +42,7 @@ def main() -> None:
 
     print("GENERATED PYTHON INSPECTOR")
     print(conversion.source)
-    print("DISPLAY C (CodeGen+ style)")
+    print("GENERATED C INSPECTOR (without the C runtime header)")
     print(conversion.c_source)
     print()
 

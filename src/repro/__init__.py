@@ -21,6 +21,7 @@ Section 3.2 algorithm), :mod:`repro.runtime` (containers and the executor),
 import time as _time
 
 from . import obs
+from .backends import DEFAULT_BACKEND
 from .errors import (
     BoundsError,
     DenseMismatchError,
@@ -82,7 +83,7 @@ def get_conversion(
     *,
     optimize: bool = True,
     binary_search: bool = False,
-    backend: str = "python",
+    backend: str = DEFAULT_BACKEND,
     disabled_passes: tuple[str, ...] = (),
 ) -> SynthesizedConversion:
     """Synthesize (and cache) the inspector converting between two formats.
@@ -109,8 +110,8 @@ def convert(
     *,
     optimize: bool = True,
     binary_search: bool = False,
-    assume_sorted: bool = True,
-    backend: str = "python",
+    assume_sorted: bool | None = True,
+    backend: str = DEFAULT_BACKEND,
     disabled_passes: tuple[str, ...] = (),
     validate: str = "inputs",
     trace: bool | None = None,
@@ -118,7 +119,9 @@ def convert(
     """Convert a runtime container to another format via synthesized code.
 
     The gate binds the source once and names its descriptor (sorted COO
-    maps to SCOO unless ``assume_sorted=False``); the inspector is
+    maps to SCOO unless ``assume_sorted=False``; ``None`` promises no
+    order, and the input check names SCOO when it finds the entries
+    strictly increasing); the inspector is
     synthesized once and cached, runs on that binding, and its outputs
     are packed back into the right container.
     ``backend`` selects the lowering: ``"python"`` scalar loops,

@@ -5,8 +5,8 @@ Commands:
 * ``formats`` — list the format library (Table 1 descriptors),
 * ``show FORMAT`` — print one descriptor in Table 1 notation,
 * ``synthesize SRC DST`` — print the generated inspector (Python and,
-  with ``--c``, display C) plus the synthesis decision log; ``--backend
-  numpy`` prints the vectorized lowering,
+  with ``--c``, the C unit the C tier compiles) plus the synthesis
+  decision log; ``--backend numpy`` prints the vectorized lowering,
 * ``convert IN.mtx OUT.mtx --to FORMAT`` — convert a Matrix Market file
   through a synthesized inspector (multi-step planning with ``--plan``),
 * ``plan SRC DST`` — print the planner's cheapest conversion route with
@@ -119,6 +119,13 @@ def cmd_show(args) -> int:
     return 0
 
 
+#: The heading ``--c`` prints above a program's C listing.
+C_LABEL = (
+    "/* the C unit the c tier compiles, without its runtime header "
+    "(repro.spf.codegen.c_emit.RUNTIME_H) */"
+)
+
+
 def cmd_synthesize(args) -> int:
     from repro.io import resolve_format
 
@@ -131,7 +138,7 @@ def cmd_synthesize(args) -> int:
     )
     print(conv.source)
     if args.c:
-        print("/* display C */")
+        print(C_LABEL)
         print(conv.c_source)
     if args.notes:
         print("# synthesis decisions:")
@@ -147,12 +154,14 @@ def cmd_convert(args) -> int:
 
     matrix = read_matrix(args.input)
     print(f"read {matrix} from {args.input}", file=sys.stderr)
-    # Files carry no sortedness promise: detect, so unsorted .mtx input
-    # routes through the sorting COO descriptor instead of being rejected.
-    sorted_input = matrix.is_sorted_lexicographic()
+    # Files carry no sortedness promise: the gate names the order it
+    # finds (assume_sorted=None), so unsorted input routes through the
+    # sorting COO descriptor instead of being rejected.
     disabled = tuple(args.disable_pass)
     try:
         if args.plan:
+            from repro.verify import gate
+
             if disabled:
                 from repro.planner import ConversionPlanner
 
@@ -161,19 +170,21 @@ def cmd_convert(args) -> int:
                 )
             else:
                 planner = default_planner(args.backend)
-            result = planner.execute(
-                matrix, args.to, assume_sorted=sorted_input,
-                validate=args.validate,
+            src, _ = gate.check_input(
+                matrix, level=args.validate, assume_sorted=None
             )
-            plan = planner.plan("SCOO" if sorted_input else "COO", args.to)
+            plan = planner.plan(src, args.to)
             print(f"plan: {plan}", file=sys.stderr)
+            result, _ = planner.execute_plan(
+                plan, matrix, validate=args.validate
+            )
         else:
             result = convert(
                 matrix,
                 args.to,
                 binary_search=args.binary_search,
                 backend=args.backend,
-                assume_sorted=sorted_input,
+                assume_sorted=None,
                 disabled_passes=disabled,
                 validate=args.validate,
             )
@@ -361,7 +372,7 @@ def cmd_kernel(args) -> int:
     kernel = synthesize_kernel(get_format(args.format), args.kind)
     print(kernel.source)
     if args.c:
-        print("/* display C */")
+        print(C_LABEL)
         print(kernel.c_source)
     return 0
 
@@ -671,7 +682,7 @@ def main(argv: list[str] | None = None) -> int:
 
     # Backend choices come from the registry so third-party backends
     # registered before main() are immediately selectable.
-    from repro.backends import backend_names
+    from repro.backends import DEFAULT_BACKEND, backend_names
 
     BACKENDS = list(backend_names())
 
@@ -714,11 +725,11 @@ def main(argv: list[str] | None = None) -> int:
     p_synth.add_argument("--no-optimize", action="store_true")
     p_synth.add_argument("--binary-search", action="store_true")
     p_synth.add_argument("--c", action="store_true",
-                         help="also print display C")
+                         help="also print the C unit the c tier compiles")
     p_synth.add_argument("--notes", action="store_true",
                          help="print the synthesis decision log")
     p_synth.add_argument("--backend", choices=BACKENDS,
-                         default="python",
+                         default=DEFAULT_BACKEND,
                          help="lowering backend for the inspector")
 
     p_conv = sub.add_parser("convert", help="convert a MatrixMarket file")
@@ -732,7 +743,7 @@ def main(argv: list[str] | None = None) -> int:
                         help="check the result's invariants and stored "
                              "entries against the input's")
     p_conv.add_argument("--backend", choices=BACKENDS,
-                        default="python",
+                        default=DEFAULT_BACKEND,
                         help="lowering backend for the inspector")
     p_conv.add_argument("--validate", choices=["off", "inputs", "full"],
                         default="inputs",
@@ -756,7 +767,8 @@ def main(argv: list[str] | None = None) -> int:
     p_plan.add_argument("--tune", action="store_true",
                         help="auto-tune the destination family's "
                              "parameterization first (needs --matrix)")
-    p_plan.add_argument("--backend", choices=BACKENDS, default="python",
+    p_plan.add_argument("--backend", choices=BACKENDS,
+                        default=DEFAULT_BACKEND,
                         help="lowering backend for the inspectors")
     p_plan.add_argument("--validate", choices=["off", "inputs", "full"],
                         default="off",
@@ -820,7 +832,7 @@ def main(argv: list[str] | None = None) -> int:
                          help="--id output: rendered tree (default), the "
                               "span-tree JSON, or Chrome trace-event JSON")
     p_trace.add_argument("--backend", choices=BACKENDS,
-                         default="python")
+                         default=DEFAULT_BACKEND)
     p_trace.add_argument("--rows", type=int, default=64)
     p_trace.add_argument("--cols", type=int, default=64)
     p_trace.add_argument("--nnz", type=int, default=256)
@@ -864,7 +876,8 @@ def main(argv: list[str] | None = None) -> int:
     p_kern.add_argument("format")
     p_kern.add_argument("kind", choices=["spmv", "spmv_t", "row_sums",
                                          "scale", "value_sum"])
-    p_kern.add_argument("--c", action="store_true")
+    p_kern.add_argument("--c", action="store_true",
+                        help="also print the C unit the c tier compiles")
 
     p_cache = sub.add_parser(
         "cache", help="build the C tier's compiled libraries ahead of time"
@@ -894,7 +907,8 @@ def main(argv: list[str] | None = None) -> int:
     p_serve.add_argument("--backlog", type=int, default=64,
                          help="queued requests beyond the workers before "
                               "load-shedding with 503 (default 64)")
-    p_serve.add_argument("--backend", choices=BACKENDS, default="python",
+    p_serve.add_argument("--backend", choices=BACKENDS,
+                         default=DEFAULT_BACKEND,
                          help="default lowering backend (per-request "
                               "override via the request document)")
     p_serve.add_argument("--validate", choices=["off", "inputs", "full"],

@@ -34,6 +34,7 @@ __all__ = [
     "BackendCapabilities",
     "BackendUnavailableError",
     "CBackend",
+    "DEFAULT_BACKEND",
     "Lowering",
     "NumpyBackend",
     "PythonBackend",
@@ -44,6 +45,10 @@ __all__ = [
     "register_backend",
     "unregister_backend",
 ]
+
+#: The tier every ``backend=`` keyword and ``--backend`` flag defaults to:
+#: the scalar reference.
+DEFAULT_BACKEND = "python"
 
 #: The built-in lowerings; registration order fixes "python" as the
 #: default and reference backend.

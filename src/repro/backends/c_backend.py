@@ -73,7 +73,8 @@ from .registry import BackendUnavailableError
 #: as void pointers + element counts (int64 or float64 buffers, per the
 #: spec manifest); outputs come back as (pointer, length) pairs the caller
 #: must release through ``repro_free``.  Scalar returns use ``len`` with a
-#: NULL pointer.  The ``repro_json_*`` functions are the daemon's JSON
+#: NULL pointer; a float64 scalar, in or out, fills its ``long long`` slot
+#: bit for bit.  The ``repro_json_*`` functions are the daemon's JSON
 #: array formatter and scanners (:mod:`repro.serve.jsontext`), a library
 #: of its own that defines its own ``repro_free``; cffi resolves each
 #: symbol on first use, so one declaration set serves both kinds of
@@ -384,11 +385,12 @@ def _c_run(spec: dict, array_args: tuple, scalar_args: tuple) -> dict:
 
     ``spec`` is the manifest literal embedded in the wrapper source:
     ``arrays`` — (name, dtype) in parameter order, ``scalars`` — names,
-    ``returns`` — (name, "i8"|"f8"|"scalar"), ``c`` — the translation
-    unit.  A container's typed array, or a contiguous numpy array, of
-    the declared dtype crosses the boundary zero-copy (the generated C
-    reads inputs through ``const`` pointers); lists and mismatched
-    dtypes are converted once at the edge.
+    ``floats`` — the positions of the float64 scalars among them,
+    ``returns`` — (name, "i8"|"f8"|"scalar"|"fscalar"), ``c`` — the
+    translation unit.  A container's typed array, or a contiguous numpy
+    array, of the declared dtype crosses the boundary zero-copy (the
+    generated C reads inputs through ``const`` pointers); lists and
+    mismatched dtypes are converted once at the edge.
     """
     import numpy as np
 
@@ -413,8 +415,13 @@ def _c_run(spec: dict, array_args: tuple, scalar_args: tuple) -> dict:
         lens[i] = len(staged)
     n_scalars = len(spec["scalars"])
     scalars = ffi.new("long long[]", max(n_scalars, 1))
+    floats = spec["floats"]
+    as_double = ffi.cast("double*", scalars)
     for j, value in enumerate(scalar_args):
-        scalars[j] = int(value)
+        if j in floats:
+            as_double[j] = value
+        else:
+            scalars[j] = int(value)
     out = ffi.new("rt_buf[]", max(len(spec["returns"]), 1))
     rc = lib.repro_run(arrs, lens, scalars, out)
     if rc != 0:
@@ -425,6 +432,10 @@ def _c_run(spec: dict, array_args: tuple, scalar_args: tuple) -> dict:
     for i, (name, kind) in enumerate(spec["returns"]):
         if kind == "scalar":
             result[name] = int(out[i].len)
+            continue
+        if kind == "fscalar":
+            slot = ffi.addressof(out[i], "len")
+            result[name] = ffi.cast("double*", slot)[0]
             continue
         count = int(out[i].len)
         dtype = np.float64 if kind == "f8" else np.int64
@@ -455,6 +466,7 @@ def _wrapper_source(name: str, params: Sequence[str], emitted) -> str:
         "name": name,
         "arrays": tuple(emitted.array_params),
         "scalars": tuple(emitted.scalar_params),
+        "floats": emitted.float_scalars,
         "returns": tuple(emitted.returns),
         "c": emitted.c_source,
     }

@@ -157,7 +157,7 @@ def bound(container):
     return plan.composition, env
 
 
-def bind_source(container, *, assume_sorted: bool = True,
+def bind_source(container, *, assume_sorted: bool | None = True,
                 check: bool = False) -> tuple[str, dict]:
     """Bind a source container once: its descriptor name and environment.
 
@@ -165,7 +165,10 @@ def bind_source(container, *, assume_sorted: bool = True,
     its sorted form (SCOO for COO: the paper's Figure 2 assumption) when
     its entries are sorted: with ``check``, when it passes
     :func:`check_container`'s audit, which holds it to that order;
-    without, when one scan finds them sorted.
+    without, when one scan finds them sorted.  ``assume_sorted=None``
+    promises no order: with ``check``, the audit of the declared format
+    names the sorted form when it finds the entries strictly increasing;
+    without, the scan decides as under ``True``.
     """
     name = _declared_format(container)
     plan, env = _bound(container, name)
@@ -173,7 +176,7 @@ def bind_source(container, *, assume_sorted: bool = True,
     if check:
         ordered = _check(container, plan, env, assume_sorted)
     else:
-        ordered = assume_sorted and sorted_format and \
+        ordered = assume_sorted is not False and sorted_format and \
             plan.composition._resolved_ordering() is None and \
             invariants.first_unsorted_position(plan.composition, env) is None
     return (ordered and sorted_format) or name, env
@@ -213,9 +216,11 @@ def check_container(container, *, assume_sorted: bool = False,
     _check(container, *_bound(container, format_name), assume_sorted)
 
 
-def _check(container, plan: _Plan, env: dict, assume_sorted: bool) -> bool:
+def _check(container, plan: _Plan, env: dict,
+           assume_sorted: bool | None) -> bool:
     """:func:`check_container` on a bound container; whether it held the
-    container to the promised order."""
+    container to the promised order, or, under ``assume_sorted=None``,
+    found the entries strictly increasing."""
     composition = plan.composition
     promised = (
         assume_sorted
@@ -225,7 +230,9 @@ def _check(container, plan: _Plan, env: dict, assume_sorted: bool) -> bool:
     if promised:
         composition = _sorted_variant(composition)
     try:
-        composition.check(env, container=repr(container), names=plan.names)
+        found = composition.check(
+            env, container=repr(container), names=plan.names
+        )
     except UnsortedInputError as err:
         if not promised:
             raise
@@ -238,7 +245,7 @@ def _check(container, plan: _Plan, env: dict, assume_sorted: bool) -> bool:
                    "COO descriptor",
             container=repr(container),
         ) from None
-    return promised
+    return promised or (assume_sorted is None and bool(found))
 
 
 @functools.lru_cache(maxsize=64)

@@ -214,7 +214,10 @@ def _coord_columns(comp, env):
     return names, [env[name] for name in names]
 
 
-def check_coord(comp, env: Mapping, where: str | None, names) -> None:
+def check_coord(comp, env: Mapping, where: str | None, names) -> bool:
+    """The coordinate family's checker; whether the entries strictly
+    increase in lexicographic order, which names an unordered container's
+    sorted form."""
     ufs, raw = _coord_columns(comp, env)
     nnz = len(env["Asrc"])
     if any(len(arr) != nnz for arr in raw):
@@ -276,6 +279,11 @@ def check_coord(comp, env: Mapping, where: str | None, names) -> None:
             position=position,
             container=where,
         )
+    # No coordinate repeats by now, so sorted is strictly sorted; a key
+    # too wide to build leaves it to the columns.
+    return ordered or ordering == "lex" or (
+        key is None and _first_descent(prefix) is None
+    )
 
 
 def first_unsorted_position(comp, env: Mapping) -> int | None:

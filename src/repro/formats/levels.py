@@ -406,7 +406,7 @@ class Composition:
         *,
         container: str | None = None,
         names: Mapping[str, str] | None = None,
-    ) -> None:
+    ) -> bool | None:
         """Raise the first violation of this format's invariants in ``env``.
 
         The invariants are derived from the levels — array lengths, UF
@@ -418,7 +418,8 @@ class Composition:
         container in its message, and ``names`` maps UF and shape symbols
         (and ``Asrc``) to the words the message uses for them.  A
         negative shape raises :class:`~repro.errors.ShapeError` before any
-        array is read.
+        array is read.  A coordinate format returns whether its entries
+        strictly increase in lexicographic order.
         """
         from repro.errors import ShapeError
 
@@ -432,7 +433,7 @@ class Composition:
                     f"{env[sym]}",
                     container=container,
                 )
-        CHECKERS[self.family](self, env, container, names)
+        return CHECKERS[self.family](self, env, container, names)
 
     def env_from_arrays(
         self,

@@ -8,7 +8,8 @@ iteration space — SpMV, transposed SpMV, row sums, scaling, and value
 reductions — from typed statements (an ``Alloc`` of the output, then one
 ``Accumulate``, or ``scale``'s ``Scatter``), lowers it once with the same
 polyhedra-scanning code generator as the conversions, and prints that
-program as the python tier's source and as display C, as a conversion is.
+program as the python tier's source and as the C unit the C tier would
+compile, as a conversion is.
 
 A format added to the library therefore gets working compute kernels for
 free, with no hand-written per-format loops.
@@ -17,14 +18,16 @@ free, with no hand-written per-format loops.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from repro.backends import get_backend
 from repro.formats.descriptor import FormatDescriptor
 from repro.ir import IntSet, Mul, Sym, UFCall
 from repro.runtime.executor import compile_inspector
 from repro.runtime.storage import as_list
-from repro.spf import Computation, CPrinter, Program, SymbolTable
+from repro.spf import Computation, Program, SymbolTable
 from repro.spf import statements as st
+from repro.spf.codegen.c_emit import emit_c
 from repro.synthesis.compose import (
     _dense_source_exprs,
     _source_data_expr,
@@ -48,7 +51,7 @@ class GeneratedKernel:
 
     ``program`` is its computation lowered once (with the ``symtab`` its
     printers read); ``source`` is the python tier's printing of it and
-    :attr:`c_source` the display C one.
+    :attr:`c_source` the C tier's.
     """
 
     name: str
@@ -64,18 +67,32 @@ class GeneratedKernel:
 
     @property
     def c_source(self) -> str:
-        """The display C rendering of the lowered program."""
-        return CPrinter(self.symtab).print(self.program)
+        """The C unit :func:`~repro.spf.codegen.c_emit.emit_c` prints for
+        :attr:`program`, without its runtime header."""
+        return emit_c(
+            self.program, self.name, self.params, self.returns, self.symtab
+        ).listing
 
     def compile(self):
         if self._compiled is None:
             self._compiled = compile_inspector(self.name, self.source)
         return self._compiled
 
+    @cached_property
+    def writes(self) -> frozenset:
+        """The inputs the program writes (``scale``'s ``Adata``)."""
+        return frozenset(st.targets(self.program) & set(self.params))
+
     def __call__(self, **inputs):
-        """Run the interpreted kernel on list copies of typed arrays."""
+        """Run the interpreted kernel on list copies of typed arrays; a
+        list input the program writes is copied too, so the caller's
+        never changes."""
         fn = self.compile()
-        return fn(*[as_list(inputs[p]) for p in self.params])
+        args = {p: as_list(inputs[p]) for p in self.params}
+        for p in self.writes:
+            if args[p] is inputs[p]:
+                args[p] = list(args[p])
+        return fn(*args.values())
 
 
 def synthesize_kernel(
@@ -99,6 +116,7 @@ def synthesize_kernel(
     symtab = SymbolTable(
         arrays=set(fmt.index_ufs()) | {"Adata", "x", "y"},
         functions={"MORTON", "MORTON2", "MORTON3"},
+        floats={"Adata", "x", "alpha"},
     )
     position = _source_data_expr(fmt)
     value = UFCall("Adata", [position])
@@ -169,7 +187,8 @@ def run_kernel(container, kind: str, **extra):
         kernel = synthesize_kernel(get_format(fmt_name), kind)
         kernel.compile()
         _KERNEL_CACHE[key] = kernel
-    # The kernel reads list copies, so ``scale`` never writes the container.
+    # The kernel copies what it writes, so ``scale`` never writes the
+    # container.
     env["Adata"] = env.pop("Asrc")
     env.update(extra)
     outputs = kernel(**{p: env[p] for p in kernel.params})

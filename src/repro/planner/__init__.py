@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import repro.obs as obs
-from repro.backends import available_backend, get_backend
+from repro.backends import DEFAULT_BACKEND, available_backend, get_backend
 from repro.formats import container_to_env, get_format
 from repro.formats.bindings import run_conversion
 from repro.synthesis import SynthesisError, SynthesizedConversion, synthesize_cached
@@ -120,7 +120,7 @@ class ConversionPlanner:
         self,
         formats: Sequence[str] | None = None,
         *,
-        backend: str = "python",
+        backend: str = DEFAULT_BACKEND,
         disabled_passes: Sequence[str] = (),
         cost_store: CostStore | None = None,
     ):
@@ -350,7 +350,8 @@ class ConversionPlanner:
                 )
         return current, timings
 
-    def execute(self, container, dst: str, *, assume_sorted: bool = True,
+    def execute(self, container, dst: str, *,
+                assume_sorted: bool | None = True,
                 validate: str = "inputs", trace: bool | None = None,
                 matrix_aware: bool = False):
         """Plan and run the conversion chain on a concrete container.
@@ -439,7 +440,7 @@ _DEFAULT_PLANNERS: dict[str, ConversionPlanner] = {}
 _DEFAULT_3D: dict[str, ConversionPlanner] = {}
 
 
-def default_planner(backend: str = "python") -> ConversionPlanner:
+def default_planner(backend: str = DEFAULT_BACKEND) -> ConversionPlanner:
     backend = available_backend(backend).name
     planner = _DEFAULT_PLANNERS.get(backend)
     if planner is None:
@@ -452,7 +453,7 @@ def default_planner(backend: str = "python") -> ConversionPlanner:
     return planner
 
 
-def default_planner_3d(backend: str = "python") -> ConversionPlanner:
+def default_planner_3d(backend: str = DEFAULT_BACKEND) -> ConversionPlanner:
     backend = available_backend(backend).name
     planner = _DEFAULT_3D.get(backend)
     if planner is None:
@@ -469,8 +470,8 @@ def convert_via_plan(
     container,
     dst: str,
     *,
-    backend: str = "python",
-    assume_sorted: bool = True,
+    backend: str = DEFAULT_BACKEND,
+    assume_sorted: bool | None = True,
     validate: str = "inputs",
     trace: bool | None = None,
     matrix_aware: bool = False,

@@ -20,7 +20,9 @@ tunes without measuring at all.
 The search is deterministic: candidate enumeration is ordered, the final
 ranking breaks ties on (seconds, predicted, label), and the seed only
 shuffles the measurement *order* (guarding against systematic warm-up
-bias), never the outcome set.
+bias), never the outcome set.  Measured seconds within
+:data:`MEASURED_TIE` of the fastest do not separate candidates: the
+prediction ranks those.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
+from repro.backends import DEFAULT_BACKEND
 from repro.backends.base import storage_slots
 from repro.formats import get_format
 from repro.formats.bindings import bind_source
@@ -42,6 +45,15 @@ from .stats import BLOCK_CANDIDATES, MatrixStats, matrix_stats
 #: A parameterization storing more than this many slots per nonzero is
 #: rejected before synthesis.
 PADDING_BUDGET = 64.0
+
+#: Measured (or learned) seconds within this fraction of the fastest are
+#: a tie, ranked by prediction.  One candidate's tune-style measurement
+#: (best of 2 calls, COO->BCSR7 on ``fem_blocks(84, block=7, seed=1)``,
+#: 2-core VM; interquartile range over median of 20 samples per process)
+#: spread 1.2-12.2% on python (8 processes), 1.4-11.2% on C (8) and
+#: 2.6-11.3% on numpy in 15 of 16 processes (33.5% in one).  Wider gaps
+#: still rank by seconds, so a pick outside this band can flip.
+MEASURED_TIE = 0.15
 
 
 def tuning_rule(family: str) -> str | None:
@@ -206,7 +218,7 @@ def tune(
     container,
     family: str,
     *,
-    backend: str = "python",
+    backend: str = DEFAULT_BACKEND,
     top_k: int = 3,
     repeats: int = 2,
     seed: int = 0,
@@ -321,11 +333,16 @@ def tune(
                 result.candidates.append(tuned)
 
         # Rank: measured/learned candidates by seconds ahead of
-        # prediction-only ones, deterministic tie-breaks throughout.
+        # prediction-only ones, those within the noise of the fastest by
+        # prediction, deterministic tie-breaks throughout.
+        tie = (1 + MEASURED_TIE) * min(
+            (t.seconds for t in result.candidates if t.seconds is not None),
+            default=0.0,
+        )
         result.candidates.sort(
             key=lambda t: (
                 t.seconds is None,
-                t.cost,
+                tie if t.seconds is not None and t.seconds <= tie else t.cost,
                 t.predicted,
                 t.candidate.label,
             )
@@ -340,6 +357,7 @@ def tune(
 
 __all__ = [
     "Candidate",
+    "MEASURED_TIE",
     "PADDING_BUDGET",
     "TUNABLE",
     "TuneError",

@@ -12,6 +12,7 @@ from __future__ import annotations
 from typing import Callable, Mapping
 
 import repro.obs as obs
+from repro.backends import DEFAULT_BACKEND
 
 from . import npvec
 from .morton import morton, morton2, morton3, morton2_vec, morton3_vec, morton_vec
@@ -86,7 +87,7 @@ _NUMPY_EXTRAS: dict = {
 }
 
 
-def base_namespace(backend: str = "python") -> dict:
+def base_namespace(backend: str = DEFAULT_BACKEND) -> dict:
     """The globals available to every generated inspector.
 
     Delegates to the registered backend's
@@ -104,7 +105,7 @@ def compile_inspector(
     name: str,
     source: str,
     extra_env: Mapping | None = None,
-    backend: str = "python",
+    backend: str = DEFAULT_BACKEND,
 ) -> Callable:
     """Compile generated source and return its function ``name``.
 

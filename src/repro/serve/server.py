@@ -64,6 +64,7 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 
 import repro.obs as obs
+from repro.backends import DEFAULT_BACKEND
 from repro.errors import ValidationError
 from repro.verify.gate import VALIDATE_LEVELS
 
@@ -153,7 +154,7 @@ class ConversionServer:
         unix_path: str | None = None,
         workers: int | None = None,
         backlog: int = DEFAULT_BACKLOG,
-        backend: str = "python",
+        backend: str = DEFAULT_BACKEND,
         validate: str = "inputs",
         max_body: int = DEFAULT_MAX_BODY,
         record: bool = True,
@@ -743,9 +744,9 @@ class ConversionServer:
         from repro.synthesis import SynthesisError
 
         matrix = request["matrix"]
+        # null promises no order: the input check names SCOO when it
+        # finds the entries strictly increasing.
         assume_sorted = request["assume_sorted"]
-        if assume_sorted is None:
-            assume_sorted = matrix.is_sorted_lexicographic()
         start = time.perf_counter()
         try:
             backend = available_backend(request["backend"]).name

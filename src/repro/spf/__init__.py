@@ -4,14 +4,12 @@ from .ast_nodes import Comment, ForLoop, Guard, LetEq, Node, Program, walk
 from .computation import Computation, LoweringError, Schedule, Stmt
 from .dataflow import dataflow_dot, dead_spaces
 from .codegen.printers import (
-    CPrinter,
     PythonPrinter,
     SymbolTable,
     emit_python_function,
 )
 
 __all__ = [
-    "CPrinter",
     "Comment",
     "Computation",
     "dataflow_dot",

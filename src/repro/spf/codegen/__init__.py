@@ -1,14 +1,12 @@
-"""Code generation: lowered-AST printers for Python and display C."""
+"""Code generation: the lowered-AST printers of the three tiers."""
 
 from .printers import (
-    CPrinter,
     PythonPrinter,
     SymbolTable,
     emit_python_function,
 )
 
 __all__ = [
-    "CPrinter",
     "PythonPrinter",
     "SymbolTable",
     "emit_python_function",

@@ -1,14 +1,17 @@
 """Native C99 emission of a lowered SPF program.
 
-The display C printer (:class:`~repro.spf.codegen.printers.CPrinter`)
-shows the paper's CodeGen+ style output around each statement's Python
-form; this module is the printer the compiled backend actually builds
-and runs:
+This is the one C printer: the compiled backend builds and runs the unit
+it prints, and ``repro synthesize --c`` / ``repro kernel --c`` show that
+unit without its runtime header (:attr:`CEmitted.listing`).  Conversions
+and generated kernels print alike:
 
-* typed signatures — every inspector compiles to one exported entry
-  point ``repro_run(arrs, lens, scalars, out)`` taking the input arrays
-  (``int64``/``float64`` buffers), their lengths, the scalar symbolic
-  constants, and an output-buffer table it fills in,
+* typed signatures — every program compiles to one exported entry point
+  ``repro_run(arrs, lens, scalars, out)`` taking the input arrays
+  (``int64``/``float64`` buffers, per the symbol table's ``floats``),
+  their lengths, the scalar inputs, and an output-buffer table it fills
+  in.  A float64 scalar crosses its ``long long`` slot bit for bit, both
+  ways; a parameter array the program writes or returns is copied into a
+  buffer of its own at entry, so inputs stay ``const``,
 * a C runtime in two parts — the permutation structures
   (``OrderedList`` / ``OrderedSet`` / ``LexBucketPermutation``), Morton
   encodings, binary search, and floor-division helpers re-implemented in
@@ -27,8 +30,8 @@ and runs:
 Statement bodies arrive as the typed kinds of
 :mod:`repro.spf.statements`, one C rule each, with expressions rendered
 through the shared :class:`~repro.spf.codegen.printers.ExprPrinter`.  A
-form the ABI or the runtime cannot carry (a multi-index array, a float
-scalar, a Morton key inside a larger expression) raises
+form the ABI or the runtime cannot carry (a multi-index array, a Morton
+key inside a larger expression) raises
 :class:`~repro.spf.statements.UnsupportedStatement` at synthesis time,
 naming the statement; there is no interpreted fallback.
 
@@ -61,10 +64,19 @@ class CEmitted:
     c_source: str
     #: ``(name, "i8"|"f8")`` for every array parameter, in call order.
     array_params: list = field(default_factory=list)
-    #: Scalar (symbolic constant) parameter names, in call order.
+    #: Scalar parameter names, in call order.
     scalar_params: list = field(default_factory=list)
-    #: ``(name, "i8"|"f8"|"scalar")`` for every return, in return order.
+    #: Positions in :attr:`scalar_params` of the float64 scalars.
+    float_scalars: tuple = ()
+    #: ``(name, "i8"|"f8"|"scalar"|"fscalar")`` for every return, in
+    #: return order.
     returns: list = field(default_factory=list)
+
+    @property
+    def listing(self) -> str:
+        """The unit without its embedded :data:`RUNTIME_H`: the helpers
+        and ``repro_run``."""
+        return self.c_source.replace(RUNTIME_H, "", 1)
 
 
 # ---------------------------------------------------------------------------
@@ -587,6 +599,9 @@ def _s(name: str) -> str:
     return f"s_{name}"
 
 
+#: The emitter's kind of a float64 scalar, and its manifest return kind.
+FSCALAR = "fscalar"
+
 _MORTON = {2: "rt_morton2", 3: "rt_morton3"}
 _COMBINE = {"max": "rt_max2", "min": "rt_min2"}
 
@@ -655,12 +670,19 @@ class _Emitter:
         for p in self.array_params:
             self.kind[p] = "array"
         for p in self.scalar_params:
-            self.kind[p] = "scalar"
+            self.kind[p] = FSCALAR if p in symtab.floats else "scalar"
         self.arr_type: dict[str, str] = {
-            p: (F8 if p == st.SOURCE_VALUES else I8) for p in self.array_params
+            p: (F8 if p in symtab.floats else I8) for p in self.array_params
         }
         self.scalars: list[str] = []  # declaration order
-        self.local_arrays: list[str] = []
+        self.fscalars: list[str] = []
+        #: Parameter arrays the program writes or returns: each is copied
+        #: into a local buffer at entry, which the program owns.
+        written = st.targets(program)
+        self.owned = [
+            p for p in self.array_params if p in written or p in self.returns
+        ]
+        self.local_arrays: list[str] = list(self.owned)
         self.objects: dict[str, _ObjInfo] = {}
         self.body: list[str] = []
         self.helpers: list[str] = []  # per-object key/insert functions
@@ -678,13 +700,13 @@ class _Emitter:
         self.fail_used = True
         self.line(ind, f"RT_CK({call});")
 
-    def declare_scalar(self, name: str) -> None:
+    def declare_scalar(self, name: str, kind: str = "scalar") -> None:
         existing = self.kind.get(name)
         if existing is None:
-            self.kind[name] = "scalar"
-            self.scalars.append(name)
-        elif existing != "scalar":
-            raise self.err(f"{name!r} used as both {existing} and scalar")
+            self.kind[name] = kind
+            (self.fscalars if kind == FSCALAR else self.scalars).append(name)
+        elif existing != kind:
+            raise self.err(f"{name!r} used as both {existing} and {kind}")
 
     def declare_array(self, name: str, dtype: str) -> None:
         if name in self.array_params:
@@ -701,7 +723,10 @@ class _Emitter:
         self.kind[name] = info.kind
 
     def slot(self, array: str, index) -> str:
-        """``array[index]`` over a local or parameter int64/float64 array."""
+        """``array[index]`` over a local or owned int64/float64 array, or
+        a scalar without an index."""
+        if not index and self.kind.get(array) in ("scalar", FSCALAR):
+            return _v(array)
         if self.kind.get(array) != "array" or len(index) != 1:
             raise self.err(f"store into {array!r} with {len(index)} indices")
         return f"{_v(array)}[{self.e.expr(index[0])}]"
@@ -772,10 +797,15 @@ class _Emitter:
         e = self.e.expr
         if isinstance(node, st.Alloc):
             if node.size is None:
-                raise self.err(
-                    f"{node!r}: C allocates arrays only (the ABI carries no "
-                    "float scalars)"
+                self.declare_scalar(
+                    node.name, FSCALAR if node.floating else "scalar"
                 )
+                fill = (
+                    repr(float(node.fill.const)) if node.floating
+                    else e(node.fill)
+                )
+                self.line(ind, f"{_v(node.name)} = {fill};")
+                return
             size = e(node.size)
             dtype = F8 if node.floating else I8
             self.declare_array(node.name, dtype)
@@ -952,20 +982,39 @@ class _Emitter:
     # -- assembly ---------------------------------------------------------
     def run(self) -> CEmitted:
         for name in self.returns:
-            if name in self.params:
+            if name in self.scalar_params:
                 raise self.err(f"return {name!r} aliases a parameter")
         self.node(self.program, 1)
 
         decls: list[str] = []
+        entry: list[str] = []  # after every declaration: cleanup frees them
         for i, p in enumerate(self.array_params):
-            ctype = "double" if self.arr_type[p] == F8 else "int64_t"
+            floating = self.arr_type[p] == F8
+            ctype = "double" if floating else "int64_t"
+            if p in self.owned:  # declared with the local arrays
+                v = _v(p)
+                alloc = "rt_alloc_f64" if floating else "rt_alloc_i64"
+                self.fail_used = True
+                entry += [
+                    f"    RT_CK({alloc}((int64_t)lens[{i}], &{v}, "
+                    f"&{v}__len));",
+                    f"    if ({v}__len > 0) memcpy({v}, arrs[{i}], "
+                    f"(size_t){v}__len * sizeof({ctype}));",
+                ]
+                continue
             decls.append(
                 f"    const {ctype}* {_v(p)} = (const {ctype}*)arrs[{i}];"
             )
             decls.append(f"    int64_t {_v(p)}__len = (int64_t)lens[{i}];")
             decls.append(f"    (void){_v(p)}__len;")
         for j, p in enumerate(self.scalar_params):
-            decls.append(f"    int64_t {_v(p)} = (int64_t)scalars[{j}];")
+            if p in self.symtab.floats:
+                decls.append(f"    double {_v(p)};")
+                decls.append(
+                    f"    memcpy(&{_v(p)}, &scalars[{j}], sizeof(double));"
+                )
+            else:
+                decls.append(f"    int64_t {_v(p)} = (int64_t)scalars[{j}];")
             decls.append(f"    (void){_v(p)};")
         for name in self.local_arrays:
             ctype = "double" if self.arr_type[name] == F8 else "int64_t"
@@ -983,17 +1032,18 @@ class _Emitter:
                 decls.append(
                     f"    memset(&{_s(name)}, 0, sizeof(rt_lexperm));"
                 )
-        if self.scalars:
-            joined = ", ".join(f"{_v(n)} = 0" for n in self.scalars)
-            decls.append(f"    int64_t {joined};")
+        for ctype, names in (
+            ("int64_t", self.scalars), ("double", self.fscalars)
+        ):
+            if names:
+                joined = ", ".join(f"{_v(n)} = 0" for n in names)
+                decls.append(f"    {ctype} {joined};")
 
         pack: list[str] = []
         manifest: list[tuple[str, str]] = []
         for i, name in enumerate(self.returns):
             kind = self.kind.get(name)
             if kind == "array":
-                if name in self.array_params:
-                    raise self.err(f"return {name!r} aliases a parameter")
                 pack.append(f"    out[{i}].ptr = {_v(name)};")
                 pack.append(
                     f"    out[{i}].len = (long long){_v(name)}__len;"
@@ -1004,6 +1054,12 @@ class _Emitter:
                 pack.append(f"    out[{i}].ptr = NULL;")
                 pack.append(f"    out[{i}].len = (long long){_v(name)};")
                 manifest.append((name, "scalar"))
+            elif kind == FSCALAR:
+                pack.append(f"    out[{i}].ptr = NULL;")
+                pack.append(
+                    f"    memcpy(&out[{i}].len, &{_v(name)}, sizeof(double));"
+                )
+                manifest.append((name, FSCALAR))
             elif kind == "iset":
                 # An OrderedSet returned without `to_list()` (the
                 # unoptimized DIA path): materialize its sorted values.
@@ -1048,6 +1104,7 @@ class _Emitter:
         lines.append("    int rc = 0;")
         lines.append("    (void)arrs; (void)lens; (void)scalars;")
         lines.extend(decls)
+        lines.extend(entry)
         lines.extend(self.body)
         lines.extend(pack)
         lines.append("    goto cleanup;")
@@ -1063,6 +1120,10 @@ class _Emitter:
             c_source="\n".join(lines) + "\n",
             array_params=[(p, self.arr_type[p]) for p in self.array_params],
             scalar_params=list(self.scalar_params),
+            float_scalars=tuple(
+                j for j, p in enumerate(self.scalar_params)
+                if p in self.symtab.floats
+            ),
             returns=manifest,
         )
 

@@ -1,16 +1,13 @@
-"""Printers turning the lowered AST into Python or display C source.
+"""The Python printer of lowered programs, and the expression printer every
+target shares.
 
 The Python printer produces the executable code of the python tier — the
 inspectors, the generated kernels and tandem's pipelines alike (run by
-:mod:`repro.runtime.executor`); the C printer produces the kind of output
-the paper shows (CodeGen+ style) for inspection and documentation: C loop
-headers, guards and bindings around each statement's Python form plus
-``;``.
-
-Every target — these two, the numpy vectorizer and the native C emitter —
-renders IR expressions through one :class:`ExprPrinter`; a target only
-overrides :meth:`ExprPrinter.atom`, the way a variable, a floor division or
-a UF call prints.
+:mod:`repro.runtime.executor`).  Every target — this one, the numpy
+vectorizer and the C emitter (:mod:`.c_emit`, whose unit is also what
+``--c`` prints) — renders IR expressions through one
+:class:`ExprPrinter`; a target only overrides :meth:`ExprPrinter.atom`,
+the way a variable, a floor division or a UF call prints.
 """
 
 from __future__ import annotations
@@ -27,7 +24,8 @@ class SymbolTable:
 
     Uninterpreted functions lower either to index arrays (subscripting) or to
     user-defined functions (calls).  Everything else — tuple variables and
-    symbolic constants — prints as a plain name.
+    symbolic constants — prints as a plain name.  ``floats`` names the
+    float64 inputs, arrays and scalars alike; every other input is int64.
     """
 
     def __init__(
@@ -35,10 +33,12 @@ class SymbolTable:
         arrays: Iterable[str] = (),
         functions: Iterable[str] = (),
         objects: Iterable[str] = (),
+        floats: Iterable[str] = (),
     ):
         self.arrays = set(arrays)
         self.functions = set(functions)
         self.objects = set(objects)
+        self.floats = set(floats)
         overlap = self.arrays & self.functions
         if overlap:
             raise ValueError(f"names registered as both array and function: {overlap}")
@@ -51,9 +51,6 @@ class SymbolTable:
         if name in self.objects:
             return "object"
         return "array"  # default: index array, the common case in SPF
-
-    def copy(self) -> "SymbolTable":
-        return SymbolTable(self.arrays, self.functions, self.objects)
 
 
 #: The runtime helpers generated code calls by name.
@@ -255,61 +252,6 @@ class PythonPrinter(ExprPrinter):
         for child in body:
             lines.extend(self._lines(child, indent))
         return lines
-
-
-class CPrinter(ExprPrinter):
-    """Prints a lowered AST as display C (CodeGen+ style): ``/`` for floor
-    division, ``a[i][j]`` multi-indexing."""
-
-    nest_bounds = True
-
-    def atom(self, atom) -> str:
-        if isinstance(atom, FloorDiv):
-            return f"(({self.expr(atom.numer)}) / {atom.denom})"
-        if (
-            isinstance(atom, UFCall)
-            and len(atom.args) > 1
-            and self.symtab.kind_of(atom.name) == "array"
-        ):
-            return atom.name + "".join(f"[{self.expr(a)}]" for a in atom.args)
-        return super().atom(atom)
-
-    def print(self, node: Node, indent: int = 0) -> str:
-        return "\n".join(self._lines(node, indent))
-
-    def _lines(self, node: Node, indent: int) -> list[str]:
-        pad = "  " * indent
-        if isinstance(node, Program):
-            out: list[str] = []
-            for child in node.body:
-                out.extend(self._lines(child, indent))
-            return out
-        if isinstance(node, ForLoop):
-            lb = self.bound(node.lowers, "max")
-            ub = self.bound(node.uppers, "min")
-            lines = [
-                f"{pad}for (int {node.var} = {lb}; {node.var} <= {ub}; "
-                f"{node.var}++) {{"
-            ]
-            for child in node.body:
-                lines.extend(self._lines(child, indent + 1))
-            lines.append(f"{pad}}}")
-            return lines
-        if isinstance(node, LetEq):
-            return [f"{pad}int {node.var} = {self.expr(node.expr)};"]
-        if isinstance(node, Guard):
-            conds = " && ".join(f"({self.constraint(c)})" for c in node.constraints)
-            lines = [f"{pad}if ({conds}) {{"]
-            for child in node.body:
-                lines.extend(self._lines(child, indent + 1))
-            lines.append(f"{pad}}}")
-            return lines
-        if isinstance(node, Comment):
-            return [f"{pad}// {node.text}"]
-        text = PythonPrinter(self.symtab).statement(node).rstrip()
-        if text and not text.endswith((";", "}", "{")):
-            text += ";"
-        return [f"{pad}{line}" for line in text.splitlines()]
 
 
 def span_label(node: Node) -> str:

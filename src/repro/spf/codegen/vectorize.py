@@ -645,7 +645,7 @@ def emit_numpy_function(
     lines = [f"def {name}({', '.join(params)}):"]
     for p in params:
         if p in symtab.arrays:
-            conv = "ASARRAY_FLOAT" if p == st.SOURCE_VALUES else "ASARRAY_INT"
+            conv = "ASARRAY_FLOAT" if p in symtab.floats else "ASARRAY_INT"
             lines.append(f"    {p} = {conv}({p})")
             emitter.arrays.add(p)
     for index, node in enumerate(program.body):

@@ -7,7 +7,7 @@ paper's synthesis algorithm targets: a :class:`Computation` owns a list of
 schedule, a typed statement body (:mod:`repro.spf.statements`), and
 read/write data accesses.  :meth:`Computation.lower` scans the iteration
 spaces Fourier–Motzkin style into one :class:`~repro.spf.Program`, which
-every printer — each backend's ``lower`` hook and the display C — prints.
+every printer — each backend's ``lower`` hook — prints.
 """
 
 from __future__ import annotations

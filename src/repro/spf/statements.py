@@ -5,10 +5,10 @@ tandem's — is one of the frozen nodes below; there is no statement text.
 Operands are IR expressions (:class:`~repro.ir.Expr`), so renaming and
 substitution go through :meth:`Expr.rename_vars`,
 :meth:`Expr.substitute_vars` and :meth:`Expr.rename_ufs`, never through
-text, and each lowering — the scalar Python printer, the display C
-printer, the numpy vectorizer and the native C emitter — is a printer
-over this set.  This is the attribute-query / assembly vocabulary of Chou
-et al. (PLDI 2020), plus the executors' accumulation:
+text, and each lowering — the scalar Python printer, the numpy
+vectorizer and the C emitter — is a printer over this set.  This is the
+attribute-query / assembly vocabulary of Chou et al. (PLDI 2020), plus
+the executors' accumulation:
 
 * storage: :class:`Alloc`, :class:`ArrayCopy`;
 * assembly: :class:`Histogram`, :class:`Scatter`, :class:`Reduce`,
@@ -30,11 +30,7 @@ from dataclasses import dataclass, fields, replace
 from typing import Callable, Iterator, Mapping
 
 from repro.ir import Expr, ExprLike, UFCall, Var, as_expr
-from .ast_nodes import Node
-
-
-#: The source value array: the one float64 input of every inspector.
-SOURCE_VALUES = "Asrc"
+from .ast_nodes import Node, walk
 
 
 class UnsupportedStatement(ValueError):
@@ -366,6 +362,11 @@ class BinarySearch(Statement):
         return self.stmt.target
 
 
+def targets(program: Node) -> set[str]:
+    """Every name a statement of ``program`` writes."""
+    return {n.target for n in walk(program) if isinstance(n, Statement)}
+
+
 #: Every statement kind, for printers' and tests' exhaustiveness checks.
 KINDS = (
     Alloc,
@@ -387,7 +388,7 @@ KINDS = (
 
 __all__ = [k.__name__ for k in KINDS] + [
     "KINDS",
-    "SOURCE_VALUES",
     "Statement",
     "UnsupportedStatement",
+    "targets",
 ]

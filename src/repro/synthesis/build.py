@@ -82,6 +82,7 @@ def build_stage(
         ),
         functions=RUNTIME_FUNCTIONS,
         objects={PERMUTATION},
+        floats={SOURCE_DATA},
     )
 
     params = sorted(src.index_ufs()) + sorted(src.size_symbols()) + [SOURCE_DATA]

@@ -30,6 +30,7 @@ import time
 from typing import Sequence
 
 import repro.obs as obs
+from repro.backends import DEFAULT_BACKEND
 from repro.formats.descriptor import FormatDescriptor
 
 from .conversion import SynthesisError, SynthesizedConversion
@@ -99,7 +100,7 @@ def synthesize_cached(
     optimize: bool = True,
     binary_search: bool = False,
     name: str | None = None,
-    backend: str = "python",
+    backend: str = DEFAULT_BACKEND,
     disabled_passes: tuple[str, ...] = (),
 ) -> SynthesizedConversion:
     """:func:`repro.synthesis.synthesize` behind the process-wide memo.

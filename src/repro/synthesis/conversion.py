@@ -5,7 +5,7 @@ stage modules (:mod:`.compose`, :mod:`.casematch`, :mod:`.build`,
 :mod:`.lower`) all import the constants and :class:`SynthesisError` from
 here, and :mod:`.engine` assembles their artifacts into a
 :class:`SynthesizedConversion`.  Its lowered ``program`` is the record of
-the conversion: the cost features, the display C and the deep-trace timed
+the conversion: the cost features, the C listing and the deep-trace timed
 variant are all printed from it.
 """
 
@@ -16,10 +16,12 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import repro.obs as obs
+from repro.backends import DEFAULT_BACKEND
 from repro.backends.base import program_features
 from repro.runtime.executor import compile_inspector
 from repro.runtime.storage import as_list
-from repro.spf import Computation, CPrinter, Program, SymbolTable
+from repro.spf import Computation, Program, SymbolTable
+from repro.spf.codegen.c_emit import emit_c
 
 
 class SynthesisError(ValueError):
@@ -67,8 +69,8 @@ class SynthesizedConversion:
 
     ``program`` is the optimized computation lowered once (with the
     ``symtab`` its printers read); ``source`` is the active backend's
-    executable printing of it; :attr:`c_source` prints the display C
-    version on demand; ``notes`` logs the synthesis decisions (which case
+    executable printing of it; :attr:`c_source` prints the C tier's unit
+    on demand; ``notes`` logs the synthesis decisions (which case
     produced each statement, whether the permutation was eliminated...).
     ``computation`` is the optimized SPF computation itself (tandem
     synthesis re-optimizes it).
@@ -86,26 +88,26 @@ class SynthesizedConversion:
     uf_output_map: dict[str, str]
     notes: list[str] = field(default_factory=list)
     #: Lowering backend whose executable source ``source`` is.
-    backend: str = "python"
+    backend: str = DEFAULT_BACKEND
     #: ``{"vectorized_nests": n}`` for the numpy backend.
     vector_stats: dict | None = None
-    #: Memoized display-C rendering; populated lazily by :attr:`c_source`.
-    _c_source: str | None = None
     #: The compiled inspector; this conversion is its only memo.
     _compiled: object = None
     #: The deep-trace timed variant, compiled on first use.
     _timed: object = None
 
-    @property
+    @cached_property
     def c_source(self) -> str:
-        """The display C rendering of the loop chain, printed on demand.
+        """The C unit the C tier compiles for :attr:`program`, without the
+        runtime header every unit embeds
+        (:attr:`~repro.spf.codegen.c_emit.CEmitted.listing`).
 
-        Only consumers that ask (``repro synthesize --c``, the walkthrough
-        example) pay for it.
+        Printed on demand, whatever the conversion's tier: only consumers
+        that ask (``repro synthesize --c``, the walkthrough example) pay.
         """
-        if self._c_source is None:
-            self._c_source = CPrinter(self.symtab).print(self.program)
-        return self._c_source
+        return emit_c(
+            self.program, self.name, self.params, self.returns, self.symtab
+        ).listing
 
     @cached_property
     def features(self) -> dict:

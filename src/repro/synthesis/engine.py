@@ -31,7 +31,7 @@ from __future__ import annotations
 import time
 
 import repro.obs as obs
-from repro.backends import Backend, get_backend
+from repro.backends import DEFAULT_BACKEND, Backend, get_backend
 from repro.formats.descriptor import FormatDescriptor
 from repro.pipeline import BINARY_SEARCH, PASSES, PassContext
 
@@ -76,7 +76,7 @@ def synthesize(
     optimize: bool = True,
     binary_search: bool = False,
     name: str | None = None,
-    backend: "str | Backend" = "python",
+    backend: "str | Backend" = DEFAULT_BACKEND,
     disabled_passes: tuple[str, ...] = (),
 ) -> SynthesizedConversion:
     """Synthesize the inspector converting ``src`` tensors into ``dst``.

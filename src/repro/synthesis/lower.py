@@ -4,7 +4,7 @@ The computation is lowered exactly once, to the loop and statement
 :class:`~repro.spf.Program`; the active backend's
 :meth:`~repro.backends.Backend.lower` hook prints that program as its
 executable source.  The program travels on with the conversion, so the
-cost models, the display C rendering
+cost models, the C listing
 (:attr:`~repro.synthesis.SynthesizedConversion.c_source`, printed on
 demand) and the deep-trace timed variant never lower again.
 """

@@ -169,14 +169,13 @@ def tandem(
             f"{surviving_conversion} conversion statement(s) remain live"
         )
 
+    # The combined program reads the names of both: their tables' union.
+    conv_t, kernel_t = conversion.symtab, src_kernel.symtab
     symtab = SymbolTable(
-        arrays=(
-            set(src.index_ufs())
-            | set(dst.index_ufs())
-            | {SOURCE_DATA, DEST_DATA, "Adata", "x", "y"}
-        ),
-        functions={"MORTON", "MORTON2", "MORTON3", "BSEARCH"},
-        objects={"P"},
+        arrays=conv_t.arrays | kernel_t.arrays,
+        functions=conv_t.functions | kernel_t.functions,
+        objects=conv_t.objects | kernel_t.objects,
+        floats=conv_t.floats | kernel_t.floats,
     )
     optimized_source = get_backend("python").lower(
         combined.lower(), OPTIMIZED, params, returns, symtab

@@ -55,7 +55,7 @@ def normalize_level(level: str | None) -> str:
 
 
 def check_input(container, *, level: str = "inputs",
-                assume_sorted: bool = True) -> tuple[str, dict]:
+                assume_sorted: bool | None = True) -> tuple[str, dict]:
     """Admit a source container: its descriptor name and environment,
     bound once (:func:`repro.formats.bindings.bind_source`).
 
@@ -63,8 +63,10 @@ def check_input(container, *, level: str = "inputs",
     invariants its composition derives (bounds, duplicates, pointer
     invariants) and, for a plain COO under ``assume_sorted=True``, the
     lexicographic order the sorted descriptors rely on, so passing names
-    it SCOO; a violation raises a :class:`~repro.errors.ValidationError`
-    subclass naming the offending coordinate or position.
+    it SCOO (under ``assume_sorted=None``, a plain COO whose entries the
+    check finds strictly increasing); a violation raises a
+    :class:`~repro.errors.ValidationError` subclass naming the offending
+    coordinate or position.
     ``level="off"`` checks nothing; one scan detects the order.
     """
     level = normalize_level(level)

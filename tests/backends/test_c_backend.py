@@ -681,6 +681,18 @@ def test_sweep_runs_compiled_without_fallback():
 
 
 @needs_c
+def test_sweep_listing_is_the_compiled_unit():
+    # `--c` prints the unit the C tier compiles, minus the runtime header
+    # every unit embeds after its first line.
+    from repro.spf.codegen.c_emit import RUNTIME_H
+
+    for label, conversion in synthesized("c"):
+        head, _, rest = conversion.c_source.partition("\n")
+        unit = c_backend._wrapper_spec(conversion.source)["c"]
+        assert f"{head}\n{RUNTIME_H}{rest}" == unit, label
+
+
+@needs_c
 def test_sweep_ranks_without_hashing():
     # Every rank lookup on the C tier reads a position vector the replay
     # pass licensed: no translation unit of the sweep hashes coordinates.
@@ -832,8 +844,8 @@ class TestCompilerProbe:
 class TestLazyCSource:
     def test_not_rendered_until_asked(self):
         conv = synthesize(get_format("COO"), get_format("CSR"))
-        assert conv._c_source is None
+        assert "c_source" not in vars(conv)
         source = conv.c_source
         assert "for (" in source
-        assert conv._c_source is source  # memoized
+        assert vars(conv)["c_source"] is source  # memoized
         assert conv.c_source is source

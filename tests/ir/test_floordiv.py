@@ -4,7 +4,9 @@ import pytest
 
 from repro.ir import Conjunction, FloorDiv, Sym, Var, equals, greater_equal
 from repro.ir.conjunction import _eval_expr
-from repro.spf import CPrinter, SymbolTable
+from repro.spf import Program, SymbolTable
+from repro.spf import statements as st
+from repro.spf.codegen.c_emit import emit_c
 from repro.spf.codegen.printers import ExprPrinter
 
 
@@ -75,6 +77,8 @@ class TestPrinting:
         assert text == "((N - 1) // 8) + 1"
 
     def test_c(self):
+        # C's `/` truncates toward zero; the C tier floors like Python.
         e = FloorDiv(Sym("N") - 1, 8).as_expr()
-        text = CPrinter(SymbolTable()).expr(e)
-        assert "/ 8" in text
+        program = Program([st.Alloc("x", e)])
+        unit = emit_c(program, "t", ["N"], ["x"], SymbolTable()).c_source
+        assert "rt_alloc_i64(RT_FDIV(v_N - 1, 8), &v_x, &v_x__len)" in unit

@@ -145,6 +145,14 @@ class TestGeneratedKernels:
         assert container.val.tolist() == before
         assert close(scaled, [3.0 * v for v in before])
 
+    def test_scale_copies_a_list_it_writes(self):
+        vals = [1.0, 2.0, 3.0]
+        kernel = synthesize_kernel(csr(), "scale")
+        out = kernel(col2=[0, 1, 0], rowptr=[0, 2, 3], NC=2, NNZ=3, NR=2,
+                     Adata=vals, alpha=2.0)
+        assert vals == [1.0, 2.0, 3.0]
+        assert out["Adata"] == [2.0, 4.0, 6.0] and out["Adata"] is not vals
+
     def test_generated_matches_handwritten(self):
         container = DIAMatrix.from_dense(DENSE)
         assert close(run_kernel(container, "spmv", x=X),
@@ -183,11 +191,11 @@ class TestGeneratedKernels:
 
     def test_c_source_emitted(self):
         kernel = synthesize_kernel(csr(), "spmv")
-        assert "for (int" in kernel.c_source
+        assert "v_y[v_ii] += v_Adata[v_k] * v_x[v_jj];" in kernel.c_source
 
     def test_kernel_lowers_once(self, monkeypatch):
         # Like a conversion, a kernel is one lowered program that both the
-        # python tier and the display C print.
+        # python tier and the C emitter print.
         from repro.spf import Computation
 
         calls = []
@@ -200,7 +208,8 @@ class TestGeneratedKernels:
         monkeypatch.setattr(Computation, "lower", counting)
         kernel = synthesize_kernel(csr(), "spmv")
         assert "y = [0.0] * (NR)" in kernel.source
-        assert "y = [0.0] * (NR);" in kernel.c_source
+        assert "RT_CK(rt_alloc_f64(v_NR, &v_y, &v_y__len));" in \
+            kernel.c_source
         assert calls == ["csr_spmv"]
 
     def test_generated_csr_spmv_shape(self):

@@ -14,6 +14,7 @@ from repro.planner import tune as tune_mod
 from repro.planner.coststore import CostStore
 from repro.planner.stats import matrix_stats
 from repro.planner.tune import (
+    MEASURED_TIE,
     PADDING_BUDGET,
     TUNABLE,
     TuneError,
@@ -118,6 +119,36 @@ class TestTune:
         sibling = tune(banded(64, 64, stencil_offsets(9), seed=7), "DIA",
                        store=store, repeats=1)
         assert sibling.measured_runs == 0
+
+    @pytest.mark.parametrize("block3_ms,ranked", [
+        (2.95, [7, 2, 3]), (2.0, [3, 7, 2]),
+    ], ids=["within-noise", "beyond-noise"])
+    def test_measured_ties_go_to_the_prediction(self, store, monkeypatch,
+                                                 block3_ms, ranked):
+        # CI measured blocks 3, 2 and 7 within 1.4% of each other on this
+        # matrix; block 7 has the lowest prediction, so it wins the tie.
+        # A gap beyond the noise still ranks by seconds.
+        from repro.synthesis import SynthesizedConversion
+
+        injected = {"BCSR3": block3_ms, "BCSR2": 2.99, "BCSR7": 2.99}
+        clock = type("Clock", (), {"now": 0.0})()
+        clock.perf_counter = lambda: clock.now
+        call = SynthesizedConversion.__call__
+
+        def timed(self, **inputs):
+            clock.now += injected[self.dst_format] / 1e3
+            return call(self, **inputs)
+
+        monkeypatch.setattr(tune_mod, "time", clock)
+        monkeypatch.setattr(SynthesizedConversion, "__call__", timed)
+        result = tune(fem_blocks(84, block=7, seed=1), "BCSR", store=store,
+                      top_k=3, repeats=2)
+        measured = [c for c in result.candidates if c.measured_runs]
+        assert [c.candidate.block for c in measured] == ranked
+        assert [c.seconds * 1e3 for c in measured] == pytest.approx(
+            [injected[f"BCSR{block}"] for block in ranked]
+        )
+        assert 2.99 / 2.95 - 1 < MEASURED_TIE < 2.99 / 2.0 - 1
 
     def test_tune_error_when_nothing_viable(self, store):
         coo = power_law(256, 256, nnz=300, seed=8)

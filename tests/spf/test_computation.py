@@ -6,13 +6,13 @@ from repro.backends import get_backend
 from repro.ir import Sym, UFCall, Var
 from repro.spf import (
     Computation,
-    CPrinter,
     LoweringError,
     Schedule,
     Stmt,
     SymbolTable,
 )
 from repro.spf import statements as st
+from repro.spf.codegen.c_emit import emit_c
 
 i, j, k = Var("i"), Var("j"), Var("k")
 X = st.Alloc("x", 1)
@@ -118,10 +118,11 @@ class TestLowering:
 
     def test_c_output(self):
         comp = Computation()
+        comp.new_stmt(st.Alloc("x", Sym("N")), "{[]}")
         comp.new_stmt(st.Scatter("x", (i,), i), "{[i] : 0 <= i < N}")
-        code = CPrinter(SymbolTable()).print(comp.lower())
-        assert "for (int i = 0; i <= N - 1; i++) {" in code
-        assert "x[i] = i;" in code
+        code = emit_c(comp.lower(), "t", ["N"], ["x"], SymbolTable()).c_source
+        assert "for (v_i = 0; v_i <= v_N - 1; v_i++) {" in code
+        assert "v_x[v_i] = v_i;" in code
 
     def test_zero_arity_statement(self):
         comp = Computation()

@@ -4,7 +4,6 @@ import pytest
 
 from repro.ir import Mul, Sym, UFCall, Var, equals, less, less_equal, parse_expr
 from repro.spf import (
-    CPrinter,
     ForLoop,
     Guard,
     LetEq,
@@ -14,6 +13,7 @@ from repro.spf import (
     SymbolTable,
 )
 from repro.spf import statements as st
+from repro.spf.codegen.c_emit import emit_c
 from repro.spf.codegen.printers import ExprPrinter
 
 
@@ -60,8 +60,11 @@ class TestExprPrinting:
         assert PY.expr(e) == "table[i, j]"
 
     def test_multi_arg_array_c(self):
-        e = UFCall("table", [Var("i"), Var("j")]).as_expr()
-        assert CPrinter(SYMTAB).expr(e) == "table[i][j]"
+        # C indexes each array with one subscript; it refuses the rest.
+        read = st.Scatter("x", (0,), UFCall("table", [Var("i"), Var("j")]))
+        with pytest.raises(st.UnsupportedStatement,
+                           match=r"multi-index access table\(i, j\)"):
+            c_unit(read)
 
     def test_mul_atom(self):
         e = Mul(Sym("ND"), Var("ii")).as_expr() + Var("d")
@@ -131,33 +134,41 @@ class TestPythonPrinter:
         assert statement(st.Accumulate("t", (), (a,))) == "t += a[i]"
 
 
+def c_unit(*nodes) -> str:
+    """The C unit of a program that fills the array ``x``."""
+    program = Program([st.Alloc("x", Sym("N")), *nodes])
+    return emit_c(program, "t", ["N", "L", "M"], ["x"], SYMTAB).c_source
+
+
 class TestCPrinter:
+    """The C tier's printer, :func:`~repro.spf.codegen.c_emit.emit_c`."""
+
     def test_loop(self):
-        loop = ForLoop("i", [parse_expr("0")], [Sym("N") - 1], [f(i)])
-        text = CPrinter(SYMTAB).print(loop)
-        assert "for (int i = 0; i <= N - 1; i++) {" in text
-        assert "f.insert(i);" in text
-        assert text.rstrip().endswith("}")
+        loop = ForLoop("i", [parse_expr("0")], [Sym("N") - 1],
+                       [st.Scatter("x", (i,), 1)])
+        text = c_unit(loop)
+        assert "for (v_i = 0; v_i <= v_N - 1; v_i++) {" in text
+        assert "        v_x[v_i] = 1;\n    }\n" in text
 
     def test_semicolon_not_duplicated(self):
-        text = CPrinter(SYMTAB).print(st.Scatter("x", (i,), 1))
-        assert text == "x[i] = 1;"
+        text = c_unit(st.Scatter("x", (0,), 1))
+        assert "\n    v_x[0] = 1;\n" in text
 
     def test_nested_min_max(self):
         loop = ForLoop(
-            "i", [parse_expr("0"), Sym("L")], [Sym("N"), Sym("M")], [f()]
+            "i", [parse_expr("0"), Sym("L")], [Sym("N"), Sym("M")],
+            [st.Scatter("x", (i,), 1)],
         )
-        text = CPrinter(SYMTAB).print(loop)
-        assert "max(0, L)" in text
-        assert "min(N, M)" in text
+        text = c_unit(loop)
+        assert "v_i = rt_max2(0, v_L)" in text
+        assert "v_i <= rt_min2(v_N, v_M)" in text
 
     def test_guard_uses_and(self):
         guard = Guard(
             [equals(Var("i"), Sym("N")), less(Var("j"), Sym("M"))],
-            [f()],
+            [st.Scatter("x", (0,), 1)],
         )
-        text = CPrinter(SYMTAB).print(guard)
-        assert "&&" in text
+        assert "if ((v_i == v_N) && (v_M >= v_j + 1)) {" in c_unit(guard)
 
 
 class TestForLoopValidation:

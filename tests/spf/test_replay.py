@@ -127,7 +127,8 @@ def test_stored_program_survives_marking(backend):
     # The numpy and C lowerings mark the conversion's stored program in
     # place: it still prints what an unmarked lowering prints, and marking
     # it again changes nothing a printer emits.
-    from repro.spf import CPrinter, emit_python_function
+    from repro.spf import emit_python_function
+    from repro.spf.codegen.c_emit import emit_c
 
     for label, conv in synthesized(backend):
         fresh, symtab = conv.computation.lower(), conv.symtab
@@ -136,9 +137,9 @@ def test_stored_program_survives_marking(backend):
         ) == emit_python_function(
             conv.name, conv.params, fresh, conv.returns, symtab
         ), label
-        assert CPrinter(symtab).print(conv.program) == CPrinter(
-            symtab
-        ).print(fresh), label
+        assert conv.c_source == emit_c(
+            fresh, conv.name, conv.params, conv.returns, symtab
+        ).listing, label
         relowered = get_backend(backend).lower(
             conv.program, conv.name, conv.params, conv.returns, conv.symtab
         )

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.backends import BackendUnavailableError, get_backend
+from repro.backends import get_backend
 from repro.ir import IntSet, Mod, Sym, UFCall, Var
 from repro.spf import (
     Comment,
@@ -29,6 +29,7 @@ from repro.spf.codegen.c_emit import emit_c
 from repro.spf.transforms import apply_all_fusion
 
 from tests.sweep import synthesized
+from tests.tiers import needs_c
 
 np = pytest.importorskip("numpy")
 
@@ -48,7 +49,15 @@ SYMTAB = SymbolTable(
     arrays={"r", "c", "q", "Asrc"},
     functions={"MORTON"},
     objects={"P", "Q", "U", "B"},
+    floats={"Asrc"},
 )
+#: Each kind on each compiled tier: ``[Kind]`` runs numpy, ``[Kind-c]``
+#: the C tier, a visible skip where its toolchain is missing.
+KIND_TIERS = [
+    pytest.param(kind, backend, id=kind.__name__ + suffix, marks=marks)
+    for kind in st.KINDS
+    for backend, suffix, marks in (("numpy", "", ()), ("c", "-c", needs_c))
+]
 
 
 def at(array, index) -> object:
@@ -231,74 +240,78 @@ def _lower_and_run(comp, returns, backend, inputs=INPUTS):
     exec(source, namespace)
     outputs = namespace[comp.name](*[inputs[p] for p in params])
     return {
-        name: int(value) if np.ndim(value) == 0 else [float(v) for v in value]
+        name: value if np.ndim(value) == 0 else [float(v) for v in value]
         for name, value in outputs.items()
     }
-
-
-def _tiers():
-    try:
-        get_backend("c").require()
-    except BackendUnavailableError:
-        return ["python", "numpy"]
-    return ["python", "numpy", "c"]
 
 
 def test_every_kind_has_a_case():
     assert set(CASES) == set(st.KINDS)
 
 
-@pytest.mark.parametrize("kind", st.KINDS, ids=lambda k: k.__name__)
-def test_kind_prints_the_same_on_every_tier(kind):
+@pytest.mark.parametrize("kind,backend", KIND_TIERS)
+def test_kind_prints_the_same_on_every_tier(kind, backend):
     results = {}
-    for backend in _tiers():
+    for tier in ("python", backend):
         comp = Computation(f"kind_{kind.__name__.lower()}")
         returns = CASES[kind](comp)
         assert any(isinstance(s.body, kind) for s in comp.stmts)
-        results[backend] = _lower_and_run(comp, returns, backend)
-    reference = results.pop("python")
-    for backend, got in results.items():
-        assert got == reference, backend
+        results[tier] = _lower_and_run(comp, returns, tier)
+    assert results[backend] == results["python"]
 
 
-def test_accumulate_adds_in_loop_order():
-    # 1e16 + 1.0 rounds back to 1e16, so the sum depends on the order of
-    # the additions: the loop's order reads 4.25 (the exact sum is 5.25,
-    # the reversed order 4.0).
+def _sum_in_loop_order() -> Computation:
+    """``total`` = the float sum of ``Asrc``, in index order."""
+    comp = Computation("total")
+    comp.new_stmt(st.Alloc("total", None, floating=True), SCALAR)
+    comp.new_stmt(st.Accumulate("total", (), (at("Asrc", n),)), OVER_NNZ)
+    return comp
+
+
+#: 1e16 + 1.0 rounds back to 1e16, so a sum of these depends on the
+#: order of the additions: the loop's order reads 4.25 (the exact sum is
+#: 5.25, the reversed order 4.0).
+ORDERED = {**INPUTS, "r": [1] * 6,
+           "Asrc": [1e16, 1.0, -1e16, 1.0, 0.25, 3.0]}
+
+
+def _ordered_acc(backend) -> dict:
     comp = Computation("ordered")
     comp.new_stmt(st.Alloc("acc", M, floating=True), SCALAR)
     comp.new_stmt(st.Accumulate("acc", (at("r", n),), (at("Asrc", n),)),
                   OVER_NNZ)
-    inputs = {**INPUTS, "r": [1] * 6,
-              "Asrc": [1e16, 1.0, -1e16, 1.0, 0.25, 3.0]}
-    results = {b: _lower_and_run(comp, ["acc"], b, inputs) for b in _tiers()}
-    assert results["python"] == {"acc": [0.0, 4.25, 0.0, 0.0]}
-    assert all(got == results["python"] for got in results.values())
+    return _lower_and_run(comp, ["acc"], backend, ORDERED)
+
+
+def _ordered_total(backend) -> float:
+    return _lower_and_run(
+        _sum_in_loop_order(), ["total"], backend, ORDERED
+    )["total"]
+
+
+def test_accumulate_adds_in_loop_order():
+    for backend in ("python", "numpy"):
+        assert _ordered_acc(backend) == {"acc": [0.0, 4.25, 0.0, 0.0]}
+    assert _ordered_total("python") == 4.25
+
+
+@needs_c
+def test_c_accumulates_in_loop_order():
+    assert _ordered_acc("c") == {"acc": [0.0, 4.25, 0.0, 0.0]}
+    total = _ordered_total("c")
+    assert total == 4.25 and isinstance(total, float)
 
 
 def test_numpy_and_c_reject_unsupported_statements_by_name():
-    # Python runs a float accumulation into a scalar; numpy has no
-    # whole-array form that keeps its order, and the C ABI carries no
-    # float scalars, nor multi-index arrays.
-    comp = Computation("total")
-    comp.new_stmt(st.Alloc("total", None, floating=True), SCALAR)
-    comp.new_stmt(st.Accumulate("total", (), (at("Asrc", n),)), OVER_NNZ)
+    # numpy has no whole-array form of a float accumulation into a scalar
+    # that keeps its order; C stores through one index per array.
+    comp = _sum_in_loop_order()
     params = sorted(INPUTS)
-    python = get_backend("python").lower(
-        comp.lower(), comp.name, params, ["total"], SYMTAB
-    ).source
-    namespace = get_backend("python").namespace()
-    exec(python, namespace)
-    total = namespace["total"](*[INPUTS[p] for p in params])["total"]
-    assert total == sum(INPUTS["Asrc"]) and isinstance(total, float)
     with pytest.raises(st.UnsupportedStatement,
                        match=r"scalar total in loop order: Accumulate\("):
         get_backend("numpy").lower(
             comp.lower(), comp.name, params, ["total"], SYMTAB
         )
-    with pytest.raises(st.UnsupportedStatement,
-                       match=r"Alloc\(name='total'.*no float scalars"):
-        emit_c(comp.lower(), comp.name, params, ["total"], SYMTAB)
     grid = Computation("grid")
     grid.new_stmt(st.Scatter("out", (n, n), 1), OVER_NNZ)
     with pytest.raises(st.UnsupportedStatement,

@@ -35,7 +35,7 @@ class TestScooToCsr:
         assert set(self.conv.returns) == {"rowptr", "col2", "Adst"}
 
     def test_c_source_generated(self):
-        assert "for (int" in self.conv.c_source
+        assert "for (v_n = 0; v_n <= v_NNZ - 1; v_n++) {" in self.conv.c_source
 
     def test_composed_relation_in_notes(self):
         assert any("composed relation" in n for n in self.conv.notes)
@@ -232,6 +232,6 @@ def test_one_lowering_per_synthesis(backend, monkeypatch):
     monkeypatch.setattr(Computation, "lower", counting)
     conv = synthesize(coo(), csc(), backend=backend)
     assert calls == [conv.name]
-    assert "for (int" in conv.c_source
+    assert "int repro_run(" in conv.c_source
     estimate_cost(conv)
     assert calls == [conv.name]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.__main__ import main
+from repro.__main__ import C_LABEL, main
 from repro.io import read_matrix, write_matrix
 from repro.runtime import COOMatrix, dense_equal
 
@@ -94,7 +94,7 @@ class TestSynthesize:
         ) == 0
         out = capsys.readouterr().out
         assert "BSEARCH" in out
-        assert "display C" in out
+        assert C_LABEL in out and "int repro_run(" in out
         assert "synthesis decisions" in out
 
     def test_no_optimize(self, capsys):
@@ -107,6 +107,13 @@ class TestKernel:
         assert main(["kernel", "CSR", "spmv"]) == 0
         out = capsys.readouterr().out
         assert "def csr_spmv" in out
+
+    def test_c_is_the_compiled_unit(self, capsys):
+        assert main(["kernel", "CSR", "value_sum", "--c"]) == 0
+        out = capsys.readouterr().out
+        assert C_LABEL in out
+        assert "    double v_total = 0;" in out
+        assert "#include" not in out  # the runtime header is left out
 
     def test_invalid_kind_rejected(self):
         with pytest.raises(SystemExit):

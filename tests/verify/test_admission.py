@@ -17,6 +17,7 @@ from repro import (
     CSCMatrix,
     CSRMatrix,
     DIAMatrix,
+    DuplicateCoordinateError,
     MortonCOOMatrix,
     MortonCOOTensor3D,
     UnsortedInputError,
@@ -197,3 +198,70 @@ class TestNames:
     def test_unbindable_raises(self, level):
         with pytest.raises(BindingError):
             check_input(object(), level=level)
+
+
+class TestUnpromisedOrder:
+    """``assume_sorted=None``, the daemon's ``null``: the gate checks the
+    declared format and names the sorted one when the entries strictly
+    increase, so nothing scans for the order before it."""
+
+    @pytest.mark.parametrize("source,named", [
+        (COOMatrix.from_dense(DENSE), "SCOO"),
+        (COOMatrix(4, 5, [2, 0, 1], [0, 2, 1], [5.0, 2.0, 3.0]), "COO"),
+        (_tensor(), "SCOO3D"),
+        (COOTensor3D((2, 2, 3), [1, 0, 0], [1, 0, 1], [1, 2, 0],
+                     [3.0, 1.0, 2.0]), "COO3D"),
+    ], ids=["sorted", "shuffled", "sorted-3d", "shuffled-3d"])
+    def test_the_check_names_the_order(self, scans, source, named):
+        assert check_input(source, assume_sorted=None)[0] == named
+        assert scans == []
+
+    def test_duplicates_are_still_refused(self):
+        source = COOMatrix(4, 5, [0, 0, 1], [1, 1, 2], [1.0, 2.0, 3.0])
+        with pytest.raises(DuplicateCoordinateError):
+            check_input(source, assume_sorted=None)
+
+    @pytest.mark.parametrize("row,named", [
+        ([0, 0, 1, 3], "SCOO"), ([3, 0, 1, 0], "COO"),
+    ], ids=["sorted", "shuffled"])
+    def test_daemon_null_binds_once_and_scans_nothing(self, monkeypatch,
+                                                      scans, row, named):
+        from repro.serve.protocol import parse_convert_request
+        from repro.serve.server import ConversionServer
+
+        request = parse_convert_request({
+            "dst": "CSR", "matrix": {"rows": 4, "cols": 5, "row": row,
+                                     "col": [0, 2, 4, 3],
+                                     "val": [1.0, 2.0, 3.0, 4.0]},
+        })
+        assert request["assume_sorted"] is None
+        server = ConversionServer()
+        assert server._convert_body(request)[0] == 200  # synthesize first
+        scans.clear()
+        builds = _builds(monkeypatch, request["matrix"])
+        names = []
+        real = check_input
+
+        def spy(*args, **kwargs):
+            admitted = real(*args, **kwargs)
+            names.append(admitted[0])
+            return admitted
+
+        monkeypatch.setattr("repro.verify.gate.check_input", spy)
+        status, doc = server._convert_body(request)
+        assert status == 200, doc
+        assert scans == [] and len(builds) == 1, (scans, builds)
+        assert names == [named]
+
+    @pytest.mark.parametrize("flags", [[], ["--plan"]], ids=["direct", "plan"])
+    def test_cli_convert_scans_nothing(self, tmp_path, capsys, scans, flags):
+        from repro.__main__ import main
+        from repro.io import write_matrix
+
+        source = tmp_path / "in.mtx"
+        write_matrix(COOMatrix.from_dense(DENSE), source)
+        assert main(["convert", str(source), str(tmp_path / "out.mtx"),
+                     "--to", "DIA", *flags]) == 0
+        assert scans == []
+        if flags:
+            assert "plan: SCOO -> DIA" in capsys.readouterr().err
