@@ -63,7 +63,9 @@ import argparse
 import sys
 
 from repro import get_format, all_formats
-from repro.synthesis import synthesize
+from repro.formats import UnknownFormatError
+from repro.kernels import KernelError
+from repro.synthesis import SynthesisError, synthesize
 
 
 def cmd_formats(args) -> int:
@@ -956,7 +958,13 @@ def main(argv: list[str] | None = None) -> int:
         "serve": cmd_serve,
         "tail": cmd_tail,
     }
-    status = handlers[args.command](args)
+    try:
+        status = handlers[args.command](args)
+    except (UnknownFormatError, SynthesisError, KernelError,
+            FileNotFoundError) as exc:
+        # Input errors, not bugs: one line, as argparse reports bad usage.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     if args.profile:
         import repro.obs as obs
 

@@ -252,12 +252,20 @@ def parameterized_families() -> tuple[str, ...]:
     return tuple(_PARAMETERIZED)
 
 
+class UnknownFormatError(KeyError):
+    """:func:`get_format` was asked for a name the library does not hold."""
+
+    def __str__(self) -> str:
+        return self.args[0]
+
+
 def get_format(name: str) -> FormatDescriptor:
     """Look up a format descriptor by name (case-insensitive, memoized).
 
     Parameterized blocked names resolve too: ``"BCSR4"`` builds (and
     memoizes) ``bcsr(block=4)``, so the planner and auto-tuner can refer
-    to tuned parameterizations by plain string.
+    to tuned parameterizations by plain string.  An unknown name raises
+    :class:`UnknownFormatError`.
     """
     key = name.upper()
     fmt = _BUILT.get(key)
@@ -278,7 +286,7 @@ def get_format(name: str) -> FormatDescriptor:
                         return make(block)
                     break
         if factory is None:
-            raise KeyError(
+            raise UnknownFormatError(
                 f"unknown format {name!r}; available: {sorted(_FACTORIES)}"
             )
         import repro.obs as obs

@@ -142,11 +142,8 @@ def synthesize_kernel(
     comp = Computation(fn_name)
     returns = [out]
     if alloc is not None:
-        comp.new_stmt(alloc, IntSet(()), writes=returns)
-    reads = sorted(fmt.index_ufs()) + ["Adata"] + (
-        ["x"] if "x" in params_extra else []
-    )
-    comp.new_stmt(body, space, reads=reads, writes=returns)
+        comp.new_stmt(alloc, IntSet(()))
+    comp.new_stmt(body, space)
 
     params = sorted(fmt.index_ufs()) + sorted(fmt.size_symbols()) + [
         "Adata"

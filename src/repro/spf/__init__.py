@@ -2,7 +2,7 @@
 
 from .ast_nodes import Comment, ForLoop, Guard, LetEq, Node, Program, walk
 from .computation import Computation, LoweringError, Schedule, Stmt
-from .dataflow import dataflow_dot, dead_spaces
+from .dataflow import dataflow_dot
 from .codegen.printers import (
     PythonPrinter,
     SymbolTable,
@@ -13,7 +13,6 @@ __all__ = [
     "Comment",
     "Computation",
     "dataflow_dot",
-    "dead_spaces",
     "ForLoop",
     "Guard",
     "LetEq",

@@ -4,16 +4,17 @@ This module reproduces the SPF-IR of Popoola et al. (COMPSAC 2021) that the
 paper's synthesis algorithm targets: a :class:`Computation` owns a list of
 :class:`Stmt` objects, each with an iteration space (an
 :class:`~repro.ir.IntSet` with uninterpreted functions), a ``2d+1`` execution
-schedule, a typed statement body (:mod:`repro.spf.statements`), and
-read/write data accesses.  :meth:`Computation.lower` scans the iteration
-spaces Fourier–Motzkin style into one :class:`~repro.spf.Program`, which
-every printer — each backend's ``lower`` hook — prints.
+schedule and a typed statement body (:mod:`repro.spf.statements`); its data
+accesses follow from the body and the space.  :meth:`Computation.lower`
+scans the iteration spaces Fourier–Motzkin style into one
+:class:`~repro.spf.Program`, which every printer — each backend's
+``lower`` hook — prints.
 """
 
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from repro.ir import Constraint, Expr, Geq, IntSet, bounds_on_var, parse_set
 from .ast_nodes import ForLoop, Guard, LetEq, Node, Program
@@ -86,13 +87,13 @@ class Schedule:
 
 
 class Stmt:
-    """One statement: body + iteration space + schedule + accesses.
+    """One statement: body + iteration space + schedule.
 
     ``body`` is a typed statement (:mod:`repro.spf.statements`); anything
-    else, statement text included, raises :class:`TypeError`.  ``reads``
-    and ``writes`` name the data spaces the statement touches; the
-    transformations (dead code elimination, fusion legality) work on
-    these.
+    else, statement text included, raises :class:`TypeError`.  The data
+    spaces the statement touches, :attr:`reads` and :attr:`writes`, are
+    derived from the body and the space; dead code elimination and the
+    dataflow graph work on these.
     """
 
     def __init__(
@@ -100,8 +101,6 @@ class Stmt:
         body: Statement,
         iteration_space: IntSet | str,
         schedule: Schedule | Sequence[int | str] | None = None,
-        reads: Iterable[str] = (),
-        writes: Iterable[str] = (),
         name: str = "",
         phase: int = 0,
     ):
@@ -128,10 +127,31 @@ class Stmt:
         self.body = body
         self.space = iteration_space
         self.schedule = schedule
-        self.reads = tuple(reads)
-        self.writes = tuple(writes)
         self.name = name
         self.phase = phase
+
+    @property
+    def writes(self) -> tuple[str, ...]:
+        """The body's target and every variable the body binds (a
+        :class:`~repro.spf.statements.BucketFill`'s position)."""
+        return tuple(sorted({self.body.target} | self.body.bound))
+
+    @property
+    def reads(self) -> tuple[str, ...]:
+        """Every name the body mentions and every function and symbol of
+        the space's constraints, but the space's tuple variables, the
+        variables the body binds and the runtime helpers.
+
+        A variable the body uses that the space does not bind is the
+        position a ``BucketFill`` in the same nest binds.  An update reads
+        its own target; so, harmlessly, does a definition such as
+        ``Alloc``: dead code elimination's live set only grows.
+        """
+        space = self.space
+        names = self.body.names() | space.uf_names() | space.sym_names()
+        return tuple(sorted(
+            names - set(space.tuple_vars) - self.body.bound - RUNTIME_FUNCTIONS
+        ))
 
     @property
     def text(self) -> str:
@@ -139,8 +159,7 @@ class Stmt:
         return PythonPrinter(_DISPLAY_SYMTAB).statement(self.body)
 
     def with_schedule(self, schedule: Schedule | Sequence[int | str]) -> "Stmt":
-        return Stmt(self.body, self.space, schedule, self.reads, self.writes,
-                    self.name, self.phase)
+        return Stmt(self.body, self.space, schedule, self.name, self.phase)
 
     def rename_tuple_vars(self, mapping: Mapping[str, str]) -> "Stmt":
         """Rename tuple variables simultaneously in space, schedule and body."""
@@ -154,8 +173,6 @@ class Stmt:
             self.body.rename_vars(mapping),
             new_space,
             new_schedule,
-            self.reads,
-            self.writes,
             self.name,
             self.phase,
         )
@@ -387,35 +404,14 @@ class Computation:
         return stmt
 
     def new_stmt(
-        self,
-        body: Statement,
-        iteration_space: IntSet | str,
-        reads: Iterable[str] = (),
-        writes: Iterable[str] = (),
-        phase: int = 0,
+        self, body: Statement, iteration_space: IntSet | str, phase: int = 0
     ) -> Stmt:
-        """Create, register, and return a statement with a default schedule."""
-        return self.add_stmt(
-            Stmt(body, iteration_space, None, reads, writes, phase=phase)
-        )
+        """Create, register, and return a statement with a default schedule;
+        its reads and writes follow from ``body`` and the space."""
+        return self.add_stmt(Stmt(body, iteration_space, phase=phase))
 
     def replace_stmts(self, stmts: Sequence[Stmt]) -> None:
         self.stmts = list(stmts)
-
-    # ------------------------------------------------------------------
-    def data_spaces(self) -> dict[str, dict[str, list[str]]]:
-        """Map data space name -> {'readers': [...], 'writers': [...]}."""
-        spaces: dict[str, dict[str, list[str]]] = {}
-        for stmt in self.stmts:
-            for name in stmt.reads:
-                spaces.setdefault(name, {"readers": [], "writers": []})[
-                    "readers"
-                ].append(stmt.name)
-            for name in stmt.writes:
-                spaces.setdefault(name, {"readers": [], "writers": []})[
-                    "writers"
-                ].append(stmt.name)
-        return spaces
 
     # ------------------------------------------------------------------
     def lower(self) -> Program:

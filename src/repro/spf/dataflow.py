@@ -4,9 +4,11 @@ The SPF-IR can "generate C code or a visual data flow graph to help
 performance engineers identify optimization opportunities" (Section 2.2).
 This module renders a :class:`~repro.spf.Computation` as Graphviz DOT:
 statement nodes (boxes, annotated with their iteration space) connected
-through data-space nodes (ellipses) by read/write edges.  The same backward
-walk that drives dead code elimination is visible in the graph — dead
-branches are the ones with no path to a live-out node.
+through data-space nodes (ellipses) by read/write edges, each statement's
+:attr:`~repro.spf.Stmt.reads` and :attr:`~repro.spf.Stmt.writes` as its
+body and iteration space imply them.  The same backward walk that drives
+dead code elimination is visible in the graph — dead branches are the
+ones with no path to a live-out node.
 """
 
 from __future__ import annotations
@@ -67,22 +69,3 @@ def dataflow_dot(
 
     lines.append("}")
     return "\n".join(lines)
-
-
-def dead_spaces(comp: Computation, live_out: Iterable[str]) -> set[str]:
-    """Data spaces with no path to a live-out space (for graph annotation)."""
-    live = set(live_out)
-    changed = True
-    while changed:
-        changed = False
-        for stmt in reversed(comp.stmts):
-            if any(w in live for w in stmt.writes):
-                for r in stmt.reads:
-                    if r not in live:
-                        live.add(r)
-                        changed = True
-    all_spaces: set[str] = set()
-    for stmt in comp.stmts:
-        all_spaces.update(stmt.reads)
-        all_spaces.update(stmt.writes)
-    return all_spaces - live

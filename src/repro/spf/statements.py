@@ -42,8 +42,10 @@ class Statement(Node):
     """Base class of the typed statement kinds."""
 
     #: Fields naming a variable the statement binds; renamed with the
-    #: tuple variables, never substituted.
+    #: tuple variables, never substituted.  The statement writes them.
     _binds = ()
+    #: Fields holding an operator, not a name.
+    _operators = ()
 
     def __post_init__(self):
         # Operands accept anything expression-like (ints, atoms).
@@ -72,12 +74,15 @@ class Statement(Node):
                 yield from (v for v in value if isinstance(v, Expr))
 
     def names(self) -> set[str]:
-        """Every identifier the statement mentions (its Python form's names)."""
+        """Every name the statement mentions: its operands' variables,
+        symbols and functions and the arrays and objects it names."""
         out: set[str] = set()
         for e in self.exprs():
             out |= e.var_names() | e.sym_names() | e.uf_names()
         for f in fields(self):
             value = getattr(self, f.name)
+            if f.name in self._operators:
+                continue
             if isinstance(value, str):
                 out.add(value)
             elif isinstance(value, tuple):
@@ -88,6 +93,11 @@ class Statement(Node):
     def target(self) -> str:
         """The array, object or scalar the statement writes."""
         return self.name  # type: ignore[attr-defined]
+
+    @property
+    def bound(self) -> set[str]:
+        """The variables the statement binds."""
+        return {getattr(self, f) for f in self._binds}
 
     def _rebuild(
         self, on_expr: Callable[[Expr], Expr], on_var: Callable[[str], str]
@@ -202,6 +212,8 @@ class Reduce(Statement):
     value: Expr
     op: str = "max"
 
+    _operators = ("op",)
+
     @property
     def target(self) -> str:
         return self.array
@@ -235,6 +247,8 @@ class PrefixFix(Statement):
     array: str
     index: Expr
     op: str = "max"
+
+    _operators = ("op",)
 
     @property
     def target(self) -> str:
@@ -283,6 +297,10 @@ class NewOrderedList(Statement):
 
     def _rebuild(self, on_expr, on_var):
         return self  # the key is closed over its own parameters
+
+    def names(self) -> set[str]:
+        """Its names but the parameters its key binds."""
+        return super().names() - set(self.params)
 
     @property
     def injective(self) -> bool:

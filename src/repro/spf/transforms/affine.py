@@ -65,8 +65,7 @@ def interchange(comp: Computation, name: str, var_a: str, var_b: str) -> Stmt:
         entries[2 * ia + 1],
     )
     new_stmt = Stmt(
-        stmt.body, new_space, Schedule(entries), stmt.reads, stmt.writes,
-        stmt.name, stmt.phase,
+        stmt.body, new_space, Schedule(entries), stmt.name, stmt.phase
     )
     return _replace(comp, index, new_stmt)
 
@@ -87,7 +86,7 @@ def shift(comp: Computation, name: str, var: str, offset: int) -> Stmt:
     # The body must read the original iterator value.
     new_stmt = Stmt(
         stmt.body.substitute_vars({var: Var(var) - offset}), new_space,
-        stmt.schedule, stmt.reads, stmt.writes, stmt.name, stmt.phase,
+        stmt.schedule, stmt.name, stmt.phase,
     )
     return _replace(comp, index, new_stmt)
 
@@ -107,8 +106,7 @@ def skew(comp: Computation, name: str, inner: str, outer: str,
     new_space = IntSet(tuple_vars, [substituted])
     new_stmt = Stmt(
         stmt.body.substitute_vars({inner: Var(inner) - factor * Var(outer)}),
-        new_space, stmt.schedule, stmt.reads, stmt.writes, stmt.name,
-        stmt.phase,
+        new_space, stmt.schedule, stmt.name, stmt.phase,
     )
     return _replace(comp, index, new_stmt)
 
@@ -155,10 +153,7 @@ def tile(comp: Computation, name: str, var: str, size: int) -> Stmt:
     constraints.append(less(Var(vi), size))
     constraints.append(equals(Var(var), size * Var(vt) + Var(vi)))
     new_space = IntSet(new_vars, [Conjunction(constraints)])
-    new_stmt = Stmt(
-        stmt.body, new_space, None, stmt.reads, stmt.writes,
-        stmt.name, stmt.phase,
-    )
+    new_stmt = Stmt(stmt.body, new_space, None, stmt.name, stmt.phase)
     assert stmt.schedule is not None
     new_stmt = new_stmt.with_schedule(
         Schedule.default(stmt.schedule.static_at(0), new_vars)
@@ -192,7 +187,7 @@ def full_unroll(comp: Computation, name: str, var: str) -> list[Stmt]:
         space = IntSet(new_vars, [inst_conj])
         replacements.append(
             Stmt(stmt.body.substitute_vars({var: value}), space, None,
-                 stmt.reads, stmt.writes, f"{stmt.name}_u{value}", stmt.phase)
+                 f"{stmt.name}_u{value}", stmt.phase)
         )
     stmts = list(comp.stmts)
     stmts[index : index + 1] = replacements

@@ -22,7 +22,9 @@ def dead_code_elimination(
     A statement is live when it writes a live data space; the spaces it
     *reads* then become live for the statements before it.  The backward walk
     respects program order so later writers do not keep earlier readers
-    alive spuriously.
+    alive spuriously.  Both sets are derived from each statement's body and
+    iteration space (:attr:`~repro.spf.Stmt.reads`), so no read can be
+    left off a list.
     """
     live: set[str] = set(live_out)
     keep: list[bool] = [False] * len(comp.stmts)

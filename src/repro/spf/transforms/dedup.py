@@ -2,8 +2,9 @@
 
 Synthesis can derive the same population statement from multiple constraints
 (Section 3.3: "If multiple statements cover the same data space we remove all
-but one of them").  Two statements are redundant when they write the same
-data spaces with the same body over the same iteration space.
+but one of them").  Two statements are redundant when they have the same
+body over the same iteration space, modulo tuple variable names; what a
+statement writes follows from its body.
 """
 
 from __future__ import annotations
@@ -18,8 +19,7 @@ def _signature(stmt: Stmt) -> tuple:
     constraint_key = tuple(
         sorted(str(c) for c in renamed.space.single_conjunction)
     )
-    return (renamed.body, renamed.space.tuple_vars, constraint_key,
-            tuple(sorted(stmt.writes)))
+    return (renamed.body, renamed.space.tuple_vars, constraint_key)
 
 
 def eliminate_redundant_statements(comp: Computation) -> list[Stmt]:

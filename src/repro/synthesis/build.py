@@ -70,7 +70,6 @@ def build_stage(
     kd_expr = match.kd_expr
     search_vars = match.search_vars
     position_var = match.position_var
-    use_perm_lookup = match.use_perm_lookup
     plans = match.plans
     plan_by_uf = match.plan_by_uf
 
@@ -120,11 +119,7 @@ def build_stage(
     for sym, origin in sym_sources.items():
         if origin == PERMUTATION:
             comp.new_stmt(
-                st.Length(sym, PERMUTATION),
-                empty_space,
-                reads=[PERMUTATION],
-                writes=[sym],
-                phase=PH_PERMSYM,
+                st.Length(sym, PERMUTATION), empty_space, phase=PH_PERMSYM
             )
             notes.append(f"{sym} = len(P) (derived from the permutation)")
 
@@ -163,16 +158,10 @@ def build_stage(
         comp.new_stmt(
             st.Alloc(plan.uf, size, init),
             empty_space,
-            writes=[plan.uf],
             phase=alloc_phase_for(size),
         )
     for uf in insert_ufs:
-        comp.new_stmt(
-            st.NewOrderedSet(uf),
-            empty_space,
-            writes=[uf],
-            phase=PH_ALLOC,
-        )
+        comp.new_stmt(st.NewOrderedSet(uf), empty_space, phase=PH_ALLOC)
 
     # --- population ------------------------------------------------------
     def extended_space(extra_pos: bool) -> IntSet:
@@ -186,19 +175,13 @@ def build_stage(
             [src_space.single_conjunction.add(constraint)],
         )
 
-    population_reads = sorted(src.index_ufs()) + (
-        [PERMUTATION] if (use_perm_lookup and not pos_stateful) else []
-    )
     if pos_stateful:
         assert position_var is not None and bucket_spec is not None
         comp.new_stmt(
             st.BucketFill(position_var, "P_fill", dense_exprs[bucket_spec[0]]),
             src_space,
-            reads=sorted(src.index_ufs()) + ["P_fill"],
-            writes=["__pos__", "P_fill"],
             phase=PH_POP,
         )
-        population_reads = population_reads + ["__pos__"]
 
     # Copy-propagate a cheap position definition (no permutation lookup)
     # directly into statement expressions; expensive definitions stay as a
@@ -231,23 +214,13 @@ def build_stage(
             body = st.Scatter(plan.uf, args, value)
         else:
             body = st.Reduce(plan.uf, args, value, plan.kind)
-        comp.new_stmt(
-            body,
-            space,
-            reads=population_reads,
-            writes=[plan.uf],
-            phase=PH_POP,
-        )
+        comp.new_stmt(body, space, phase=PH_POP)
 
     # --- size symbols from insert structures ----------------------------
     for sym, origin in sym_sources.items():
         if origin != PERMUTATION:
             comp.new_stmt(
-                st.Length(sym, origin),
-                empty_space,
-                reads=[origin],
-                writes=[sym],
-                phase=PH_SIZESYM,
+                st.Length(sym, origin), empty_space, phase=PH_SIZESYM
             )
             notes.append(f"{sym} = len({origin}) (insert-populated UF size)")
 
@@ -268,11 +241,7 @@ def build_stage(
                 # guards and binary searches then index without structure
                 # call overhead.
                 comp.new_stmt(
-                    st.Materialize(uf),
-                    empty_space,
-                    reads=[uf],
-                    writes=[uf],
-                    phase=PH_ENFORCE,
+                    st.Materialize(uf), empty_space, phase=PH_ENFORCE
                 )
             notes.append(
                 f"{uf}: strict monotonic quantifier enforced by the "
@@ -296,11 +265,7 @@ def build_stage(
             ],
         )
         comp.new_stmt(
-            st.PrefixFix(uf, Var(dvar), "max"),
-            enforce_space,
-            reads=[uf],
-            writes=[uf],
-            phase=PH_ENFORCE,
+            st.PrefixFix(uf, Var(dvar), "max"), enforce_space, phase=PH_ENFORCE
         )
         enforced_ufs.add(uf)
         notes.append(
@@ -312,7 +277,6 @@ def build_stage(
     comp.new_stmt(
         st.Alloc(DEST_DATA, dst_size, floating=True),
         empty_space,
-        writes=[DEST_DATA],
         phase=alloc_phase_for(dst_size),
     )
 
@@ -377,17 +341,8 @@ def build_stage(
                 copy_constraints.append(rewritten)
 
     copy_space = IntSet(tuple(copy_vars), [Conjunction(copy_constraints)])
-    copy_reads = [SOURCE_DATA] + sorted(
-        {
-            call.name
-            for c in copy_space.single_conjunction
-            for call in c.uf_calls()
-        }
-        | ({PERMUTATION} if (use_perm_lookup and not pos_stateful) else set())
-        | ({"__pos__"} if pos_stateful else set())
-    )
-    reads_enforced = any(
-        uf in enforced_ufs or uf in insert_ufs for uf in copy_reads
+    reads_enforced = bool(
+        copy_space.uf_names() & (enforced_ufs | set(insert_ufs))
     )
     copy_phase = PH_COPY if (reads_enforced or searches) else PH_POP
     if copy_phase == PH_POP:
@@ -404,8 +359,6 @@ def build_stage(
             UFCall(SOURCE_DATA, [match.src_data_expr]),
         ),
         copy_space,
-        reads=copy_reads,
-        writes=[DEST_DATA],
         phase=copy_phase,
     )
 
@@ -414,17 +367,7 @@ def build_stage(
     comp.replace_stmts([])
     comp._counter = 0
     for stmt in ordered:
-        comp.add_stmt(
-            Stmt(
-                stmt.body,
-                stmt.space,
-                None,
-                stmt.reads,
-                stmt.writes,
-                "",
-                stmt.phase,
-            )
-        )
+        comp.add_stmt(Stmt(stmt.body, stmt.space, phase=stmt.phase))
 
     returns = tuple(
         sorted(set(uf_map[u] for u in dst.index_ufs()))

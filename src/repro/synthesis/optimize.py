@@ -101,8 +101,6 @@ def rewrite_linear_search(comp: Computation) -> int:
                 st.BinarySearch(var, uf, target, stmt.body),
                 new_space,
                 schedule,
-                stmt.reads,
-                stmt.writes,
                 stmt.name,
                 stmt.phase,
             )

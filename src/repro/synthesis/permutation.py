@@ -125,16 +125,11 @@ def emit_permutation(
         assert bucket_spec is not None
         bucket_var, nbuckets = bucket_spec
         comp.new_stmt(
-            st.Alloc("P_count", nbuckets + 1),
-            empty_space,
-            writes=["P_count"],
-            phase=PH_ALLOC,
+            st.Alloc("P_count", nbuckets + 1), empty_space, phase=PH_ALLOC
         )
         comp.new_stmt(
             st.Histogram("P_count", dense_exprs[bucket_var]),
             src_space,
-            reads=sorted(src.index_ufs()),
-            writes=["P_count"],
             phase=PH_PERM,
         )
         prefix_space = IntSet(
@@ -142,18 +137,11 @@ def emit_permutation(
             [Conjunction([Geq(Var("x") - 1), Geq(nbuckets - Var("x"))])],
         )
         comp.new_stmt(
-            st.PrefixFix("P_count", Var("x"), "+"),
-            prefix_space,
-            reads=["P_count"],
-            writes=["P_count"],
+            st.PrefixFix("P_count", Var("x"), "+"), prefix_space,
             phase=PH_PERMSYM,
         )
         comp.new_stmt(
-            st.ArrayCopy("P_fill", "P_count"),
-            empty_space,
-            reads=["P_count"],
-            writes=["P_fill"],
-            phase=PH_PERMSYM,
+            st.ArrayCopy("P_fill", "P_count"), empty_space, phase=PH_PERMSYM
         )
         match.pos_definition = None
         notes.append(
@@ -170,14 +158,11 @@ def emit_permutation(
                 PERMUTATION, nbuckets, which, len(dense_order)
             ),
             empty_space,
-            writes=[PERMUTATION],
             phase=PH_ALLOC,
         )
         comp.new_stmt(
             st.Insert(PERMUTATION, tuple(dense_exprs[v] for v in dense_order)),
             src_space,
-            reads=sorted(src.index_ufs()),
-            writes=[PERMUTATION],
             phase=PH_PERM,
         )
         notes.append(
@@ -202,17 +187,10 @@ def emit_permutation(
         unique=dst_r.ordering is not None and dst_r.ordering.collapse_ties,
         ranges=ranges,
     )
-    created = comp.new_stmt(
-        new_list,
-        empty_space,
-        writes=[PERMUTATION],
-        phase=PH_ALLOC,
-    )
+    created = comp.new_stmt(new_list, empty_space, phase=PH_ALLOC)
     comp.new_stmt(
         st.Insert(PERMUTATION, tuple(dense_exprs[v] for v in dense_order)),
         src_space,
-        reads=sorted(src.index_ufs()),
-        writes=[PERMUTATION],
         phase=PH_PERM,
     )
     notes.append(created.text)
@@ -305,10 +283,7 @@ def alias_prefix_ufs(
         ):
             match.plans.remove(plan)
             comp.new_stmt(
-                st.ArrayCopy(plan.uf, "P_count"),
-                empty_space,
-                reads=["P_count"],
-                writes=[plan.uf],
+                st.ArrayCopy(plan.uf, "P_count"), empty_space,
                 phase=PH_PERMSYM,
             )
             aliased_ufs.add(plan.uf)

@@ -127,23 +127,14 @@ def tandem(
     conversion_names = []
     for stmt in conversion.computation.stmts:
         added = combined.add_stmt(
-            Stmt(stmt.body, stmt.space, None, stmt.reads, stmt.writes,
-                 "", stmt.phase)
+            Stmt(stmt.body, stmt.space, phase=stmt.phase)
         )
         conversion_names.append(added.name)
     last_phase = max((s.phase for s in combined.stmts), default=0) + 1
     retarget = {"Adata": SOURCE_DATA}
     for stmt in src_kernel.computation.stmts:
         combined.add_stmt(
-            Stmt(
-                stmt.body.rename_ufs(retarget),
-                stmt.space,
-                None,
-                [retarget.get(r, r) for r in stmt.reads],
-                stmt.writes,
-                "",
-                last_phase,
-            )
+            Stmt(stmt.body.rename_ufs(retarget), stmt.space, phase=last_phase)
         )
     notes.append(
         f"executor retargeted from {dst.name} to {src.name} via the "

@@ -175,12 +175,12 @@ def test_numpy_refuses_hazard_nest():
     # while writing it, which no whole-array form can order.  The
     # scalar tier still runs it.
     comp = Computation("hazard")
-    comp.new_stmt(st.Alloc("a", Sym("N") + 1), IntSet(()), writes=["a"])
+    comp.new_stmt(st.Alloc("a", Sym("N") + 1), IntSet(()))
     comp.new_stmt(st.Scatter("a", (Var("i"),), 2 * Var("i")),
-                  "{[i] : 0 <= i < N}", writes=["a"])
+                  "{[i] : 0 <= i < N}")
     comp.new_stmt(
         st.Scatter("a", (Var("i") + 1,), UFCall("a", [Var("i")]) + 1),
-        "{[i] : 0 <= i < N}", reads=["a"], writes=["a"],
+        "{[i] : 0 <= i < N}",
     )
     symtab = SymbolTable(arrays={"a"})
     with pytest.raises(st.UnsupportedStatement,

@@ -195,23 +195,26 @@ class TestLowering:
 
 class TestDataSpaces:
     def test_readers_and_writers_tracked(self):
+        # Derived from the body and the space: the target is written; the
+        # operands, the target and the space's functions and symbols are
+        # read.
         comp = Computation()
-        comp.new_stmt(st.Scatter("a", (i,), 1), "{[i] : 0 <= i < N}",
-                      writes=["a"])
+        comp.new_stmt(st.Scatter("a", (i,), 1), "{[i] : 0 <= i < N}")
         comp.new_stmt(st.Scatter("b", (i,), UFCall("a", [i])),
-                      "{[i] : 0 <= i < N}", reads=["a"], writes=["b"])
-        spaces = comp.data_spaces()
-        assert spaces["a"]["writers"] == ["S0"]
-        assert spaces["a"]["readers"] == ["S1"]
-        assert spaces["b"]["writers"] == ["S1"]
+                      "{[i] : 0 <= i < N && 0 <= rowptr(i)}")
+        first, second = comp.stmts
+        assert first.writes == ("a",)
+        assert first.reads == ("N", "a")
+        assert second.writes == ("b",)
+        assert second.reads == ("N", "a", "b", "rowptr")
 
 
 class TestFunctionWrapper:
     def test_codegen_function_runs(self):
         comp = Computation("double_all")
-        comp.new_stmt(st.Alloc("b", Sym("N")), "{[]}", writes=["b"])
+        comp.new_stmt(st.Alloc("b", Sym("N")), "{[]}")
         comp.new_stmt(st.Scatter("b", (i,), 2 * UFCall("a", [i])),
-                      "{[i] : 0 <= i < N}", reads=["a"], writes=["b"])
+                      "{[i] : 0 <= i < N}")
         python = get_backend("python")
         source = python.lower(
             comp.lower(), comp.name, ["a", "N"], ["b"], SymbolTable()

@@ -26,7 +26,7 @@ from repro.spf import (
 )
 from repro.spf import statements as st
 from repro.spf.codegen.c_emit import emit_c
-from repro.spf.transforms import apply_all_fusion
+from repro.spf.transforms import apply_all_fusion, dead_code_elimination
 
 from tests.sweep import synthesized
 from tests.tiers import needs_c
@@ -258,6 +258,45 @@ def test_kind_prints_the_same_on_every_tier(kind, backend):
         assert any(isinstance(s.body, kind) for s in comp.stmts)
         results[tier] = _lower_and_run(comp, returns, tier)
     assert results[backend] == results["python"]
+
+
+@pytest.mark.parametrize("kind", st.KINDS, ids=lambda k: k.__name__)
+def test_kind_keeps_every_statement_its_returns_need(kind):
+    # Every statement of a case feeds a return, so dead code elimination
+    # over the dataflow derived from the bodies removes none of them.
+    comp = Computation(f"kind_{kind.__name__.lower()}")
+    returns = CASES[kind](comp)
+    assert dead_code_elimination(comp, returns) == []
+
+
+def test_bound_variables_are_dataflow():
+    comp = Computation("bound")
+    _bucket_fill(comp)
+    fill = next(s for s in comp.stmts if isinstance(s.body, st.BucketFill))
+    use = next(s for s in comp.stmts if s.body == st.Scatter(
+        "pos", (Var("k"),), n))
+    assert fill.writes == ("fill", "k")
+    assert "k" in use.reads and "k" not in fill.reads
+
+    comp = Computation("search")
+    _binary_search(comp)
+    search = [s for s in comp.stmts if isinstance(s.body, st.BinarySearch)]
+    for stmt in search:
+        assert "off" in stmt.reads and "d" not in stmt.reads
+    assert [s.writes for s in search] == [("d", "hits"), ("Adst", "d")]
+
+
+def test_operators_parameters_and_helpers_are_not_read():
+    comp = Computation("not_read")
+    _reduce(comp)
+    _prefix_fix(comp)
+    _ordered_list(comp)
+    reads = {type(s.body).__name__ + ":" + s.body.target: s.reads
+             for s in comp.stmts}
+    assert reads["Reduce:hi"] == ("NNZ", "hi", "r")
+    assert reads["PrefixFix:p"] == ("NNZ", "p")
+    assert reads["NewOrderedList:Q"] == ("Q",)
+    assert reads["NewOrderedList:U"] == ("U",)
 
 
 def _sum_in_loop_order() -> Computation:

@@ -1,6 +1,6 @@
 """Unit tests for the SPF transformations: dedup, DCE, fusion."""
 
-from repro.ir import UFCall, Var
+from repro.ir import Sym, UFCall, Var
 from repro.spf import Computation, Stmt
 from repro.spf import statements as st
 from repro.spf.transforms import (
@@ -24,54 +24,53 @@ def at(array, var):
     return UFCall(array, [var])
 
 
-def make(body, space, reads=(), writes=(), phase=0):
-    return Stmt(body, space, None, reads, writes, phase=phase)
+def make(body, space, phase=0):
+    return Stmt(body, space, phase=phase)
 
 
 class TestDedup:
     def test_exact_duplicates_removed(self):
         comp = Computation()
-        comp.new_stmt(put("a", i), "{[i] : 0 <= i < N}", writes=["a"])
-        comp.new_stmt(put("a", i), "{[i] : 0 <= i < N}", writes=["a"])
+        comp.new_stmt(put("a", i), "{[i] : 0 <= i < N}")
+        comp.new_stmt(put("a", i), "{[i] : 0 <= i < N}")
         removed = eliminate_redundant_statements(comp)
         assert len(removed) == 1
         assert len(comp.stmts) == 1
 
     def test_duplicates_modulo_tuple_names(self):
         comp = Computation()
-        comp.new_stmt(put("a", i), "{[i] : 0 <= i < N}", writes=["a"])
-        comp.new_stmt(put("a", x), "{[x] : 0 <= x < N}", writes=["a"])
+        comp.new_stmt(put("a", i), "{[i] : 0 <= i < N}")
+        comp.new_stmt(put("a", x), "{[x] : 0 <= x < N}")
         removed = eliminate_redundant_statements(comp)
         assert len(removed) == 1
 
     def test_different_statements_kept(self):
         comp = Computation()
-        comp.new_stmt(put("a", i), "{[i] : 0 <= i < N}", writes=["a"])
-        comp.new_stmt(put("a", i, i + 1), "{[i] : 0 <= i < N}", writes=["a"])
+        comp.new_stmt(put("a", i), "{[i] : 0 <= i < N}")
+        comp.new_stmt(put("a", i, i + 1), "{[i] : 0 <= i < N}")
         assert eliminate_redundant_statements(comp) == []
         assert len(comp.stmts) == 2
 
     def test_different_spaces_kept(self):
         comp = Computation()
-        comp.new_stmt(put("a", i), "{[i] : 0 <= i < N}", writes=["a"])
-        comp.new_stmt(put("a", i), "{[i] : 0 <= i < M}", writes=["a"])
+        comp.new_stmt(put("a", i), "{[i] : 0 <= i < N}")
+        comp.new_stmt(put("a", i), "{[i] : 0 <= i < M}")
         assert eliminate_redundant_statements(comp) == []
 
 
 class TestDCE:
     def test_removes_unread_writer(self):
         comp = Computation()
-        comp.new_stmt(put("p", i), "{[i] : 0 <= i < N}", writes=["p"])
-        comp.new_stmt(put("out", i), "{[i] : 0 <= i < N}", writes=["out"])
+        comp.new_stmt(put("p", i), "{[i] : 0 <= i < N}")
+        comp.new_stmt(put("out", i), "{[i] : 0 <= i < N}")
         removed = dead_code_elimination(comp, live_out=["out"])
         assert [s.writes for s in removed] == [("p",)]
         assert len(comp.stmts) == 1
 
     def test_keeps_transitive_producers(self):
         comp = Computation()
-        comp.new_stmt(put("t", i), "{[i] : 0 <= i < N}", writes=["t"])
-        comp.new_stmt(put("out", i, at("t", i)), "{[i] : 0 <= i < N}",
-                      reads=["t"], writes=["out"])
+        comp.new_stmt(put("t", i), "{[i] : 0 <= i < N}")
+        comp.new_stmt(put("out", i, at("t", i)), "{[i] : 0 <= i < N}")
         removed = dead_code_elimination(comp, live_out=["out"])
         assert removed == []
         assert len(comp.stmts) == 2
@@ -79,17 +78,29 @@ class TestDCE:
     def test_permutation_elimination_scenario(self):
         # The paper's P removal: an OrderedList populated but never read.
         comp = Computation()
-        comp.new_stmt(st.Insert("P", (i,)), "{[i] : 0 <= i < N}", writes=["P"])
-        comp.new_stmt(put("col2", i, at("col1", i)), "{[i] : 0 <= i < N}",
-                      reads=["col1"], writes=["col2"])
+        comp.new_stmt(st.Insert("P", (i,)), "{[i] : 0 <= i < N}")
+        comp.new_stmt(put("col2", i, at("col1", i)), "{[i] : 0 <= i < N}")
         removed = dead_code_elimination(comp, live_out=["col2"])
         assert any("P" in s.writes for s in removed)
 
+    def test_body_read_keeps_its_only_producer(self):
+        # `out[i] = t[i]` reads t through its body alone; DCE keeps every
+        # statement that builds t, so the printed program never reads an
+        # undefined t.
+        comp = Computation()
+        comp.new_stmt(st.Alloc("t", Sym("N")), "{[]}")
+        comp.new_stmt(put("t", i, 2 * i), "{[i] : 0 <= i < N}")
+        comp.new_stmt(st.Alloc("out", Sym("N")), "{[]}")
+        comp.new_stmt(put("out", i, at("t", i)), "{[i] : 0 <= i < N}")
+        assert dead_code_elimination(comp, live_out=["out"]) == []
+        env = {"N": 3}
+        exec(comp.codegen(), {}, env)
+        assert env["out"] == [0, 2, 4]
+
     def test_later_reader_does_not_keep_earlier_writer_of_dead_space(self):
         comp = Computation()
-        comp.new_stmt(put("dead", i), "{[i] : 0 <= i < N}", writes=["dead"])
-        comp.new_stmt(put("x", i, at("dead", i)), "{[i] : 0 <= i < N}",
-                      reads=["dead"], writes=["x"])
+        comp.new_stmt(put("dead", i), "{[i] : 0 <= i < N}")
+        comp.new_stmt(put("x", i, at("dead", i)), "{[i] : 0 <= i < N}")
         # x itself is dead, so both go.
         removed = dead_code_elimination(comp, live_out=["unrelated"])
         assert len(removed) == 2
@@ -132,9 +143,8 @@ class TestFusableDepth:
 class TestFuse:
     def test_fused_statements_share_loop(self):
         comp = Computation()
-        comp.new_stmt(put("a", i), "{[i] : 0 <= i < N}", writes=["a"])
-        comp.new_stmt(put("b", x, at("a", x)), "{[x] : 0 <= x < N}",
-                      reads=["a"], writes=["b"])
+        comp.new_stmt(put("a", i), "{[i] : 0 <= i < N}")
+        comp.new_stmt(put("b", x, at("a", x)), "{[x] : 0 <= x < N}")
         depth = fuse(comp, comp.stmts[0].name, comp.stmts[1].name)
         assert depth == 1
         code = comp.codegen()
@@ -173,9 +183,8 @@ class TestFuse:
 
     def test_fused_executable(self):
         comp = Computation()
-        comp.new_stmt(put("a", i, 2 * i), "{[i] : 0 <= i < N}", writes=["a"])
-        comp.new_stmt(put("b", x, at("a", x) + 1), "{[x] : 0 <= x < N}",
-                      reads=["a"], writes=["b"])
+        comp.new_stmt(put("a", i, 2 * i), "{[i] : 0 <= i < N}")
+        comp.new_stmt(put("b", x, at("a", x) + 1), "{[x] : 0 <= x < N}")
         apply_all_fusion(comp)
         env = {"N": 4, "a": [0] * 4, "b": [0] * 4}
         exec(comp.codegen(), {}, env)
@@ -186,9 +195,9 @@ class TestFuse:
         # its own i -> i_f0; applied one key at a time, both would end up
         # as i_f0.
         comp = Computation("fused")
-        comp.new_stmt(put("out1", i), "{[i] : 0 <= i < N}", writes=["out1"])
+        comp.new_stmt(put("out1", i), "{[i] : 0 <= i < N}")
         comp.new_stmt(st.Scatter("out2", (x, i), 10 * x + i),
-                      "{[x, i] : 0 <= x < N && 0 <= i < M}", writes=["out2"])
+                      "{[x, i] : 0 <= x < N && 0 <= i < M}")
         assert apply_all_fusion(comp) == 1
         env = {"N": 3, "M": 2, "out1": [None] * 3, "out2": {}}
         exec(comp.codegen(), {}, env)

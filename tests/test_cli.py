@@ -77,9 +77,50 @@ class TestShow:
         assert "rowptr" in out
         assert "domain(" in out
 
-    def test_unknown_format(self):
-        with pytest.raises(KeyError):
-            main(["show", "ESB"])
+    def test_unknown_format(self, capsys):
+        assert main(["show", "ESB"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: unknown format 'ESB'; available: ["
+        )
+
+
+class TestInputErrors:
+    """An unknown format, a conversion or kernel that cannot be
+    synthesized, or a missing file is one ``error:`` line and exit 2."""
+
+    @pytest.mark.parametrize("argv,message", [
+        (["show", "ESB"], "unknown format 'ESB'"),
+        (["synthesize", "SCOO", "NOPE"], "unknown format 'NOPE'"),
+        (["plan", "SCOO", "NOPE"], "unknown format 'NOPE'"),
+        (["convert", "{in}", "{out}", "--to", "NOPE"],
+         "unknown format 'NOPE'"),
+        (["synthesize", "CSR", "ELL"], "cannot derive destination size"),
+        (["kernel", "COO3D", "spmv"], "spmv needs a rank-2 format"),
+        (["convert", "{missing}", "{out}", "--to", "CSR"],
+         "No such file or directory"),
+        (["plan", "COO", "DIA", "--matrix", "{missing}"],
+         "No such file or directory"),
+    ], ids=["show", "synthesize", "plan", "convert", "synthesize-ell",
+            "kernel", "convert-missing", "plan-missing"])
+    def test_one_line_and_exit_2(self, argv, message, tmp_path, capsys):
+        paths = {name: tmp_path / f"{name}.mtx"
+                 for name in ("in", "out", "missing")}
+        write_matrix(COOMatrix.from_dense(DENSE), paths["in"])
+        assert main([arg.format(**paths) for arg in argv]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if line.startswith("error: ")] == \
+            err[-1:]
+        assert message in err[-1]
+
+    def test_a_bug_keeps_its_traceback(self, monkeypatch):
+        import repro.__main__ as cli
+
+        def broken(args):
+            raise KeyError("a bug")
+
+        monkeypatch.setattr(cli, "cmd_show", broken)
+        with pytest.raises(KeyError, match="a bug"):
+            main(["show", "CSR"])
 
 
 class TestSynthesize:
